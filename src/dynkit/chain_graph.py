@@ -23,7 +23,7 @@ from .system import MapSpec, evaluate
 __all__ = [
     "TransitionGraph", "ChainComponent", "EpsChain",
     "ConstantEps", "RadialEps",
-    "build_graph", "strongly_connected_components",
+    "build_graph", "strongly_connected_components", "reachable",
     "chain_recurrent_boxes", "chain_components", "find_eps_chain",
     "is_chain_transitive", "nonwandering_probe", "strong_chain_search",
     "NonwanderingResult",
@@ -35,7 +35,10 @@ class TransitionGraph:
     """CSR digraph on BoxIds plus a virtual sink at index grid.nboxes.
 
     Out-edges are sorted ascending per source; the sink carries a self
-    loop, so every node has at least one out-edge.
+    loop, so every node has at least one out-edge.  The SCC labels, the
+    self-loop mask and the transposed CSR are computed on first use and
+    cached on the graph, so every recurrence query on one graph shares
+    one Tarjan pass.
     """
 
     grid: Grid
@@ -46,6 +49,7 @@ class TransitionGraph:
     lipschitz_used: float
     _reverse: Optional[tuple] = field(default=None, repr=False)
     _self_loops: Optional[np.ndarray] = field(default=None, repr=False)
+    _labels: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def nboxes(self) -> int:
@@ -73,45 +77,48 @@ class TransitionGraph:
         # only the sink self-loop means nothing escapes
         return bool(np.count_nonzero(self.targets == self.sink) > 1)
 
+    def _sources(self) -> np.ndarray:
+        """Source node of every edge, in CSR order."""
+        return np.repeat(np.arange(self.n_nodes), self.out_degrees())
+
     def self_loop_mask(self) -> np.ndarray:
         """Boolean per box: the box is its own out-neighbor."""
         if self._self_loops is None:
-            src = np.repeat(np.arange(self.n_nodes), self.out_degrees())
-            hits = src == self.targets
+            src = self._sources()
             mask = np.zeros(self.n_nodes, dtype=bool)
-            np.maximum.at(mask, src[hits], True)
+            mask[src[src == self.targets]] = True
             self._self_loops = mask[:self.nboxes]
         return self._self_loops
 
+    def scc_labels(self) -> np.ndarray:
+        """Tarjan SCC label of every node, the sink included, cached."""
+        if self._labels is None:
+            _, self._labels = strongly_connected_components(
+                self.offsets, self.targets, self.n_nodes)
+        return self._labels
+
     def image_boxes(self, boxset: BoxSet) -> BoxSet:
         """One application of the multivalued box map (sink dropped)."""
-        members = boxset.indices()
-        if members.size == 0:
-            return BoxSet.empty(self.grid)
-        chunks = [self.targets[self.offsets[b]:self.offsets[b + 1]] for b in members]
-        tgt = np.concatenate(chunks)
-        bits = np.zeros(self.grid.nboxes, dtype=bool)
-        tgt = tgt[tgt < self.nboxes]
-        bits[tgt] = True
+        tgt = _out_neighbors(self.offsets, self.targets, boxset.indices())
+        bits = np.zeros(self.nboxes, dtype=bool)
+        bits[tgt[tgt < self.nboxes]] = True
         return BoxSet(self.grid, bits)
 
     def set_escapes(self, boxset: BoxSet) -> bool:
         """True iff some member has an edge to the sink."""
-        for b in boxset.indices():
-            if self.out(int(b))[-1] == self.sink:
-                return True
-        return False
+        tgt = _out_neighbors(self.offsets, self.targets, boxset.indices())
+        return bool(np.any(tgt == self.sink))
 
     def reverse(self) -> tuple:
         """(offsets, targets) of the transposed graph, cached."""
         if self._reverse is None:
-            src = np.repeat(np.arange(self.n_nodes), self.out_degrees())
-            order = np.lexsort((src, self.targets))
-            rtarg = src[order]
-            rsrc = self.targets[order]
+            # sources ascend in CSR order, so a stable sort by target
+            # orders the transposed edges by (target, source)
+            order = np.argsort(self.targets, kind="stable")
+            rtarg = self._sources()[order]
             roff = np.zeros(self.n_nodes + 1, dtype=np.int64)
-            np.add.at(roff, rsrc + 1, 1)
-            roff = np.cumsum(roff)
+            np.cumsum(np.bincount(self.targets, minlength=self.n_nodes),
+                      out=roff[1:])
             self._reverse = (roff, rtarg)
         return self._reverse
 
@@ -122,7 +129,6 @@ class ChainComponent:
 
     id: int
     boxes: BoxSet
-    is_trivial: bool
 
 
 @dataclass
@@ -244,7 +250,13 @@ def _cover_ranges(grid: Grid, lo_f: np.ndarray, hi_f: np.ndarray):
 
 
 def _materialize_edges(grid: Grid, ilo, ihi, escapes, empty, sink: int):
-    """Expand index ranges into a deduplicated, sorted edge list."""
+    """Expand index ranges into CSR (offsets, targets), sorted per source.
+
+    Edges are distinct by construction: each per-axis range is either
+    shorter than its axis or clamped to the whole axis, and a box has at
+    most one sink edge.  One sort of the packed keys src*(n+1)+tgt
+    therefore orders them; the strict-increase check guards that argument.
+    """
     n = ilo.shape[0]
     dim = grid.dim
     counts = (ihi - ilo + 1)
@@ -253,13 +265,19 @@ def _materialize_edges(grid: Grid, ilo, ihi, escapes, empty, sink: int):
     for ax in range(dim - 2, -1, -1):
         strides[ax] = strides[ax + 1] * shape[ax + 1]
 
-    srcs = []
-    tgts = []
+    degree = np.where(empty, 0, counts.prod(axis=1)) + escapes
+    offsets = np.zeros(sink + 2, dtype=np.int64)
+    np.cumsum(degree, out=offsets[1:sink + 1])
+    offsets[sink + 1] = offsets[sink] + 1  # sink self-loop
+    base = np.int64(sink + 1)
+    keys = np.empty(int(offsets[-1]), dtype=np.int64)
+    fill = 0
+
     cmax = counts.max(axis=0)
     # iterate over the (small) per-axis offset lattice, vectorized over boxes
-    offsets = np.indices(tuple(int(c) for c in cmax)).reshape(dim, -1).T
+    lattice = np.indices(tuple(int(c) for c in cmax)).reshape(dim, -1).T
     src_ids = np.arange(n, dtype=np.int64)
-    for off in offsets:
+    for off in lattice:
         mask = np.all(off[None, :] < counts, axis=1) & ~empty
         if not mask.any():
             continue
@@ -268,25 +286,17 @@ def _materialize_edges(grid: Grid, ilo, ihi, escapes, empty, sink: int):
             if grid.domain.periodic[ax]:
                 idx[:, ax] = np.mod(idx[:, ax], shape[ax])
         tgt = (idx * strides[None, :]).sum(axis=1)
-        srcs.append(src_ids[mask])
-        tgts.append(tgt)
-    if escapes.any():
-        srcs.append(src_ids[escapes])
-        tgts.append(np.full(int(escapes.sum()), sink, dtype=np.int64))
-    # sink self-loop
-    srcs.append(np.array([sink], dtype=np.int64))
-    tgts.append(np.array([sink], dtype=np.int64))
+        keys[fill:fill + tgt.size] = src_ids[mask] * base + tgt
+        fill += tgt.size
+    n_esc = int(np.count_nonzero(escapes))
+    keys[fill:fill + n_esc] = src_ids[escapes] * base + sink
+    keys[-1] = sink * base + sink
 
-    src = np.concatenate(srcs)
-    tgt = np.concatenate(tgts)
-    key = src * np.int64(sink + 1) + tgt
-    key = np.unique(key)
-    src = key // np.int64(sink + 1)
-    tgt = key % np.int64(sink + 1)
-    off = np.zeros(sink + 2, dtype=np.int64)
-    np.add.at(off, src + 1, 1)
-    off = np.cumsum(off)
-    return off, tgt
+    keys.sort()
+    if not np.all(keys[1:] > keys[:-1]):
+        raise RuntimeError("transition graph edges are not distinct")
+    np.remainder(keys, base, out=keys)
+    return offsets, keys
 
 
 def build_graph(grid: Grid, map_spec: MapSpec, eps: float,
@@ -330,49 +340,50 @@ def build_graph(grid: Grid, map_spec: MapSpec, eps: float,
 # ---------------------------------------------------------------------------
 
 def strongly_connected_components(offsets: np.ndarray, targets: np.ndarray,
-                                  n: int, mask: np.ndarray | None = None):
+                                  n: int):
     """Iterative Tarjan over a CSR digraph.
 
     Returns (n_components, labels); labels follow reverse topological
-    order of the condensation (sources get the largest labels).  Nodes
-    excluded by `mask` keep label -1.
+    order of the condensation (sources get the largest labels).  Roots
+    are visited in node order and edges in CSR order.  The CSR is read
+    through memoryviews and the per-node state kept in lists, so the
+    inner loop touches Python ints only.
     """
-    UNSEEN = -1
-    index = np.full(n, UNSEEN, dtype=np.int64)
-    lowlink = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    labels = np.full(n, -1, dtype=np.int64)
+    off = memoryview(np.ascontiguousarray(offsets, dtype=np.int64))
+    tgt = memoryview(np.ascontiguousarray(targets, dtype=np.int64))
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = bytearray(n)
+    labels = [-1] * n
     stack: list[int] = []
     counter = 0
     n_comp = 0
 
-    allowed = mask if mask is not None else np.ones(n, dtype=bool)
-
     for root in range(n):
-        if not allowed[root] or index[root] != UNSEEN:
+        if index[root] >= 0:
             continue
-        # work stack entries: (node, next edge position)
-        work = [(root, offsets[root])]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
+        on_stack[root] = 1
+        # work stack entries: (node, next edge position)
+        work = [(root, off[root])]
         while work:
             v, ptr = work[-1]
-            if ptr < offsets[v + 1]:
-                work[-1] = (v, ptr + 1)
-                w = int(targets[ptr])
-                if not allowed[w]:
-                    continue
-                if index[w] == UNSEEN:
+            end = off[v + 1]
+            while ptr < end:
+                w = tgt[ptr]
+                ptr += 1
+                if index[w] < 0:
+                    work[-1] = (v, ptr)
                     index[w] = lowlink[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, offsets[w]))
-                elif on_stack[w]:
-                    if index[w] < lowlink[v]:
-                        lowlink[v] = index[w]
+                    on_stack[w] = 1
+                    work.append((w, off[w]))
+                    break
+                if on_stack[w] and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
             else:
                 work.pop()
                 if work:
@@ -382,64 +393,98 @@ def strongly_connected_components(offsets: np.ndarray, targets: np.ndarray,
                 if lowlink[v] == index[v]:
                     while True:
                         w = stack.pop()
-                        on_stack[w] = False
+                        on_stack[w] = 0
                         labels[w] = n_comp
                         if w == v:
                             break
                     n_comp += 1
-    return n_comp, labels
+    return n_comp, np.asarray(labels, dtype=np.int64)
 
 
-def _scc_of_graph(g: TransitionGraph, include_sink: bool = True):
-    mask = None
-    if not include_sink:
-        mask = np.ones(g.n_nodes, dtype=bool)
-        mask[g.sink] = False
-    return strongly_connected_components(g.offsets, g.targets, g.n_nodes, mask)
+def _recurrent_bits(g: TransitionGraph) -> np.ndarray:
+    """Boxes in a nontrivial SCC: size > 1, or a self-looped box.
+
+    The sink only loops to itself, so its SCC holds no box."""
+    labels = g.scc_labels()[:g.nboxes]
+    sizes = np.bincount(labels)
+    return (sizes[labels] > 1) | g.self_loop_mask()
 
 
 def nontrivial_scc_sets(g: TransitionGraph) -> list[BoxSet]:
     """Box sets of the nontrivial SCCs (size > 1, or a self-looped box),
     ordered by smallest member BoxId.  The sink never appears."""
-    n_comp, labels = _scc_of_graph(g)
-    box_labels = labels[:g.nboxes]
-    sizes = np.bincount(labels[labels >= 0], minlength=n_comp)
-    # sink contributes to its own component; sizes of box components only
-    sink_label = labels[g.sink]
-    selfloop = g.self_loop_mask()
-    keep = []
-    for comp in range(n_comp):
-        if comp == sink_label and sizes[comp] == 1:
-            continue
-        members = np.nonzero(box_labels == comp)[0]
-        if members.size == 0:
-            continue
-        if members.size > 1 or selfloop[members[0]]:
-            keep.append(members)
-    keep.sort(key=lambda m: int(m[0]))
-    return [BoxSet.from_indices(g.grid, m) for m in keep]
+    members = np.flatnonzero(_recurrent_bits(g))
+    if members.size == 0:
+        return []
+    labels = g.scc_labels()[members]
+    # a stable sort keeps each component's members ascending
+    order = np.argsort(labels, kind="stable")
+    members, labels = members[order], labels[order]
+    groups = np.split(members, np.flatnonzero(np.diff(labels)) + 1)
+    groups.sort(key=lambda m: int(m[0]))
+    sets = []
+    for m in groups:
+        bits = np.zeros(g.nboxes, dtype=bool)
+        bits[m] = True
+        sets.append(BoxSet(g.grid, bits))
+    return sets
 
 
 def chain_recurrent_boxes(g: TransitionGraph) -> BoxSet:
     """Boxes on a directed cycle at this resolution (sink excluded)."""
-    out = BoxSet.empty(g.grid)
-    for comp in nontrivial_scc_sets(g):
-        out = out | comp
-    return out
+    return BoxSet(g.grid, _recurrent_bits(g))
 
 
 def chain_components(g: TransitionGraph) -> list[ChainComponent]:
     """SCC partition of the chain recurrent boxes, ordered by smallest member."""
-    comps = []
-    for i, boxes in enumerate(nontrivial_scc_sets(g)):
-        comps.append(ChainComponent(i, boxes, is_trivial=False))
-    return comps
+    return [ChainComponent(i, boxes)
+            for i, boxes in enumerate(nontrivial_scc_sets(g))]
 
 
 def is_chain_transitive(g: TransitionGraph) -> bool:
-    """True iff the graph restricted to the boxes is strongly connected."""
-    n_comp, labels = _scc_of_graph(g, include_sink=False)
-    return n_comp == 1 and bool(np.all(labels[:g.nboxes] == labels[0]))
+    """True iff the graph restricted to the boxes is strongly connected.
+
+    The sink reaches no box, so dropping it leaves the box SCCs as they are.
+    """
+    labels = g.scc_labels()[:g.nboxes]
+    return bool(np.all(labels == labels[0]))
+
+
+# ---------------------------------------------------------------------------
+# CSR reachability
+# ---------------------------------------------------------------------------
+
+def _out_neighbors(offsets: np.ndarray, targets: np.ndarray,
+                   nodes: np.ndarray) -> np.ndarray:
+    """Targets of every out-edge of `nodes`, concatenated (repeats kept)."""
+    starts = offsets[nodes]
+    counts = offsets[nodes + 1] - starts
+    # edge k of node i sits at starts[i] + k; its output slot at
+    # cumsum(counts)[i] - counts[i] + k
+    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return targets[shift + np.arange(shift.size)]
+
+
+def reachable(offsets: np.ndarray, targets: np.ndarray,
+              seeds) -> np.ndarray:
+    """Boolean mask of the CSR nodes reachable from `seeds`, seeds included.
+
+    Frontier expansion, one layer per step; duplicates in a layer are
+    dropped through a scratch slot array instead of a sort.
+    """
+    n = offsets.size - 1
+    seen = np.zeros(n, dtype=bool)
+    seen[np.asarray(seeds, dtype=np.int64)] = True
+    frontier = np.flatnonzero(seen)
+    slot = np.empty(n, dtype=np.int64)
+    while frontier.size:
+        nxt = _out_neighbors(offsets, targets, frontier)
+        nxt = nxt[~seen[nxt]]
+        pos = np.arange(nxt.size)
+        slot[nxt] = pos
+        frontier = nxt[slot[nxt] == pos]
+        seen[frontier] = True
+    return seen
 
 
 # ---------------------------------------------------------------------------

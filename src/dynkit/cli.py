@@ -146,17 +146,19 @@ def validate_config(raw: dict) -> dict:
 def build_map(cfg: dict) -> MapSpec:
     mp = cfg["map"]
     name = mp["name"]
-    if name == "poly":
-        dim = int(mp.get("dimension", mp.get("dim", 0)))
-        if dim < 1:
-            raise ConfigError("polynomial map needs 'dimension'")
-        window = None
-        if cfg["grid"] is not None:
-            window = (cfg["grid"]["lower"], cfg["grid"]["upper"])
-        return polynomial_map(mp["components"], dim, window=window)
-    params = {k: v for k, v in mp.items() if k not in ("name", "dimension")}
     try:
+        if name == "poly":
+            dim = int(mp.get("dimension", mp.get("dim", 0)))
+            if dim < 1:
+                raise ConfigError("polynomial map needs 'dimension'")
+            window = None
+            if cfg["grid"] is not None:
+                window = (cfg["grid"]["lower"], cfg["grid"]["upper"])
+            return polynomial_map(mp["components"], dim, window=window)
+        params = {k: v for k, v in mp.items() if k not in ("name", "dimension")}
         return make_map(name, **params)
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad map spec: {e}") from e
 
@@ -165,8 +167,39 @@ def build_grid(cfg: dict) -> Grid:
     if cfg["grid"] is None:
         raise ConfigError("missing required field 'grid'")
     g = cfg["grid"]
-    dom = Domain(tuple(g["lower"]), tuple(g["upper"]), tuple(g["periodic"]))
-    return Grid(dom, tuple(g["depth"]))
+    try:
+        dom = Domain(tuple(g["lower"]), tuple(g["upper"]), tuple(g["periodic"]))
+        return Grid(dom, tuple(g["depth"]))
+    except ValueError as e:
+        raise ConfigError(f"bad grid: {e}") from e
+
+
+def _map_and_grid(cfg: dict) -> tuple[MapSpec, Grid]:
+    """The configured map and grid, checked to share one dimension."""
+    map_spec = build_map(cfg)
+    grid = build_grid(cfg)
+    if map_spec.dim != grid.dim:
+        raise ConfigError(f"map {map_spec.name!r} has dimension "
+                          f"{map_spec.dim} but the grid has {grid.dim}")
+    return map_spec, grid
+
+
+def _build_graph(cfg: dict) -> cg.TransitionGraph:
+    map_spec, grid = _map_and_grid(cfg)
+    return cg.build_graph(grid, map_spec, resolve_eps(cfg, grid))
+
+
+def _point(exp: dict, key: str, dim: int, default=None) -> np.ndarray:
+    """experiment[key] as a point of the map's dimension."""
+    value = exp.get(key, default)
+    try:
+        p = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"experiment.{key} is not a point: {e}") from e
+    if p.shape != (dim,):
+        raise ConfigError(f"experiment.{key} needs {dim} coordinates, "
+                          f"got {value!r}")
+    return p
 
 
 def resolve_eps(cfg: dict, grid: Grid) -> float:
@@ -245,10 +278,9 @@ def _graph_stats(tg) -> dict:
     }
 
 
-def run_graph(cfg, out_dir):
-    map_spec = build_map(cfg)
-    grid = build_grid(cfg)
-    tg = cg.build_graph(grid, map_spec, resolve_eps(cfg, grid))
+def run_graph(cfg, out_dir, tg=None):
+    if tg is None:
+        tg = _build_graph(cfg)
     artifacts = []
     if cfg["experiment"].get("dump_edges"):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -261,10 +293,10 @@ def run_graph(cfg, out_dir):
     return {"graph": _graph_stats(tg)}, artifacts, 0
 
 
-def run_cr(cfg, out_dir):
-    map_spec = build_map(cfg)
-    grid = build_grid(cfg)
-    tg = cg.build_graph(grid, map_spec, resolve_eps(cfg, grid))
+def run_cr(cfg, out_dir, tg=None):
+    if tg is None:
+        tg = _build_graph(cfg)
+    grid = tg.grid
     crset = cg.chain_recurrent_boxes(tg)
     results = {
         "graph": _graph_stats(tg),
@@ -281,10 +313,9 @@ def run_cr(cfg, out_dir):
     return results, artifacts, 0
 
 
-def run_components(cfg, out_dir):
-    map_spec = build_map(cfg)
-    grid = build_grid(cfg)
-    tg = cg.build_graph(grid, map_spec, resolve_eps(cfg, grid))
+def run_components(cfg, out_dir, tg=None):
+    if tg is None:
+        tg = _build_graph(cfg)
     comps = cg.chain_components(tg)
     results = {
         "graph": _graph_stats(tg),
@@ -297,10 +328,9 @@ def run_components(cfg, out_dir):
 
 
 def run_attractors(cfg, out_dir):
-    map_spec = build_map(cfg)
-    grid = build_grid(cfg)
     exp = cfg["experiment"]
-    tg = cg.build_graph(grid, map_spec, resolve_eps(cfg, grid))
+    tg = _build_graph(cfg)
+    grid = tg.grid
     candidates = None
     if "candidate_rle" in exp:
         candidates = [BoxSet.from_rle(grid, exp["candidate_rle"])]
@@ -308,7 +338,7 @@ def run_attractors(cfg, out_dir):
     blocks = conley.find_attractor_blocks(tg, candidates=candidates) \
         if not include_sink else (candidates or [])
     records = conley.build_attractor_records(
-        tg, map_spec, blocks, rng_seed=cfg["rng_seed"],
+        tg, tg.map_spec, blocks, rng_seed=cfg["rng_seed"],
         include_sink=include_sink)
     results = {
         "graph": _graph_stats(tg),
@@ -338,10 +368,9 @@ def run_attractors(cfg, out_dir):
     return results, artifacts, 0
 
 
-def run_conley_verify(cfg, out_dir):
-    map_spec = build_map(cfg)
-    grid = build_grid(cfg)
-    tg = cg.build_graph(grid, map_spec, resolve_eps(cfg, grid))
+def run_conley_verify(cfg, out_dir, tg=None):
+    if tg is None:
+        tg = _build_graph(cfg)
     report = conley.verify_conley_decomposition(tg)
     results = {
         "graph": _graph_stats(tg),
@@ -360,8 +389,7 @@ def run_conley_verify(cfg, out_dir):
 
 
 def run_strong_cr(cfg, out_dir):
-    map_spec = build_map(cfg)
-    grid = build_grid(cfg)
+    map_spec, grid = _map_and_grid(cfg)
     exp = cfg["experiment"]
     kind = exp.get("eps_fn", "constant")
     c = float(exp.get("eps_fn_c", 0.1))
@@ -387,8 +415,7 @@ def run_strong_cr(cfg, out_dir):
 
 
 def run_escape(cfg, out_dir):
-    map_spec = build_map(cfg)
-    grid = build_grid(cfg)
+    map_spec, grid = _map_and_grid(cfg)
     exp = cfg["experiment"]
     lo = np.asarray(exp.get("K_lower"), dtype=float)
     hi = np.asarray(exp.get("K_upper"), dtype=float)
@@ -410,7 +437,7 @@ def run_escape(cfg, out_dir):
 def run_shadow(cfg, out_dir):
     map_spec = build_map(cfg)
     exp = cfg["experiment"]
-    x0 = np.asarray(exp.get("x0", [0.1] * map_spec.dim), dtype=float)
+    x0 = _point(exp, "x0", map_spec.dim, [0.1] * map_spec.dim)
     N = int(exp.get("N", 100))
     eps = float(exp.get("eps", 1e-2))
     res = float(exp.get("grid_resolution", eps / 10.0))
@@ -432,8 +459,8 @@ def run_shadow(cfg, out_dir):
 def run_splice(cfg, out_dir):
     map_spec = build_map(cfg)
     exp = cfg["experiment"]
-    q = np.asarray(exp["q"], dtype=float)
-    x0 = np.asarray(exp["x0"], dtype=float)
+    q = _point(exp, "q", map_spec.dim)
+    x0 = _point(exp, "x0", map_spec.dim)
     eps = float(exp.get("eps", 1e-4))
     res = float(exp.get("grid_resolution", 1e-5))
     try:
@@ -455,25 +482,23 @@ def run_splice(cfg, out_dir):
     return results, [csv.name], 0
 
 
-def _find_anchor(map_spec, cfg, exp):
-    grid = build_grid(cfg)
+def _find_anchor(map_spec, grid, cfg, exp):
     period = int(exp.get("period", 1))
     tol_fix = cfg["tolerances"]["tol_fix"]
     points = mf.find_periodic_points(map_spec, period, grid, tol_fix=tol_fix)
     hyper = [p for p in points if p.is_hyperbolic]
     if not hyper:
         raise ConfigError("no hyperbolic periodic point found")
-    anchor_at = exp.get("anchor")
-    if anchor_at is not None:
-        target = np.asarray(anchor_at, dtype=float)
+    if exp.get("anchor") is not None:
+        target = _point(exp, "anchor", map_spec.dim)
         hyper.sort(key=lambda h: float(map_spec.distance(h.point, target)))
     return hyper[0], points
 
 
 def run_manifolds(cfg, out_dir):
-    map_spec = build_map(cfg)
+    map_spec, grid = _map_and_grid(cfg)
     exp = cfg["experiment"]
-    hp, all_points = _find_anchor(map_spec, cfg, exp)
+    hp, all_points = _find_anchor(map_spec, grid, cfg, exp)
     L = float(exp.get("arclength", 10.0))
     max_seg = float(exp.get("max_seg", 0.01))
     Wu = mf.grow_manifold(map_spec, hp, "unstable", L, max_seg)
@@ -487,7 +512,6 @@ def run_manifolds(cfg, out_dir):
         artifacts.append(csv.name)
     if map_spec.dim == 2:
         svg = out_dir / "manifolds.svg"
-        grid = build_grid(cfg)
         emit_plot([{"kind": "polyline", "data": Wu.vertices, "color": 1},
                    {"kind": "polyline", "data": Ws.vertices, "color": 0}],
                   svg, grid.domain.lower, grid.domain.upper)
@@ -504,9 +528,9 @@ def run_manifolds(cfg, out_dir):
 
 
 def run_homoclinic(cfg, out_dir):
-    map_spec = build_map(cfg)
+    map_spec, grid = _map_and_grid(cfg)
     exp = cfg["experiment"]
-    hp, _ = _find_anchor(map_spec, cfg, exp)
+    hp, _ = _find_anchor(map_spec, grid, cfg, exp)
     L = float(exp.get("arclength", 10.0))
     max_seg = float(exp.get("max_seg", 0.01))
     Wu = mf.grow_manifold(map_spec, hp, "unstable", L, max_seg)
@@ -522,7 +546,6 @@ def run_homoclinic(cfg, out_dir):
     artifacts = [csv.name]
     if map_spec.dim == 2:
         svg = out_dir / "homoclinic.svg"
-        grid = build_grid(cfg)
         layers = [{"kind": "polyline", "data": Wu.vertices, "color": 1},
                   {"kind": "polyline", "data": Ws.vertices, "color": 0}]
         if hits:
@@ -541,14 +564,14 @@ def run_homoclinic(cfg, out_dir):
 
 
 def run_accumulate(cfg, out_dir):
-    map_spec = build_map(cfg)
+    map_spec, grid = _map_and_grid(cfg)
     exp = cfg["experiment"]
-    hp, _ = _find_anchor(map_spec, cfg, exp)
+    hp, _ = _find_anchor(map_spec, grid, cfg, exp)
     radii = [float(r) for r in exp.get("radii", [0.1, 0.03, 0.01])]
     schedule = [float(L) for L in exp.get("arclength_schedule", [5, 10, 20])]
     max_seg = float(exp.get("max_seg", 0.01))
     if "q" in exp:
-        q = np.asarray(exp["q"], dtype=float)
+        q = _point(exp, "q", map_spec.dim)
     else:
         arc = float(exp.get("q_arclength", 0.3))
         Wu = mf.grow_manifold(map_spec, hp, "unstable", arc * 1.2, max_seg)
@@ -570,11 +593,12 @@ def run_accumulate(cfg, out_dir):
 
 
 def run_volume(cfg, out_dir):
-    map_spec = build_map(cfg)
     exp = cfg["experiment"]
     if cfg["grid"] is not None:
+        map_spec, _ = _map_and_grid(cfg)
         window = (cfg["grid"]["lower"], cfg["grid"]["upper"])
     else:
+        map_spec = build_map(cfg)
         window = ([0.0] * map_spec.dim, [1.0] * map_spec.dim)
     rep = volume_check(map_spec, window, int(exp.get("samples", 1000)),
                        float(exp.get("tol", 1e-9)), rng_seed=cfg["rng_seed"])
@@ -599,6 +623,7 @@ _SUBCOMMANDS = {
     "volume": run_volume,
 }
 
+# run by `all`, in this order; all but volume share one graph
 _ALL_SAFE = ["graph", "cr", "components", "conley-verify", "volume"]
 
 
@@ -625,8 +650,13 @@ def run_subcommand(name: str, config_path: str, out: str | None,
             results = {}
             artifacts = []
             code = 0
+            tg = _build_graph(cfg)
             for sub in _ALL_SAFE:
-                r, a, c = _SUBCOMMANDS[sub](cfg, Path(out_dir))
+                run = _SUBCOMMANDS[sub]
+                if sub == "volume":
+                    r, a, c = run(cfg, Path(out_dir))
+                else:
+                    r, a, c = run(cfg, Path(out_dir), tg)
                 results[sub] = r
                 artifacts.extend(a)
                 code = max(code, c)

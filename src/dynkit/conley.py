@@ -19,7 +19,8 @@ import numpy as np
 
 from .phase_space import BoxSet
 from .system import MapSpec, evaluate
-from .chain_graph import TransitionGraph, chain_recurrent_boxes, nontrivial_scc_sets
+from .chain_graph import (TransitionGraph, chain_recurrent_boxes,
+                          nontrivial_scc_sets, reachable)
 
 __all__ = [
     "NotABlockError", "AttractorFlags", "AttractorRecord", "ConleyReport",
@@ -72,36 +73,14 @@ class ConleyReport:
 
 def _forward_closure(g: TransitionGraph, seed: BoxSet):
     """(closure, hit_sink): all boxes reachable from seed, seed included."""
-    bits = seed.bits.copy()
-    frontier = seed.indices()
-    hit_sink = False
-    while frontier.size:
-        chunks = [g.targets[g.offsets[b]:g.offsets[b + 1]] for b in frontier]
-        tgt = np.concatenate(chunks)
-        if np.any(tgt == g.sink):
-            hit_sink = True
-            tgt = tgt[tgt != g.sink]
-        new = np.unique(tgt[~bits[tgt]])
-        bits[new] = True
-        frontier = new
-    return BoxSet(g.grid, bits), hit_sink
+    bits = reachable(g.offsets, g.targets, seed.indices())
+    return BoxSet(g.grid, bits[:g.nboxes]), bool(bits[g.sink])
 
 
 def _backward_closure(g: TransitionGraph, seed_nodes: np.ndarray) -> np.ndarray:
     """Nodes (boxes and sink) with a directed path into seed_nodes."""
     roff, rtarg = g.reverse()
-    bits = np.zeros(g.n_nodes, dtype=bool)
-    bits[seed_nodes] = True
-    frontier = np.asarray(seed_nodes, dtype=np.int64)
-    while frontier.size:
-        chunks = [rtarg[roff[b]:roff[b + 1]] for b in frontier]
-        if not chunks:
-            break
-        tgt = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        new = np.unique(tgt[~bits[tgt]])
-        bits[new] = True
-        frontier = new
-    return bits
+    return reachable(roff, rtarg, seed_nodes)
 
 
 def _is_block(g: TransitionGraph, U: BoxSet) -> bool:
@@ -237,8 +216,7 @@ def absorbed_basin(g: TransitionGraph, A: BoxSet) -> BoxSet:
     outside A, plus the sink.
     """
     bad = chain_recurrent_boxes(g) - A
-    seed = list(bad.indices()) + [g.sink]
-    reached = _backward_closure(g, np.asarray(seed, dtype=np.int64))
+    reached = _backward_closure(g, np.append(bad.indices(), g.sink))
     return BoxSet(g.grid, ~reached[:g.nboxes])
 
 

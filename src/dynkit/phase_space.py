@@ -94,6 +94,7 @@ class Grid:
     depth: tuple
     shape: tuple = field(init=False)
     h: np.ndarray = field(init=False, repr=False)
+    _nboxes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         depth = tuple(int(d) for d in self.depth)
@@ -105,6 +106,7 @@ class Grid:
         shape = tuple(1 << d for d in depth)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "h", self.domain.widths / np.asarray(shape))
+        object.__setattr__(self, "_nboxes", int(np.prod(shape)))
 
     @property
     def dim(self) -> int:
@@ -112,7 +114,7 @@ class Grid:
 
     @property
     def nboxes(self) -> int:
-        return int(np.prod(self.shape))
+        return self._nboxes
 
     @property
     def radius(self) -> np.ndarray:

@@ -56,13 +56,15 @@ def emit_plot(layers, path, lower, upper):
             if grid.dim != 2:
                 raise ValueError("emit_plot renders 2D data only")
             w = grid.h / (hi - lo) * CANVAS
-            for b in boxset.indices():
-                blo = grid.box_lower(int(b))
-                corner = _project(blo[None, :], lo, hi)[0]
-                parts.append(
-                    f'<rect x="{_fmt(corner[0])}" y="{_fmt(corner[1] - w[1])}" '
-                    f'width="{_fmt(w[0])}" height="{_fmt(w[1])}" '
+            # same arithmetic as Grid.box_lower, for all members at once
+            multi = np.stack(np.unravel_index(boxset.indices(), grid.shape),
+                             axis=-1).astype(float)
+            corners = _project(np.asarray(grid.domain.lower) + multi * grid.h,
+                               lo, hi)
+            tail = (f'width="{_fmt(w[0])}" height="{_fmt(w[1])}" '
                     f'fill="{color}" fill-opacity="0.6"/>')
+            parts.extend(f'<rect x="{_fmt(x)}" y="{_fmt(y - w[1])}" {tail}'
+                         for x, y in corners.tolist())
         elif kind == "polyline":
             pts = np.asarray(layer["data"], dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2:

@@ -1,12 +1,15 @@
 """Transition graphs, chain recurrence, chain components, chains and
 nonwandering probes, checked against brute-force graph oracles."""
 
+import networkx as nx
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from dynkit.chain_graph import (
-    ConstantEps, RadialEps, build_graph, chain_components,
+    ConstantEps, RadialEps, TransitionGraph, build_graph, chain_components,
     chain_recurrent_boxes, find_eps_chain, is_chain_transitive,
-    nonwandering_probe, strong_chain_search,
+    nonwandering_probe, reachable, strong_chain_search,
+    strongly_connected_components,
 )
 from dynkit.phase_space import BoxSet, Domain, Grid
 from dynkit.system import evaluate, make_map
@@ -296,3 +299,84 @@ class TestGraphInvariants:
         for b in range(0, g.nboxes, 17):
             row = tg.out(b)
             assert np.all(np.diff(row) > 0)
+
+
+@st.composite
+def csr_graphs(draw):
+    """Random box graph in the TransitionGraph layout: 2**depth boxes, a
+    sink node after them with only its self loop, sorted distinct
+    out-edges, self loops allowed."""
+    n = 1 << draw(st.integers(0, 5))
+    sink = n
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n)),
+                         max_size=4 * n))
+    edges = sorted(edges | {(sink, sink)})
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    targets = np.array([e[1] for e in edges], dtype=np.int64)
+    offsets = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n + 1), out=offsets[1:])
+    grid = Grid(Domain((0.0,), (1.0,), (False,)), (n.bit_length() - 1,))
+    return TransitionGraph(grid, None, 0.0, offsets, targets, 0.0), edges
+
+
+class TestSccOracle:
+    """Tarjan labels and CSR reachability against networkx."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(csr_graphs())
+    def test_partition_and_nontrivial_set_match_networkx(self, case):
+        tg, edges = case
+        G = nx.DiGraph()
+        G.add_nodes_from(range(tg.n_nodes))
+        G.add_edges_from(edges)
+        n_comp, labels = strongly_connected_components(
+            tg.offsets, tg.targets, tg.n_nodes)
+        ours = {frozenset(np.flatnonzero(labels == c).tolist())
+                for c in range(n_comp)}
+        assert ours == {frozenset(c) for c in nx.strongly_connected_components(G)}
+        # labels follow reverse topological order of the condensation
+        for u, v in edges:
+            assert labels[u] >= labels[v]
+        expected = [c for c in nx.strongly_connected_components(G)
+                    if tg.sink not in c
+                    and (len(c) > 1 or G.has_edge(next(iter(c)), next(iter(c))))]
+        cr = chain_recurrent_boxes(tg)
+        assert set(cr.indices().tolist()) == set().union(*expected)
+        comps = chain_components(tg)
+        assert [set(c.boxes.indices().tolist()) for c in comps] == \
+            sorted(expected, key=min)
+        boxes = G.subgraph(range(tg.nboxes))
+        assert is_chain_transitive(tg) == nx.is_strongly_connected(boxes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(csr_graphs(), st.data())
+    def test_reachable_matches_networkx(self, case, data):
+        tg, edges = case
+        G = nx.DiGraph(edges)
+        G.add_nodes_from(range(tg.n_nodes))
+        seeds = data.draw(st.sets(st.integers(0, tg.n_nodes - 1), max_size=3))
+        want = set(seeds).union(*(nx.descendants(G, s) for s in seeds))
+        got = reachable(tg.offsets, tg.targets, sorted(seeds))
+        assert set(np.flatnonzero(got).tolist()) == want
+        roff, rtarg = tg.reverse()
+        back = reachable(roff, rtarg, sorted(seeds))
+        want = set(seeds).union(*(nx.ancestors(G, s) for s in seeds))
+        assert set(np.flatnonzero(back).tolist()) == want
+        members = sorted(s for s in seeds if s < tg.nboxes)
+        image = tg.image_boxes(BoxSet.from_indices(tg.grid, members))
+        assert set(image.indices().tolist()) == \
+            {v for u in members for v in G.successors(u) if v != tg.sink}
+        assert tg.set_escapes(BoxSet.from_indices(tg.grid, members)) == \
+            any(G.has_edge(u, tg.sink) for u in members)
+
+    def test_scc_labels_computed_once_per_graph(self, monkeypatch):
+        from dynkit import chain_graph
+        calls = []
+        real = chain_graph.strongly_connected_components
+        monkeypatch.setattr(chain_graph, "strongly_connected_components",
+                            lambda *a: calls.append(1) or real(*a))
+        tg = build_graph(torus_grid(4), make_map("standard", K=0.9), 0.01)
+        chain_recurrent_boxes(tg)
+        chain_components(tg)
+        is_chain_transitive(tg)
+        assert len(calls) == 1

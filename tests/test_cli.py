@@ -1,13 +1,16 @@
 """CLI dispatch, config validation, report determinism, artifacts."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dynkit
 from dynkit.cli import main, validate_config
 from dynkit.phase_space import BoxSet, Domain, Grid
 from dynkit.svg import emit_plot
@@ -72,6 +75,39 @@ class TestConfigValidation:
     def test_unreadable_config(self):
         res = run_cli(["cr", "--config", "/nonexistent/x.json"])
         assert res.exit_code == 2
+
+    def test_poly_degree_over_cap_exits_2(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "map": {"name": "poly", "dimension": 1,
+                    "components": [[{"c": 1.0, "e": [5]}]]},
+            "grid": {"lower": [-1], "upper": [1], "depth": [4]}}))
+        res = run_cli(["cr", "--config", str(path)])
+        assert res.exit_code == 2
+        assert "degree" in res.output
+
+    def test_map_grid_dimension_mismatch_exits_2(self, tmp_path, monkeypatch):
+        from dynkit import chain_graph
+        built = []
+        monkeypatch.setattr(chain_graph, "build_graph",
+                            lambda *a, **k: built.append(1))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "map": {"name": "cat"},
+            "grid": {"lower": [0], "upper": [1], "periodic": [True],
+                     "depth": [4]}}))
+        res = run_cli(["all", "--config", str(path)])
+        assert res.exit_code == 2
+        assert "dimension" in res.output
+        assert not built
+
+    def test_point_of_wrong_dimension_exits_2(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "map": {"name": "cat"}, "experiment": {"x0": [0.1], "N": 10}}))
+        res = run_cli(["shadow", "--config", str(path)])
+        assert res.exit_code == 2
+        assert "x0" in res.output
 
     def test_echo_revalidates(self, tmp_path):
         path = cat_config(tmp_path)
@@ -248,6 +284,26 @@ class TestSvg:
                   (0, 0), (1, 1))
         assert path.read_text().count("<rect") == 1
 
+    def test_boxset_matches_per_box_reference(self, tmp_path):
+        g = Grid(Domain((-2.0, -2.0), (2.0, 2.0), (False, False)), (5, 4))
+        rng = np.random.default_rng(3)
+        boxes = BoxSet(g, rng.random(g.nboxes) < 0.4)
+        lo, hi = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
+        w = g.h / (hi - lo) * 1000
+        lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="1000" '
+                 'height="1000" viewBox="0 0 1000 1000">',
+                 '<rect x="0" y="0" width="1000" height="1000" fill="#ffffff"/>']
+        for b in boxes.indices():
+            x, y = (g.box_lower(int(b)) - lo) / (hi - lo) * 1000
+            lines.append(f'<rect x="{x:.3f}" y="{1000 - y - w[1]:.3f}" '
+                         f'width="{w[0]:.3f}" height="{w[1]:.3f}" '
+                         f'fill="#d95f02" fill-opacity="0.6"/>')
+        lines.append("</svg>")
+        path = tmp_path / "b.svg"
+        emit_plot([{"kind": "boxset", "data": boxes, "color": 1}], path,
+                  (-2, -2), (2, 2))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_non_2d_rejected(self, tmp_path):
         g = Grid(Domain((0.0,), (1.0,), (False,)), (2,))
         with pytest.raises(ValueError):
@@ -274,6 +330,31 @@ class TestMoreSubcommands:
         for key in ("graph", "cr", "components", "conley-verify", "volume"):
             assert key in report["results"]
         assert report["results"]["volume"]["passed"] is True
+
+    def test_all_builds_one_graph_and_one_scc(self, tmp_path, monkeypatch):
+        from dynkit import chain_graph
+        builds, sccs = [], []
+        build, scc = (chain_graph.build_graph,
+                      chain_graph.strongly_connected_components)
+        monkeypatch.setattr(chain_graph, "build_graph",
+                            lambda *a, **k: builds.append(1) or build(*a, **k))
+        monkeypatch.setattr(chain_graph, "strongly_connected_components",
+                            lambda *a: sccs.append(1) or scc(*a))
+        path = cat_config(tmp_path, depth=4)
+        assert run_cli(["all", "--config", str(path)]).exit_code == 0
+        assert len(builds) == 1 and len(sccs) == 1
+
+    def test_cr_does_not_import_scipy_sparse(self, tmp_path):
+        path = cat_config(tmp_path, depth=4)
+        src = str(Path(dynkit.__file__).resolve().parent.parent)
+        code = ("import sys; from dynkit.cli import run_subcommand; "
+                f"assert run_subcommand('cr', {str(path)!r}, None, None, None) == 0; "
+                "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse loaded'")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_homoclinic_overlay_svg(self, tmp_path):
         cfg = {
