@@ -523,6 +523,7 @@ def run_manifolds(cfg, out_dir):
         "unstable_vertices": int(Wu.vertices.shape[0]),
         "stable_vertices": int(Ws.vertices.shape[0]),
         "arclength": L,
+        "capped_segments": Wu.capped + Ws.capped,
     }
     return results, artifacts, 0
 
@@ -559,6 +560,7 @@ def run_homoclinic(cfg, out_dir):
         "arclength": L,
         "n_hits": len(hits),
         "nearest_distance": hits[0].distance_from_anchor if hits else None,
+        "capped_segments": Wu.capped + Ws.capped,
     }
     return results, artifacts, 0
 
@@ -586,6 +588,7 @@ def run_accumulate(cfg, out_dir):
                   "hit": None if r.hit is None else list(map(float, r.hit.point))}
                  for r in rows],
         "all_found": all(r.found for r in rows),
+        "capped_segments": max((r.capped for r in rows), default=0),
     }
     code = 0 if bool(exp.get("allow_missing", True)) or results["all_found"] \
         else ASSERTION_EXIT

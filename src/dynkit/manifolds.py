@@ -17,8 +17,9 @@ from typing import Optional
 
 import numpy as np
 
+from ._util import min_image
 from .phase_space import Grid
-from .system import MapSpec, evaluate, jacobian
+from .system import MapSpec, evaluate
 
 __all__ = [
     "HyperbolicPoint", "ManifoldPolyline", "HomoclinicHit",
@@ -52,17 +53,25 @@ class ManifoldPolyline:
     arclength: np.ndarray
     eigenvalue: float
     branch: int
+    max_seg: float
 
     @property
     def total_arclength(self) -> float:
         return float(self.arclength[-1])
+
+    @property
+    def capped(self) -> int:
+        """Segments longer than max_seg: growth stopped refining (parameter
+        cap or parameter spacing floor) before they were split."""
+        lens = np.linalg.norm(np.diff(self.lift, axis=0), axis=1)
+        return int(np.count_nonzero(lens > self.max_seg))
 
     def truncated(self, arclength: float) -> "ManifoldPolyline":
         n = int(np.searchsorted(self.arclength, arclength, side="right"))
         n = max(2, n)
         return ManifoldPolyline(self.side, self.anchor, self.vertices[:n],
                                 self.lift[:n], self.arclength[:n],
-                                self.eigenvalue, self.branch)
+                                self.eigenvalue, self.branch, self.max_seg)
 
 
 @dataclass
@@ -88,21 +97,26 @@ class AccumulationRow:
     found: bool
     arclength_used: Optional[float]
     hit: Optional[HomoclinicHit]
+    capped: int  # segments over max_seg in the W^u, W^s searched last
 
 
 # ---------------------------------------------------------------------------
 # periodic points
 # ---------------------------------------------------------------------------
 
-def _orbit_jacobian(map_spec: MapSpec, pts: np.ndarray, period: int):
-    """f^period(pts) and the chain-rule Jacobian D(f^period), batched."""
+def _orbit_jacobian(map_spec: MapSpec, pts: np.ndarray, steps: int,
+                    inverse: bool = False):
+    """f^steps(pts) (f^-steps with `inverse`) and its chain-rule Jacobian,
+    batched.  Backward steps use D(f^-1)(y) = Df(f^-1(y))^-1."""
     x = np.atleast_2d(pts).astype(float)
     J = np.broadcast_to(np.eye(map_spec.dim), (x.shape[0],) + (map_spec.dim,) * 2).copy()
-    for _ in range(period):
-        Jx = map_spec.jac(x) if map_spec.jac is not None else \
-            np.stack([jacobian(map_spec, p) for p in x])
-        J = Jx @ J
-        x = evaluate(map_spec, x)
+    for _ in range(steps):
+        if inverse:
+            x = evaluate(map_spec, x, "inverse")
+            J = np.linalg.solve(map_spec.jac(x), J)
+        else:
+            J = map_spec.jac(x) @ J
+            x = evaluate(map_spec, x)
     return x, J
 
 
@@ -148,20 +162,17 @@ def find_periodic_points(map_spec: MapSpec, period: int, grid: Grid,
     roots = roots[inside]
     residuals = residuals[inside]
 
-    # deterministic greedy dedupe
+    # deterministic greedy dedupe in lexicographic order: the first root
+    # left is kept and every root within 10*tol_fix of it dropped
     order = np.lexsort(tuple(roots[:, a] for a in range(roots.shape[1] - 1, -1, -1))) \
         if roots.size else np.empty(0, dtype=int)
-    merged = []
-    merged_res = []
-    for i in order:
-        r = roots[i]
-        if any(float(map_spec.distance(r, m)) <= 10 * tol_fix for m in merged):
-            continue
-        merged.append(r)
-        merged_res.append(residuals[i])
+    kept = []
+    while order.size:
+        kept.append(order[0])
+        order = order[map_spec.distance(roots[order], roots[order[0]]) > 10 * tol_fix]
 
     points = []
-    for r, rr in zip(merged, merged_res):
+    for r, rr in zip(roots[kept], residuals[kept]):
         _, Jp = _orbit_jacobian(map_spec, r[None, :], period)
         vals, vecs = np.linalg.eig(Jp[0])
         order2 = np.argsort(-np.abs(vals))
@@ -223,6 +234,30 @@ def _real_eigenpair(hp: HyperbolicPoint, side: str):
     raise NoRealEigendirectionError(f"no real {side} eigendirection")
 
 
+def _bad_intervals(deltas: np.ndarray, ts: np.ndarray, max_seg: float,
+                   turn_max: float) -> np.ndarray:
+    """Mask of the parameter intervals [ts[i], ts[i+1]] to bisect.
+
+    `deltas[0]` leads from the polyline's last vertex to the image of
+    ts[0], `deltas[k]` from the image of ts[k-1] to that of ts[k].  An
+    interval is bad if its image is longer than max_seg or the chain
+    turns by more than turn_max at either end of it; intervals narrower
+    than 1e-12 are never bad.
+    """
+    lens = np.linalg.norm(deltas, axis=1)
+    bad = lens[1:] > max_seg
+    # turn k sits between deltas[k] and deltas[k+1], at the image of ts[k]
+    na, nb = lens[:-1], lens[1:]
+    tame = (na >= 1e-15) & (nb >= 1e-15)
+    cosang = np.einsum("ij,ij->i", deltas[:-1][tame], deltas[1:][tame]) \
+        / (na[tame] * nb[tame])
+    sharp = np.zeros_like(tame)
+    sharp[tame] = np.arccos(np.clip(cosang, -1.0, 1.0)) > turn_max
+    bad |= sharp
+    bad[:-1] |= sharp[1:]
+    return bad & (np.diff(ts) > 1e-12)
+
+
 def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
                   target_arclength: float, max_seg: float,
                   tol_ref: float = 1e-9, turn_max: float = 0.2,
@@ -256,16 +291,11 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
         radii = r0 * (1.0 + ts * (stretch - 1.0))
         return map_spec.wrap(p[None, :] + radii[:, None] * direction[None, :])
 
-    vertices = [map_spec.wrap(p.copy())]
-    lift = [p.copy()]
-    arc = [0.0]
-
-    def append(pt: np.ndarray) -> bool:
-        d = map_spec.delta(vertices[-1], pt)
-        vertices.append(pt)
-        lift.append(lift[-1] + d)
-        arc.append(arc[-1] + float(np.linalg.norm(d)))
-        return arc[-1] >= target_arclength
+    # one block per generation; each block continues the previous one
+    vertices = [map_spec.wrap(p.copy())[None, :]]
+    lift = [p.copy()[None, :]]
+    arc = [np.zeros(1)]
+    nvert = 1
 
     gen = 0
     done = False
@@ -274,44 +304,37 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
         pts = _apply_steps(map_spec, seed_chord(ts), gen * hp.period, inverse)
         # refine parameters until the image chain is tame
         for _ in range(60):
-            lead = np.asarray(vertices[-1])[None, :]
-            chain = np.concatenate([lead, pts], axis=0)
-            deltas = map_spec.delta(chain[:-1], chain[1:])
-            lens = np.linalg.norm(deltas, axis=1)
-            bad = set(np.nonzero(lens[1:] > max_seg)[0])  # interval index in ts
-            # turning angle at interior points
-            for j in range(1, deltas.shape[0]):
-                a, b = deltas[j - 1], deltas[j]
-                na, nb = np.linalg.norm(a), np.linalg.norm(b)
-                if na < 1e-15 or nb < 1e-15:
-                    continue
-                cosang = float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-                if math.acos(cosang) > turn_max:
-                    if j - 1 >= 1:
-                        bad.add(j - 2)
-                    if j - 1 < len(ts) - 1:
-                        bad.add(j - 1)
-            bad = {i for i in bad if 0 <= i < len(ts) - 1
-                   and ts[i + 1] - ts[i] > 1e-12}
-            if not bad or len(ts) > 4096:
+            chain = np.concatenate([vertices[-1][-1:], pts], axis=0)
+            bad = _bad_intervals(map_spec.delta(chain[:-1], chain[1:]), ts,
+                                 max_seg, turn_max)
+            if not bad.any() or len(ts) > 4096:
                 break
-            new_ts = []
-            for i in sorted(bad):
-                new_ts.append(0.5 * (ts[i] + ts[i + 1]))
-            ts = np.sort(np.concatenate([ts, np.asarray(new_ts)]))
+            new_ts = 0.5 * (ts[:-1][bad] + ts[1:][bad])
+            ts = np.sort(np.concatenate([ts, new_ts]))
             pts = _apply_steps(map_spec, seed_chord(ts), gen * hp.period, inverse)
-        start = 1 if gen > 0 else 0  # t=0 repeats the previous generation's end
-        for pt in pts[start:]:
-            if append(pt):
-                done = True
-                break
-        if len(vertices) > max_vertices:
+        if gen > 0:
+            pts = pts[1:]  # t=0 repeats the previous generation's end
+        d = map_spec.delta(np.concatenate([vertices[-1][-1:], pts[:-1]]), pts)
+        # row norms through the same dot kernel as np.linalg.norm of one
+        # vector, so the running sums equal a vertex-by-vertex accumulation
+        steps = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        arcs = np.cumsum(np.concatenate([arc[-1][-1:], steps]))[1:]
+        n = int(np.count_nonzero(arcs < target_arclength))
+        if n < arcs.size:
+            done = True
+            n += 1
+        vertices.append(pts[:n])
+        lift.append(np.cumsum(np.concatenate([lift[-1][-1:], d[:n]]), axis=0)[1:])
+        arc.append(arcs[:n])
+        nvert += n
+        if nvert > max_vertices:
             break
         gen += 1
         if gen > 300:
             break
-    return ManifoldPolyline(side, hp, np.asarray(vertices), np.asarray(lift),
-                            np.asarray(arc), lam, branch)
+    return ManifoldPolyline(side, hp, np.concatenate(vertices),
+                            np.concatenate(lift), np.concatenate(arc), lam,
+                            branch, max_seg)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +361,10 @@ def _polish_hits(map_spec: MapSpec, hp: HyperbolicPoint, pts: np.ndarray,
 
     Solves, per point, for the zero of (unstable coordinate of f^K(x) - p,
     stable coordinate of f^{-K}(x) - p); K is sized so the hyperbolic
-    amplification stays within double range.  Returns the polished batch
-    with unconverged or runaway rows left at their inputs.
+    amplification stays within double range.  The Jacobian is the chain
+    rule along both orbits: a finite-difference step would be amplified
+    by the same factor and wrap around the torus.  Returns the polished
+    batch with unconverged or runaway rows left at their inputs.
     """
     if not map_spec.has_inverse or map_spec.dim != 2:
         return None
@@ -347,45 +372,93 @@ def _polish_hits(map_spec: MapSpec, hp: HyperbolicPoint, pts: np.ndarray,
     if lam_u <= 1.0:
         return None
     K = int(min(30, max(5, math.ceil(math.log(1e10) / math.log(lam_u)))))
-    W = _left_eigvecs(hp)
-    wu, ws = W[0], W[1]
+    steps = K * hp.period
+    wu, ws = _left_eigvecs(hp)
     p = hp.point
     x0 = np.asarray(pts, dtype=float)
     x = x0.copy()
-    h = 1e-8
     active = np.ones(x.shape[0], dtype=bool)
-
-    def residual(z):
-        fK = _apply_steps(map_spec, z, K * hp.period, False)
-        bK = _apply_steps(map_spec, z, K * hp.period, True)
-        return np.stack([map_spec.delta(p, fK) @ wu,
-                         map_spec.delta(p, bK) @ ws], axis=-1)
-
     for _ in range(40):
-        if not active.any():
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
             break
-        G = residual(x)
+        xa = x[idx]
+        fK, Jf = _orbit_jacobian(map_spec, xa, steps)
+        bK, Jb = _orbit_jacobian(map_spec, xa, steps, inverse=True)
+        G = np.stack([map_spec.delta(p, fK) @ wu,
+                      map_spec.delta(p, bK) @ ws], axis=-1)
         conv = np.max(np.abs(G), axis=1) < tol
-        active &= ~conv
-        if not active.any():
-            break
-        J = np.empty((x.shape[0], 2, 2))
-        for a in range(2):
-            dx = np.zeros(2)
-            dx[a] = h
-            J[:, :, a] = (residual(x + dx) - G) / h
+        J = np.stack([wu @ Jf, ws @ Jb], axis=1)
         ok = np.abs(np.linalg.det(J)) > 1e-30
-        step = np.zeros_like(x)
+        step = np.zeros_like(xa)
         step[ok] = np.linalg.solve(J[ok], G[ok][..., None])[..., 0]
-        cand = map_spec.wrap(x - np.where(active[:, None], step, 0.0))
+        cand = map_spec.wrap(xa - step)
         runaway = (~np.all(np.isfinite(cand), axis=1)) | \
-            (map_spec.distance(cand, x0) > max_move) | ~ok
-        keep = active & ~runaway
-        x[keep] = cand[keep]
-        active &= ~runaway
+            (map_spec.distance(cand, x0[idx]) > max_move) | ~ok
+        move = ~conv & ~runaway
+        x[idx[move]] = cand[move]
         # hyperbolic amplification floors G at fp noise; stop on tiny steps
-        active &= np.linalg.norm(step, axis=1) >= 1e-13
+        active[idx] = move & (np.linalg.norm(step, axis=1) >= 1e-13)
     return x
+
+
+# Candidate segment pairs tested at once by homoclinic_points; bounds the
+# per-block temporaries (a few hundred bytes per pair) for any polyline size.
+_PAIR_BLOCK = 1 << 12
+
+
+def _candidate_pairs(a_keys: np.ndarray, b_keys: np.ndarray,
+                     ncells: Optional[np.ndarray]):
+    """Yield blocks (i, j) of segment pairs whose cells are neighbours.
+
+    A-segment i is paired with every B-segment j whose key lies in one of
+    the 3^dim cells around key i (wrapped modulo `ncells` on a torus).
+    Pairs come sorted by i, then j, without repeats; each block holds
+    whole A-segments and about _PAIR_BLOCK pairs.
+    """
+    dim = a_keys.shape[1]
+    offsets = np.asarray(list(np.ndindex(*(3,) * dim)), dtype=np.int64) - 1
+    # every key stored or looked up lies in [lo, hi]: one integer per cell
+    lo = np.minimum(a_keys.min(axis=0) - 1, b_keys.min(axis=0))
+    hi = np.maximum(a_keys.max(axis=0) + 1, b_keys.max(axis=0))
+    if ncells is not None:
+        lo, hi = np.minimum(lo, 0), np.maximum(hi, ncells - 1)
+    shape = tuple(hi - lo + 1)
+
+    def code(keys):
+        return np.ravel_multi_index(tuple((keys - lo).T), shape)
+
+    b_code = code(b_keys)
+    b_order = np.argsort(b_code, kind="stable")
+    b_sorted = b_code[b_order]
+    first = np.empty((a_keys.shape[0], offsets.shape[0]), dtype=np.int64)
+    counts = np.empty_like(first)
+    for o, off in enumerate(offsets):
+        near = a_keys + off
+        if ncells is not None:
+            near = np.mod(near, ncells)
+        near = code(near)
+        first[:, o] = np.searchsorted(b_sorted, near, side="left")
+        counts[:, o] = np.searchsorted(b_sorted, near, side="right") - first[:, o]
+    per_a = counts.sum(axis=1)
+    ends = np.cumsum(per_a)
+    nb = b_keys.shape[0]
+    start = 0
+    while start < a_keys.shape[0]:
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1,
+                   int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")))
+        c = counts[start:stop].ravel()
+        total = int(c.sum())
+        if total:
+            pos = np.repeat(first[start:stop].ravel() - (np.cumsum(c) - c), c) \
+                + np.arange(total)
+            i = np.repeat(np.arange(start, stop), per_a[start:stop])
+            # np.sort, not np.unique: unique would import numpy.ma (~1 MB)
+            pair = np.sort(i * nb + b_order[pos])
+            pair = pair[np.concatenate(([True], pair[1:] != pair[:-1]))]
+            yield pair // nb, pair % nb
+        start = stop
 
 
 def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
@@ -394,12 +467,15 @@ def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
                       return_tangencies: bool = False):
     """Transverse intersections of the two polylines, anchor excluded.
 
-    On periodic maps segments are intersected against integer-shifted
-    copies.  With `map_spec` given and invertible, each raw hit is
-    Newton-polished against the dynamics so the definitional membership
-    test (forward and backward convergence to the anchor orbit) holds to
-    hyperbolic accuracy.  Near-tangential crossings (angle below the
-    transversality threshold) are reported separately.
+    Segments are bucketed by the cell of their wrapped midpoint; each
+    W^u segment is tested against the W^s segments in the neighbouring
+    cells, in array blocks.  On periodic maps segments are intersected
+    against their nearest-image copies.  With `map_spec` given and
+    invertible, each raw hit is Newton-polished against the dynamics so
+    the definitional membership test (forward and backward convergence to
+    the anchor orbit) holds to hyperbolic accuracy.  Near-tangential
+    crossings (angle below the transversality threshold) are reported
+    separately.
     """
     if Wu.side != "unstable" or Ws.side != "stable":
         raise ValueError("pass the unstable polyline first, the stable second")
@@ -412,20 +488,17 @@ def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
 
     a_starts, a_deltas, a_arcs = _segments(Wu)
     b_starts, b_deltas, b_arcs = _segments(Ws)
+    a_lens = np.linalg.norm(a_deltas, axis=1)
+    b_lens = np.linalg.norm(b_deltas, axis=1)
 
-    def metric_delta(u, v):
-        d = v - u
-        if periods is not None:
-            per = np.asarray(periods)
-            d = (d + 0.5 * per) % per - 0.5 * per
-        return d
-
-    # bucket Ws segments by wrapped midpoint cell for candidate pruning
+    # cells at least 1.5 segment lengths wide, so crossing segments have
+    # midpoints in neighbouring cells
     dim = a_starts.shape[1]
-    max_len = max(float(np.max(np.linalg.norm(a_deltas, axis=1))),
-                  float(np.max(np.linalg.norm(b_deltas, axis=1))))
+    max_len = max(float(np.max(a_lens)), float(np.max(b_lens)))
     cell = max(1.5 * max_len, 1e-9)
     ncells = None
+    a_mids = a_starts + 0.5 * a_deltas
+    b_mids = b_starts + 0.5 * b_deltas
     if periods is not None:
         per = np.asarray(periods, dtype=float)
         if max_len >= float(np.min(per)) / 4.0:
@@ -433,62 +506,52 @@ def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
                              "grow with a smaller max_seg")
         ncells = np.maximum(1, np.floor(per / cell).astype(np.int64))
         cellw = per / ncells
+        a_mids = np.mod(a_mids, per)
+        b_mids = np.mod(b_mids, per)
     else:
         cellw = np.full(dim, cell)
-
-    def cell_key(pt: np.ndarray) -> tuple:
-        return tuple(np.floor(pt / cellw).astype(np.int64))
-
-    buckets: dict[tuple, list[int]] = {}
-    b_mids = b_starts + 0.5 * b_deltas
-    if periods is not None:
-        b_mids = np.mod(b_mids, np.asarray(periods))
-    for j in range(b_starts.shape[0]):
-        buckets.setdefault(cell_key(b_mids[j]), []).append(j)
 
     anchor = np.asarray(Wu.anchor.point, dtype=float)
     hits: list[HomoclinicHit] = []
     tangencies: list[HomoclinicHit] = []
     seen: set[tuple] = set()
-    a_mids = a_starts + 0.5 * a_deltas
-    if periods is not None:
-        a_mids = np.mod(a_mids, np.asarray(periods))
-    for i in range(a_starts.shape[0]):
-        base_key = np.asarray(cell_key(a_mids[i]))
-        cand: set[int] = set()
-        for off in np.ndindex(*(3,) * dim):
-            k = base_key + np.asarray(off) - 1
-            if ncells is not None:
-                k = np.mod(k, ncells)
-            cand.update(buckets.get(tuple(k), ()))
-        da = a_deltas[i]
-        for j in sorted(cand):
-            db = b_deltas[j]
-            denom = da[0] * db[1] - da[1] * db[0]
-            if abs(denom) < 1e-15 * max(1.0, np.linalg.norm(da) * np.linalg.norm(db)):
-                continue
-            # nearest-image shift of the B segment toward the A segment
-            r = metric_delta(a_mids[i], b_mids[j]) + (a_mids[i] - a_starts[i]) \
-                - 0.5 * db
-            # r is now (shifted b_start) - a_start
-            s = (r[0] * db[1] - r[1] * db[0]) / denom
-            t = (r[0] * da[1] - r[1] * da[0]) / denom
-            if not (-1e-9 <= s <= 1 + 1e-9 and -1e-9 <= t <= 1 + 1e-9):
-                continue
-            pt = a_starts[i] + s * da
-            if periods is not None:
-                pt = np.mod(pt, np.asarray(periods))
-            dist_anchor = float(np.linalg.norm(metric_delta(anchor, pt)))
+    for i, j in _candidate_pairs(np.floor(a_mids / cellw).astype(np.int64),
+                                 np.floor(b_mids / cellw).astype(np.int64),
+                                 ncells):
+        da, db = a_deltas[i], b_deltas[j]
+        denom = da[:, 0] * db[:, 1] - da[:, 1] * db[:, 0]
+        keep = np.abs(denom) >= 1e-15 * np.maximum(1.0, a_lens[i] * b_lens[j])
+        i, j, da, db, denom = i[keep], j[keep], da[keep], db[keep], denom[keep]
+        # nearest-image shift of the B segment toward the A segment:
+        # r is (shifted b_start) - a_start
+        r = min_image(b_mids[j] - a_mids[i], periods) \
+            + (a_mids[i] - a_starts[i]) - 0.5 * db
+        s = (r[:, 0] * db[:, 1] - r[:, 1] * db[:, 0]) / denom
+        t = (r[:, 0] * da[:, 1] - r[:, 1] * da[:, 0]) / denom
+        keep = (-1e-9 <= s) & (s <= 1 + 1e-9) & (-1e-9 <= t) & (t <= 1 + 1e-9)
+        i, j, da, db, denom, s, t = (i[keep], j[keep], da[keep], db[keep],
+                                     denom[keep], s[keep], t[keep])
+        pts = a_starts[i] + s[:, None] * da
+        if periods is not None:
+            pts = np.mod(pts, per)
+        keys = np.round(pts / max(tol_int, 1e-12)).astype(np.int64).tolist()
+        # first come first kept, in (i, j) order.  The few crossings left
+        # are finished one by one: one-vector np.linalg.norm and math.asin
+        # round differently from their array forms, and the records keep
+        # the one-vector values
+        for k in range(i.size):
+            pt = pts[k]
+            dist_anchor = float(np.linalg.norm(min_image(pt - anchor, periods)))
             if dist_anchor <= exclusion:
                 continue
-            keyp = tuple(np.round(pt / max(tol_int, 1e-12)).astype(np.int64))
+            keyp = tuple(keys[k])
             if keyp in seen:
                 continue
             seen.add(keyp)
-            na, nb = np.linalg.norm(da), np.linalg.norm(db)
-            angle = math.asin(min(1.0, abs(denom) / (na * nb)))
-            hit = HomoclinicHit(pt, float(a_arcs[i] + s * na),
-                                float(b_arcs[j] + t * nb), angle,
+            na, nb = np.linalg.norm(da[k]), np.linalg.norm(db[k])
+            angle = math.asin(min(1.0, abs(denom[k]) / (na * nb)))
+            hit = HomoclinicHit(pt, float(a_arcs[i[k]] + s[k] * na),
+                                float(b_arcs[j[k]] + t[k] * nb), angle,
                                 angle >= transversality_min, dist_anchor)
             (hits if hit.transverse else tangencies).append(hit)
 
@@ -499,7 +562,7 @@ def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
             for hit, pt in zip(hits, polished):
                 hit.point = pt
                 hit.distance_from_anchor = float(
-                    np.linalg.norm(metric_delta(anchor, pt)))
+                    np.linalg.norm(min_image(pt - anchor, periods)))
 
     hits.sort(key=lambda h: (h.distance_from_anchor, h.param_unstable))
     tangencies.sort(key=lambda h: (h.distance_from_anchor, h.param_unstable))
@@ -579,9 +642,11 @@ def accumulation_check(map_spec: MapSpec, hp: HyperbolicPoint, q_on_Wu,
     Ws_full = grow_manifold(map_spec, hp, "stable", Lmax, max_seg, **kwargs)
 
     hits_by_L = {}
+    capped_by_L = {}
     for L in schedule:
-        hits_by_L[L] = homoclinic_points(Wu_full.truncated(L), Ws_full.truncated(L),
-                                         map_spec=map_spec)
+        Wu, Ws = Wu_full.truncated(L), Ws_full.truncated(L)
+        hits_by_L[L] = homoclinic_points(Wu, Ws, map_spec=map_spec)
+        capped_by_L[L] = Wu.capped + Ws.capped
     rows = []
     for r in sorted((float(r) for r in radii), reverse=True):
         found = None
@@ -593,5 +658,6 @@ def accumulation_check(map_spec: MapSpec, hp: HyperbolicPoint, q_on_Wu,
                 found = close[0]
                 used = L
                 break
-        rows.append(AccumulationRow(r, found is not None, used, found))
+        rows.append(AccumulationRow(r, found is not None, used, found,
+                                    capped_by_L[Lmax if used is None else used]))
     return rows

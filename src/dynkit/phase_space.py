@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import min_image
+
 __all__ = ["Domain", "Grid", "BoxSet", "GridMismatchError"]
 
 MAX_DIM = 3
@@ -65,10 +67,9 @@ class Domain:
     def delta(self, a, b):
         """Shortest displacement b - a, min-image on periodic axes."""
         d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-        w = self.widths
-        for i in range(self.dim):
-            if self.periodic[i]:
-                d[..., i] = (d[..., i] + 0.5 * w[i]) % w[i] - 0.5 * w[i]
+        per = np.asarray(self.periodic)
+        if per.any():
+            d[..., per] = min_image(d[..., per], self.widths[per])
         return d
 
     def distance(self, a, b):

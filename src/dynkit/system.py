@@ -16,6 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._util import min_image
+
 __all__ = [
     "MapSpec", "OrbitSegment", "LagrangeResult", "VolumeReport",
     "InverseUnavailableError", "make_map", "polynomial_map",
@@ -61,11 +63,8 @@ class MapSpec:
 
     def delta(self, a, b):
         """Shortest displacement b - a (min-image on intrinsic torus axes)."""
-        d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-        if self.periods is not None:
-            p = np.asarray(self.periods)
-            d = (d + 0.5 * p) % p - 0.5 * p
-        return d
+        return min_image(np.asarray(b, dtype=float) - np.asarray(a, dtype=float),
+                         self.periods)
 
     def distance(self, a, b):
         return np.linalg.norm(self.delta(a, b), axis=-1)
@@ -411,11 +410,7 @@ def finite_difference_jacobian(map_spec: MapSpec, p, scale: float = 1.0) -> np.n
         dp[a] = h
         fp = map_spec.forward(p + dp)
         fm = map_spec.forward(p - dp)
-        d = fp - fm
-        if map_spec.periods is not None:
-            per = np.asarray(map_spec.periods)
-            d = (d + 0.5 * per) % per - 0.5 * per
-        J[:, a] = d / (2.0 * h)
+        J[:, a] = map_spec.delta(fm, fp) / (2.0 * h)
     return J
 
 

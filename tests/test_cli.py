@@ -378,9 +378,27 @@ class TestMoreSubcommands:
         size = svg.stat().st_size
         assert size == PINNED_HOMOCLINIC_SVG_BYTES, size
 
+    def test_capped_segments_reported(self, tmp_path):
+        # cat at arclength 40 needs more than the 4096-parameter cap allows
+        # at max_seg 0.01; short runs stay within max_seg
+        torus = {"lower": [0, 0], "upper": [1, 1],
+                 "periodic": [True, True], "depth": [3, 3]}
+        cases = [("homoclinic", {"arclength": 40.0, "max_seg": 0.01}, True),
+                 ("manifolds", {"arclength": 3.0, "max_seg": 0.02}, False),
+                 ("accumulate", {"arclength_schedule": [2, 4], "radii": [0.1],
+                                 "max_seg": 0.02}, False)]
+        for sub, exp, capped in cases:
+            out = tmp_path / sub
+            path = tmp_path / f"{sub}.json"
+            path.write_text(json.dumps({"map": {"name": "cat"}, "grid": torus,
+                                        "experiment": exp, "out": str(out)}))
+            assert run_cli([sub, "--config", str(path)]).exit_code == 0
+            report = json.loads((out / "report.json").read_text())
+            assert (report["results"]["capped_segments"] > 0) == capped, sub
 
-# regression value recorded from the first run of this configuration
-PINNED_HOMOCLINIC_SVG_BYTES = 11575
+# regression value recorded from a run of this configuration; the polished
+# hit on the seam y = 0 lands at y = 1 - 1e-16 and is drawn at cy="1000.000"
+PINNED_HOMOCLINIC_SVG_BYTES = 11578
 
 
 class TestGraphDump:

@@ -1,14 +1,17 @@
 """Periodic points, manifold polylines, homoclinic hits, recurrence."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dynkit import manifolds
 from dynkit.manifolds import (
-    NoRealEigendirectionError, accumulation_check, find_periodic_points,
-    grow_manifold, homoclinic_points, is_recurrent, omega_limit_cloud,
-    point_to_polyline_distance,
+    HyperbolicPoint, ManifoldPolyline, NoRealEigendirectionError,
+    accumulation_check, find_periodic_points, grow_manifold, homoclinic_points,
+    is_recurrent, omega_limit_cloud, point_to_polyline_distance,
 )
 from dynkit.phase_space import Domain, Grid
 from dynkit.system import evaluate, make_map
@@ -131,6 +134,43 @@ class TestGrowManifold:
         steps = np.linalg.norm(np.diff(Wu.lift, axis=0), axis=1)
         assert float(np.max(steps)) <= 0.05 + 1e-9
 
+    def test_capped_segments_counted(self):
+        # at arclength 40 the 4096-parameter cap leaves segments over
+        # max_seg = 0.01; at 0.02 every segment honours the cap
+        m, hp = cat_anchor()
+        for max_seg, expect_capped in ((0.01, True), (0.02, False)):
+            polys = [grow_manifold(m, hp, side, 40.0, max_seg=max_seg)
+                     for side in ("unstable", "stable")]
+            for poly in polys:
+                lens = np.linalg.norm(np.diff(poly.lift, axis=0), axis=1)
+                assert poly.capped == int(np.count_nonzero(lens > max_seg))
+                assert poly.truncated(5.0).max_seg == max_seg
+            total = sum(poly.capped for poly in polys)
+            assert (total > 0) == expect_capped, total
+
+    @pytest.mark.parametrize("n", [0, 3, 6, 9])
+    def test_bad_intervals_match_per_pair_reference(self, n):
+        # the array turning-angle test against the per-pair loop it replaced,
+        # on a stretched and folded standard-map chain
+        m = make_map("standard", K=1.5)
+        g = Grid(Domain((0.0, 0.0), (1.0, 1.0), (True, True)), (4, 4))
+        hp = [p for p in find_periodic_points(m, 1, g) if p.is_hyperbolic][0]
+        v = np.real(hp.eigenvectors[:, 0])
+        ts = np.sort(np.concatenate([np.linspace(0.0, 1.0, 65), [0.25 + 1e-13]]))
+        seeds = hp.point + np.outer(1e-3 + 0.05 * ts, v)
+        pts = seeds
+        for _ in range(n):
+            pts = evaluate(m, pts)
+        chain = np.concatenate([pts[:1], pts])  # zero-length lead step
+        deltas = m.delta(chain[:-1], chain[1:])
+        for max_seg in (0.01, math.inf):
+            for turn_max in (0.05, 0.2, 1.0):
+                got = np.nonzero(manifolds._bad_intervals(deltas, ts, max_seg,
+                                                          turn_max))[0]
+                assert got.tolist() == _bad_reference(deltas, ts, max_seg, turn_max)
+        if n >= 6:
+            assert _bad_reference(deltas, ts, math.inf, 0.2)  # turns alone
+
     def test_no_unstable_side_on_contraction(self):
         m = make_map("contraction", c=0.5, dim=2)
         g = Grid(Domain((-1.0, -1.0), (1.0, 1.0), (False, False)), (2, 2))
@@ -172,6 +212,71 @@ class TestHomoclinic:
                 bwd = evaluate(m, bwd, "inverse")
             assert float(m.distance(fwd, hp.point)) < 1e-3
             assert float(m.distance(bwd, hp.point)) < 1e-3
+
+    def test_every_hit_satisfies_membership_definition(self):
+        m, hp = cat_anchor()
+        Wu = grow_manifold(m, hp, "unstable", 10.0, max_seg=0.02)
+        Ws = grow_manifold(m, hp, "stable", 10.0, max_seg=0.02)
+        hits = homoclinic_points(Wu, Ws, map_spec=m)
+        assert len(hits) > 50
+        fwd = bwd = np.asarray([h.point for h in hits])
+        for _ in range(20):
+            fwd = evaluate(m, fwd)
+            bwd = evaluate(m, bwd, "inverse")
+        bad = (m.distance(fwd, hp.point) >= 1e-3) | (m.distance(bwd, hp.point) >= 1e-3)
+        assert int(np.count_nonzero(bad)) == 0
+
+    def test_polish_moves_cat_hits_by_rounding_only(self):
+        # cat manifolds are straight, so the raw crossings are already exact
+        m, hp = cat_anchor()
+        Wu = grow_manifold(m, hp, "unstable", 10.0, max_seg=0.02)
+        Ws = grow_manifold(m, hp, "stable", 10.0, max_seg=0.02)
+        raw = np.asarray([h.point for h in
+                          homoclinic_points(Wu, Ws, map_spec=m, polish=False)])
+        polished = np.asarray([h.point for h in homoclinic_points(Wu, Ws, map_spec=m)])
+        assert raw.shape == polished.shape
+        for x in polished:
+            assert float(np.min(m.distance(raw, x))) < 1e-13
+
+    def test_backward_chain_rule_jacobian_inverts_forward(self):
+        m = make_map("standard", K=0.97)
+        x = np.array([[0.1, 0.7], [0.45, 0.2], [0.8, 0.9]])
+        y, Jf = manifolds._orbit_jacobian(m, x, 5)
+        xb, Jb = manifolds._orbit_jacobian(m, y, 5, inverse=True)
+        assert np.allclose(m.distance(xb, x), 0.0, atol=1e-12)
+        assert np.allclose(Jb @ Jf, np.eye(2), atol=1e-9)
+
+    def test_cat_tangle_matches_all_pairs_oracle(self):
+        m, hp = cat_anchor()
+        Wu = grow_manifold(m, hp, "unstable", 8.0, max_seg=0.02)
+        Ws = grow_manifold(m, hp, "stable", 8.0, max_seg=0.02)
+        expect = _all_pairs_hits(Wu, Ws, m.periods)
+        assert len(expect[0]) > 30
+        got = homoclinic_points(Wu, Ws, map_spec=m, polish=False,
+                                return_tangencies=True)
+        assert _hit_records(got) == _hit_records(expect)
+        with mock.patch.object(manifolds, "_PAIR_BLOCK", 64):
+            blocked = homoclinic_points(Wu, Ws, map_spec=m, polish=False,
+                                        return_tangencies=True)
+        assert _hit_records(blocked) == _hit_records(expect)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_polylines_match_all_pairs_oracle(self, data):
+        anchor = np.asarray(data.draw(st.tuples(*[st.floats(0.0, 0.999)] * 2)))
+        other = data.draw(st.one_of(
+            st.just(anchor), st.tuples(*[st.floats(0.0, 0.999)] * 2).map(np.asarray)))
+        hp = HyperbolicPoint(anchor, 1, np.array([2.0, 0.5]), np.eye(2), True, 0.0)
+        torus = make_map("cat")
+        block = data.draw(st.sampled_from([1, 7, 1 << 14]))
+        for periods, spec in ((torus.periods, torus), (None, None)):
+            Wu = _random_polyline(data, "unstable", hp, anchor, periods)
+            Ws = _random_polyline(data, "stable", hp, other, periods)
+            with mock.patch.object(manifolds, "_PAIR_BLOCK", block):
+                got = homoclinic_points(Wu, Ws, map_spec=spec, polish=False,
+                                        return_tangencies=True)
+            assert _hit_records(got) == _hit_records(
+                _all_pairs_hits(Wu, Ws, periods))
 
     def test_hits_are_transverse_and_sorted(self):
         m, hp = cat_anchor()
@@ -257,3 +362,86 @@ class TestAccumulation:
         with pytest.raises(ValueError):
             accumulation_check(m, hp, hp.point, radii=[0.1],
                                arclength_schedule=[2], max_seg=0.02)
+
+
+# ---------------------------------------------------------------------------
+# references for the array code paths
+# ---------------------------------------------------------------------------
+
+def _bad_reference(deltas, ts, max_seg, turn_max):
+    """Per-pair turning-angle loop: the intervals of ts grow_manifold bisects."""
+    lens = np.linalg.norm(deltas, axis=1)
+    bad = set(np.nonzero(lens[1:] > max_seg)[0].tolist())
+    for j in range(1, deltas.shape[0]):
+        a, b = deltas[j - 1], deltas[j]
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        if na < 1e-15 or nb < 1e-15:
+            continue
+        cosang = float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+        if math.acos(cosang) > turn_max:
+            if j - 1 >= 1:
+                bad.add(j - 2)
+            bad.add(j - 1)
+    return sorted(i for i in bad if ts[i + 1] - ts[i] > 1e-12)
+
+
+def _random_polyline(data, side, hp, start, periods):
+    steps = np.asarray(data.draw(st.lists(
+        st.tuples(*[st.floats(-0.06, 0.06)] * 2), min_size=1, max_size=30)))
+    lift = np.concatenate([start[None, :], start + np.cumsum(steps, axis=0)])
+    vertices = lift if periods is None else np.mod(lift, 1.0)
+    arclength = np.concatenate([[0.0], np.cumsum(np.linalg.norm(steps, axis=1))])
+    return ManifoldPolyline(side, hp, vertices, lift, arclength, 1.0, 1, 0.06)
+
+
+def _all_pairs_hits(Wu, Ws, periods, tol_int=1e-9, transversality_min=1e-3):
+    """homoclinic_points(..., polish=False) by brute force: every segment
+    pair is tested, row by row, with no cell buckets."""
+    a0, da, a_arc = Wu.vertices[:-1], np.diff(Wu.lift, axis=0), Wu.arclength[:-1]
+    b0, db, b_arc = Ws.vertices[:-1], np.diff(Ws.lift, axis=0), Ws.arclength[:-1]
+    am, bm = a0 + 0.5 * da, b0 + 0.5 * db
+    if periods is not None:
+        am, bm = np.mod(am, 1.0), np.mod(bm, 1.0)
+    b_len = np.linalg.norm(db, axis=1)
+    anchor = np.asarray(Wu.anchor.point)
+    hits, tangencies, seen = [], [], set()
+    for i in range(a0.shape[0]):
+        denom = da[i, 0] * db[:, 1] - da[i, 1] * db[:, 0]
+        ok = np.abs(denom) >= 1e-15 * np.maximum(
+            1.0, np.linalg.norm(da[i:i + 1], axis=1) * b_len)
+        shift = bm - am[i]
+        if periods is not None:
+            shift = (shift + 0.5) % 1.0 - 0.5
+        r = shift + (am[i] - a0[i]) - 0.5 * db
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = (r[:, 0] * db[:, 1] - r[:, 1] * db[:, 0]) / denom
+            t = (r[:, 0] * da[i, 1] - r[:, 1] * da[i, 0]) / denom
+        ok &= (s >= -1e-9) & (s <= 1 + 1e-9) & (t >= -1e-9) & (t <= 1 + 1e-9)
+        for j in np.nonzero(ok)[0]:
+            pt = a0[i] + s[j] * da[i]
+            off = pt - anchor
+            if periods is not None:
+                pt = np.mod(pt, 1.0)
+                off = (pt - anchor + 0.5) % 1.0 - 0.5
+            dist = float(np.linalg.norm(off))
+            key = tuple(np.round(pt / tol_int).astype(np.int64).tolist())
+            if dist <= 10 * tol_int or key in seen:
+                continue
+            seen.add(key)
+            na, nb = np.linalg.norm(da[i]), np.linalg.norm(db[j])
+            angle = math.asin(min(1.0, abs(denom[j]) / (na * nb)))
+            rec = (pt.tolist(), float(a_arc[i] + s[j] * na),
+                   float(b_arc[j] + t[j] * nb), angle, dist)
+            (hits if angle >= transversality_min else tangencies).append(rec)
+    hits.sort(key=lambda h: (h[4], h[1]))
+    tangencies.sort(key=lambda h: (h[4], h[1]))
+    return hits, tangencies
+
+
+def _hit_records(result):
+    """(hits, tangencies) as plain tuples, for exact comparison."""
+    return tuple(
+        [h if isinstance(h, tuple) else
+         (h.point.tolist(), h.param_unstable, h.param_stable, h.angle,
+          h.distance_from_anchor) for h in group]
+        for group in result)
