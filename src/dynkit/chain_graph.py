@@ -26,8 +26,11 @@ __all__ = [
     "build_graph", "strongly_connected_components", "reachable",
     "chain_recurrent_boxes", "chain_components", "find_eps_chain",
     "is_chain_transitive", "nonwandering_probe", "strong_chain_search",
-    "NonwanderingResult",
+    "NonwanderingResult", "MAX_NBOXES",
 ]
+
+# edge keys are packed as src*(n+1)+tgt in int64
+MAX_NBOXES = 1 << 26
 
 
 @dataclass
@@ -312,8 +315,7 @@ def build_graph(grid: Grid, map_spec: MapSpec, eps: float,
         raise ValueError("eps must be nonnegative")
     if map_spec.dim != grid.dim:
         raise ValueError("map dimension does not match the grid")
-    if grid.nboxes > 1 << 26:
-        # edge keys are packed as src*(n+1)+tgt in int64
+    if grid.nboxes > MAX_NBOXES:
         raise ValueError("grid too fine for the dense graph representation")
     centers = grid.centers()
     images = evaluate(map_spec, centers)

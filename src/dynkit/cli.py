@@ -11,7 +11,6 @@ failure, 3 experiment-level assertion failure.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -49,7 +48,7 @@ _TOL_DEFAULTS = {
 }
 
 _TOP_KEYS = {"map", "grid", "eps", "eps_box_diameters", "delta", "tolerances",
-             "experiment", "rng_seed", "out", "threads"}
+             "experiment", "rng_seed", "out"}
 
 _MAP_KEYS = {"name", "K", "a", "b", "c", "dim", "alpha", "components",
              "dimension"}
@@ -112,7 +111,6 @@ def validate_config(raw: dict) -> dict:
         "experiment": dict(raw.get("experiment", {})),
         "rng_seed": int(raw.get("rng_seed", 0)),
         "out": raw.get("out", "out"),
-        "threads": int(raw.get("threads", 0)),
     }
     _reject_unknown(cfg["experiment"], _EXPERIMENT_KEYS, "experiment")
     tol = raw.get("tolerances", {})
@@ -184,28 +182,50 @@ def _map_and_grid(cfg: dict) -> tuple[MapSpec, Grid]:
     return map_spec, grid
 
 
-def _build_graph(cfg: dict) -> cg.TransitionGraph:
+def _build_graph(cfg: dict, blocks: bool = False) -> cg.TransitionGraph:
+    """The configured transition graph; `blocks` marks a run that looks for
+    attractor blocks, which need the fattening of a graph with eps > 0."""
     map_spec, grid = _map_and_grid(cfg)
-    return cg.build_graph(grid, map_spec, resolve_eps(cfg, grid))
+    eps = resolve_eps(cfg, grid)
+    if blocks and eps == 0:
+        raise ConfigError("attractor blocks need a graph built with eps > 0")
+    if grid.nboxes > cg.MAX_NBOXES:
+        raise ConfigError(f"grid has {grid.nboxes} boxes; the transition "
+                          f"graph holds at most {cg.MAX_NBOXES}")
+    return cg.build_graph(grid, map_spec, eps)
+
+
+def _as_point(value, where: str, dim: int) -> np.ndarray:
+    """A config value as a point of the map's dimension."""
+    try:
+        p = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{where} is not a point: {e}") from e
+    if p.shape != (dim,):
+        raise ConfigError(f"{where} needs {dim} coordinates, got {value!r}")
+    return p
 
 
 def _point(exp: dict, key: str, dim: int, default=None) -> np.ndarray:
     """experiment[key] as a point of the map's dimension."""
-    value = exp.get(key, default)
-    try:
-        p = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"experiment.{key} is not a point: {e}") from e
-    if p.shape != (dim,):
-        raise ConfigError(f"experiment.{key} needs {dim} coordinates, "
-                          f"got {value!r}")
-    return p
+    return _as_point(exp.get(key, default), f"experiment.{key}", dim)
+
+
+def _check_search(eps: float, res: float) -> None:
+    """The shadow search needs a positive eps and grid resolution."""
+    if not (eps > 0 and res > 0):
+        raise ConfigError("experiment.eps and experiment.grid_resolution "
+                          "must be > 0")
 
 
 def resolve_eps(cfg: dict, grid: Grid) -> float:
     if cfg["eps"] is not None:
-        return float(cfg["eps"])
-    return float(cfg["eps_box_diameters"]) * grid.box_diameter
+        eps = float(cfg["eps"])
+    else:
+        eps = float(cfg["eps_box_diameters"]) * grid.box_diameter
+    if eps < 0:
+        raise ConfigError("eps must be >= 0")
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +349,12 @@ def run_components(cfg, out_dir, tg=None):
 
 def run_attractors(cfg, out_dir):
     exp = cfg["experiment"]
-    tg = _build_graph(cfg)
+    include_sink = bool(exp.get("include_sink", False))
+    tg = _build_graph(cfg, blocks=not include_sink)
     grid = tg.grid
     candidates = None
     if "candidate_rle" in exp:
         candidates = [BoxSet.from_rle(grid, exp["candidate_rle"])]
-    include_sink = bool(exp.get("include_sink", False))
     blocks = conley.find_attractor_blocks(tg, candidates=candidates) \
         if not include_sink else (candidates or [])
     records = conley.build_attractor_records(
@@ -370,7 +390,7 @@ def run_attractors(cfg, out_dir):
 
 def run_conley_verify(cfg, out_dir, tg=None):
     if tg is None:
-        tg = _build_graph(cfg)
+        tg = _build_graph(cfg, blocks=True)
     report = conley.verify_conley_decomposition(tg)
     results = {
         "graph": _graph_stats(tg),
@@ -399,11 +419,13 @@ def run_strong_cr(cfg, out_dir):
         rng = np.random.default_rng(cfg["rng_seed"])
         full = BoxSet.full(grid)
         pts = full.sample_points(int(exp.get("n_samples", 8)), rng).tolist()
+    if not isinstance(pts, list):
+        raise ConfigError("experiment.points must be a list of points")
+    pts = [_as_point(p, "experiment.points entry", map_spec.dim) for p in pts]
     rows = []
     found_any = False
     for p in pts:
-        chain = cg.strong_chain_search(map_spec, np.asarray(p, dtype=float),
-                                       eps_fn, grid,
+        chain = cg.strong_chain_search(map_spec, p, eps_fn, grid,
                                        max_len=exp.get("max_len"))
         found_any |= chain is not None
         rows.append({"point": list(map(float, p)),
@@ -441,6 +463,9 @@ def run_shadow(cfg, out_dir):
     N = int(exp.get("N", 100))
     eps = float(exp.get("eps", 1e-2))
     res = float(exp.get("grid_resolution", eps / 10.0))
+    _check_search(eps, res)
+    if N < 1:
+        raise ConfigError("experiment.N must be >= 1")
     po = sh.random_pseudo_orbit(map_spec, x0, float(cfg["delta"]), N,
                                 rng_seed=cfg["rng_seed"])
     result = sh.shadow_search(map_spec, po, eps, res)
@@ -463,6 +488,7 @@ def run_splice(cfg, out_dir):
     x0 = _point(exp, "x0", map_spec.dim)
     eps = float(exp.get("eps", 1e-4))
     res = float(exp.get("grid_resolution", 1e-5))
+    _check_search(eps, res)
     try:
         po = sh.splice_pseudo_orbit(map_spec, q, x0, float(cfg["delta"]),
                                     n_back=int(exp.get("n_back", 30)),
@@ -631,16 +657,19 @@ _ALL_SAFE = ["graph", "cr", "components", "conley-verify", "volume"]
 
 
 def run_subcommand(name: str, config_path: str, out: str | None,
-                   seed: int | None, threads: int | None) -> int:
+                   seed: int | None, threads=None) -> int:
+    """Run one subcommand and write its report; returns the exit code.
+
+    `threads` is a retired fifth argument, kept so that five-argument
+    callers keep working. dynkit starts no worker threads, and any value
+    but None is a config error.
+    """
     try:
+        if threads is not None:
+            raise ConfigError("threads is no longer supported")
         cfg = load_config(config_path)
         if seed is not None:
             cfg["rng_seed"] = int(seed)
-        if threads is not None:
-            cfg["threads"] = int(threads)
-        env_threads = os.environ.get("DYNKIT_THREADS")
-        if env_threads:
-            cfg["threads"] = int(env_threads)
         out_dir = Path(out) if out is not None else Path(cfg["out"])
         cfg["out"] = str(out_dir)
     except (ConfigError, ValueError) as e:
@@ -653,7 +682,7 @@ def run_subcommand(name: str, config_path: str, out: str | None,
             results = {}
             artifacts = []
             code = 0
-            tg = _build_graph(cfg)
+            tg = _build_graph(cfg, blocks=True)
             for sub in _ALL_SAFE:
                 run = _SUBCOMMANDS[sub]
                 if sub == "volume":
@@ -692,10 +721,8 @@ def _register(name: str, doc: str):
                   help="Output directory (overrides config).")
     @click.option("--seed", default=None, type=int,
                   help="RNG seed (overrides config).")
-    @click.option("--threads", default=None, type=int,
-                  help="Worker threads (DYNKIT_THREADS overrides).")
-    def _cmd(config_path, out, seed, threads, _name=name):
-        sys.exit(run_subcommand(_name, config_path, out, seed, threads))
+    def _cmd(config_path, out, seed, _name=name):
+        sys.exit(run_subcommand(_name, config_path, out, seed))
 
 
 _register("graph", "Build the transition graph and report statistics.")

@@ -260,8 +260,7 @@ def _bad_intervals(deltas: np.ndarray, ts: np.ndarray, max_seg: float,
 
 def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
                   target_arclength: float, max_seg: float,
-                  tol_ref: float = 1e-9, turn_max: float = 0.2,
-                  r0_scale: float = 1e-6, branch: int = +1,
+                  turn_max: float = 0.2, r0_scale: float = 1e-6, branch: int = +1,
                   max_vertices: int = 200000) -> ManifoldPolyline:
     """Grow one branch of W^s or W^u of a hyperbolic periodic point.
 

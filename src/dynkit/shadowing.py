@@ -195,24 +195,39 @@ def splice_pseudo_orbit(map_spec: MapSpec, q, x0, delta: float,
 # shadow search
 # ---------------------------------------------------------------------------
 
-def _tracking_error(map_spec: MapSpec, seeds: np.ndarray, y: np.ndarray):
-    """Max over the orbit of the distance to y, per seed."""
-    x = seeds
-    worst = map_spec.distance(x, y[0])
-    for i in range(1, y.shape[0]):
-        x = evaluate(map_spec, x)
-        worst = np.maximum(worst, map_spec.distance(x, y[i]))
-    return worst
+# seeds iterated together; bounds the orbit buffer at
+# _SEED_BLOCK * len(y) * dim floats whatever the size of the seed grid
+_SEED_BLOCK = 1024
+
+# descent probes evaluated together, in the order the descent makes them
+# (four rounds of 2*dim probes at dim 2)
+_PROBE_BLOCK = 16
 
 
-def _trace_of(map_spec: MapSpec, seed: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x = seed.copy()
-    trace = np.empty(y.shape[0])
-    trace[0] = map_spec.distance(x, y[0])
-    for i in range(1, y.shape[0]):
-        x = evaluate(map_spec, x)
-        trace[i] = map_spec.distance(x, y[i])
-    return trace
+def _tracking_errors(map_spec: MapSpec, seeds: np.ndarray, y: np.ndarray):
+    """Distance of each seed's orbit to y at every step, shape (n, len(y))."""
+    n, length = seeds.shape[0], y.shape[0]
+    errors = np.empty((n, length))
+    for lo in range(0, n, _SEED_BLOCK):
+        x = seeds[lo:lo + _SEED_BLOCK]
+        orbit = np.empty((x.shape[0], length, map_spec.dim))
+        orbit[:, 0] = x
+        for i in range(1, length):
+            x = evaluate(map_spec, x)
+            orbit[:, i] = x
+        errors[lo:lo + _SEED_BLOCK] = map_spec.distance(orbit, y)
+    return errors
+
+
+def _after_probe(step: float, k: int, improved: bool, accepted: bool,
+                 dim: int):
+    """Descent state (step, k, improved) after the probe at position k of a
+    round of 2*dim probes; a round with no accepted probe halves the step."""
+    improved = improved or accepted
+    k += 1
+    if k < 2 * dim:
+        return step, k, improved
+    return (step if improved else step * 0.5), 0, False
 
 
 def _hyperbolic_frames(map_spec: MapSpec, pts: np.ndarray):
@@ -302,32 +317,43 @@ def shadow_search(map_spec: MapSpec, po: PseudoOrbit, eps: float,
     offsets = offsets[np.linalg.norm(offsets, axis=1) <= eps]
     seeds = map_spec.wrap(y[0] + offsets)
 
-    worst = _tracking_error(map_spec, seeds, y)
+    errors = _tracking_errors(map_spec, seeds, y)
+    worst = errors.max(axis=1)
     best_i = int(np.argmin(worst))
     best_x = seeds[best_i].copy()
     best_obj = float(worst[best_i])
+    best_trace = errors[best_i].copy()
 
-    step = grid_resolution
+    # coordinate descent.  The probe at position k of a round moves axis
+    # k // 2 by +step (k even) or -step (k odd).  Until a probe is accepted
+    # the coming probes are fixed, so they are evaluated a block at a time
+    # and walked in order; the probes after an accepted one are dropped and
+    # do not count toward max_descent.
+    state = (grid_resolution, 0, False)  # (step, k, improved)
     it = 0
-    while it < max_descent and step > 1e-17:
-        improved = False
-        for ax in range(dim):
-            for sign in (+1.0, -1.0):
-                cand = best_x.copy()
-                cand[ax] += sign * step
-                cand = map_spec.wrap(cand)
-                obj = float(_tracking_error(map_spec, cand[None, :], y)[0])
-                it += 1
-                if obj < best_obj:
-                    best_obj = obj
-                    best_x = cand
-                    improved = True
-                if it >= max_descent:
-                    break
-            if it >= max_descent:
+    while it < max_descent and state[0] > 1e-17:
+        size = min(_PROBE_BLOCK, max_descent - it)
+        block = []
+        ahead = state
+        while len(block) < size and ahead[0] > 1e-17:
+            block.append(ahead)
+            ahead = _after_probe(*ahead, False, dim)
+        cands = np.repeat(best_x[None, :], len(block), axis=0)
+        for r, (step, k, _) in enumerate(block):
+            cands[r, k // 2] += -step if k % 2 else step
+        cands = map_spec.wrap(cands)
+        errors = _tracking_errors(map_spec, cands, y)
+        objs = errors.max(axis=1)
+        for r in range(len(block)):
+            it += 1
+            accepted = bool(objs[r] < best_obj)
+            if accepted:
+                best_obj = float(objs[r])
+                best_x = cands[r].copy()
+                best_trace = errors[r].copy()
+            state = _after_probe(*state, accepted, dim)
+            if accepted:
                 break
-        if not improved:
-            step *= 0.5
 
     method = "seed"
     witness = None
@@ -344,10 +370,7 @@ def shadow_search(map_spec: MapSpec, po: PseudoOrbit, eps: float,
                 witness_defect = defect
                 method = "refined"
 
-    if method == "refined":
-        trace = map_spec.distance(witness, y)
-    else:
-        trace = _trace_of(map_spec, best_x, y)
+    trace = map_spec.distance(witness, y) if method == "refined" else best_trace
     return ShadowingResult(best_obj <= eps, float(eps), best_obj, best_x,
                            np.asarray(trace), float(grid_resolution), method,
                            witness, witness_defect)
@@ -424,15 +447,11 @@ class ProfileRow:
 
 def shadowing_profile(map_spec: MapSpec, deltas, eps: float, trials: int,
                       N: int, rng_seed: int = 0, window=None,
-                      grid_resolution: float | None = None,
-                      threads: int = 1) -> list[ProfileRow]:
+                      grid_resolution: float | None = None) -> list[ProfileRow]:
     """Empirical delta -> shadowing success table over random pseudo-orbits.
 
-    Trials carry independently derived seeds and aggregate by max/mean, so
-    the table is identical for any worker count.
+    Each trial carries its own derived pseudo-orbit seed.
     """
-    from ._util import parallel_map
-
     if trials < 1:
         raise ValueError("need trials >= 1")
     if window is None:
@@ -448,13 +467,11 @@ def shadowing_profile(map_spec: MapSpec, deltas, eps: float, trials: int,
         rng = np.random.default_rng(ss.spawn(1)[0])
         starts = lo + rng.random((trials, map_spec.dim)) * (hi - lo)
         seeds = rng.integers(0, 2 ** 31, size=trials)
-
-        def one_trial(t):
+        results = []
+        for t in range(trials):
             po = random_pseudo_orbit(map_spec, starts[t], float(delta), N,
                                      rng_seed=int(seeds[t]))
-            return shadow_search(map_spec, po, eps, res)
-
-        results = parallel_map(one_trial, range(trials), threads)
+            results.append(shadow_search(map_spec, po, eps, res))
         successes = sum(1 for r in results if r.shadowed)
         worst = max(r.achieved_eps for r in results)
         rows.append(ProfileRow(float(delta), successes / trials, worst))

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import dynkit
-from dynkit.cli import main, validate_config
+from dynkit.cli import main, run_subcommand, validate_config
 from dynkit.phase_space import BoxSet, Domain, Grid
 from dynkit.svg import emit_plot
 
@@ -109,6 +109,51 @@ class TestConfigValidation:
         assert res.exit_code == 2
         assert "x0" in res.output
 
+    @pytest.mark.parametrize("sub", ["all", "conley-verify", "attractors"])
+    def test_zero_eps_for_blocks_exits_2(self, tmp_path, sub):
+        path = cat_config(tmp_path, depth=3, eps=0, eps_box_diameters=None)
+        res = run_cli([sub, "--config", str(path)])
+        assert res.exit_code == 2
+        assert "config error" in res.output and "eps > 0" in res.output
+
+    def test_negative_eps_exits_2(self, tmp_path):
+        path = cat_config(tmp_path, depth=3, eps_box_diameters=-1.0)
+        res = run_cli(["cr", "--config", str(path)])
+        assert res.exit_code == 2
+        assert "config error" in res.output and "eps" in res.output
+
+    @pytest.mark.parametrize("points", [[[0.1]], [[0.1, 0.2, 0.3]], 0.5,
+                                        [[0.1, "x"]]])
+    def test_strong_cr_points_of_wrong_shape_exit_2(self, tmp_path, points):
+        path = cat_config(tmp_path, depth=3, experiment={"points": points})
+        res = run_cli(["strong-cr", "--config", str(path)])
+        assert res.exit_code == 2
+        assert "config error" in res.output and "points" in res.output
+
+    @pytest.mark.parametrize("sub, experiment", [
+        ("shadow", {"eps": 0}), ("shadow", {"grid_resolution": 0}),
+        ("shadow", {"N": -3}),
+        ("splice", {"q": [0.3, 0.7], "x0": [0.31, 0.69], "eps": -1e-4}),
+        ("splice", {"q": [0.3, 0.7], "x0": [0.31, 0.69], "grid_resolution": 0}),
+    ])
+    def test_shadow_search_parameters_exit_2(self, tmp_path, sub, experiment):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"map": {"name": "cat"}, "delta": 2e-2,
+                                    "experiment": experiment}))
+        res = run_cli([sub, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "config error" in res.output
+
+    def test_grid_past_graph_limit_exits_2(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "map": {"name": "contraction", "c": 0.5, "dim": 3},
+            "grid": {"lower": [-1, -1, -1], "upper": [1, 1, 1],
+                     "depth": [9, 9, 9]}}))
+        res = run_cli(["graph", "--config", str(path)])
+        assert res.exit_code == 2
+        assert "config error" in res.output and "boxes" in res.output
+
     def test_echo_revalidates(self, tmp_path):
         path = cat_config(tmp_path)
         res = run_cli(["cr", "--config", str(path)])
@@ -119,7 +164,7 @@ class TestConfigValidation:
                                  if k in ("map", "grid", "eps",
                                           "eps_box_diameters", "delta",
                                           "tolerances", "experiment",
-                                          "rng_seed", "out", "threads")})
+                                          "rng_seed", "out")})
         assert again["grid"] == echoed["grid"]
         assert again["rng_seed"] == echoed["rng_seed"]
 
@@ -243,12 +288,18 @@ class TestDeterminism:
         sidecar = json.loads((tmp_path / "out" / "timings.json").read_text())
         assert "wall_s" in sidecar
 
-    def test_threads_env_override_echoed(self, tmp_path, monkeypatch):
+    def test_threads_key_rejected(self, tmp_path):
+        path = cat_config(tmp_path, depth=3, threads=2)
+        res = run_cli(["graph", "--config", str(path)])
+        assert res.exit_code == 2
+        assert "unknown keys" in res.output and "threads" in res.output
+        assert not (tmp_path / "out" / "report.json").exists()
+        # the retired fifth argument of run_subcommand takes no thread count
         path = cat_config(tmp_path, depth=3)
-        monkeypatch.setenv("DYNKIT_THREADS", "2")
-        run_cli(["graph", "--config", str(path)])
+        assert run_subcommand("graph", str(path), None, None, 2) == 2
+        assert run_subcommand("graph", str(path), None, None, None) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["config"]["threads"] == 2
+        assert "threads" not in report["config"]
 
     def test_seeded_shadow_reports_identical(self, tmp_path):
         cfg = {

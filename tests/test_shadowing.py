@@ -1,13 +1,17 @@
 """Pseudo-orbits, shadow searches and the linear stable-manifold check."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dynkit import shadowing
 from dynkit.shadowing import (
     NoApproachError, linear_stable_check, random_pseudo_orbit, shadow_search,
     shadowing_profile, splice_pseudo_orbit,
 )
-from dynkit.system import evaluate, make_map
+from dynkit.system import evaluate, make_map, polynomial_map
 
 
 def linear_splice(delta=1e-3, n=30):
@@ -139,6 +143,135 @@ class TestShadowSearch:
             yi = evaluate(m, yi)
             exact = np.hypot(2.0 ** i * du, 0.5 ** i * ds)
             assert abs(float(np.linalg.norm(yi - xi)) - exact) <= 1e-10 * exact
+
+
+def orbit_trace(m, x, y):
+    """Distance of the orbit of the single point x to y, step by step."""
+    trace = np.empty(y.shape[0])
+    trace[0] = m.distance(x, y[0])
+    for i in range(1, y.shape[0]):
+        x = evaluate(m, x)
+        trace[i] = m.distance(x, y[i])
+    return trace
+
+
+def reference_search(m, po, eps, res, max_descent):
+    """shadow_search with every orbit iterated on its own and one descent
+    probe evaluated at a time."""
+    y = po.points
+    k = max(1, int(math.floor(eps / res)))
+    offs = np.arange(-k, k + 1) * res
+    mesh = np.meshgrid(*([offs] * m.dim), indexing="ij")
+    offsets = np.stack([a.ravel() for a in mesh], axis=-1)
+    offsets = offsets[np.linalg.norm(offsets, axis=1) <= eps]
+    seeds = m.wrap(y[0] + offsets)
+    worst = [float(orbit_trace(m, s, y).max()) for s in seeds]
+    best_i = int(np.argmin(worst))
+    best_x, best_obj = seeds[best_i].copy(), worst[best_i]
+
+    step = res
+    it = 0
+    while it < max_descent and step > 1e-17:
+        improved = False
+        for ax in range(m.dim):
+            for sign in (+1.0, -1.0):
+                cand = best_x.copy()
+                cand[ax] += sign * step
+                cand = m.wrap(cand)
+                obj = float(orbit_trace(m, cand, y).max())
+                it += 1
+                if obj < best_obj:
+                    best_obj, best_x, improved = obj, cand, True
+                if it >= max_descent:
+                    break
+            if it >= max_descent:
+                break
+        if not improved:
+            step *= 0.5
+
+    method, trace = "seed", orbit_trace(m, best_x, y)
+    if best_obj > eps and m.has_inverse:
+        refined = shadowing._refine_shadow(m, y)
+        if refined is not None:
+            z = refined[0]
+            achieved = float(np.max(m.distance(z, y)))
+            if achieved < best_obj:
+                best_obj, best_x, method = achieved, z[0].copy(), "refined"
+                trace = m.distance(z, y)
+    return best_obj <= eps, best_obj, best_x, trace, method
+
+
+# a degree-3 polynomial map without inverse, bounded near the unit square
+CUBIC = polynomial_map([[{"c": 1.5, "e": [1, 0]}, {"c": -0.5, "e": [3, 0]},
+                         {"c": 0.1, "e": [1, 2]}],
+                        [{"c": 1.2, "e": [0, 1]}, {"c": -0.4, "e": [0, 3]},
+                         {"c": 0.1, "e": [2, 1]}]], 2)
+
+ORACLE_MAPS = {
+    "cat": lambda: make_map("cat"),
+    "standard-0.97": lambda: make_map("standard", K=0.97),
+    "standard-1.5": lambda: make_map("standard", K=1.5),
+    "translation": lambda: make_map("translation"),
+    "linear": lambda: make_map("linear", a=2.0, b=0.5),
+    "cubic": lambda: CUBIC,
+}
+
+
+def assert_same_result(res, ref):
+    shadowed, achieved, x, trace, method = ref
+    assert res.shadowed == shadowed
+    assert res.method == method
+    assert res.achieved_eps == achieved
+    assert res.x.tobytes() == x.tobytes()
+    assert res.trace.tobytes() == np.asarray(trace).tobytes()
+
+
+class TestBatchedDescentOracle:
+    @pytest.mark.parametrize("max_descent", [1, 3, 17, 200])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
+    @settings(max_examples=6, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_one_probe_at_a_time(self, name, max_descent, data):
+        m = ORACLE_MAPS[name]()
+        x0 = np.array(data.draw(st.lists(st.floats(-0.9, 0.9), min_size=2,
+                                         max_size=2)))
+        delta = data.draw(st.sampled_from([0.0, 1e-5, 1e-4, 1e-3]))
+        N = data.draw(st.integers(1, 16))
+        seed = data.draw(st.integers(0, 2 ** 31 - 1))
+        eps = data.draw(st.sampled_from([2e-3, 1e-2]))
+        res = eps / data.draw(st.sampled_from([1.0, 2.5, 4.0]))
+        po = random_pseudo_orbit(m, m.wrap(x0), delta, N, rng_seed=seed)
+        assert_same_result(shadow_search(m, po, eps, res, max_descent=max_descent),
+                           reference_search(m, po, eps, res, max_descent))
+
+    def test_linear_splice_matches_reference(self):
+        m, po = linear_splice(delta=1e-3, n=30)
+        for max_descent in (1, 3, 17, 200):
+            assert_same_result(
+                shadow_search(m, po, 1e-4, 1e-5, max_descent=max_descent),
+                reference_search(m, po, 1e-4, 1e-5, max_descent))
+
+    @pytest.mark.parametrize("probe_block", [1, 7])
+    @pytest.mark.parametrize("seed_block", [1, 7])
+    def test_block_sizes_change_nothing(self, monkeypatch, probe_block, seed_block):
+        cases = []
+        for name, x0, N in (("cat", [0.25, 0.6], 30), ("standard-1.5", [0.3, 0.2], 20),
+                            ("cubic", [0.4, -0.3], 12)):
+            m = ORACLE_MAPS[name]()
+            po = random_pseudo_orbit(m, np.array(x0), 1e-4, N, rng_seed=5)
+            cases.append((m, po))
+        before = [shadow_search(m, po, 1e-2, 2.5e-3, max_descent=md)
+                  for m, po in cases for md in (17, 200)]
+        monkeypatch.setattr(shadowing, "_PROBE_BLOCK", probe_block)
+        monkeypatch.setattr(shadowing, "_SEED_BLOCK", seed_block)
+        after = [shadow_search(m, po, 1e-2, 2.5e-3, max_descent=md)
+                 for m, po in cases for md in (17, 200)]
+        for a, b in zip(before, after):
+            assert_same_result(b, (a.shadowed, a.achieved_eps, a.x, a.trace, a.method))
+            assert (a.witness is None) == (b.witness is None)
+            if a.witness is not None:
+                assert a.witness.tobytes() == b.witness.tobytes()
+                assert a.witness_defect == b.witness_defect
 
 
 class TestLinearStableCheck:
