@@ -357,9 +357,13 @@ def run_attractors(cfg, out_dir):
         candidates = [BoxSet.from_rle(grid, exp["candidate_rle"])]
     blocks = conley.find_attractor_blocks(tg, candidates=candidates) \
         if not include_sink else (candidates or [])
-    records = conley.build_attractor_records(
-        tg, tg.map_spec, blocks, rng_seed=cfg["rng_seed"],
-        include_sink=include_sink)
+    try:
+        records = conley.build_attractor_records(
+            tg, tg.map_spec, blocks, rng_seed=cfg["rng_seed"],
+            include_sink=include_sink)
+    except conley.NotABlockError as e:
+        raise ConfigError(
+            f"candidate_rle is not an attractor block: {e}") from e
     results = {
         "graph": _graph_stats(tg),
         "n_blocks": len(records),

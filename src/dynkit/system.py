@@ -37,8 +37,8 @@ class MapSpec:
     `forward` and `inverse` act on arrays of shape (..., dim).  `jac` maps a
     batch (n, dim) to (n, dim, dim).  `periods` marks an intrinsic torus:
     images are wrapped into [0, period) per axis.  `lipschitz` bounds the
-    operator norm of the Jacobian; `local_lipschitz` may sharpen it over an
-    axis-aligned rectangle batch.
+    operator norm of the Jacobian; `jac_abs_bound` bounds each Jacobian
+    entry over an axis-aligned rectangle batch.
     """
 
     name: str
@@ -48,7 +48,6 @@ class MapSpec:
     inverse: Optional[Callable] = field(repr=False, default=None)
     jac: Optional[Callable] = field(repr=False, default=None)
     lipschitz: Optional[float] = None
-    local_lipschitz: Optional[Callable] = field(repr=False, default=None)
     jac_abs_bound: Optional[Callable] = field(repr=False, default=None)
     periods: Optional[tuple] = None
 
@@ -381,7 +380,7 @@ def polynomial_map(components, dim: int, window=None, name: str = "poly") -> Map
         return B
 
     return MapSpec(name, dim, {"components": components}, fwd, None, jac,
-                   lip, local_lipschitz=local_lip, jac_abs_bound=jac_bound)
+                   lip, jac_abs_bound=jac_bound)
 
 
 # ---------------------------------------------------------------------------

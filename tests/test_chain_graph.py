@@ -3,10 +3,13 @@ nonwandering probes, checked against brute-force graph oracles."""
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynkit import chain_graph
 from dynkit.chain_graph import (
-    ConstantEps, RadialEps, TransitionGraph, build_graph, chain_components,
+    ConstantEps, RadialEps, TransitionGraph, _bfs_path, build_graph,
+    chain_components,
     chain_recurrent_boxes, find_eps_chain, is_chain_transitive,
     nonwandering_probe, reachable, strong_chain_search,
     strongly_connected_components,
@@ -17,6 +20,36 @@ from dynkit.system import evaluate, make_map
 
 def torus_grid(depth):
     return Grid(Domain((0.0, 0.0), (1.0, 1.0), (True, True)), (depth, depth))
+
+
+def reference_bfs_path(g, sources, target, max_len=None):
+    """One-node-at-a-time BFS over `g.out(v)`: the queue `_bfs_path`
+    must reproduce path for path."""
+    prev = np.full(g.n_nodes, -2, dtype=np.int64)
+    queue = sorted(int(s) for s in sources)
+    for s in queue:
+        prev[s] = -1
+    depth = {s: 1 for s in queue}
+    qi = 0
+    while qi < len(queue):
+        v = queue[qi]
+        qi += 1
+        if v == target:
+            path = [v]
+            while prev[v] != -1:
+                v = int(prev[v])
+                path.append(v)
+            return path[::-1]
+        if max_len is not None and depth[v] >= max_len:
+            continue
+        for w in g.out(v):
+            w = int(w)
+            if w == g.sink or prev[w] != -2:
+                continue
+            prev[w] = v
+            depth[w] = depth[v] + 1
+            queue.append(w)
+    return None
 
 
 def brute_force_cycle_boxes(g):
@@ -380,3 +413,195 @@ class TestSccOracle:
         chain_components(tg)
         is_chain_transitive(tg)
         assert len(calls) == 1
+
+
+PARTS = ("core", "up", "down", "apart", "sink")
+
+
+@st.composite
+def planted_graphs(draw, hub_part):
+    """Box graph in the TransitionGraph layout with planted structure.
+
+    32 boxes split into a strongly connected core, an upstream tail that
+    drains into it, a downstream tail it feeds, an unrelated part, and
+    dead boxes with no out-edges; every other box may step to the sink.
+    One hub in `hub_part` (or the sink itself) is joined to its whole
+    part, or the sink to every live box, so it has the largest out-degree
+    x in-degree and the forward-backward pivot lands there.  Returns the
+    graph, its edge list and the node set of each part.
+    """
+    n = 32
+    sink = n
+    sizes = {"core": draw(st.integers(2, 5)), "up": draw(st.integers(1, 5)),
+             "down": draw(st.integers(1, 5)),
+             "apart": draw(st.integers(1, 5)), "dead": draw(st.integers(1, 4))}
+    grow = hub_part if hub_part != "sink" else \
+        draw(st.sampled_from(PARTS[:4]))
+    sizes[grow] += n - sum(sizes.values())
+    perm = draw(st.permutations(range(n)))
+    parts, at = {}, 0
+    for name in ("core", "up", "down", "apart", "dead"):
+        parts[name] = list(perm[at:at + sizes[name]])
+        at += sizes[name]
+    core, up, down, apart, dead = (parts[k] for k in
+                                   ("core", "up", "down", "apart", "dead"))
+    edges = {(sink, sink)}
+    edges |= {(core[i], core[(i + 1) % len(core)]) for i in range(len(core))}
+    edges |= {(up[i], up[i - 1] if i else draw(st.sampled_from(core)))
+              for i in range(len(up))}
+    edges |= {(down[i - 1] if i else draw(st.sampled_from(core)), down[i])
+              for i in range(len(down))}
+    edges |= {(apart[i], apart[(i + 1) % len(apart)])
+              for i in range(len(apart)) if draw(st.booleans())}
+    feeders = down + apart
+    edges |= {(feeders[i % len(feeders)], d) for i, d in enumerate(dead)}
+    # a few extra edges that keep the planted relations
+    allowed = ([(a, b) for a in core for b in core + down]
+               + [(a, b) for a in up for b in up + core]
+               + [(a, b) for a in down for b in down + dead]
+               + [(a, b) for a in apart for b in apart + dead])
+    edges |= set(draw(st.lists(st.sampled_from(allowed), max_size=3)))
+    live = core + up + down + apart
+    if hub_part == "sink":
+        edges |= {(b, sink) for b in live}
+    else:
+        edges |= {(b, sink) for b in draw(st.lists(st.sampled_from(live),
+                                                   max_size=3))}
+        members = parts[hub_part]
+        hub = draw(st.sampled_from(members))
+        edges |= {(hub, b) for b in members} | {(b, hub) for b in members}
+    edges = sorted(edges)
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    targets = np.array([e[1] for e in edges], dtype=np.int64)
+    offsets = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n + 1), out=offsets[1:])
+    grid = Grid(Domain((0.0,), (1.0,), (False,)), (5,))
+    parts["sink"] = [sink]
+    tg = TransitionGraph(grid, None, 0.0, offsets, targets, 0.0)
+    return tg, edges, parts
+
+
+def assert_scc_matches_networkx(offsets, targets, n, edges):
+    """Partition equal to networkx's, labels in reverse topological order;
+    returns the labels."""
+    G = nx.DiGraph(edges)
+    G.add_nodes_from(range(n))
+    n_comp, labels = strongly_connected_components(offsets, targets, n)
+    want = {frozenset(c) for c in nx.strongly_connected_components(G)}
+    ours = {frozenset(np.flatnonzero(labels == c).tolist())
+            for c in range(n_comp)}
+    assert ours == want and n_comp == len(want)
+    # labels follow reverse topological order of the condensation
+    for u, v in edges:
+        assert labels[u] >= labels[v]
+    return labels
+
+
+class TestPlantedScc:
+    """The forward-backward pivot in each planted part, against networkx."""
+
+    @pytest.mark.parametrize("hub_part", PARTS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_partition_and_order_match_networkx(self, hub_part, data):
+        tg, edges, parts = data.draw(planted_graphs(hub_part))
+        score = np.diff(tg.offsets) * np.bincount(tg.targets,
+                                                  minlength=tg.n_nodes)
+        assert int(np.argmax(score)) in parts[hub_part]
+        labels = assert_scc_matches_networkx(tg.offsets, tg.targets,
+                                             tg.n_nodes, edges)
+        assert len(set(labels[parts["core"]].tolist())) == 1
+
+    @pytest.mark.parametrize("side", ["forward", "backward"])
+    def test_long_search_falls_back_to_tarjan(self, side):
+        """A pivot search past the pass cap leaves the whole graph to
+        Tarjan.  A ring of 3 x cap nodes and a hub form one component;
+        the forward case reaches the ring from the hub one node per
+        layer, the backward case reaches the hub back along the ring."""
+        cap = chain_graph._FB_MAX_PASSES
+        m = 3 * cap
+        hub, dead, up = m, m + 1, m + 2
+        if side == "forward":
+            edges = ({(i, i + 1) for i in range(m - 1)} | {(m - 1, 0)}
+                     | {(i, hub) for i in range(m)} | {(hub, 0)})
+        else:
+            edges = ({(i, i + 1) for i in range(m - 1)} | {(m - 1, hub)}
+                     | {(hub, i) for i in range(m)})
+        edges = sorted(edges | {(up, 5), (7, dead)})
+        n = m + 3
+        src = np.array([e[0] for e in edges], dtype=np.int64)
+        targets = np.array([e[1] for e in edges], dtype=np.int64)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        score = np.diff(offsets) * np.bincount(targets, minlength=n)
+        assert int(np.argmax(score)) == hub
+        fwd = reachable(offsets, targets, [hub], max_layers=cap)
+        if side == "forward":
+            assert fwd is None
+        else:
+            assert chain_graph._reaching_within(offsets, targets, hub,
+                                                fwd) is None
+        labels = assert_scc_matches_networkx(offsets, targets, n, edges)
+        assert len(set(labels[:hub + 1].tolist())) == 1
+
+
+def _same_chain(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return (np.array_equal(a.points, b.points) and a.eps == b.eps
+            and np.array_equal(a.thresholds, b.thresholds)
+            and np.array_equal(a.defects, b.defects))
+
+
+class TestBfsPath:
+    """Layered CSR BFS against the one-node-at-a-time queue."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(csr_graphs(), st.data())
+    def test_paths_match_reference(self, case, data):
+        tg, _ = case
+        box = st.integers(0, tg.nboxes - 1)
+        sources = data.draw(st.sets(box, max_size=4))
+        target = data.draw(box)
+        max_len = data.draw(st.none() | st.integers(1, 4))
+        assert _bfs_path(tg, sorted(sources), target, max_len) == \
+            reference_bfs_path(tg, sources, target, max_len)
+
+    @pytest.mark.parametrize("name, params, depth", [
+        ("cat", {}, 5), ("standard", {"K": 0.97}, 5),
+        ("standard", {"K": 0.9}, 4)])
+    def test_find_eps_chain_matches_reference(self, monkeypatch, name, params,
+                                              depth):
+        g = torus_grid(depth)
+        m = make_map(name, **params)
+        rng = np.random.default_rng(depth)
+        multi_step = 0
+        for eps in (0.0, 0.25 * g.box_diameter, g.box_diameter):
+            tg = build_graph(g, m, eps)
+            pairs = rng.random((8, 2, 2))
+            ours = [find_eps_chain(tg, p, q) for p, q in pairs]
+            with monkeypatch.context() as mp:
+                mp.setattr(chain_graph, "_bfs_path", reference_bfs_path)
+                ref = [find_eps_chain(tg, p, q) for p, q in pairs]
+            assert all(_same_chain(a, b) for a, b in zip(ours, ref))
+            multi_step += sum(c is not None and len(c) > 1 for c in ours)
+        assert multi_step > 0
+
+    @pytest.mark.parametrize("name, params", [
+        ("cat", {}), ("standard", {"K": 0.97})])
+    def test_strong_chain_search_matches_reference(self, monkeypatch, name,
+                                                   params):
+        g = torus_grid(5)
+        m = make_map(name, **params)
+        points = np.random.default_rng(3).random((2, 2))
+        cases = [(p, fn, max_len) for p in points
+                 for fn in (ConstantEps(0.05), RadialEps(0.02))
+                 for max_len in (None, 2, 5)]
+        ours = [strong_chain_search(m, p, fn, g, max_len=k)
+                for p, fn, k in cases]
+        with monkeypatch.context() as mp:
+            mp.setattr(chain_graph, "_bfs_path", reference_bfs_path)
+            ref = [strong_chain_search(m, p, fn, g, max_len=k)
+                   for p, fn, k in cases]
+        assert all(_same_chain(a, b) for a, b in zip(ours, ref))
+        assert sum(c is not None and len(c) > 1 for c in ours) > 0

@@ -130,6 +130,21 @@ class TestConfigValidation:
         assert res.exit_code == 2
         assert "config error" in res.output and "points" in res.output
 
+    def test_non_block_candidate_exits_2(self, tmp_path):
+        # with include_sink the candidate is not filtered by the block search
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "map": {"name": "poly", "dimension": 1,
+                    "components": [[{"c": 1.5, "e": [1]},
+                                    {"c": -0.5, "e": [3]}]]},
+            "grid": {"lower": [-2.0], "upper": [2.0], "depth": [8]},
+            "eps": 0,
+            "experiment": {"candidate_rle": [[10, 20]], "include_sink": True},
+            "out": str(tmp_path / "out")}))
+        res = run_cli(["attractors", "--config", str(path)])
+        assert res.exit_code == 2
+        assert "config error" in res.output and "candidate_rle" in res.output
+
     @pytest.mark.parametrize("sub, experiment", [
         ("shadow", {"eps": 0}), ("shadow", {"grid_resolution": 0}),
         ("shadow", {"N": -3}),
@@ -401,6 +416,23 @@ class TestMoreSubcommands:
         code = ("import sys; from dynkit.cli import run_subcommand; "
                 f"assert run_subcommand('cr', {str(path)!r}, None, None, None) == 0; "
                 "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse loaded'")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("sub", ["cr", "all"])
+    def test_torus_graph_runs_load_no_sparse_or_masked_arrays(self, tmp_path,
+                                                              sub):
+        # scipy.sparse costs ~30 MB of RSS and numpy.ma ~1 MB
+        path = cat_config(tmp_path, depth=4)
+        src = str(Path(dynkit.__file__).resolve().parent.parent)
+        code = ("import sys; from dynkit.cli import run_subcommand; "
+                f"assert run_subcommand({sub!r}, {str(path)!r}, None, None, "
+                "None) == 0; "
+                "loaded = {'scipy.sparse', 'numpy.ma'} & set(sys.modules); "
+                "assert not loaded, loaded")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
