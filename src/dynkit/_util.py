@@ -13,3 +13,13 @@ def min_image(d, periods):
     p = np.asarray(periods, dtype=float)
     return (d + 0.5 * p) % p - 0.5 * p
 
+
+def row_norms(d):
+    """Euclidean norm of each row of the (n, k) array `d`.
+
+    Each row goes through the dot kernel of a one-vector `np.linalg.norm`,
+    so entry i equals `np.linalg.norm(d[i])` bit for bit; the array form
+    `np.linalg.norm(d, axis=1)` sums the squares differently.
+    """
+    d = np.asarray(d, dtype=float)
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])

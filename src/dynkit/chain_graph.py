@@ -26,6 +26,7 @@ __all__ = [
     "build_graph", "strongly_connected_components", "reachable",
     "chain_recurrent_boxes", "chain_components", "find_eps_chain",
     "is_chain_transitive", "nonwandering_probe", "strong_chain_search",
+    "fixed_point_chain",
     "NonwanderingResult", "MAX_NBOXES",
 ]
 
@@ -622,18 +623,30 @@ def chain_slack(g: TransitionGraph) -> float:
     return L * r + d * (L * r + g.eps) + 2.0 * r
 
 
-def _realize_chain(g: TransitionGraph, path, p, q, thresholds) -> EpsChain | None:
-    pts = [np.asarray(p, dtype=float)]
-    for b in path[1:-1]:
-        pts.append(g.grid.box_geometry(int(b))[0])
-    pts.append(np.asarray(q, dtype=float))
-    pts = np.asarray(pts)
-    imgs = np.asarray([evaluate(g.map_spec, x) for x in pts[:-1]])
-    defects = np.asarray([g.map_spec.distance(img, nxt)
+def _realize_chain(map_spec: MapSpec, pts, thresholds) -> EpsChain | None:
+    """The chain pts[0], ..., pts[-1], revalidated by evaluating the map.
+
+    `thresholds` holds one jump bound per step, or is a function giving a
+    step's bound from the image f(pts[k]).  None if a jump reaches its
+    bound.
+    """
+    pts = np.asarray(pts, dtype=float)
+    imgs = np.asarray([evaluate(map_spec, x) for x in pts[:-1]])
+    if callable(thresholds):
+        thresholds = [thresholds(img) for img in imgs]
+    thresholds = np.asarray(thresholds, dtype=float)
+    defects = np.asarray([map_spec.distance(img, nxt)
                           for img, nxt in zip(imgs, pts[1:])])
     if np.any(defects >= thresholds):
         return None
-    return EpsChain(pts, float(np.max(thresholds)), np.asarray(thresholds), defects)
+    return EpsChain(pts, float(np.max(thresholds)), thresholds, defects)
+
+
+def _box_chain(g: TransitionGraph, path, p, q) -> list:
+    """p, the centers of the inner boxes of `path`, then q."""
+    return [np.asarray(p, dtype=float)] + \
+        [g.grid.box_geometry(int(b))[0] for b in path[1:-1]] + \
+        [np.asarray(q, dtype=float)]
 
 
 def find_eps_chain(g: TransitionGraph, p, q) -> EpsChain | None:
@@ -651,7 +664,7 @@ def find_eps_chain(g: TransitionGraph, p, q) -> EpsChain | None:
         return None
     tau = g.eps + chain_slack(g)
     # direct step first
-    direct = _realize_chain(g, [bp, bq], p, q, np.array([tau]))
+    direct = _realize_chain(g.map_spec, [p, q], [tau])
     if direct is not None:
         return direct
     starts = [int(w) for w in g.out(bp) if w != g.sink]
@@ -659,7 +672,8 @@ def find_eps_chain(g: TransitionGraph, p, q) -> EpsChain | None:
     if path is None:
         return None
     full = [bp] + path
-    return _realize_chain(g, full, p, q, np.full(len(full) - 1, tau))
+    return _realize_chain(g.map_spec, _box_chain(g, full, p, q),
+                          np.full(len(full) - 1, tau))
 
 
 @dataclass
@@ -688,24 +702,30 @@ def nonwandering_probe(map_spec: MapSpec, grid: Grid, b: int, n_max: int,
     return NonwanderingResult(False, None)
 
 
+def fixed_point_chain(map_spec: MapSpec, p, eps_fn) -> EpsChain | None:
+    """The length-1 eps(x)-chain p -> p if f(p) lies within eps(f(p)) of p."""
+    return _realize_chain(map_spec, [p, p], lambda img: float(eps_fn(img)))
+
+
 def strong_chain_search(map_spec: MapSpec, p, eps_fn, grid: Grid,
-                        max_len: int | None = None) -> EpsChain | None:
+                        max_len: int | None = None,
+                        tg: TransitionGraph | None = None) -> EpsChain | None:
     """Search for an eps(x)-chain of length >= 1 from p back to p.
 
-    Builds a variable-threshold graph whose per-box jump budget is the
-    minimum of eps_fn over the fattened image rectangle, then looks for a
-    cycle through box(p).  Returned chains satisfy the Hurley jump rule
-    with the grid's resolution slack added; None is a resolution-stamped
-    no-cycle certificate, not a proof.
+    Searches a variable-threshold graph whose per-box jump budget is the
+    minimum of eps_fn over the fattened image rectangle for a cycle
+    through box(p).  `tg` is that graph, `build_graph(grid, map_spec, 0.0,
+    eps_fn=eps_fn)`, built once by callers that search from many points;
+    without it the graph is built here when p is not a fixed point within
+    its threshold.  Returned chains satisfy the Hurley jump rule with the
+    grid's resolution slack added; None is a resolution-stamped no-cycle
+    certificate, not a proof.
     """
     p = np.asarray(p, dtype=float)
-    fp = evaluate(map_spec, p)
-    # a fixed point within its own threshold is a length-1 chain
-    if float(map_spec.distance(fp, p)) < float(eps_fn(fp)):
-        return EpsChain(np.asarray([p, p]), float(eps_fn(fp)),
-                        np.asarray([float(eps_fn(fp))]),
-                        np.asarray([float(map_spec.distance(fp, p))]))
-    g = build_graph(grid, map_spec, 0.0, eps_fn=eps_fn)
+    fixed = fixed_point_chain(map_spec, p, eps_fn)
+    if fixed is not None:
+        return fixed
+    g = tg if tg is not None else build_graph(grid, map_spec, 0.0, eps_fn=eps_fn)
     bp = g.grid.box_of_point(p)
     if bp is None:
         return None
@@ -715,14 +735,6 @@ def strong_chain_search(map_spec: MapSpec, p, eps_fn, grid: Grid,
     path = _bfs_path(g, starts, bp, max_len=max_len)
     if path is None:
         return None
-    full = [bp] + path
-    pts = [p] + [g.grid.box_geometry(int(b))[0] for b in full[1:-1]] + [p]
-    pts = np.asarray(pts)
     slack = chain_slack(g)
-    imgs = np.asarray([evaluate(map_spec, x) for x in pts[:-1]])
-    thresholds = np.asarray([float(eps_fn(img)) + slack for img in imgs])
-    defects = np.asarray([map_spec.distance(img, nxt)
-                          for img, nxt in zip(imgs, pts[1:])])
-    if np.any(defects >= thresholds):
-        return None
-    return EpsChain(pts, float(np.max(thresholds)), thresholds, defects)
+    return _realize_chain(map_spec, _box_chain(g, [bp] + path, p, p),
+                          lambda img: float(eps_fn(img)) + slack)

@@ -428,9 +428,12 @@ def run_strong_cr(cfg, out_dir):
     pts = [_as_point(p, "experiment.points entry", map_spec.dim) for p in pts]
     rows = []
     found_any = False
+    tg = None  # one graph for every point that is not fixed within eps
     for p in pts:
+        if tg is None and cg.fixed_point_chain(map_spec, p, eps_fn) is None:
+            tg = cg.build_graph(grid, map_spec, 0.0, eps_fn=eps_fn)
         chain = cg.strong_chain_search(map_spec, p, eps_fn, grid,
-                                       max_len=exp.get("max_len"))
+                                       max_len=exp.get("max_len"), tg=tg)
         found_any |= chain is not None
         rows.append({"point": list(map(float, p)),
                      "found": chain is not None,

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import min_image
+from ._util import min_image, row_norms
 from .phase_space import Grid
 from .system import MapSpec, evaluate
 
@@ -190,14 +190,23 @@ def find_periodic_points(map_spec: MapSpec, period: int, grid: Grid,
 
 def _inverse_newton(map_spec: MapSpec, z: np.ndarray, tol: float = 1e-10,
                     max_iter: int = 60) -> np.ndarray:
-    """Solve f(w) = z per row by Newton, seeded at z itself."""
-    w = np.atleast_2d(z).astype(float).copy()
+    """Solve f(w) = z per row by Newton, seeded at z itself.
+
+    Each row stops once its own residual is below `tol`, so a row's
+    result is the one it gets when solved alone, whatever batch it is in.
+    """
+    z = np.atleast_2d(z).astype(float)
+    w = z.copy()
+    rows = np.arange(w.shape[0])
     for _ in range(max_iter):
-        r = map_spec.delta(z, evaluate(map_spec, w))  # f(w) - z
-        if np.max(np.linalg.norm(r, axis=1)) < tol:
+        wa = w[rows]
+        r = map_spec.delta(z[rows], evaluate(map_spec, wa))  # f(w) - z
+        live = np.linalg.norm(r, axis=1) >= tol
+        if not live.any():
             break
-        J = map_spec.jac(w)
-        w = map_spec.wrap(w - np.linalg.solve(J, r[..., None])[..., 0])
+        rows, wa, r = rows[live], wa[live], r[live]
+        J = map_spec.jac(wa)
+        w[rows] = map_spec.wrap(wa - np.linalg.solve(J, r[..., None])[..., 0])
     return w
 
 
@@ -290,6 +299,27 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
         radii = r0 * (1.0 + ts * (stretch - 1.0))
         return map_spec.wrap(p[None, :] + radii[:, None] * direction[None, :])
 
+    # the previous generation's final parameters and their images: f^period
+    # carries those forward, and only parameters new to this generation
+    # are iterated from the seed chord
+    prev_ts = prev_pts = None
+
+    def images(ts: np.ndarray) -> np.ndarray:
+        """f^(gen*period) (f^-(gen*period) on the stable side) of the seed
+        chord at ts.  Every ts is dyadic, so the carry lookup is exact."""
+        if gen == 0:
+            return seed_chord(ts)
+        at = np.minimum(np.searchsorted(prev_ts, ts), prev_ts.size - 1)
+        carried = prev_ts[at] == ts
+        out = np.empty((ts.size, map_spec.dim))
+        if carried.any():
+            out[carried] = _apply_steps(map_spec, prev_pts[at[carried]],
+                                        hp.period, inverse)
+        if not carried.all():
+            out[~carried] = _apply_steps(map_spec, seed_chord(ts[~carried]),
+                                         gen * hp.period, inverse)
+        return out
+
     # one block per generation; each block continues the previous one
     vertices = [map_spec.wrap(p.copy())[None, :]]
     lift = [p.copy()[None, :]]
@@ -300,8 +330,9 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
     done = False
     while not done:
         ts = np.linspace(0.0, 1.0, 9)
-        pts = _apply_steps(map_spec, seed_chord(ts), gen * hp.period, inverse)
-        # refine parameters until the image chain is tame
+        pts = images(ts)
+        # refine parameters until the image chain is tame; each round maps
+        # only its midpoints and inserts them after their interval's start
         for _ in range(60):
             chain = np.concatenate([vertices[-1][-1:], pts], axis=0)
             bad = _bad_intervals(map_spec.delta(chain[:-1], chain[1:]), ts,
@@ -309,14 +340,16 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
             if not bad.any() or len(ts) > 4096:
                 break
             new_ts = 0.5 * (ts[:-1][bad] + ts[1:][bad])
-            ts = np.sort(np.concatenate([ts, new_ts]))
-            pts = _apply_steps(map_spec, seed_chord(ts), gen * hp.period, inverse)
+            at = np.flatnonzero(bad) + 1
+            ts = np.insert(ts, at, new_ts)
+            pts = np.insert(pts, at, images(new_ts), axis=0)
+        prev_ts, prev_pts = ts, pts
         if gen > 0:
             pts = pts[1:]  # t=0 repeats the previous generation's end
         d = map_spec.delta(np.concatenate([vertices[-1][-1:], pts[:-1]]), pts)
-        # row norms through the same dot kernel as np.linalg.norm of one
-        # vector, so the running sums equal a vertex-by-vertex accumulation
-        steps = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        # one-vector norms, so the running sums equal a vertex-by-vertex
+        # accumulation
+        steps = row_norms(d)
         arcs = np.cumsum(np.concatenate([arc[-1][-1:], steps]))[1:]
         n = int(np.count_nonzero(arcs < target_arclength))
         if n < arcs.size:
@@ -514,9 +547,13 @@ def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
     hits: list[HomoclinicHit] = []
     tangencies: list[HomoclinicHit] = []
     seen: set[tuple] = set()
-    for i, j in _candidate_pairs(np.floor(a_mids / cellw).astype(np.int64),
-                                 np.floor(b_mids / cellw).astype(np.int64),
-                                 ncells):
+    a_keys = np.floor(a_mids / cellw).astype(np.int64)
+    b_keys = np.floor(b_mids / cellw).astype(np.int64)
+    if ncells is not None:
+        # np.mod rounds a tiny negative coordinate up to the period itself
+        a_keys %= ncells
+        b_keys %= ncells
+    for i, j in _candidate_pairs(a_keys, b_keys, ncells):
         da, db = a_deltas[i], b_deltas[j]
         denom = da[:, 0] * db[:, 1] - da[:, 1] * db[:, 0]
         keep = np.abs(denom) >= 1e-15 * np.maximum(1.0, a_lens[i] * b_lens[j])
@@ -534,34 +571,31 @@ def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
         if periods is not None:
             pts = np.mod(pts, per)
         keys = np.round(pts / max(tol_int, 1e-12)).astype(np.int64).tolist()
+        dist_anchor = row_norms(min_image(pts - anchor, periods))
+        na, nb = row_norms(da), row_norms(db)
         # first come first kept, in (i, j) order.  The few crossings left
-        # are finished one by one: one-vector np.linalg.norm and math.asin
-        # round differently from their array forms, and the records keep
-        # the one-vector values
-        for k in range(i.size):
-            pt = pts[k]
-            dist_anchor = float(np.linalg.norm(min_image(pt - anchor, periods)))
-            if dist_anchor <= exclusion:
-                continue
+        # are finished one by one: math.asin rounds differently from
+        # np.arcsin, and the records keep the math.asin values
+        for k in np.flatnonzero(dist_anchor > exclusion).tolist():
             keyp = tuple(keys[k])
             if keyp in seen:
                 continue
             seen.add(keyp)
-            na, nb = np.linalg.norm(da[k]), np.linalg.norm(db[k])
-            angle = math.asin(min(1.0, abs(denom[k]) / (na * nb)))
-            hit = HomoclinicHit(pt, float(a_arcs[i[k]] + s[k] * na),
-                                float(b_arcs[j[k]] + t[k] * nb), angle,
-                                angle >= transversality_min, dist_anchor)
+            angle = math.asin(min(1.0, abs(denom[k]) / (na[k] * nb[k])))
+            hit = HomoclinicHit(pts[k], float(a_arcs[i[k]] + s[k] * na[k]),
+                                float(b_arcs[j[k]] + t[k] * nb[k]), angle,
+                                angle >= transversality_min,
+                                float(dist_anchor[k]))
             (hits if hit.transverse else tangencies).append(hit)
 
     if polish and hits and map_spec is not None and map_spec.has_inverse:
         raw = np.asarray([h.point for h in hits])
         polished = _polish_hits(map_spec, Wu.anchor, raw, max_move=3.0 * cell)
         if polished is not None:
-            for hit, pt in zip(hits, polished):
+            dists = row_norms(min_image(polished - anchor, periods))
+            for hit, pt, dist in zip(hits, polished, dists.tolist()):
                 hit.point = pt
-                hit.distance_from_anchor = float(
-                    np.linalg.norm(min_image(pt - anchor, periods)))
+                hit.distance_from_anchor = dist
 
     hits.sort(key=lambda h: (h.distance_from_anchor, h.param_unstable))
     tangencies.sort(key=lambda h: (h.distance_from_anchor, h.param_unstable))
@@ -641,20 +675,23 @@ def accumulation_check(map_spec: MapSpec, hp: HyperbolicPoint, q_on_Wu,
     Ws_full = grow_manifold(map_spec, hp, "stable", Lmax, max_seg, **kwargs)
 
     hits_by_L = {}
+    dists_by_L = {}
     capped_by_L = {}
     for L in schedule:
         Wu, Ws = Wu_full.truncated(L), Ws_full.truncated(L)
-        hits_by_L[L] = homoclinic_points(Wu, Ws, map_spec=map_spec)
+        hits = homoclinic_points(Wu, Ws, map_spec=map_spec)
+        hits_by_L[L] = hits
+        dists_by_L[L] = map_spec.distance(
+            np.reshape([h.point for h in hits], (-1, map_spec.dim)), q)
         capped_by_L[L] = Wu.capped + Ws.capped
     rows = []
     for r in sorted((float(r) for r in radii), reverse=True):
         found = None
         used = None
         for L in schedule:
-            close = [h for h in hits_by_L[L]
-                     if float(map_spec.distance(h.point, q)) <= r]
-            if close:
-                found = close[0]
+            close = np.flatnonzero(dists_by_L[L] <= r)
+            if close.size:
+                found = hits_by_L[L][close[0]]
                 used = L
                 break
         rows.append(AccumulationRow(r, found is not None, used, found,

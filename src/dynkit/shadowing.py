@@ -236,7 +236,7 @@ def _hyperbolic_frames(map_spec: MapSpec, pts: np.ndarray):
     Returns None when the map is not vector-hyperbolic along the sequence
     (complex pairs or a modulus-one eigenvalue).
     """
-    if map_spec.jac is None or map_spec.dim != 2:
+    if map_spec.dim != 2:
         return None
     J = map_spec.jac(pts)
     vals, vecs = np.linalg.eig(J)

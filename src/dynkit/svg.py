@@ -22,6 +22,15 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
+def _fill(template: str, rows: np.ndarray, sep: str) -> str:
+    """`template` filled with each row of `rows`, the copies joined by `sep`.
+
+    One %-format over the flat list of all rows; %.3f rounds exactly as
+    the f-string form of _fmt does.
+    """
+    return sep.join([template] * rows.shape[0]) % tuple(rows.ravel().tolist())
+
+
 def _project(pts: np.ndarray, lower, upper) -> np.ndarray:
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
@@ -61,10 +70,12 @@ def emit_plot(layers, path, lower, upper):
                              axis=-1).astype(float)
             corners = _project(np.asarray(grid.domain.lower) + multi * grid.h,
                                lo, hi)
+            corners[:, 1] -= w[1]
             tail = (f'width="{_fmt(w[0])}" height="{_fmt(w[1])}" '
                     f'fill="{color}" fill-opacity="0.6"/>')
-            parts.extend(f'<rect x="{_fmt(x)}" y="{_fmt(y - w[1])}" {tail}'
-                         for x, y in corners.tolist())
+            if corners.shape[0]:
+                parts.append(_fill(f'<rect x="%.3f" y="%.3f" {tail}', corners,
+                                   "\n"))
         elif kind == "polyline":
             pts = np.asarray(layer["data"], dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2:
@@ -81,16 +92,17 @@ def emit_plot(layers, path, lower, upper):
                         pieces.append(proj[start:c + 1])
                     start = c + 1
                 for piece in pieces:
-                    d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in piece)
+                    d = "M " + _fill("%.3f %.3f", piece, " L ")
                     parts.append(f'<path d="{d}" stroke="{color}" '
                                  f'stroke-width="1.5" fill="none"/>')
         elif kind == "cloud":
             pts = np.asarray(layer["data"], dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2:
                 raise ValueError("emit_plot renders 2D data only")
-            for x, y in _project(pts, lo, hi):
-                parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" '
-                             f'fill="{color}"/>')
+            if pts.shape[0]:
+                parts.append(_fill(f'<circle cx="%.3f" cy="%.3f" r="3" '
+                                   f'fill="{color}"/>', _project(pts, lo, hi),
+                                   "\n"))
         else:
             raise ValueError(f"unknown layer kind {kind!r}")
     parts.append("</svg>")

@@ -35,7 +35,8 @@ class MapSpec:
     """A concrete diffeomorphism with optional inverse and closed-form Jacobian.
 
     `forward` and `inverse` act on arrays of shape (..., dim).  `jac` maps a
-    batch (n, dim) to (n, dim, dim).  `periods` marks an intrinsic torus:
+    batch (n, dim) to (n, dim, dim); every map made by `make_map` and
+    `polynomial_map` carries one.  `periods` marks an intrinsic torus:
     images are wrapped into [0, period) per axis.  `lipschitz` bounds the
     operator norm of the Jacobian; `jac_abs_bound` bounds each Jacobian
     entry over an axis-aligned rectangle batch.
@@ -414,11 +415,9 @@ def finite_difference_jacobian(map_spec: MapSpec, p, scale: float = 1.0) -> np.n
 
 
 def jacobian(map_spec: MapSpec, p) -> np.ndarray:
-    """Closed-form Jacobian when available, finite differences otherwise."""
+    """Closed-form Jacobian of the map at p."""
     p = np.asarray(p, dtype=float)
-    if map_spec.jac is not None:
-        return map_spec.jac(p[None, :])[0]
-    return finite_difference_jacobian(map_spec, p)
+    return map_spec.jac(p[None, :])[0]
 
 
 def volume_check(map_spec: MapSpec, window, samples: int, tol: float,
@@ -430,11 +429,7 @@ def volume_check(map_spec: MapSpec, window, samples: int, tol: float,
     lo = np.asarray(window[0], dtype=float)
     hi = np.asarray(window[1], dtype=float)
     pts = lo + rng.random((samples, map_spec.dim)) * (hi - lo)
-    if map_spec.jac is not None:
-        dets = np.linalg.det(map_spec.jac(pts))
-    else:
-        dets = np.array([np.linalg.det(finite_difference_jacobian(map_spec, p))
-                         for p in pts])
+    dets = np.linalg.det(map_spec.jac(pts))
     dev = float(np.max(np.abs(np.abs(dets) - 1.0)))
     return VolumeReport(dev, dev <= tol, samples, tol)
 

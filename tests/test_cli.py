@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dynkit
 from dynkit.cli import main, run_subcommand, validate_config
 from dynkit.phase_space import BoxSet, Domain, Grid
-from dynkit.svg import emit_plot
+from dynkit.svg import CANVAS, PALETTE, emit_plot
 
 
 def cat_config(tmp_path, depth=5, **extra):
@@ -376,6 +377,29 @@ class TestSvg:
             emit_plot([{"kind": "boxset", "data": BoxSet.full(g)}],
                       tmp_path / "x.svg", (0,), (1,))
 
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_per_vertex_reference(self, tmp_path, data):
+        # sixteenths put many coordinates on %.3f rounding ties, and points
+        # just left of or below the window print as -0.000
+        coord = st.one_of(st.integers(-16, 16016).map(lambda k: k / 16),
+                          st.sampled_from([-1e-9, -0.0, 1000.0 + 1e-9]),
+                          st.floats(-50.0, 1050.0))
+        points = st.lists(st.tuples(coord, coord), max_size=40).map(
+            lambda p: np.asarray(p, dtype=float).reshape(-1, 2))
+        g = Grid(Domain((-2.0, -1.0), (998.0, 1001.0), (False, False)), (4, 3))
+        layers = [data.draw(st.one_of(
+            st.builds(lambda m: {"kind": "boxset", "data": BoxSet(g, m)},
+                      st.lists(st.booleans(), min_size=g.nboxes,
+                               max_size=g.nboxes).map(np.asarray)),
+            st.builds(lambda p: {"kind": "polyline", "data": p}, points),
+            st.builds(lambda p: {"kind": "cloud", "data": p}, points)))
+            for _ in range(data.draw(st.integers(0, 4)))]
+        path = tmp_path / "h.svg"
+        emit_plot(layers, path, (0, 0), (1000, 1000))
+        assert path.read_text() == reference_svg(layers, (0, 0), (1000, 1000))
+
     def test_polyline_and_cloud_render(self, tmp_path):
         path = tmp_path / "p.svg"
         emit_plot([
@@ -387,6 +411,54 @@ class TestSvg:
         assert "<path" in text and text.count("<circle") == 2
 
 
+def reference_svg(layers, lower, upper):
+    """emit_plot's text, formatted one vertex at a time with f-strings."""
+    lo = np.asarray(lower, dtype=float)
+    hi = np.asarray(upper, dtype=float)
+
+    def project(pts):
+        scaled = (pts - lo) / (hi - lo) * CANVAS
+        out = scaled.copy()
+        out[..., 1] = CANVAS - scaled[..., 1]
+        return out
+
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" '
+             f'height="{CANVAS}" viewBox="0 0 {CANVAS} {CANVAS}">',
+             f'<rect x="0" y="0" width="{CANVAS}" height="{CANVAS}" fill="#ffffff"/>']
+    for i, layer in enumerate(layers):
+        color = PALETTE[layer.get("color", i) % len(PALETTE)]
+        if layer["kind"] == "boxset":
+            grid = layer["data"].grid
+            w = grid.h / (hi - lo) * CANVAS
+            multi = np.stack(np.unravel_index(layer["data"].indices(), grid.shape),
+                             axis=-1).astype(float)
+            corners = project(np.asarray(grid.domain.lower) + multi * grid.h)
+            tail = (f'width="{w[0]:.3f}" height="{w[1]:.3f}" '
+                    f'fill="{color}" fill-opacity="0.6"/>')
+            parts.extend(f'<rect x="{x:.3f}" y="{y - w[1]:.3f}" {tail}'
+                         for x, y in corners.tolist())
+        elif layer["kind"] == "polyline":
+            pts = np.asarray(layer["data"], dtype=float)
+            if pts.shape[0] < 2:
+                continue
+            proj = project(pts)
+            jumps = np.linalg.norm(np.diff(proj, axis=0), axis=1)
+            start = 0
+            for c in list(np.nonzero(jumps > CANVAS / 2)[0]) + [proj.shape[0] - 1]:
+                if c + 1 > start + 1:
+                    d = "M " + " L ".join(f"{x:.3f} {y:.3f}"
+                                          for x, y in proj[start:c + 1])
+                    parts.append(f'<path d="{d}" stroke="{color}" '
+                                 f'stroke-width="1.5" fill="none"/>')
+                start = c + 1
+        else:
+            for x, y in project(np.asarray(layer["data"], dtype=float)):
+                parts.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3" '
+                             f'fill="{color}"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 class TestMoreSubcommands:
     def test_all_runs_graph_suite(self, tmp_path):
         path = cat_config(tmp_path, depth=4)
@@ -396,6 +468,42 @@ class TestMoreSubcommands:
         for key in ("graph", "cr", "components", "conley-verify", "volume"):
             assert key in report["results"]
         assert report["results"]["volume"]["passed"] is True
+
+    @pytest.mark.parametrize("points, n_builds", [
+        (None, 1),  # eight sampled points
+        ([[0.0, 0.0], [0.3, 0.6], [0.5, 0.0], [0.7, 0.2]], 1),
+        ([[0.0, 0.0], [0.5, 0.0]], 0),  # fixed points: length-1 chains
+    ])
+    def test_strong_cr_builds_at_most_one_graph(self, tmp_path, monkeypatch,
+                                                points, n_builds):
+        from dynkit import chain_graph
+        builds = []
+        build, search = chain_graph.build_graph, chain_graph.strong_chain_search
+        monkeypatch.setattr(chain_graph, "build_graph",
+                            lambda *a, **k: builds.append(1) or build(*a, **k))
+        exp = {"eps_fn_c": 0.05}
+        if points is not None:
+            exp["points"] = points
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "map": {"name": "standard", "K": 0.97},
+            "grid": {"lower": [0, 0], "upper": [1, 1],
+                     "periodic": [True, True], "depth": [5, 5]},
+            "experiment": exp, "rng_seed": 3}))
+        reports = []
+        for sub in ("one", "each"):
+            out = tmp_path / sub
+            assert run_cli(["strong-cr", "--config", str(path),
+                            "--out", str(out)]).exit_code == 0
+            reports.append((out / "report.json").read_text()
+                           .replace(str(out), "OUT"))
+            if sub == "one":
+                assert len(builds) == n_builds
+                # the reference: every search builds its own graph
+                monkeypatch.setattr(
+                    chain_graph, "strong_chain_search",
+                    lambda *a, tg=None, **k: search(*a, **k))
+        assert reports[0] == reports[1]
 
     def test_all_builds_one_graph_and_one_scc(self, tmp_path, monkeypatch):
         from dynkit import chain_graph

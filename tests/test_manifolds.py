@@ -1,5 +1,6 @@
 """Periodic points, manifold polylines, homoclinic hits, recurrence."""
 
+import functools
 import math
 from unittest import mock
 
@@ -14,7 +15,7 @@ from dynkit.manifolds import (
     is_recurrent, omega_limit_cloud, point_to_polyline_distance,
 )
 from dynkit.phase_space import Domain, Grid
-from dynkit.system import evaluate, make_map
+from dynkit.system import evaluate, make_map, polynomial_map
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -25,6 +26,32 @@ def cat_anchor():
     pts = find_periodic_points(m, 1, g)
     assert len(pts) == 1
     return m, pts[0]
+
+
+def poly_saddle():
+    """f(x, y) = (y, -x + 3y - y^3): a saddle at 0, no inverse evaluator."""
+    m = polynomial_map([[{"c": 1.0, "e": [0, 1]}],
+                        [{"c": -1.0, "e": [1, 0]}, {"c": 3.0, "e": [0, 1]},
+                         {"c": -1.0, "e": [0, 3]}]], dim=2)
+    g = Grid(Domain((-0.5, -0.5), (0.5, 0.5), (False, False)), (2, 2))
+    hp = [h for h in find_periodic_points(m, 1, g)
+          if float(np.linalg.norm(h.point)) < 1e-9][0]
+    return m, hp
+
+
+@functools.cache
+def growth_anchor(name):
+    """Map and hyperbolic anchor of each growth-oracle case."""
+    if name == "cat":
+        return cat_anchor()
+    if name == "poly":
+        return poly_saddle()
+    K, period, depth = {"standard-0.97": (0.97, 3, 6),
+                        "standard-1.5": (1.5, 1, 3)}[name]
+    m = make_map("standard", K=K)
+    g = Grid(Domain((0.0, 0.0), (1.0, 1.0), (True, True)), (depth, depth))
+    return m, [hp for hp in find_periodic_points(m, period, g)
+               if hp.is_hyperbolic][0]
 
 
 def linear_anchor():
@@ -171,6 +198,67 @@ class TestGrowManifold:
         if n >= 6:
             assert _bad_reference(deltas, ts, math.inf, 0.2)  # turns alone
 
+    @pytest.mark.parametrize("name, arclength, r0_scale", [
+        ("cat", 8.0, 1e-6), ("standard-0.97", 2.0, 1e-6),
+        ("standard-1.5", 3.0, 1e-6), ("poly", 1.0, 1e-4)])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_reevaluation_reference(self, name, arclength,
+                                                 r0_scale, data):
+        # each parameter mapped once per generation, against the loop that
+        # maps every parameter from the seed chord in every round
+        m, hp = growth_anchor(name)
+        kw = dict(target_arclength=data.draw(st.floats(0.2, arclength)),
+                  r0_scale=r0_scale,
+                  max_seg=data.draw(st.floats(0.01, 0.05)),
+                  turn_max=data.draw(st.floats(0.05, 0.6)),
+                  side=data.draw(st.sampled_from(["unstable", "stable"])),
+                  branch=data.draw(st.sampled_from([1, -1])))
+        got = grow_manifold(m, hp, **kw)
+        ref = reference_grow_manifold(m, hp, **kw)
+        for a, b in zip((got.vertices, got.lift, got.arclength), ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_inverse_newton_rows_solve_alone(self):
+        # a row's preimage must not depend on the rows batched with it
+        m, _ = poly_saddle()
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-1.0, 1.0, (40, 2)) * np.logspace(-8, 0, 40)[:, None]
+        batch = manifolds._inverse_newton(m, z)
+        for k in range(z.shape[0]):
+            alone = manifolds._inverse_newton(m, z[k:k + 1])
+            assert batch[k].tobytes() == alone[0].tobytes(), k
+        assert np.max(np.linalg.norm(evaluate(m, batch) - z, axis=1)) < 1e-10
+
+    @pytest.mark.parametrize("name", ["cat", "standard-0.97"])
+    def test_each_parameter_mapped_once_per_generation(self, monkeypatch, name):
+        m, hp = growth_anchor(name)
+        calls, rows = [], [0]
+        apply_steps, evaluate_rows = manifolds._apply_steps, manifolds.evaluate
+
+        def logged(map_spec, pts, steps, inverse):
+            calls.append((steps, np.atleast_2d(pts)))
+            return apply_steps(map_spec, pts, steps, inverse)
+
+        def counted(map_spec, p, direction="forward"):
+            rows[0] += np.atleast_2d(p).shape[0]
+            return evaluate_rows(map_spec, p, direction)
+
+        monkeypatch.setattr(manifolds, "evaluate", counted)
+        kw = dict(side="unstable", target_arclength=40.0 if name == "cat" else 5.0,
+                  max_seg=0.01)
+        reference_grow_manifold(m, hp, **kw)
+        full = rows[0]
+        rows[0] = 0
+        monkeypatch.setattr(manifolds, "_apply_steps", logged)
+        grow_manifold(m, hp, **kw)
+        # a chord point mapped through the same number of steps twice
+        # would be one (generation, parameter) evaluated twice
+        mapped = [(steps, row.tobytes()) for steps, pts in calls for row in pts]
+        assert len(mapped) == len(set(mapped))
+        assert rows[0] == sum(steps * pts.shape[0] for steps, pts in calls)
+        assert 4 * rows[0] <= full, (rows[0], full)
+
     def test_no_unstable_side_on_contraction(self):
         m = make_map("contraction", c=0.5, dim=2)
         g = Grid(Domain((-1.0, -1.0), (1.0, 1.0), (False, False)), (2, 2))
@@ -278,6 +366,27 @@ class TestHomoclinic:
             assert _hit_records(got) == _hit_records(
                 _all_pairs_hits(Wu, Ws, periods))
 
+    def test_midpoint_wrapped_onto_the_period_keeps_its_pairs(self):
+        # np.mod(-7e-222, 1.0) is 1.0: the W^s midpoint's cell key must wrap
+        # to 0, or the crossing at (1/32, 0) is never paired
+        hp = HyperbolicPoint(np.zeros(2), 1, np.array([2.0, 0.5]), np.eye(2),
+                             True, 0.0)
+
+        def polyline(side, steps):
+            lift = np.concatenate([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+            arclength = np.concatenate(
+                [[0.0], np.cumsum(np.linalg.norm(steps, axis=1))])
+            return ManifoldPolyline(side, hp, np.mod(lift, 1.0), lift,
+                                    arclength, 1.0, 1, 0.06)
+
+        Wu = polyline("unstable", np.array([[0.0, -0.03125], [0.03125, 0.03125]]))
+        Ws = polyline("stable", np.array([[0.03125, -7.1520937691011e-222]]))
+        got = homoclinic_points(Wu, Ws, map_spec=make_map("cat"), polish=False,
+                                return_tangencies=True)
+        expect = _all_pairs_hits(Wu, Ws, (1.0, 1.0))
+        assert len(expect[0]) == 1
+        assert _hit_records(got) == _hit_records(expect)
+
     def test_hits_are_transverse_and_sorted(self):
         m, hp = cat_anchor()
         Wu = grow_manifold(m, hp, "unstable", 5.0, max_seg=0.02)
@@ -383,6 +492,61 @@ def _bad_reference(deltas, ts, max_seg, turn_max):
                 bad.add(j - 2)
             bad.add(j - 1)
     return sorted(i for i in bad if ts[i + 1] - ts[i] > 1e-12)
+
+
+def reference_grow_manifold(map_spec, hp, side, target_arclength, max_seg,
+                            turn_max=0.2, r0_scale=1e-6, branch=1,
+                            max_vertices=200000):
+    """grow_manifold mapping every parameter from the seed chord in every
+    refinement round; returns (vertices, lift, arclength)."""
+    lam, v = manifolds._real_eigenpair(hp, side)
+    stretch = lam if side == "unstable" else 1.0 / lam
+    inverse = side == "stable"
+    scale = 1.0 if map_spec.periods is None else \
+        float(np.max(np.asarray(map_spec.periods)))
+    r0 = r0_scale * scale
+    p = np.asarray(hp.point, dtype=float)
+    direction = branch * v
+
+    def mapped(ts, gen):
+        radii = r0 * (1.0 + ts * (stretch - 1.0))
+        seeds = map_spec.wrap(p[None, :] + radii[:, None] * direction[None, :])
+        return manifolds._apply_steps(map_spec, seeds, gen * hp.period, inverse)
+
+    vertices = [map_spec.wrap(p.copy())[None, :]]
+    lift = [p.copy()[None, :]]
+    arc = [np.zeros(1)]
+    nvert, gen, done = 1, 0, False
+    while not done:
+        ts = np.linspace(0.0, 1.0, 9)
+        pts = mapped(ts, gen)
+        for _ in range(60):
+            chain = np.concatenate([vertices[-1][-1:], pts], axis=0)
+            bad = manifolds._bad_intervals(map_spec.delta(chain[:-1], chain[1:]),
+                                           ts, max_seg, turn_max)
+            if not bad.any() or len(ts) > 4096:
+                break
+            ts = np.sort(np.concatenate([ts, 0.5 * (ts[:-1][bad] + ts[1:][bad])]))
+            pts = mapped(ts, gen)
+        if gen > 0:
+            pts = pts[1:]
+        d = map_spec.delta(np.concatenate([vertices[-1][-1:], pts[:-1]]), pts)
+        steps = np.array([np.linalg.norm(row) for row in d])
+        arcs = np.cumsum(np.concatenate([arc[-1][-1:], steps]))[1:]
+        n = int(np.count_nonzero(arcs < target_arclength))
+        if n < arcs.size:
+            done = True
+            n += 1
+        vertices.append(pts[:n])
+        lift.append(np.cumsum(np.concatenate([lift[-1][-1:], d[:n]]), axis=0)[1:])
+        arc.append(arcs[:n])
+        nvert += n
+        if nvert > max_vertices:
+            break
+        gen += 1
+        if gen > 300:
+            break
+    return np.concatenate(vertices), np.concatenate(lift), np.concatenate(arc)
 
 
 def _random_polyline(data, side, hp, start, periods):
