@@ -543,17 +543,25 @@ def _out_neighbors(offsets: np.ndarray, targets: np.ndarray,
 
 
 def reachable(offsets: np.ndarray, targets: np.ndarray, seeds,
-              max_layers: int | None = None) -> np.ndarray | None:
+              max_layers: int | None = None,
+              seen: np.ndarray | None = None) -> np.ndarray | None:
     """Boolean mask of the CSR nodes reachable from `seeds`, seeds included.
 
     Frontier expansion, one layer per step; duplicates in a layer are
     dropped through a scratch slot array instead of a sort.  Returns None
     when the expansion needs more than `max_layers` layers.
+
+    A given `seen` mask is grown in place and returned: its nodes count as
+    explored and are not expanded again, so for a forward-closed `seen`
+    the result is the closure of `seen` and `seeds` together.
     """
     n = offsets.size - 1
-    seen = np.zeros(n, dtype=bool)
-    seen[np.asarray(seeds, dtype=np.int64)] = True
-    frontier = np.flatnonzero(seen)
+    seeds = np.asarray(seeds, dtype=np.int64)
+    if seen is None:
+        seen = np.zeros(n, dtype=bool)
+    # repeated seeds only repeat the first layer's reads
+    frontier = seeds[~seen[seeds]]
+    seen[frontier] = True
     slot = np.empty(n, dtype=np.int64)
     layers = 0
     while frontier.size:

@@ -349,12 +349,17 @@ def run_components(cfg, out_dir, tg=None):
 
 def run_attractors(cfg, out_dir):
     exp = cfg["experiment"]
-    include_sink = bool(exp.get("include_sink", False))
+    include_sink = exp.get("include_sink", False)
+    if not isinstance(include_sink, bool):
+        raise ConfigError(f"include_sink must be true or false, got {include_sink!r}")
     tg = _build_graph(cfg, blocks=not include_sink)
     grid = tg.grid
     candidates = None
     if "candidate_rle" in exp:
-        candidates = [BoxSet.from_rle(grid, exp["candidate_rle"])]
+        try:
+            candidates = [BoxSet.from_rle(grid, exp["candidate_rle"])]
+        except ValueError as e:
+            raise ConfigError(f"bad candidate_rle: {e}") from e
     blocks = conley.find_attractor_blocks(tg, candidates=candidates) \
         if not include_sink else (candidates or [])
     try:

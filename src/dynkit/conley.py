@@ -19,8 +19,9 @@ import numpy as np
 
 from .phase_space import BoxSet
 from .system import MapSpec, evaluate
-from .chain_graph import (TransitionGraph, chain_recurrent_boxes,
-                          nontrivial_scc_sets, reachable)
+from .chain_graph import (TransitionGraph, _out_neighbors,
+                          chain_recurrent_boxes, nontrivial_scc_sets,
+                          reachable)
 
 __all__ = [
     "NotABlockError", "AttractorFlags", "AttractorRecord", "ConleyReport",
@@ -71,12 +72,6 @@ class ConleyReport:
 # reachability helpers
 # ---------------------------------------------------------------------------
 
-def _forward_closure(g: TransitionGraph, seed: BoxSet):
-    """(closure, hit_sink): all boxes reachable from seed, seed included."""
-    bits = reachable(g.offsets, g.targets, seed.indices())
-    return BoxSet(g.grid, bits[:g.nboxes]), bool(bits[g.sink])
-
-
 def _backward_closure(g: TransitionGraph, seed_nodes: np.ndarray) -> np.ndarray:
     """Nodes (boxes and sink) with a directed path into seed_nodes."""
     roff, rtarg = g.reverse()
@@ -101,6 +96,30 @@ def _is_block(g: TransitionGraph, U: BoxSet) -> bool:
 # block enumeration
 # ---------------------------------------------------------------------------
 
+def _downset_families(reach: np.ndarray, max_downset_comps: int) -> list:
+    """Member lists of the SCC families whose cores are dilated;
+    reach[i, j] says that SCC i reaches SCC j, and reach[i, i] holds.
+
+    Up to `max_downset_comps` SCCs: every nonempty down-closed subset, in
+    increasing bitmask order.  Above it: the principal down-sets, then the
+    union of all SCCs.
+    """
+    m = reach.shape[0]
+    if not m:
+        return []
+    if m > max_downset_comps:
+        return [np.flatnonzero(row).tolist() for row in reach] + [list(range(m))]
+    # needs[mask]: bitmask of the SCCs that the members of mask reach,
+    # built from the masks below each new top bit
+    bit = np.int64(1) << np.arange(m, dtype=np.int64)
+    needs = np.zeros(1 << m, dtype=np.int64)
+    for i in range(m):
+        needs[1 << i:2 << i] = needs[:1 << i] | bit[reach[i]].sum()
+    masks = np.arange(1 << m, dtype=np.int64)
+    closed = np.flatnonzero((needs & ~masks) == 0)[1:]
+    return [np.flatnonzero(mask & bit).tolist() for mask in closed]
+
+
 def find_attractor_blocks(g: TransitionGraph, candidates=None,
                           extra_dilations: int = 2, max_dilation: int = 16,
                           max_downset_comps: int = 12) -> list[BoxSet]:
@@ -110,7 +129,14 @@ def find_attractor_blocks(g: TransitionGraph, candidates=None,
     reachability order of the condensation); each core is dilated layer by
     layer and forward-closed until the block test passes, which yields the
     familiar nested families of blocks around each attracting region.
-    User-supplied candidate box sets are tested as-is.
+    Each family grows one dilation D and one forward closure C: a new
+    layer only seeds the search from D_k \\ C_{k-1}, since
+    closure(D_k) = C_{k-1} | closure(D_k \\ C_{k-1}).  A family stops at
+    the first closure that reaches the sink or the whole grid, or once
+    `extra_dilations` blocks follow its first one.  Such a closure is
+    forward-closed and sink-free, so it is a block iff no box of its
+    boundary layer has a predecessor in it.  User-supplied candidate box
+    sets are tested in full, and blocks already found are not repeated.
 
     Requires a graph built with eps > 0 so the fattening provides the
     uniform margin.
@@ -122,57 +148,47 @@ def find_attractor_blocks(g: TransitionGraph, candidates=None,
     blocks: list[BoxSet] = []
     seen: set[bytes] = set()
 
-    def consider(U: BoxSet):
+    def add(U: BoxSet):
         key = np.packbits(U.bits).tobytes()
-        if key not in seen and _is_block(g, U):
+        if key not in seen:
             seen.add(key)
             blocks.append(U)
 
-    # reachability order between SCCs
-    closures = []
-    for s in sccs:
-        clo, _ = _forward_closure(g, s)
-        closures.append(clo)
-    reach = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(m):
-            if i != j and (closures[i] & sccs[j]):
-                reach[i, j] = True
+    # scc_of[node]: index of its nontrivial SCC, m elsewhere (sink included)
+    scc_of = np.full(g.n_nodes, m, dtype=np.int64)
+    for i, s in enumerate(sccs):
+        scc_of[:g.nboxes][s.bits] = i
+    # reach[i, j]: SCC i reaches SCC j; column m gathers everything else
+    reach = np.zeros((m, m + 1), dtype=bool)
+    for i, s in enumerate(sccs):
+        reach[i, scc_of[reachable(g.offsets, g.targets, s.indices())]] = True
 
-    if m <= max_downset_comps:
-        families = []
-        for mask in range(1, 1 << m):
-            members = [i for i in range(m) if mask >> i & 1]
-            closed = all(not reach[i, j] or (mask >> j & 1)
-                         for i in members for j in range(m))
-            if closed:
-                families.append(members)
-    else:
-        # fall back to principal down-sets plus the full union
-        families = []
-        for i in range(m):
-            fam = {i} | {j for j in range(m) if reach[i, j]}
-            families.append(sorted(fam))
-        families.append(list(range(m)))
-
-    for members in families:
-        base = BoxSet.empty(g.grid)
-        for i in members:
-            base = base | sccs[i]
+    roff, rtarg = g.reverse()
+    for members in _downset_families(reach[:, :m], max_downset_comps):
+        core = np.zeros(m + 1, dtype=bool)
+        core[members] = True
+        dilated = BoxSet(g.grid, core[scc_of[:g.nboxes]])
+        closure = np.zeros(g.n_nodes, dtype=bool)
         passes = 0
-        for k in range(1, max_dilation + 1):
-            cand, hit_sink = _forward_closure(g, base.dilate(k))
-            if hit_sink or len(cand) == g.nboxes:
+        for _ in range(max_dilation):
+            dilated = dilated.dilate(1)
+            reachable(g.offsets, g.targets,
+                      np.flatnonzero(dilated.bits & ~closure[:g.nboxes]),
+                      seen=closure)
+            U = BoxSet(g.grid, closure[:g.nboxes].copy())
+            if closure[g.sink] or len(U) == g.nboxes:
                 break
-            if _is_block(g, cand):
-                consider(cand)
+            margin = U - U.erode(1)
+            if not closure[_out_neighbors(roff, rtarg, margin.indices())].any():
+                add(U)
                 passes += 1
                 if passes > extra_dilations:
                     break
 
     if candidates is not None:
         for U in candidates:
-            consider(U)
+            if _is_block(g, U):
+                add(U)
 
     blocks.sort(key=lambda b: (len(b), int(b.indices()[0]) if len(b) else -1))
     return blocks

@@ -224,8 +224,22 @@ class BoxSet:
 
     @classmethod
     def from_rle(cls, grid: Grid, runs) -> "BoxSet":
+        """Inverse of `rle`.  Every run must be an integer pair
+        [start, length] with start >= 0, length >= 1 and
+        start + length <= nboxes; anything else raises ValueError."""
+        sequence = (list, tuple, np.ndarray)
+        if not isinstance(runs, sequence):
+            raise ValueError(f"runs must be a list of [start, length] pairs, got {runs!r}")
         bits = np.zeros(grid.nboxes, dtype=bool)
-        for start, length in runs:
+        for run in runs:
+            if not (isinstance(run, sequence) and len(run) == 2
+                    and all(isinstance(v, (int, np.integer))
+                            and not isinstance(v, bool) for v in run)):
+                raise ValueError(f"run {run!r} is not a [start, length] integer pair")
+            start, length = int(run[0]), int(run[1])
+            if start < 0 or length < 1 or start + length > grid.nboxes:
+                raise ValueError(f"run {run!r} does not lie within the "
+                                 f"{grid.nboxes} boxes")
             bits[start:start + length] = True
         return cls(grid, bits)
 
@@ -284,49 +298,42 @@ class BoxSet:
 
     # -- grid-topology morphology ----------------------------------------
 
-    def _shifted(self, axis: int, step: int) -> np.ndarray:
-        """Bits shifted one box along an axis; non-periodic edges fall off."""
-        a = self.bits.reshape(self.grid.shape)
-        if self.grid.domain.periodic[axis]:
-            return np.roll(a, step, axis=axis).ravel()
-        out = np.zeros_like(a)
-        src = [slice(None)] * self.grid.dim
-        dst = [slice(None)] * self.grid.dim
-        if step > 0:
-            dst[axis] = slice(step, None)
-            src[axis] = slice(None, -step)
-        else:
-            dst[axis] = slice(None, step)
-            src[axis] = slice(-step, None)
-        out[tuple(dst)] = a[tuple(src)]
-        return out.ravel()
+    def _morph(self, layers: int, op) -> "BoxSet":
+        """Combine each box with its face neighbours by `op`, `layers` times.
+
+        Each layer reads a copy of the previous one and writes the shifted
+        slices straight into the result.  A periodic axis wraps (np.roll);
+        on a non-periodic one the neighbour past the window edge is empty.
+        """
+        a = self.bits.reshape(self.grid.shape).copy()
+        prev = np.empty_like(a)
+        erode = op is np.logical_and
+        for _ in range(layers):
+            prev[...] = a
+            for ax, periodic in enumerate(self.grid.domain.periodic):
+                if periodic:
+                    op(a, np.roll(prev, 1, axis=ax), out=a)
+                    op(a, np.roll(prev, -1, axis=ax), out=a)
+                    continue
+                lo = (slice(None),) * ax + (slice(None, -1),)
+                hi = (slice(None),) * ax + (slice(1, None),)
+                op(a[hi], prev[lo], out=a[hi])
+                op(a[lo], prev[hi], out=a[lo])
+                if erode:
+                    a[(slice(None),) * ax + (0,)] = False
+                    a[(slice(None),) * ax + (-1,)] = False
+        return BoxSet(self.grid, a.ravel())
 
     def dilate(self, layers: int = 1) -> "BoxSet":
         """Grow by face-adjacent boxes, `layers` times."""
-        bits = self.bits.copy()
-        for _ in range(layers):
-            grown = bits.copy()
-            cur = BoxSet(self.grid, bits)
-            for ax in range(self.grid.dim):
-                grown |= cur._shifted(ax, +1)
-                grown |= cur._shifted(ax, -1)
-            bits = grown
-        return BoxSet(self.grid, bits)
+        return self._morph(layers, np.logical_or)
 
     def erode(self, layers: int = 1) -> "BoxSet":
         """Drop members face-adjacent to the complement, `layers` times.
 
         On a non-periodic axis the window edge counts as complement.
         """
-        bits = self.bits.copy()
-        for _ in range(layers):
-            kept = bits.copy()
-            cur = BoxSet(self.grid, bits)
-            for ax in range(self.grid.dim):
-                kept &= cur._shifted(ax, +1)
-                kept &= cur._shifted(ax, -1)
-            bits = kept
-        return BoxSet(self.grid, bits)
+        return self._morph(layers, np.logical_and)
 
     def boundary(self) -> "BoxSet":
         """Member boxes adjacent to non-member boxes."""

@@ -391,6 +391,12 @@ class TestSccOracle:
         want = set(seeds).union(*(nx.descendants(G, s) for s in seeds))
         got = reachable(tg.offsets, tg.targets, sorted(seeds))
         assert set(np.flatnonzero(got).tolist()) == want
+        # growing a forward-closed mask in place by more seeds
+        more = data.draw(st.lists(st.integers(0, tg.n_nodes - 1), max_size=3))
+        grown = reachable(tg.offsets, tg.targets, more, seen=got)
+        assert grown is got
+        assert set(np.flatnonzero(grown).tolist()) == \
+            want.union(more, *(nx.descendants(G, s) for s in more))
         roff, rtarg = tg.reverse()
         back = reachable(roff, rtarg, sorted(seeds))
         want = set(seeds).union(*(nx.ancestors(G, s) for s in seeds))

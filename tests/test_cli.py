@@ -146,6 +146,28 @@ class TestConfigValidation:
         assert res.exit_code == 2
         assert "config error" in res.output and "candidate_rle" in res.output
 
+    @pytest.mark.parametrize("experiment", [
+        {"candidate_rle": [[1]]}, {"candidate_rle": "x"},
+        {"candidate_rle": [[-3, 2]]}, {"candidate_rle": [[60, 10]]},
+        {"candidate_rle": [[10, -2]]}, {"include_sink": "false"},
+    ])
+    def test_malformed_attractor_inputs_exit_2(self, tmp_path, experiment):
+        # 64 boxes; before validation these raised, or silently picked
+        # wrapped, truncated or empty candidates, or read "false" as true
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "map": {"name": "poly", "dimension": 1,
+                    "components": [[{"c": 1.5, "e": [1]},
+                                    {"c": -0.5, "e": [3]}]]},
+            "grid": {"lower": [-2.0], "upper": [2.0], "depth": [6]},
+            "eps": 0.015625, "experiment": experiment,
+            "out": str(tmp_path / "out")}))
+        res = run_cli(["attractors", "--config", str(path)])
+        assert res.exit_code == 2
+        assert "config error" in res.output
+        assert next(iter(experiment)) in res.output
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("sub, experiment", [
         ("shadow", {"eps": 0}), ("shadow", {"grid_resolution": 0}),
         ("shadow", {"N": -3}),

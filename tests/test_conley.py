@@ -5,10 +5,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dynkit.chain_graph import build_graph, chain_recurrent_boxes
+from dynkit.chain_graph import (TransitionGraph, build_graph,
+                                chain_recurrent_boxes, nontrivial_scc_sets,
+                                reachable)
 from dynkit.conley import (
-    NotABlockError, absorbed_basin, attractor_from_block,
+    NotABlockError, _is_block, absorbed_basin, attractor_from_block,
     attractor_invariance_check, basin, build_attractor_records,
     escape_fraction, find_attractor_blocks, verify_conley_decomposition,
 )
@@ -47,6 +50,167 @@ def brute_force_blocks(tg):
                 continue
             blocks.append(frozenset(U))
     return set(blocks)
+
+
+def reference_blocks(g, candidates=None, extra_dilations=2, max_dilation=16,
+                     max_downset_comps=12):
+    """The enumeration loop as it was before closures were grown
+    incrementally: each dilation depth k dilates the core from scratch,
+    forward-closes it in a fresh search and tests it with `_is_block`."""
+    def _forward_closure(g, seed):
+        bits = reachable(g.offsets, g.targets, seed.indices())
+        return BoxSet(g.grid, bits[:g.nboxes]), bool(bits[g.sink])
+
+    sccs = nontrivial_scc_sets(g)
+    m = len(sccs)
+    blocks = []
+    seen = set()
+
+    def consider(U):
+        key = np.packbits(U.bits).tobytes()
+        if key not in seen and _is_block(g, U):
+            seen.add(key)
+            blocks.append(U)
+
+    # reachability order between SCCs
+    closures = []
+    for s in sccs:
+        clo, _ = _forward_closure(g, s)
+        closures.append(clo)
+    reach = np.zeros((m, m), dtype=bool)
+    for i in range(m):
+        for j in range(m):
+            if i != j and (closures[i] & sccs[j]):
+                reach[i, j] = True
+
+    if m <= max_downset_comps:
+        families = []
+        for mask in range(1, 1 << m):
+            members = [i for i in range(m) if mask >> i & 1]
+            closed = all(not reach[i, j] or (mask >> j & 1)
+                         for i in members for j in range(m))
+            if closed:
+                families.append(members)
+    else:
+        # fall back to principal down-sets plus the full union
+        families = []
+        for i in range(m):
+            fam = {i} | {j for j in range(m) if reach[i, j]}
+            families.append(sorted(fam))
+        families.append(list(range(m)))
+
+    for members in families:
+        base = BoxSet.empty(g.grid)
+        for i in members:
+            base = base | sccs[i]
+        passes = 0
+        for k in range(1, max_dilation + 1):
+            cand, hit_sink = _forward_closure(g, base.dilate(k))
+            if hit_sink or len(cand) == g.nboxes:
+                break
+            if _is_block(g, cand):
+                consider(cand)
+                passes += 1
+                if passes > extra_dilations:
+                    break
+
+    if candidates is not None:
+        for U in candidates:
+            consider(U)
+
+    blocks.sort(key=lambda b: (len(b), int(b.indices()[0]) if len(b) else -1))
+    return blocks
+
+
+@st.composite
+def box_graphs(draw):
+    """Random box graph in the TransitionGraph layout on a 1-D or 2-D grid,
+    periodic or not, with eps > 0: every box steps part of the way towards
+    its nearest drawn centre, fattened by a drawn stencil, plus random
+    extra edges and random sink edges.  A step off a non-periodic window
+    edge goes to the sink."""
+    dim = draw(st.integers(1, 2))
+    depth = tuple(draw(st.integers(2, 6 if dim == 1 else 4)) for _ in range(dim))
+    periodic = tuple(draw(st.booleans()) for _ in range(dim))
+    grid = Grid(Domain((0.0,) * dim, (1.0,) * dim, periodic), depth)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, shape = grid.nboxes, np.asarray(grid.shape)
+    multi = np.stack(np.unravel_index(np.arange(n), grid.shape), axis=-1)
+    centres = rng.integers(0, shape, size=(draw(st.integers(1, 3)), dim))
+    nearest = np.argmin(((multi[:, None] - centres[None]) ** 2).sum(-1), axis=1)
+    diff = centres[nearest] - multi
+    pull = draw(st.sampled_from([0.3, 0.6, 1.0]))
+    step = multi + np.sign(diff) * np.ceil(pull * np.abs(diff)).astype(np.int64)
+    spread = draw(st.integers(0, 1))
+    src, tgt = [], []
+    for off in itertools.product(range(-spread, spread + 1), repeat=dim):
+        t = step + np.asarray(off)
+        outside = np.zeros(n, dtype=bool)
+        for ax in range(dim):
+            if periodic[ax]:
+                t[:, ax] %= shape[ax]
+            else:
+                outside |= (t[:, ax] < 0) | (t[:, ax] >= shape[ax])
+        ids = np.ravel_multi_index(tuple(np.clip(t, 0, shape - 1).T), grid.shape)
+        src.append(np.arange(n))
+        tgt.append(np.where(outside, n, ids))
+    noisy = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.03, 0.1])))
+    src.append(noisy)
+    tgt.append(rng.integers(0, n, noisy.size))
+    leaky = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.02, 0.1])))
+    src += [leaky, [n]]
+    tgt += [np.full(leaky.size, n), [n]]
+    keys = np.unique(np.concatenate(src) * (n + 1) + np.concatenate(tgt))
+    targets = keys % (n + 1)
+    offsets = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(keys // (n + 1), minlength=n + 1), out=offsets[1:])
+    return TransitionGraph(grid, None, 0.1, offsets, targets, 0.0)
+
+
+def bench_cubic_graph(dim, depth, eps):
+    terms = [{"c": 1.5, "e": [1]}, {"c": -0.5, "e": [3]}]
+    comps = [[{"c": t["c"], "e": [0] * i + t["e"] + [0] * (dim - 1 - i)}
+              for t in terms] for i in range(dim)]
+    m = polynomial_map(comps, dim=dim, window=([-2.0] * dim, [2.0] * dim))
+    g = Grid(Domain((-2.0,) * dim, (2.0,) * dim, (False,) * dim), (depth,) * dim)
+    return build_graph(g, m, eps)
+
+
+def same_blocks(got, want):
+    return [U.bits.tolist() for U in got] == [U.bits.tolist() for U in want]
+
+
+REGIMES = [{}, {"max_dilation": 3, "extra_dilations": 1},
+           {"max_downset_comps": 1}]
+
+
+class TestBlocksMatchReference:
+    """The incremental enumeration against the loop it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(box_graphs(), st.sampled_from(REGIMES))
+    def test_random_box_graphs(self, tg, kw):
+        got = find_attractor_blocks(tg, **kw)
+        assert same_blocks(got, reference_blocks(tg, **kw))
+        assert all(_is_block(tg, U) for U in got)
+
+    @pytest.mark.parametrize("dim, depth, eps", [
+        (1, 12, 4.0 / 2 ** 12 / 4), (2, 6, 0.015625)])
+    def test_bench_cubics(self, dim, depth, eps):
+        tg = bench_cubic_graph(dim, depth, eps)
+        got = find_attractor_blocks(tg)
+        assert got
+        assert same_blocks(got, reference_blocks(tg))
+        assert all(_is_block(tg, U) for U in got)
+
+    def test_user_candidates_are_tested_in_full(self):
+        tg, _ = cubic_graph(depth=6)
+        found = find_attractor_blocks(tg)
+        bad = BoxSet.from_indices(tg.grid, [10, 11, 12])
+        cands = [bad, found[0].copy(), BoxSet.full(tg.grid)]
+        got = find_attractor_blocks(tg, candidates=cands)
+        assert same_blocks(got, reference_blocks(tg, candidates=cands))
+        assert same_blocks(got, found)
 
 
 class TestBlocks:

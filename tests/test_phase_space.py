@@ -147,6 +147,14 @@ class TestMorphologyAndSerialization:
         rng = np.random.default_rng(3)
         a = BoxSet.from_indices(g, rng.integers(0, 64, 30))
         assert BoxSet.from_rle(g, a.rle()) == a
+        assert BoxSet.from_rle(g, np.asarray(a.rle())) == a
+
+    @pytest.mark.parametrize("runs", [[[1]], "x", [[-3, 2]], [[60, 10]],
+                                      [[10, -2]], [[1.0, 2]], [[True, 2]]])
+    def test_from_rle_rejects_malformed_runs(self, runs):
+        g = unit_square(depth=(3, 3))
+        with pytest.raises(ValueError):
+            BoxSet.from_rle(g, runs)
 
     def test_sample_points_land_in_set(self):
         g = unit_square(depth=(3, 3))
@@ -154,3 +162,47 @@ class TestMorphologyAndSerialization:
         pts = a.sample_points(500, np.random.default_rng(11))
         boxes = g.boxes_of_points(pts)
         assert set(int(b) for b in boxes) <= {5, 17, 40}
+
+
+def reference_morph(bits, shape, periodic, layers, grow):
+    """Dilate (grow) or erode with np.roll on periodic axes and an np.pad
+    of empty boxes on the others, one full neighbour array per shift."""
+    a = bits.reshape(shape)
+    for _ in range(layers):
+        out = a.copy()
+        for ax, per in enumerate(periodic):
+            for step in (1, -1):
+                if per:
+                    nb = np.roll(a, step, axis=ax)
+                else:
+                    pad = [(0, 0)] * len(shape)
+                    pad[ax] = (1, 1)
+                    nb = np.take(np.pad(a, pad, constant_values=False),
+                                 np.arange(shape[ax]) + 1 - step, axis=ax)
+                out = (out | nb) if grow else (out & nb)
+        a = out
+    return a.ravel()
+
+
+@st.composite
+def grids_and_bits(draw):
+    dim = draw(st.integers(1, 3))
+    depth = tuple(draw(st.integers(0, 4 if dim < 3 else 2)) for _ in range(dim))
+    periodic = tuple(draw(st.booleans()) for _ in range(dim))
+    g = Grid(Domain((0.0,) * dim, (1.0,) * dim, periodic), depth)
+    bits = draw(st.lists(st.booleans(), min_size=g.nboxes, max_size=g.nboxes))
+    return g, np.asarray(bits, dtype=bool)
+
+
+class TestMorphologyOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(grids_and_bits(), st.integers(0, 3))
+    def test_dilate_and_erode_match_pad_and_roll(self, case, layers):
+        g, bits = case
+        a = BoxSet(g, bits)
+        periodic = g.domain.periodic
+        assert np.array_equal(a.dilate(layers).bits,
+                              reference_morph(bits, g.shape, periodic, layers, True))
+        assert np.array_equal(a.erode(layers).bits,
+                              reference_morph(bits, g.shape, periodic, layers, False))
+        assert np.array_equal(a.bits, bits)  # the operand is left as it was
