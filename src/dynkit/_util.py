@@ -23,3 +23,13 @@ def row_norms(d):
     """
     d = np.asarray(d, dtype=float)
     return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+
+
+def write_csv(path, header: list, rows):
+    """Write `rows` under `header`; floats in full precision (%.17g)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
+                              for x in row) + "\n")
+    return path

@@ -11,6 +11,7 @@ failure, 3 experiment-level assertion failure.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -19,6 +20,7 @@ import click
 import numpy as np
 
 from . import __version__
+from ._util import write_csv
 from .phase_space import BoxSet, Domain, Grid
 from .system import MapSpec, make_map, polynomial_map, volume_check
 from . import chain_graph as cg
@@ -39,13 +41,71 @@ class ConfigError(ValueError):
 # config schema
 # ---------------------------------------------------------------------------
 
-_TOL_DEFAULTS = {
-    "tol_fix": 1e-10,
-    "tol_hyp": 1e-6,
-    "tol_int": 1e-9,
-    "tol_rec": 1e-3,
-    "tol_inv": 1e-10,
-}
+# A reader(value, where, dim, grid) checks one config value, named `where`
+# in errors, against the run's map dimension and grid; it returns it typed.
+
+def _number(lo=-math.inf, strict=True, integer=False):
+    """Reader of a finite number, or an integer if `integer`, above `lo`
+    (at least `lo` if not `strict`)."""
+    what = "an integer" if integer else "a number"
+    if lo > -math.inf:
+        what += f" {'>' if strict else '>='} {lo}"
+
+    def read(v, where, dim=None, grid=None):
+        if not (type(v) in (int, float) and abs(v) <= sys.float_info.max
+                and (not integer or v == int(v))
+                and (v > lo if strict else v >= lo)):
+            raise ConfigError(f"{where} must be {what}, got {v!r}")
+        return int(v) if integer else float(v)
+    return read
+
+
+def _flag(v, where, dim=None, grid=None):
+    if not isinstance(v, bool):
+        raise ConfigError(f"{where} must be true or false, got {v!r}")
+    return v
+
+
+def _choice(*names):
+    """Reader of one of `names`."""
+    def read(v, where, dim=None, grid=None):
+        if v not in names:
+            raise ConfigError(f"{where} must be one of {list(names)}, got {v!r}")
+        return v
+    return read
+
+
+def _list(item):
+    """Reader of a nonempty list of `item` values."""
+    def read(v, where, dim=None, grid=None):
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"{where} must be a nonempty list, got {v!r}")
+        return [item(x, f"{where}[{i}]", dim, grid) for i, x in enumerate(v)]
+    return read
+
+
+_REALS = _list(_number())
+_POSITIVE = _number(0)
+_NONNEGATIVE = _number(0, strict=False)
+_COUNT = _number(1, strict=False, integer=True)
+_NATURAL = _number(0, strict=False, integer=True)
+
+
+def _coords(v, where, dim, grid=None):
+    """Reader of a point of the map's dimension."""
+    if not isinstance(v, list) or len(v) != dim:
+        raise ConfigError(f"{where} must be a point of {dim} coordinates, "
+                          f"got {v!r}")
+    return np.array(_REALS(v, where))
+
+
+def _rle(v, where, dim, grid):
+    """Reader of a box set of the run's grid, as [start, length] runs."""
+    try:
+        return BoxSet.from_rle(grid, v)
+    except ValueError as e:
+        raise ConfigError(f"bad {where}: {e}") from e
+
 
 _TOP_KEYS = {"map", "grid", "eps", "eps_box_diameters", "delta", "tolerances",
              "experiment", "rng_seed", "out"}
@@ -53,27 +113,85 @@ _TOP_KEYS = {"map", "grid", "eps", "eps_box_diameters", "delta", "tolerances",
 _MAP_KEYS = {"name", "K", "a", "b", "c", "dim", "alpha", "components",
              "dimension"}
 
-_GRID_KEYS = {"lower", "upper", "periodic", "depth"}
+# tables of {key: (reader, default)}; a default of ... marks a required
+# key, and None one whose absence the run handles itself
+_TOLERANCES = {"tol_fix": (_POSITIVE, 1e-10), "tol_hyp": (_POSITIVE, 1e-6),
+               "tol_int": (_POSITIVE, 1e-9)}
 
-_EXPERIMENT_KEYS = {
-    # shadow / splice
-    "x0", "N", "eps", "grid_resolution", "q", "n_back", "n_forward",
-    # manifolds / homoclinic / accumulate
-    "period", "anchor", "arclength", "max_seg", "radii",
-    "arclength_schedule", "q_arclength", "allow_missing",
-    # strong-cr
-    "eps_fn", "eps_fn_c", "n_samples", "points", "max_len",
-    # escape
-    "K_lower", "K_upper", "radius", "n_max", "samples",
-    # attractors / graph / volume
-    "candidate_rle", "include_sink", "tol", "dump_edges",
+_GRID = {"lower": (_REALS, ...), "upper": (_REALS, ...),
+         "periodic": (_list(_flag), None),
+         "depth": (_list(_NATURAL), ...)}
+
+_ANCHOR = {"period": (_COUNT, 1), "anchor": (_coords, None),
+           "max_seg": (_POSITIVE, 0.01)}
+
+# the experiment keys of each subcommand: each one accepts only what it reads
+_EXPERIMENT = {
+    "graph": {"dump_edges": (_flag, False)},
+    "cr": {}, "components": {}, "conley-verify": {},
+    "attractors": {"candidate_rle": (_rle, None),
+                   "include_sink": (_flag, False)},
+    "strong-cr": {"eps_fn": (_choice("constant", "radial"), "constant"),
+                  "eps_fn_c": (_POSITIVE, 0.1), "n_samples": (_COUNT, 8),
+                  "points": (_list(_coords), None), "max_len": (_COUNT, None)},
+    "escape": {"K_lower": (_coords, ...), "K_upper": (_coords, ...),
+               "radius": (_POSITIVE, 10.0), "n_max": (_NATURAL, 20),
+               "samples": (_COUNT, 1000)},
+    "shadow": {"x0": (_coords, None), "N": (_COUNT, 100),
+               "eps": (_POSITIVE, 1e-2), "grid_resolution": (_POSITIVE, None)},
+    "splice": {"q": (_coords, ...), "x0": (_coords, ...),
+               "eps": (_POSITIVE, 1e-4), "grid_resolution": (_POSITIVE, 1e-5),
+               "n_back": (_NATURAL, 30), "n_forward": (_NATURAL, 30)},
+    "manifolds": {**_ANCHOR, "arclength": (_POSITIVE, 10.0)},
+    "homoclinic": {**_ANCHOR, "arclength": (_POSITIVE, 10.0)},
+    "accumulate": {**_ANCHOR, "radii": (_list(_POSITIVE), [0.1, 0.03, 0.01]),
+                   "arclength_schedule": (_list(_POSITIVE), [5.0, 10.0, 20.0]),
+                   "q": (_coords, None), "q_arclength": (_POSITIVE, 0.3),
+                   "allow_missing": (_flag, True)},
+    "volume": {"samples": (_COUNT, 1000), "tol": (_NONNEGATIVE, 1e-9)},
 }
 
+# run by `all`, in this order; all but volume share one graph
+_ALL_SAFE = ["graph", "cr", "components", "conley-verify", "volume"]
+_EXPERIMENT["all"] = {key: entry for sub in _ALL_SAFE
+                      for key, entry in _EXPERIMENT[sub].items()}
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+# subcommands that run on the configured transition graph, mapped to
+# whether they look for attractor blocks, which need a graph with eps > 0
+_ON_GRAPH = {"graph": False, "cr": False, "components": False,
+             "conley-verify": True, "attractors": True, "all": True}
+
+
+def _fields(d, allowed, where: str) -> dict:
+    """`d`, checked to be an object whose keys all lie in `allowed`."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
+    unknown = set(d) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}; "
+                          f"it accepts {sorted(allowed)}")
+    return d
+
+
+def _read(d, table: dict, where: str, dim=None, grid=None) -> dict:
+    """The object `d` read through `table`: each key given is checked by
+    its reader, each key left out takes its default."""
+    _fields(d, table, where)
+    out = {}
+    for key, (read, default) in table.items():
+        if key in d:
+            out[key] = read(d[key], f"{where}.{key}", dim, grid)
+        elif default is ...:
+            raise ConfigError(f"missing required field '{where}.{key}'")
+        else:
+            out[key] = default
+    return out
+
+
+def read_experiment(name: str, exp, dim: int, grid: Grid | None) -> dict:
+    """The experiment keys subcommand `name` reads, checked and with
+    defaults filled in; any other key is a config error."""
+    return _read(exp, _EXPERIMENT[name], "experiment", dim, grid)
 
 
 def load_config(path: str) -> dict:
@@ -87,17 +205,16 @@ def load_config(path: str) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config does not parse: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
     return validate_config(raw)
 
 
 def validate_config(raw: dict) -> dict:
-    _reject_unknown(raw, _TOP_KEYS, "config")
+    """The checked config; eps, eps_box_diameters, delta and experiment
+    keep their given values, and read_experiment reads the experiment."""
+    _fields(raw, _TOP_KEYS, "config")
     if "map" not in raw:
         raise ConfigError("missing required field 'map'")
-    mp = dict(raw["map"])
-    _reject_unknown(mp, _MAP_KEYS, "map")
+    mp = dict(_fields(raw["map"], _MAP_KEYS, "map"))
     if "name" not in mp:
         raise ConfigError("missing required field 'map.name'")
 
@@ -107,35 +224,22 @@ def validate_config(raw: dict) -> dict:
         "eps": raw.get("eps"),
         "eps_box_diameters": raw.get("eps_box_diameters"),
         "delta": raw.get("delta", 1e-4),
-        "tolerances": dict(_TOL_DEFAULTS),
-        "experiment": dict(raw.get("experiment", {})),
-        "rng_seed": int(raw.get("rng_seed", 0)),
+        "tolerances": _read(raw.get("tolerances", {}), _TOLERANCES,
+                            "tolerances"),
+        "experiment": raw.get("experiment", {}),
+        "rng_seed": _NATURAL(raw.get("rng_seed", 0), "rng_seed"),
         "out": raw.get("out", "out"),
     }
-    _reject_unknown(cfg["experiment"], _EXPERIMENT_KEYS, "experiment")
-    tol = raw.get("tolerances", {})
-    _reject_unknown(tol, set(_TOL_DEFAULTS), "tolerances")
-    cfg["tolerances"].update({k: float(v) for k, v in tol.items()})
-    for name, v in cfg["tolerances"].items():
-        if v <= 0:
-            raise ConfigError(f"tolerance {name} must be > 0")
-    if cfg["delta"] is not None and float(cfg["delta"]) < 0:
-        raise ConfigError("delta must be >= 0")
-
-    if "grid" in raw and raw["grid"] is not None:
-        gr = dict(raw["grid"])
-        _reject_unknown(gr, _GRID_KEYS, "grid")
-        for key in ("lower", "upper", "depth"):
-            if key not in gr:
-                raise ConfigError(f"missing required field 'grid.{key}'")
-        depth = [int(d) for d in gr["depth"]]
-        if any(d > 12 or d < 0 for d in depth):
-            raise ConfigError("grid.depth entries must lie in [0, 12]")
-        periodic = gr.get("periodic", [False] * len(depth))
-        cfg["grid"] = {"lower": [float(x) for x in gr["lower"]],
-                       "upper": [float(x) for x in gr["upper"]],
-                       "periodic": [bool(b) for b in periodic],
-                       "depth": depth}
+    for key in ("eps", "eps_box_diameters"):
+        if cfg[key] is not None:
+            _NONNEGATIVE(cfg[key], key)
+    _NONNEGATIVE(cfg["delta"], "delta")
+    if not isinstance(cfg["out"], str):
+        raise ConfigError(f"out must be a path, got {cfg['out']!r}")
+    if raw.get("grid") is not None:
+        cfg["grid"] = gr = _read(raw["grid"], _GRID, "grid")
+        if gr["periodic"] is None:
+            gr["periodic"] = [False] * len(gr["depth"])
     if cfg["eps"] is None and cfg["eps_box_diameters"] is None:
         cfg["eps_box_diameters"] = 1.0
     return cfg
@@ -172,9 +276,12 @@ def build_grid(cfg: dict) -> Grid:
         raise ConfigError(f"bad grid: {e}") from e
 
 
-def _map_and_grid(cfg: dict) -> tuple[MapSpec, Grid]:
-    """The configured map and grid, checked to share one dimension."""
+def _map_and_grid(name: str, cfg: dict) -> tuple[MapSpec, Grid | None]:
+    """The configured map and, unless subcommand `name` runs without one,
+    the grid, checked to share the map's dimension."""
     map_spec = build_map(cfg)
+    if name in ("shadow", "splice") or (name == "volume" and cfg["grid"] is None):
+        return map_spec, None
     grid = build_grid(cfg)
     if map_spec.dim != grid.dim:
         raise ConfigError(f"map {map_spec.name!r} has dimension "
@@ -182,10 +289,10 @@ def _map_and_grid(cfg: dict) -> tuple[MapSpec, Grid]:
     return map_spec, grid
 
 
-def _build_graph(cfg: dict, blocks: bool = False) -> cg.TransitionGraph:
+def _build_graph(cfg: dict, map_spec: MapSpec, grid: Grid,
+                 blocks: bool) -> cg.TransitionGraph:
     """The configured transition graph; `blocks` marks a run that looks for
     attractor blocks, which need the fattening of a graph with eps > 0."""
-    map_spec, grid = _map_and_grid(cfg)
     eps = resolve_eps(cfg, grid)
     if blocks and eps == 0:
         raise ConfigError("attractor blocks need a graph built with eps > 0")
@@ -195,37 +302,10 @@ def _build_graph(cfg: dict, blocks: bool = False) -> cg.TransitionGraph:
     return cg.build_graph(grid, map_spec, eps)
 
 
-def _as_point(value, where: str, dim: int) -> np.ndarray:
-    """A config value as a point of the map's dimension."""
-    try:
-        p = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where} is not a point: {e}") from e
-    if p.shape != (dim,):
-        raise ConfigError(f"{where} needs {dim} coordinates, got {value!r}")
-    return p
-
-
-def _point(exp: dict, key: str, dim: int, default=None) -> np.ndarray:
-    """experiment[key] as a point of the map's dimension."""
-    return _as_point(exp.get(key, default), f"experiment.{key}", dim)
-
-
-def _check_search(eps: float, res: float) -> None:
-    """The shadow search needs a positive eps and grid resolution."""
-    if not (eps > 0 and res > 0):
-        raise ConfigError("experiment.eps and experiment.grid_resolution "
-                          "must be > 0")
-
-
 def resolve_eps(cfg: dict, grid: Grid) -> float:
     if cfg["eps"] is not None:
-        eps = float(cfg["eps"])
-    else:
-        eps = float(cfg["eps_box_diameters"]) * grid.box_diameter
-    if eps < 0:
-        raise ConfigError("eps must be >= 0")
-    return eps
+        return float(cfg["eps"])
+    return float(cfg["eps_box_diameters"]) * grid.box_diameter
 
 
 # ---------------------------------------------------------------------------
@@ -263,26 +343,11 @@ def write_report(out_dir: Path, subcommand: str, cfg: dict, results: dict,
     return path
 
 
-def write_csv(path: Path, header: list, rows) -> Path:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
-    return path
-
-
-def _orbit_csv_rows(points: np.ndarray, defects=None):
-    for i, p in enumerate(points):
-        row = [i] + [float(x) for x in p]
-        if defects is not None:
-            row.append(float(defects[i]) if i < len(defects) else 0.0)
-        yield row
-
-
 # ---------------------------------------------------------------------------
 # experiment implementations
 # ---------------------------------------------------------------------------
+# Each run takes the config, its checked experiment keys and the output
+# directory, then the graph (subcommands in _ON_GRAPH) or the map and grid.
 
 def _graph_stats(tg) -> dict:
     deg = tg.out_degrees()[:-1]
@@ -298,11 +363,9 @@ def _graph_stats(tg) -> dict:
     }
 
 
-def run_graph(cfg, out_dir, tg=None):
-    if tg is None:
-        tg = _build_graph(cfg)
+def run_graph(cfg, exp, out_dir, tg):
     artifacts = []
-    if cfg["experiment"].get("dump_edges"):
+    if exp["dump_edges"]:
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "edges.txt"
         src = np.repeat(np.arange(tg.n_nodes), tg.out_degrees())
@@ -313,9 +376,7 @@ def run_graph(cfg, out_dir, tg=None):
     return {"graph": _graph_stats(tg)}, artifacts, 0
 
 
-def run_cr(cfg, out_dir, tg=None):
-    if tg is None:
-        tg = _build_graph(cfg)
+def run_cr(cfg, exp, out_dir, tg):
     grid = tg.grid
     crset = cg.chain_recurrent_boxes(tg)
     results = {
@@ -333,9 +394,7 @@ def run_cr(cfg, out_dir, tg=None):
     return results, artifacts, 0
 
 
-def run_components(cfg, out_dir, tg=None):
-    if tg is None:
-        tg = _build_graph(cfg)
+def run_components(cfg, exp, out_dir, tg):
     comps = cg.chain_components(tg)
     results = {
         "graph": _graph_stats(tg),
@@ -347,19 +406,10 @@ def run_components(cfg, out_dir, tg=None):
     return results, [], 0
 
 
-def run_attractors(cfg, out_dir):
-    exp = cfg["experiment"]
-    include_sink = exp.get("include_sink", False)
-    if not isinstance(include_sink, bool):
-        raise ConfigError(f"include_sink must be true or false, got {include_sink!r}")
-    tg = _build_graph(cfg, blocks=not include_sink)
+def run_attractors(cfg, exp, out_dir, tg):
     grid = tg.grid
-    candidates = None
-    if "candidate_rle" in exp:
-        try:
-            candidates = [BoxSet.from_rle(grid, exp["candidate_rle"])]
-        except ValueError as e:
-            raise ConfigError(f"bad candidate_rle: {e}") from e
+    include_sink = exp["include_sink"]
+    candidates = None if exp["candidate_rle"] is None else [exp["candidate_rle"]]
     blocks = conley.find_attractor_blocks(tg, candidates=candidates) \
         if not include_sink else (candidates or [])
     try:
@@ -397,9 +447,7 @@ def run_attractors(cfg, out_dir):
     return results, artifacts, 0
 
 
-def run_conley_verify(cfg, out_dir, tg=None):
-    if tg is None:
-        tg = _build_graph(cfg, blocks=True)
+def run_conley_verify(cfg, exp, out_dir, tg):
     report = conley.verify_conley_decomposition(tg)
     results = {
         "graph": _graph_stats(tg),
@@ -417,20 +465,13 @@ def run_conley_verify(cfg, out_dir, tg=None):
     return results, [], 0 if report.identity_holds else ASSERTION_EXIT
 
 
-def run_strong_cr(cfg, out_dir):
-    map_spec, grid = _map_and_grid(cfg)
-    exp = cfg["experiment"]
-    kind = exp.get("eps_fn", "constant")
-    c = float(exp.get("eps_fn_c", 0.1))
+def run_strong_cr(cfg, exp, out_dir, map_spec, grid):
+    kind, c = exp["eps_fn"], exp["eps_fn_c"]
     eps_fn = cg.ConstantEps(c) if kind == "constant" else cg.RadialEps(c)
-    pts = exp.get("points")
+    pts = exp["points"]
     if pts is None:
         rng = np.random.default_rng(cfg["rng_seed"])
-        full = BoxSet.full(grid)
-        pts = full.sample_points(int(exp.get("n_samples", 8)), rng).tolist()
-    if not isinstance(pts, list):
-        raise ConfigError("experiment.points must be a list of points")
-    pts = [_as_point(p, "experiment.points entry", map_spec.dim) for p in pts]
+        pts = BoxSet.full(grid).sample_points(exp["n_samples"], rng)
     rows = []
     found_any = False
     tg = None  # one graph for every point that is not fixed within eps
@@ -438,7 +479,7 @@ def run_strong_cr(cfg, out_dir):
         if tg is None and cg.fixed_point_chain(map_spec, p, eps_fn) is None:
             tg = cg.build_graph(grid, map_spec, 0.0, eps_fn=eps_fn)
         chain = cg.strong_chain_search(map_spec, p, eps_fn, grid,
-                                       max_len=exp.get("max_len"), tg=tg)
+                                       max_len=exp["max_len"], tg=tg)
         found_any |= chain is not None
         rows.append({"point": list(map(float, p)),
                      "found": chain is not None,
@@ -448,44 +489,32 @@ def run_strong_cr(cfg, out_dir):
     return results, [], 0
 
 
-def run_escape(cfg, out_dir):
-    map_spec, grid = _map_and_grid(cfg)
-    exp = cfg["experiment"]
-    lo = np.asarray(exp.get("K_lower"), dtype=float)
-    hi = np.asarray(exp.get("K_upper"), dtype=float)
-    if lo.shape != (grid.dim,) or hi.shape != (grid.dim,):
-        raise ConfigError("escape experiment needs K_lower/K_upper of grid dim")
+def run_escape(cfg, exp, out_dir, map_spec, grid):
     centers = grid.centers()
-    mask = np.all((centers >= lo) & (centers < hi), axis=1)
+    mask = np.all((centers >= exp["K_lower"]) & (centers < exp["K_upper"]),
+                  axis=1)
     K = BoxSet(grid, mask)
+    if not len(K):
+        raise ConfigError("experiment.K_lower and K_upper hold no box center")
     fraction = conley.escape_fraction(
-        map_spec, K, float(exp.get("radius", 10.0)),
-        int(exp.get("n_max", 20)), int(exp.get("samples", 1000)),
+        map_spec, K, exp["radius"], exp["n_max"], exp["samples"],
         rng_seed=cfg["rng_seed"])
-    results = {"K_boxes": len(K), "radius": float(exp.get("radius", 10.0)),
-               "n_max": int(exp.get("n_max", 20)),
-               "bounded_fraction": fraction}
+    results = {"K_boxes": len(K), "radius": exp["radius"],
+               "n_max": exp["n_max"], "bounded_fraction": fraction}
     return results, [], 0
 
 
-def run_shadow(cfg, out_dir):
-    map_spec = build_map(cfg)
-    exp = cfg["experiment"]
-    x0 = _point(exp, "x0", map_spec.dim, [0.1] * map_spec.dim)
-    N = int(exp.get("N", 100))
-    eps = float(exp.get("eps", 1e-2))
-    res = float(exp.get("grid_resolution", eps / 10.0))
-    _check_search(eps, res)
-    if N < 1:
-        raise ConfigError("experiment.N must be >= 1")
-    po = sh.random_pseudo_orbit(map_spec, x0, float(cfg["delta"]), N,
+def run_shadow(cfg, exp, out_dir, map_spec, grid):
+    x0 = exp["x0"] if exp["x0"] is not None else np.full(map_spec.dim, 0.1)
+    res = exp["grid_resolution"] or exp["eps"] / 10.0
+    po = sh.random_pseudo_orbit(map_spec, x0, cfg["delta"], exp["N"],
                                 rng_seed=cfg["rng_seed"])
-    result = sh.shadow_search(map_spec, po, eps, res)
+    result = sh.shadow_search(map_spec, po, exp["eps"], res)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv = out_dir / "pseudo_orbit.csv"
     sh.pseudo_orbit_to_csv(po, csv)
     results = {
-        "delta": po.delta, "N": N, "eps": eps,
+        "delta": po.delta, "N": exp["N"], "eps": exp["eps"],
         "shadowed": result.shadowed, "achieved_eps": result.achieved_eps,
         "method": result.method, "seed_point": result.x,
         "search_resolution": result.search_resolution,
@@ -493,60 +522,63 @@ def run_shadow(cfg, out_dir):
     return results, [csv.name], 0
 
 
-def run_splice(cfg, out_dir):
-    map_spec = build_map(cfg)
-    exp = cfg["experiment"]
-    q = _point(exp, "q", map_spec.dim)
-    x0 = _point(exp, "x0", map_spec.dim)
-    eps = float(exp.get("eps", 1e-4))
-    res = float(exp.get("grid_resolution", 1e-5))
-    _check_search(eps, res)
+def run_splice(cfg, exp, out_dir, map_spec, grid):
     try:
-        po = sh.splice_pseudo_orbit(map_spec, q, x0, float(cfg["delta"]),
-                                    n_back=int(exp.get("n_back", 30)),
-                                    n_forward=int(exp.get("n_forward", 30)))
+        po = sh.splice_pseudo_orbit(map_spec, exp["q"], exp["x0"], cfg["delta"],
+                                    n_back=exp["n_back"],
+                                    n_forward=exp["n_forward"])
     except sh.NoApproachError as e:
         return {"spliced": False, "min_distance": e.min_distance}, [], ASSERTION_EXIT
-    result = sh.shadow_search(map_spec, po, eps, res)
+    result = sh.shadow_search(map_spec, po, exp["eps"], exp["grid_resolution"])
     out_dir.mkdir(parents=True, exist_ok=True)
     csv = out_dir / "splice_orbit.csv"
     sh.pseudo_orbit_to_csv(po, csv)
     results = {
         "spliced": True, "n0": po.provenance["n0"],
-        "delta": po.delta, "eps": eps,
+        "delta": po.delta, "eps": exp["eps"],
         "shadowed": result.shadowed, "achieved_eps": result.achieved_eps,
         "method": result.method,
     }
     return results, [csv.name], 0
 
 
-def _find_anchor(map_spec, grid, cfg, exp):
-    period = int(exp.get("period", 1))
-    tol_fix = cfg["tolerances"]["tol_fix"]
-    points = mf.find_periodic_points(map_spec, period, grid, tol_fix=tol_fix)
+def _find_anchor(cfg, exp, map_spec, grid):
+    tol = cfg["tolerances"]
+    points = mf.find_periodic_points(map_spec, exp["period"], grid,
+                                     tol_fix=tol["tol_fix"],
+                                     tol_hyp=tol["tol_hyp"])
     hyper = [p for p in points if p.is_hyperbolic]
     if not hyper:
         raise ConfigError("no hyperbolic periodic point found")
-    if exp.get("anchor") is not None:
-        target = _point(exp, "anchor", map_spec.dim)
-        hyper.sort(key=lambda h: float(map_spec.distance(h.point, target)))
+    if exp["anchor"] is not None:
+        hyper.sort(key=lambda h: float(map_spec.distance(h.point, exp["anchor"])))
     return hyper[0], points
 
 
-def run_manifolds(cfg, out_dir):
-    map_spec, grid = _map_and_grid(cfg)
-    exp = cfg["experiment"]
-    hp, all_points = _find_anchor(map_spec, grid, cfg, exp)
-    L = float(exp.get("arclength", 10.0))
-    max_seg = float(exp.get("max_seg", 0.01))
-    Wu = mf.grow_manifold(map_spec, hp, "unstable", L, max_seg)
-    Ws = mf.grow_manifold(map_spec, hp, "stable", L, max_seg)
+def _grow(map_spec, hp, side, arclength, max_seg):
+    try:
+        return mf.grow_manifold(map_spec, hp, side, arclength, max_seg)
+    except mf.NoRealEigendirectionError as e:
+        raise ConfigError(f"cannot grow the anchor's {side} manifold: {e}") from e
+
+
+def _anchor_manifolds(cfg, exp, map_spec, grid):
+    """The anchor, the periodic points found, and the anchor's W^u and W^s."""
+    hp, points = _find_anchor(cfg, exp, map_spec, grid)
+    Wu, Ws = (_grow(map_spec, hp, side, exp["arclength"], exp["max_seg"])
+              for side in ("unstable", "stable"))
+    return hp, points, Wu, Ws
+
+
+def run_manifolds(cfg, exp, out_dir, map_spec, grid):
+    hp, all_points, Wu, Ws = _anchor_manifolds(cfg, exp, map_spec, grid)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
     for poly, nm in ((Wu, "unstable"), (Ws, "stable")):
         csv = out_dir / f"manifold_{nm}.csv"
         write_csv(csv, ["index", "x0", "x1"],
-                  _orbit_csv_rows(poly.vertices))
+                  ([i] + [float(x) for x in p]
+                   for i, p in enumerate(poly.vertices)))
         artifacts.append(csv.name)
     if map_spec.dim == 2:
         svg = out_dir / "manifolds.svg"
@@ -560,20 +592,14 @@ def run_manifolds(cfg, out_dir):
         "eigenvalues": [complex(v).real for v in hp.eigenvalues],
         "unstable_vertices": int(Wu.vertices.shape[0]),
         "stable_vertices": int(Ws.vertices.shape[0]),
-        "arclength": L,
+        "arclength": exp["arclength"],
         "capped_segments": Wu.capped + Ws.capped,
     }
     return results, artifacts, 0
 
 
-def run_homoclinic(cfg, out_dir):
-    map_spec, grid = _map_and_grid(cfg)
-    exp = cfg["experiment"]
-    hp, _ = _find_anchor(map_spec, grid, cfg, exp)
-    L = float(exp.get("arclength", 10.0))
-    max_seg = float(exp.get("max_seg", 0.01))
-    Wu = mf.grow_manifold(map_spec, hp, "unstable", L, max_seg)
-    Ws = mf.grow_manifold(map_spec, hp, "stable", L, max_seg)
+def run_homoclinic(cfg, exp, out_dir, map_spec, grid):
+    hp, _, Wu, Ws = _anchor_manifolds(cfg, exp, map_spec, grid)
     hits = mf.homoclinic_points(Wu, Ws, map_spec=map_spec,
                                 tol_int=cfg["tolerances"]["tol_int"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -595,7 +621,7 @@ def run_homoclinic(cfg, out_dir):
         artifacts.append(svg.name)
     results = {
         "anchor": hp.point,
-        "arclength": L,
+        "arclength": exp["arclength"],
         "n_hits": len(hits),
         "nearest_distance": hits[0].distance_from_anchor if hits else None,
         "capped_segments": Wu.capped + Ws.capped,
@@ -603,22 +629,22 @@ def run_homoclinic(cfg, out_dir):
     return results, artifacts, 0
 
 
-def run_accumulate(cfg, out_dir):
-    map_spec, grid = _map_and_grid(cfg)
-    exp = cfg["experiment"]
-    hp, _ = _find_anchor(map_spec, grid, cfg, exp)
-    radii = [float(r) for r in exp.get("radii", [0.1, 0.03, 0.01])]
-    schedule = [float(L) for L in exp.get("arclength_schedule", [5, 10, 20])]
-    max_seg = float(exp.get("max_seg", 0.01))
-    if "q" in exp:
-        q = _point(exp, "q", map_spec.dim)
-    else:
-        arc = float(exp.get("q_arclength", 0.3))
-        Wu = mf.grow_manifold(map_spec, hp, "unstable", arc * 1.2, max_seg)
+def run_accumulate(cfg, exp, out_dir, map_spec, grid):
+    hp, _ = _find_anchor(cfg, exp, map_spec, grid)
+    q, key = exp["q"], "q"
+    if q is None:
+        arc, key = exp["q_arclength"], "q_arclength"
+        Wu = _grow(map_spec, hp, "unstable", arc * 1.2, exp["max_seg"])
         k = int(np.searchsorted(Wu.arclength, arc))
         q = Wu.vertices[min(k, Wu.vertices.shape[0] - 1)]
-    rows = mf.accumulation_check(map_spec, hp, q, radii, schedule,
-                                 max_seg=max_seg)
+    try:
+        rows = mf.accumulation_check(map_spec, hp, q, exp["radii"],
+                                     exp["arclength_schedule"],
+                                     max_seg=exp["max_seg"])
+    except mf.NoRealEigendirectionError as e:
+        raise ConfigError(f"cannot grow the anchor's manifolds: {e}") from e
+    except mf.BasePointError as e:
+        raise ConfigError(f"experiment.{key}: {e}") from e
     results = {
         "anchor": hp.point, "q": q,
         "rows": [{"radius": r.radius, "found": r.found,
@@ -628,21 +654,15 @@ def run_accumulate(cfg, out_dir):
         "all_found": all(r.found for r in rows),
         "capped_segments": max((r.capped for r in rows), default=0),
     }
-    code = 0 if bool(exp.get("allow_missing", True)) or results["all_found"] \
-        else ASSERTION_EXIT
+    code = 0 if exp["allow_missing"] or results["all_found"] else ASSERTION_EXIT
     return results, [], code
 
 
-def run_volume(cfg, out_dir):
-    exp = cfg["experiment"]
-    if cfg["grid"] is not None:
-        map_spec, _ = _map_and_grid(cfg)
-        window = (cfg["grid"]["lower"], cfg["grid"]["upper"])
-    else:
-        map_spec = build_map(cfg)
-        window = ([0.0] * map_spec.dim, [1.0] * map_spec.dim)
-    rep = volume_check(map_spec, window, int(exp.get("samples", 1000)),
-                       float(exp.get("tol", 1e-9)), rng_seed=cfg["rng_seed"])
+def run_volume(cfg, exp, out_dir, map_spec, grid):
+    window = ((grid.domain.lower, grid.domain.upper) if grid is not None
+              else ([0.0] * map_spec.dim, [1.0] * map_spec.dim))
+    rep = volume_check(map_spec, window, exp["samples"], exp["tol"],
+                       rng_seed=cfg["rng_seed"])
     results = {"max_deviation": rep.max_deviation, "passed": rep.passed,
                "samples": rep.samples, "tol": rep.tol}
     return results, [], 0
@@ -664,53 +684,42 @@ _SUBCOMMANDS = {
     "volume": run_volume,
 }
 
-# run by `all`, in this order; all but volume share one graph
-_ALL_SAFE = ["graph", "cr", "components", "conley-verify", "volume"]
-
 
 def run_subcommand(name: str, config_path: str, out: str | None,
                    seed: int | None, threads=None) -> int:
     """Run one subcommand and write its report; returns the exit code.
 
-    `threads` is a retired fifth argument, kept so that five-argument
-    callers keep working. dynkit starts no worker threads, and any value
-    but None is a config error.
+    Every config value is checked before any graph, manifold or orbit
+    work.  `threads` is a retired fifth argument, kept so that five-argument
+    callers keep working; any value but None is a config error.
     """
     try:
         if threads is not None:
             raise ConfigError("threads is no longer supported")
         cfg = load_config(config_path)
         if seed is not None:
-            cfg["rng_seed"] = int(seed)
+            cfg["rng_seed"] = _NATURAL(seed, "--seed")
         out_dir = Path(out) if out is not None else Path(cfg["out"])
         cfg["out"] = str(out_dir)
-    except (ConfigError, ValueError) as e:
-        click.echo(f"config error: {e}", err=True)
-        return VALIDATION_EXIT
-
-    t0 = time.perf_counter()
-    try:
-        if name == "all":
-            results = {}
-            artifacts = []
-            code = 0
-            tg = _build_graph(cfg, blocks=True)
-            for sub in _ALL_SAFE:
-                run = _SUBCOMMANDS[sub]
-                if sub == "volume":
-                    r, a, c = run(cfg, Path(out_dir))
-                else:
-                    r, a, c = run(cfg, Path(out_dir), tg)
-                results[sub] = r
-                artifacts.extend(a)
-                code = max(code, c)
-        else:
-            results, artifacts, code = _SUBCOMMANDS[name](cfg, Path(out_dir))
+        t0 = time.perf_counter()
+        map_spec, grid = _map_and_grid(name, cfg)
+        exp = read_experiment(name, cfg["experiment"], map_spec.dim, grid)
+        tg = None  # the run's one graph, for the subcommands in _ON_GRAPH
+        if name in _ON_GRAPH:
+            blocks = _ON_GRAPH[name] and not exp.get("include_sink", False)
+            tg = _build_graph(cfg, map_spec, grid, blocks)
+        results, artifacts, code = {}, [], 0
+        for sub in _ALL_SAFE if name == "all" else [name]:
+            inputs = (tg,) if sub in _ON_GRAPH else (map_spec, grid)
+            results[sub], a, c = _SUBCOMMANDS[sub](cfg, exp, out_dir, *inputs)
+            artifacts += a
+            code = max(code, c)
     except ConfigError as e:
         click.echo(f"config error: {e}", err=True)
         return VALIDATION_EXIT
     wall = time.perf_counter() - t0
-    write_report(Path(out_dir), name, cfg, results, artifacts, wall)
+    write_report(out_dir, name, cfg, results if name == "all" else results[name],
+                 artifacts, wall)
     if code == 0:
         click.echo(f"{name}: ok ({out_dir}/report.json)")
     else:

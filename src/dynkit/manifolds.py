@@ -24,6 +24,7 @@ from .system import MapSpec, evaluate
 __all__ = [
     "HyperbolicPoint", "ManifoldPolyline", "HomoclinicHit",
     "RecurrenceResult", "AccumulationRow", "NoRealEigendirectionError",
+    "BasePointError",
     "find_periodic_points", "grow_manifold", "homoclinic_points",
     "omega_limit_cloud", "is_recurrent", "accumulation_check",
     "point_to_polyline_distance",
@@ -32,6 +33,10 @@ __all__ = [
 
 class NoRealEigendirectionError(RuntimeError):
     """No real eigendirection on the requested side."""
+
+
+class BasePointError(ValueError):
+    """The accumulation base point is the anchor or lies off W^u."""
 
 
 @dataclass
@@ -653,10 +658,12 @@ def point_to_polyline_distance(map_spec: MapSpec, q, poly: ManifoldPolyline) -> 
     return float(np.min(d))
 
 
+TOL_ON_WU = 1e-5  # largest distance of a base point from the W^u polyline
+
+
 def accumulation_check(map_spec: MapSpec, hp: HyperbolicPoint, q_on_Wu,
-                       radii, arclength_schedule, max_seg: float = 0.01,
-                       tol_on: float = 1e-5,
-                       grow_kwargs: Optional[dict] = None) -> list[AccumulationRow]:
+                       radii, arclength_schedule,
+                       max_seg: float = 0.01) -> list[AccumulationRow]:
     """Search for homoclinic hits in shrinking balls around a point of W^u.
 
     For each radius, manifolds are grown through the arclength schedule
@@ -665,14 +672,13 @@ def accumulation_check(map_spec: MapSpec, hp: HyperbolicPoint, q_on_Wu,
     """
     q = np.asarray(q_on_Wu, dtype=float)
     if float(map_spec.distance(q, hp.point)) < 1e-9:
-        raise ValueError("q must differ from the anchor")
-    kwargs = dict(grow_kwargs or {})
+        raise BasePointError("q must differ from the anchor")
     schedule = sorted(float(L) for L in arclength_schedule)
     Lmax = schedule[-1]
-    Wu_full = grow_manifold(map_spec, hp, "unstable", Lmax, max_seg, **kwargs)
-    if point_to_polyline_distance(map_spec, q, Wu_full) > tol_on:
-        raise ValueError("q does not lie on the unstable polyline")
-    Ws_full = grow_manifold(map_spec, hp, "stable", Lmax, max_seg, **kwargs)
+    Wu_full = grow_manifold(map_spec, hp, "unstable", Lmax, max_seg)
+    if point_to_polyline_distance(map_spec, q, Wu_full) > TOL_ON_WU:
+        raise BasePointError("q does not lie on the unstable polyline")
+    Ws_full = grow_manifold(map_spec, hp, "stable", Lmax, max_seg)
 
     hits_by_L = {}
     dists_by_L = {}

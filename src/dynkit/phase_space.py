@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import min_image
-
 __all__ = ["Domain", "Grid", "BoxSet", "GridMismatchError"]
 
 MAX_DIM = 3
@@ -63,17 +61,6 @@ class Domain:
             if self.periodic[i]:
                 p[..., i] = lo[i] + np.mod(p[..., i] - lo[i], w[i])
         return p if np.asarray(points).ndim > 1 else p[0]
-
-    def delta(self, a, b):
-        """Shortest displacement b - a, min-image on periodic axes."""
-        d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-        per = np.asarray(self.periodic)
-        if per.any():
-            d[..., per] = min_image(d[..., per], self.widths[per])
-        return d
-
-    def distance(self, a, b):
-        return np.linalg.norm(self.delta(a, b), axis=-1)
 
     def contains(self, points):
         p = np.atleast_2d(np.asarray(points, dtype=float))

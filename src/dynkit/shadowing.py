@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._util import write_csv
 from .system import MapSpec, evaluate
 
 __all__ = [
@@ -99,12 +100,9 @@ def pseudo_orbit_to_csv(po: PseudoOrbit, path) -> None:
     header = ["index"] + [f"x{i}" for i in range(dim)] + ["defect"]
     defects = po.defects if po.defects is not None else \
         np.zeros(po.points.shape[0] - 1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, p in enumerate(po.points):
-            d = defects[i] if i < len(defects) else 0.0
-            fh.write(",".join([str(i)] + [f"{x:.17g}" for x in p] +
-                              [f"{d:.17g}"]) + "\n")
+    write_csv(path, header, ([i] + [float(x) for x in p] +
+                             [float(defects[i]) if i < len(defects) else 0.0]
+                             for i, p in enumerate(po.points)))
 
 
 def pseudo_orbit_from_csv(map_spec: MapSpec, path, delta: float) -> PseudoOrbit:

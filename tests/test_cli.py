@@ -151,9 +151,15 @@ class TestConfigValidation:
         {"candidate_rle": [[-3, 2]]}, {"candidate_rle": [[60, 10]]},
         {"candidate_rle": [[10, -2]]}, {"include_sink": "false"},
     ])
-    def test_malformed_attractor_inputs_exit_2(self, tmp_path, experiment):
+    def test_malformed_attractor_inputs_exit_2(self, tmp_path, monkeypatch,
+                                               experiment):
         # 64 boxes; before validation these raised, or silently picked
-        # wrapped, truncated or empty candidates, or read "false" as true
+        # wrapped, truncated or empty candidates, or read "false" as true;
+        # each is refused before the graph is built
+        from dynkit import chain_graph
+        built = []
+        monkeypatch.setattr(chain_graph, "build_graph",
+                            lambda *a, **k: built.append(1))
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
             "map": {"name": "poly", "dimension": 1,
@@ -167,20 +173,57 @@ class TestConfigValidation:
         assert "config error" in res.output
         assert next(iter(experiment)) in res.output
         assert not (tmp_path / "out" / "report.json").exists()
+        assert not built
 
     @pytest.mark.parametrize("sub, experiment", [
         ("shadow", {"eps": 0}), ("shadow", {"grid_resolution": 0}),
         ("shadow", {"N": -3}),
         ("splice", {"q": [0.3, 0.7], "x0": [0.31, 0.69], "eps": -1e-4}),
         ("splice", {"q": [0.3, 0.7], "x0": [0.31, 0.69], "grid_resolution": 0}),
+        ("shadow", {"N": "abc"}), ("manifolds", {"period": 0}),
+        ("homoclinic", {"arclength": "x"}), ("accumulate", {"radii": "a"}),
+        ("accumulate", {"arclength_schedule": []}), ("volume", {"samples": 0}),
+        ("escape", {"K_lower": [0, 0], "K_upper": [1, 1], "samples": 0}),
+        ("strong-cr", {"n_samples": -1}), ("strong-cr", {"eps_fn_c": 0}),
+        ("homoclinic", {"max_seg": 0}), ("homoclinic", {"max_seg": -1}),
+        ("splice", {"q": [0.3, 0.7], "x0": [0.31, 0.69], "n_back": -3}),
+        ("accumulate", {"allow_missing": "no"}),
+        ("strong-cr", {"eps_fn": "bogus"}), ("strong-cr", {"max_len": "x"}),
+        ("shadow", {"max_seg": 0.01}), ("all", {"max_seg": 0.01}),
+        ("accumulate", {"q": [0, 0]}), ("accumulate", {"q": [0.5, 0.5]}),
     ])
     def test_shadow_search_parameters_exit_2(self, tmp_path, sub, experiment):
+        # any subcommand's experiment; the last key is the malformed one,
+        # or one the subcommand does not read
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"map": {"name": "cat"}, "delta": 2e-2,
-                                    "experiment": experiment}))
+        path.write_text(json.dumps({
+            "map": {"name": "cat"}, "delta": 2e-2, "experiment": experiment,
+            "grid": {"lower": [0, 0], "upper": [1, 1],
+                     "periodic": [True, True], "depth": [3, 3]}}))
         res = run_cli([sub, "--config", str(path), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert "config error" in res.output
+        assert list(experiment)[-1] in res.output
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("sub, config, needle", [
+        ("cr", {"eps": "x"}, "eps"),
+        ("cr", {"grid": {"lower": 0, "upper": [1, 1], "depth": [3, 3]}},
+         "grid.lower"),
+        ("cr", {"map": [1, 2]}, "map"),
+        ("cr", {"experiment": [1]}, "experiment"),
+        ("cr", {"tolerances": {"tol_rec": 1e-3}}, "tol_rec"),
+        ("manifolds", {"tolerances": {"tol_hyp": 10.0}}, "hyperbolic"),
+        ("manifolds", {"map": {"name": "linear", "a": -2.0, "b": 0.5},
+                       "grid": {"lower": [-1, -1], "upper": [1, 1],
+                                "depth": [2, 2]}}, "orientation-reversing"),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, sub, config, needle):
+        path = cat_config(tmp_path, depth=3, **config)
+        res = run_cli([sub, "--config", str(path)])
+        assert res.exit_code == 2
+        assert "config error" in res.output and needle in res.output
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_grid_past_graph_limit_exits_2(self, tmp_path):
         path = tmp_path / "c.json"
@@ -483,9 +526,12 @@ def reference_svg(layers, lower, upper):
 
 class TestMoreSubcommands:
     def test_all_runs_graph_suite(self, tmp_path):
-        path = cat_config(tmp_path, depth=4)
+        # `all` accepts the experiment keys of the subcommands it runs
+        path = cat_config(tmp_path, depth=4,
+                          experiment={"dump_edges": True, "samples": 10})
         res = run_cli(["all", "--config", str(path)])
         assert res.exit_code == 0
+        assert (tmp_path / "out" / "edges.txt").exists()
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         for key in ("graph", "cr", "components", "conley-verify", "volume"):
             assert key in report["results"]

@@ -332,6 +332,7 @@ class TestCsvRoundtrip:
         po = random_pseudo_orbit(m, np.array([0.3, 0.4]), 1e-4, 25, rng_seed=9)
         path = tmp_path / "po.csv"
         pseudo_orbit_to_csv(po, path)
+        assert path.read_text().splitlines()[-1].endswith(",0")
         back = pseudo_orbit_from_csv(m, path, delta=1e-4)
         assert np.array_equal(back.points, po.points)
         assert np.allclose(back.defects, po.defects)
