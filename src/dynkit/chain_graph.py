@@ -30,8 +30,11 @@ __all__ = [
     "NonwanderingResult", "MAX_NBOXES",
 ]
 
-# edge keys are packed as src*(n+1)+tgt in int64
+# caps the grid, not an index type: at ~42 edges per box (cat, eps one box
+# diameter) 2^26 boxes already mean 2.8 G edges, far past memory
 MAX_NBOXES = 1 << 26
+# edges written per row chunk by the build, the self-loop scan and the dump
+_CHUNK_EDGES = 1 << 18
 
 
 @dataclass
@@ -81,16 +84,19 @@ class TransitionGraph:
         # only the sink self-loop means nothing escapes
         return bool(np.count_nonzero(self.targets == self.sink) > 1)
 
-    def _sources(self) -> np.ndarray:
-        """Source node of every edge, in CSR order."""
-        return np.repeat(np.arange(self.n_nodes), self.out_degrees())
+    def edge_chunks(self):
+        """(sources, targets) of the edges in CSR order, sink included,
+        a chunk of rows of about `_CHUNK_EDGES` edges at a time."""
+        for b0, b1 in _row_chunks(self.offsets, self.n_nodes):
+            yield (np.repeat(np.arange(b0, b1), np.diff(self.offsets[b0:b1 + 1])),
+                   self.targets[self.offsets[b0]:self.offsets[b1]])
 
     def self_loop_mask(self) -> np.ndarray:
         """Boolean per box: the box is its own out-neighbor."""
         if self._self_loops is None:
-            src = self._sources()
             mask = np.zeros(self.n_nodes, dtype=bool)
-            mask[src[src == self.targets]] = True
+            for src, tgt in self.edge_chunks():
+                mask[src[src == tgt]] = True
             self._self_loops = mask[:self.nboxes]
         return self._self_loops
 
@@ -119,7 +125,7 @@ class TransitionGraph:
             # sources ascend in CSR order, so a stable sort by target
             # orders the transposed edges by (target, source)
             order = np.argsort(self.targets, kind="stable")
-            rtarg = self._sources()[order]
+            rtarg = np.repeat(np.arange(self.n_nodes), self.out_degrees())[order]
             roff = np.zeros(self.n_nodes + 1, dtype=np.int64)
             np.cumsum(np.bincount(self.targets, minlength=self.n_nodes),
                       out=roff[1:])
@@ -203,7 +209,12 @@ def _box_spreads(grid: Grid, map_spec: MapSpec):
         B = np.asarray(map_spec.jac_abs_bound(centers - grid.radius,
                                               centers + grid.radius))
         spread = np.einsum("nab,b->na", B, grid.radius)
-        lip = float(np.max(np.linalg.norm(B, ord=2, axis=(1, 2))))
+        # one SVD per distinct bound (np.unique(axis=0) imports numpy.ma)
+        flat = B.reshape(B.shape[0], -1)
+        flat = flat[np.lexsort(flat.T)]
+        flat = flat[np.append(True, np.any(flat[1:] != flat[:-1], axis=1))]
+        lip = float(np.max(np.linalg.norm(flat.reshape(-1, *B.shape[1:]),
+                                          ord=2, axis=(1, 2))))
         if map_spec.lipschitz is not None:
             lip = min(lip, float(map_spec.lipschitz))
         return spread, lip
@@ -217,90 +228,90 @@ def _box_spreads(grid: Grid, map_spec: MapSpec):
 def _cover_ranges(grid: Grid, lo_f: np.ndarray, hi_f: np.ndarray):
     """Integer index ranges of boxes meeting the half-open rects [lo_f, hi_f).
 
-    Returns (ilo, ihi, escapes) with per-axis inclusive index ranges; the
-    top index excludes rectangles whose upper face only touches a box
-    boundary.  For non-periodic axes the ranges are clamped and `escapes`
-    marks rows whose rectangle leaves the window.
+    Returns (ilo, ihi, escapes, empty) with per-axis inclusive index
+    ranges; the top index excludes rectangles whose upper face only
+    touches a box boundary.  A periodic range that spans its axis becomes
+    the whole axis.  On non-periodic axes the ranges are clamped,
+    `escapes` marks rows whose rectangle leaves the window and `empty`
+    those with nothing inside it.
     """
     n = lo_f.shape[0]
-    dim = grid.dim
-    dlo = np.asarray(grid.domain.lower)
-    ilo = np.empty((n, dim), dtype=np.int64)
-    ihi = np.empty((n, dim), dtype=np.int64)
+    ilo = np.empty((n, grid.dim), dtype=np.int64)
+    ihi = np.empty_like(ilo)
     escapes = np.zeros(n, dtype=bool)
     empty = np.zeros(n, dtype=bool)
-    for ax in range(dim):
-        a = (lo_f[:, ax] - dlo[ax]) / grid.h[ax]
-        b = (hi_f[:, ax] - dlo[ax]) / grid.h[ax]
-        lo_idx = np.floor(a).astype(np.int64)
-        hi_idx = (np.ceil(b) - 1).astype(np.int64)  # half-open top face
-        hi_idx = np.maximum(hi_idx, lo_idx)
-        size = grid.shape[ax]
+    # per axis: numpy broadcasts a row of per-axis constants slowly
+    for ax, (lower, size) in enumerate(zip(grid.domain.lower, grid.shape)):
+        lo = np.floor((lo_f[:, ax] - lower) / grid.h[ax]).astype(np.int64)
+        hi = (np.ceil((hi_f[:, ax] - lower) / grid.h[ax]) - 1).astype(np.int64)
+        hi = np.maximum(hi, lo)  # the top face is open
         if grid.domain.periodic[ax]:
-            full = (hi_idx - lo_idx) >= size - 1
-            lo_idx = np.where(full, 0, lo_idx)
-            hi_idx = np.where(full, size - 1, hi_idx)
+            full = hi - lo >= size - 1
+            lo, hi = np.where(full, 0, lo), np.where(full, size - 1, hi)
         else:
-            out_low = hi_idx < 0
-            out_high = lo_idx >= size
-            crosses = (lo_idx < 0) | (hi_idx >= size)
-            escapes |= crosses | out_low | out_high
-            empty |= out_low | out_high
-            lo_idx = np.clip(lo_idx, 0, size - 1)
-            hi_idx = np.clip(hi_idx, 0, size - 1)
-        ilo[:, ax] = lo_idx
-        ihi[:, ax] = hi_idx
+            escapes |= (lo < 0) | (hi >= size)
+            empty |= (hi < 0) | (lo >= size)
+            lo, hi = np.clip(lo, 0, size - 1), np.clip(hi, 0, size - 1)
+        ilo[:, ax], ihi[:, ax] = lo, hi
     return ilo, ihi, escapes, empty
+
+
+def _row_chunks(offsets: np.ndarray, rows: int):
+    """(b0, b1) ranges of at least one row and about `_CHUNK_EDGES` edges
+    each; they cover rows [0, rows) unless those hold no edge at all."""
+    marks = np.arange(0, offsets[rows], _CHUNK_EDGES)
+    cuts = np.append(np.searchsorted(offsets[:rows + 1], marks), rows)
+    bounds = cuts[np.append(True, cuts[1:] != cuts[:-1])].tolist()
+    return zip(bounds[:-1], bounds[1:])
 
 
 def _materialize_edges(grid: Grid, ilo, ihi, escapes, empty, sink: int):
     """Expand index ranges into CSR (offsets, targets), sorted per source.
 
-    Edges are distinct by construction: each per-axis range is either
-    shorter than its axis or clamped to the whole axis, and a box has at
-    most one sink edge.  One sort of the packed keys src*(n+1)+tgt
-    therefore orders them; the strict-increase check guards that argument.
+    On each axis a box's range, taken mod the axis, is the ascending runs
+    [0, w) and [lo, lo + c - w), and a row-major product of ascending
+    lists ascends.  So rows are written in order, `_CHUNK_EDGES` edges at
+    a time: one base per (box, outer-axis prefix), then runs of
+    consecutive last-axis targets, then the sink edge.  Edges are distinct
+    as a periodic range is shorter than its axis or all of it, and a
+    strict-increase check within each row guards that argument.
     """
-    n = ilo.shape[0]
-    dim = grid.dim
-    counts = (ihi - ilo + 1)
-    shape = np.asarray(grid.shape)
-    strides = np.ones(dim, dtype=np.int64)
-    for ax in range(dim - 2, -1, -1):
-        strides[ax] = strides[ax + 1] * shape[ax + 1]
-
-    degree = np.where(empty, 0, counts.prod(axis=1)) + escapes
+    shape = np.asarray(grid.shape, dtype=np.int64)
+    strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
+    counts = ihi - ilo + 1
+    counts[empty] = 1  # an empty row keeps one prefix, for its sink edge
+    counts[empty, -1] = 0
+    lo = ilo % shape
+    wrap = np.maximum(lo + counts - shape, 0)
     offsets = np.zeros(sink + 2, dtype=np.int64)
-    np.cumsum(degree, out=offsets[1:sink + 1])
+    np.cumsum(counts.prod(axis=1) + escapes, out=offsets[1:sink + 1])
     offsets[sink + 1] = offsets[sink] + 1  # sink self-loop
-    base = np.int64(sink + 1)
-    keys = np.empty(int(offsets[-1]), dtype=np.int64)
-    fill = 0
-
-    cmax = counts.max(axis=0)
-    # iterate over the (small) per-axis offset lattice, vectorized over boxes
-    lattice = np.indices(tuple(int(c) for c in cmax)).reshape(dim, -1).T
-    src_ids = np.arange(n, dtype=np.int64)
-    for off in lattice:
-        mask = np.all(off[None, :] < counts, axis=1) & ~empty
-        if not mask.any():
-            continue
-        idx = ilo[mask] + off[None, :]
-        for ax in range(dim):
-            if grid.domain.periodic[ax]:
-                idx[:, ax] = np.mod(idx[:, ax], shape[ax])
-        tgt = (idx * strides[None, :]).sum(axis=1)
-        keys[fill:fill + tgt.size] = src_ids[mask] * base + tgt
-        fill += tgt.size
-    n_esc = int(np.count_nonzero(escapes))
-    keys[fill:fill + n_esc] = src_ids[escapes] * base + sink
-    keys[-1] = sink * base + sink
-
-    keys.sort()
-    if not np.all(keys[1:] > keys[:-1]):
-        raise RuntimeError("transition graph edges are not distinct")
-    np.remainder(keys, base, out=keys)
-    return offsets, keys
+    targets = np.empty(int(offsets[-1]), dtype=np.int64)
+    targets[-1] = sink
+    for b0, b1 in _row_chunks(offsets, sink):
+        own, base = np.arange(b0, b1), np.zeros(b1 - b0, dtype=np.int64)
+        for ax in range(grid.dim - 1):
+            c = counts[own, ax]
+            own, base = np.repeat(own, c), np.repeat(base, c)
+            k = np.arange(own.size) - np.repeat(np.cumsum(c) - c, c)
+            w = wrap[own, ax]
+            base += (k + (k >= w) * (lo[own, ax] - w)) * strides[ax]
+        # per prefix the last axis's runs [0, w) and [lo, lo + c - w), and
+        # after the box's last prefix its sink edge
+        w = wrap[own, -1]
+        last = np.append(own[1:] != own[:-1], True)
+        starts = np.column_stack((base, base + lo[own, -1],
+                                  np.full(own.size, sink))).ravel()
+        lens = np.column_stack((w, counts[own, -1] - w,
+                                last & escapes[own])).ravel()
+        seg = targets[offsets[b0]:offsets[b1]]
+        np.add(np.repeat(starts - np.cumsum(lens) + lens, lens),
+               np.arange(seg.size), out=seg)
+        rising = np.append(seg[1:] > seg[:-1], True)
+        rising[offsets[b0 + 1:b1 + 1] - offsets[b0] - 1] = True  # row ends
+        if not rising.all():
+            raise RuntimeError("transition graph edges are not distinct")
+    return offsets, targets
 
 
 def build_graph(grid: Grid, map_spec: MapSpec, eps: float,

@@ -27,7 +27,7 @@ from . import chain_graph as cg
 from . import conley
 from . import shadowing as sh
 from . import manifolds as mf
-from .svg import emit_plot
+from .svg import _fill, emit_plot
 
 VALIDATION_EXIT = 2
 ASSERTION_EXIT = 3
@@ -368,10 +368,9 @@ def run_graph(cfg, exp, out_dir, tg):
     if exp["dump_edges"]:
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "edges.txt"
-        src = np.repeat(np.arange(tg.n_nodes), tg.out_degrees())
         with open(path, "w", encoding="utf-8") as fh:
-            for a, b in zip(src, tg.targets):
-                fh.write(f"{a} {b}\n")
+            for src, tgt in tg.edge_chunks():
+                fh.write(_fill("%d %d\n", np.column_stack((src, tgt)), ""))
         artifacts.append(path.name)
     return {"graph": _graph_stats(tg)}, artifacts, 0
 
@@ -600,8 +599,11 @@ def run_manifolds(cfg, exp, out_dir, map_spec, grid):
 
 def run_homoclinic(cfg, exp, out_dir, map_spec, grid):
     hp, _, Wu, Ws = _anchor_manifolds(cfg, exp, map_spec, grid)
-    hits = mf.homoclinic_points(Wu, Ws, map_spec=map_spec,
-                                tol_int=cfg["tolerances"]["tol_int"])
+    try:
+        hits = mf.homoclinic_points(Wu, Ws, map_spec=map_spec,
+                                    tol_int=cfg["tolerances"]["tol_int"])
+    except mf.SegmentLengthError as e:
+        raise ConfigError(f"experiment.max_seg: {e}") from e
     out_dir.mkdir(parents=True, exist_ok=True)
     csv = out_dir / "homoclinic_points.csv"
     write_csv(csv, ["index", "x0", "x1", "angle", "dist_from_anchor"],
@@ -640,11 +642,14 @@ def run_accumulate(cfg, exp, out_dir, map_spec, grid):
     try:
         rows = mf.accumulation_check(map_spec, hp, q, exp["radii"],
                                      exp["arclength_schedule"],
-                                     max_seg=exp["max_seg"])
+                                     max_seg=exp["max_seg"],
+                                     tol_int=cfg["tolerances"]["tol_int"])
     except mf.NoRealEigendirectionError as e:
         raise ConfigError(f"cannot grow the anchor's manifolds: {e}") from e
     except mf.BasePointError as e:
         raise ConfigError(f"experiment.{key}: {e}") from e
+    except mf.SegmentLengthError as e:
+        raise ConfigError(f"experiment.max_seg: {e}") from e
     results = {
         "anchor": hp.point, "q": q,
         "rows": [{"radius": r.radius, "found": r.found,

@@ -24,7 +24,7 @@ from .system import MapSpec, evaluate
 __all__ = [
     "HyperbolicPoint", "ManifoldPolyline", "HomoclinicHit",
     "RecurrenceResult", "AccumulationRow", "NoRealEigendirectionError",
-    "BasePointError",
+    "BasePointError", "SegmentLengthError",
     "find_periodic_points", "grow_manifold", "homoclinic_points",
     "omega_limit_cloud", "is_recurrent", "accumulation_check",
     "point_to_polyline_distance",
@@ -37,6 +37,10 @@ class NoRealEigendirectionError(RuntimeError):
 
 class BasePointError(ValueError):
     """The accumulation base point is the anchor or lies off W^u."""
+
+
+class SegmentLengthError(ValueError):
+    """Manifold segments too long for the intersection search on a torus."""
 
 
 @dataclass
@@ -539,8 +543,8 @@ def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
     if periods is not None:
         per = np.asarray(periods, dtype=float)
         if max_len >= float(np.min(per)) / 4.0:
-            raise ValueError("segments too long relative to the period; "
-                             "grow with a smaller max_seg")
+            raise SegmentLengthError("segments too long relative to the "
+                                     "period; grow with a smaller max_seg")
         ncells = np.maximum(1, np.floor(per / cell).astype(np.int64))
         cellw = per / ncells
         a_mids = np.mod(a_mids, per)
@@ -662,8 +666,8 @@ TOL_ON_WU = 1e-5  # largest distance of a base point from the W^u polyline
 
 
 def accumulation_check(map_spec: MapSpec, hp: HyperbolicPoint, q_on_Wu,
-                       radii, arclength_schedule,
-                       max_seg: float = 0.01) -> list[AccumulationRow]:
+                       radii, arclength_schedule, max_seg: float = 0.01,
+                       tol_int: float = 1e-9) -> list[AccumulationRow]:
     """Search for homoclinic hits in shrinking balls around a point of W^u.
 
     For each radius, manifolds are grown through the arclength schedule
@@ -685,7 +689,7 @@ def accumulation_check(map_spec: MapSpec, hp: HyperbolicPoint, q_on_Wu,
     capped_by_L = {}
     for L in schedule:
         Wu, Ws = Wu_full.truncated(L), Ws_full.truncated(L)
-        hits = homoclinic_points(Wu, Ws, map_spec=map_spec)
+        hits = homoclinic_points(Wu, Ws, tol_int=tol_int, map_spec=map_spec)
         hits_by_L[L] = hits
         dists_by_L[L] = map_spec.distance(
             np.reshape([h.point for h in hits], (-1, map_spec.dim)), q)

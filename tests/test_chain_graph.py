@@ -15,7 +15,7 @@ from dynkit.chain_graph import (
     strongly_connected_components,
 )
 from dynkit.phase_space import BoxSet, Domain, Grid
-from dynkit.system import evaluate, make_map
+from dynkit.system import evaluate, make_map, polynomial_map
 
 
 def torus_grid(depth):
@@ -611,3 +611,159 @@ class TestBfsPath:
                    for p, fn, k in cases]
         assert all(_same_chain(a, b) for a, b in zip(ours, ref))
         assert sum(c is not None and len(c) > 1 for c in ours) > 0
+
+
+def reference_materialize(grid, ilo, ihi, escapes, empty, sink):
+    """The offset-lattice build the run layout replaced, kept verbatim:
+    every offset of the largest per-axis range, taken mod the axis on
+    periodic axes, then one sort of packed src*(n+1)+tgt keys."""
+    n = ilo.shape[0]
+    dim = grid.dim
+    counts = (ihi - ilo + 1)
+    shape = np.asarray(grid.shape)
+    strides = np.ones(dim, dtype=np.int64)
+    for ax in range(dim - 2, -1, -1):
+        strides[ax] = strides[ax + 1] * shape[ax + 1]
+
+    degree = np.where(empty, 0, counts.prod(axis=1)) + escapes
+    offsets = np.zeros(sink + 2, dtype=np.int64)
+    np.cumsum(degree, out=offsets[1:sink + 1])
+    offsets[sink + 1] = offsets[sink] + 1  # sink self-loop
+    base = np.int64(sink + 1)
+    keys = np.empty(int(offsets[-1]), dtype=np.int64)
+    fill = 0
+
+    cmax = counts.max(axis=0)
+    # iterate over the (small) per-axis offset lattice, vectorized over boxes
+    lattice = np.indices(tuple(int(c) for c in cmax)).reshape(dim, -1).T
+    src_ids = np.arange(n, dtype=np.int64)
+    for off in lattice:
+        mask = np.all(off[None, :] < counts, axis=1) & ~empty
+        if not mask.any():
+            continue
+        idx = ilo[mask] + off[None, :]
+        for ax in range(dim):
+            if grid.domain.periodic[ax]:
+                idx[:, ax] = np.mod(idx[:, ax], shape[ax])
+        tgt = (idx * strides[None, :]).sum(axis=1)
+        keys[fill:fill + tgt.size] = src_ids[mask] * base + tgt
+        fill += tgt.size
+    n_esc = int(np.count_nonzero(escapes))
+    keys[fill:fill + n_esc] = src_ids[escapes] * base + sink
+    keys[-1] = sink * base + sink
+
+    keys.sort()
+    if not np.all(keys[1:] > keys[:-1]):
+        raise RuntimeError("transition graph edges are not distinct")
+    np.remainder(keys, base, out=keys)
+    return offsets, keys
+
+
+@st.composite
+def cover_ranges(draw):
+    """A 1-3-D grid of at most 64 boxes and per-box inclusive index ranges
+    as `_cover_ranges` may return them.  A periodic range starts anywhere
+    in [-size, 2 size) and spans 1 to size boxes, so it may wrap either
+    way or cover the whole axis from any start; a non-periodic range lies
+    in the window.  Rows may be empty (nothing in the window) or escape."""
+    dim = draw(st.integers(1, 3))
+    depths = draw(st.lists(st.integers(0, 6 // dim), min_size=dim,
+                           max_size=dim))
+    periodic = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    grid = Grid(Domain((0.0,) * dim, (1.0,) * dim, tuple(periodic)),
+                tuple(depths))
+    ilo = np.empty((grid.nboxes, dim), dtype=np.int64)
+    ihi = np.empty_like(ilo)
+    for ax, size in enumerate(grid.shape):
+        if periodic[ax]:
+            lo = draw(st.lists(st.integers(-size, 2 * size - 1),
+                               min_size=grid.nboxes, max_size=grid.nboxes))
+            c = draw(st.lists(st.integers(1, size), min_size=grid.nboxes,
+                              max_size=grid.nboxes))
+            ilo[:, ax] = lo
+            ihi[:, ax] = ilo[:, ax] + np.asarray(c) - 1
+        else:
+            pairs = draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                            st.integers(0, size - 1)),
+                                  min_size=grid.nboxes, max_size=grid.nboxes))
+            ilo[:, ax] = [min(p) for p in pairs]
+            ihi[:, ax] = [max(p) for p in pairs]
+    flags = st.lists(st.booleans(), min_size=grid.nboxes, max_size=grid.nboxes)
+    empty = np.asarray(draw(flags), dtype=bool) & (not all(periodic))
+    escapes = np.asarray(draw(flags), dtype=bool) | empty
+    return grid, ilo, ihi, escapes, empty
+
+
+CHUNKS = [1, 7, chain_graph._CHUNK_EDGES]
+
+
+class TestEdgeLayout:
+    """The run-layout CSR build, the chunked self-loop scan and the
+    distinct-bound spread, against the code they replaced."""
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(max_examples=100, deadline=None)
+    @given(case=cover_ranges())
+    def test_materialize_matches_lattice_reference(self, chunk, case):
+        grid, ilo, ihi, escapes, empty = case
+        want = reference_materialize(grid, ilo, ihi, escapes, empty,
+                                     grid.nboxes)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
+            got = chain_graph._materialize_edges(grid, ilo, ihi, escapes,
+                                                 empty, grid.nboxes)
+        assert got[1].dtype == np.int64
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("periodic, ilo, ihi", [
+        # box 2 spans 5 boxes of a 4-box circle
+        ((True,), [[0], [0], [1], [3]], [[0], [0], [5], [3]]),
+        # box 1 spans 3 rows of a 2-row cylinder
+        ((True, False), [[0, 0], [-1, 0], [1, 0], [1, 1]],
+         [[0, 1], [1, 0], [1, 1], [1, 1]]),
+    ])
+    def test_periodic_range_longer_than_axis_trips_guard(self, periodic,
+                                                         ilo, ihi):
+        dim = len(periodic)
+        grid = Grid(Domain((0.0,) * dim, (1.0,) * dim, periodic),
+                    (2,) if dim == 1 else (1, 1))
+        flags = np.zeros(grid.nboxes, dtype=bool)
+        with pytest.raises(RuntimeError, match="not distinct"):
+            chain_graph._materialize_edges(grid, np.asarray(ilo),
+                                           np.asarray(ihi), flags, flags,
+                                           grid.nboxes)
+
+    @pytest.mark.parametrize("components, window, depth", [
+        ([[{"c": 1.5, "e": [1]}, {"c": -0.5, "e": [3]}]], 2.0, 10),
+        ([[{"c": 1.5, "e": [1, 0]}, {"c": -0.5, "e": [3, 0]}],
+          [{"c": 1.5, "e": [0, 1]}, {"c": -0.5, "e": [0, 3]}]], 2.0, 5),
+        ([[{"c": 0.9, "e": [1, 0, 0]}, {"c": 0.3, "e": [0, 1, 1]}],
+          [{"c": -0.5, "e": [2, 0, 0]}, {"c": 0.7, "e": [0, 1, 0]}],
+          [{"c": 0.2, "e": [1, 1, 0]}, {"c": 0.5, "e": [0, 0, 3]}]], 1.0, 3),
+    ])
+    def test_lipschitz_used_is_the_full_batch_maximum(self, components,
+                                                      window, depth):
+        dim = len(components)
+        m = polynomial_map(components, dim)
+        grid = Grid(Domain((-window,) * dim, (window,) * dim, (False,) * dim),
+                    (depth,) * dim)
+        centers = grid.centers()
+        B = m.jac_abs_bound(centers - grid.radius, centers + grid.radius)
+        want = float(np.max(np.linalg.norm(B, ord=2, axis=(1, 2))))
+        if m.lipschitz is not None:
+            want = min(want, float(m.lipschitz))
+        assert build_graph(grid, m, 0.01).lipschitz_used == want
+
+    @pytest.mark.parametrize("chunk", CHUNKS[:2])
+    @settings(max_examples=100, deadline=None)
+    @given(case=csr_graphs())
+    def test_self_loop_mask_matches_sources(self, chunk, case):
+        tg, _ = case
+        src = np.repeat(np.arange(tg.n_nodes), tg.out_degrees())
+        want = np.zeros(tg.n_nodes, dtype=bool)
+        want[src[src == tg.targets]] = True
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
+            got = tg.self_loop_mask()
+        assert np.array_equal(got, want[:tg.nboxes])

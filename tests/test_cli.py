@@ -191,6 +191,8 @@ class TestConfigValidation:
         ("strong-cr", {"eps_fn": "bogus"}), ("strong-cr", {"max_len": "x"}),
         ("shadow", {"max_seg": 0.01}), ("all", {"max_seg": 0.01}),
         ("accumulate", {"q": [0, 0]}), ("accumulate", {"q": [0.5, 0.5]}),
+        ("homoclinic", {"arclength": 3, "max_seg": 0.5}),
+        ("accumulate", {"arclength_schedule": [3], "max_seg": 0.5}),
     ])
     def test_shadow_search_parameters_exit_2(self, tmp_path, sub, experiment):
         # any subcommand's experiment; the last key is the malformed one,
@@ -655,6 +657,23 @@ class TestMoreSubcommands:
             report = json.loads((out / "report.json").read_text())
             assert (report["results"]["capped_segments"] > 0) == capped, sub
 
+    def test_accumulate_reads_tol_int(self, tmp_path, monkeypatch):
+        from dynkit import manifolds
+        seen = []
+        real = manifolds.homoclinic_points
+        monkeypatch.setattr(manifolds, "homoclinic_points", lambda *a, **k:
+                            seen.append(k.get("tol_int")) or real(*a, **k))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "map": {"name": "cat"}, "tolerances": {"tol_int": 1e-6},
+            "grid": {"lower": [0, 0], "upper": [1, 1],
+                     "periodic": [True, True], "depth": [3, 3]},
+            "experiment": {"arclength_schedule": [2, 4], "radii": [0.1],
+                           "max_seg": 0.02},
+            "out": str(tmp_path / "out")}))
+        assert run_cli(["accumulate", "--config", str(path)]).exit_code == 0
+        assert seen == [1e-6, 1e-6]
+
 # regression value recorded from a run of this configuration; the polished
 # hit on the seam y = 0 lands at y = 1 - 1e-16 and is drawn at cy="1000.000"
 PINNED_HOMOCLINIC_SVG_BYTES = 11578
@@ -671,3 +690,30 @@ class TestGraphDump:
         assert len(lines) == report["results"]["graph"]["n_edges"]
         src, tgt = lines[0].split()
         assert src.isdigit() and tgt.isdigit()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 18])
+    @pytest.mark.parametrize("config", [
+        {"map": {"name": "cat"}, "eps_box_diameters": 1.0,
+         "grid": {"lower": [0, 0], "upper": [1, 1],
+                  "periodic": [True, True], "depth": [3, 3]}},
+        {"map": {"name": "translation"}, "eps": 0.3,
+         "grid": {"lower": [0, 0], "upper": [4, 1], "depth": [4, 4]}},
+    ])
+    def test_edge_dump_matches_per_edge_writer(self, tmp_path, monkeypatch,
+                                               chunk, config):
+        from dynkit import chain_graph
+        monkeypatch.setattr(chain_graph, "_CHUNK_EDGES", chunk)
+        built = []
+        real = chain_graph.build_graph
+        monkeypatch.setattr(chain_graph, "build_graph",
+                            lambda *a, **k: built.append(real(*a, **k)) or built[-1])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**config, "out": str(tmp_path / "out"),
+                                    "experiment": {"dump_edges": True}}))
+        assert run_cli(["graph", "--config", str(path)]).exit_code == 0
+        tg, = built
+        assert config["map"]["name"] == "cat" or tg.has_sink_edges()
+        # the writer the chunked dump replaced: one write per numpy pair
+        want = "".join(f"{a} {b}\n" for a, b in zip(
+            np.repeat(np.arange(tg.n_nodes), tg.out_degrees()), tg.targets))
+        assert (tmp_path / "out" / "edges.txt").read_bytes() == want.encode()
