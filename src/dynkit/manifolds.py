@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import min_image, row_norms
+from ._util import min_image, row_norms, wrap_unit
 from .phase_space import Grid
 from .system import MapSpec, evaluate
 
@@ -547,8 +547,8 @@ def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
                                      "period; grow with a smaller max_seg")
         ncells = np.maximum(1, np.floor(per / cell).astype(np.int64))
         cellw = per / ncells
-        a_mids = np.mod(a_mids, per)
-        b_mids = np.mod(b_mids, per)
+        a_mids = wrap_unit(a_mids)
+        b_mids = wrap_unit(b_mids)
     else:
         cellw = np.full(dim, cell)
 
@@ -559,7 +559,7 @@ def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
     a_keys = np.floor(a_mids / cellw).astype(np.int64)
     b_keys = np.floor(b_mids / cellw).astype(np.int64)
     if ncells is not None:
-        # np.mod rounds a tiny negative coordinate up to the period itself
+        # the wrap rounds a tiny negative coordinate up to 1.0 itself
         a_keys %= ncells
         b_keys %= ncells
     for i, j in _candidate_pairs(a_keys, b_keys, ncells):
@@ -578,7 +578,7 @@ def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
                                      denom[keep], s[keep], t[keep])
         pts = a_starts[i] + s[:, None] * da
         if periods is not None:
-            pts = np.mod(pts, per)
+            pts = wrap_unit(pts)
         keys = np.round(pts / max(tol_int, 1e-12)).astype(np.int64).tolist()
         dist_anchor = row_norms(min_image(pts - anchor, periods))
         na, nb = row_norms(da), row_norms(db)

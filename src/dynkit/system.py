@@ -5,7 +5,9 @@ Registry maps carry closed-form forward/inverse evaluators, closed-form
 Jacobians and exact Lipschitz bounds.  User maps enter as polynomial
 coefficient tables (degree <= 4 per component); their Jacobians are
 closed-form too, their Lipschitz bounds come from interval-style
-coefficient estimates over a window.
+coefficient estimates over a window.  Torus maps (cat, standard,
+rotation) live on the unit torus: their images are wrapped into [0, 1)
+per axis.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import min_image
+from ._util import min_image, on_torus_axes, wrap_unit
 
 __all__ = [
     "MapSpec", "OrbitSegment", "LagrangeResult", "VolumeReport",
@@ -36,10 +38,10 @@ class MapSpec:
 
     `forward` and `inverse` act on arrays of shape (..., dim).  `jac` maps a
     batch (n, dim) to (n, dim, dim); every map made by `make_map` and
-    `polynomial_map` carries one.  `periods` marks an intrinsic torus:
-    images are wrapped into [0, period) per axis.  `lipschitz` bounds the
-    operator norm of the Jacobian; `jac_abs_bound` bounds each Jacobian
-    entry over an axis-aligned rectangle batch.
+    `polynomial_map` carries one.  `periods` marks an intrinsic torus: every
+    period is 1.0 and images are wrapped into [0, 1) per axis.  `lipschitz`
+    bounds the operator norm of the Jacobian; `jac_abs_bound` bounds each
+    Jacobian entry over an axis-aligned rectangle batch.
     """
 
     name: str
@@ -52,6 +54,11 @@ class MapSpec:
     jac_abs_bound: Optional[Callable] = field(repr=False, default=None)
     periods: Optional[tuple] = None
 
+    def __post_init__(self):
+        # the wrap is x - floor(x), which is reduction mod 1 only
+        if self.periods is not None and any(p != 1.0 for p in self.periods):
+            raise ValueError(f"torus periods must be 1.0, got {self.periods}")
+
     @property
     def has_inverse(self) -> bool:
         return self.inverse is not None
@@ -59,7 +66,7 @@ class MapSpec:
     def wrap(self, points):
         if self.periods is None:
             return points
-        return np.mod(points, np.asarray(self.periods))
+        return wrap_unit(on_torus_axes(points, self.periods))
 
     def delta(self, a, b):
         """Shortest displacement b - a (min-image on intrinsic torus axes)."""
@@ -116,10 +123,10 @@ def _cat() -> MapSpec:
     Ainv = np.array([[1.0, -1.0], [-1.0, 2.0]])
 
     def fwd(p):
-        return np.mod(np.asarray(p, dtype=float) @ A.T, 1.0)
+        return wrap_unit(np.asarray(p, dtype=float) @ A.T)
 
     def inv(p):
-        return np.mod(np.asarray(p, dtype=float) @ Ainv.T, 1.0)
+        return wrap_unit(np.asarray(p, dtype=float) @ Ainv.T)
 
     def jac(p):
         p = np.atleast_2d(p)
@@ -137,15 +144,18 @@ def _standard(K: float) -> MapSpec:
     def fwd(p):
         p = np.asarray(p, dtype=float)
         kick = c * np.sin(2.0 * math.pi * p[..., 0])
-        x = p[..., 0] + p[..., 1] + kick
-        y = p[..., 1] + kick
-        return np.mod(np.stack([x, y], axis=-1), 1.0)
+        out = np.empty(p.shape[:-1] + (2,))
+        out[..., 0] = p[..., 0] + p[..., 1] + kick
+        out[..., 1] = p[..., 1] + kick
+        return wrap_unit(out)
 
     def inv(p):
         p = np.asarray(p, dtype=float)
-        x = np.mod(p[..., 0] - p[..., 1], 1.0)
-        y = p[..., 1] - c * np.sin(2.0 * math.pi * x)
-        return np.mod(np.stack([x, y], axis=-1), 1.0)
+        out = np.empty(p.shape[:-1] + (2,))
+        x = wrap_unit(p[..., 0] - p[..., 1])
+        out[..., 0] = x
+        out[..., 1] = p[..., 1] - c * np.sin(2.0 * math.pi * x)
+        return wrap_unit(out)
 
     def jac(p):
         p = np.atleast_2d(p)
@@ -221,10 +231,10 @@ def _contraction(c: float, dim: int) -> MapSpec:
 
 def _rotation(alpha: float) -> MapSpec:
     def fwd(p):
-        return np.mod(np.asarray(p, dtype=float) + alpha, 1.0)
+        return wrap_unit(np.asarray(p, dtype=float) + alpha)
 
     def inv(p):
-        return np.mod(np.asarray(p, dtype=float) - alpha, 1.0)
+        return wrap_unit(np.asarray(p, dtype=float) - alpha)
 
     def jac(p):
         p = np.atleast_2d(p)

@@ -600,11 +600,17 @@ class TestMoreSubcommands:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("sub", ["cr", "all"])
+    @pytest.mark.parametrize("sub", ["cr", "all", "shadow", "homoclinic"])
     def test_torus_graph_runs_load_no_sparse_or_masked_arrays(self, tmp_path,
                                                               sub):
-        # scipy.sparse costs ~30 MB of RSS and numpy.ma ~1 MB
-        path = cat_config(tmp_path, depth=4)
+        # scipy.sparse costs ~30 MB of RSS and numpy.ma ~1 MB; shadow and
+        # homoclinic build no graph and should load neither either
+        experiment = {
+            "shadow": {"x0": [0.2, 0.3], "N": 40, "eps": 1e-2,
+                       "grid_resolution": 1e-3},
+            "homoclinic": {"arclength": 3.0, "max_seg": 0.02}}
+        path = cat_config(tmp_path, depth=4, delta=1e-4,
+                          experiment=experiment.get(sub, {}))
         src = str(Path(dynkit.__file__).resolve().parent.parent)
         code = ("import sys; from dynkit.cli import run_subcommand; "
                 f"assert run_subcommand({sub!r}, {str(path)!r}, None, None, "
