@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .phase_space import BoxSet
-from .system import MapSpec, evaluate
+from .system import MapSpec, iterates
 from .chain_graph import (TransitionGraph, _out_neighbors,
                           chain_recurrent_boxes, nontrivial_scc_sets,
                           reachable)
@@ -261,14 +261,6 @@ def verify_conley_decomposition(g: TransitionGraph, blocks=None) -> ConleyReport
 # invariance and escape diagnostics
 # ---------------------------------------------------------------------------
 
-def _iterate_points(map_spec: MapSpec, pts: np.ndarray, n: int):
-    """Yield f(pts), f^2(pts), ... up to n applications."""
-    x = pts
-    for _ in range(n):
-        x = evaluate(map_spec, x)
-        yield x
-
-
 def attractor_invariance_check(g: TransitionGraph, map_spec: MapSpec,
                                block: BoxSet, attractor: BoxSet,
                                n_samples: int = 1000, n_iter: int = 50,
@@ -291,7 +283,7 @@ def attractor_invariance_check(g: TransitionGraph, map_spec: MapSpec,
             return 0
         pts = region.sample_points(n_samples, rng)
         bad = 0
-        for img in _iterate_points(map_spec, pts, steps):
+        for img in iterates(map_spec, pts, steps):
             boxes = g.grid.boxes_of_points(img)
             inside = boxes >= 0
             bad += int(np.count_nonzero(forbidden_bits[boxes[inside]]))
@@ -335,9 +327,7 @@ def escape_fraction(map_spec: MapSpec, K: BoxSet, radius: float, n_max: int,
     rng = np.random.default_rng(rng_seed)
     pts = K.sample_points(samples, rng)
     bounded = np.ones(samples, dtype=bool)
-    x = pts
-    for _ in range(n_max):
-        x = evaluate(map_spec, x)
+    for x in iterates(map_spec, pts, n_max):
         bounded &= np.linalg.norm(x, axis=-1) <= radius
         if not bounded.any():
             break

@@ -11,6 +11,7 @@ continuation), which is what arclengths and straight-line oracles use.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -19,7 +20,7 @@ import numpy as np
 
 from ._util import min_image, row_norms, wrap_unit
 from .phase_space import Grid
-from .system import MapSpec, evaluate
+from .system import MapSpec, evaluate, iterates
 
 __all__ = [
     "HyperbolicPoint", "ManifoldPolyline", "HomoclinicHit",
@@ -119,13 +120,12 @@ def _orbit_jacobian(map_spec: MapSpec, pts: np.ndarray, steps: int,
     batched.  Backward steps use D(f^-1)(y) = Df(f^-1(y))^-1."""
     x = np.atleast_2d(pts).astype(float)
     J = np.broadcast_to(np.eye(map_spec.dim), (x.shape[0],) + (map_spec.dim,) * 2).copy()
-    for _ in range(steps):
+    for y in iterates(map_spec, x, steps, "inverse" if inverse else "forward"):
         if inverse:
-            x = evaluate(map_spec, x, "inverse")
-            J = np.linalg.solve(map_spec.jac(x), J)
+            J = np.linalg.solve(map_spec.jac(y), J)
         else:
             J = map_spec.jac(x) @ J
-            x = evaluate(map_spec, x)
+        x = y
     return x, J
 
 
@@ -163,13 +163,11 @@ def find_periodic_points(map_spec: MapSpec, period: int, grid: Grid,
     fp, J = _orbit_jacobian(map_spec, x, period)
     res = np.linalg.norm(map_spec.delta(x, fp), axis=1)
     ok = alive & (res <= tol_fix)
-    roots = x[ok]
-    residuals = res[ok]
+    roots, residuals, J = x[ok], res[ok], J[ok]
     # keep only roots inside the window
     inside = grid.domain.contains(grid.domain.wrap(roots)) if roots.size else \
         np.zeros(0, dtype=bool)
-    roots = roots[inside]
-    residuals = residuals[inside]
+    roots, residuals, J = roots[inside], residuals[inside], J[inside]
 
     # deterministic greedy dedupe in lexicographic order: the first root
     # left is kept and every root within 10*tol_fix of it dropped
@@ -181,9 +179,9 @@ def find_periodic_points(map_spec: MapSpec, period: int, grid: Grid,
         order = order[map_spec.distance(roots[order], roots[order[0]]) > 10 * tol_fix]
 
     points = []
-    for r, rr in zip(roots[kept], residuals[kept]):
-        _, Jp = _orbit_jacobian(map_spec, r[None, :], period)
-        vals, vecs = np.linalg.eig(Jp[0])
+    # D(f^period) of each kept root is its row of the last _orbit_jacobian
+    for r, rr, Jp in zip(roots[kept], residuals[kept], J[kept]):
+        vals, vecs = np.linalg.eig(Jp)
         order2 = np.argsort(-np.abs(vals))
         vals = vals[order2]
         vecs = vecs[:, order2]
@@ -222,13 +220,12 @@ def _inverse_newton(map_spec: MapSpec, z: np.ndarray, tol: float = 1e-10,
 def _apply_steps(map_spec: MapSpec, pts: np.ndarray, steps: int,
                  inverse: bool) -> np.ndarray:
     x = np.atleast_2d(pts).astype(float)
-    for _ in range(steps):
-        if not inverse:
-            x = evaluate(map_spec, x)
-        elif map_spec.has_inverse:
-            x = evaluate(map_spec, x, "inverse")
-        else:
+    if inverse and not map_spec.has_inverse:
+        for _ in range(steps):
             x = _inverse_newton(map_spec, x)
+        return x
+    for x in iterates(map_spec, x, steps, "inverse" if inverse else "forward"):
+        pass
     return x
 
 
@@ -297,10 +294,7 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
             "orientation-reversing eigendirections are not supported")
     stretch = lam if side == "unstable" else 1.0 / lam
     inverse = side == "stable"
-    scale = 1.0
-    if map_spec.periods is not None:
-        scale = float(np.max(np.asarray(map_spec.periods)))
-    r0 = r0_scale * scale
+    r0 = r0_scale  # torus periods are 1.0
     p = np.asarray(hp.point, dtype=float)
     direction = branch * v
 
@@ -541,12 +535,12 @@ def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
     a_mids = a_starts + 0.5 * a_deltas
     b_mids = b_starts + 0.5 * b_deltas
     if periods is not None:
-        per = np.asarray(periods, dtype=float)
-        if max_len >= float(np.min(per)) / 4.0:
+        # a quarter of the unit period
+        if max_len >= 0.25:
             raise SegmentLengthError("segments too long relative to the "
                                      "period; grow with a smaller max_seg")
-        ncells = np.maximum(1, np.floor(per / cell).astype(np.int64))
-        cellw = per / ncells
+        ncells = np.full(dim, max(1, math.floor(1.0 / cell)), dtype=np.int64)
+        cellw = 1.0 / ncells
         a_mids = wrap_unit(a_mids)
         b_mids = wrap_unit(b_mids)
     else:
@@ -622,30 +616,20 @@ def omega_limit_cloud(map_spec: MapSpec, q, N: int, burn_in: int = 0) -> np.ndar
     if not N > burn_in >= 0:
         raise ValueError("need N > burn_in >= 0")
     q = np.asarray(q, dtype=float)
-    out = []
-    x = q
-    for i in range(1, N + 1):
-        x = evaluate(map_spec, x)
-        if i > burn_in:
-            out.append(x.copy())
-    return np.asarray(out)
+    return np.asarray(list(itertools.islice(iterates(map_spec, q, N), burn_in, None)))
 
 
 def is_recurrent(map_spec: MapSpec, q, tol_rec: float, N: int) -> RecurrenceResult:
     """First-return probe: does the orbit re-enter the tol_rec ball of q?"""
     q = np.asarray(q, dtype=float)
-    x = q
     best = math.inf
-    first = None
-    for i in range(1, N + 1):
-        x = evaluate(map_spec, x)
+    for i, x in enumerate(iterates(map_spec, q, N), 1):
         d = float(map_spec.distance(x, q))
         if d < best:
             best = d
-        if first is None and d < tol_rec:
-            first = i
-            break
-    return RecurrenceResult(first is not None, first, best)
+        if d < tol_rec:
+            return RecurrenceResult(True, i, best)
+    return RecurrenceResult(False, None, best)
 
 
 def point_to_polyline_distance(map_spec: MapSpec, q, poly: ManifoldPolyline) -> float:

@@ -14,6 +14,7 @@ accuracy shrinks like the inverse of the unstable growth.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from ._util import write_csv
-from .system import MapSpec, evaluate
+from .system import MapSpec, evaluate, iterates
 
 __all__ = [
     "PseudoOrbit", "ShadowingResult", "NoApproachError",
@@ -152,35 +153,23 @@ def splice_pseudo_orbit(map_spec: MapSpec, q, x0, delta: float,
         raise ValueError("delta must be nonnegative")
     q = np.asarray(q, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    # first approach time
-    z = q.copy()
-    n0 = None
+    # the orbit of q up to its first approach: the points before it are
+    # the head, and the approach time n0 is their number
+    head = []
     min_dist = math.inf
-    for n in range(budget + 1):
+    for z in itertools.chain([q], iterates(map_spec, q, budget)):
         d = float(map_spec.distance(z, x0))
         min_dist = min(min_dist, d)
         if d < delta or (delta == 0.0 and d == 0.0):
-            n0 = n
             break
-        z = evaluate(map_spec, z)
-    if n0 is None:
+        head.append(z)
+    else:
         raise NoApproachError(min_dist, budget)
+    n0 = len(head)
 
-    head = [q]
-    for _ in range(n0 - 1):
-        head.append(evaluate(map_spec, head[-1]))
-    if n0 == 0:
-        head = []
-    tail = [x0]
-    for _ in range(n_forward):
-        tail.append(evaluate(map_spec, tail[-1]))
-    back = []
-    if map_spec.has_inverse and n_back > 0:
-        z = q.copy()
-        for _ in range(n_back):
-            z = evaluate(map_spec, z, "inverse")
-            back.append(z.copy())
-        back.reverse()
+    tail = [x0, *iterates(map_spec, x0, n_forward)]
+    n_back = n_back if map_spec.has_inverse else 0
+    back = list(iterates(map_spec, q, n_back, "inverse"))[::-1]
     pts = np.asarray(back + head + tail)
     po = PseudoOrbit(pts, float(delta) if delta > 0 else 0.0,
                      {"kind": "splice", "q": q.tolist(), "x0": x0.tolist(),
@@ -194,7 +183,8 @@ def splice_pseudo_orbit(map_spec: MapSpec, q, x0, delta: float,
 # ---------------------------------------------------------------------------
 
 # seeds iterated together; bounds the orbit buffer at
-# _SEED_BLOCK * len(y) * dim floats whatever the size of the seed grid
+# _SEED_BLOCK * len(y) * dim floats and the error rows at _SEED_BLOCK *
+# len(y) whatever the size of the seed grid
 _SEED_BLOCK = 1024
 
 # descent probes evaluated together, in the order the descent makes them
@@ -204,17 +194,11 @@ _PROBE_BLOCK = 16
 
 def _tracking_errors(map_spec: MapSpec, seeds: np.ndarray, y: np.ndarray):
     """Distance of each seed's orbit to y at every step, shape (n, len(y))."""
-    n, length = seeds.shape[0], y.shape[0]
-    errors = np.empty((n, length))
-    for lo in range(0, n, _SEED_BLOCK):
-        x = seeds[lo:lo + _SEED_BLOCK]
-        orbit = np.empty((x.shape[0], length, map_spec.dim))
-        orbit[:, 0] = x
-        for i in range(1, length):
-            x = evaluate(map_spec, x)
-            orbit[:, i] = x
-        errors[lo:lo + _SEED_BLOCK] = map_spec.distance(orbit, y)
-    return errors
+    orbit = np.empty((seeds.shape[0], y.shape[0], map_spec.dim))
+    orbit[:, 0] = seeds
+    for i, x in enumerate(iterates(map_spec, seeds, y.shape[0] - 1), 1):
+        orbit[:, i] = x
+    return map_spec.distance(orbit, y)
 
 
 def _after_probe(step: float, k: int, improved: bool, accepted: bool,
@@ -315,12 +299,17 @@ def shadow_search(map_spec: MapSpec, po: PseudoOrbit, eps: float,
     offsets = offsets[np.linalg.norm(offsets, axis=1) <= eps]
     seeds = map_spec.wrap(y[0] + offsets)
 
-    errors = _tracking_errors(map_spec, seeds, y)
-    worst = errors.max(axis=1)
-    best_i = int(np.argmin(worst))
-    best_x = seeds[best_i].copy()
-    best_obj = float(worst[best_i])
-    best_trace = errors[best_i].copy()
+    # one seed block at a time, keeping the best row.  A later block wins
+    # only by argmin over the pair, so the seed kept is the argmin over all
+    # seeds: the first minimum, or the first nan
+    for lo in range(0, seeds.shape[0], _SEED_BLOCK):
+        errors = _tracking_errors(map_spec, seeds[lo:lo + _SEED_BLOCK], y)
+        worst = errors.max(axis=1)
+        i = int(np.argmin(worst))
+        if lo == 0 or np.argmin((best_obj, worst[i])) == 1:
+            best_x = seeds[lo + i].copy()
+            best_obj = float(worst[i])
+            best_trace = errors[i].copy()
 
     # coordinate descent.  The probe at position k of a round moves axis
     # k // 2 by +step (k even) or -step (k odd).  Until a probe is accepted
@@ -412,12 +401,10 @@ def linear_stable_check(map_spec: MapSpec, x, eps: float, N: int,
         y = np.asarray(y, dtype=float)
         du = y[0] - x[0]
         ds = y[1] - x[1]
-        xi, yi = x.copy(), y.copy()
-        dists = [float(np.linalg.norm(yi - xi))]
+        dists = [float(np.linalg.norm(y - x))]
         ok = True
-        for i in range(1, N + 1):
-            xi = evaluate(map_spec, xi)
-            yi = evaluate(map_spec, yi)
+        # linear(a, b) acts entrywise: each row of the pair steps as alone
+        for i, (xi, yi) in enumerate(iterates(map_spec, np.array([x, y]), N), 1):
             d = float(np.linalg.norm(yi - xi))
             exact = math.hypot(a ** i * du, b ** i * ds)
             if exact > 0 and abs(d - exact) > 1e-10 * exact:
@@ -455,7 +442,7 @@ def shadowing_profile(map_spec: MapSpec, deltas, eps: float, trials: int,
     if window is None:
         if map_spec.periods is None:
             raise ValueError("window required for non-periodic maps")
-        window = (np.zeros(map_spec.dim), np.asarray(map_spec.periods))
+        window = (np.zeros(map_spec.dim), np.ones(map_spec.dim))
     lo = np.asarray(window[0], dtype=float)
     hi = np.asarray(window[1], dtype=float)
     res = grid_resolution if grid_resolution is not None else eps / 10.0

@@ -24,7 +24,7 @@ __all__ = [
     "MapSpec", "OrbitSegment", "LagrangeResult", "VolumeReport",
     "InverseUnavailableError", "make_map", "polynomial_map",
     "evaluate", "jacobian", "finite_difference_jacobian",
-    "volume_check", "lagrange_probe", "orbit",
+    "volume_check", "lagrange_probe", "orbit", "iterates",
 ]
 
 
@@ -410,6 +410,14 @@ def evaluate(map_spec: MapSpec, p, direction: str = "forward"):
     raise ValueError("direction must be 'forward' or 'inverse'")
 
 
+def iterates(map_spec: MapSpec, x, n: int, direction: str = "forward"):
+    """Yield f(x), f^2(x), ..., f^n(x), or the f^-1 iterates with
+    direction "inverse", for one point or a batch; one `evaluate` per step."""
+    for _ in range(n):
+        x = evaluate(map_spec, x, direction)
+        yield x
+
+
 def finite_difference_jacobian(map_spec: MapSpec, p, scale: float = 1.0) -> np.ndarray:
     """Central finite differences with step h = 1e-6 * scale."""
     p = np.asarray(p, dtype=float)
@@ -449,8 +457,8 @@ def orbit(map_spec: MapSpec, p, length: int) -> OrbitSegment:
     p = np.asarray(p, dtype=float)
     pts = np.empty((length + 1, map_spec.dim))
     pts[0] = p
-    for k in range(length):
-        pts[k + 1] = evaluate(map_spec, pts[k])
+    for k, x in enumerate(iterates(map_spec, pts[0], length), 1):
+        pts[k] = x
     return OrbitSegment(p, pts)
 
 
@@ -461,9 +469,7 @@ def lagrange_probe(map_spec: MapSpec, p, escape_radius: float,
         raise ValueError("escape_radius must be positive")
     p = np.asarray(p, dtype=float)
     pts = [p]
-    x = p
-    for k in range(1, n_max + 1):
-        x = evaluate(map_spec, x)
+    for k, x in enumerate(iterates(map_spec, p, n_max), 1):
         pts.append(x)
         if np.linalg.norm(x) >= escape_radius:
             return LagrangeResult(False, k, OrbitSegment(p, np.asarray(pts)))

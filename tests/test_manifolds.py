@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynkit import manifolds
+from dynkit import manifolds, system
 from dynkit.manifolds import (
     HyperbolicPoint, ManifoldPolyline, NoRealEigendirectionError,
     accumulation_check, find_periodic_points, grow_manifold, homoclinic_points,
@@ -72,6 +72,25 @@ class TestPeriodicPoints:
         assert abs(lam[0] - (3 - math.sqrt(5)) / 2) < 1e-9
         assert hp.is_hyperbolic
         assert hp.residual <= 1e-10
+
+    @pytest.mark.parametrize("name, period", [("standard-0.97", 3), ("standard-1.5", 2),
+                                              ("cat", 1), ("poly", 1)])
+    def test_eigendata_from_the_batched_jacobian(self, name, period):
+        # each root's D(f^period) is its row of the batched solve's last
+        # _orbit_jacobian call, bitwise what a call on the root alone gives
+        m, _ = growth_anchor(name)
+        if name == "poly":
+            g = Grid(Domain((-0.5, -0.5), (0.5, 0.5), (False, False)), (2, 2))
+        else:
+            g = Grid(Domain((0.0, 0.0), (1.0, 1.0), (True, True)), (4, 4))
+        pts = find_periodic_points(m, period, g)
+        assert pts
+        for hp in pts:
+            _, J = manifolds._orbit_jacobian(m, hp.point[None, :], period)
+            vals, vecs = np.linalg.eig(J[0])
+            order = np.argsort(-np.abs(vals))
+            assert hp.eigenvalues.tobytes() == vals[order].tobytes()
+            assert hp.eigenvectors.tobytes() == vecs[:, order].tobytes()
 
     def test_eigen_residuals(self):
         m, hp = cat_anchor()
@@ -244,6 +263,9 @@ class TestGrowManifold:
             rows[0] += np.atleast_2d(p).shape[0]
             return evaluate_rows(map_spec, p, direction)
 
+        # orbits step through system.iterates, the Newton inverse through
+        # manifolds.evaluate
+        monkeypatch.setattr(system, "evaluate", counted)
         monkeypatch.setattr(manifolds, "evaluate", counted)
         kw = dict(side="unstable", target_arclength=40.0 if name == "cat" else 5.0,
                   max_seg=0.01)

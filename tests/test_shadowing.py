@@ -1,12 +1,13 @@
 """Pseudo-orbits, shadow searches and the linear stable-manifold check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynkit import shadowing
+from dynkit import shadowing, system
 from dynkit.shadowing import (
     NoApproachError, linear_stable_check, random_pseudo_orbit, shadow_search,
     shadowing_profile, splice_pseudo_orbit,
@@ -90,6 +91,58 @@ class TestSplice:
             splice_pseudo_orbit(m, np.array([1e-6, 0.0]), np.array([0.0, 1e-6]),
                                 1e-7, budget=200)
         assert err.value.min_distance >= 1e-7
+
+    def test_q_within_delta_has_no_head(self):
+        m = make_map("standard", K=0.97)
+        q, x0 = np.array([0.3, 0.7]), np.array([0.3, 0.705])
+        po = splice_pseudo_orbit(m, q, x0, 1e-2, n_back=3, n_forward=4)
+        assert po.provenance["n0"] == 0
+        # back tail of q, then the orbit of x0: the junction is q -> x0
+        assert len(po) == 3 + 5
+        assert po.points[3].tobytes() == x0.tobytes()
+        assert m.distance(evaluate(m, po.points[2]), q) < 1e-12
+
+    def test_no_back_tail(self):
+        m = make_map("cat")
+        q, x0 = np.array([0.1, 0.2]), np.array([0.3, 0.7])
+        po = splice_pseudo_orbit(m, q, x0, 2e-2, n_back=0, n_forward=6)
+        n0 = po.provenance["n0"]
+        assert po.provenance["n_back"] == 0
+        assert len(po) == n0 + 7
+        assert po.points[0].tobytes() == q.tobytes()
+        assert po.points[n0].tobytes() == x0.tobytes()
+
+    def test_map_without_inverse_has_no_back_tail(self):
+        m = CUBIC
+        q = np.array([0.4, -0.3])
+        x0 = m.wrap(evaluate(m, evaluate(m, evaluate(m, q))) + 1e-3)
+        po = splice_pseudo_orbit(m, q, x0, 1e-2, n_back=10, n_forward=5)
+        assert po.provenance["n_back"] == 0
+        assert po.provenance["n0"] == 3
+        assert po.points[0].tobytes() == q.tobytes()
+        assert len(po) == 3 + 6
+
+    @pytest.mark.parametrize("n_back", [0, 10])
+    def test_each_orbit_point_evaluated_once(self, monkeypatch, n_back):
+        # the approach search keeps the head it visits: the map is
+        # evaluated n0 times up to the approach, n_back + n_forward times
+        # for the tails and once for the defect check
+        calls = []
+        real = system.evaluate
+
+        def counted(map_spec, p, direction="forward"):
+            calls.append(direction)
+            return real(map_spec, p, direction)
+
+        monkeypatch.setattr(system, "evaluate", counted)
+        monkeypatch.setattr(shadowing, "evaluate", counted)
+        m = make_map("cat")
+        po = splice_pseudo_orbit(m, np.array([0.1, 0.2]), np.array([0.3, 0.7]),
+                                 2e-2, n_back=n_back, n_forward=12)
+        n0 = po.provenance["n0"]
+        assert n0 == 967
+        assert calls.count("inverse") == n_back
+        assert calls.count("forward") == n0 + 12 + 1
 
 
 class TestShadowSearch:
@@ -272,6 +325,42 @@ class TestBatchedDescentOracle:
             if a.witness is not None:
                 assert a.witness.tobytes() == b.witness.tobytes()
                 assert a.witness_defect == b.witness_defect
+
+    @pytest.mark.parametrize("nan", [False, True])
+    @pytest.mark.parametrize("seed_block", [1, 3, 1024])
+    def test_seed_blocks_keep_the_first_argmin(self, monkeypatch, seed_block, nan):
+        # objectives with ties (and nans): the seed kept is np.argmin's
+        def errors(map_spec, seeds, y):
+            e = np.round(np.mod(seeds[:, :1] * 97.0, 1.0), 1)
+            if nan:
+                e[np.mod(seeds[:, 1] * 89.0, 1.0) > 0.8] = np.nan
+            return np.repeat(e, y.shape[0], axis=1)
+
+        seen = []
+        monkeypatch.setattr(shadowing, "_SEED_BLOCK", seed_block)
+        monkeypatch.setattr(shadowing, "_tracking_errors",
+                            lambda m, seeds, y: seen.append(seeds) or errors(m, seeds, y))
+        m = make_map("cat")
+        po = random_pseudo_orbit(m, np.array([0.3, 0.7]), 0.0, 4)
+        res = shadow_search(m, po, 1e-2, 1e-3, max_descent=0, refine=False)
+        seeds = np.concatenate(seen)
+        assert seeds.shape[0] > 300
+        worst = errors(m, seeds, po.points).max(axis=1)
+        assert np.isnan(worst).any() == nan
+        assert res.x.tobytes() == seeds[np.argmin(worst)].tobytes()
+
+    def test_memory_bounded_by_the_seed_block(self):
+        # about 31 k seeds over 201 steps: a full (seeds x steps) error
+        # matrix alone would take 50 MB
+        m = make_map("cat")
+        po = random_pseudo_orbit(m, np.array([0.3, 0.7]), 1e-3, 200, rng_seed=0)
+        tracemalloc.start()
+        try:
+            shadow_search(m, po, 1e-2, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, peak
 
 
 class TestLinearStableCheck:
