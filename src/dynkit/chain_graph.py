@@ -30,10 +30,14 @@ __all__ = [
     "NonwanderingResult", "MAX_NBOXES",
 ]
 
-# caps the grid, not an index type: at ~42 edges per box (cat, eps one box
-# diameter) 2^26 boxes already mean 2.8 G edges, far past memory
+# caps the grid: at ~42 edges per box (cat, eps one box diameter) 2^26
+# boxes already mean 2.8 G edges, far past memory.  Targets are stored as
+# int32 and the transpose packs `target << 32 | source` into one int64 key,
+# which needs nboxes + 1 < 2**31 (the sink is node nboxes)
 MAX_NBOXES = 1 << 26
-# edges written per row chunk by the build, the self-loop scan and the dump
+# edges per chunk: of the rows the build writes, the self-loop scan, the
+# dump and the transpose read, and of the frontier slices `reachable`
+# expands
 _CHUNK_EDGES = 1 << 18
 
 
@@ -42,10 +46,12 @@ class TransitionGraph:
     """CSR digraph on BoxIds plus a virtual sink at index grid.nboxes.
 
     Out-edges are sorted ascending per source; the sink carries a self
-    loop, so every node has at least one out-edge.  The SCC labels, the
-    self-loop mask and the transposed CSR are computed on first use and
-    cached on the graph, so every recurrence query on one graph shares
-    one SCC pass (a forward-backward step, then Tarjan).
+    loop, so every node has at least one out-edge.  Offsets are int64,
+    targets int32.  The SCC labels, the self-loop mask and the transposed
+    CSR are computed on first use and cached on the graph, so every
+    recurrence query on one graph shares one SCC pass (a forward-backward
+    step, then Tarjan), and that pass and the backward closures share one
+    transpose.
     """
 
     grid: Grid
@@ -104,7 +110,7 @@ class TransitionGraph:
         """SCC label of every node, the sink included, cached."""
         if self._labels is None:
             _, self._labels = strongly_connected_components(
-                self.offsets, self.targets, self.n_nodes)
+                self.offsets, self.targets, self.n_nodes, self.reverse())
         return self._labels
 
     def image_boxes(self, boxset: BoxSet) -> BoxSet:
@@ -122,14 +128,8 @@ class TransitionGraph:
     def reverse(self) -> tuple:
         """(offsets, targets) of the transposed graph, cached."""
         if self._reverse is None:
-            # sources ascend in CSR order, so a stable sort by target
-            # orders the transposed edges by (target, source)
-            order = np.argsort(self.targets, kind="stable")
-            rtarg = np.repeat(np.arange(self.n_nodes), self.out_degrees())[order]
-            roff = np.zeros(self.n_nodes + 1, dtype=np.int64)
-            np.cumsum(np.bincount(self.targets, minlength=self.n_nodes),
-                      out=roff[1:])
-            self._reverse = (roff, rtarg)
+            self._reverse = _transpose(self.offsets, self.targets,
+                                       self.n_nodes)
         return self._reverse
 
 
@@ -265,8 +265,38 @@ def _row_chunks(offsets: np.ndarray, rows: int):
     return zip(bounds[:-1], bounds[1:])
 
 
+def _transpose(offsets: np.ndarray, targets: np.ndarray, n: int):
+    """(offsets, targets) of the transposed CSR of an n-node graph: each
+    node's in-edges by ascending source, targets int32.
+
+    One in-place sort of `target << 32 | source` int64 keys.  The keys are
+    distinct, so they sort into the (target, source) order that a stable
+    argsort of the targets gives, in less than half its time.  The sources
+    are then written as int32 over the front of the key buffer, which is
+    cut to that half, so the transpose peaks at 8 bytes per edge.
+    """
+    keys = np.empty(targets.size, dtype=np.int64)
+    for b0, b1 in _row_chunks(offsets, n):
+        a, b = offsets[b0], offsets[b1]
+        np.left_shift(targets[a:b], 32, out=keys[a:b], dtype=np.int64)
+        np.bitwise_or(keys[a:b], np.repeat(np.arange(b0, b1),
+                                           np.diff(offsets[b0:b1 + 1])),
+                      out=keys[a:b])
+    keys.sort()
+    roff = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) << 32)
+    # int32 slot i lies in int64 slot i // 2, so a chunk only overwrites
+    # keys it has already read; no view of `keys` outlives the loop, so
+    # the buffer may be cut
+    for a in range(0, keys.size, _CHUNK_EDGES):
+        b = min(a + _CHUNK_EDGES, keys.size)
+        keys.view(np.int32)[a:b] = keys[a:b] & 0xFFFFFFFF
+    keys.resize((keys.size + 1) // 2, refcheck=False)
+    return roff, keys.view(np.int32)[:targets.size]
+
+
 def _materialize_edges(grid: Grid, ilo, ihi, escapes, empty, sink: int):
-    """Expand index ranges into CSR (offsets, targets), sorted per source.
+    """Expand index ranges into CSR (offsets, targets), sorted per source;
+    offsets int64, targets int32.
 
     On each axis a box's range, taken mod the axis, is the ascending runs
     [0, w) and [lo, lo + c - w), and a row-major product of ascending
@@ -286,7 +316,7 @@ def _materialize_edges(grid: Grid, ilo, ihi, escapes, empty, sink: int):
     offsets = np.zeros(sink + 2, dtype=np.int64)
     np.cumsum(counts.prod(axis=1) + escapes, out=offsets[1:sink + 1])
     offsets[sink + 1] = offsets[sink] + 1  # sink self-loop
-    targets = np.empty(int(offsets[-1]), dtype=np.int64)
+    targets = np.empty(int(offsets[-1]), dtype=np.int32)
     targets[-1] = sink
     for b0, b1 in _row_chunks(offsets, sink):
         own, base = np.arange(b0, b1), np.zeros(b1 - b0, dtype=np.int64)
@@ -353,42 +383,55 @@ def build_graph(grid: Grid, map_spec: MapSpec, eps: float,
 # strongly connected components (forward-backward step, then Tarjan)
 # ---------------------------------------------------------------------------
 
-# A numpy pass over the CSR reads an edge about 100 times faster than the
-# Tarjan loop below (3 ns against 0.36 us on a 2-core x86-64 VM), so a
-# search from the pivot that needs more passes than this is dropped and
-# Tarjan takes the whole graph: a long-diameter graph (a circle rotation,
-# a near-integrable standard map) then costs at most about a third of a
-# Tarjan run more than Tarjan alone, and the step stays O(V + E).
-_FB_MAX_PASSES = 32
+def _fb_max_layers(n_edges: int) -> int:
+    """Layers a forward-backward search from the pivot may take.
+
+    A numpy frontier layer costs about 25 us on top of its edges, the
+    Tarjan loop below about 0.36 us per edge (2-core x86-64 VM), so
+    n_edges // 64 layers cost about one Tarjan run.  A search that needs
+    more is dropped and Tarjan takes the whole graph: a long-diameter graph
+    (a circle rotation, a near-integrable standard map) then pays at most
+    about one Tarjan run on top of Tarjan alone, and the step stays
+    O(V + E).
+    """
+    return max(32, n_edges // 64)
 
 
 def strongly_connected_components(offsets: np.ndarray, targets: np.ndarray,
-                                  n: int):
+                                  n: int, reverse: tuple | None = None):
     """SCCs of a CSR digraph: one forward-backward step, then Tarjan.
 
     Returns (n_components, labels); labels follow reverse topological
     order of the condensation (sources get the largest labels).
+    `reverse` is the transposed CSR, as `TransitionGraph.reverse()` caches
+    it; without it the transpose is built here.
 
     The pivot is the first node of largest out-degree x in-degree.  Its
     component S = F & B (F: reachable from the pivot, B: reaching it) is
-    found by array passes; on a chain-transitive torus graph that is every
-    box.  F \\ B is forward-closed and cannot reach S, so Tarjan labels it
-    first (roots in node order), S takes the next label, and Tarjan then
-    runs from every remaining root in node order, skipping the completed
-    nodes in F.  When F or B needs more than `_FB_MAX_PASSES` passes, S is
-    left empty and Tarjan runs from every root in node order.
+    found by frontier searches: F on the CSR, then B on the transpose
+    restricted to F, as a path from a node of F stays in F.  On a
+    chain-transitive torus graph S is every box.  F \\ B is forward-closed
+    and cannot reach S, so Tarjan labels it first (roots in node order), S
+    takes the next label, and Tarjan then runs from every remaining root in
+    node order, skipping the completed nodes in F.  When F or B needs more
+    than `_fb_max_layers` layers, S is left empty and Tarjan runs from
+    every root in node order.
     """
-    off = np.ascontiguousarray(offsets, dtype=np.int64)
-    tgt = np.ascontiguousarray(targets, dtype=np.int64)
     if n == 0:
         return 0, np.empty(0, dtype=np.int64)
+    off = np.ascontiguousarray(offsets)
+    tgt = np.ascontiguousarray(targets)
+    roff, rtarg = _transpose(off, tgt, n) if reverse is None else reverse
     labels = [-1] * n
-    pivot = int(np.argmax(np.diff(off) * np.bincount(tgt, minlength=n)))
-    fwd = reachable(off, tgt, [pivot], max_layers=_FB_MAX_PASSES)
-    core = None if fwd is None else _reaching_within(off, tgt, pivot, fwd)
-    if core is None:
+    pivot = int(np.argmax(np.diff(off) * np.diff(roff)))
+    cap = _fb_max_layers(tgt.size)
+    fwd = reachable(off, tgt, [pivot], max_layers=cap)
+    back = None if fwd is None else \
+        reachable(roff, rtarg, [pivot], max_layers=cap, seen=~fwd)
+    if back is None:
         n_comp = _tarjan(off, tgt, range(n), [-1] * n, labels, 0)
         return n_comp, np.asarray(labels, dtype=np.int64)
+    core = back & fwd
     index = np.where(core, 0, -1).tolist()
     n_comp = _tarjan(off, tgt, np.flatnonzero(fwd & ~core).tolist(),
                      index, labels, 0)
@@ -397,36 +440,6 @@ def strongly_connected_components(offsets: np.ndarray, targets: np.ndarray,
     labels = np.asarray(labels, dtype=np.int64)
     labels[core] = core_label
     return n_comp, labels
-
-
-def _reaching_within(offsets: np.ndarray, targets: np.ndarray, pivot: int,
-                     within: np.ndarray) -> np.ndarray | None:
-    """Nodes of the forward-closed set `within` that reach `pivot`, or None
-    when that takes more than `_FB_MAX_PASSES` sweeps.
-
-    Pull sweeps on the forward CSR, so no transposed copy is built: a node
-    joins when one of its out-edges hits the set, until none joins.  A
-    path from a node of `within` stays inside it, so nodes outside never
-    need to join.
-    """
-    seen = np.zeros(offsets.size - 1, dtype=bool)
-    seen[pivot] = True
-    # reduceat reads one element for an empty row, so only rows with
-    # out-edges are reduced
-    rows = np.flatnonzero(np.diff(offsets) > 0)
-    if not rows.size:
-        return seen
-    starts = offsets[rows]
-    may_join = within[rows]
-    size = 1
-    for _ in range(_FB_MAX_PASSES):
-        hit = np.logical_or.reduceat(seen[targets], starts) & may_join
-        seen[rows[hit]] = True
-        grown = int(np.count_nonzero(seen))
-        if grown == size:
-            return seen
-        size = grown
-    return None
 
 
 def _tarjan(off: np.ndarray, tgt: np.ndarray, roots, index: list,
@@ -542,15 +555,27 @@ def is_chain_transitive(g: TransitionGraph) -> bool:
 # CSR reachability
 # ---------------------------------------------------------------------------
 
+def _gather(targets: np.ndarray, first: np.ndarray, counts: np.ndarray,
+            slot: int) -> np.ndarray:
+    """Targets of `counts[i]` consecutive edges per node i, concatenated.
+
+    Output slots are numbered from `slot` on, and output slot s of node i
+    holds targets[first[i] + s]: first[i] is the CSR position of node i's
+    first edge minus that edge's slot.  The targets come back as intp:
+    numpy casts an int32 index array on every fancy index, so they are
+    cast here once.
+    """
+    shift = np.repeat(first, counts)
+    shift += np.arange(slot, slot + shift.size)
+    return targets[shift].astype(np.intp, copy=False)
+
+
 def _out_neighbors(offsets: np.ndarray, targets: np.ndarray,
                    nodes: np.ndarray) -> np.ndarray:
     """Targets of every out-edge of `nodes`, concatenated (repeats kept)."""
     starts = offsets[nodes]
     counts = offsets[nodes + 1] - starts
-    # edge k of node i sits at starts[i] + k; its output slot at
-    # cumsum(counts)[i] - counts[i] + k
-    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    return targets[shift + np.arange(shift.size)]
+    return _gather(targets, starts - np.cumsum(counts) + counts, counts, 0)
 
 
 def reachable(offsets: np.ndarray, targets: np.ndarray, seeds,
@@ -558,34 +583,55 @@ def reachable(offsets: np.ndarray, targets: np.ndarray, seeds,
               seen: np.ndarray | None = None) -> np.ndarray | None:
     """Boolean mask of the CSR nodes reachable from `seeds`, seeds included.
 
-    Frontier expansion, one layer per step; duplicates in a layer are
-    dropped through a scratch slot array instead of a sort.  Returns None
-    when the expansion needs more than `max_layers` layers.
+    Frontier expansion, one layer per step.  A layer is expanded in
+    slices of the frontier of about `_CHUNK_EDGES` out-edges, so no index
+    array grows with the graph.  Returns None when the expansion needs
+    more than `max_layers` layers.
 
     A given `seen` mask is grown in place and returned: its nodes count as
     explored and are not expanded again, so for a forward-closed `seen`
     the result is the closure of `seen` and `seeds` together.
     """
     n = offsets.size - 1
-    seeds = np.asarray(seeds, dtype=np.int64)
+    seeds = np.asarray(seeds, dtype=np.intp)
     if seen is None:
         seen = np.zeros(n, dtype=bool)
     # repeated seeds only repeat the first layer's reads
     frontier = seeds[~seen[seeds]]
     seen[frontier] = True
-    slot = np.empty(n, dtype=np.int64)
+    slot = np.empty(n, dtype=np.intp)
     layers = 0
     while frontier.size:
         if layers == max_layers:
             return None
         layers += 1
-        nxt = _out_neighbors(offsets, targets, frontier)
-        nxt = nxt[~seen[nxt]]
-        pos = np.arange(nxt.size)
-        slot[nxt] = pos
-        frontier = nxt[slot[nxt] == pos]
-        seen[frontier] = True
+        starts = offsets[frontier]
+        counts = offsets[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        first = starts - ends + counts
+        if ends[-1] <= _CHUNK_EDGES:
+            frontier = _visit(_gather(targets, first, counts, 0), seen, slot)
+        else:
+            frontier = np.concatenate([
+                _visit(_gather(targets, first[a:b], counts[a:b],
+                               ends[a] - counts[a]), seen, slot)
+                for a, b in _row_chunks(np.append(0, ends), frontier.size)])
     return seen
+
+
+def _visit(nodes: np.ndarray, seen: np.ndarray,
+           slot: np.ndarray) -> np.ndarray:
+    """The nodes of `nodes` not in `seen`, each once, now marked seen.
+
+    Duplicates are dropped through the scratch array `slot` instead of a
+    sort: a node is kept where its slot still holds its own position.
+    """
+    nodes = nodes[~seen[nodes]]
+    pos = np.arange(nodes.size)
+    slot[nodes] = pos
+    nodes = nodes[slot[nodes] == pos]
+    seen[nodes] = True
+    return nodes
 
 
 # ---------------------------------------------------------------------------

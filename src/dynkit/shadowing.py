@@ -182,9 +182,9 @@ def splice_pseudo_orbit(map_spec: MapSpec, q, x0, delta: float,
 # shadow search
 # ---------------------------------------------------------------------------
 
-# seeds iterated together; bounds the orbit buffer at
-# _SEED_BLOCK * len(y) * dim floats and the error rows at _SEED_BLOCK *
-# len(y) whatever the size of the seed grid
+# seeds made and iterated together; bounds the seed buffer at
+# 2 * _SEED_BLOCK * dim floats, the orbit buffer at _SEED_BLOCK * len(y) * dim
+# and the error rows at _SEED_BLOCK * len(y) whatever the size of the grid
 _SEED_BLOCK = 1024
 
 # descent probes evaluated together, in the order the descent makes them
@@ -199,6 +199,31 @@ def _tracking_errors(map_spec: MapSpec, seeds: np.ndarray, y: np.ndarray):
     for i, x in enumerate(iterates(map_spec, seeds, y.shape[0] - 1), 1):
         orbit[:, i] = x
     return map_spec.distance(orbit, y)
+
+
+def _seed_offsets(dim: int, m: int, grid_resolution: float, eps: float):
+    """Offsets of the seed grid, `_SEED_BLOCK` rows at a time (the last
+    block may be shorter): the points of the lattice
+    (-m..m)^dim * grid_resolution within eps of 0, in meshgrid "ij" order.
+
+    Each lattice block is made from its flat indices and filtered at once,
+    so the grid is never held whole, and the seeds are regrouped into full
+    blocks, the same blocks as a filter of the whole grid gives.
+    """
+    lattice = (2 * m + 1,) * dim
+    total = math.prod(lattice)
+    pending = np.empty((0, dim))
+    for lo in range(0, total, _SEED_BLOCK):
+        flat = np.arange(lo, min(lo + _SEED_BLOCK, total))
+        offsets = (np.column_stack(np.unravel_index(flat, lattice)) - m) \
+            * grid_resolution
+        pending = np.concatenate(
+            (pending, offsets[np.linalg.norm(offsets, axis=1) <= eps]))
+        while pending.shape[0] >= _SEED_BLOCK:
+            yield pending[:_SEED_BLOCK]
+            pending = pending[_SEED_BLOCK:]
+    if pending.shape[0]:
+        yield pending
 
 
 def _after_probe(step: float, k: int, improved: bool, accepted: bool,
@@ -292,22 +317,17 @@ def shadow_search(map_spec: MapSpec, po: PseudoOrbit, eps: float,
     y = po.points
     dim = map_spec.dim
 
-    m = max(1, int(math.floor(eps / grid_resolution)))
-    offs = np.arange(-m, m + 1) * grid_resolution
-    mesh = np.meshgrid(*([offs] * dim), indexing="ij")
-    offsets = np.stack([a.ravel() for a in mesh], axis=-1)
-    offsets = offsets[np.linalg.norm(offsets, axis=1) <= eps]
-    seeds = map_spec.wrap(y[0] + offsets)
-
     # one seed block at a time, keeping the best row.  A later block wins
     # only by argmin over the pair, so the seed kept is the argmin over all
     # seeds: the first minimum, or the first nan
-    for lo in range(0, seeds.shape[0], _SEED_BLOCK):
-        errors = _tracking_errors(map_spec, seeds[lo:lo + _SEED_BLOCK], y)
+    m = max(1, int(math.floor(eps / grid_resolution)))
+    for k, offsets in enumerate(_seed_offsets(dim, m, grid_resolution, eps)):
+        seeds = map_spec.wrap(y[0] + offsets)
+        errors = _tracking_errors(map_spec, seeds, y)
         worst = errors.max(axis=1)
         i = int(np.argmin(worst))
-        if lo == 0 or np.argmin((best_obj, worst[i])) == 1:
-            best_x = seeds[lo + i].copy()
+        if k == 0 or np.argmin((best_obj, worst[i])) == 1:
+            best_x = seeds[i].copy()
             best_obj = float(worst[i])
             best_trace = errors[i].copy()
 

@@ -421,66 +421,110 @@ class TestSccOracle:
         assert len(calls) == 1
 
 
+def reference_transpose(offsets, targets, n):
+    """The stable-argsort transpose the packed-key sort replaced: sources
+    ascend in CSR order, so a stable sort by target orders the transposed
+    edges by (target, source)."""
+    order = np.argsort(targets, kind="stable")
+    rtarg = np.repeat(np.arange(n), np.diff(offsets))[order]
+    roff = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=n), out=roff[1:])
+    return roff, rtarg
+
+
+def assert_transpose_matches_reference(tg):
+    roff, rtarg = tg.reverse()
+    want_off, want_targ = reference_transpose(tg.offsets, tg.targets,
+                                              tg.n_nodes)
+    assert roff.dtype == np.int64 and rtarg.dtype == np.int32
+    assert roff.tobytes() == want_off.tobytes()
+    assert rtarg.tobytes() == want_targ.astype(np.int32).tobytes()
+
+
+class TestTranspose:
+    """The packed-key transpose and the frontier slices of `reachable`."""
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @settings(max_examples=50, deadline=None)
+    @given(case=csr_graphs())
+    def test_transpose_matches_stable_argsort(self, chunk, case):
+        tg, _ = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
+            assert_transpose_matches_reference(tg)
+
+    @pytest.mark.parametrize("name, params", [
+        ("cat", {}), ("standard", {"K": 0.97}), ("standard", {"K": 1.5})])
+    def test_built_graph_transpose_matches_stable_argsort(self, name, params):
+        grid = torus_grid(6)
+        tg = build_graph(grid, make_map(name, **params), grid.box_diameter)
+        assert tg.targets.dtype == np.int32
+        assert_transpose_matches_reference(tg)
+        assert tg.reverse() is tg.reverse()
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @settings(max_examples=50, deadline=None)
+    @given(csr_graphs(), st.data())
+    def test_sliced_frontiers_match_networkx(self, chunk, case, data):
+        tg, edges = case
+        G = nx.DiGraph(edges)
+        G.add_nodes_from(range(tg.n_nodes))
+        seeds = data.draw(st.sets(st.integers(0, tg.n_nodes - 1), max_size=3))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
+            got = reachable(tg.offsets, tg.targets, sorted(seeds))
+            assert_scc_matches_networkx(tg.offsets, tg.targets, tg.n_nodes,
+                                        edges)
+        assert set(np.flatnonzero(got).tolist()) == \
+            set(seeds).union(*(nx.descendants(G, s) for s in seeds))
+
+
 PARTS = ("core", "up", "down", "apart", "sink")
 
 
-@st.composite
-def planted_graphs(draw, hub_part):
-    """Box graph in the TransitionGraph layout with planted structure.
-
-    32 boxes split into a strongly connected core, an upstream tail that
-    drains into it, a downstream tail it feeds, an unrelated part, and
-    dead boxes with no out-edges; every other box may step to the sink.
-    One hub in `hub_part` (or the sink itself) is joined to its whole
-    part, or the sink to every live box, so it has the largest out-degree
-    x in-degree and the forward-backward pivot lands there.  Returns the
-    graph, its edge list and the node set of each part.
-    """
-    n = 32
-    sink = n
-    sizes = {"core": draw(st.integers(2, 5)), "up": draw(st.integers(1, 5)),
-             "down": draw(st.integers(1, 5)),
-             "apart": draw(st.integers(1, 5)), "dead": draw(st.integers(1, 4))}
-    grow = hub_part if hub_part != "sink" else \
-        draw(st.sampled_from(PARTS[:4]))
-    sizes[grow] += n - sum(sizes.values())
-    perm = draw(st.permutations(range(n)))
-    parts, at = {}, 0
-    for name in ("core", "up", "down", "apart", "dead"):
-        parts[name] = list(perm[at:at + sizes[name]])
-        at += sizes[name]
-    core, up, down, apart, dead = (parts[k] for k in
-                                   ("core", "up", "down", "apart", "dead"))
-    edges = {(sink, sink)}
-    edges |= {(core[i], core[(i + 1) % len(core)]) for i in range(len(core))}
-    edges |= {(up[i], up[i - 1] if i else draw(st.sampled_from(core)))
-              for i in range(len(up))}
-    edges |= {(down[i - 1] if i else draw(st.sampled_from(core)), down[i])
-              for i in range(len(down))}
-    edges |= {(apart[i], apart[(i + 1) % len(apart)])
-              for i in range(len(apart)) if draw(st.booleans())}
-    feeders = down + apart
-    edges |= {(feeders[i % len(feeders)], d) for i, d in enumerate(dead)}
-    # a few extra edges that keep the planted relations
-    allowed = ([(a, b) for a in core for b in core + down]
-               + [(a, b) for a in up for b in up + core]
-               + [(a, b) for a in down for b in down + dead]
-               + [(a, b) for a in apart for b in apart + dead])
-    edges |= set(draw(st.lists(st.sampled_from(allowed), max_size=3)))
-    live = core + up + down + apart
-    if hub_part == "sink":
-        edges |= {(b, sink) for b in live}
-    else:
-        edges |= {(b, sink) for b in draw(st.lists(st.sampled_from(live),
-                                                   max_size=3))}
-        members = parts[hub_part]
-        hub = draw(st.sampled_from(members))
-        edges |= {(hub, b) for b in members} | {(b, hub) for b in members}
-    edges = sorted(edges)
+def csr_from_edges(edges, n):
+    """(offsets, targets) of an n-node CSR from sorted distinct edges."""
     src = np.array([e[0] for e in edges], dtype=np.int64)
     targets = np.array([e[1] for e in edges], dtype=np.int64)
-    offsets = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n + 1), out=offsets[1:])
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets, targets
+
+
+def planted_graph(hub_part):
+    """Box graph in the TransitionGraph layout with planted structure.
+
+    32 boxes, shuffled by a fixed permutation, split into a ring core, an
+    upstream tail that drains into it, a downstream tail it feeds, an
+    unrelated ring, and dead boxes with no out-edges.  One hub in
+    `hub_part` is joined both ways to its whole part, or every live box
+    steps to the sink, so the forward-backward pivot lands there.  Returns
+    the graph, its edge list and the node set of each part.
+    """
+    n = sink = 32
+    sizes = {"core": 4, "up": 3, "down": 3, "apart": 3, "dead": 2}
+    sizes["core" if hub_part == "sink" else hub_part] += n - sum(sizes.values())
+    perm = np.random.default_rng(12).permutation(n).tolist()
+    parts, at = {}, 0
+    for name, size in sizes.items():
+        parts[name] = perm[at:at + size]
+        at += size
+    core, up, down, apart, dead = parts.values()
+    edges = {(sink, sink), (down[-1], dead[0]), (apart[0], dead[1])}
+    edges |= {(core[i], core[(i + 1) % len(core)]) for i in range(len(core))}
+    edges |= {(apart[i], apart[(i + 1) % len(apart)])
+              for i in range(len(apart))}
+    edges |= {(a, b) for a, b in zip(up[1:], up)} | {(up[0], core[0])}
+    edges |= {(a, b) for a, b in zip(down, down[1:])} | {(core[-1], down[0])}
+    if hub_part == "sink":
+        edges |= {(b, sink) for b in core + up + down + apart}
+    else:
+        hub = parts[hub_part][1]
+        edges |= {(hub, b) for b in parts[hub_part]}
+        edges |= {(b, hub) for b in parts[hub_part]}
+        edges |= {(up[-1], sink), (down[-1], sink)}
+    edges = sorted(edges)
+    offsets, targets = csr_from_edges(edges, n + 1)
     grid = Grid(Domain((0.0,), (1.0,), (False,)), (5,))
     parts["sink"] = [sink]
     tg = TransitionGraph(grid, None, 0.0, offsets, targets, 0.0)
@@ -503,29 +547,71 @@ def assert_scc_matches_networkx(offsets, targets, n, edges):
     return labels
 
 
+@pytest.fixture
+def tarjan_visits(monkeypatch):
+    """List that collects every node the Tarjan pass labels."""
+    visits = []
+    real = chain_graph._tarjan
+
+    def counted(off, tgt, roots, index, labels, n_comp):
+        before = [i < 0 for i in index]
+        out = real(off, tgt, roots, index, labels, n_comp)
+        visits.extend(v for v, new in enumerate(before) if new and index[v] >= 0)
+        return out
+
+    monkeypatch.setattr(chain_graph, "_tarjan", counted)
+    return visits
+
+
 class TestPlantedScc:
     """The forward-backward pivot in each planted part, against networkx."""
 
     @pytest.mark.parametrize("hub_part", PARTS)
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_partition_and_order_match_networkx(self, hub_part, data):
-        tg, edges, parts = data.draw(planted_graphs(hub_part))
+    def test_partition_and_order_match_networkx(self, hub_part,
+                                                tarjan_visits):
+        tg, edges, parts = planted_graph(hub_part)
         score = np.diff(tg.offsets) * np.bincount(tg.targets,
                                                   minlength=tg.n_nodes)
-        assert int(np.argmax(score)) in parts[hub_part]
+        pivot = int(np.argmax(score))
+        assert pivot in parts[hub_part]
         labels = assert_scc_matches_networkx(tg.offsets, tg.targets,
                                              tg.n_nodes, edges)
         assert len(set(labels[parts["core"]].tolist())) == 1
+        # the pivot's component is left out of the Tarjan pass
+        assert sorted(tarjan_visits) == \
+            np.flatnonzero(labels != labels[pivot]).tolist()
+
+    def test_deep_ring_finishes_in_the_forward_backward_step(self,
+                                                             tarjan_visits):
+        """A ring of 48 layers of 10 boxes, each layer joined to the next:
+        both searches from the pivot need 48 layers, more than the old
+        fixed cap of 32 but fewer than the one priced for its 4802 edges,
+        so Tarjan only sees the box upstream and the dead box."""
+        depth, width = 48, 10
+        m = depth * width
+        up, dead = m, m + 1
+        edges = {(a, (a // width + 1) % depth * width + k)
+                 for a in range(m) for k in range(width)}
+        edges = sorted(edges | {(up, 15), (7, dead)})
+        n = m + 2
+        offsets, targets = csr_from_edges(edges, n)
+        assert int(np.argmax(np.diff(offsets) * np.bincount(
+            targets, minlength=n))) == 7
+        cap = chain_graph._fb_max_layers(targets.size)
+        assert cap > depth
+        assert reachable(offsets, targets, [7], max_layers=32) is None
+        labels = assert_scc_matches_networkx(offsets, targets, n, edges)
+        assert len(set(labels[:m].tolist())) == 1
+        assert sorted(tarjan_visits) == [up, dead]
 
     @pytest.mark.parametrize("side", ["forward", "backward"])
-    def test_long_search_falls_back_to_tarjan(self, side):
-        """A pivot search past the pass cap leaves the whole graph to
-        Tarjan.  A ring of 3 x cap nodes and a hub form one component;
-        the forward case reaches the ring from the hub one node per
-        layer, the backward case reaches the hub back along the ring."""
-        cap = chain_graph._FB_MAX_PASSES
-        m = 3 * cap
+    def test_long_search_falls_back_to_tarjan(self, side, tarjan_visits):
+        """A pivot search past the layer cap leaves the whole graph to
+        Tarjan.  A ring of 3 x 32 nodes and a hub form one component, few
+        edges for its depth; the forward case reaches the ring from the
+        hub one node per layer, the backward case reaches the hub back
+        along the ring."""
+        m = 3 * chain_graph._fb_max_layers(0)
         hub, dead, up = m, m + 1, m + 2
         if side == "forward":
             edges = ({(i, i + 1) for i in range(m - 1)} | {(m - 1, 0)}
@@ -535,20 +621,21 @@ class TestPlantedScc:
                      | {(hub, i) for i in range(m)})
         edges = sorted(edges | {(up, 5), (7, dead)})
         n = m + 3
-        src = np.array([e[0] for e in edges], dtype=np.int64)
-        targets = np.array([e[1] for e in edges], dtype=np.int64)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        offsets, targets = csr_from_edges(edges, n)
         score = np.diff(offsets) * np.bincount(targets, minlength=n)
         assert int(np.argmax(score)) == hub
+        cap = chain_graph._fb_max_layers(targets.size)
+        assert m > cap
         fwd = reachable(offsets, targets, [hub], max_layers=cap)
         if side == "forward":
             assert fwd is None
         else:
-            assert chain_graph._reaching_within(offsets, targets, hub,
-                                                fwd) is None
+            roff, rtarg = chain_graph._transpose(offsets, targets, n)
+            assert reachable(roff, rtarg, [hub], max_layers=cap,
+                             seen=~fwd) is None
         labels = assert_scc_matches_networkx(offsets, targets, n, edges)
         assert len(set(labels[:hub + 1].tolist())) == 1
+        assert sorted(tarjan_visits) == list(range(n))
 
 
 def _same_chain(a, b):
@@ -712,7 +799,7 @@ class TestEdgeLayout:
             mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
             got = chain_graph._materialize_edges(grid, ilo, ihi, escapes,
                                                  empty, grid.nboxes)
-        assert got[1].dtype == np.int64
+        assert got[1].dtype == np.int32
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 

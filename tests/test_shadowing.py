@@ -362,6 +362,37 @@ class TestBatchedDescentOracle:
             tracemalloc.stop()
         assert peak < 40e6, peak
 
+    @pytest.mark.parametrize("seed_block", [1, 3, 1024])
+    @pytest.mark.parametrize("dim, m, eps", [
+        (1, 5, 4.5e-3), (2, 10, 1e-2), (2, 33, 2.5e-2), (3, 6, 5e-3)])
+    def test_seed_offsets_are_the_filtered_grid_in_blocks(
+            self, monkeypatch, seed_block, dim, m, eps):
+        # the whole-grid construction the lazy blocks replaced
+        res = 1e-3
+        offs = np.arange(-m, m + 1) * res
+        mesh = np.meshgrid(*([offs] * dim), indexing="ij")
+        want = np.stack([a.ravel() for a in mesh], axis=-1)
+        want = want[np.linalg.norm(want, axis=1) <= eps]
+        monkeypatch.setattr(shadowing, "_SEED_BLOCK", seed_block)
+        blocks = list(shadowing._seed_offsets(dim, m, res, eps))
+        assert [b.shape[0] for b in blocks[:-1]] == \
+            [seed_block] * (len(blocks) - 1)
+        assert 0 < blocks[-1].shape[0] <= seed_block
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+
+    def test_seed_grid_is_not_held_whole(self):
+        # eps / resolution = 500: 1 M lattice points, 785 k seeds; the
+        # whole grid took about 65 MB of float64 arrays
+        tracemalloc.start()
+        try:
+            count = sum(b.shape[0] for b in
+                        shadowing._seed_offsets(2, 500, 2e-5, 1e-2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 785349
+        assert peak < 1e6, peak
+
 
 class TestLinearStableCheck:
     def test_unstable_component_diverges(self):
