@@ -233,7 +233,8 @@ def _cover_ranges(grid: Grid, lo_f: np.ndarray, hi_f: np.ndarray):
     touches a box boundary.  A periodic range that spans its axis becomes
     the whole axis.  On non-periodic axes the ranges are clamped,
     `escapes` marks rows whose rectangle leaves the window and `empty`
-    those with nothing inside it.
+    those with nothing inside it.  Indices stay floats until they are
+    clamped, so a finite rectangle past the int64 range keeps its edges.
     """
     n = lo_f.shape[0]
     ilo = np.empty((n, grid.dim), dtype=np.int64)
@@ -242,8 +243,8 @@ def _cover_ranges(grid: Grid, lo_f: np.ndarray, hi_f: np.ndarray):
     empty = np.zeros(n, dtype=bool)
     # per axis: numpy broadcasts a row of per-axis constants slowly
     for ax, (lower, size) in enumerate(zip(grid.domain.lower, grid.shape)):
-        lo = np.floor((lo_f[:, ax] - lower) / grid.h[ax]).astype(np.int64)
-        hi = (np.ceil((hi_f[:, ax] - lower) / grid.h[ax]) - 1).astype(np.int64)
+        lo = np.floor((lo_f[:, ax] - lower) / grid.h[ax])
+        hi = np.ceil((hi_f[:, ax] - lower) / grid.h[ax]) - 1
         hi = np.maximum(hi, lo)  # the top face is open
         if grid.domain.periodic[ax]:
             full = hi - lo >= size - 1
@@ -373,6 +374,9 @@ def build_graph(grid: Grid, map_spec: MapSpec, eps: float,
         w = spread + eps
     lo_f = images - w
     hi_f = images + w
+    if not (np.isfinite(lo_f).all() and np.isfinite(hi_f).all()):
+        raise ValueError(f"map {map_spec.name!r} has a non-finite image "
+                         f"rectangle on this grid")
     ilo, ihi, escapes, empty = _cover_ranges(grid, lo_f, hi_f)
     offsets, targets = _materialize_edges(grid, ilo, ihi, escapes, empty,
                                           sink=grid.nboxes)

@@ -250,14 +250,18 @@ def build_map(cfg: dict) -> MapSpec:
     name = mp["name"]
     try:
         if name == "poly":
-            dim = int(mp.get("dimension", mp.get("dim", 0)))
-            if dim < 1:
+            key = "dimension" if "dimension" in mp else "dim"
+            if key not in mp:
                 raise ConfigError("polynomial map needs 'dimension'")
+            unread = set(mp) - {"name", "components", key}
+            if unread:
+                raise ConfigError(f"map 'poly' does not read {sorted(unread)}")
+            dim = _COUNT(mp[key], f"map.{key}")
             window = None
             if cfg["grid"] is not None:
                 window = (cfg["grid"]["lower"], cfg["grid"]["upper"])
             return polynomial_map(mp["components"], dim, window=window)
-        params = {k: v for k, v in mp.items() if k not in ("name", "dimension")}
+        params = {k: v for k, v in mp.items() if k != "name"}
         return make_map(name, **params)
     except ConfigError:
         raise
@@ -289,17 +293,22 @@ def _map_and_grid(name: str, cfg: dict) -> tuple[MapSpec, Grid | None]:
     return map_spec, grid
 
 
-def _build_graph(cfg: dict, map_spec: MapSpec, grid: Grid,
-                 blocks: bool) -> cg.TransitionGraph:
-    """The configured transition graph; `blocks` marks a run that looks for
-    attractor blocks, which need the fattening of a graph with eps > 0."""
-    eps = resolve_eps(cfg, grid)
+def _build_graph(cfg: dict, map_spec: MapSpec, grid: Grid, blocks: bool,
+                 eps_fn=None) -> cg.TransitionGraph:
+    """The configured transition graph, or with `eps_fn` the eps = 0 graph
+    fattened by it; `blocks` marks a run that looks for attractor blocks,
+    which need the fattening of a graph with eps > 0.  A graph the build
+    refuses (non-finite image rectangles) is a config error."""
+    eps = 0.0 if eps_fn is not None else resolve_eps(cfg, grid)
     if blocks and eps == 0:
         raise ConfigError("attractor blocks need a graph built with eps > 0")
     if grid.nboxes > cg.MAX_NBOXES:
         raise ConfigError(f"grid has {grid.nboxes} boxes; the transition "
                           f"graph holds at most {cg.MAX_NBOXES}")
-    return cg.build_graph(grid, map_spec, eps)
+    try:
+        return cg.build_graph(grid, map_spec, eps, eps_fn=eps_fn)
+    except ValueError as e:
+        raise ConfigError(f"cannot build the transition graph: {e}") from e
 
 
 def resolve_eps(cfg: dict, grid: Grid) -> float:
@@ -341,6 +350,13 @@ def write_report(out_dir: Path, subcommand: str, cfg: dict, results: dict,
     (out_dir / "timings.json").write_text(
         json.dumps({"wall_s": wall_s}, indent=2) + "\n")
     return path
+
+
+def _plot(out_dir: Path, name: str, layers: list, grid: Grid) -> str:
+    """Write `layers` over the grid's window to out_dir/name; returns name."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    emit_plot(layers, out_dir / name, grid.domain.lower, grid.domain.upper)
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +401,8 @@ def run_cr(cfg, exp, out_dir, tg):
     }
     artifacts = []
     if grid.dim == 2:
-        svg = out_dir / "chain_recurrent.svg"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        emit_plot([{"kind": "boxset", "data": crset}], svg,
-                  grid.domain.lower, grid.domain.upper)
-        artifacts.append(svg.name)
+        artifacts.append(_plot(out_dir, "chain_recurrent.svg",
+                               [{"kind": "boxset", "data": crset}], grid))
     return results, artifacts, 0
 
 
@@ -435,14 +448,11 @@ def run_attractors(cfg, exp, out_dir, tg):
     }
     artifacts = []
     if grid.dim == 2 and records:
-        svg = out_dir / "attractors.svg"
-        out_dir.mkdir(parents=True, exist_ok=True)
         layers = []
         for i, r in enumerate(records[:4]):
             layers.append({"kind": "boxset", "data": r.basin, "color": 7})
             layers.append({"kind": "boxset", "data": r.attractor, "color": i})
-        emit_plot(layers, svg, grid.domain.lower, grid.domain.upper)
-        artifacts.append(svg.name)
+        artifacts.append(_plot(out_dir, "attractors.svg", layers, grid))
     return results, artifacts, 0
 
 
@@ -476,7 +486,7 @@ def run_strong_cr(cfg, exp, out_dir, map_spec, grid):
     tg = None  # one graph for every point that is not fixed within eps
     for p in pts:
         if tg is None and cg.fixed_point_chain(map_spec, p, eps_fn) is None:
-            tg = cg.build_graph(grid, map_spec, 0.0, eps_fn=eps_fn)
+            tg = _build_graph(cfg, map_spec, grid, False, eps_fn)
         chain = cg.strong_chain_search(map_spec, p, eps_fn, grid,
                                        max_len=exp["max_len"], tg=tg)
         found_any |= chain is not None
@@ -580,11 +590,10 @@ def run_manifolds(cfg, exp, out_dir, map_spec, grid):
                    for i, p in enumerate(poly.vertices)))
         artifacts.append(csv.name)
     if map_spec.dim == 2:
-        svg = out_dir / "manifolds.svg"
-        emit_plot([{"kind": "polyline", "data": Wu.vertices, "color": 1},
-                   {"kind": "polyline", "data": Ws.vertices, "color": 0}],
-                  svg, grid.domain.lower, grid.domain.upper)
-        artifacts.append(svg.name)
+        artifacts.append(_plot(
+            out_dir, "manifolds.svg",
+            [{"kind": "polyline", "data": Wu.vertices, "color": 1},
+             {"kind": "polyline", "data": Ws.vertices, "color": 0}], grid))
     results = {
         "n_periodic_points": len(all_points),
         "anchor": hp.point,
@@ -612,15 +621,13 @@ def run_homoclinic(cfg, exp, out_dir, map_spec, grid):
                for i, h in enumerate(hits)))
     artifacts = [csv.name]
     if map_spec.dim == 2:
-        svg = out_dir / "homoclinic.svg"
         layers = [{"kind": "polyline", "data": Wu.vertices, "color": 1},
                   {"kind": "polyline", "data": Ws.vertices, "color": 0}]
         if hits:
             layers.append({"kind": "cloud",
                            "data": np.asarray([h.point for h in hits]),
                            "color": 4})
-        emit_plot(layers, svg, grid.domain.lower, grid.domain.upper)
-        artifacts.append(svg.name)
+        artifacts.append(_plot(out_dir, "homoclinic.svg", layers, grid))
     results = {
         "anchor": hp.point,
         "arclength": exp["arclength"],

@@ -8,6 +8,7 @@ the lower one.  Dimension is capped at 3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,8 @@ class Domain:
             raise ValueError(f"dimension must be in [1, {MAX_DIM}]")
         if any(a >= b for a, b in zip(lo, hi)):
             raise ValueError("need lower[i] < upper[i] on every axis")
+        if not all(math.isfinite(b - a) for a, b in zip(lo, hi)):
+            raise ValueError("need a finite width on every axis")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         object.__setattr__(self, "periodic", per)

@@ -12,7 +12,10 @@ per axis.
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -41,7 +44,10 @@ class MapSpec:
     `polynomial_map` carries one.  `periods` marks an intrinsic torus: every
     period is 1.0 and images are wrapped into [0, 1) per axis.  `lipschitz`
     bounds the operator norm of the Jacobian; `jac_abs_bound` bounds each
-    Jacobian entry over an axis-aligned rectangle batch.
+    Jacobian entry over an axis-aligned rectangle batch.  The affine
+    registry maps are rows of `_AFFINE`, made by `_affine` with a constant
+    `jac_abs_bound`; a `poly` map's `forward`, `jac` and `jac_abs_bound`
+    are all `_monomial_sums` of its term tables.
     """
 
     name: str
@@ -118,26 +124,6 @@ def _const_abs_bound(M: np.ndarray) -> Callable:
     return bound
 
 
-def _cat() -> MapSpec:
-    A = np.array([[2.0, 1.0], [1.0, 1.0]])
-    Ainv = np.array([[1.0, -1.0], [-1.0, 2.0]])
-
-    def fwd(p):
-        return wrap_unit(np.asarray(p, dtype=float) @ A.T)
-
-    def inv(p):
-        return wrap_unit(np.asarray(p, dtype=float) @ Ainv.T)
-
-    def jac(p):
-        p = np.atleast_2d(p)
-        return np.broadcast_to(A, (p.shape[0], 2, 2)).copy()
-
-    # symmetric matrix: operator norm = largest eigenvalue (3 + sqrt 5)/2
-    lip = (3.0 + math.sqrt(5.0)) / 2.0
-    return MapSpec("cat", 2, {}, fwd, inv, jac, lip,
-                   jac_abs_bound=_const_abs_bound(A), periods=(1.0, 1.0))
-
-
 def _standard(K: float) -> MapSpec:
     c = K / (2.0 * math.pi)
 
@@ -174,222 +160,161 @@ def _standard(K: float) -> MapSpec:
                    jac_abs_bound=bound, periods=(1.0, 1.0))
 
 
-def _translation() -> MapSpec:
-    shift = np.array([1.0, 0.0])
+def _finite_real(v) -> bool:
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _natural(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+
+
+def _affine(name, matrix, shift, torus, lip, params) -> MapSpec:
+    """x -> A x + shift (no add for a shift of None), wrapped into [0, 1)
+    per axis if `torus`.  A diagonal A acts as x * d and x / d, with d a
+    scalar if constant (a 0-d circle point stays 0-d); any other A is
+    unimodular and acts as x @ A.T, and its integer inverse likewise."""
+    A = np.asarray(matrix, dtype=float)
+    dim = A.shape[0]
+    d = AT = AinvT = None
+    if np.array_equal(A, np.diag(A.diagonal())):
+        d = A.diagonal().copy()
+        d = d[0] if np.all(d == d[0]) else d
+    else:
+        Ainv = np.rint(np.linalg.inv(A))
+        assert np.array_equal(A @ Ainv, np.eye(dim)), name
+        AT, AinvT = A.T, Ainv.T
 
     def fwd(p):
-        return np.asarray(p, dtype=float) + shift
+        y = np.asarray(p, dtype=float)
+        y = y * d if AT is None else y @ AT
+        if shift is not None:
+            y = y + shift
+        return wrap_unit(y) if torus else y
 
     def inv(p):
-        return np.asarray(p, dtype=float) - shift
+        y = np.asarray(p, dtype=float)
+        if shift is not None:
+            y = y - shift
+        y = y / d if AT is None else y @ AinvT
+        return wrap_unit(y) if torus else y
 
     def jac(p):
         p = np.atleast_2d(p)
-        return np.broadcast_to(np.eye(2), (p.shape[0], 2, 2)).copy()
+        return np.broadcast_to(A, (p.shape[0], dim, dim)).copy()
 
-    return MapSpec("translation", 2, {}, fwd, inv, jac, 1.0,
-                   jac_abs_bound=_const_abs_bound(np.eye(2)))
-
-
-def _linear(a: float, b: float) -> MapSpec:
-    d = np.array([float(a), float(b)])
-
-    def fwd(p):
-        return np.asarray(p, dtype=float) * d
-
-    def inv(p):
-        return np.asarray(p, dtype=float) / d
-
-    def jac(p):
-        p = np.atleast_2d(p)
-        return np.broadcast_to(np.diag(d), (p.shape[0], 2, 2)).copy()
-
-    return MapSpec("linear", 2, {"a": float(a), "b": float(b)},
-                   fwd, inv if a != 0 and b != 0 else None, jac,
-                   max(abs(a), abs(b)),
-                   jac_abs_bound=_const_abs_bound(np.diag(d)))
+    invertible = AT is not None or np.all(d != 0)
+    return MapSpec(name, dim, params, fwd, inv if invertible else None, jac,
+                   lip, jac_abs_bound=_const_abs_bound(A),
+                   periods=(1.0,) * dim if torus else None)
 
 
-def _contraction(c: float, dim: int) -> MapSpec:
+def _contraction(c, dim):
     if not 0.0 < c < 1.0:
         raise ValueError("contraction factor must satisfy 0 < c < 1")
-
-    def fwd(p):
-        return np.asarray(p, dtype=float) * c
-
-    def inv(p):
-        return np.asarray(p, dtype=float) / c
-
-    def jac(p):
-        p = np.atleast_2d(p)
-        return np.broadcast_to(c * np.eye(dim), (p.shape[0], dim, dim)).copy()
-
-    return MapSpec("contraction", dim, {"c": float(c), "dim": dim},
-                   fwd, inv, jac, float(c),
-                   jac_abs_bound=_const_abs_bound(c * np.eye(dim)))
+    return c * np.eye(dim), None, False, float(c), {"c": float(c), "dim": dim}
 
 
-def _rotation(alpha: float) -> MapSpec:
-    def fwd(p):
-        return wrap_unit(np.asarray(p, dtype=float) + alpha)
-
-    def inv(p):
-        return wrap_unit(np.asarray(p, dtype=float) - alpha)
-
-    def jac(p):
-        p = np.atleast_2d(p)
-        return np.ones((p.shape[0], 1, 1))
-
-    return MapSpec("rotation", 1, {"alpha": float(alpha)}, fwd, inv, jac, 1.0,
-                   jac_abs_bound=_const_abs_bound(np.ones((1, 1))),
-                   periods=(1.0,))
-
-
-def _shear() -> MapSpec:
-    S = np.array([[1.0, 1.0], [0.0, 1.0]])
-    Sinv = np.array([[1.0, -1.0], [0.0, 1.0]])
-
-    def fwd(p):
-        return np.asarray(p, dtype=float) @ S.T
-
-    def inv(p):
-        return np.asarray(p, dtype=float) @ Sinv.T
-
-    def jac(p):
-        p = np.atleast_2d(p)
-        return np.broadcast_to(S, (p.shape[0], 2, 2)).copy()
-
-    # operator norm of [[1,1],[0,1]] is the golden ratio
-    lip = (1.0 + math.sqrt(5.0)) / 2.0
-    return MapSpec("shear", 2, {}, fwd, inv, jac, lip,
-                   jac_abs_bound=_const_abs_bound(S))
-
-
-_REGISTRY = {
-    "cat": _cat,
-    "standard": _standard,
-    "translation": _translation,
-    "linear": _linear,
+# name -> row(**params) = (matrix, shift, torus, lipschitz, params); cat's
+# symmetric matrix has norm (3 + sqrt 5)/2, the shear's the golden ratio
+_AFFINE = {
+    "cat": lambda: ([[2, 1], [1, 1]], None, True, (3.0 + math.sqrt(5.0)) / 2.0, {}),
+    "translation": lambda: (np.eye(2), np.array([1.0, 0.0]), False, 1.0, {}),
+    "linear": lambda a, b: (np.diag([float(a), float(b)]), None, False,
+                            max(abs(a), abs(b)), {"a": float(a), "b": float(b)}),
     "contraction": _contraction,
-    "rotation": _rotation,
-    "shear": _shear,
+    "rotation": lambda alpha: ([[1.0]], alpha, True, 1.0, {"alpha": float(alpha)}),
+    "shear": lambda: ([[1, 1], [0, 1]], None, False, (1.0 + math.sqrt(5.0)) / 2.0, {}),
 }
 
 
 def make_map(name: str, **params) -> MapSpec:
-    """Instantiate a registry map by name."""
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown map {name!r}; registry: {sorted(_REGISTRY)}")
-    return _REGISTRY[name](**params)
+    """Instantiate a registry map by name.  A parameter that is not a
+    finite real, or a `dim` that is not an int >= 1, raises ValueError."""
+    if name != "standard" and name not in _AFFINE:
+        raise KeyError(f"unknown map {name!r}; registry: "
+                       f"{sorted({*_AFFINE, 'standard'})}")
+    factory = _standard if name == "standard" else _AFFINE[name]
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as e:
+        raise TypeError(f"map {name!r}: {e}") from None
+    for key, v in params.items():
+        if not (_finite_real(v) and (key != "dim" or _natural(v) and v >= 1)):
+            what = "an integer >= 1" if key == "dim" else "a finite number"
+            raise ValueError(f"map parameter {key} must be {what}, got {v!r}")
+    if name == "standard":
+        return _standard(**params)
+    return _affine(name, *factory(**params))
 
 
 MAX_POLY_DEGREE = 4
+
+
+def _monomial_sums(rows, x: np.ndarray) -> np.ndarray:
+    """(n, len(rows)) array: column k sums c * prod_a x[:, a] ** e[a] over
+    the (c, e) of rows[k], term by term onto zeros, each term built axis
+    by axis with Python-int exponents."""
+    out = np.empty((x.shape[0], len(rows)))
+    for k, terms in enumerate(rows):
+        acc = np.zeros(x.shape[0])
+        for c, e in terms:
+            term = np.full(x.shape[0], c)
+            for a, ea in enumerate(e):
+                if ea:
+                    term = term * x[:, a] ** ea
+            acc += term
+        out[:, k] = acc
+    return out
+
+
+def _poly_term(t, dim: int):
+    """(c, e) of a term that is exactly {"c": finite real, "e": [dim ints >= 0]}."""
+    e = t["e"] if isinstance(t, dict) and set(t) == {"c", "e"} else None
+    if not (isinstance(e, list) and len(e) == dim and all(map(_natural, e))
+            and _finite_real(t["c"])):
+        raise ValueError(f"bad polynomial term {t!r}: need exactly "
+                         f"{{'c': finite number, 'e': {dim} integers >= 0}}")
+    if sum(e) > MAX_POLY_DEGREE:
+        raise ValueError(f"polynomial degree capped at {MAX_POLY_DEGREE}")
+    return float(t["c"]), tuple(int(x) for x in e)
 
 
 def polynomial_map(components, dim: int, window=None, name: str = "poly") -> MapSpec:
     """Map whose components are polynomials given as term lists.
 
     `components[r]` is a list of terms {"c": coeff, "e": [e_0, ..., e_{dim-1}]}
-    with total degree <= 4.  If `window` (lower, upper) is given, a global
-    Lipschitz bound over it is derived from coefficient magnitudes; local
-    bounds per rectangle come the same way.
+    with total degree <= 4; any other term raises ValueError.  The image,
+    the Jacobian and `jac_abs_bound` are `_monomial_sums` of the terms, of
+    their partial derivatives, and of those with |c| at max(|lo|, |hi|).
+    With a `window` (lower, upper), `lipschitz` is the Frobenius norm of
+    the window's `jac_abs_bound`.
     """
-    if len(components) != dim:
-        raise ValueError("need one component per dimension")
-    comps = []
-    for terms in components:
-        parsed = []
-        for t in terms:
-            e = tuple(int(x) for x in t["e"])
-            if len(e) != dim or any(x < 0 for x in e):
-                raise ValueError("bad exponent tuple")
-            if sum(e) > MAX_POLY_DEGREE:
-                raise ValueError(f"polynomial degree capped at {MAX_POLY_DEGREE}")
-            parsed.append((float(t["c"]), e))
-        comps.append(parsed)
+    if len(components) != dim or not all(isinstance(t, list) for t in components):
+        raise ValueError("need one list of terms per dimension")
+    comps = [[_poly_term(t, dim) for t in terms] for terms in components]
+    # d/dx_a of c * prod x^e, for (r, a) in row-major order
+    dcomps = [[(c * e[a], e[:a] + (e[a] - 1,) + e[a + 1:]) for c, e in terms if e[a]]
+              for terms in comps for a in range(dim)]
+    abs_dcomps = [[(abs(c), e) for c, e in terms] for terms in dcomps]
 
     def fwd(p):
         p = np.asarray(p, dtype=float)
-        scalar = p.ndim == 1
-        q = np.atleast_2d(p)
-        out = np.zeros_like(q)
-        for r, terms in enumerate(comps):
-            acc = np.zeros(q.shape[0])
-            for c, e in terms:
-                term = np.full(q.shape[0], c)
-                for a, ea in enumerate(e):
-                    if ea:
-                        term = term * q[:, a] ** ea
-                acc += term
-            out[:, r] = acc
-        return out[0] if scalar else out
-
-    # d/dx_a of c * prod x^e
-    dcomps = []
-    for terms in comps:
-        row = []
-        for a in range(dim):
-            dterms = []
-            for c, e in terms:
-                if e[a] > 0:
-                    de = list(e)
-                    de[a] -= 1
-                    dterms.append((c * e[a], tuple(de)))
-            row.append(dterms)
-        dcomps.append(row)
+        out = _monomial_sums(comps, np.atleast_2d(p))
+        return out[0] if p.ndim == 1 else out
 
     def jac(p):
         q = np.atleast_2d(np.asarray(p, dtype=float))
-        J = np.zeros((q.shape[0], dim, dim))
-        for r in range(dim):
-            for a in range(dim):
-                acc = np.zeros(q.shape[0])
-                for c, e in dcomps[r][a]:
-                    term = np.full(q.shape[0], c)
-                    for ax, ea in enumerate(e):
-                        if ea:
-                            term = term * q[:, ax] ** ea
-                    acc += term
-                J[:, r, a] = acc
-        return J
-
-    def jac_entry_bound(r, a, absmax):
-        """Sound bound for |J_ra| when |x_ax| <= absmax[..., ax]."""
-        acc = 0.0
-        for c, e in dcomps[r][a]:
-            term = abs(c) * np.ones(absmax.shape[0]) if absmax.ndim == 2 else abs(c)
-            for ax, ea in enumerate(e):
-                if ea:
-                    term = term * absmax[..., ax] ** ea
-            acc = acc + term
-        return acc
-
-    def local_lip(lo, hi):
-        """Frobenius-norm bound of the Jacobian over rectangles [lo, hi]."""
-        lo = np.atleast_2d(np.asarray(lo, dtype=float))
-        hi = np.atleast_2d(np.asarray(hi, dtype=float))
-        absmax = np.maximum(np.abs(lo), np.abs(hi))
-        total = np.zeros(absmax.shape[0])
-        for r in range(dim):
-            for a in range(dim):
-                total += np.asarray(jac_entry_bound(r, a, absmax)) ** 2
-        return np.sqrt(total)
-
-    lip = None
-    if window is not None:
-        lo, hi = (np.asarray(window[0], dtype=float), np.asarray(window[1], dtype=float))
-        lip = float(local_lip(lo[None, :], hi[None, :])[0])
+        return _monomial_sums(dcomps, q).reshape(-1, dim, dim)
 
     def jac_bound(lo, hi):
-        lo = np.atleast_2d(np.asarray(lo, dtype=float))
-        hi = np.atleast_2d(np.asarray(hi, dtype=float))
-        absmax = np.maximum(np.abs(lo), np.abs(hi))
-        B = np.empty((absmax.shape[0], dim, dim))
-        for r in range(dim):
-            for a in range(dim):
-                B[:, r, a] = jac_entry_bound(r, a, absmax)
-        return B
+        absmax = np.atleast_2d(np.maximum(np.abs(np.asarray(lo, dtype=float)),
+                                          np.abs(np.asarray(hi, dtype=float))))
+        return _monomial_sums(abs_dcomps, absmax).reshape(-1, dim, dim)
 
+    # cumsum adds the squares in (r, a) order, from the first
+    lip = None if window is None else \
+        float(np.sqrt(np.cumsum(jac_bound(*window)[0] ** 2)[-1]))
     return MapSpec(name, dim, {"components": components}, fwd, None, jac,
                    lip, jac_abs_bound=jac_bound)
 

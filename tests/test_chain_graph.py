@@ -1,6 +1,8 @@
 """Transition graphs, chain recurrence, chain components, chains and
 nonwandering probes, checked against brute-force graph oracles."""
 
+import time
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -104,6 +106,24 @@ class TestBuildGraph:
             center, _ = g.box_geometry(b)
             if center[0] >= 3.0:
                 assert list(tg.out(b)) == [tg.sink]
+
+    def test_non_finite_image_rectangle_refused(self):
+        g = Grid(Domain((-1e3,), (1e3,), (False,)), (4,))
+        m = polynomial_map([[{"c": 1e308, "e": [3]}]], 1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite image"):
+            build_graph(g, m, 0.0)
+
+    def test_image_past_int64_box_indices_keeps_its_edges(self):
+        # x -> 1e300 x on [-1, 1], 8 boxes: box 4 = [0, 0.25) maps onto
+        # [0, 2.5e299), which covers boxes 4-7 and leaves the window; its
+        # upper box index, about 1e300, once cast to int64 as garbage
+        g = Grid(Domain((-1.0,), (1.0,), (False,)), (3,))
+        m = polynomial_map([[{"c": 1e300, "e": [1]}]], 1)
+        tg = build_graph(g, m, 0.0)
+        assert list(tg.out(4)) == [4, 5, 6, 7, tg.sink]
+        assert list(tg.out(3)) == [0, 1, 2, 3, tg.sink]
+        assert all(list(tg.out(b)) == [tg.sink] for b in (0, 1, 2, 5, 6, 7))
 
     def test_soundness_random_perturbations(self):
         # 1000 random points per graph: f(x) + u lands in an out-neighbor
@@ -603,6 +623,24 @@ class TestPlantedScc:
         labels = assert_scc_matches_networkx(offsets, targets, n, edges)
         assert len(set(labels[:m].tolist())) == 1
         assert sorted(tarjan_visits) == [up, dead]
+
+    def test_long_chain_of_two_cycles(self):
+        """1024 two-cycles in a line, each feeding the next: 1024
+        components in one long chain.  A forward-backward recursion on the
+        pieces of every split is quadratic here (20.7 s against 3.8 ms for
+        the step and Tarjan, 2-core VM), so this bounds the wall time."""
+        k = 1024
+        edges = sorted({(2 * i, 2 * i + 1) for i in range(k)}
+                       | {(2 * i + 1, 2 * i) for i in range(k)}
+                       | {(2 * i + 1, 2 * i + 2) for i in range(k - 1)})
+        n = 2 * k
+        offsets, targets = csr_from_edges(edges, n)
+        t0 = time.perf_counter()
+        n_comp, _ = strongly_connected_components(offsets, targets, n)
+        assert time.perf_counter() - t0 < 1.0
+        assert n_comp == k
+        labels = assert_scc_matches_networkx(offsets, targets, n, edges)
+        assert labels.tolist() == [k - 1 - v // 2 for v in range(n)]
 
     @pytest.mark.parametrize("side", ["forward", "backward"])
     def test_long_search_falls_back_to_tarjan(self, side, tarjan_visits):

@@ -237,6 +237,67 @@ class TestConfigValidation:
         assert res.exit_code == 2
         assert "config error" in res.output and "boxes" in res.output
 
+    @pytest.mark.parametrize("mp", [
+        {"name": "poly", "dimension": 1, "components": [[{"c": 0.5, "e": [1.5]}]]},
+        {"name": "poly", "dimension": 1, "components": [[{"c": 0.5, "e": [True]}]]},
+        {"name": "poly", "dimension": 1, "components": [[{"c": "0.5", "e": [1]}]]},
+        {"name": "poly", "dimension": 1, "components": [[{"c": True, "e": [1]}]]},
+        {"name": "poly", "dimension": 1,
+         "components": [[{"c": 0.5, "e": [1], "x": 0}]]},
+        {"name": "poly", "dimension": 1,
+         "components": [[{"c": float("nan"), "e": [1]}]]},
+        {"name": "poly", "dimension": "1", "components": [[{"c": 0.5, "e": [1]}]]},
+        {"name": "poly", "dimension": 1.7, "components": [[{"c": 0.5, "e": [1]}]]},
+        {"name": "standard", "K": True}, {"name": "standard", "K": float("nan")},
+        {"name": "linear", "a": float("nan"), "b": 0.5},
+        {"name": "rotation", "alpha": float("inf")},
+        {"name": "contraction", "c": 0.5, "dim": True},
+        {"name": "poly", "dimension": 1, "alpha": "x",
+         "components": [[{"c": 0.5, "e": [1]}]]},
+        {"name": "poly", "dimension": 1, "dim": 2,
+         "components": [[{"c": 0.5, "e": [1]}]]},
+        {"name": "cat", "dimension": 3},
+    ], ids=["e-1.5", "e-true", "c-str", "c-true", "extra-key", "c-nan",
+            "dimension-str", "dimension-1.7", "K-true", "K-nan", "a-nan",
+            "alpha-inf", "dim-true", "poly-alpha", "poly-dim", "cat-dimension"])
+    def test_bad_map_parameter_values_exit_2(self, tmp_path, mp):
+        # each of these but dim-true once ran (exit 0, or 1 on a failed
+        # SVD) on a value read as something else, not finite, or not read
+        dim = 1 if mp["name"] in ("poly", "rotation") else 2
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "map": mp, "out": str(tmp_path / "out"),
+            "grid": {"lower": [0] * dim, "upper": [1] * dim,
+                     "depth": [3] * dim}}))
+        res = run_cli(["cr", "--config", str(path)])
+        assert res.exit_code == 2
+        assert "config error" in res.output and "Traceback" not in res.output
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("sub, mp, grid", [
+        ("cr", {"name": "contraction", "c": 0.5, "dim": 1},
+         {"lower": [-1e308], "upper": [1e308], "depth": [3]}),
+        ("cr", {"name": "poly", "dimension": 1,
+                "components": [[{"c": 1e308, "e": [3]}]]},
+         {"lower": [-1e3], "upper": [1e3], "depth": [4]}),
+        ("strong-cr", {"name": "poly", "dimension": 1,
+                       "components": [[{"c": 1e308, "e": [3]}]]},
+         {"lower": [-1e3], "upper": [1e3], "depth": [4]}),
+    ], ids=["grid-width-inf", "cr-image-inf", "strong-cr-image-inf"])
+    def test_non_finite_window_or_image_exits_2(self, tmp_path, sub, mp, grid):
+        # the first once reported a chain-recurrent fraction of 0.0, the
+        # others ran on after an invalid cast of infinite box indices
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"map": mp, "grid": grid,
+                                    "out": str(tmp_path / "out"),
+                                    "experiment": {"points": [[1.0]]}
+                                    if sub == "strong-cr" else {}}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run_cli([sub, "--config", str(path)])
+        assert res.exit_code == 2
+        assert "config error" in res.output and "finite" in res.output
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_echo_revalidates(self, tmp_path):
         path = cat_config(tmp_path)
         res = run_cli(["cr", "--config", str(path)])

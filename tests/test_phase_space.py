@@ -63,6 +63,12 @@ class TestBoxGeometry:
         center, _ = g.box_geometry(g.box_id((1, 0)))
         assert np.allclose(center, [1.5, 0.25])
 
+    def test_non_finite_width_refused(self):
+        # -1e308 and 1e308 are finite, their distance is not
+        for lo, hi in (((-1e308,), (1e308,)), ((0.0, -1e308), (1.0, 1e308))):
+            with pytest.raises(ValueError, match="finite width"):
+                Domain(lo, hi, (False,) * len(lo))
+
     def test_invalid_id(self):
         g = unit_square()
         with pytest.raises(IndexError):

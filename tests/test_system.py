@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from dynkit._util import min_image, wrap_unit
 from dynkit.system import (
-    InverseUnavailableError, MapSpec, evaluate, finite_difference_jacobian,
-    jacobian, lagrange_probe, make_map, orbit, polynomial_map, volume_check,
+    InverseUnavailableError, MapSpec, _const_abs_bound, evaluate,
+    finite_difference_jacobian, jacobian, lagrange_probe, make_map, orbit,
+    polynomial_map, volume_check,
 )
 
 UNIT = ([0.0, 0.0], [1.0, 1.0])
@@ -344,3 +345,358 @@ class TestReferenceEvaluators:
         img = evaluate(m, p)
         assert np.all((0.0 <= img) & (img < 1.0)), img
         assert img[1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the affine registry maps and polynomial_map against the hand-written
+# factories they replaced, kept here verbatim as references
+# ---------------------------------------------------------------------------
+
+def ref_cat() -> MapSpec:
+    A = np.array([[2.0, 1.0], [1.0, 1.0]])
+    Ainv = np.array([[1.0, -1.0], [-1.0, 2.0]])
+
+    def fwd(p):
+        return wrap_unit(np.asarray(p, dtype=float) @ A.T)
+
+    def inv(p):
+        return wrap_unit(np.asarray(p, dtype=float) @ Ainv.T)
+
+    def jac(p):
+        p = np.atleast_2d(p)
+        return np.broadcast_to(A, (p.shape[0], 2, 2)).copy()
+
+    # symmetric matrix: operator norm = largest eigenvalue (3 + sqrt 5)/2
+    lip = (3.0 + math.sqrt(5.0)) / 2.0
+    return MapSpec("cat", 2, {}, fwd, inv, jac, lip,
+                   jac_abs_bound=_const_abs_bound(A), periods=(1.0, 1.0))
+
+
+def ref_translation() -> MapSpec:
+    shift = np.array([1.0, 0.0])
+
+    def fwd(p):
+        return np.asarray(p, dtype=float) + shift
+
+    def inv(p):
+        return np.asarray(p, dtype=float) - shift
+
+    def jac(p):
+        p = np.atleast_2d(p)
+        return np.broadcast_to(np.eye(2), (p.shape[0], 2, 2)).copy()
+
+    return MapSpec("translation", 2, {}, fwd, inv, jac, 1.0,
+                   jac_abs_bound=_const_abs_bound(np.eye(2)))
+
+
+def ref_linear(a: float, b: float) -> MapSpec:
+    d = np.array([float(a), float(b)])
+
+    def fwd(p):
+        return np.asarray(p, dtype=float) * d
+
+    def inv(p):
+        return np.asarray(p, dtype=float) / d
+
+    def jac(p):
+        p = np.atleast_2d(p)
+        return np.broadcast_to(np.diag(d), (p.shape[0], 2, 2)).copy()
+
+    return MapSpec("linear", 2, {"a": float(a), "b": float(b)},
+                   fwd, inv if a != 0 and b != 0 else None, jac,
+                   max(abs(a), abs(b)),
+                   jac_abs_bound=_const_abs_bound(np.diag(d)))
+
+
+def ref_contraction(c: float, dim: int) -> MapSpec:
+    if not 0.0 < c < 1.0:
+        raise ValueError("contraction factor must satisfy 0 < c < 1")
+
+    def fwd(p):
+        return np.asarray(p, dtype=float) * c
+
+    def inv(p):
+        return np.asarray(p, dtype=float) / c
+
+    def jac(p):
+        p = np.atleast_2d(p)
+        return np.broadcast_to(c * np.eye(dim), (p.shape[0], dim, dim)).copy()
+
+    return MapSpec("contraction", dim, {"c": float(c), "dim": dim},
+                   fwd, inv, jac, float(c),
+                   jac_abs_bound=_const_abs_bound(c * np.eye(dim)))
+
+
+def ref_rotation(alpha: float) -> MapSpec:
+    def fwd(p):
+        return wrap_unit(np.asarray(p, dtype=float) + alpha)
+
+    def inv(p):
+        return wrap_unit(np.asarray(p, dtype=float) - alpha)
+
+    def jac(p):
+        p = np.atleast_2d(p)
+        return np.ones((p.shape[0], 1, 1))
+
+    return MapSpec("rotation", 1, {"alpha": float(alpha)}, fwd, inv, jac, 1.0,
+                   jac_abs_bound=_const_abs_bound(np.ones((1, 1))),
+                   periods=(1.0,))
+
+
+def ref_shear() -> MapSpec:
+    S = np.array([[1.0, 1.0], [0.0, 1.0]])
+    Sinv = np.array([[1.0, -1.0], [0.0, 1.0]])
+
+    def fwd(p):
+        return np.asarray(p, dtype=float) @ S.T
+
+    def inv(p):
+        return np.asarray(p, dtype=float) @ Sinv.T
+
+    def jac(p):
+        p = np.atleast_2d(p)
+        return np.broadcast_to(S, (p.shape[0], 2, 2)).copy()
+
+    # operator norm of [[1,1],[0,1]] is the golden ratio
+    lip = (1.0 + math.sqrt(5.0)) / 2.0
+    return MapSpec("shear", 2, {}, fwd, inv, jac, lip,
+                   jac_abs_bound=_const_abs_bound(S))
+
+
+def ref_polynomial_map(components, dim: int, window=None, name: str = "poly") -> MapSpec:
+    """Map whose components are polynomials given as term lists.
+
+    `components[r]` is a list of terms {"c": coeff, "e": [e_0, ..., e_{dim-1}]}
+    with total degree <= 4.  If `window` (lower, upper) is given, a global
+    Lipschitz bound over it is derived from coefficient magnitudes; local
+    bounds per rectangle come the same way.
+    """
+    if len(components) != dim:
+        raise ValueError("need one component per dimension")
+    comps = []
+    for terms in components:
+        parsed = []
+        for t in terms:
+            e = tuple(int(x) for x in t["e"])
+            if len(e) != dim or any(x < 0 for x in e):
+                raise ValueError("bad exponent tuple")
+            if sum(e) > 4:
+                raise ValueError("polynomial degree capped at 4")
+            parsed.append((float(t["c"]), e))
+        comps.append(parsed)
+
+    def fwd(p):
+        p = np.asarray(p, dtype=float)
+        scalar = p.ndim == 1
+        q = np.atleast_2d(p)
+        out = np.zeros_like(q)
+        for r, terms in enumerate(comps):
+            acc = np.zeros(q.shape[0])
+            for c, e in terms:
+                term = np.full(q.shape[0], c)
+                for a, ea in enumerate(e):
+                    if ea:
+                        term = term * q[:, a] ** ea
+                acc += term
+            out[:, r] = acc
+        return out[0] if scalar else out
+
+    # d/dx_a of c * prod x^e
+    dcomps = []
+    for terms in comps:
+        row = []
+        for a in range(dim):
+            dterms = []
+            for c, e in terms:
+                if e[a] > 0:
+                    de = list(e)
+                    de[a] -= 1
+                    dterms.append((c * e[a], tuple(de)))
+            row.append(dterms)
+        dcomps.append(row)
+
+    def jac(p):
+        q = np.atleast_2d(np.asarray(p, dtype=float))
+        J = np.zeros((q.shape[0], dim, dim))
+        for r in range(dim):
+            for a in range(dim):
+                acc = np.zeros(q.shape[0])
+                for c, e in dcomps[r][a]:
+                    term = np.full(q.shape[0], c)
+                    for ax, ea in enumerate(e):
+                        if ea:
+                            term = term * q[:, ax] ** ea
+                    acc += term
+                J[:, r, a] = acc
+        return J
+
+    def jac_entry_bound(r, a, absmax):
+        """Sound bound for |J_ra| when |x_ax| <= absmax[..., ax]."""
+        acc = 0.0
+        for c, e in dcomps[r][a]:
+            term = abs(c) * np.ones(absmax.shape[0]) if absmax.ndim == 2 else abs(c)
+            for ax, ea in enumerate(e):
+                if ea:
+                    term = term * absmax[..., ax] ** ea
+            acc = acc + term
+        return acc
+
+    def local_lip(lo, hi):
+        """Frobenius-norm bound of the Jacobian over rectangles [lo, hi]."""
+        lo = np.atleast_2d(np.asarray(lo, dtype=float))
+        hi = np.atleast_2d(np.asarray(hi, dtype=float))
+        absmax = np.maximum(np.abs(lo), np.abs(hi))
+        total = np.zeros(absmax.shape[0])
+        for r in range(dim):
+            for a in range(dim):
+                total += np.asarray(jac_entry_bound(r, a, absmax)) ** 2
+        return np.sqrt(total)
+
+    lip = None
+    if window is not None:
+        lo, hi = (np.asarray(window[0], dtype=float), np.asarray(window[1], dtype=float))
+        lip = float(local_lip(lo[None, :], hi[None, :])[0])
+
+    def jac_bound(lo, hi):
+        lo = np.atleast_2d(np.asarray(lo, dtype=float))
+        hi = np.atleast_2d(np.asarray(hi, dtype=float))
+        absmax = np.maximum(np.abs(lo), np.abs(hi))
+        B = np.empty((absmax.shape[0], dim, dim))
+        for r in range(dim):
+            for a in range(dim):
+                B[:, r, a] = jac_entry_bound(r, a, absmax)
+        return B
+
+    return MapSpec(name, dim, {"components": components}, fwd, None, jac,
+                   lip, jac_abs_bound=jac_bound)
+
+
+REF_REGISTRY = {"cat": ref_cat, "translation": ref_translation,
+                "linear": ref_linear, "contraction": ref_contraction,
+                "rotation": ref_rotation, "shear": ref_shear}
+AFFINE_CASES = [("cat", {}), ("translation", {}), ("shear", {}),
+                ("linear", {"a": 2.0, "b": 0.5}), ("linear", {"a": 3, "b": 3}),
+                ("linear", {"a": 0.0, "b": -2.0}),
+                ("contraction", {"c": 0.5, "dim": 1}),
+                ("contraction", {"c": 0.3, "dim": 2}),
+                ("contraction", {"c": 0.25, "dim": 3}),
+                ("rotation", {"alpha": ALPHA}), ("rotation", {"alpha": -0.3})]
+POLY_CASES = [
+    [[{"c": 1.5, "e": [1]}, {"c": -0.5, "e": [3]}]],
+    [[{"c": 0.25, "e": [0]}, {"c": -1.0, "e": [2]}, {"c": 0.125, "e": [4]}]],
+    [[{"c": 1.5, "e": [1, 0]}, {"c": -0.5, "e": [3, 0]}],
+     [{"c": 1.5, "e": [0, 1]}, {"c": -0.5, "e": [0, 3]}]],
+    [[{"c": 1.0, "e": [0, 1]}], [{"c": -1.0, "e": [1, 0]},
+                                 {"c": 0.7, "e": [2, 2]}]],
+    [[{"c": 0.9, "e": [1, 0, 0]}, {"c": 0.3, "e": [0, 1, 1]}],
+     [{"c": -0.5, "e": [2, 0, 0]}, {"c": 0.7, "e": [0, 1, 0]}],
+     [{"c": 0.2, "e": [1, 1, 0]}, {"c": 0.5, "e": [0, 0, 3]}]],
+    [[{"c": 2.0, "e": [0, 0, 0]}], [], [{"c": -3.0, "e": [1, 2, 1]}]],
+    # on [-3, 3]^3 numpy's pairwise sum of the nine squared bounds is one
+    # ulp off the (r, a)-ordered one
+    [[{"c": -0.32, "e": [2, 0, 0]}, {"c": 1.04, "e": [2, 0, 0]}],
+     [{"c": -0.67, "e": [1, 0, 0]}, {"c": 0.9, "e": [0, 1, 1]}],
+     [{"c": -0.92, "e": [2, 1, 1]}, {"c": 0.22, "e": [1, 0, 0]}]],
+]
+
+
+def edge_points(dim):
+    """Every EDGE_FLOATS pair on a 2-D map, the column on a 1-D map, and
+    three shifted columns on a 3-D map."""
+    if dim == 2:
+        return np.array(np.meshgrid(EDGE_FLOATS, EDGE_FLOATS)).reshape(2, -1).T
+    return np.stack([np.roll(EDGE_FLOATS, k) for k in range(dim)], axis=1)
+
+
+def same_value(a, b):
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+def assert_same_map(new, ref, points):
+    """Byte-equal callables on `points` (a batch, or one point), and equal
+    lipschitz, params, periods, name and dim."""
+    assert (new.name, new.dim, new.periods) == (ref.name, ref.dim, ref.periods)
+    assert new.params == ref.params
+    assert [type(v) for v in new.params.values()] == \
+        [type(v) for v in ref.params.values()]
+    assert same_value(new.lipschitz, ref.lipschitz)
+    assert (new.inverse is None) == (ref.inverse is None)
+    r = np.abs(np.atleast_2d(points)) * 0.01 + 1e-3
+    with np.errstate(all="ignore"):
+        for f, g in ((new.forward, ref.forward), (new.inverse, ref.inverse)):
+            if g is not None:
+                assert same_bytes(f(points), g(points))
+        assert same_bytes(new.jac(points), ref.jac(points))
+        lo, hi = np.atleast_2d(points) - r, np.atleast_2d(points) + r
+        assert same_bytes(new.jac_abs_bound(lo, hi), ref.jac_abs_bound(lo, hi))
+
+
+def poly_window(dim, window):
+    return None if window is None else ([-window] * dim, [window] * dim)
+
+
+class TestFactoriesMatchReferences:
+    @pytest.mark.parametrize("name, params", AFFINE_CASES,
+                             ids=[f"{n}-{i}" for i, (n, _) in
+                                  enumerate(AFFINE_CASES)])
+    def test_affine_edge_floats_points_and_0d(self, name, params):
+        new, ref = make_map(name, **params), REF_REGISTRY[name](**params)
+        pts = edge_points(new.dim)
+        for p in (pts, pts[0], pts[5], pts[-1], pts[:0]):
+            assert_same_map(new, ref, p)
+        if new.dim == 1:
+            for x in (*EDGE_FLOATS, *TINY_NEG):
+                for p in (np.float64(x), np.asarray(x), float(x)):
+                    assert_same_map(new, ref, p)
+
+    @pytest.mark.parametrize("name, params", AFFINE_CASES,
+                             ids=[f"{n}-{i}" for i, (n, _) in
+                                  enumerate(AFFINE_CASES)])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_affine_batches(self, name, params, data):
+        new, ref = make_map(name, **params), REF_REGISTRY[name](**params)
+        n = data.draw(st.integers(1, 16))
+        xs = data.draw(st.lists(st.one_of(COORD, WIDE), min_size=n * new.dim,
+                                max_size=n * new.dim))
+        pts = np.array(xs).reshape(n, new.dim)
+        assert_same_map(new, ref, pts)
+        assert_same_map(new, ref, pts[0])
+
+    def test_cat_keeps_its_closed_form_lipschitz(self):
+        # one ulp below the SVD value
+        cat = make_map("cat")
+        assert cat.lipschitz == 2.618033988749895
+        svd = float(np.linalg.norm(np.array([[2.0, 1.0], [1.0, 1.0]]), 2))
+        assert svd == np.nextafter(cat.lipschitz, 3.0)
+
+    @pytest.mark.parametrize("window", [None, 2.0, 0.75, 3.0])
+    @pytest.mark.parametrize("k", range(len(POLY_CASES)))
+    def test_poly_edge_floats_and_points(self, k, window):
+        comps = POLY_CASES[k]
+        dim = len(comps)
+        win = poly_window(dim, window)
+        new, ref = (polynomial_map(comps, dim, window=win),
+                    ref_polynomial_map(comps, dim, window=win))
+        pts = edge_points(dim)
+        for p in (pts, pts[0], pts[3], pts[:0]):
+            assert_same_map(new, ref, p)
+        if dim == 1:
+            for p in (np.float64(0.3), np.asarray(-1.25)):
+                assert_same_map(new, ref, p)
+
+    @pytest.mark.parametrize("k", range(len(POLY_CASES)))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_poly_batches(self, k, data):
+        comps = POLY_CASES[k]
+        dim = len(comps)
+        win = poly_window(dim, data.draw(st.sampled_from([None, 1.0, 3.0])))
+        new, ref = (polynomial_map(comps, dim, window=win),
+                    ref_polynomial_map(comps, dim, window=win))
+        n = data.draw(st.integers(1, 16))
+        xs = data.draw(st.lists(st.one_of(COORD, WIDE), min_size=n * dim,
+                                max_size=n * dim))
+        pts = np.array(xs).reshape(n, dim)
+        assert_same_map(new, ref, pts)
+        assert_same_map(new, ref, pts[0])
