@@ -2,14 +2,17 @@
 searches with resolution-stamped certificates, and the linear-hyperbolic
 stable-manifold check.
 
-A NotShadowedAtResolution verdict is never a proof: it records the best
-tracking error achieved over a declared seed set (uniform grid in the
-eps-ball plus coordinate descent) and, when the map is invertible and
-hyperbolic, a sequence-space refinement pass.  The refinement produces a
-witness orbit with tiny per-step defect, the standard numerical stand-in
-for a true shadow; without it no finite-precision search can confirm
-shadowing of a chaotic map over long horizons, because the required seed
-accuracy shrinks like the inverse of the unstable growth.
+A shadow search runs three stages in order: a uniform seed grid in the
+eps-ball; when the best seed misses eps and the map is invertible, a
+sequence-space refinement pass (Hammel, Yorke & Grebogi); and, unless the
+refined witness is within eps, coordinate descent from the best seed.
+The refinement produces a witness orbit with tiny per-step defect, the
+standard numerical stand-in for a true shadow; without it no
+finite-precision search can confirm shadowing of a chaotic map over long
+horizons, because the required seed accuracy shrinks like the inverse of
+the unstable growth.  A NotShadowedAtResolution verdict is never a proof:
+it records the best tracking error achieved over the declared seed set,
+the descent and the refinement.
 """
 
 from __future__ import annotations
@@ -148,6 +151,11 @@ def splice_pseudo_orbit(map_spec: MapSpec, q, x0, delta: float,
     The single defect sits at the junction.  When the map is invertible a
     backward tail of q (n_back steps) approximates the bi-infinite
     pseudo-orbit; the forward orbit of x0 runs n_forward steps.
+
+    The approach search ends at the first point of the orbit of q with an
+    inf or nan coordinate: the orbit has overflowed, its distance to x0
+    is inf or nan, and under the registry maps it stays non-finite, so it
+    can no longer approach x0.  Overflow on the way there is not warned.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
@@ -157,13 +165,18 @@ def splice_pseudo_orbit(map_spec: MapSpec, q, x0, delta: float,
     # the head, and the approach time n0 is their number
     head = []
     min_dist = math.inf
-    for z in itertools.chain([q], iterates(map_spec, q, budget)):
-        d = float(map_spec.distance(z, x0))
-        min_dist = min(min_dist, d)
-        if d < delta or (delta == 0.0 and d == 0.0):
-            break
-        head.append(z)
-    else:
+    approached = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z in itertools.chain([q], iterates(map_spec, q, budget)):
+            if not np.isfinite(z).all():
+                break
+            d = float(map_spec.distance(z, x0))
+            min_dist = min(min_dist, d)
+            if d < delta or (delta == 0.0 and d == 0.0):
+                approached = True
+                break
+            head.append(z)
+    if not approached:
         raise NoApproachError(min_dist, budget)
     n0 = len(head)
 
@@ -256,12 +269,30 @@ def _hyperbolic_frames(map_spec: MapSpec, pts: np.ndarray):
     vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
     if np.any(np.abs(vals[:, 0]) <= 1.0 + 1e-9) or np.any(np.abs(vals[:, 1]) >= 1.0 - 1e-9):
         return None
-    # keep frame orientation continuous along the sequence
-    for k in range(1, pts.shape[0]):
-        for c in range(2):
-            if np.dot(vecs[k, :, c], vecs[k - 1, :, c]) < 0:
-                vecs[k, :, c] = -vecs[k, :, c]
-    return vecs, vals
+    return _orient_columns(vecs), vals
+
+
+def _orient_columns(vecs: np.ndarray) -> np.ndarray:
+    """Flip the columns of the (n, d, d) frames in place so that each
+    column's dot with the same column of the previous frame, as flipped,
+    is not negative; the first frame stays as it is.
+
+    With signs s_k = ±1 and raw dots d_k of column k with column k - 1,
+    column k flips exactly when s_{k-1} * d_k < 0; a dot that is zero or
+    nan leaves the column and restarts the sign at +1.  So s_k is -1 when
+    the count of negative dots since the last restart is odd.  The dots go
+    through the dot kernel of `np.dot`, as in `_util.row_norms`.
+    """
+    cols = np.swapaxes(vecs, 1, 2)  # (n, column, component)
+    dots = np.matmul(cols[1:, :, None, :], cols[:-1, :, :, None])[..., 0, 0]
+    neg = np.zeros(cols.shape[:2], dtype=np.int64)
+    neg[1:] = dots < 0
+    restart = np.ones(cols.shape[:2], dtype=bool)
+    restart[1:] = ~((dots < 0) | (dots > 0))  # zero or nan
+    count = np.cumsum(neg, axis=0)
+    since = count - np.maximum.accumulate(np.where(restart, count, 0), axis=0)
+    np.negative(vecs, out=vecs, where=(since % 2 == 1)[:, None, :])
+    return vecs
 
 
 def _refine_shadow(map_spec: MapSpec, y: np.ndarray, max_sweeps: int = 60,
@@ -301,27 +332,17 @@ def _refine_shadow(map_spec: MapSpec, y: np.ndarray, max_sweeps: int = 60,
     return (z, worst) if worst < defect_tol else None
 
 
-def shadow_search(map_spec: MapSpec, po: PseudoOrbit, eps: float,
-                  grid_resolution: float, max_descent: int = 200,
-                  refine: bool = True) -> ShadowingResult:
-    """Search for an actual orbit eps-tracking the pseudo-orbit.
+def _best_seed(map_spec: MapSpec, y: np.ndarray, eps: float,
+               grid_resolution: float):
+    """(x, objective, trace) of the best seed on the grid in the eps-ball
+    around y_0, one seed block at a time.
 
-    Seeds on a uniform grid of the given resolution in the eps-ball around
-    y_0, then coordinate descent from the best seed; when available, a
-    hyperbolic sequence refinement supplies a witness orbit for horizons
-    where seed precision alone cannot reach.  Failure is reported as a
-    resolution-stamped certificate, never a proof.
+    A later block wins only by argmin over the pair, so the seed kept is
+    the argmin over all seeds: the first minimum, or the first nan.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    y = po.points
-    dim = map_spec.dim
-
-    # one seed block at a time, keeping the best row.  A later block wins
-    # only by argmin over the pair, so the seed kept is the argmin over all
-    # seeds: the first minimum, or the first nan
     m = max(1, int(math.floor(eps / grid_resolution)))
-    for k, offsets in enumerate(_seed_offsets(dim, m, grid_resolution, eps)):
+    for k, offsets in enumerate(_seed_offsets(map_spec.dim, m,
+                                              grid_resolution, eps)):
         seeds = map_spec.wrap(y[0] + offsets)
         errors = _tracking_errors(map_spec, seeds, y)
         worst = errors.max(axis=1)
@@ -330,13 +351,23 @@ def shadow_search(map_spec: MapSpec, po: PseudoOrbit, eps: float,
             best_x = seeds[i].copy()
             best_obj = float(worst[i])
             best_trace = errors[i].copy()
+    return best_x, best_obj, best_trace
 
-    # coordinate descent.  The probe at position k of a round moves axis
-    # k // 2 by +step (k even) or -step (k odd).  Until a probe is accepted
-    # the coming probes are fixed, so they are evaluated a block at a time
-    # and walked in order; the probes after an accepted one are dropped and
-    # do not count toward max_descent.
-    state = (grid_resolution, 0, False)  # (step, k, improved)
+
+def _descend(map_spec: MapSpec, y: np.ndarray, best_x: np.ndarray,
+             best_obj: float, best_trace: np.ndarray, step: float,
+             max_descent: int):
+    """Coordinate descent from (best_x, best_obj, best_trace); returns the
+    best (x, objective, trace), whose objective is never above best_obj.
+
+    The probe at position k of a round moves axis k // 2 by +step (k even)
+    or -step (k odd).  Until a probe is accepted the coming probes are
+    fixed, so they are evaluated a block at a time and walked in order;
+    the probes after an accepted one are dropped and do not count toward
+    max_descent.
+    """
+    dim = map_spec.dim
+    state = (step, 0, False)  # (step, k, improved)
     it = 0
     while it < max_descent and state[0] > 1e-17:
         size = min(_PROBE_BLOCK, max_descent - it)
@@ -361,26 +392,48 @@ def shadow_search(map_spec: MapSpec, po: PseudoOrbit, eps: float,
             state = _after_probe(*state, accepted, dim)
             if accepted:
                 break
+    return best_x, best_obj, best_trace
 
-    method = "seed"
-    witness = None
-    witness_defect = None
+
+def shadow_search(map_spec: MapSpec, po: PseudoOrbit, eps: float,
+                  grid_resolution: float, max_descent: int = 200,
+                  refine: bool = True) -> ShadowingResult:
+    """Search for an actual orbit eps-tracking the pseudo-orbit.
+
+    Three stages, in this order.  Seeds on a uniform grid of the given
+    resolution in the eps-ball around y_0.  If the best seed misses eps,
+    `refine` is set and the map has an inverse, the hyperbolic sequence
+    refinement, which supplies a witness orbit for horizons where seed
+    precision alone cannot reach; a witness within eps is the result.
+    Otherwise coordinate descent from the best seed, and the refined
+    witness only where it tracks closer than the descent's best orbit.
+    The descent only lowers the objective, so running it after a witness
+    within eps could not change the verdict.  Failure is reported as a
+    resolution-stamped certificate, never a proof.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    y = po.points
+    best_x, best_obj, best_trace = _best_seed(map_spec, y, eps,
+                                              grid_resolution)
+    refined = None
     if best_obj > eps and refine and map_spec.has_inverse:
         refined = _refine_shadow(map_spec, y)
-        if refined is not None:
-            z, defect = refined
-            achieved = float(np.max(map_spec.distance(z, y)))
-            if achieved < best_obj:
-                best_obj = achieved
-                best_x = z[0].copy()
-                witness = z
-                witness_defect = defect
-                method = "refined"
-
-    trace = map_spec.distance(witness, y) if method == "refined" else best_trace
-    return ShadowingResult(best_obj <= eps, float(eps), best_obj, best_x,
-                           np.asarray(trace), float(grid_resolution), method,
-                           witness, witness_defect)
+    if refined is not None:
+        witness, witness_defect = refined
+        trace = map_spec.distance(witness, y)
+        achieved = float(np.max(trace))
+    if refined is None or not achieved <= eps:
+        best_x, best_obj, best_trace = _descend(
+            map_spec, y, best_x, best_obj, best_trace, grid_resolution,
+            max_descent)
+        if refined is None or not achieved < best_obj:
+            return ShadowingResult(best_obj <= eps, float(eps), best_obj,
+                                   best_x, best_trace, float(grid_resolution),
+                                   "seed")
+    return ShadowingResult(achieved <= eps, float(eps), achieved,
+                           witness[0].copy(), trace, float(grid_resolution),
+                           "refined", witness, witness_defect)
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,32 @@ class TestExperiments:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["results"]["shadowed"] is True
 
+    def test_splice_of_an_overflowing_orbit_is_quiet(self, tmp_path):
+        # the orbit of q under linear(2, 0.5) overflows long before the
+        # approach budget runs out; the run reports no approach, exit 3,
+        # and stderr holds the CLI's own line and no numpy warning
+        cfg = {
+            "map": {"name": "linear", "a": 2.0, "b": 0.5},
+            "delta": 1e-3,
+            "experiment": {"q": [0.3, 0.3], "x0": [0.31, 0.31]},
+            "out": str(tmp_path / "out"),
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        src = str(Path(dynkit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynkit.cli", "splice", "--config",
+             str(path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            f"splice: FAILED assertion (exit 3); see {tmp_path / 'out'}"
+            "/report.json"]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["results"] == {"spliced": False,
+                                     "min_distance": 0.014142135623730963}
+
     def test_strong_cr_on_translation_finds_nothing(self, tmp_path):
         cfg = {
             "map": {"name": "translation"},

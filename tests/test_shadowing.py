@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,35 @@ class TestSplice:
         assert po.points[0].tobytes() == q.tobytes()
         assert len(po) == 3 + 6
 
+    def test_overflowing_orbit_stops_without_warnings(self, monkeypatch):
+        # the orbit of q grows like 2^k and reaches inf after about 1030
+        # steps; the search stops there, not at the 10,000-step budget
+        calls = []
+        real = system.evaluate
+        monkeypatch.setattr(shadowing, "evaluate",
+                            lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(system, "evaluate",
+                            lambda *a: calls.append(1) or real(*a))
+        m = make_map("linear", a=2.0, b=0.5)
+        q, x0 = np.array([0.3, 0.3]), np.array([0.31, 0.31])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoApproachError) as err:
+                splice_pseudo_orbit(m, q, x0, 1e-3)
+        # q itself comes closest
+        assert err.value.min_distance == float(m.distance(q, x0))
+        assert err.value.budget == 10000
+        assert 1000 < len(calls) < 1100
+
+    def test_nan_start_has_no_approach(self):
+        m = make_map("cat")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoApproachError) as err:
+                splice_pseudo_orbit(m, np.array([np.nan, 0.3]),
+                                    np.array([0.3, 0.3]), 1e-2)
+        assert err.value.min_distance == math.inf
+
     @pytest.mark.parametrize("n_back", [0, 10])
     def test_each_orbit_point_evaluated_once(self, monkeypatch, n_back):
         # the approach search keeps the head it visits: the map is
@@ -208,10 +238,8 @@ def orbit_trace(m, x, y):
     return trace
 
 
-def reference_search(m, po, eps, res, max_descent):
-    """shadow_search with every orbit iterated on its own and one descent
-    probe evaluated at a time."""
-    y = po.points
+def reference_seed(m, y, eps, res):
+    """Best (x, objective) of the seed grid, the whole grid at once."""
     k = max(1, int(math.floor(eps / res)))
     offs = np.arange(-k, k + 1) * res
     mesh = np.meshgrid(*([offs] * m.dim), indexing="ij")
@@ -220,8 +248,11 @@ def reference_search(m, po, eps, res, max_descent):
     seeds = m.wrap(y[0] + offsets)
     worst = [float(orbit_trace(m, s, y).max()) for s in seeds]
     best_i = int(np.argmin(worst))
-    best_x, best_obj = seeds[best_i].copy(), worst[best_i]
+    return seeds[best_i].copy(), worst[best_i]
 
+
+def reference_descent(m, y, best_x, best_obj, res, max_descent):
+    """Coordinate descent with one probe evaluated at a time."""
     step = res
     it = 0
     while it < max_descent and step > 1e-17:
@@ -241,16 +272,46 @@ def reference_search(m, po, eps, res, max_descent):
                 break
         if not improved:
             step *= 0.5
+    return best_x, best_obj
 
+
+def reference_refine(m, y):
+    """The refined witness and its distance to y, or None."""
+    refined = shadowing._refine_shadow(m, y) if m.has_inverse else None
+    if refined is None:
+        return None
+    return refined[0], float(np.max(m.distance(refined[0], y)))
+
+
+def reference_search(m, po, eps, res, max_descent):
+    """shadow_search with every orbit iterated on its own and one descent
+    probe evaluated at a time: seed grid, then refinement, then descent
+    unless the refined witness is within eps."""
+    y = po.points
+    best_x, best_obj = reference_seed(m, y, eps, res)
+    refined = reference_refine(m, y) if best_obj > eps else None
+    if refined is None or not refined[1] <= eps:
+        best_x, best_obj = reference_descent(m, y, best_x, best_obj, res,
+                                             max_descent)
+        if refined is None or not refined[1] < best_obj:
+            return best_obj <= eps, best_obj, best_x, \
+                orbit_trace(m, best_x, y), "seed"
+    z, achieved = refined
+    return achieved <= eps, achieved, z[0].copy(), m.distance(z, y), "refined"
+
+
+def descent_first_search(m, po, eps, res, max_descent):
+    """The earlier order: seed grid, descent, then refinement only when
+    the descent's best orbit misses eps."""
+    y = po.points
+    best_x, best_obj = reference_seed(m, y, eps, res)
+    best_x, best_obj = reference_descent(m, y, best_x, best_obj, res,
+                                         max_descent)
     method, trace = "seed", orbit_trace(m, best_x, y)
-    if best_obj > eps and m.has_inverse:
-        refined = shadowing._refine_shadow(m, y)
-        if refined is not None:
-            z = refined[0]
-            achieved = float(np.max(m.distance(z, y)))
-            if achieved < best_obj:
-                best_obj, best_x, method = achieved, z[0].copy(), "refined"
-                trace = m.distance(z, y)
+    refined = reference_refine(m, y) if best_obj > eps else None
+    if refined is not None and refined[1] < best_obj:
+        z, best_obj = refined
+        best_x, method, trace = z[0].copy(), "refined", m.distance(z, y)
     return best_obj <= eps, best_obj, best_x, trace, method
 
 
@@ -294,15 +355,68 @@ class TestBatchedDescentOracle:
         eps = data.draw(st.sampled_from([2e-3, 1e-2]))
         res = eps / data.draw(st.sampled_from([1.0, 2.5, 4.0]))
         po = random_pseudo_orbit(m, m.wrap(x0), delta, N, rng_seed=seed)
-        assert_same_result(shadow_search(m, po, eps, res, max_descent=max_descent),
-                           reference_search(m, po, eps, res, max_descent))
+        result = shadow_search(m, po, eps, res, max_descent=max_descent)
+        assert_same_result(result, reference_search(m, po, eps, res, max_descent))
+        # the descent only lowers the objective, so running the refinement
+        # first may change the witness, never the verdict
+        assert result.shadowed == \
+            descent_first_search(m, po, eps, res, max_descent)[0]
 
     def test_linear_splice_matches_reference(self):
         m, po = linear_splice(delta=1e-3, n=30)
         for max_descent in (1, 3, 17, 200):
-            assert_same_result(
-                shadow_search(m, po, 1e-4, 1e-5, max_descent=max_descent),
-                reference_search(m, po, 1e-4, 1e-5, max_descent))
+            result = shadow_search(m, po, 1e-4, 1e-5, max_descent=max_descent)
+            assert_same_result(result, reference_search(m, po, 1e-4, 1e-5,
+                                                        max_descent))
+            assert result.shadowed == \
+                descent_first_search(m, po, 1e-4, 1e-5, max_descent)[0]
+
+    def test_rescue_case_reports_the_refined_witness(self):
+        # the descent alone reaches eps here, and the descent-first order
+        # reported its seed; the refined witness within eps now wins first
+        m = make_map("cat")
+        po = random_pseudo_orbit(m, np.random.default_rng(0).random(2), 1e-3,
+                                 3, rng_seed=0)
+        res = shadow_search(m, po, 2e-3, 2e-3)
+        old = descent_first_search(m, po, 2e-3, 2e-3, 200)
+        assert old[0] and old[4] == "seed"
+        assert res.shadowed and res.method == "refined"
+        assert res.witness_defect < 1e-11
+        assert res.achieved_eps == float(np.max(m.distance(res.witness,
+                                                           po.points)))
+
+    def test_refined_cat_search_skips_the_descent(self, monkeypatch):
+        # bench-style cat search: the seed grid (about 300 seeds, one
+        # block) misses eps and the refined witness settles it
+        calls, descents = [], []
+        errors, descend = shadowing._tracking_errors, shadowing._descend
+        monkeypatch.setattr(shadowing, "_tracking_errors",
+                            lambda *a: calls.append(1) or errors(*a))
+        monkeypatch.setattr(shadowing, "_descend",
+                            lambda *a: descents.append(1) or descend(*a))
+        m = make_map("cat")
+        po = random_pseudo_orbit(m, np.array([0.25, 0.6]), 1e-4, 30,
+                                 rng_seed=7)
+        res = shadow_search(m, po, 1e-2, 1e-3)
+        assert res.shadowed and res.method == "refined"
+        assert len(calls) == 1 and not descents
+
+    def test_unshadowed_seed_grid_without_witness_still_descends(
+            self, monkeypatch):
+        # standard K = 0.97 is not hyperbolic along this orbit, so there is
+        # no refined witness; the descent takes the grid's 0.025 below eps
+        descents = []
+        descend = shadowing._descend
+        monkeypatch.setattr(shadowing, "_descend",
+                            lambda *a: descents.append(1) or descend(*a))
+        m = make_map("standard", K=0.97)
+        po = random_pseudo_orbit(m, np.random.default_rng(11).random(2), 1e-4,
+                                 50, rng_seed=11)
+        assert shadowing._best_seed(m, po.points, 1e-2, 1e-3)[1] > 1e-2
+        assert shadowing._refine_shadow(m, po.points) is None
+        res = shadow_search(m, po, 1e-2, 1e-3)
+        assert descents == [1]
+        assert res.shadowed and res.method == "seed"
 
     @pytest.mark.parametrize("probe_block", [1, 7])
     @pytest.mark.parametrize("seed_block", [1, 7])
@@ -392,6 +506,66 @@ class TestBatchedDescentOracle:
             tracemalloc.stop()
         assert count == 785349
         assert peak < 1e6, peak
+
+
+def loop_oriented(vecs):
+    """Column orientation one point and column at a time: each column
+    flips when its dot with the previous, already oriented, column is
+    negative."""
+    vecs = vecs.copy()
+    for k in range(1, vecs.shape[0]):
+        for c in range(vecs.shape[2]):
+            if np.dot(vecs[k, :, c], vecs[k - 1, :, c]) < 0:
+                vecs[k, :, c] = -vecs[k, :, c]
+    return vecs
+
+
+class TestFrameOrientation:
+    @pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_frames_match_the_loop(self, name, data):
+        m = ORACLE_MAPS[name]()
+        x0 = np.array(data.draw(st.lists(st.floats(-0.9, 0.9), min_size=2,
+                                         max_size=2)))
+        delta = data.draw(st.sampled_from([0.0, 1e-4, 1e-3, 1e-1]))
+        N = data.draw(st.integers(0, 40))
+        seed = data.draw(st.integers(0, 2 ** 31 - 1))
+        pts = random_pseudo_orbit(m, m.wrap(x0), delta, N,
+                                  rng_seed=seed).points
+        raw = np.ascontiguousarray(np.linalg.eig(m.jac(pts))[1].real)
+        want = loop_oriented(raw)
+        assert shadowing._orient_columns(raw.copy()).tobytes() == want.tobytes()
+        frames = shadowing._hyperbolic_frames(m, pts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shadowing, "_orient_columns", loop_oriented)
+            ref = shadowing._hyperbolic_frames(m, pts)
+        assert (frames is None) == (ref is None)
+        if frames is not None:
+            assert frames[0].tobytes() == ref[0].tobytes()
+            assert frames[1].tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("plant", ["zero", "nan", "orthogonal",
+                                       "near-orthogonal", "alternating"])
+    def test_planted_frames_match_the_loop(self, plant):
+        rng = np.random.default_rng(3)
+        vecs = rng.normal(size=(40, 2, 2))
+        for k in range(1, 40, 3):
+            prev = vecs[k - 1]
+            if plant == "zero":
+                vecs[k, :, k % 2] = 0.0
+            elif plant == "nan":
+                vecs[k, k % 2, (k // 3) % 2] = np.nan
+            elif plant == "orthogonal":
+                vecs[k] = prev[::-1] * np.array([[-1.0], [1.0]])
+            elif plant == "near-orthogonal":
+                # dots of a few ulps, of either sign, and exact zeros
+                vecs[k] = prev[::-1] * np.array([[-1.0], [1.0]]) \
+                    + rng.choice([-1.0, 0.0, 1.0], size=(2, 2)) * 1e-16
+            else:
+                vecs[k] = -prev * rng.choice([1.0, 2.0])
+        want = loop_oriented(vecs)
+        assert shadowing._orient_columns(vecs.copy()).tobytes() == want.tobytes()
 
 
 class TestLinearStableCheck:
