@@ -42,11 +42,23 @@ def row_norms(d):
     return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
 
-def write_csv(path, header: list, rows):
-    """Write `rows` under `header`; floats in full precision (%.17g)."""
+def fill_rows(template: str, rows: np.ndarray, sep: str) -> str:
+    """`template` filled with each row of `rows`, the copies joined by `sep`.
+
+    One %-format over the flat list of all rows: %.3f and %.17g round
+    exactly as the f-string forms `:.3f` and `:.17g` do, and %d prints an
+    integral value as `str` prints the int.
+    """
+    return sep.join([template] * rows.shape[0]) % tuple(rows.ravel().tolist())
+
+
+def write_csv(path, header: list, values):
+    """Write the rows of the (n, k) float array `values` under `header`,
+    each led by its row index; floats in full precision (%.17g)."""
+    values = np.asarray(values, dtype=float).reshape(-1, len(header) - 1)
+    rows = np.column_stack((np.arange(values.shape[0]), values))
+    template = ",".join(["%d"] + ["%.17g"] * values.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
+        fh.write(fill_rows(template, rows, ""))
     return path

@@ -20,14 +20,14 @@ import click
 import numpy as np
 
 from . import __version__
-from ._util import write_csv
+from ._util import fill_rows, write_csv
 from .phase_space import BoxSet, Domain, Grid
 from .system import MapSpec, make_map, polynomial_map, volume_check
 from . import chain_graph as cg
 from . import conley
 from . import shadowing as sh
 from . import manifolds as mf
-from .svg import _fill, emit_plot
+from .svg import emit_plot
 
 VALIDATION_EXIT = 2
 ASSERTION_EXIT = 3
@@ -386,7 +386,7 @@ def run_graph(cfg, exp, out_dir, tg):
         path = out_dir / "edges.txt"
         with open(path, "w", encoding="utf-8") as fh:
             for src, tgt in tg.edge_chunks():
-                fh.write(_fill("%d %d\n", np.column_stack((src, tgt)), ""))
+                fh.write(fill_rows("%d %d\n", np.column_stack((src, tgt)), ""))
         artifacts.append(path.name)
     return {"graph": _graph_stats(tg)}, artifacts, 0
 
@@ -585,9 +585,7 @@ def run_manifolds(cfg, exp, out_dir, map_spec, grid):
     artifacts = []
     for poly, nm in ((Wu, "unstable"), (Ws, "stable")):
         csv = out_dir / f"manifold_{nm}.csv"
-        write_csv(csv, ["index", "x0", "x1"],
-                  ([i] + [float(x) for x in p]
-                   for i, p in enumerate(poly.vertices)))
+        write_csv(csv, ["index", "x0", "x1"], poly.vertices)
         artifacts.append(csv.name)
     if map_spec.dim == 2:
         artifacts.append(_plot(
@@ -616,9 +614,7 @@ def run_homoclinic(cfg, exp, out_dir, map_spec, grid):
     out_dir.mkdir(parents=True, exist_ok=True)
     csv = out_dir / "homoclinic_points.csv"
     write_csv(csv, ["index", "x0", "x1", "angle", "dist_from_anchor"],
-              ([i] + [float(x) for x in h.point] +
-               [float(h.angle), float(h.distance_from_anchor)]
-               for i, h in enumerate(hits)))
+              [[*h.point, h.angle, h.distance_from_anchor] for h in hits])
     artifacts = [csv.name]
     if map_spec.dim == 2:
         layers = [{"kind": "polyline", "data": Wu.vertices, "color": 1},

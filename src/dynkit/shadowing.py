@@ -102,11 +102,10 @@ def pseudo_orbit_to_csv(po: PseudoOrbit, path) -> None:
     """Rows of index, coordinates, step defect (0 for the last point)."""
     dim = po.points.shape[1]
     header = ["index"] + [f"x{i}" for i in range(dim)] + ["defect"]
-    defects = po.defects if po.defects is not None else \
-        np.zeros(po.points.shape[0] - 1)
-    write_csv(path, header, ([i] + [float(x) for x in p] +
-                             [float(defects[i]) if i < len(defects) else 0.0]
-                             for i, p in enumerate(po.points)))
+    defects = np.zeros(po.points.shape[0])
+    if po.defects is not None:
+        defects[:-1] = po.defects
+    write_csv(path, header, np.column_stack((po.points, defects)))
 
 
 def pseudo_orbit_from_csv(map_spec: MapSpec, path, delta: float) -> PseudoOrbit:

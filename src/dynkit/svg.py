@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._util import fill_rows
+
 __all__ = ["emit_plot", "PALETTE", "CANVAS"]
 
 CANVAS = 1000
@@ -16,19 +18,6 @@ PALETTE = (
     "#1f6fb4", "#d95f02", "#1b9e77", "#7570b3",
     "#e7298a", "#66a61e", "#e6ab02", "#666666",
 )
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.3f}"
-
-
-def _fill(template: str, rows: np.ndarray, sep: str) -> str:
-    """`template` filled with each row of `rows`, the copies joined by `sep`.
-
-    One %-format over the flat list of all rows; %.3f rounds exactly as
-    the f-string form of _fmt does.
-    """
-    return sep.join([template] * rows.shape[0]) % tuple(rows.ravel().tolist())
 
 
 def _project(pts: np.ndarray, lower, upper) -> np.ndarray:
@@ -65,17 +54,24 @@ def emit_plot(layers, path, lower, upper):
             if grid.dim != 2:
                 raise ValueError("emit_plot renders 2D data only")
             w = grid.h / (hi - lo) * CANVAS
-            # same arithmetic as Grid.box_lower, for all members at once
-            multi = np.stack(np.unravel_index(boxset.indices(), grid.shape),
-                             axis=-1).astype(float)
-            corners = _project(np.asarray(grid.domain.lower) + multi * grid.h,
+            # one rect per maximal run of set boxes (ix, a..b-1) along axis
+            # 1, the fast axis of the flat index; +1/-1 edges of the padded
+            # columns pair up in row-major order
+            edges = np.diff(np.pad(boxset.bits.reshape(grid.shape)
+                                   .astype(np.int8), ((0, 0), (1, 1))), axis=1)
+            ix, a = np.nonzero(edges == 1)
+            b = np.nonzero(edges == -1)[1]
+            # the run's top box (ix, b-1) placed as Grid.box_lower places it
+            top = np.stack((ix, b - 1), axis=-1).astype(float)
+            corners = _project(np.asarray(grid.domain.lower) + top * grid.h,
                                lo, hi)
             corners[:, 1] -= w[1]
-            tail = (f'width="{_fmt(w[0])}" height="{_fmt(w[1])}" '
-                    f'fill="{color}" fill-opacity="0.6"/>')
-            if corners.shape[0]:
-                parts.append(_fill(f'<rect x="%.3f" y="%.3f" {tail}', corners,
-                                   "\n"))
+            rows = np.column_stack((corners, (b - a) * w[1]))
+            if ix.size:
+                parts.append(fill_rows(
+                    f'<rect x="%.3f" y="%.3f" width="{w[0]:.3f}" '
+                    f'height="%.3f" fill="{color}" fill-opacity="0.6"/>',
+                    rows, "\n"))
         elif kind == "polyline":
             pts = np.asarray(layer["data"], dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2:
@@ -92,7 +88,7 @@ def emit_plot(layers, path, lower, upper):
                         pieces.append(proj[start:c + 1])
                     start = c + 1
                 for piece in pieces:
-                    d = "M " + _fill("%.3f %.3f", piece, " L ")
+                    d = "M " + fill_rows("%.3f %.3f", piece, " L ")
                     parts.append(f'<path d="{d}" stroke="{color}" '
                                  f'stroke-width="1.5" fill="none"/>')
         elif kind == "cloud":
@@ -100,9 +96,9 @@ def emit_plot(layers, path, lower, upper):
             if pts.ndim != 2 or pts.shape[1] != 2:
                 raise ValueError("emit_plot renders 2D data only")
             if pts.shape[0]:
-                parts.append(_fill(f'<circle cx="%.3f" cy="%.3f" r="3" '
-                                   f'fill="{color}"/>', _project(pts, lo, hi),
-                                   "\n"))
+                parts.append(fill_rows(f'<circle cx="%.3f" cy="%.3f" r="3" '
+                                       f'fill="{color}"/>',
+                                       _project(pts, lo, hi), "\n"))
         else:
             raise ValueError(f"unknown layer kind {kind!r}")
     parts.append("</svg>")

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dynkit
+from dynkit._util import fill_rows, write_csv
 from dynkit.cli import main, run_subcommand, validate_config
 from dynkit.phase_space import BoxSet, Domain, Grid
 from dynkit.svg import CANVAS, PALETTE, emit_plot
@@ -495,8 +496,13 @@ class TestSvg:
         path = tmp_path / "full.svg"
         emit_plot([{"kind": "boxset", "data": BoxSet.full(g)}], path,
                   (0, 0), (1, 1))
-        text = path.read_text()
-        assert text.count("<rect") == 17  # background + 16 boxes
+        # background, then one full-height column per ix
+        columns = [f'<rect x="{x}.000" y="0.000" width="250.000" '
+                   f'height="1000.000" fill="#1f6fb4" fill-opacity="0.6"/>'
+                   for x in (0, 250, 500, 750)]
+        assert path.read_text().splitlines()[1:-1] == [
+            '<rect x="0" y="0" width="1000" height="1000" fill="#ffffff"/>',
+            *columns]
 
     def test_empty_boxset_background_only(self, tmp_path):
         g = Grid(Domain((0.0, 0.0), (1.0, 1.0), (False, False)), (2, 2))
@@ -505,25 +511,76 @@ class TestSvg:
                   (0, 0), (1, 1))
         assert path.read_text().count("<rect") == 1
 
-    def test_boxset_matches_per_box_reference(self, tmp_path):
-        g = Grid(Domain((-2.0, -2.0), (2.0, 2.0), (False, False)), (5, 4))
+    @pytest.mark.parametrize("periodic, depth", [
+        ((False, False), (3, 2)), ((True, True), (2, 3)),
+        ((True, False), (4, 4))])
+    def test_boxset_matches_run_reference(self, tmp_path, periodic, depth):
+        g = Grid(Domain((-2.0, -2.0), (2.0, 2.0), periodic), depth)
         rng = np.random.default_rng(3)
-        boxes = BoxSet(g, rng.random(g.nboxes) < 0.4)
-        lo, hi = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
-        w = g.h / (hi - lo) * 1000
-        lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="1000" '
-                 'height="1000" viewBox="0 0 1000 1000">',
-                 '<rect x="0" y="0" width="1000" height="1000" fill="#ffffff"/>']
-        for b in boxes.indices():
-            x, y = (g.box_lower(int(b)) - lo) / (hi - lo) * 1000
-            lines.append(f'<rect x="{x:.3f}" y="{1000 - y - w[1]:.3f}" '
-                         f'width="{w[0]:.3f}" height="{w[1]:.3f}" '
-                         f'fill="#d95f02" fill-opacity="0.6"/>')
-        lines.append("</svg>")
-        path = tmp_path / "b.svg"
-        emit_plot([{"kind": "boxset", "data": boxes, "color": 1}], path,
-                  (-2, -2), (2, 2))
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        for density in (0.0, 0.2, 0.6, 1.0):
+            layers = [{"kind": "boxset", "color": 1,
+                       "data": BoxSet(g, rng.random(g.nboxes) < density)}]
+            path = tmp_path / "b.svg"
+            emit_plot(layers, path, (-2, -2), (2, 2))
+            assert path.read_bytes() == \
+                reference_svg(layers, (-2, -2), (2, 2)).encode()
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_no_vertical_neighbours_renders_per_box(self, tmp_path, data):
+        # a run of one box prints exactly the rect of that one box
+        g = Grid(Domain((-2.0, -1.0), (998.0, 1001.0),
+                        data.draw(st.tuples(st.booleans(), st.booleans()))),
+                 data.draw(st.tuples(st.integers(0, 4), st.integers(0, 4))))
+        cols = np.asarray(data.draw(st.lists(
+            st.booleans(), min_size=g.nboxes, max_size=g.nboxes))).reshape(g.shape)
+        cols[:, 1:] &= ~cols[:, :-1]  # no set box right above a set box
+        boxes = BoxSet(g, cols.ravel())
+        path = tmp_path / "v.svg"
+        emit_plot([{"kind": "boxset", "data": boxes}], path,
+                  (0, 0), (1000, 1000))
+        assert path.read_text().splitlines()[2:-1] == \
+            per_box_rects(boxes, (0, 0), (1000, 1000), PALETTE[0])
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_boxset_parses_back_to_its_boxes(self, tmp_path, data):
+        lower = data.draw(st.sampled_from([(0.0, 0.0), (-2.0, -3.0),
+                                           (0.25, 5.0)]))
+        upper = (lower[0] + data.draw(st.sampled_from([1.0, 4.0, 7.5])),
+                 lower[1] + data.draw(st.sampled_from([1.0, 3.0, 10.0])))
+        g = Grid(Domain(lower, upper,
+                        data.draw(st.tuples(st.booleans(), st.booleans()))),
+                 data.draw(st.tuples(st.integers(0, 6), st.integers(0, 6))))
+        nx, ny = g.shape
+        kind = data.draw(st.one_of(
+            st.sampled_from(["empty", "full", "single", "ends"]),
+            st.floats(0.0, 1.0)))
+        bits = np.full(g.shape, kind == "full")
+        if kind == "single":
+            bits[data.draw(st.integers(0, nx - 1)),
+                 data.draw(st.integers(0, ny - 1))] = True
+        elif kind == "ends":  # runs touching iy = 0 and iy = ny - 1
+            bits[:, :data.draw(st.integers(0, ny))] = True
+            bits[:, ny - data.draw(st.integers(0, ny)):] = True
+        elif not isinstance(kind, str):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            bits = rng.random(g.shape) < kind
+        path = tmp_path / "r.svg"
+        emit_plot([{"kind": "boxset", "data": BoxSet(g, bits.ravel())}],
+                  path, lower, upper)
+        rects = path.read_text().splitlines()[2:-1]
+        covered = np.zeros(g.shape, dtype=int)
+        for line in rects:
+            ix, iy_lo, n = parse_run(line, g.shape)
+            assert n >= 1 and 0 <= iy_lo and iy_lo + n <= ny
+            covered[ix, iy_lo:iy_lo + n] += 1
+        # every set box once, no unset box, one rect per maximal run
+        assert np.array_equal(covered, bits)
+        assert len(rects) == np.count_nonzero(bits[:, 0]) + \
+            np.count_nonzero(bits[:, 1:] & ~bits[:, :-1])
 
     def test_non_2d_rejected(self, tmp_path):
         g = Grid(Domain((0.0,), (1.0,), (False,)), (2,))
@@ -565,6 +622,56 @@ class TestSvg:
         assert "<path" in text and text.count("<circle") == 2
 
 
+def parse_run(line, shape):
+    """(ix, iy_lo, n) of a box-set rect drawn over its grid's own domain."""
+    w0, w1 = CANVAS / shape[0], CANVAS / shape[1]
+    x, y, height = (float(line.split(f' {k}="')[1].split('"')[0])
+                    for k in ("x", "y", "height"))
+    n = round(height / w1)
+    return round(x / w0), round((CANVAS - y) / w1) - n, n
+
+
+def _top_left(grid, b, lo, hi, w):
+    """SVG x, y of box b's top-left corner, from Grid.box_lower."""
+    x, y = (grid.box_lower(b) - lo) / (hi - lo) * CANVAS
+    return x, CANVAS - y - w[1]
+
+
+def per_box_rects(boxset, lo, hi, color):
+    """One rect per set box, as box sets were drawn before column runs."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    w = boxset.grid.h / (hi - lo) * CANVAS
+    out = []
+    for b in boxset.indices().tolist():
+        x, y = _top_left(boxset.grid, b, lo, hi, w)
+        out.append(f'<rect x="{x:.3f}" y="{y:.3f}" width="{w[0]:.3f}" '
+                   f'height="{w[1]:.3f}" fill="{color}" fill-opacity="0.6"/>')
+    return out
+
+
+def run_rects(boxset, lo, hi, color):
+    """One rect per maximal run of set boxes up each column ix, found by
+    walking the column, placed at the run's top box."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    nx, ny = boxset.grid.shape
+    w = boxset.grid.h / (hi - lo) * CANVAS
+    bits = boxset.bits.tolist()
+    out = []
+    for ix in range(nx):
+        iy = 0
+        while iy < ny:
+            a = iy
+            while iy < ny and bits[ix * ny + iy]:
+                iy += 1
+            if iy > a:
+                x, y = _top_left(boxset.grid, ix * ny + iy - 1, lo, hi, w)
+                out.append(f'<rect x="{x:.3f}" y="{y:.3f}" width="{w[0]:.3f}" '
+                           f'height="{(iy - a) * w[1]:.3f}" fill="{color}" '
+                           f'fill-opacity="0.6"/>')
+            iy += 1
+    return out
+
+
 def reference_svg(layers, lower, upper):
     """emit_plot's text, formatted one vertex at a time with f-strings."""
     lo = np.asarray(lower, dtype=float)
@@ -582,15 +689,7 @@ def reference_svg(layers, lower, upper):
     for i, layer in enumerate(layers):
         color = PALETTE[layer.get("color", i) % len(PALETTE)]
         if layer["kind"] == "boxset":
-            grid = layer["data"].grid
-            w = grid.h / (hi - lo) * CANVAS
-            multi = np.stack(np.unravel_index(layer["data"].indices(), grid.shape),
-                             axis=-1).astype(float)
-            corners = project(np.asarray(grid.domain.lower) + multi * grid.h)
-            tail = (f'width="{w[0]:.3f}" height="{w[1]:.3f}" '
-                    f'fill="{color}" fill-opacity="0.6"/>')
-            parts.extend(f'<rect x="{x:.3f}" y="{y - w[1]:.3f}" {tail}'
-                         for x, y in corners.tolist())
+            parts.extend(run_rects(layer["data"], lo, hi, color))
         elif layer["kind"] == "polyline":
             pts = np.asarray(layer["data"], dtype=float)
             if pts.shape[0] < 2:
@@ -810,3 +909,69 @@ class TestGraphDump:
         want = "".join(f"{a} {b}\n" for a, b in zip(
             np.repeat(np.arange(tg.n_nodes), tg.out_degrees()), tg.targets))
         assert (tmp_path / "out" / "edges.txt").read_bytes() == want.encode()
+
+
+class TestBenchShapeSvg:
+    @pytest.mark.parametrize("sub, mp, depth", [
+        ("cr", {"name": "standard", "K": 0.97}, 8), ("all", {"name": "cat"}, 7)])
+    def test_full_cr_set_is_one_rect_per_column(self, tmp_path, sub, mp, depth):
+        # the bench torus-cr shapes: the CR set is every box, so each
+        # column is one run (the per-box form wrote 6.2 MB at depth 8)
+        path = cat_config(tmp_path, depth=depth, map=mp)
+        assert run_cli([sub, "--config", str(path)]).exit_code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        cr = report["results"]["cr"] if sub == "all" else report["results"]
+        assert cr["chain_recurrent_fraction"] == 1.0
+        svg = tmp_path / "out" / "chain_recurrent.svg"
+        assert svg.read_text().count("<rect") == 1 + 2 ** depth
+        assert svg.stat().st_size < 64 * 1024
+
+
+def per_cell_csv(path, header, rows):
+    """The CSV writer before rows went through one %-format: each cell
+    formatted on its own, floats by f"{x:.17g}" and the rest by str."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
+                              for x in row) + "\n")
+
+
+EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
+               -5e-324, 1e16, 0.1, 1.0, -1.5, 2.0 ** 53 + 1, 1.7976931348623157e308,
+               2.2250738585072014e-308, 1 / 3, 123456789012345680.0]
+
+
+class TestCsv:
+    def _same_as_per_cell(self, tmp_path, header, values):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_csv(new, header, values)
+        per_cell_csv(old, header, ([i] + [float(x) for x in row]
+                                   for i, row in enumerate(values)))
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_edge_floats_match_per_cell_writer(self, tmp_path):
+        values = np.array(EDGE_FLOATS).reshape(-1, 2)
+        self._same_as_per_cell(tmp_path, ["index", "x0", "x1"], values)
+        self._same_as_per_cell(tmp_path, ["index", "x"], values.reshape(-1, 1))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(st.floats(width=64), min_size=k, max_size=k), max_size=30)))
+    def test_floats_match_per_cell_writer(self, tmp_path, values):
+        k = len(values[0]) if values else 2
+        self._same_as_per_cell(tmp_path, ["index"] + [f"x{i}" for i in range(k)],
+                               np.asarray(values, dtype=float).reshape(-1, k))
+
+    def test_empty_rows_write_header_only(self, tmp_path):
+        write_csv(tmp_path / "e.csv", ["index", "x0", "x1", "angle"], [])
+        assert (tmp_path / "e.csv").read_text() == "index,x0,x1,angle\n"
+
+    def test_int_rows_print_as_str(self):
+        ints = np.array([[0, -1], [2 ** 62, -2 ** 63], [7, 2 ** 31]],
+                        dtype=np.int64)
+        assert fill_rows("%d %d\n", ints, "") == "".join(
+            f"{a} {b}\n" for a, b in ints)
+        assert fill_rows("%d,%d;", ints.astype(np.int32), "") == "".join(
+            f"{int(a)},{int(b)};" for a, b in ints.astype(np.int32))
