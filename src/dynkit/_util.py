@@ -5,14 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def wrap_unit(x):
-    """`x` reduced mod 1 onto the unit torus.
+def wrap_unit(x, out=None):
+    """`x` reduced mod 1 onto the unit torus, written to `out` if given
+    (`out` may be `x` itself).
 
     Bitwise equal to `np.mod(x, 1.0)` for every double at a tenth of its
     cost: both round the same exact real once, so a tiny negative rounds
     up to 1.0 in both; signed zeros, infinities and nan agree too.
     """
-    return x - np.floor(x)
+    return np.subtract(x, np.floor(x), out=out)
 
 
 def on_torus_axes(x, periods):

@@ -32,6 +32,10 @@ from .svg import emit_plot
 VALIDATION_EXIT = 2
 ASSERTION_EXIT = 3
 
+# seed lattice points above which `shadow` and `splice` warn on stderr; a
+# lattice of 361k points (eps / grid_resolution = 300 in 2-D) took 43 s
+SEED_LATTICE_BUDGET = 1_000_000
+
 
 class ConfigError(ValueError):
     pass
@@ -513,12 +517,25 @@ def run_escape(cfg, exp, out_dir, map_spec, grid):
     return results, [], 0
 
 
+def _shadow_search(map_spec, po, eps, grid_resolution):
+    """`shadow_search`, after one stderr warning if its seed lattice is
+    above `SEED_LATTICE_BUDGET`."""
+    size = sh.seed_lattice_size(map_spec.dim, eps, grid_resolution)
+    if size > SEED_LATTICE_BUDGET:
+        click.echo(f"warning: the shadow search scans a seed lattice of "
+                   f"{size:,} points, above the budget of "
+                   f"{SEED_LATTICE_BUDGET:,}, and may run for minutes; a "
+                   f"larger grid_resolution or a smaller eps shrinks it",
+                   err=True)
+    return sh.shadow_search(map_spec, po, eps, grid_resolution)
+
+
 def run_shadow(cfg, exp, out_dir, map_spec, grid):
     x0 = exp["x0"] if exp["x0"] is not None else np.full(map_spec.dim, 0.1)
     res = exp["grid_resolution"] or exp["eps"] / 10.0
     po = sh.random_pseudo_orbit(map_spec, x0, cfg["delta"], exp["N"],
                                 rng_seed=cfg["rng_seed"])
-    result = sh.shadow_search(map_spec, po, exp["eps"], res)
+    result = _shadow_search(map_spec, po, exp["eps"], res)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv = out_dir / "pseudo_orbit.csv"
     sh.pseudo_orbit_to_csv(po, csv)
@@ -538,7 +555,7 @@ def run_splice(cfg, exp, out_dir, map_spec, grid):
                                     n_forward=exp["n_forward"])
     except sh.NoApproachError as e:
         return {"spliced": False, "min_distance": e.min_distance}, [], ASSERTION_EXIT
-    result = sh.shadow_search(map_spec, po, exp["eps"], exp["grid_resolution"])
+    result = _shadow_search(map_spec, po, exp["eps"], exp["grid_resolution"])
     out_dir.mkdir(parents=True, exist_ok=True)
     csv = out_dir / "splice_orbit.csv"
     sh.pseudo_orbit_to_csv(po, csv)

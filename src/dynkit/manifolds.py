@@ -143,22 +143,24 @@ def find_periodic_points(map_spec: MapSpec, period: int, grid: Grid,
         raise ValueError("period must be >= 1")
     x = grid.centers()
     alive = np.ones(x.shape[0], dtype=bool)
+    # a row that does not move keeps its x, so it never moves again: each
+    # round runs on the rows that moved in the last one
+    rows = np.arange(x.shape[0])
     for _ in range(max_iter):
-        fp, J = _orbit_jacobian(map_spec, x, period)
-        g = map_spec.delta(x, fp)
-        J = J - np.eye(map_spec.dim)
-        res = np.linalg.norm(g, axis=1)
-        move = alive & (res > 1e-14)
+        xr = x[rows]
+        fp, J = _orbit_jacobian(map_spec, xr, period)
+        g = map_spec.delta(xr, fp)
+        move = np.linalg.norm(g, axis=1) > 1e-14
         if not move.any():
             break
-        step = np.linalg.pinv(J[move], rcond=1e-12) @ g[move][..., None]
-        xn = x[move] - step[..., 0]
-        xn = map_spec.wrap(xn)
+        rows, xr, J, g = rows[move], xr[move], J[move], g[move]
+        J = J - np.eye(map_spec.dim)
+        step = np.linalg.pinv(J, rcond=1e-12) @ g[..., None]
+        xn = map_spec.wrap(xr - step[..., 0])
         bad = ~np.all(np.isfinite(xn), axis=1) | (np.linalg.norm(xn, axis=1) > 1e12)
-        xn[bad] = x[move][bad]
-        alive_idx = np.nonzero(move)[0]
-        alive[alive_idx[bad]] = False
-        x[move] = xn
+        alive[rows[bad]] = False
+        rows = rows[~bad]
+        x[rows] = xn[~bad]
 
     fp, J = _orbit_jacobian(map_spec, x, period)
     res = np.linalg.norm(map_spec.delta(x, fp), axis=1)

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import write_csv
+from ._util import wrap_unit, write_csv
 from .system import MapSpec, evaluate, iterates
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "pseudo_orbit_to_csv", "pseudo_orbit_from_csv",
     "random_pseudo_orbit", "splice_pseudo_orbit", "shadow_search",
     "linear_stable_check", "LinearSeedReport", "shadowing_profile",
-    "ProfileRow",
+    "ProfileRow", "seed_lattice_size",
 ]
 
 
@@ -134,7 +134,10 @@ def random_pseudo_orbit(map_spec: MapSpec, x0, delta: float, N: int,
     pts[0] = x0
     noise = _ball_noise(rng, N, map_spec.dim, 0.99 * delta)
     for i in range(N):
-        pts[i + 1] = map_spec.wrap(evaluate(map_spec, pts[i]) + noise[i])
+        y = evaluate(map_spec, pts[i], out=pts[i + 1])
+        y += noise[i]
+        if map_spec.periods is not None:
+            wrap_unit(y, out=y)
     po = PseudoOrbit(pts, float(delta), {"kind": "random", "rng_seed": rng_seed,
                                          "x0": x0.tolist(), "N": N})
     po.validate(map_spec)
@@ -195,8 +198,9 @@ def splice_pseudo_orbit(map_spec: MapSpec, q, x0, delta: float,
 # ---------------------------------------------------------------------------
 
 # seeds made and iterated together; bounds the seed buffer at
-# 2 * _SEED_BLOCK * dim floats, the orbit buffer at _SEED_BLOCK * len(y) * dim
-# and the error rows at _SEED_BLOCK * len(y) whatever the size of the grid
+# 2 * _SEED_BLOCK * dim floats, the time-major orbit buffer at
+# len(y) * _SEED_BLOCK * dim and the error rows at _SEED_BLOCK * len(y)
+# whatever the size of the grid
 _SEED_BLOCK = 1024
 
 # descent probes evaluated together, in the order the descent makes them
@@ -204,13 +208,28 @@ _SEED_BLOCK = 1024
 _PROBE_BLOCK = 16
 
 
+def _lattice_radius(eps: float, grid_resolution: float) -> int:
+    """m of the seed lattice (-m..m)^dim * grid_resolution."""
+    return max(1, int(math.floor(eps / grid_resolution)))
+
+
+def seed_lattice_size(dim: int, eps: float, grid_resolution: float) -> int:
+    """Number of lattice points, (2m + 1)^dim, that a shadow search scans
+    for the seeds within eps of y_0."""
+    return (2 * _lattice_radius(eps, grid_resolution) + 1) ** dim
+
+
 def _tracking_errors(map_spec: MapSpec, seeds: np.ndarray, y: np.ndarray):
-    """Distance of each seed's orbit to y at every step, shape (n, len(y))."""
-    orbit = np.empty((seeds.shape[0], y.shape[0], map_spec.dim))
-    orbit[:, 0] = seeds
-    for i, x in enumerate(iterates(map_spec, seeds, y.shape[0] - 1), 1):
-        orbit[:, i] = x
-    return map_spec.distance(orbit, y)
+    """Distance of each seed's orbit to y at every step, shape (n, len(y)).
+
+    The orbits are stepped in place through one time-major buffer, row k
+    holding step k of every seed, and the distances are taken on its
+    (seed, step) transpose."""
+    orbit = np.empty((y.shape[0], seeds.shape[0], map_spec.dim))
+    orbit[0] = seeds
+    for _ in iterates(map_spec, orbit[0], y.shape[0] - 1, out=orbit[1:]):
+        pass
+    return map_spec.distance(orbit.transpose(1, 0, 2), y)
 
 
 def _seed_offsets(dim: int, m: int, grid_resolution: float, eps: float):
@@ -339,7 +358,7 @@ def _best_seed(map_spec: MapSpec, y: np.ndarray, eps: float,
     A later block wins only by argmin over the pair, so the seed kept is
     the argmin over all seeds: the first minimum, or the first nan.
     """
-    m = max(1, int(math.floor(eps / grid_resolution)))
+    m = _lattice_radius(eps, grid_resolution)
     for k, offsets in enumerate(_seed_offsets(map_spec.dim, m,
                                               grid_resolution, eps)):
         seeds = map_spec.wrap(y[0] + offsets)

@@ -39,7 +39,10 @@ class InverseUnavailableError(RuntimeError):
 class MapSpec:
     """A concrete diffeomorphism with optional inverse and closed-form Jacobian.
 
-    `forward` and `inverse` act on arrays of shape (..., dim).  `jac` maps a
+    `forward` and `inverse` act on arrays of shape (..., dim) and follow
+    numpy's `out` convention: `forward(p, out=None)` writes the image into
+    `out` when given and returns it, else into a new array, with the same
+    bits either way; `out` must not overlap `p`.  `jac` maps a
     batch (n, dim) to (n, dim, dim); every map made by `make_map` and
     `polynomial_map` carries one.  `periods` marks an intrinsic torus: every
     period is 1.0 and images are wrapped into [0, 1) per axis.  `lipschitz`
@@ -127,21 +130,26 @@ def _const_abs_bound(M: np.ndarray) -> Callable:
 def _standard(K: float) -> MapSpec:
     c = K / (2.0 * math.pi)
 
-    def fwd(p):
+    # the kick is a fresh contiguous row, never a column of `out`: the
+    # sine of a strided view may take another SIMD path
+    def fwd(p, out=None):
         p = np.asarray(p, dtype=float)
-        kick = c * np.sin(2.0 * math.pi * p[..., 0])
-        out = np.empty(p.shape[:-1] + (2,))
-        out[..., 0] = p[..., 0] + p[..., 1] + kick
-        out[..., 1] = p[..., 1] + kick
-        return wrap_unit(out)
+        out = np.empty(p.shape[:-1] + (2,)) if out is None else out
+        x, y = p[..., 0], p[..., 1]
+        u, v = out[..., 0], out[..., 1]
+        kick = c * np.sin(2.0 * math.pi * x)
+        np.add(np.add(x, y, out=u), kick, out=u)
+        np.add(y, kick, out=v)
+        return wrap_unit(out, out=out)
 
-    def inv(p):
+    def inv(p, out=None):
         p = np.asarray(p, dtype=float)
-        out = np.empty(p.shape[:-1] + (2,))
-        x = wrap_unit(p[..., 0] - p[..., 1])
-        out[..., 0] = x
-        out[..., 1] = p[..., 1] - c * np.sin(2.0 * math.pi * x)
-        return wrap_unit(out)
+        out = np.empty(p.shape[:-1] + (2,)) if out is None else out
+        x, y = p[..., 0], p[..., 1]
+        u, v = out[..., 0], out[..., 1]
+        wrap_unit(np.subtract(x, y, out=u), out=u)
+        np.subtract(y, c * np.sin(2.0 * math.pi * u), out=v)
+        return wrap_unit(out, out=out)
 
     def jac(p):
         p = np.atleast_2d(p)
@@ -185,19 +193,19 @@ def _affine(name, matrix, shift, torus, lip, params) -> MapSpec:
         assert np.array_equal(A @ Ainv, np.eye(dim)), name
         AT, AinvT = A.T, Ainv.T
 
-    def fwd(p):
+    def fwd(p, out=None):
         y = np.asarray(p, dtype=float)
-        y = y * d if AT is None else y @ AT
+        y = np.multiply(y, d, out=out) if AT is None else np.matmul(y, AT, out=out)
         if shift is not None:
-            y = y + shift
-        return wrap_unit(y) if torus else y
+            y = np.add(y, shift, out=out)
+        return wrap_unit(y, out=out) if torus else y
 
-    def inv(p):
+    def inv(p, out=None):
         y = np.asarray(p, dtype=float)
         if shift is not None:
-            y = y - shift
-        y = y / d if AT is None else y @ AinvT
-        return wrap_unit(y) if torus else y
+            y = np.subtract(y, shift, out=out)
+        y = np.divide(y, d, out=out) if AT is None else np.matmul(y, AinvT, out=out)
+        return wrap_unit(y, out=out) if torus else y
 
     def jac(p):
         p = np.atleast_2d(p)
@@ -251,11 +259,11 @@ def make_map(name: str, **params) -> MapSpec:
 MAX_POLY_DEGREE = 4
 
 
-def _monomial_sums(rows, x: np.ndarray) -> np.ndarray:
-    """(n, len(rows)) array: column k sums c * prod_a x[:, a] ** e[a] over
-    the (c, e) of rows[k], term by term onto zeros, each term built axis
-    by axis with Python-int exponents."""
-    out = np.empty((x.shape[0], len(rows)))
+def _monomial_sums(rows, x: np.ndarray, out=None) -> np.ndarray:
+    """(n, len(rows)) array, `out` if given: column k sums
+    c * prod_a x[:, a] ** e[a] over the (c, e) of rows[k], term by term
+    onto zeros, each term built axis by axis with Python-int exponents."""
+    out = np.empty((x.shape[0], len(rows))) if out is None else out
     for k, terms in enumerate(rows):
         acc = np.zeros(x.shape[0])
         for c, e in terms:
@@ -298,8 +306,11 @@ def polynomial_map(components, dim: int, window=None, name: str = "poly") -> Map
               for terms in comps for a in range(dim)]
     abs_dcomps = [[(abs(c), e) for c, e in terms] for terms in dcomps]
 
-    def fwd(p):
+    def fwd(p, out=None):
         p = np.asarray(p, dtype=float)
+        if out is not None:
+            _monomial_sums(comps, np.atleast_2d(p), np.atleast_2d(out))
+            return out
         out = _monomial_sums(comps, np.atleast_2d(p))
         return out[0] if p.ndim == 1 else out
 
@@ -323,23 +334,34 @@ def polynomial_map(components, dim: int, window=None, name: str = "poly") -> Map
 # operations
 # ---------------------------------------------------------------------------
 
-def evaluate(map_spec: MapSpec, p, direction: str = "forward"):
-    """Image of p under f or f^-1, wrapped into the intrinsic torus."""
+def evaluate(map_spec: MapSpec, p, direction: str = "forward", out=None):
+    """Image of p under f or f^-1, wrapped into the intrinsic torus; with
+    `out` (not overlapping p) the image is made and wrapped in `out`, bit
+    for bit as without it."""
     p = np.asarray(p, dtype=float)
     if direction == "forward":
-        return map_spec.wrap(map_spec.forward(p))
-    if direction == "inverse":
+        f = map_spec.forward
+    elif direction == "inverse":
         if not map_spec.has_inverse:
             raise InverseUnavailableError(f"map {map_spec.name!r} has no inverse")
-        return map_spec.wrap(map_spec.inverse(p))
-    raise ValueError("direction must be 'forward' or 'inverse'")
+        f = map_spec.inverse
+    else:
+        raise ValueError("direction must be 'forward' or 'inverse'")
+    if out is None:
+        return map_spec.wrap(f(p))
+    f(p, out=out)
+    return out if map_spec.periods is None else wrap_unit(out, out=out)
 
 
-def iterates(map_spec: MapSpec, x, n: int, direction: str = "forward"):
+def iterates(map_spec: MapSpec, x, n: int, direction: str = "forward",
+             out=None):
     """Yield f(x), f^2(x), ..., f^n(x), or the f^-1 iterates with
-    direction "inverse", for one point or a batch; one `evaluate` per step."""
-    for _ in range(n):
-        x = evaluate(map_spec, x, direction)
+    direction "inverse", for one point or a batch; one `evaluate` per step.
+    With `out`, step k is written into `out[k]` from `out[k - 1]` (from x
+    at k = 0), and `out[k]` is what is yielded (a 0-d view for 0-d points)."""
+    for k in range(n):
+        x = evaluate(map_spec, x, direction) if out is None else \
+            evaluate(map_spec, x, direction, out=out[k, ...])
         yield x
 
 
@@ -382,8 +404,8 @@ def orbit(map_spec: MapSpec, p, length: int) -> OrbitSegment:
     p = np.asarray(p, dtype=float)
     pts = np.empty((length + 1, map_spec.dim))
     pts[0] = p
-    for k, x in enumerate(iterates(map_spec, pts[0], length), 1):
-        pts[k] = x
+    for _ in iterates(map_spec, pts[0], length, out=pts[1:]):
+        pass
     return OrbitSegment(p, pts)
 
 

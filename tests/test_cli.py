@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dynkit
 from dynkit._util import fill_rows, write_csv
+from dynkit import cli
 from dynkit.cli import main, run_subcommand, validate_config
 from dynkit.phase_space import BoxSet, Domain, Grid
 from dynkit.svg import CANVAS, PALETTE, emit_plot
@@ -437,6 +438,45 @@ class TestExperiments:
         path.write_text(json.dumps(cfg))
         res = run_cli(["conley-verify", "--config", str(path)])
         assert res.exit_code == 0
+
+
+class TestSeedLatticeBudget:
+    # eps / grid_resolution = 2^10: a lattice of 2049^2 points, above the
+    # budget; the search itself is replaced, so no large search runs
+    @pytest.mark.parametrize("sub, experiment", [
+        ("shadow", {"x0": [0.2, 0.3], "N": 5, "eps": 2.0 ** -3,
+                    "grid_resolution": 2.0 ** -13}),
+        ("splice", {"q": [0.1, 0.2], "x0": [0.3, 0.7], "eps": 2.0 ** -3,
+                    "grid_resolution": 2.0 ** -13, "n_back": 2,
+                    "n_forward": 3}),
+    ])
+    def test_one_warning_above_the_budget_and_the_same_report(
+            self, tmp_path, monkeypatch, capsys, sub, experiment):
+        searched = []
+
+        def search(map_spec, po, eps, grid_resolution):
+            searched.append(grid_resolution)
+            return dynkit.shadowing.ShadowingResult(
+                True, eps, 0.0, po.points[0].copy(), np.zeros(len(po)),
+                grid_resolution, "seed")
+
+        monkeypatch.setattr(dynkit.shadowing, "shadow_search", search)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "map": {"name": "cat"}, "delta": 2e-2, "experiment": experiment,
+            "out": str(tmp_path / "out")}))
+        report = tmp_path / "out" / "report.json"
+        runs = []
+        for budget in (cli.SEED_LATTICE_BUDGET, 2049 ** 2):
+            monkeypatch.setattr(cli, "SEED_LATTICE_BUDGET", budget)
+            code = run_subcommand(sub, str(path), None, None)
+            runs.append((code, report.read_bytes(), capsys.readouterr().err))
+        (code, rep, err), (code2, rep2, err2) = runs
+        assert code == code2 == 0 and rep == rep2
+        assert searched == [2.0 ** -13] * 2
+        warnings = [line for line in err.splitlines() if "warning" in line]
+        assert len(warnings) == 1 and "4,198,401 points" in warnings[0]
+        assert "warning" not in err2
 
 
 class TestDeterminism:

@@ -126,6 +126,64 @@ class TestPeriodicPoints:
         assert len(pts) == 5
 
 
+def reference_periodic_points(map_spec, period, grid, tol_fix=1e-10,
+                              tol_hyp=1e-6, max_iter=40):
+    """find_periodic_points with the Newton loop run on every row each
+    round, as it was before it ran on the moving rows only."""
+    x = grid.centers()
+    alive = np.ones(x.shape[0], dtype=bool)
+    for _ in range(max_iter):
+        fp, J = manifolds._orbit_jacobian(map_spec, x, period)
+        g = map_spec.delta(x, fp)
+        J = J - np.eye(map_spec.dim)
+        res = np.linalg.norm(g, axis=1)
+        move = alive & (res > 1e-14)
+        if not move.any():
+            break
+        step = np.linalg.pinv(J[move], rcond=1e-12) @ g[move][..., None]
+        xn = map_spec.wrap(x[move] - step[..., 0])
+        bad = ~np.all(np.isfinite(xn), axis=1) | (np.linalg.norm(xn, axis=1) > 1e12)
+        xn[bad] = x[move][bad]
+        alive[np.nonzero(move)[0][bad]] = False
+        x[move] = xn
+    with mock.patch.object(Grid, "centers", lambda self: x):
+        # the dedupe and classification after the loop, on the solved x
+        return find_periodic_points(map_spec, period, grid, tol_fix, tol_hyp,
+                                    max_iter=0)
+
+
+PERIODIC_CASES = {
+    "cat-1": (lambda: make_map("cat"), 1, 4),
+    "cat-3": (lambda: make_map("cat"), 3, 4),
+    "standard-0.97-3": (lambda: make_map("standard", K=0.97), 3, 5),
+    "standard-1.5-2": (lambda: make_map("standard", K=1.5), 2, 4),
+    "standard-0-1": (lambda: make_map("standard", K=0.0), 1, 3),
+    "poly-1": (lambda: poly_saddle()[0], 1, 3),
+    "linear-1": (lambda: make_map("linear", a=2.0, b=0.5), 1, 3),
+}
+
+
+class TestPeriodicPointsOnMovingRows:
+    @pytest.mark.parametrize("name", sorted(PERIODIC_CASES))
+    def test_same_points_as_the_all_rows_loop(self, name):
+        make, period, depth = PERIODIC_CASES[name]
+        m = make()
+        if m.periods is not None:
+            g = Grid(Domain((0.0, 0.0), (1.0, 1.0), (True, True)), (depth, depth))
+        else:
+            g = Grid(Domain((-1.0, -1.0), (1.0, 1.0), (False, False)),
+                     (depth, depth))
+        got = find_periodic_points(m, period, g)
+        want = reference_periodic_points(m, period, g)
+        assert got and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.period, a.is_hyperbolic, a.residual) == \
+                (b.period, b.is_hyperbolic, b.residual)
+            for f in ("point", "eigenvalues", "eigenvectors"):
+                x, y = getattr(a, f), getattr(b, f)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 class TestGrowManifold:
     def test_linear_unstable_is_positive_x_axis(self):
         m, hp = linear_anchor()

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynkit._util import min_image, wrap_unit
 from dynkit.system import (
-    InverseUnavailableError, MapSpec, _const_abs_bound, evaluate,
+    InverseUnavailableError, MapSpec, _const_abs_bound, evaluate, iterates,
     finite_difference_jacobian, jacobian, lagrange_probe, make_map, orbit,
     polynomial_map, volume_check,
 )
@@ -700,3 +700,109 @@ class TestFactoriesMatchReferences:
         pts = np.array(xs).reshape(n, dim)
         assert_same_map(new, ref, pts)
         assert_same_map(new, ref, pts[0])
+
+
+# ---------------------------------------------------------------------------
+# the out= evaluators: every map, forward and inverse, with and without out,
+# against the references above, on 0-d, 1-D and 2-D inputs and on the rows
+# of a time-major buffer
+# ---------------------------------------------------------------------------
+
+# the standard-map point whose first wrap lands on 1.0 (see above)
+PLANTED = np.array([np.nextafter(1.0, 0.0), 1.5e-16])
+
+
+def standard_pair(K):
+    fwd, inv = mod_standard(K)
+    ref = MapSpec("standard", 2, {"K": K}, fwd, inv, periods=(1.0, 1.0))
+    return make_map("standard", K=K), ref
+
+
+OUT_CASES = {
+    **{f"{n}-{i}": (lambda n=n, p=p: (make_map(n, **p), REF_REGISTRY[n](**p)))
+       for i, (n, p) in enumerate(AFFINE_CASES)},
+    "standard-0.97": lambda: standard_pair(0.97),
+    "standard-1.5": lambda: standard_pair(1.5),
+    **{f"poly-{k}": (lambda c=c: (polynomial_map(c, len(c)),
+                                  ref_polynomial_map(c, len(c))))
+       for k, c in enumerate(POLY_CASES)},
+}
+
+
+def out_inputs(m):
+    """Batches, single points and (dim 1) 0-d points for map m."""
+    pts = np.concatenate((edge_points(m.dim),
+                          np.random.default_rng(0).random((64, m.dim)) * 3 - 1))
+    if m.name == "standard":
+        pts = np.concatenate((PLANTED[None, :], pts))
+    yield from (pts, pts[0], pts[7], pts[-1])
+    if m.dim == 1:
+        for x in (0.3, -0.25, np.nextafter(1.0, 0.0), *TINY_NEG):
+            yield np.float64(x)
+            yield np.asarray(x)
+
+
+def directions(m):
+    return ("forward", "inverse") if m.has_inverse else ("forward",)
+
+
+def check_out(f, p, want):
+    """f(p) is `want`, and f(p, out=o) writes the same bytes into o and
+    returns o."""
+    assert same_bytes(f(p), want)
+    o = np.empty(np.shape(want))
+    assert f(p, out=o) is o
+    assert same_bytes(o, want)
+
+
+class TestOutEvaluators:
+    @pytest.mark.parametrize("name", sorted(OUT_CASES))
+    def test_map_and_evaluate_with_and_without_out(self, name):
+        m, ref = OUT_CASES[name]()
+        with np.errstate(all="ignore"):
+            for p in out_inputs(m):
+                for d in directions(m):
+                    want = getattr(ref, d)(p)
+                    check_out(getattr(m, d), p, want)
+                    if m.periods is not None:
+                        want = np.mod(want, np.asarray(m.periods))
+                    check_out(lambda q, **kw: evaluate(m, q, d, **kw), p, want)
+
+    @pytest.mark.parametrize("name", sorted(OUT_CASES))
+    def test_rows_of_a_time_major_buffer(self, name):
+        m, ref = OUT_CASES[name]()
+        pts = next(out_inputs(m))
+        with np.errstate(all="ignore"):
+            for d in directions(m):
+                buf = np.empty((3,) + pts.shape)
+                buf[0] = pts
+                for k in (1, 2):
+                    p, o = buf[k - 1], buf[k]
+                    assert getattr(m, d)(p, out=o) is o
+                    assert same_bytes(o, getattr(ref, d)(p))
+                    assert evaluate(m, p, d, out=o) is o
+                    assert same_bytes(o, evaluate(m, p, d))
+
+    def test_planted_point_wraps_to_zero_in_place(self):
+        m = make_map("standard", K=0.97)
+        o = np.empty(2)
+        assert m.forward(PLANTED, out=o)[1] == 1.0
+        assert evaluate(m, PLANTED, out=o) is o
+        assert same_bytes(o, evaluate(m, PLANTED)) and o[1] == 0.0
+
+    @pytest.mark.parametrize("name", sorted(OUT_CASES))
+    def test_iterates_into_out_equals_the_stacked_iterates(self, name):
+        m, _ = OUT_CASES[name]()
+        pts = next(out_inputs(m))
+        starts = [pts, pts[0], pts[-1]]
+        if m.dim == 1:
+            starts.append(np.float64(0.3))
+        with np.errstate(all="ignore"):
+            for x0 in starts:
+                for d in directions(m):
+                    want = np.stack(list(iterates(m, x0, 9, d)))
+                    buf = np.empty(want.shape)
+                    got = list(iterates(m, x0, 9, d, out=buf))
+                    assert same_bytes(buf, want)
+                    assert all(same_bytes(g, w) and np.shares_memory(g, buf)
+                               for g, w in zip(got, want))
