@@ -533,8 +533,12 @@ def _shadow_search(map_spec, po, eps, grid_resolution):
 def run_shadow(cfg, exp, out_dir, map_spec, grid):
     x0 = exp["x0"] if exp["x0"] is not None else np.full(map_spec.dim, 0.1)
     res = exp["grid_resolution"] or exp["eps"] / 10.0
-    po = sh.random_pseudo_orbit(map_spec, x0, cfg["delta"], exp["N"],
-                                rng_seed=cfg["rng_seed"])
+    try:
+        po = sh.random_pseudo_orbit(map_spec, x0, cfg["delta"], exp["N"],
+                                    rng_seed=cfg["rng_seed"])
+    except sh.NonFiniteOrbitError as e:
+        raise ConfigError(f"the pseudo-orbit from experiment.x0 overflows "
+                          f"within experiment.N steps: {e}") from e
     result = _shadow_search(map_spec, po, exp["eps"], res)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv = out_dir / "pseudo_orbit.csv"
@@ -596,6 +600,14 @@ def _anchor_manifolds(cfg, exp, map_spec, grid):
     return hp, points, Wu, Ws
 
 
+def _warn_capped(capped: int, max_seg: float):
+    """One stderr warning when growth left segments longer than max_seg."""
+    if capped:
+        click.echo(f"warning: {capped} manifold segments are longer than "
+                   f"max_seg {max_seg:g}: growth hit its refinement cap, so "
+                   f"the polylines are under-resolved there", err=True)
+
+
 def run_manifolds(cfg, exp, out_dir, map_spec, grid):
     hp, all_points, Wu, Ws = _anchor_manifolds(cfg, exp, map_spec, grid)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -618,6 +630,7 @@ def run_manifolds(cfg, exp, out_dir, map_spec, grid):
         "arclength": exp["arclength"],
         "capped_segments": Wu.capped + Ws.capped,
     }
+    _warn_capped(results["capped_segments"], exp["max_seg"])
     return results, artifacts, 0
 
 
@@ -648,6 +661,7 @@ def run_homoclinic(cfg, exp, out_dir, map_spec, grid):
         "nearest_distance": hits[0].distance_from_anchor if hits else None,
         "capped_segments": Wu.capped + Ws.capped,
     }
+    _warn_capped(results["capped_segments"], exp["max_seg"])
     return results, artifacts, 0
 
 
@@ -679,6 +693,7 @@ def run_accumulate(cfg, exp, out_dir, map_spec, grid):
         "all_found": all(r.found for r in rows),
         "capped_segments": max((r.capped for r in rows), default=0),
     }
+    _warn_capped(results["capped_segments"], exp["max_seg"])
     code = 0 if exp["allow_missing"] or results["all_found"] else ASSERTION_EXIT
     return results, [], code
 

@@ -439,80 +439,248 @@ def _polish_hits(map_spec: MapSpec, hp: HyperbolicPoint, pts: np.ndarray,
     return x
 
 
+# smallest crossing angle (radians) of a transverse hit
+TRANSVERSALITY_MIN = 1e-3
+
 # Candidate segment pairs tested at once by homoclinic_points; bounds the
 # per-block temporaries (a few hundred bytes per pair) for any polyline size.
 _PAIR_BLOCK = 1 << 12
 
 
-def _candidate_pairs(a_keys: np.ndarray, b_keys: np.ndarray,
-                     ncells: Optional[np.ndarray]):
-    """Yield blocks (i, j) of segment pairs whose cells are neighbours.
+def _bucket_codes(starts, deltas, pad, width, shape, base, torus):
+    """(3^dim, n) bucket codes of the padded boxes of n segments: one row
+    per offset of 0, 1 or 2 buckets per axis from the bucket of the box's
+    low corner, and -1 where an offset passes the bucket of its high one."""
+    ends = starts + deltas
+    first = np.floor((np.minimum(starts, ends) - pad) / width).astype(np.int64)
+    last = np.floor((np.maximum(starts, ends) + pad) / width).astype(np.int64)
+    n = starts.shape[0]
+    codes = np.zeros((1, n), dtype=np.int64)
+    valid = np.ones((1, n), dtype=bool)
+    for d, size in enumerate(shape):
+        k = first[:, d] + np.arange(3)[:, None]
+        ok = k <= last[:, d]
+        k = k % size if torus else k - base[d]
+        codes = (codes[:, None, :] * size + k).reshape(-1, n)
+        valid = (valid[:, None, :] & ok).reshape(-1, n)
+    codes[~valid] = -1
+    return codes
 
-    A-segment i is paired with every B-segment j whose key lies in one of
-    the 3^dim cells around key i (wrapped modulo `ncells` on a torus).
-    Pairs come sorted by i, then j, without repeats; each block holds
-    whole A-segments and about _PAIR_BLOCK pairs.
+
+def _candidate_pairs(a_starts, a_deltas, b_starts, b_deltas, max_len: float,
+                     torus: bool):
+    """Yield blocks (i, j) of segment pairs whose padded boxes share a bucket.
+
+    Each segment's bounding box, taken in lift coordinates from its
+    (wrapped) start, is padded and registered in every bucket it touches,
+    modulo the unit period on a torus.  The pad covers the 1e-9 parameter
+    slack of the crossing test, rounding at bucket faces and at the seam,
+    and the error of the crossing solve on near-parallel segments, which
+    the denominator floor bounds by 2 max_len min(1, max_len)^2.  Buckets
+    are 1/floor(1/max_len) wide on a torus, so that they tile the period,
+    and max_len + 2 pad on the plane; either way a padded box (at most
+    max_len + 2 pad wide, with max_len < 1/4 on a torus) touches at most 3
+    buckets per axis.  Pairs come sorted by i, then j, without repeats;
+    each block holds whole A-segments and about _PAIR_BLOCK pairs.
     """
-    dim = a_keys.shape[1]
-    offsets = np.asarray(list(np.ndindex(*(3,) * dim)), dtype=np.int64) - 1
-    # every key stored or looked up lies in [lo, hi]: one integer per cell
-    lo = np.minimum(a_keys.min(axis=0) - 1, b_keys.min(axis=0))
-    hi = np.maximum(a_keys.max(axis=0) + 1, b_keys.max(axis=0))
-    if ncells is not None:
-        lo, hi = np.minimum(lo, 0), np.maximum(hi, ncells - 1)
-    shape = tuple(hi - lo + 1)
-
-    def code(keys):
-        return np.ravel_multi_index(tuple((keys - lo).T), shape)
-
-    b_code = code(b_keys)
+    dim = a_starts.shape[1]
+    # every box lies within max_len of its start
+    low = np.minimum(a_starts.min(axis=0), b_starts.min(axis=0)) - max_len
+    high = np.maximum(a_starts.max(axis=0), b_starts.max(axis=0)) + max_len
+    scale = max(1.0, float(np.max(np.abs(low))), float(np.max(np.abs(high))))
+    pad = max_len * (2e-9 + 2.0 * min(1.0, max_len) ** 2) + 1e-12 * scale
+    if torus:
+        ncells = max(1, math.floor(1.0 / max(max_len, 1e-9)))
+        width, base, shape = 1.0 / ncells, 0, (ncells,) * dim
+    else:
+        # the floor keeps bucket codes within int64 at any coordinate scale
+        width = max(max_len + 2.0 * pad, 1e-9 * scale)
+        base = np.floor((low - pad) / width).astype(np.int64)
+        shape = tuple((np.floor((high + pad) / width).astype(np.int64)
+                       - base + 1).tolist())
+    bucket = (pad, width, shape, base, torus)
+    b_code = _bucket_codes(b_starts, b_deltas, *bucket)
+    nb = b_code.shape[1]
+    b_seg = np.nonzero(b_code >= 0)[1]
+    b_code = b_code[b_code >= 0]
     b_order = np.argsort(b_code, kind="stable")
     b_sorted = b_code[b_order]
-    first = np.empty((a_keys.shape[0], offsets.shape[0]), dtype=np.int64)
-    counts = np.empty_like(first)
-    for o, off in enumerate(offsets):
-        near = a_keys + off
-        if ncells is not None:
-            near = np.mod(near, ncells)
-        near = code(near)
-        first[:, o] = np.searchsorted(b_sorted, near, side="left")
-        counts[:, o] = np.searchsorted(b_sorted, near, side="right") - first[:, o]
-    per_a = counts.sum(axis=1)
+    b_seg = b_seg[b_order]
+    # each A entry's run of B entries in its bucket; an unused offset (-1)
+    # of A has none
+    a_code = _bucket_codes(a_starts, a_deltas, *bucket)
+    used = a_code >= 0
+    first = np.zeros_like(a_code)
+    counts = np.zeros_like(a_code)
+    first[used] = np.searchsorted(b_sorted, a_code[used], side="left")
+    counts[used] = np.searchsorted(b_sorted, a_code[used], side="right") - first[used]
+    del a_code, used  # a generator keeps its locals while it yields
+    per_a = counts.sum(axis=0)
     ends = np.cumsum(per_a)
-    nb = b_keys.shape[0]
     start = 0
-    while start < a_keys.shape[0]:
+    while start < per_a.size:
         done = ends[start - 1] if start else 0
         stop = max(start + 1,
                    int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")))
-        c = counts[start:stop].ravel()
+        c = counts[:, start:stop].ravel()
         total = int(c.sum())
         if total:
-            pos = np.repeat(first[start:stop].ravel() - (np.cumsum(c) - c), c) \
+            pos = np.repeat(first[:, start:stop].ravel() - (np.cumsum(c) - c), c) \
                 + np.arange(total)
-            i = np.repeat(np.arange(start, stop), per_a[start:stop])
+            i = np.repeat(np.tile(np.arange(start, stop), counts.shape[0]), c)
             # np.sort, not np.unique: unique would import numpy.ma (~1 MB)
-            pair = np.sort(i * nb + b_order[pos])
+            pair = np.sort(i * nb + b_seg[pos])
             pair = pair[np.concatenate(([True], pair[1:] != pair[:-1]))]
             yield pair // nb, pair % nb
         start = stop
 
 
+def _max_len(Wu: ManifoldPolyline, Ws: ManifoldPolyline) -> float:
+    return max(float(np.max(np.linalg.norm(np.diff(poly.lift, axis=0), axis=1)))
+               for poly in (Wu, Ws))
+
+
+def _move_cap(Wu: ManifoldPolyline, Ws: ManifoldPolyline) -> float:
+    """Largest move the polish may make, 4.5 max_len; it does not depend on
+    the bucket width of the crossing search."""
+    return 3.0 * max(1.5 * _max_len(Wu, Ws), 1e-9)
+
+
+@dataclass
+class _Crossings:
+    """Segment crossings away from the anchor, one row each, in (i, j)
+    order: W^u segment i meets W^s segment j."""
+    i: np.ndarray
+    j: np.ndarray
+    point: np.ndarray
+    param_unstable: np.ndarray
+    param_stable: np.ndarray
+    angle: np.ndarray
+    distance_from_anchor: np.ndarray
+    key: np.ndarray  # the point rounded to tol_int, the dedupe key
+
+
+def _crossings(Wu: ManifoldPolyline, Ws: ManifoldPolyline, tol_int: float,
+               periods) -> _Crossings:
+    """Every crossing of the two polylines outside the anchor's exclusion
+    ball, before the tol_int dedupe.  On periodic maps segments are
+    intersected against their nearest-image copies."""
+    a_starts, a_deltas, a_arcs = _segments(Wu)
+    b_starts, b_deltas, b_arcs = _segments(Ws)
+    a_lens = np.linalg.norm(a_deltas, axis=1)
+    b_lens = np.linalg.norm(b_deltas, axis=1)
+    max_len = max(float(np.max(a_lens)), float(np.max(b_lens)))
+    # a quarter of the unit period
+    if periods is not None and max_len >= 0.25:
+        raise SegmentLengthError("segments too long relative to the "
+                                 "period; grow with a smaller max_seg")
+    a_mids = a_starts + 0.5 * a_deltas
+    b_mids = b_starts + 0.5 * b_deltas
+    if periods is not None:
+        a_mids = wrap_unit(a_mids)
+        b_mids = wrap_unit(b_mids)
+    # one packed row per segment and side, so each block gathers once:
+    # A = (da, mid, mid - start, start, |da|), B = (db, mid, db / 2, |db|)
+    A = np.column_stack([a_deltas, a_mids, a_mids - a_starts, a_starts, a_lens])
+    B = np.column_stack([b_deltas, b_mids, 0.5 * b_deltas, b_lens])
+    anchor = np.asarray(Wu.anchor.point, dtype=float)
+    exclusion = 10.0 * max(tol_int, 1e-9)
+    parts = []
+    for i, j in _candidate_pairs(a_starts, a_deltas, b_starts, b_deltas,
+                                 max_len, periods is not None):
+        a, b = A.take(i, axis=0), B.take(j, axis=0)
+        da, db = a[:, 0:2], b[:, 0:2]
+        denom = da[:, 0] * db[:, 1] - da[:, 1] * db[:, 0]
+        # nearest-image shift of the B segment toward the A segment:
+        # r is (shifted b_start) - a_start
+        r = min_image(b[:, 2:4] - a[:, 2:4], periods) + a[:, 4:6] - b[:, 4:6]
+        # rows below the denominator floor are dropped, so their quotients
+        # (inf, nan) may say anything
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = (r[:, 0] * db[:, 1] - r[:, 1] * db[:, 0]) / denom
+            t = (r[:, 0] * da[:, 1] - r[:, 1] * da[:, 0]) / denom
+        keep = np.flatnonzero(
+            (np.abs(denom) >= 1e-15 * np.maximum(1.0, a[:, 8] * b[:, 6]))
+            & (-1e-9 <= s) & (s <= 1 + 1e-9) & (-1e-9 <= t) & (t <= 1 + 1e-9))
+        pts = a[keep, 6:8] + s[keep, None] * da[keep]
+        if periods is not None:
+            pts = wrap_unit(pts)
+        dist = row_norms(min_image(pts - anchor, periods))
+        away = dist > exclusion
+        keep = keep[away]
+        parts.append((i[keep], j[keep], s[keep], t[keep], denom[keep],
+                      pts[away], dist[away]))
+    i, j, s, t, denom, pts, dist = [np.concatenate(c) for c in zip(*parts)] \
+        if parts else [np.zeros(0, dtype=np.int64)] * 2 + [np.zeros(0)] * 3 \
+        + [np.zeros((0, 2)), np.zeros(0)]
+    na, nb = row_norms(a_deltas[i]), row_norms(b_deltas[j])
+    # math.asin, not np.arcsin: the two round differently, and the
+    # records keep the math.asin values
+    angle = np.asarray([math.asin(min(1.0, x)) for x in
+                        (np.abs(denom) / (na * nb)).tolist()], dtype=float)
+    return _Crossings(i, j, pts, a_arcs[i] + s * na, b_arcs[j] + t * nb, angle,
+                      dist, np.round(pts / max(tol_int, 1e-12)).astype(np.int64))
+
+
+def _first_come(key: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`rows` (ascending) less each row whose key an earlier one of them
+    has: the first-come tol_int dedupe."""
+    if rows.size == 0:
+        return rows
+    k = key[rows]
+    order = np.lexsort(k.T)  # stable: equal keys keep their row order
+    k = k[order]
+    first = np.concatenate(([True], np.any(k[1:] != k[:-1], axis=1)))
+    return np.sort(rows[order[first]])
+
+
+def _hits(cr: _Crossings, rows: np.ndarray,
+          transversality_min: float) -> list[HomoclinicHit]:
+    """The records of crossing rows `rows`, in that order."""
+    return [HomoclinicHit(cr.point[k], u, v, angle, angle >= transversality_min, d)
+            for k, u, v, angle, d in zip(
+                rows.tolist(), cr.param_unstable[rows].tolist(),
+                cr.param_stable[rows].tolist(), cr.angle[rows].tolist(),
+                cr.distance_from_anchor[rows].tolist())]
+
+
+def _polish(map_spec: MapSpec, hp: HyperbolicPoint, hits: list,
+            max_move: float) -> None:
+    """Newton-polish the points of `hits` in place (`_polish_hits`) and
+    update their distances from the anchor."""
+    if not hits or not map_spec.has_inverse:
+        return
+    polished = _polish_hits(map_spec, hp, np.asarray([h.point for h in hits]),
+                            max_move)
+    if polished is None:
+        return
+    anchor = np.asarray(hp.point, dtype=float)
+    dists = row_norms(min_image(polished - anchor, map_spec.periods))
+    for hit, pt, dist in zip(hits, polished, dists.tolist()):
+        hit.point = pt
+        hit.distance_from_anchor = dist
+
+
+def _sort_hits(hits: list) -> list:
+    return sorted(hits, key=lambda h: (h.distance_from_anchor, h.param_unstable))
+
+
 def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
-                      tol_int: float = 1e-9, transversality_min: float = 1e-3,
+                      tol_int: float = 1e-9,
+                      transversality_min: float = TRANSVERSALITY_MIN,
                       map_spec: Optional[MapSpec] = None, polish: bool = True,
                       return_tangencies: bool = False):
     """Transverse intersections of the two polylines, anchor excluded.
 
-    Segments are bucketed by the cell of their wrapped midpoint; each
-    W^u segment is tested against the W^s segments in the neighbouring
-    cells, in array blocks.  On periodic maps segments are intersected
-    against their nearest-image copies.  With `map_spec` given and
-    invertible, each raw hit is Newton-polished against the dynamics so
-    the definitional membership test (forward and backward convergence to
-    the anchor orbit) holds to hyperbolic accuracy.  Near-tangential
-    crossings (angle below the transversality threshold) are reported
-    separately.
+    Segments are registered in the buckets their padded bounding boxes
+    touch, and the pairs sharing a bucket are tested in array blocks
+    (`_crossings`); crossings whose points round to the same tol_int key
+    are kept first come, in (W^u, W^s) segment order.  With `map_spec`
+    given and invertible, each raw hit is Newton-polished against the
+    dynamics so the definitional membership test (forward and backward
+    convergence to the anchor orbit) holds to hyperbolic accuracy.
+    Near-tangential crossings (angle below the transversality threshold)
+    are reported separately.
     """
     if Wu.side != "unstable" or Ws.side != "stable":
         raise ValueError("pass the unstable polyline first, the stable second")
@@ -521,89 +689,14 @@ def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
     if anchor_gap > 1e-8:
         raise ValueError("polylines must share the same anchor")
     periods = map_spec.periods if map_spec is not None else None
-    exclusion = 10.0 * max(tol_int, 1e-9)
-
-    a_starts, a_deltas, a_arcs = _segments(Wu)
-    b_starts, b_deltas, b_arcs = _segments(Ws)
-    a_lens = np.linalg.norm(a_deltas, axis=1)
-    b_lens = np.linalg.norm(b_deltas, axis=1)
-
-    # cells at least 1.5 segment lengths wide, so crossing segments have
-    # midpoints in neighbouring cells
-    dim = a_starts.shape[1]
-    max_len = max(float(np.max(a_lens)), float(np.max(b_lens)))
-    cell = max(1.5 * max_len, 1e-9)
-    ncells = None
-    a_mids = a_starts + 0.5 * a_deltas
-    b_mids = b_starts + 0.5 * b_deltas
-    if periods is not None:
-        # a quarter of the unit period
-        if max_len >= 0.25:
-            raise SegmentLengthError("segments too long relative to the "
-                                     "period; grow with a smaller max_seg")
-        ncells = np.full(dim, max(1, math.floor(1.0 / cell)), dtype=np.int64)
-        cellw = 1.0 / ncells
-        a_mids = wrap_unit(a_mids)
-        b_mids = wrap_unit(b_mids)
-    else:
-        cellw = np.full(dim, cell)
-
-    anchor = np.asarray(Wu.anchor.point, dtype=float)
-    hits: list[HomoclinicHit] = []
-    tangencies: list[HomoclinicHit] = []
-    seen: set[tuple] = set()
-    a_keys = np.floor(a_mids / cellw).astype(np.int64)
-    b_keys = np.floor(b_mids / cellw).astype(np.int64)
-    if ncells is not None:
-        # the wrap rounds a tiny negative coordinate up to 1.0 itself
-        a_keys %= ncells
-        b_keys %= ncells
-    for i, j in _candidate_pairs(a_keys, b_keys, ncells):
-        da, db = a_deltas[i], b_deltas[j]
-        denom = da[:, 0] * db[:, 1] - da[:, 1] * db[:, 0]
-        keep = np.abs(denom) >= 1e-15 * np.maximum(1.0, a_lens[i] * b_lens[j])
-        i, j, da, db, denom = i[keep], j[keep], da[keep], db[keep], denom[keep]
-        # nearest-image shift of the B segment toward the A segment:
-        # r is (shifted b_start) - a_start
-        r = min_image(b_mids[j] - a_mids[i], periods) \
-            + (a_mids[i] - a_starts[i]) - 0.5 * db
-        s = (r[:, 0] * db[:, 1] - r[:, 1] * db[:, 0]) / denom
-        t = (r[:, 0] * da[:, 1] - r[:, 1] * da[:, 0]) / denom
-        keep = (-1e-9 <= s) & (s <= 1 + 1e-9) & (-1e-9 <= t) & (t <= 1 + 1e-9)
-        i, j, da, db, denom, s, t = (i[keep], j[keep], da[keep], db[keep],
-                                     denom[keep], s[keep], t[keep])
-        pts = a_starts[i] + s[:, None] * da
-        if periods is not None:
-            pts = wrap_unit(pts)
-        keys = np.round(pts / max(tol_int, 1e-12)).astype(np.int64).tolist()
-        dist_anchor = row_norms(min_image(pts - anchor, periods))
-        na, nb = row_norms(da), row_norms(db)
-        # first come first kept, in (i, j) order.  The few crossings left
-        # are finished one by one: math.asin rounds differently from
-        # np.arcsin, and the records keep the math.asin values
-        for k in np.flatnonzero(dist_anchor > exclusion).tolist():
-            keyp = tuple(keys[k])
-            if keyp in seen:
-                continue
-            seen.add(keyp)
-            angle = math.asin(min(1.0, abs(denom[k]) / (na[k] * nb[k])))
-            hit = HomoclinicHit(pts[k], float(a_arcs[i[k]] + s[k] * na[k]),
-                                float(b_arcs[j[k]] + t[k] * nb[k]), angle,
-                                angle >= transversality_min,
-                                float(dist_anchor[k]))
-            (hits if hit.transverse else tangencies).append(hit)
-
-    if polish and hits and map_spec is not None and map_spec.has_inverse:
-        raw = np.asarray([h.point for h in hits])
-        polished = _polish_hits(map_spec, Wu.anchor, raw, max_move=3.0 * cell)
-        if polished is not None:
-            dists = row_norms(min_image(polished - anchor, periods))
-            for hit, pt, dist in zip(hits, polished, dists.tolist()):
-                hit.point = pt
-                hit.distance_from_anchor = dist
-
-    hits.sort(key=lambda h: (h.distance_from_anchor, h.param_unstable))
-    tangencies.sort(key=lambda h: (h.distance_from_anchor, h.param_unstable))
+    cr = _crossings(Wu, Ws, tol_int, periods)
+    found = _hits(cr, _first_come(cr.key, np.arange(cr.i.size)),
+                  transversality_min)
+    hits = [h for h in found if h.transverse]
+    tangencies = [h for h in found if not h.transverse]
+    if polish and map_spec is not None:
+        _polish(map_spec, Wu.anchor, hits, _move_cap(Wu, Ws))
+    hits, tangencies = _sort_hits(hits), _sort_hits(tangencies)
     if return_tangencies:
         return hits, tangencies
     return hits
@@ -658,7 +751,9 @@ def accumulation_check(map_spec: MapSpec, hp: HyperbolicPoint, q_on_Wu,
 
     For each radius, manifolds are grown through the arclength schedule
     until a transverse hit lands inside the ball; exhaustion of the
-    schedule is reported as not found.
+    schedule is reported as not found.  The hits of every truncation are
+    those `homoclinic_points` finds on it, from one crossing pass over the
+    longest truncation and one polish per distinct move cap.
     """
     q = np.asarray(q_on_Wu, dtype=float)
     if float(map_spec.distance(q, hp.point)) < 1e-9:
@@ -670,12 +765,31 @@ def accumulation_check(map_spec: MapSpec, hp: HyperbolicPoint, q_on_Wu,
         raise BasePointError("q does not lie on the unstable polyline")
     Ws_full = grow_manifold(map_spec, hp, "stable", Lmax, max_seg)
 
+    cuts = [(Wu_full.truncated(L), Ws_full.truncated(L)) for L in schedule]
+    # one crossing pass over the longest truncation: the crossings of a
+    # shorter one are the rows on its leading segments, bit for bit
+    cr = _crossings(*cuts[-1], tol_int, map_spec.periods)
+    rows_by_L, caps = [], []
+    for Wu, Ws in cuts:
+        rows = _first_come(cr.key, np.flatnonzero(
+            (cr.i < Wu.vertices.shape[0] - 1) & (cr.j < Ws.vertices.shape[0] - 1)))
+        rows_by_L.append(rows[cr.angle[rows] >= TRANSVERSALITY_MIN])
+        caps.append(_move_cap(Wu, Ws))
+    # rows polish independently, so one polish per distinct move cap serves
+    # every truncation with that cap
+    polished = {}
+    for cap in dict.fromkeys(caps):
+        union = sorted(set().union(*(rows.tolist() for rows, c in
+                                     zip(rows_by_L, caps) if c == cap)))
+        hits = dict(zip(union, _hits(cr, np.asarray(union, dtype=np.int64),
+                                     TRANSVERSALITY_MIN)))
+        _polish(map_spec, hp, list(hits.values()), cap)
+        polished[cap] = hits
     hits_by_L = {}
     dists_by_L = {}
     capped_by_L = {}
-    for L in schedule:
-        Wu, Ws = Wu_full.truncated(L), Ws_full.truncated(L)
-        hits = homoclinic_points(Wu, Ws, tol_int=tol_int, map_spec=map_spec)
+    for L, (Wu, Ws), rows, cap in zip(schedule, cuts, rows_by_L, caps):
+        hits = _sort_hits([polished[cap][k] for k in rows.tolist()])
         hits_by_L[L] = hits
         dists_by_L[L] = map_spec.distance(
             np.reshape([h.point for h in hits], (-1, map_spec.dim)), q)

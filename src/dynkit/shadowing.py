@@ -32,7 +32,7 @@ __all__ = [
     "pseudo_orbit_to_csv", "pseudo_orbit_from_csv",
     "random_pseudo_orbit", "splice_pseudo_orbit", "shadow_search",
     "linear_stable_check", "LinearSeedReport", "shadowing_profile",
-    "ProfileRow", "seed_lattice_size",
+    "ProfileRow", "seed_lattice_size", "NonFiniteOrbitError",
 ]
 
 
@@ -45,6 +45,10 @@ class NoApproachError(RuntimeError):
             f"over {budget} steps")
         self.min_distance = min_distance
         self.budget = budget
+
+
+class NonFiniteOrbitError(ValueError):
+    """A pseudo-orbit point, or the image of one, is not finite."""
 
 
 @dataclass
@@ -63,9 +67,20 @@ class PseudoOrbit:
         return self.points.shape[0]
 
     def validate(self, map_spec: MapSpec) -> np.ndarray:
-        """Recompute step defects by direct evaluation; raise if any >= delta."""
-        imgs = evaluate(map_spec, self.points[:-1])
-        defects = map_spec.distance(imgs, self.points[1:])
+        """Recompute step defects by direct evaluation; raise if any >= delta,
+        or `NonFiniteOrbitError` at the first point or image that is not
+        finite (a nan defect would pass any `>= delta` test)."""
+        finite = np.isfinite(self.points).all(axis=1)
+        if not finite.all():
+            raise NonFiniteOrbitError(
+                f"pseudo-orbit point {int(np.argmin(finite))} is not finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            imgs = evaluate(map_spec, self.points[:-1])
+            defects = map_spec.distance(imgs, self.points[1:])
+        finite = np.isfinite(defects)
+        if not finite.all():
+            raise NonFiniteOrbitError(f"the image of pseudo-orbit point "
+                                      f"{int(np.argmin(finite))} is not finite")
         if self.delta > 0 and np.any(defects >= self.delta):
             worst = float(np.max(defects))
             raise ValueError(f"pseudo-orbit defect {worst:.3e} >= delta {self.delta:.3e}")
@@ -133,11 +148,13 @@ def random_pseudo_orbit(map_spec: MapSpec, x0, delta: float, N: int,
     pts = np.empty((N + 1, map_spec.dim))
     pts[0] = x0
     noise = _ball_noise(rng, N, map_spec.dim, 0.99 * delta)
-    for i in range(N):
-        y = evaluate(map_spec, pts[i], out=pts[i + 1])
-        y += noise[i]
-        if map_spec.periods is not None:
-            wrap_unit(y, out=y)
+    # an orbit that overflows is refused by validate, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(N):
+            y = evaluate(map_spec, pts[i], out=pts[i + 1])
+            y += noise[i]
+            if map_spec.periods is not None:
+                wrap_unit(y, out=y)
     po = PseudoOrbit(pts, float(delta), {"kind": "random", "rng_seed": rng_seed,
                                          "x0": x0.tolist(), "N": N})
     po.validate(map_spec)

@@ -408,6 +408,34 @@ class TestExperiments:
         assert report["results"] == {"spliced": False,
                                      "min_distance": 0.014142135623730963}
 
+    def test_shadow_of_an_overflowing_pseudo_orbit_is_a_config_error(
+            self, tmp_path):
+        # the 2-D poly saddle (y, -x + 3y - y^3) from near its fixed point
+        # overflows within N = 40 steps: exit 2 with one stderr line, no
+        # numpy warning, no traceback and no report with a NaN in it
+        cfg = {
+            "map": {"name": "poly", "dimension": 2, "components": [
+                [{"c": 1.0, "e": [0, 1]}],
+                [{"c": -1.0, "e": [1, 0]}, {"c": 3.0, "e": [0, 1]},
+                 {"c": -1.0, "e": [0, 3]}]]},
+            "grid": {"lower": [-2, -2], "upper": [2, 2], "depth": [4, 4]},
+            "delta": 0.02, "experiment": {"x0": [0.01, 0.02], "N": 40},
+            "out": str(tmp_path / "out"),
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        src = str(Path(dynkit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynkit.cli", "shadow", "--config",
+             str(path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert "not finite" in lines[0] and "point 23" in lines[0]
+        assert not (tmp_path / "out").exists()
+
     def test_strong_cr_on_translation_finds_nothing(self, tmp_path):
         cfg = {
             "map": {"name": "translation"},
@@ -873,7 +901,8 @@ class TestMoreSubcommands:
 
     def test_capped_segments_reported(self, tmp_path):
         # cat at arclength 40 needs more than the 4096-parameter cap allows
-        # at max_seg 0.01; short runs stay within max_seg
+        # at max_seg 0.01; short runs stay within max_seg.  A capped run
+        # writes one stderr warning naming the count and max_seg
         torus = {"lower": [0, 0], "upper": [1, 1],
                  "periodic": [True, True], "depth": [3, 3]}
         cases = [("homoclinic", {"arclength": 40.0, "max_seg": 0.01}, True),
@@ -885,16 +914,25 @@ class TestMoreSubcommands:
             path = tmp_path / f"{sub}.json"
             path.write_text(json.dumps({"map": {"name": "cat"}, "grid": torus,
                                         "experiment": exp, "out": str(out)}))
-            assert run_cli([sub, "--config", str(path)]).exit_code == 0
+            res = run_cli([sub, "--config", str(path)])
+            assert res.exit_code == 0
             report = json.loads((out / "report.json").read_text())
-            assert (report["results"]["capped_segments"] > 0) == capped, sub
+            count = report["results"]["capped_segments"]
+            assert (count > 0) == capped, sub
+            warnings = [line for line in res.stderr.splitlines()
+                        if line.startswith("warning")]
+            assert len(warnings) == capped, sub
+            if capped:
+                assert f"{count} manifold segments" in warnings[0]
+                assert "max_seg 0.01" in warnings[0]
 
     def test_accumulate_reads_tol_int(self, tmp_path, monkeypatch):
+        # the whole schedule shares one crossing pass, which gets tol_int
         from dynkit import manifolds
         seen = []
-        real = manifolds.homoclinic_points
-        monkeypatch.setattr(manifolds, "homoclinic_points", lambda *a, **k:
-                            seen.append(k.get("tol_int")) or real(*a, **k))
+        real = manifolds._crossings
+        monkeypatch.setattr(manifolds, "_crossings", lambda *a: seen.append(a[2])
+                            or real(*a))
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
             "map": {"name": "cat"}, "tolerances": {"tol_int": 1e-6},
@@ -904,7 +942,7 @@ class TestMoreSubcommands:
                            "max_seg": 0.02},
             "out": str(tmp_path / "out")}))
         assert run_cli(["accumulate", "--config", str(path)]).exit_code == 0
-        assert seen == [1e-6, 1e-6]
+        assert seen == [1e-6]
 
 # regression value recorded from a run of this configuration; the polished
 # hit on the seam y = 0 lands at y = 1 - 1e-16 and is drawn at cy="1000.000"

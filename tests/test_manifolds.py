@@ -552,6 +552,139 @@ class TestAccumulation:
             accumulation_check(m, hp, hp.point, radii=[0.1],
                                arclength_schedule=[2], max_seg=0.02)
 
+    # the bench cat config, standard K 1.5, standard K 0.97 period 3 (the
+    # truncations' longest segments differ, so the polish runs once per
+    # move cap) and the linear negative control
+    @pytest.mark.parametrize("name, schedule, max_seg, q_arclength, caps", [
+        ("cat", [5, 10, 20, 40], 0.02, 0.3, 1),
+        ("standard-1.5", [1, 2, 4, 6], 0.01, 1.0, 2),
+        ("standard-0.97", [1, 2, 4, 5], 0.02, 1.0, 2),
+        ("linear", [1, 2], 0.01, 0.3, 2),
+    ])
+    def test_matches_the_per_truncation_loop(self, name, schedule, max_seg,
+                                             q_arclength, caps):
+        m, hp = linear_anchor() if name == "linear" else growth_anchor(name)
+        # the CLI's choice of base point at q_arclength along W^u
+        Wu = grow_manifold(m, hp, "unstable", 1.2 * q_arclength, max_seg)
+        q = Wu.vertices[int(np.searchsorted(Wu.arclength, q_arclength))]
+        radii = [0.3, 0.1, 0.05, 0.03, 0.01]
+        got = accumulation_check(m, hp, q, radii, schedule, max_seg=max_seg)
+        expect = reference_accumulation(m, hp, q, radii, schedule, max_seg)
+        assert _accumulation_records(got) == _accumulation_records(expect)
+        used = {row.arclength_used for row in got if row.found}
+        assert len(used) == (0 if name == "linear" else 3)
+        Wu = grow_manifold(m, hp, "unstable", schedule[-1], max_seg)
+        Ws = grow_manifold(m, hp, "stable", schedule[-1], max_seg)
+        assert len({manifolds._move_cap(Wu.truncated(L), Ws.truncated(L))
+                    for L in schedule}) == caps
+
+
+    def test_each_truncation_polishes_with_its_own_move_cap(self, monkeypatch):
+        # a stand-in polish that moves every hit by its move cap: the caps
+        # of standard K 0.97 period 3 differ in the last digits only, which
+        # the real polish never feels
+        calls = []
+
+        def shift_by_cap(map_spec, hp, pts, max_move, tol=1e-12):
+            calls.append(max_move)
+            return pts + max_move
+
+        monkeypatch.setattr(manifolds, "_polish_hits", shift_by_cap)
+        m, hp = growth_anchor("standard-0.97")
+        Wu = grow_manifold(m, hp, "unstable", 1.2, 0.02)
+        q = Wu.vertices[int(np.searchsorted(Wu.arclength, 1.0))]
+        args = (m, hp, q, [0.3, 0.1, 0.05, 0.03], [1, 2, 4, 5], 0.02)
+        got = accumulation_check(*args[:5], max_seg=0.02)
+        assert len(calls) == len(set(calls)) == 2  # one polish per cap
+        expect = reference_accumulation(*args)
+        assert set(calls[2:]) == set(calls[:2])  # once per truncation with hits
+        assert _accumulation_records(got) == _accumulation_records(expect)
+
+    def test_first_come_within_a_selection(self):
+        key = np.array([[0, 0], [1, 1], [0, 0], [2, 2], [1, 1], [0, 0]])
+        first_come = manifolds._first_come
+        assert first_come(key, np.arange(6)).tolist() == [0, 1, 3]
+        # row 2 is first of its key among the rows selected
+        assert first_come(key, np.array([2, 3, 4, 5])).tolist() == [2, 3, 4]
+        assert first_come(key, np.array([], dtype=int)).tolist() == []
+
+
+class TestCandidatePairs:
+    """Every segment pair that passes the crossing test is emitted by the
+    bounding-box bucket generator."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_crossing_pair_is_a_candidate(self, data):
+        anchor = np.asarray(data.draw(st.tuples(*[st.floats(0.0, 0.999)] * 2)))
+        hp = HyperbolicPoint(anchor, 1, np.array([2.0, 0.5]), np.eye(2), True, 0.0)
+        block = data.draw(st.sampled_from([1, 7, 1 << 14]))
+        for periods in ((1.0, 1.0), None):
+            Wu = _random_polyline(data, "unstable", hp, anchor, periods)
+            if data.draw(st.booleans()):
+                # W^s shadows W^u at a tiny angle and offset: near-parallel
+                # pairs, where the crossing solve is least accurate
+                angle = data.draw(st.floats(1e-14, 1e-8))
+                rot = np.array([[math.cos(angle), -math.sin(angle)],
+                                [math.sin(angle), math.cos(angle)]])
+                shift = np.asarray(data.draw(st.tuples(*[st.floats(-1e-9, 1e-9)] * 2)))
+                lift = (Wu.lift - anchor) @ rot.T + anchor + shift
+                Ws = ManifoldPolyline("stable", hp, lift if periods is None
+                                      else np.mod(lift, 1.0), lift, Wu.arclength,
+                                      1.0, 1, 0.06)
+            else:
+                Ws = _random_polyline(data, "stable", hp, anchor, periods)
+            with mock.patch.object(manifolds, "_PAIR_BLOCK", block):
+                pairs = _emitted_pairs(Wu, Ws, periods)
+            assert pairs == sorted(set(pairs))  # (i, j) order, no repeats
+            assert _crossing_pairs(Wu, Ws, periods) <= set(pairs)
+
+    # buckets are 1/32 wide: max_len is 1/32 in every planted case
+    H = 1.0 / 32
+
+    def _check(self, a_lift, b_lift, pair=(0, 0)):
+        hp = HyperbolicPoint(np.array([0.1, 0.8]), 1, np.array([2.0, 0.5]),
+                             np.eye(2), True, 0.0)
+        Wu, Ws = (ManifoldPolyline(side, hp, np.mod(lift, 1.0), lift,
+                                   np.concatenate([[0.0], np.cumsum(np.linalg.norm(
+                                       np.diff(lift, axis=0), axis=1))]),
+                                   1.0, 1, 0.06)
+                  for side, lift in (("unstable", np.asarray(a_lift)),
+                                     ("stable", np.asarray(b_lift))))
+        assert manifolds._max_len(Wu, Ws) == self.H
+        assert pair in _crossing_pairs(Wu, Ws, (1.0, 1.0))
+        assert pair in _emitted_pairs(Wu, Ws, (1.0, 1.0))
+        got = homoclinic_points(Wu, Ws, map_spec=make_map("cat"), polish=False,
+                                return_tangencies=True)
+        expect = _all_pairs_hits(Wu, Ws, (1.0, 1.0))
+        assert sum(map(len, expect)) == 1
+        assert _hit_records(got) == _hit_records(expect)
+
+    def test_segment_ending_short_of_a_bucket_face(self):
+        # W^u stops 1e-11 before x = 1/2 (s = 1 + 3.2e-10, inside the
+        # slack); W^s lies on the face, in the next bucket
+        h, y = self.H, 0.3
+        self._check([[0.5 - h - 1e-11, y], [0.5 - 1e-11, y]],
+                    [[0.5, y - h / 2], [0.5, y + h / 2]])
+
+    def test_segment_on_the_last_double_below_the_seam(self):
+        # W^s at x = 1 - ulp, in the last bucket; W^u starts at x = 0
+        h, y, x = self.H, 0.3, np.nextafter(1.0, 0.0)
+        self._check([[0.0, y], [h, y]], [[x, y - h / 2], [x, y + h / 2]])
+
+    def test_start_wrapped_onto_the_period(self):
+        # the W^s start -tiny wraps to 1.0, so its box starts at x = 1.0
+        # (bucket 0 modulo 32); W^u lies 1e-11 left of the seam
+        h, y = self.H, 0.3
+        self._check([[1.0 - 1e-11, y - h / 2], [1.0 - 1e-11, y + h / 2]],
+                    [[-7.1520937691011e-222, y], [h, y]])
+
+    def test_longest_segment_from_face_to_face(self):
+        # a max_len segment spans a whole bucket; W^s crosses its far end
+        h, y = self.H, 0.3
+        self._check([[0.5, y], [0.5 + h, y]],
+                    [[0.5 + h, y - h / 2], [0.5 + h, y + h / 2]])
+
 
 # ---------------------------------------------------------------------------
 # references for the array code paths
@@ -627,6 +760,85 @@ def reference_grow_manifold(map_spec, hp, side, target_arclength, max_seg,
         if gen > 300:
             break
     return np.concatenate(vertices), np.concatenate(lift), np.concatenate(arc)
+
+
+def reference_accumulation(map_spec, hp, q, radii, arclength_schedule,
+                           max_seg, tol_int=1e-9):
+    """accumulation_check running homoclinic_points, polish included, on
+    every truncation of the schedule."""
+    q = np.asarray(q, dtype=float)
+    schedule = sorted(float(L) for L in arclength_schedule)
+    Lmax = schedule[-1]
+    Wu_full = grow_manifold(map_spec, hp, "unstable", Lmax, max_seg)
+    Ws_full = grow_manifold(map_spec, hp, "stable", Lmax, max_seg)
+    hits_by_L, dists_by_L, capped_by_L = {}, {}, {}
+    for L in schedule:
+        Wu, Ws = Wu_full.truncated(L), Ws_full.truncated(L)
+        hits = homoclinic_points(Wu, Ws, tol_int=tol_int, map_spec=map_spec)
+        hits_by_L[L] = hits
+        dists_by_L[L] = map_spec.distance(
+            np.reshape([h.point for h in hits], (-1, map_spec.dim)), q)
+        capped_by_L[L] = Wu.capped + Ws.capped
+    rows = []
+    for r in sorted((float(r) for r in radii), reverse=True):
+        found = used = None
+        for L in schedule:
+            close = np.flatnonzero(dists_by_L[L] <= r)
+            if close.size:
+                found, used = hits_by_L[L][close[0]], L
+                break
+        rows.append(manifolds.AccumulationRow(
+            r, found is not None, used, found,
+            capped_by_L[Lmax if used is None else used]))
+    return rows
+
+
+def _accumulation_records(rows):
+    """Accumulation rows as tuples of exact float bits."""
+    def bits(*xs):
+        return tuple(float(x).hex() for x in xs)
+
+    return [(bits(r.radius), r.found, r.arclength_used, r.capped,
+             None if r.hit is None else
+             (bits(*r.hit.point), bits(r.hit.param_unstable, r.hit.param_stable,
+                                       r.hit.angle, r.hit.distance_from_anchor),
+              r.hit.transverse))
+            for r in rows]
+
+
+def _crossing_pairs(Wu, Ws, periods):
+    """Every (i, j) that passes the crossing test of _all_pairs_hits, by
+    brute force over all segment pairs (anchor and duplicates included)."""
+    a0, da = Wu.vertices[:-1], np.diff(Wu.lift, axis=0)
+    b0, db = Ws.vertices[:-1], np.diff(Ws.lift, axis=0)
+    am, bm = a0 + 0.5 * da, b0 + 0.5 * db
+    if periods is not None:
+        am, bm = np.mod(am, 1.0), np.mod(bm, 1.0)
+    b_len = np.linalg.norm(db, axis=1)
+    pairs = set()
+    for i in range(a0.shape[0]):
+        denom = da[i, 0] * db[:, 1] - da[i, 1] * db[:, 0]
+        ok = np.abs(denom) >= 1e-15 * np.maximum(
+            1.0, np.linalg.norm(da[i:i + 1], axis=1) * b_len)
+        shift = bm - am[i]
+        if periods is not None:
+            shift = (shift + 0.5) % 1.0 - 0.5
+        r = shift + (am[i] - a0[i]) - 0.5 * db
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = (r[:, 0] * db[:, 1] - r[:, 1] * db[:, 0]) / denom
+            t = (r[:, 0] * da[i, 1] - r[:, 1] * da[i, 0]) / denom
+        ok &= (s >= -1e-9) & (s <= 1 + 1e-9) & (t >= -1e-9) & (t <= 1 + 1e-9)
+        pairs.update((i, int(j)) for j in np.flatnonzero(ok))
+    return pairs
+
+
+def _emitted_pairs(Wu, Ws, periods):
+    """All (i, j) that _candidate_pairs yields, in order."""
+    a0, da, _ = manifolds._segments(Wu)
+    b0, db, _ = manifolds._segments(Ws)
+    return [(int(i), int(j)) for bi, bj in manifolds._candidate_pairs(
+        a0, da, b0, db, manifolds._max_len(Wu, Ws), periods is not None)
+        for i, j in zip(bi, bj)]
 
 
 def _random_polyline(data, side, hp, start, periods):

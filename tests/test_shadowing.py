@@ -58,6 +58,32 @@ class TestPseudoOrbits:
         for i, p in enumerate(po.points):
             assert np.linalg.norm(p - np.array([float(i), 0.0])) < 0.1 * (i + 1)
 
+    def test_overflowing_orbit_is_refused_quietly(self):
+        # the saddle (y, -x + 3y - y^3) from near 0 reaches inf at point 23
+        # and nan after it; a nan defect would pass the >= delta test
+        m = polynomial_map([[{"c": 1.0, "e": [0, 1]}],
+                            [{"c": -1.0, "e": [1, 0]}, {"c": 3.0, "e": [0, 1]},
+                             {"c": -1.0, "e": [0, 3]}]], dim=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(shadowing.NonFiniteOrbitError,
+                               match="point 23 is not"):
+                random_pseudo_orbit(m, np.array([0.01, 0.02]), 0.02, 40)
+
+    def test_validate_names_the_first_bad_point_or_image(self):
+        from dynkit.shadowing import PseudoOrbit
+        m = make_map("linear", a=2.0, b=0.5)
+        pts = np.array([[0.1, 0.1], [0.2, 0.05], [np.nan, 0.0], [np.inf, 0.0]])
+        with pytest.raises(shadowing.NonFiniteOrbitError, match="point 2 is"):
+            PseudoOrbit(pts, 1e-3, {}).validate(m)
+        # finite points whose image overflows: 2 * 1e308 is inf
+        pts = np.array([[1e308, 0.0], [1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(shadowing.NonFiniteOrbitError,
+                               match="image of pseudo-orbit point 0"):
+                PseudoOrbit(pts, 1e-3, {}).validate(m)
+
 
 class TestSplice:
     def test_q_equals_x0_gives_exact_orbit(self):
