@@ -24,6 +24,7 @@ __all__ = [
     "TransitionGraph", "ChainComponent", "EpsChain",
     "ConstantEps", "RadialEps",
     "build_graph", "strongly_connected_components", "reachable",
+    "close_planes", "reachable_sets",
     "chain_recurrent_boxes", "chain_components", "find_eps_chain",
     "is_chain_transitive", "nonwandering_probe", "strong_chain_search",
     "fixed_point_chain",
@@ -36,8 +37,8 @@ __all__ = [
 # which needs nboxes + 1 < 2**31 (the sink is node nboxes)
 MAX_NBOXES = 1 << 26
 # edges per chunk: of the rows the build writes, the self-loop scan, the
-# dump and the transpose read, and of the frontier slices `reachable`
-# expands
+# dump and the transpose read, and of the frontier slices that `reachable`
+# and `close_planes` expand
 _CHUNK_EDGES = 1 << 18
 
 
@@ -582,6 +583,22 @@ def _out_neighbors(offsets: np.ndarray, targets: np.ndarray,
     return _gather(targets, starts - np.cumsum(counts) + counts, counts, 0)
 
 
+def _frontier_slices(offsets: np.ndarray, targets: np.ndarray,
+                     frontier: np.ndarray):
+    """Yield (rows, counts, targets) for slices of the frontier of about
+    `_CHUNK_EDGES` out-edges each: the slice of `frontier`, the out-degrees
+    of its nodes, and the targets of their out-edges, concatenated."""
+    starts = offsets[frontier]
+    counts = offsets[frontier + 1] - starts
+    ends = np.cumsum(counts)
+    first = starts - ends + counts
+    bounds = [(0, frontier.size)] if ends[-1] <= _CHUNK_EDGES else \
+        _row_chunks(np.append(0, ends), frontier.size)
+    for a, b in bounds:
+        yield (slice(a, b), counts[a:b],
+               _gather(targets, first[a:b], counts[a:b], ends[a] - counts[a]))
+
+
 def reachable(offsets: np.ndarray, targets: np.ndarray, seeds,
               max_layers: int | None = None,
               seen: np.ndarray | None = None) -> np.ndarray | None:
@@ -609,17 +626,74 @@ def reachable(offsets: np.ndarray, targets: np.ndarray, seeds,
         if layers == max_layers:
             return None
         layers += 1
-        starts = offsets[frontier]
-        counts = offsets[frontier + 1] - starts
-        ends = np.cumsum(counts)
-        first = starts - ends + counts
-        if ends[-1] <= _CHUNK_EDGES:
-            frontier = _visit(_gather(targets, first, counts, 0), seen, slot)
-        else:
-            frontier = np.concatenate([
-                _visit(_gather(targets, first[a:b], counts[a:b],
-                               ends[a] - counts[a]), seen, slot)
-                for a, b in _row_chunks(np.append(0, ends), frontier.size)])
+        frontier = np.concatenate([
+            _visit(tgt, seen, slot)
+            for _, _, tgt in _frontier_slices(offsets, targets, frontier)])
+    return seen
+
+
+def close_planes(offsets: np.ndarray, targets: np.ndarray, seeds: np.ndarray,
+                 seen: np.ndarray) -> np.ndarray:
+    """Grow `seen` by the forward closure of `seeds`, up to 64 sets at once.
+
+    `seeds` and `seen` hold one uint64 word per CSR node, and bit f of the
+    words is node set f (a plane).  On every plane this is `reachable`
+    with that plane of `seen`: its nodes are not expanded again, so for a
+    forward-closed plane the result is the closure of both planes
+    together.  `seen` is grown in place and returned.
+
+    All planes advance in lockstep (the multi-source traversal of Then et
+    al., VLDB 2014): a layer pushes the words of its frontier nodes along
+    their out-edges with one OR-scatter per slice of about `_CHUNK_EDGES`
+    edges, and a node joins the next frontier when it gains a bit.  Beside
+    `seen` this holds one word per node for the next frontier plus one
+    slice.  For a single set `reachable` is faster.
+    """
+    new = seeds & ~seen
+    seen |= new
+    frontier = np.flatnonzero(new)
+    while frontier.size:
+        words = new[frontier]
+        new = np.zeros_like(seen)
+        for rows, counts, tgt in _frontier_slices(offsets, targets, frontier):
+            np.bitwise_or.at(new, tgt, np.repeat(words[rows], counts))
+        new &= ~seen
+        seen |= new
+        frontier = np.flatnonzero(new)
+    return seen
+
+
+def _pack_planes(planes: np.ndarray) -> np.ndarray:
+    """uint64 words whose bit f is row f of a (k <= 64, n) bool array."""
+    octets = np.zeros((planes.shape[1], 8), dtype=np.uint8)
+    packed = np.packbits(planes, axis=0, bitorder="little")
+    octets[:, :packed.shape[0]] = packed.T
+    return octets.view("<u8").ravel()
+
+
+def _unpack_planes(words: np.ndarray, k: int) -> np.ndarray:
+    """(k, n) bool array whose row f is bit f of the n uint64 words."""
+    octets = words.astype("<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=k,
+                         bitorder="little").T.astype(bool)
+
+
+def reachable_sets(offsets: np.ndarray, targets: np.ndarray,
+                   seeds: np.ndarray,
+                   seen: np.ndarray | None = None) -> np.ndarray:
+    """`reachable` for every row of the (k, n) bool array `seeds`.
+
+    Returns a (k, n) bool array; a given `seen` of that shape is grown in
+    place and returned, row by row as `reachable` grows its mask.  The
+    rows are closed 64 at a time, as the planes of one `close_planes`.
+    """
+    if seen is None:
+        seen = np.zeros(seeds.shape, dtype=bool)
+    for a in range(0, seeds.shape[0], 64):
+        rows = slice(a, a + 64)
+        words = close_planes(offsets, targets, _pack_planes(seeds[rows]),
+                             _pack_planes(seen[rows]))
+        seen[rows] = _unpack_planes(words, seen[rows].shape[0])
     return seen
 
 

@@ -104,7 +104,10 @@ def _coords(v, where, dim, grid=None):
 
 
 def _rle(v, where, dim, grid):
-    """Reader of a box set of the run's grid, as [start, length] runs."""
+    """Reader of a nonempty box set of the run's grid, as [start, length]
+    runs."""
+    if isinstance(v, list) and not v:
+        raise ConfigError(f"bad {where}: the run list is empty")
     try:
         return BoxSet.from_rle(grid, v)
     except ValueError as e:

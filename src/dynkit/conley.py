@@ -17,11 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .phase_space import BoxSet
+from .phase_space import BoxSet, _morph
 from .system import MapSpec, iterates
-from .chain_graph import (TransitionGraph, _out_neighbors,
-                          chain_recurrent_boxes, nontrivial_scc_sets,
-                          reachable)
+from .chain_graph import (TransitionGraph, _out_neighbors, _unpack_planes,
+                          chain_recurrent_boxes, close_planes,
+                          nontrivial_scc_sets, reachable_sets)
 
 __all__ = [
     "NotABlockError", "AttractorFlags", "AttractorRecord", "ConleyReport",
@@ -72,10 +72,11 @@ class ConleyReport:
 # reachability helpers
 # ---------------------------------------------------------------------------
 
-def _backward_closure(g: TransitionGraph, seed_nodes: np.ndarray) -> np.ndarray:
-    """Nodes (boxes and sink) with a directed path into seed_nodes."""
+def _backward_closures(g: TransitionGraph, seeds: np.ndarray) -> np.ndarray:
+    """Row i: the nodes (boxes and sink) with a directed path into row i of
+    the (k, n_nodes) bool array `seeds`."""
     roff, rtarg = g.reverse()
-    return reachable(roff, rtarg, seed_nodes)
+    return reachable_sets(roff, rtarg, seeds)
 
 
 def _is_block(g: TransitionGraph, U: BoxSet) -> bool:
@@ -120,6 +121,70 @@ def _downset_families(reach: np.ndarray, max_downset_comps: int) -> list:
     return [np.flatnonzero(mask & bit).tolist() for mask in closed]
 
 
+def _scc_reach(g: TransitionGraph, scc_of: np.ndarray, m: int) -> np.ndarray:
+    """reach[i, j]: SCC i reaches SCC j (reach[i, i] holds).
+
+    SCCs i..i+63 are the planes of one `close_planes`; each SCC's column
+    ORs the closure words of its boxes."""
+    reach = np.zeros((m, m), dtype=bool)
+    for a in range(0, m, 64):
+        k = min(64, m - a)
+        plane = scc_of - a
+        inside = (plane >= 0) & (plane < k)
+        seeds = np.zeros(g.n_nodes, dtype=np.uint64)
+        seeds[inside] = np.uint64(1) << plane[inside].astype(np.uint64)
+        closure = close_planes(g.offsets, g.targets, seeds,
+                               np.zeros_like(seeds))
+        hits = np.zeros(m + 1, dtype=np.uint64)
+        np.bitwise_or.at(hits, scc_of, closure)
+        reach[a:a + k] = _unpack_planes(hits[:m], k)
+    return reach
+
+
+def _grow_families(g: TransitionGraph, core: np.ndarray, k: int,
+                   extra_dilations: int, max_dilation: int) -> list:
+    """The blocks of k <= 64 families grown in lockstep, one list per
+    family in dilation order.  Bit f of the uint64 word `core[b]` says that
+    box b is in the core of family f."""
+    periodic, shape = g.grid.domain.periodic, g.grid.shape
+    roff, rtarg = g.reverse()
+    found = [[] for _ in range(k)]
+    active = (1 << k) - 1
+    dilated = core.reshape(shape)
+    closure = np.zeros(g.n_nodes, dtype=np.uint64)
+    seeds = np.zeros_like(closure)
+    boxes = closure[:g.nboxes]
+    for _ in range(max_dilation):
+        dilated = _morph(dilated, periodic, 1, np.bitwise_or)
+        # a dilation of every box closes to every box: the family ends
+        active &= ~int(np.bitwise_and.reduce(dilated, axis=None))
+        if not active:
+            break
+        np.bitwise_and(dilated.ravel(), active, out=seeds[:g.nboxes])
+        close_planes(g.offsets, g.targets, seeds, closure)
+        active &= ~int(closure[g.sink] | np.bitwise_and.reduce(boxes))
+        if not active:
+            break
+        # a closure that passed the checks is forward-closed and sink-free;
+        # its margin boxes must have no predecessor in it
+        margin = boxes & ~_morph(boxes.reshape(shape), periodic, 1,
+                                 np.bitwise_and).ravel()
+        margin &= active
+        at = np.flatnonzero(margin)
+        pulled = np.repeat(margin[at], roff[at + 1] - roff[at])
+        pulled &= closure[_out_neighbors(roff, rtarg, at)]
+        leaky = np.bitwise_or.reduce(pulled)
+        passing = active & ~int(leaky)
+        for f in range(k):
+            if passing >> f & 1:
+                found[f].append((boxes >> np.uint64(f) & 1).astype(bool))
+                if len(found[f]) > extra_dilations:
+                    active &= ~(1 << f)
+        if not active:
+            break
+    return found
+
+
 def find_attractor_blocks(g: TransitionGraph, candidates=None,
                           extra_dilations: int = 2, max_dilation: int = 16,
                           max_downset_comps: int = 12) -> list[BoxSet]:
@@ -132,11 +197,14 @@ def find_attractor_blocks(g: TransitionGraph, candidates=None,
     Each family grows one dilation D and one forward closure C: a new
     layer only seeds the search from D_k \\ C_{k-1}, since
     closure(D_k) = C_{k-1} | closure(D_k \\ C_{k-1}).  A family stops at
-    the first closure that reaches the sink or the whole grid, or once
-    `extra_dilations` blocks follow its first one.  Such a closure is
-    forward-closed and sink-free, so it is a block iff no box of its
-    boundary layer has a predecessor in it.  User-supplied candidate box
-    sets are tested in full, and blocks already found are not repeated.
+    the first closure that reaches the sink or the whole grid (a dilation
+    of the whole grid stops before its closure), or once `extra_dilations`
+    blocks follow its first one.  Such a closure is forward-closed and
+    sink-free, so it is a block iff no box of its boundary layer has a
+    predecessor in it.  Families run 64 at a time, family f as bit f of
+    one uint64 word per node, and their blocks are taken in family order.
+    User-supplied candidate box sets are tested in full, and blocks
+    already found are not repeated.
 
     Requires a graph built with eps > 0 so the fattening provides the
     uniform margin.
@@ -158,32 +226,17 @@ def find_attractor_blocks(g: TransitionGraph, candidates=None,
     scc_of = np.full(g.n_nodes, m, dtype=np.int64)
     for i, s in enumerate(sccs):
         scc_of[:g.nboxes][s.bits] = i
-    # reach[i, j]: SCC i reaches SCC j; column m gathers everything else
-    reach = np.zeros((m, m + 1), dtype=bool)
-    for i, s in enumerate(sccs):
-        reach[i, scc_of[reachable(g.offsets, g.targets, s.indices())]] = True
-
-    roff, rtarg = g.reverse()
-    for members in _downset_families(reach[:, :m], max_downset_comps):
-        core = np.zeros(m + 1, dtype=bool)
-        core[members] = True
-        dilated = BoxSet(g.grid, core[scc_of[:g.nboxes]])
-        closure = np.zeros(g.n_nodes, dtype=bool)
-        passes = 0
-        for _ in range(max_dilation):
-            dilated = dilated.dilate(1)
-            reachable(g.offsets, g.targets,
-                      np.flatnonzero(dilated.bits & ~closure[:g.nboxes]),
-                      seen=closure)
-            U = BoxSet(g.grid, closure[:g.nboxes].copy())
-            if closure[g.sink] or len(U) == g.nboxes:
-                break
-            margin = U - U.erode(1)
-            if not closure[_out_neighbors(roff, rtarg, margin.indices())].any():
-                add(U)
-                passes += 1
-                if passes > extra_dilations:
-                    break
+    families = _downset_families(_scc_reach(g, scc_of, m), max_downset_comps)
+    for a in range(0, len(families), 64):
+        batch = families[a:a + 64]
+        # fam[i]: bit f set iff SCC i is in family a + f
+        fam = np.zeros(m + 1, dtype=np.uint64)
+        for f, members in enumerate(batch):
+            fam[members] |= np.uint64(1 << f)
+        for family in _grow_families(g, fam[scc_of[:g.nboxes]], len(batch),
+                                     extra_dilations, max_dilation):
+            for bits in family:
+                add(BoxSet(g.grid, bits))
 
     if candidates is not None:
         for U in candidates:
@@ -219,10 +272,30 @@ def attractor_from_block(g: TransitionGraph, U: BoxSet,
             raise RuntimeError("image iteration failed to reach a fixpoint")
 
 
+def _basins(g: TransitionGraph, sets: list) -> list[BoxSet]:
+    """Basin of each box set: the boxes with a directed path into it."""
+    seeds = np.zeros((len(sets), g.n_nodes), dtype=bool)
+    for row, U in zip(seeds, sets):
+        row[:g.nboxes] = U.bits
+    return [BoxSet(g.grid, bits[:g.nboxes])
+            for bits in _backward_closures(g, seeds)]
+
+
+def _absorbed_basins(g: TransitionGraph, attractors: list) -> list[BoxSet]:
+    """Absorbed basin of each attractor A: the complement of the backward
+    closure of the bad nodes, the cycle boxes outside A plus the sink."""
+    recurrent = chain_recurrent_boxes(g).bits
+    seeds = np.zeros((len(attractors), g.n_nodes), dtype=bool)
+    seeds[:, g.sink] = True
+    for row, A in zip(seeds, attractors):
+        row[:g.nboxes] = recurrent & ~A.bits
+    return [BoxSet(g.grid, ~reached[:g.nboxes])
+            for reached in _backward_closures(g, seeds)]
+
+
 def basin(g: TransitionGraph, U: BoxSet) -> BoxSet:
     """Boxes with a directed path into U (U included)."""
-    bits = _backward_closure(g, U.indices())
-    return BoxSet(g.grid, bits[:g.nboxes])
+    return _basins(g, [U])[0]
 
 
 def absorbed_basin(g: TransitionGraph, A: BoxSet) -> BoxSet:
@@ -231,9 +304,7 @@ def absorbed_basin(g: TransitionGraph, A: BoxSet) -> BoxSet:
     Complement of the backward closure of the bad nodes: cycle boxes
     outside A, plus the sink.
     """
-    bad = chain_recurrent_boxes(g) - A
-    reached = _backward_closure(g, np.append(bad.indices(), g.sink))
-    return BoxSet(g.grid, ~reached[:g.nboxes])
+    return _absorbed_basins(g, [A])[0]
 
 
 def verify_conley_decomposition(g: TransitionGraph, blocks=None) -> ConleyReport:
@@ -242,15 +313,16 @@ def verify_conley_decomposition(g: TransitionGraph, blocks=None) -> ConleyReport
 
     Basins enter as absorbed basins; backward-reachability basins count
     boxes that merely straddle basin boundaries and would break the exact
-    identity at any finite resolution.
+    identity at any finite resolution.  The absorbed basins of all blocks
+    are closed together, 64 per plane closure.
     """
     if blocks is None:
         blocks = find_attractor_blocks(g)
     lhs = chain_recurrent_boxes(g).complement()
+    attractors = [attractor_from_block(g, U)[0] for U in blocks]
     rhs = BoxSet.empty(g.grid)
-    for U in blocks:
-        A, _ = attractor_from_block(g, U)
-        rhs = rhs | (absorbed_basin(g, A) - A)
+    for A, B in zip(attractors, _absorbed_basins(g, attractors)):
+        rhs = rhs | (B - A)
     lhs_only = lhs - rhs
     rhs_only = rhs - lhs
     return ConleyReport(len(blocks), len(lhs), len(rhs),
@@ -307,10 +379,10 @@ def build_attractor_records(g: TransitionGraph, map_spec: MapSpec,
                             include_sink: bool = False) -> list[AttractorRecord]:
     if blocks is None:
         blocks = find_attractor_blocks(g)
+    fixpoints = [attractor_from_block(g, U, include_sink=include_sink)
+                 for U in blocks]
     records = []
-    for U in blocks:
-        A, iters = attractor_from_block(g, U, include_sink=include_sink)
-        B = basin(g, U)
+    for U, (A, iters), B in zip(blocks, fixpoints, _basins(g, blocks)):
         flags = attractor_invariance_check(g, map_spec, U, A,
                                            n_samples=n_samples, n_iter=n_iter,
                                            rng_seed=rng_seed)

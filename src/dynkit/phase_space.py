@@ -173,6 +173,37 @@ class Grid:
         return np.asarray(self.domain.lower) + m * self.h
 
 
+def _morph(a: np.ndarray, periodic: tuple, layers: int, op) -> np.ndarray:
+    """Combine each box with its face neighbours by `op`, `layers` times.
+
+    `a` is any array whose leading axes are the grid, one per entry of
+    `periodic`: a bool mask, or uint64 words that hold one box set per bit.
+    `op` is `np.bitwise_or` (dilate) or `np.bitwise_and` (erode), which on
+    bool are the logical ops.  The input is copied once; each layer reads a
+    copy of the previous one and writes the shifted slices into the result.
+    A periodic axis wraps (np.roll); on a non-periodic one the neighbour
+    past the window edge is empty, so an erosion clears the edge slices.
+    """
+    a = a.copy()
+    prev = np.empty_like(a)
+    erode = op is np.bitwise_and
+    for _ in range(layers):
+        prev[...] = a
+        for ax, wraps in enumerate(periodic):
+            if wraps:
+                op(a, np.roll(prev, 1, axis=ax), out=a)
+                op(a, np.roll(prev, -1, axis=ax), out=a)
+                continue
+            lo = (slice(None),) * ax + (slice(None, -1),)
+            hi = (slice(None),) * ax + (slice(1, None),)
+            op(a[hi], prev[lo], out=a[hi])
+            op(a[lo], prev[hi], out=a[lo])
+            if erode:
+                a[(slice(None),) * ax + (0,)] = 0
+                a[(slice(None),) * ax + (-1,)] = 0
+    return a
+
+
 class BoxSet:
     """Dense bit vector over the boxes of one grid.
 
@@ -288,42 +319,21 @@ class BoxSet:
 
     # -- grid-topology morphology ----------------------------------------
 
-    def _morph(self, layers: int, op) -> "BoxSet":
-        """Combine each box with its face neighbours by `op`, `layers` times.
-
-        Each layer reads a copy of the previous one and writes the shifted
-        slices straight into the result.  A periodic axis wraps (np.roll);
-        on a non-periodic one the neighbour past the window edge is empty.
-        """
-        a = self.bits.reshape(self.grid.shape).copy()
-        prev = np.empty_like(a)
-        erode = op is np.logical_and
-        for _ in range(layers):
-            prev[...] = a
-            for ax, periodic in enumerate(self.grid.domain.periodic):
-                if periodic:
-                    op(a, np.roll(prev, 1, axis=ax), out=a)
-                    op(a, np.roll(prev, -1, axis=ax), out=a)
-                    continue
-                lo = (slice(None),) * ax + (slice(None, -1),)
-                hi = (slice(None),) * ax + (slice(1, None),)
-                op(a[hi], prev[lo], out=a[hi])
-                op(a[lo], prev[hi], out=a[lo])
-                if erode:
-                    a[(slice(None),) * ax + (0,)] = False
-                    a[(slice(None),) * ax + (-1,)] = False
-        return BoxSet(self.grid, a.ravel())
-
     def dilate(self, layers: int = 1) -> "BoxSet":
         """Grow by face-adjacent boxes, `layers` times."""
-        return self._morph(layers, np.logical_or)
+        return self._morphed(layers, np.bitwise_or)
 
     def erode(self, layers: int = 1) -> "BoxSet":
         """Drop members face-adjacent to the complement, `layers` times.
 
         On a non-periodic axis the window edge counts as complement.
         """
-        return self._morph(layers, np.logical_and)
+        return self._morphed(layers, np.bitwise_and)
+
+    def _morphed(self, layers: int, op) -> "BoxSet":
+        a = _morph(self.bits.reshape(self.grid.shape),
+                   self.grid.domain.periodic, layers, op)
+        return BoxSet(self.grid, a.ravel())
 
     def boundary(self) -> "BoxSet":
         """Member boxes adjacent to non-member boxes."""

@@ -152,6 +152,7 @@ class TestConfigValidation:
         {"candidate_rle": [[1]]}, {"candidate_rle": "x"},
         {"candidate_rle": [[-3, 2]]}, {"candidate_rle": [[60, 10]]},
         {"candidate_rle": [[10, -2]]}, {"include_sink": "false"},
+        {"candidate_rle": []},
     ])
     def test_malformed_attractor_inputs_exit_2(self, tmp_path, monkeypatch,
                                                experiment):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynkit import chain_graph, conley
 from dynkit.chain_graph import (TransitionGraph, build_graph,
                                 chain_recurrent_boxes, nontrivial_scc_sets,
-                                reachable)
+                                reachable, reachable_sets)
 from dynkit.conley import (
     NotABlockError, _is_block, absorbed_basin, attractor_from_block,
     attractor_invariance_check, basin, build_attractor_records,
@@ -211,6 +212,118 @@ class TestBlocksMatchReference:
         got = find_attractor_blocks(tg, candidates=cands)
         assert same_blocks(got, reference_blocks(tg, candidates=cands))
         assert same_blocks(got, found)
+
+
+def csr_graph(grid, edges, eps=0.1):
+    """TransitionGraph on `grid` from (source, target) node pairs; the
+    sink self-loop is added."""
+    n = grid.nboxes
+    keys = np.unique([s * (n + 1) + t for s, t in list(edges) + [(n, n)]])
+    offsets = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(keys // (n + 1), minlength=n + 1), out=offsets[1:])
+    return TransitionGraph(grid, None, eps, offsets,
+                           (keys % (n + 1)).astype(np.int32), 0.0)
+
+
+def towards(grid, centres):
+    """Edges of a 1-D grid where each box steps one box towards its nearest
+    centre and every centre loops to itself."""
+    c = np.asarray(centres)
+    edges = []
+    for b in range(grid.nboxes):
+        near = int(c[np.argmin(np.abs(c - b))])
+        edges.append((b, b + int(np.sign(near - b))))
+    return edges
+
+
+class TestPlaneClosure:
+    """`reachable_sets`, 64 sets per `close_planes` word, against
+    `reachable` one plane at a time."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    @settings(max_examples=25, deadline=None)
+    @given(box_graphs(), st.sampled_from([1, 64, 65, 130]), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_reachable_per_plane(self, chunk, tg, k, transpose, seed):
+        off, tgt = tg.reverse() if transpose else (tg.offsets, tg.targets)
+        rng = np.random.default_rng(seed)
+        seeds = rng.random((k, tg.n_nodes)) < rng.uniform(0, 0.1, (k, 1))
+        # explored nodes are not expanded again, closed or not
+        seen = rng.random((k, tg.n_nodes)) < rng.uniform(0, 0.2, (k, 1))
+        seen[np.arange(k), rng.integers(0, tg.n_nodes, k)] = True
+        want = np.array([reachable(off, tgt, np.flatnonzero(row), seen=s.copy())
+                         for row, s in zip(seeds, seen)])
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
+            got = reachable_sets(off, tgt, seeds, seen=seen)
+        assert got is seen
+        assert np.array_equal(got, want)
+
+    def test_words_are_grown_in_place(self):
+        tg = bench_cubic_graph(1, 6, 1.0 / 64)
+        seeds = np.zeros(tg.n_nodes, dtype=np.uint64)
+        seeds[[3, 40]] = [1, 1 << 63]
+        seen = np.zeros_like(seeds)
+        assert chain_graph.close_planes(tg.offsets, tg.targets, seeds,
+                                        seen) is seen
+        for f, box in ((0, 3), (63, 40)):
+            plane = (seen >> np.uint64(f) & 1).astype(bool)
+            assert np.array_equal(plane, reachable(tg.offsets, tg.targets, [box]))
+        assert not np.any(seen & ~np.uint64(1 | 1 << 63))
+
+
+class TestWordBatches:
+    """Families run 64 per word; the blocks stay those of the reference
+    loop, in its order."""
+
+    def test_eight_attractors_fill_four_words(self, monkeypatch):
+        # 8 self-looped boxes, none reaching another: every nonempty
+        # subset is a down-set, 255 families in 4 word batches
+        grid = Grid(Domain((0.0,), (1.0,), (False,)), (6,))
+        centres = range(4, 64, 8)
+        tg = csr_graph(grid, towards(grid, centres))
+        assert len(nontrivial_scc_sets(tg)) == 8
+        batches = []
+        real = conley._grow_families
+        monkeypatch.setattr(conley, "_grow_families",
+                            lambda g, core, k, *a: batches.append(k)
+                            or real(g, core, k, *a))
+        for kw in ({}, {"extra_dilations": 16}):
+            batches.clear()
+            got = find_attractor_blocks(tg, **kw)
+            assert batches == [64, 64, 64, 63]
+            assert same_blocks(got, reference_blocks(tg, **kw))
+            assert all(_is_block(tg, U) for U in got)
+
+    def test_full_dilation_stops_before_its_closure(self, monkeypatch):
+        # one attractor at box 5 of 16; box 15, the last box its dilation
+        # reaches, also steps into the sink
+        grid = Grid(Domain((0.0,), (1.0,), (False,)), (4,))
+        tg = csr_graph(grid, towards(grid, [5]) + [(15, grid.nboxes)])
+        assert reachable(tg.offsets, tg.targets, range(16))[tg.sink]
+        closures = []
+        real = conley.close_planes
+        monkeypatch.setattr(conley, "close_planes",
+                            lambda *a: closures.append(1) or real(*a))
+        got = find_attractor_blocks(tg, extra_dilations=16)
+        # the SCC reach closure, then dilations 1..9; dilation 10 covers
+        # the grid and is not closed
+        assert len(closures) == 10
+        assert len(got) == 9
+        assert same_blocks(got, reference_blocks(tg, extra_dilations=16))
+
+    def test_no_family_calls_reachable(self, monkeypatch):
+        tg = bench_cubic_graph(2, 5, 0.03125)
+        tg.scc_labels()
+        calls = []
+        real = chain_graph.reachable
+        counter = lambda *a, **k: calls.append(1) or real(*a, **k)
+        monkeypatch.setattr(chain_graph, "reachable", counter)
+        monkeypatch.setattr(conley, "reachable", counter, raising=False)
+        got = find_attractor_blocks(tg)
+        assert len(nontrivial_scc_sets(tg)) > 1 and got
+        assert not calls
 
 
 class TestBlocks:
