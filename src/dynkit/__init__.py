@@ -11,7 +11,7 @@ from .phase_space import Domain, Grid, BoxSet
 from .system import MapSpec, make_map, polynomial_map
 from .chain_graph import (
     build_graph, chain_recurrent_boxes, chain_components,
-    find_eps_chain, is_chain_transitive, nonwandering_probe,
+    is_chain_transitive, nonwandering_probe,
     strong_chain_search, ConstantEps, RadialEps,
 )
 from .conley import (
@@ -25,13 +25,13 @@ from .shadowing import (
 )
 from .manifolds import (
     find_periodic_points, grow_manifold, homoclinic_points,
-    omega_limit_cloud, is_recurrent, accumulation_check,
+    is_recurrent, accumulation_check,
 )
 
 __all__ = [
     "Domain", "Grid", "BoxSet", "MapSpec", "make_map", "polynomial_map",
     "build_graph", "chain_recurrent_boxes", "chain_components",
-    "find_eps_chain", "is_chain_transitive", "nonwandering_probe",
+    "is_chain_transitive", "nonwandering_probe",
     "strong_chain_search", "ConstantEps", "RadialEps",
     "find_attractor_blocks", "attractor_from_block", "basin",
     "verify_conley_decomposition", "attractor_invariance_check",
@@ -39,5 +39,5 @@ __all__ = [
     "random_pseudo_orbit", "splice_pseudo_orbit", "shadow_search",
     "linear_stable_check", "shadowing_profile",
     "find_periodic_points", "grow_manifold", "homoclinic_points",
-    "omega_limit_cloud", "is_recurrent", "accumulation_check",
+    "is_recurrent", "accumulation_check",
 ]

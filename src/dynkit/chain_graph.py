@@ -1,7 +1,7 @@
 """Epsilon-fattened transition graphs over box grids and everything
 chain-recurrent that lives on them: recurrent boxes, chain components,
-point-to-point chains, chain transitivity, nonwandering probes and
-variable-threshold (Hurley-style) chain searches.
+chain transitivity, nonwandering probes and variable-threshold
+(Hurley-style) chain searches.
 
 Construction is an outer approximation: the image of each box center is
 fattened per axis by the entrywise Jacobian bound applied to the box
@@ -25,7 +25,7 @@ __all__ = [
     "ConstantEps", "RadialEps",
     "build_graph", "strongly_connected_components", "reachable",
     "close_planes", "reachable_sets",
-    "chain_recurrent_boxes", "chain_components", "find_eps_chain",
+    "chain_recurrent_boxes", "chain_components",
     "is_chain_transitive", "nonwandering_probe", "strong_chain_search",
     "fixed_point_chain",
     "NonwanderingResult", "MAX_NBOXES",
@@ -202,28 +202,21 @@ def _box_spreads(grid: Grid, map_spec: MapSpec):
     """(spread, lipschitz): per-box per-axis image half-widths from entrywise
     Jacobian bounds, plus a scalar Lipschitz bound for slack formulas.
 
-    Sound: |f(x)_a - f(c)_a| <= sum_b |J_ab|_max r_b over the box.  Maps
-    without entrywise bounds fall back to the isotropic L * |r| spread.
+    Sound: |f(x)_a - f(c)_a| <= sum_b |J_ab|_max r_b over the box.
     """
-    if map_spec.jac_abs_bound is not None:
-        centers = grid.centers()
-        B = np.asarray(map_spec.jac_abs_bound(centers - grid.radius,
-                                              centers + grid.radius))
-        spread = np.einsum("nab,b->na", B, grid.radius)
-        # one SVD per distinct bound (np.unique(axis=0) imports numpy.ma)
-        flat = B.reshape(B.shape[0], -1)
-        flat = flat[np.lexsort(flat.T)]
-        flat = flat[np.append(True, np.any(flat[1:] != flat[:-1], axis=1))]
-        lip = float(np.max(np.linalg.norm(flat.reshape(-1, *B.shape[1:]),
-                                          ord=2, axis=(1, 2))))
-        if map_spec.lipschitz is not None:
-            lip = min(lip, float(map_spec.lipschitz))
-        return spread, lip
-    if map_spec.lipschitz is None:
-        raise ValueError(f"map {map_spec.name!r} has no Lipschitz bound")
-    L = float(map_spec.lipschitz)
-    spread = np.full((grid.nboxes, grid.dim), L * grid.box_norm_radius)
-    return spread, L
+    centers = grid.centers()
+    B = np.asarray(map_spec.jac_abs_bound(centers - grid.radius,
+                                          centers + grid.radius))
+    spread = np.einsum("nab,b->na", B, grid.radius)
+    # one SVD per distinct bound (np.unique(axis=0) imports numpy.ma)
+    flat = B.reshape(B.shape[0], -1)
+    flat = flat[np.lexsort(flat.T)]
+    flat = flat[np.append(True, np.any(flat[1:] != flat[:-1], axis=1))]
+    lip = float(np.max(np.linalg.norm(flat.reshape(-1, *B.shape[1:]),
+                                      ord=2, axis=(1, 2))))
+    if map_spec.lipschitz is not None:
+        lip = min(lip, float(map_spec.lipschitz))
+    return spread, lip
 
 
 def _cover_ranges(grid: Grid, lo_f: np.ndarray, hi_f: np.ndarray):
@@ -353,7 +346,9 @@ def build_graph(grid: Grid, map_spec: MapSpec, eps: float,
     With `eps_fn` set, the per-box fattening uses the minimum of the
     threshold function over the (Lipschitz-fattened) image rectangle
     instead of the constant eps, a sound under-approximation of Hurley
-    eps(x)-jumps.
+    eps(x)-jumps.  The map must carry `jac_abs_bound`, as every map of
+    `make_map` and `polynomial_map` does; a map without one raises
+    ValueError.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -361,6 +356,9 @@ def build_graph(grid: Grid, map_spec: MapSpec, eps: float,
         raise ValueError("map dimension does not match the grid")
     if grid.nboxes > MAX_NBOXES:
         raise ValueError("grid too fine for the dense graph representation")
+    if map_spec.jac_abs_bound is None:
+        raise ValueError(f"map {map_spec.name!r} has no entrywise Jacobian "
+                         f"bound (jac_abs_bound)")
     centers = grid.centers()
     images = evaluate(map_spec, centers)
     if map_spec.periods is not None:
@@ -766,57 +764,20 @@ def chain_slack(g: TransitionGraph) -> float:
     return L * r + d * (L * r + g.eps) + 2.0 * r
 
 
-def _realize_chain(map_spec: MapSpec, pts, thresholds) -> EpsChain | None:
+def _realize_chain(map_spec: MapSpec, pts, threshold) -> EpsChain | None:
     """The chain pts[0], ..., pts[-1], revalidated by evaluating the map.
 
-    `thresholds` holds one jump bound per step, or is a function giving a
-    step's bound from the image f(pts[k]).  None if a jump reaches its
-    bound.
+    `threshold` gives a step's jump bound from the image f(pts[k]).  None
+    if a jump reaches its bound.
     """
     pts = np.asarray(pts, dtype=float)
     imgs = np.asarray([evaluate(map_spec, x) for x in pts[:-1]])
-    if callable(thresholds):
-        thresholds = [thresholds(img) for img in imgs]
-    thresholds = np.asarray(thresholds, dtype=float)
+    thresholds = np.asarray([threshold(img) for img in imgs], dtype=float)
     defects = np.asarray([map_spec.distance(img, nxt)
                           for img, nxt in zip(imgs, pts[1:])])
     if np.any(defects >= thresholds):
         return None
     return EpsChain(pts, float(np.max(thresholds)), thresholds, defects)
-
-
-def _box_chain(g: TransitionGraph, path, p, q) -> list:
-    """p, the centers of the inner boxes of `path`, then q."""
-    return [np.asarray(p, dtype=float)] + \
-        [g.grid.box_geometry(int(b))[0] for b in path[1:-1]] + \
-        [np.asarray(q, dtype=float)]
-
-
-def find_eps_chain(g: TransitionGraph, p, q) -> EpsChain | None:
-    """Chain from p to q realized through box centers, or None.
-
-    The revalidation threshold is eps plus the resolution slack of
-    chain_slack(); every returned chain satisfies its inequality by direct
-    evaluation of the map.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    bp = g.grid.box_of_point(p)
-    bq = g.grid.box_of_point(q)
-    if bp is None or bq is None:
-        return None
-    tau = g.eps + chain_slack(g)
-    # direct step first
-    direct = _realize_chain(g.map_spec, [p, q], [tau])
-    if direct is not None:
-        return direct
-    starts = [int(w) for w in g.out(bp) if w != g.sink]
-    path = _bfs_path(g, starts, bq)
-    if path is None:
-        return None
-    full = [bp] + path
-    return _realize_chain(g.map_spec, _box_chain(g, full, p, q),
-                          np.full(len(full) - 1, tau))
 
 
 @dataclass
@@ -878,6 +839,8 @@ def strong_chain_search(map_spec: MapSpec, p, eps_fn, grid: Grid,
     path = _bfs_path(g, starts, bp, max_len=max_len)
     if path is None:
         return None
+    # p, the centers of the boxes the path passes before box(p), then p
+    centers = [g.grid.box_geometry(int(b))[0] for b in path[:-1]]
     slack = chain_slack(g)
-    return _realize_chain(map_spec, _box_chain(g, [bp] + path, p, p),
+    return _realize_chain(map_spec, [p, *centers, p],
                           lambda img: float(eps_fn(img)) + slack)

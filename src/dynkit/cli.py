@@ -289,14 +289,24 @@ def build_grid(cfg: dict) -> Grid:
 
 def _map_and_grid(name: str, cfg: dict) -> tuple[MapSpec, Grid | None]:
     """The configured map and, unless subcommand `name` runs without one,
-    the grid, checked to share the map's dimension."""
+    the grid, checked to share the map's dimension and, for a torus map,
+    to be its unit torus.  The homoclinic subcommands need a 2-D map."""
     map_spec = build_map(cfg)
+    if name in ("homoclinic", "accumulate") and map_spec.dim != 2:
+        raise ConfigError(f"{name} intersects planar manifolds; map "
+                          f"{map_spec.name!r} has dimension {map_spec.dim}")
     if name in ("shadow", "splice") or (name == "volume" and cfg["grid"] is None):
         return map_spec, None
     grid = build_grid(cfg)
     if map_spec.dim != grid.dim:
         raise ConfigError(f"map {map_spec.name!r} has dimension "
                           f"{map_spec.dim} but the grid has {grid.dim}")
+    # torus images are wrapped into one unit period per axis, so boxes of
+    # a wider or non-periodic window would have no preimage or escape
+    if map_spec.periods is not None and not (
+            all(grid.domain.periodic) and np.all(grid.domain.widths == 1.0)):
+        raise ConfigError(f"map {map_spec.name!r} lives on the unit torus: "
+                          f"every grid axis must be periodic and 1.0 wide")
     return map_spec, grid
 
 
@@ -617,7 +627,8 @@ def run_manifolds(cfg, exp, out_dir, map_spec, grid):
     artifacts = []
     for poly, nm in ((Wu, "unstable"), (Ws, "stable")):
         csv = out_dir / f"manifold_{nm}.csv"
-        write_csv(csv, ["index", "x0", "x1"], poly.vertices)
+        write_csv(csv, ["index"] + [f"x{i}" for i in range(map_spec.dim)],
+                  poly.vertices)
         artifacts.append(csv.name)
     if map_spec.dim == 2:
         artifacts.append(_plot(

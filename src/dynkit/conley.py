@@ -32,6 +32,20 @@ __all__ = [
 ]
 
 
+# block enumeration: a family stops once this many blocks follow its first
+# one, or after this many dilations; up to this many nontrivial SCCs every
+# down-closed union of them seeds a family, above it only the principal
+# down-sets and the union of all
+_EXTRA_DILATIONS = 2
+_MAX_DILATION = 16
+_MAX_DOWNSET_COMPS = 12
+
+# invariance flags: points sampled per region, and the steps their orbits
+# are followed from the shell U - A
+_N_SAMPLES = 1000
+_N_ITER = 50
+
+
 class NotABlockError(ValueError):
     """The candidate set is not forward-closed in the graph."""
 
@@ -97,18 +111,18 @@ def _is_block(g: TransitionGraph, U: BoxSet) -> bool:
 # block enumeration
 # ---------------------------------------------------------------------------
 
-def _downset_families(reach: np.ndarray, max_downset_comps: int) -> list:
+def _downset_families(reach: np.ndarray) -> list:
     """Member lists of the SCC families whose cores are dilated;
     reach[i, j] says that SCC i reaches SCC j, and reach[i, i] holds.
 
-    Up to `max_downset_comps` SCCs: every nonempty down-closed subset, in
+    Up to `_MAX_DOWNSET_COMPS` SCCs: every nonempty down-closed subset, in
     increasing bitmask order.  Above it: the principal down-sets, then the
     union of all SCCs.
     """
     m = reach.shape[0]
     if not m:
         return []
-    if m > max_downset_comps:
+    if m > _MAX_DOWNSET_COMPS:
         return [np.flatnonzero(row).tolist() for row in reach] + [list(range(m))]
     # needs[mask]: bitmask of the SCCs that the members of mask reach,
     # built from the masks below each new top bit
@@ -125,7 +139,10 @@ def _scc_reach(g: TransitionGraph, scc_of: np.ndarray, m: int) -> np.ndarray:
     """reach[i, j]: SCC i reaches SCC j (reach[i, i] holds).
 
     SCCs i..i+63 are the planes of one `close_planes`; each SCC's column
-    ORs the closure words of its boxes."""
+    ORs the closure words of its boxes.  A single SCC only reaches itself,
+    so it needs no closure."""
+    if m == 1:
+        return np.ones((1, 1), dtype=bool)
     reach = np.zeros((m, m), dtype=bool)
     for a in range(0, m, 64):
         k = min(64, m - a)
@@ -141,8 +158,7 @@ def _scc_reach(g: TransitionGraph, scc_of: np.ndarray, m: int) -> np.ndarray:
     return reach
 
 
-def _grow_families(g: TransitionGraph, core: np.ndarray, k: int,
-                   extra_dilations: int, max_dilation: int) -> list:
+def _grow_families(g: TransitionGraph, core: np.ndarray, k: int) -> list:
     """The blocks of k <= 64 families grown in lockstep, one list per
     family in dilation order.  Bit f of the uint64 word `core[b]` says that
     box b is in the core of family f."""
@@ -154,7 +170,7 @@ def _grow_families(g: TransitionGraph, core: np.ndarray, k: int,
     closure = np.zeros(g.n_nodes, dtype=np.uint64)
     seeds = np.zeros_like(closure)
     boxes = closure[:g.nboxes]
-    for _ in range(max_dilation):
+    for _ in range(_MAX_DILATION):
         dilated = _morph(dilated, periodic, 1, np.bitwise_or)
         # a dilation of every box closes to every box: the family ends
         active &= ~int(np.bitwise_and.reduce(dilated, axis=None))
@@ -178,16 +194,14 @@ def _grow_families(g: TransitionGraph, core: np.ndarray, k: int,
         for f in range(k):
             if passing >> f & 1:
                 found[f].append((boxes >> np.uint64(f) & 1).astype(bool))
-                if len(found[f]) > extra_dilations:
+                if len(found[f]) > _EXTRA_DILATIONS:
                     active &= ~(1 << f)
         if not active:
             break
     return found
 
 
-def find_attractor_blocks(g: TransitionGraph, candidates=None,
-                          extra_dilations: int = 2, max_dilation: int = 16,
-                          max_downset_comps: int = 12) -> list[BoxSet]:
+def find_attractor_blocks(g: TransitionGraph, candidates=None) -> list[BoxSet]:
     """Enumerate attractor blocks at box resolution.
 
     Candidate cores are down-closed unions of nontrivial SCCs (in the
@@ -198,10 +212,10 @@ def find_attractor_blocks(g: TransitionGraph, candidates=None,
     layer only seeds the search from D_k \\ C_{k-1}, since
     closure(D_k) = C_{k-1} | closure(D_k \\ C_{k-1}).  A family stops at
     the first closure that reaches the sink or the whole grid (a dilation
-    of the whole grid stops before its closure), or once `extra_dilations`
-    blocks follow its first one.  Such a closure is forward-closed and
-    sink-free, so it is a block iff no box of its boundary layer has a
-    predecessor in it.  Families run 64 at a time, family f as bit f of
+    of the whole grid stops before its closure), after `_MAX_DILATION`
+    dilations, or once `_EXTRA_DILATIONS` blocks follow its first one.
+    Such a closure is forward-closed and sink-free, so it is a block iff
+    no box of its boundary layer has a predecessor in it.  Families run 64 at a time, family f as bit f of
     one uint64 word per node, and their blocks are taken in family order.
     User-supplied candidate box sets are tested in full, and blocks
     already found are not repeated.
@@ -226,15 +240,14 @@ def find_attractor_blocks(g: TransitionGraph, candidates=None,
     scc_of = np.full(g.n_nodes, m, dtype=np.int64)
     for i, s in enumerate(sccs):
         scc_of[:g.nboxes][s.bits] = i
-    families = _downset_families(_scc_reach(g, scc_of, m), max_downset_comps)
+    families = _downset_families(_scc_reach(g, scc_of, m))
     for a in range(0, len(families), 64):
         batch = families[a:a + 64]
         # fam[i]: bit f set iff SCC i is in family a + f
         fam = np.zeros(m + 1, dtype=np.uint64)
         for f, members in enumerate(batch):
             fam[members] |= np.uint64(1 << f)
-        for family in _grow_families(g, fam[scc_of[:g.nboxes]], len(batch),
-                                     extra_dilations, max_dilation):
+        for family in _grow_families(g, fam[scc_of[:g.nboxes]], len(batch)):
             for bits in family:
                 add(BoxSet(g.grid, bits))
 
@@ -335,14 +348,14 @@ def verify_conley_decomposition(g: TransitionGraph, blocks=None) -> ConleyReport
 
 def attractor_invariance_check(g: TransitionGraph, map_spec: MapSpec,
                                block: BoxSet, attractor: BoxSet,
-                               n_samples: int = 1000, n_iter: int = 50,
                                rng_seed: int = 0) -> AttractorFlags:
     """Sampled invariance flags for an attractor record.
 
     (i) the box image of A equals A; (ii) true orbits started in U - A
     never land in the strict interior of A (interior minus a one-box
-    collar); (iii) points started in boundary boxes of A stay out of that
-    strict interior after one step.
+    collar) within `_N_ITER` steps; (iii) points started in boundary boxes
+    of A stay out of that strict interior after one step.  Each region is
+    sampled at `_N_SAMPLES` points.
     """
     rng = np.random.default_rng(rng_seed)
     invariant = g.image_boxes(attractor) == attractor
@@ -353,7 +366,7 @@ def attractor_invariance_check(g: TransitionGraph, map_spec: MapSpec,
     def count_violations(region: BoxSet, steps: int) -> int:
         if not region or not forbidden:
             return 0
-        pts = region.sample_points(n_samples, rng)
+        pts = region.sample_points(_N_SAMPLES, rng)
         bad = 0
         for img in iterates(map_spec, pts, steps):
             boxes = g.grid.boxes_of_points(img)
@@ -362,7 +375,7 @@ def attractor_invariance_check(g: TransitionGraph, map_spec: MapSpec,
         return bad
 
     shell = block - attractor
-    orbit_bad = count_violations(shell, n_iter)
+    orbit_bad = count_violations(shell, _N_ITER)
     boundary_bad = count_violations(attractor.boundary(), 1)
     return AttractorFlags(
         invariant=bool(invariant),
@@ -374,8 +387,7 @@ def attractor_invariance_check(g: TransitionGraph, map_spec: MapSpec,
 
 
 def build_attractor_records(g: TransitionGraph, map_spec: MapSpec,
-                            blocks=None, n_samples: int = 1000,
-                            n_iter: int = 50, rng_seed: int = 0,
+                            blocks=None, rng_seed: int = 0,
                             include_sink: bool = False) -> list[AttractorRecord]:
     if blocks is None:
         blocks = find_attractor_blocks(g)
@@ -384,7 +396,6 @@ def build_attractor_records(g: TransitionGraph, map_spec: MapSpec,
     records = []
     for U, (A, iters), B in zip(blocks, fixpoints, _basins(g, blocks)):
         flags = attractor_invariance_check(g, map_spec, U, A,
-                                           n_samples=n_samples, n_iter=n_iter,
                                            rng_seed=rng_seed)
         records.append(AttractorRecord(U, A, B, iters, flags))
     return records

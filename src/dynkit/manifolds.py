@@ -1,5 +1,5 @@
 """Hyperbolic periodic points, stable/unstable manifold polylines,
-homoclinic intersections, omega-limit clouds and the homoclinic
+homoclinic intersections, recurrence probes and the homoclinic
 accumulation experiment.
 
 Manifolds grow by iterating a fundamental segment of the local
@@ -11,7 +11,6 @@ continuation), which is what arclengths and straight-line oracles use.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -27,7 +26,7 @@ __all__ = [
     "RecurrenceResult", "AccumulationRow", "NoRealEigendirectionError",
     "BasePointError", "SegmentLengthError",
     "find_periodic_points", "grow_manifold", "homoclinic_points",
-    "omega_limit_cloud", "is_recurrent", "accumulation_check",
+    "is_recurrent", "accumulation_check",
     "point_to_polyline_distance",
 ]
 
@@ -129,10 +128,15 @@ def _orbit_jacobian(map_spec: MapSpec, pts: np.ndarray, steps: int,
     return x, J
 
 
+# Newton rounds of the periodic-point solve
+_NEWTON_ITER = 40
+
+
 def find_periodic_points(map_spec: MapSpec, period: int, grid: Grid,
-                         tol_fix: float = 1e-10, tol_hyp: float = 1e-6,
-                         max_iter: int = 40) -> list[HyperbolicPoint]:
-    """Newton on f^period(x) - x seeded from every box center.
+                         tol_fix: float = 1e-10,
+                         tol_hyp: float = 1e-6) -> list[HyperbolicPoint]:
+    """Newton on f^period(x) - x seeded from every box center, at most
+    `_NEWTON_ITER` rounds.
 
     Converged roots are merged within 10*tol_fix and classified by the
     eigen-decomposition of D(f^period).  Degenerate Jacobians fall back to
@@ -146,7 +150,7 @@ def find_periodic_points(map_spec: MapSpec, period: int, grid: Grid,
     # a row that does not move keeps its x, so it never moves again: each
     # round runs on the rows that moved in the last one
     rows = np.arange(x.shape[0])
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITER):
         xr = x[rows]
         fp, J = _orbit_jacobian(map_spec, xr, period)
         g = map_spec.delta(xr, fp)
@@ -275,16 +279,23 @@ def _bad_intervals(deltas: np.ndarray, ts: np.ndarray, max_seg: float,
     return bad & (np.diff(ts) > 1e-12)
 
 
+# manifold growth: the seed chord starts `_R0` from the anchor, a turn
+# above `_TURN_MAX` radians is bisected, and growth stops past
+# `_MAX_VERTICES` vertices
+_R0 = 1e-6
+_TURN_MAX = 0.2
+_MAX_VERTICES = 200000
+
+
 def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
                   target_arclength: float, max_seg: float,
-                  turn_max: float = 0.2, r0_scale: float = 1e-6, branch: int = +1,
-                  max_vertices: int = 200000) -> ManifoldPolyline:
+                  branch: int = +1) -> ManifoldPolyline:
     """Grow one branch of W^s or W^u of a hyperbolic periodic point.
 
-    Iterates a fundamental segment seeded r0 along the eigendirection
+    Iterates a fundamental segment seeded `_R0` along the eigendirection
     under f^period (unstable) or f^{-period} (stable), bisecting parameters
     until consecutive images are closer than max_seg and turn less than
-    turn_max radians.  Growth stops at target_arclength.
+    `_TURN_MAX` radians.  Growth stops at target_arclength.
     """
     if side not in ("stable", "unstable"):
         raise ValueError("side must be 'stable' or 'unstable'")
@@ -296,12 +307,11 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
             "orientation-reversing eigendirections are not supported")
     stretch = lam if side == "unstable" else 1.0 / lam
     inverse = side == "stable"
-    r0 = r0_scale  # torus periods are 1.0
     p = np.asarray(hp.point, dtype=float)
     direction = branch * v
 
     def seed_chord(ts: np.ndarray) -> np.ndarray:
-        radii = r0 * (1.0 + ts * (stretch - 1.0))
+        radii = _R0 * (1.0 + ts * (stretch - 1.0))
         return map_spec.wrap(p[None, :] + radii[:, None] * direction[None, :])
 
     # the previous generation's final parameters and their images: f^period
@@ -341,7 +351,7 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
         for _ in range(60):
             chain = np.concatenate([vertices[-1][-1:], pts], axis=0)
             bad = _bad_intervals(map_spec.delta(chain[:-1], chain[1:]), ts,
-                                 max_seg, turn_max)
+                                 max_seg, _TURN_MAX)
             if not bad.any() or len(ts) > 4096:
                 break
             new_ts = 0.5 * (ts[:-1][bad] + ts[1:][bad])
@@ -364,7 +374,7 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
         lift.append(np.cumsum(np.concatenate([lift[-1][-1:], d[:n]]), axis=0)[1:])
         arc.append(arcs[:n])
         nvert += n
-        if nvert > max_vertices:
+        if nvert > _MAX_VERTICES:
             break
         gen += 1
         if gen > 300:
@@ -564,7 +574,12 @@ def _crossings(Wu: ManifoldPolyline, Ws: ManifoldPolyline, tol_int: float,
                periods) -> _Crossings:
     """Every crossing of the two polylines outside the anchor's exclusion
     ball, before the tol_int dedupe.  On periodic maps segments are
-    intersected against their nearest-image copies."""
+    intersected against their nearest-image copies.  The crossing kernel
+    is planar: polylines of any other dimension raise ValueError."""
+    dim = Wu.vertices.shape[1]
+    if dim != 2:
+        raise ValueError(f"homoclinic crossings need 2-D manifolds, got "
+                         f"dimension {dim}")
     a_starts, a_deltas, a_arcs = _segments(Wu)
     b_starts, b_deltas, b_arcs = _segments(Ws)
     a_lens = np.linalg.norm(a_deltas, axis=1)
@@ -634,10 +649,10 @@ def _first_come(key: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.sort(rows[order[first]])
 
 
-def _hits(cr: _Crossings, rows: np.ndarray,
-          transversality_min: float) -> list[HomoclinicHit]:
+def _hits(cr: _Crossings, rows: np.ndarray) -> list[HomoclinicHit]:
     """The records of crossing rows `rows`, in that order."""
-    return [HomoclinicHit(cr.point[k], u, v, angle, angle >= transversality_min, d)
+    return [HomoclinicHit(cr.point[k], u, v, angle,
+                          angle >= TRANSVERSALITY_MIN, d)
             for k, u, v, angle, d in zip(
                 rows.tolist(), cr.param_unstable[rows].tolist(),
                 cr.param_stable[rows].tolist(), cr.angle[rows].tolist(),
@@ -665,22 +680,31 @@ def _sort_hits(hits: list) -> list:
     return sorted(hits, key=lambda h: (h.distance_from_anchor, h.param_unstable))
 
 
+def _raw_hits(Wu: ManifoldPolyline, Ws: ManifoldPolyline, tol_int: float,
+              periods) -> tuple[list, list]:
+    """(hits, tangencies) of the two polylines before any polish, each
+    sorted by anchor distance: the crossings of `_crossings` kept first
+    come per tol_int key, split at `TRANSVERSALITY_MIN`."""
+    cr = _crossings(Wu, Ws, tol_int, periods)
+    found = _hits(cr, _first_come(cr.key, np.arange(cr.i.size)))
+    return (_sort_hits([h for h in found if h.transverse]),
+            _sort_hits([h for h in found if not h.transverse]))
+
+
 def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
                       tol_int: float = 1e-9,
-                      transversality_min: float = TRANSVERSALITY_MIN,
-                      map_spec: Optional[MapSpec] = None, polish: bool = True,
-                      return_tangencies: bool = False):
-    """Transverse intersections of the two polylines, anchor excluded.
+                      map_spec: Optional[MapSpec] = None) -> list[HomoclinicHit]:
+    """Transverse intersections of two planar polylines, anchor excluded.
 
     Segments are registered in the buckets their padded bounding boxes
     touch, and the pairs sharing a bucket are tested in array blocks
     (`_crossings`); crossings whose points round to the same tol_int key
-    are kept first come, in (W^u, W^s) segment order.  With `map_spec`
-    given and invertible, each raw hit is Newton-polished against the
-    dynamics so the definitional membership test (forward and backward
-    convergence to the anchor orbit) holds to hyperbolic accuracy.
-    Near-tangential crossings (angle below the transversality threshold)
-    are reported separately.
+    are kept first come, in (W^u, W^s) segment order, and those at an
+    angle below `TRANSVERSALITY_MIN` are dropped (`_raw_hits`).  With
+    `map_spec` given and invertible, each hit is Newton-polished against
+    the dynamics so the definitional membership test (forward and
+    backward convergence to the anchor orbit) holds to hyperbolic
+    accuracy.  Polylines that are not 2-D raise ValueError.
     """
     if Wu.side != "unstable" or Ws.side != "stable":
         raise ValueError("pass the unstable polyline first, the stable second")
@@ -689,30 +713,15 @@ def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
     if anchor_gap > 1e-8:
         raise ValueError("polylines must share the same anchor")
     periods = map_spec.periods if map_spec is not None else None
-    cr = _crossings(Wu, Ws, tol_int, periods)
-    found = _hits(cr, _first_come(cr.key, np.arange(cr.i.size)),
-                  transversality_min)
-    hits = [h for h in found if h.transverse]
-    tangencies = [h for h in found if not h.transverse]
-    if polish and map_spec is not None:
+    hits, _ = _raw_hits(Wu, Ws, tol_int, periods)
+    if map_spec is not None:
         _polish(map_spec, Wu.anchor, hits, _move_cap(Wu, Ws))
-    hits, tangencies = _sort_hits(hits), _sort_hits(tangencies)
-    if return_tangencies:
-        return hits, tangencies
-    return hits
+    return _sort_hits(hits)
 
 
 # ---------------------------------------------------------------------------
 # recurrence
 # ---------------------------------------------------------------------------
-
-def omega_limit_cloud(map_spec: MapSpec, q, N: int, burn_in: int = 0) -> np.ndarray:
-    """Forward orbit samples f^i(q) for burn_in < i <= N."""
-    if not N > burn_in >= 0:
-        raise ValueError("need N > burn_in >= 0")
-    q = np.asarray(q, dtype=float)
-    return np.asarray(list(itertools.islice(iterates(map_spec, q, N), burn_in, None)))
-
 
 def is_recurrent(map_spec: MapSpec, q, tol_rec: float, N: int) -> RecurrenceResult:
     """First-return probe: does the orbit re-enter the tol_rec ball of q?"""
@@ -781,8 +790,7 @@ def accumulation_check(map_spec: MapSpec, hp: HyperbolicPoint, q_on_Wu,
     for cap in dict.fromkeys(caps):
         union = sorted(set().union(*(rows.tolist() for rows, c in
                                      zip(rows_by_L, caps) if c == cap)))
-        hits = dict(zip(union, _hits(cr, np.asarray(union, dtype=np.int64),
-                                     TRANSVERSALITY_MIN)))
+        hits = dict(zip(union, _hits(cr, np.asarray(union, dtype=np.int64))))
         _polish(map_spec, hp, list(hits.values()), cap)
         polished[cap] = hits
     hits_by_L = {}

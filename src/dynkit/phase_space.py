@@ -283,10 +283,6 @@ class BoxSet:
         self._check(other)
         return BoxSet(self.grid, self.bits & ~other.bits)
 
-    def __xor__(self, other):
-        self._check(other)
-        return BoxSet(self.grid, self.bits ^ other.bits)
-
     def complement(self):
         return BoxSet(self.grid, ~self.bits)
 

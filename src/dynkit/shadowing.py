@@ -29,7 +29,7 @@ from .system import MapSpec, evaluate, iterates
 
 __all__ = [
     "PseudoOrbit", "ShadowingResult", "NoApproachError",
-    "pseudo_orbit_to_csv", "pseudo_orbit_from_csv",
+    "pseudo_orbit_to_csv",
     "random_pseudo_orbit", "splice_pseudo_orbit", "shadow_search",
     "linear_stable_check", "LinearSeedReport", "shadowing_profile",
     "ProfileRow", "seed_lattice_size", "NonFiniteOrbitError",
@@ -123,21 +123,6 @@ def pseudo_orbit_to_csv(po: PseudoOrbit, path) -> None:
     write_csv(path, header, np.column_stack((po.points, defects)))
 
 
-def pseudo_orbit_from_csv(map_spec: MapSpec, path, delta: float) -> PseudoOrbit:
-    """Load and revalidate a pseudo-orbit written by pseudo_orbit_to_csv."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        ncoord = len(header) - 2
-        for line in fh:
-            parts = line.strip().split(",")
-            rows.append([float(x) for x in parts[1:1 + ncoord]])
-    po = PseudoOrbit(np.asarray(rows), float(delta),
-                     {"kind": "imported", "path": str(path)})
-    po.validate(map_spec)
-    return po
-
-
 def random_pseudo_orbit(map_spec: MapSpec, x0, delta: float, N: int,
                         rng_seed: int = 0) -> PseudoOrbit:
     """y_0 = x0, y_{i+1} = f(y_i) + u_i with u_i uniform in the 0.99*delta ball."""
@@ -161,11 +146,15 @@ def random_pseudo_orbit(map_spec: MapSpec, x0, delta: float, N: int,
     return po
 
 
+# steps of the orbit of q that a splice searches for its approach to x0
+_APPROACH_BUDGET = 10000
+
+
 def splice_pseudo_orbit(map_spec: MapSpec, q, x0, delta: float,
-                        n_back: int = 30, n_forward: int = 30,
-                        budget: int = 10000) -> PseudoOrbit:
-    """Two-orbit splice: the forward orbit of q up to its first entry into
-    the delta-ball of x0, continued by the orbit of x0.
+                        n_back: int = 30, n_forward: int = 30) -> PseudoOrbit:
+    """Two-orbit splice: the forward orbit of q up to its first entry,
+    within `_APPROACH_BUDGET` steps, into the delta-ball of x0, continued
+    by the orbit of x0.
 
     The single defect sits at the junction.  When the map is invertible a
     backward tail of q (n_back steps) approximates the bi-infinite
@@ -186,7 +175,7 @@ def splice_pseudo_orbit(map_spec: MapSpec, q, x0, delta: float,
     min_dist = math.inf
     approached = False
     with np.errstate(over="ignore", invalid="ignore"):
-        for z in itertools.chain([q], iterates(map_spec, q, budget)):
+        for z in itertools.chain([q], iterates(map_spec, q, _APPROACH_BUDGET)):
             if not np.isfinite(z).all():
                 break
             d = float(map_spec.distance(z, x0))
@@ -196,7 +185,7 @@ def splice_pseudo_orbit(map_spec: MapSpec, q, x0, delta: float,
                 break
             head.append(z)
     if not approached:
-        raise NoApproachError(min_dist, budget)
+        raise NoApproachError(min_dist, _APPROACH_BUDGET)
     n0 = len(head)
 
     tail = [x0, *iterates(map_spec, x0, n_forward)]
@@ -223,6 +212,9 @@ _SEED_BLOCK = 1024
 # descent probes evaluated together, in the order the descent makes them
 # (four rounds of 2*dim probes at dim 2)
 _PROBE_BLOCK = 16
+
+# probes a shadow search's coordinate descent may evaluate
+_MAX_DESCENT = 200
 
 
 def _lattice_radius(eps: float, grid_resolution: float) -> int:
@@ -390,8 +382,7 @@ def _best_seed(map_spec: MapSpec, y: np.ndarray, eps: float,
 
 
 def _descend(map_spec: MapSpec, y: np.ndarray, best_x: np.ndarray,
-             best_obj: float, best_trace: np.ndarray, step: float,
-             max_descent: int):
+             best_obj: float, best_trace: np.ndarray, step: float):
     """Coordinate descent from (best_x, best_obj, best_trace); returns the
     best (x, objective, trace), whose objective is never above best_obj.
 
@@ -399,13 +390,13 @@ def _descend(map_spec: MapSpec, y: np.ndarray, best_x: np.ndarray,
     or -step (k odd).  Until a probe is accepted the coming probes are
     fixed, so they are evaluated a block at a time and walked in order;
     the probes after an accepted one are dropped and do not count toward
-    max_descent.
+    `_MAX_DESCENT`.
     """
     dim = map_spec.dim
     state = (step, 0, False)  # (step, k, improved)
     it = 0
-    while it < max_descent and state[0] > 1e-17:
-        size = min(_PROBE_BLOCK, max_descent - it)
+    while it < _MAX_DESCENT and state[0] > 1e-17:
+        size = min(_PROBE_BLOCK, _MAX_DESCENT - it)
         block = []
         ahead = state
         while len(block) < size and ahead[0] > 1e-17:
@@ -431,17 +422,17 @@ def _descend(map_spec: MapSpec, y: np.ndarray, best_x: np.ndarray,
 
 
 def shadow_search(map_spec: MapSpec, po: PseudoOrbit, eps: float,
-                  grid_resolution: float, max_descent: int = 200,
-                  refine: bool = True) -> ShadowingResult:
+                  grid_resolution: float) -> ShadowingResult:
     """Search for an actual orbit eps-tracking the pseudo-orbit.
 
     Three stages, in this order.  Seeds on a uniform grid of the given
-    resolution in the eps-ball around y_0.  If the best seed misses eps,
-    `refine` is set and the map has an inverse, the hyperbolic sequence
-    refinement, which supplies a witness orbit for horizons where seed
-    precision alone cannot reach; a witness within eps is the result.
-    Otherwise coordinate descent from the best seed, and the refined
-    witness only where it tracks closer than the descent's best orbit.
+    resolution in the eps-ball around y_0.  If the best seed misses eps
+    and the map has an inverse, the hyperbolic sequence refinement, which
+    supplies a witness orbit for horizons where seed precision alone
+    cannot reach; a witness within eps is the result.  Otherwise
+    coordinate descent from the best seed (at most `_MAX_DESCENT`
+    probes), and the refined witness only where it tracks closer than the
+    descent's best orbit.
     The descent only lowers the objective, so running it after a witness
     within eps could not change the verdict.  Failure is reported as a
     resolution-stamped certificate, never a proof.
@@ -452,7 +443,7 @@ def shadow_search(map_spec: MapSpec, po: PseudoOrbit, eps: float,
     best_x, best_obj, best_trace = _best_seed(map_spec, y, eps,
                                               grid_resolution)
     refined = None
-    if best_obj > eps and refine and map_spec.has_inverse:
+    if best_obj > eps and map_spec.has_inverse:
         refined = _refine_shadow(map_spec, y)
     if refined is not None:
         witness, witness_defect = refined
@@ -460,8 +451,7 @@ def shadow_search(map_spec: MapSpec, po: PseudoOrbit, eps: float,
         achieved = float(np.max(trace))
     if refined is None or not achieved <= eps:
         best_x, best_obj, best_trace = _descend(
-            map_spec, y, best_x, best_obj, best_trace, grid_resolution,
-            max_descent)
+            map_spec, y, best_x, best_obj, best_trace, grid_resolution)
         if refined is None or not achieved < best_obj:
             return ShadowingResult(best_obj <= eps, float(eps), best_obj,
                                    best_x, best_trace, float(grid_resolution),
@@ -486,12 +476,17 @@ class LinearSeedReport:
     passed: bool
 
 
+# distance from the orbit of x past which a seed counts as diverged
+_DIVERGENCE_THRESHOLD = 1.0
+
+
 def linear_stable_check(map_spec: MapSpec, x, eps: float, N: int,
-                        seeds, divergence_threshold: float = 1.0) -> list[LinearSeedReport]:
+                        seeds) -> list[LinearSeedReport]:
     """Verify the stable-manifold dichotomy for linear(a, b), |a| > 1 > |b|.
 
-    Seeds with unstable component >= eps must diverge past the threshold
-    from the orbit of x; seeds on the stable axis must track it forever.
+    Seeds with unstable component >= eps must diverge past
+    `_DIVERGENCE_THRESHOLD` from the orbit of x; seeds on the stable axis
+    must track it forever.
     The computed separation trace is compared to the closed form
     (|a|^i du, |b|^i ds) with 1e-10 relative tolerance.
     """
@@ -519,7 +514,7 @@ def linear_stable_check(map_spec: MapSpec, x, eps: float, N: int,
                 ok = False
             dists.append(d)
         max_d = max(dists)
-        diverged = max_d > divergence_threshold
+        diverged = max_d > _DIVERGENCE_THRESHOLD
         shadows = max_d <= max(eps, abs(ds))
         if abs(du) >= eps:
             passed = diverged and ok

@@ -26,7 +26,7 @@ from ._util import min_image, on_torus_axes, wrap_unit
 __all__ = [
     "MapSpec", "OrbitSegment", "LagrangeResult", "VolumeReport",
     "InverseUnavailableError", "make_map", "polynomial_map",
-    "evaluate", "jacobian", "finite_difference_jacobian",
+    "evaluate", "finite_difference_jacobian",
     "volume_check", "lagrange_probe", "orbit", "iterates",
 ]
 
@@ -288,7 +288,7 @@ def _poly_term(t, dim: int):
     return float(t["c"]), tuple(int(x) for x in e)
 
 
-def polynomial_map(components, dim: int, window=None, name: str = "poly") -> MapSpec:
+def polynomial_map(components, dim: int, window=None) -> MapSpec:
     """Map whose components are polynomials given as term lists.
 
     `components[r]` is a list of terms {"c": coeff, "e": [e_0, ..., e_{dim-1}]}
@@ -326,7 +326,7 @@ def polynomial_map(components, dim: int, window=None, name: str = "poly") -> Map
     # cumsum adds the squares in (r, a) order, from the first
     lip = None if window is None else \
         float(np.sqrt(np.cumsum(jac_bound(*window)[0] ** 2)[-1]))
-    return MapSpec(name, dim, {"components": components}, fwd, None, jac,
+    return MapSpec("poly", dim, {"components": components}, fwd, None, jac,
                    lip, jac_abs_bound=jac_bound)
 
 
@@ -365,10 +365,14 @@ def iterates(map_spec: MapSpec, x, n: int, direction: str = "forward",
         yield x
 
 
-def finite_difference_jacobian(map_spec: MapSpec, p, scale: float = 1.0) -> np.ndarray:
-    """Central finite differences with step h = 1e-6 * scale."""
+# step of the central finite differences
+_FD_STEP = 1e-6
+
+
+def finite_difference_jacobian(map_spec: MapSpec, p) -> np.ndarray:
+    """Central finite differences with step `_FD_STEP`."""
     p = np.asarray(p, dtype=float)
-    h = 1e-6 * scale
+    h = _FD_STEP
     J = np.empty((map_spec.dim, map_spec.dim))
     for a in range(map_spec.dim):
         dp = np.zeros(map_spec.dim)
@@ -377,12 +381,6 @@ def finite_difference_jacobian(map_spec: MapSpec, p, scale: float = 1.0) -> np.n
         fm = map_spec.forward(p - dp)
         J[:, a] = map_spec.delta(fm, fp) / (2.0 * h)
     return J
-
-
-def jacobian(map_spec: MapSpec, p) -> np.ndarray:
-    """Closed-form Jacobian of the map at p."""
-    p = np.asarray(p, dtype=float)
-    return map_spec.jac(p[None, :])[0]
 
 
 def volume_check(map_spec: MapSpec, window, samples: int, tol: float,

@@ -199,7 +199,7 @@ class TestCriterion5AttractorInvariance:
         gc = Grid(Domain((-1.0,), (1.0,), (False,)), (6,))
         mc = make_map("contraction", c=0.5, dim=1)
         tgc = build_graph(gc, mc, 0.25 * float(gc.h[0]))
-        records += build_attractor_records(tgc, mc, n_samples=1000, rng_seed=3)
+        records += build_attractor_records(tgc, mc, rng_seed=3)
         # cubic: records of the attracting lobes (the map is not injective,
         # so blocks containing the fold are outside the homeomorphism
         # hypothesis of the orbit-disjointness statement; see ledger)
@@ -213,15 +213,14 @@ class TestCriterion5AttractorInvariance:
             if repeller not in A:
                 lobe_blocks.append(U)
         records += build_attractor_records(tgq, mq, blocks=lobe_blocks,
-                                           n_samples=1000, rng_seed=3)
+                                           rng_seed=3)
         # translation window: truncated U0 with the sink as its tail
         gt = translation_grid(6)
         mt = make_map("translation")
         tgt = build_graph(gt, mt, 0.1)
         U0 = BoxSet.full(gt)
         A0, _ = attractor_from_block(tgt, U0, include_sink=True)
-        flags0 = attractor_invariance_check(tgt, mt, U0, A0,
-                                            n_samples=1000, rng_seed=3)
+        flags0 = attractor_invariance_check(tgt, mt, U0, A0, rng_seed=3)
         ok = flags0.orbit_disjoint and flags0.boundary_forward_invariant
         n_checked = 1
         for r in records:
@@ -242,8 +241,7 @@ class TestCriterion6LinearStableManifold:
                      np.array([-2e-3, 1.1])]
         stable = [np.array([0.0, 1.0 + 5e-3]), np.array([0.0, 0.998])]
         reports = linear_stable_check(m, x, eps=1e-3, N=20,
-                                      seeds=diverging + stable,
-                                      divergence_threshold=1.0)
+                                      seeds=diverging + stable)
         ok = all(r.passed for r in reports)
         r0 = reports[0]
         # closed-form oracle 2^20 * 1e-3, matched to 1e-10 relative

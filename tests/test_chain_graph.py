@@ -1,6 +1,7 @@
 """Transition graphs, chain recurrence, chain components, chains and
 nonwandering probes, checked against brute-force graph oracles."""
 
+import dataclasses
 import time
 
 import networkx as nx
@@ -12,7 +13,7 @@ from dynkit import chain_graph
 from dynkit.chain_graph import (
     ConstantEps, RadialEps, TransitionGraph, _bfs_path, build_graph,
     chain_components,
-    chain_recurrent_boxes, find_eps_chain, is_chain_transitive,
+    chain_recurrent_boxes, is_chain_transitive,
     nonwandering_probe, reachable, strong_chain_search,
     strongly_connected_components,
 )
@@ -113,6 +114,13 @@ class TestBuildGraph:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="non-finite image"):
             build_graph(g, m, 0.0)
+
+    def test_map_without_entrywise_jacobian_bound_refused(self):
+        # a hand-built map: the box spreads need jac_abs_bound
+        g = Grid(Domain((0.0, 0.0), (1.0, 1.0), (True, True)), (3, 3))
+        m = dataclasses.replace(make_map("cat"), jac_abs_bound=None)
+        with pytest.raises(ValueError, match="jac_abs_bound"):
+            build_graph(g, m, 0.1)
 
     def test_image_past_int64_box_indices_keeps_its_edges(self):
         # x -> 1e300 x on [-1, 1], 8 boxes: box 4 = [0, 0.25) maps onto
@@ -232,44 +240,6 @@ class TestChainRecurrence:
         cr_fine = chain_recurrent_boxes(build_graph(fine, m, eps))
         cr_coarse = chain_recurrent_boxes(build_graph(coarse, m, eps))
         assert not (cr_fine.coarsen(coarse) - cr_coarse)
-
-
-class TestEpsChains:
-    def test_direct_step(self):
-        m = make_map("standard", K=0.9)
-        g = torus_grid(5)
-        tg = build_graph(g, m, 0.01)
-        p = np.array([0.3, 0.4])
-        q = evaluate(m, p)
-        chain = find_eps_chain(tg, p, q)
-        assert chain is not None and len(chain) == 1
-        assert float(chain.defects[0]) < 1e-12
-
-    def test_cat_any_to_any(self):
-        g = torus_grid(5)
-        tg = build_graph(g, make_map("cat"), g.box_diameter)
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            p, q = rng.random(2), rng.random(2)
-            chain = find_eps_chain(tg, p, q)
-            assert chain is not None
-            assert np.all(chain.defects < chain.thresholds)
-
-    def test_translation_no_leftward_chain(self):
-        g = Grid(Domain((0.0, 0.0), (4.0, 1.0), (False, False)), (5, 5))
-        tg = build_graph(g, make_map("translation"), 0.05)
-        chain = find_eps_chain(tg, np.array([3.5, 0.5]), np.array([0.5, 0.5]))
-        assert chain is None
-
-    def test_chain_revalidates_by_evaluation(self):
-        m = make_map("cat")
-        g = torus_grid(5)
-        tg = build_graph(g, m, g.box_diameter)
-        chain = find_eps_chain(tg, np.array([0.11, 0.9]), np.array([0.77, 0.2]))
-        imgs = np.asarray([evaluate(m, x) for x in chain.points[:-1]])
-        defects = m.distance(imgs, chain.points[1:])
-        assert np.allclose(defects, chain.defects)
-        assert np.all(defects < chain.thresholds)
 
 
 class TestNonwandering:
@@ -697,26 +667,6 @@ class TestBfsPath:
         max_len = data.draw(st.none() | st.integers(1, 4))
         assert _bfs_path(tg, sorted(sources), target, max_len) == \
             reference_bfs_path(tg, sources, target, max_len)
-
-    @pytest.mark.parametrize("name, params, depth", [
-        ("cat", {}, 5), ("standard", {"K": 0.97}, 5),
-        ("standard", {"K": 0.9}, 4)])
-    def test_find_eps_chain_matches_reference(self, monkeypatch, name, params,
-                                              depth):
-        g = torus_grid(depth)
-        m = make_map(name, **params)
-        rng = np.random.default_rng(depth)
-        multi_step = 0
-        for eps in (0.0, 0.25 * g.box_diameter, g.box_diameter):
-            tg = build_graph(g, m, eps)
-            pairs = rng.random((8, 2, 2))
-            ours = [find_eps_chain(tg, p, q) for p, q in pairs]
-            with monkeypatch.context() as mp:
-                mp.setattr(chain_graph, "_bfs_path", reference_bfs_path)
-                ref = [find_eps_chain(tg, p, q) for p, q in pairs]
-            assert all(_same_chain(a, b) for a, b in zip(ours, ref))
-            multi_step += sum(c is not None and len(c) > 1 for c in ours)
-        assert multi_step > 0
 
     @pytest.mark.parametrize("name, params", [
         ("cat", {}), ("standard", {"K": 0.97})])

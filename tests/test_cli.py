@@ -1054,3 +1054,108 @@ class TestCsv:
             f"{a} {b}\n" for a, b in ints)
         assert fill_rows("%d,%d;", ints.astype(np.int32), "") == "".join(
             f"{int(a)},{int(b)};" for a, b in ints.astype(np.int32))
+
+
+# the 3-D polynomial (2x + 0.3y, 0.5y + 0.2x^2, 0.3z + 0.1y^2): a saddle at
+# the origin with one unstable and two stable directions
+POLY_3D = {"name": "poly", "dimension": 3, "components": [
+    [{"c": 2.0, "e": [1, 0, 0]}, {"c": 0.3, "e": [0, 1, 0]}],
+    [{"c": 0.5, "e": [0, 1, 0]}, {"c": 0.2, "e": [2, 0, 0]}],
+    [{"c": 0.3, "e": [0, 0, 1]}, {"c": 0.1, "e": [0, 2, 0]}]]}
+
+# one small map and grid per dimension: the 1-D cubic, cat on its unit
+# torus and the 3-D polynomial
+DIMENSION_CASES = {
+    1: ({"name": "poly", "dimension": 1,
+         "components": [[{"c": 1.5, "e": [1]}, {"c": -0.5, "e": [3]}]]},
+        {"lower": [-2], "upper": [2], "depth": [3]}),
+    2: ({"name": "cat"},
+        {"lower": [0, 0], "upper": [1, 1], "periodic": [True, True],
+         "depth": [3, 3]}),
+    3: (POLY_3D, {"lower": [-1] * 3, "upper": [1] * 3, "depth": [2] * 3}),
+}
+
+
+def small_experiment(sub, dim):
+    """The experiment keys `sub` requires, and short manifolds and orbits."""
+    manifold = {"arclength": 2.0, "max_seg": 0.05}
+    return {"escape": {"K_lower": [-0.5] * dim, "K_upper": [0.5] * dim},
+            "splice": {"q": [0.1] * dim, "x0": [0.0] * dim},
+            "shadow": {"N": 10},
+            "manifolds": manifold, "homoclinic": manifold,
+            "accumulate": {"arclength_schedule": [1.0, 2.0], "radii": [0.1],
+                           "max_seg": 0.05}}.get(sub, {})
+
+
+def dimension_config(tmp_path, sub, dim, **grid):
+    mp, grid_cfg = DIMENSION_CASES[dim]
+    path = tmp_path / f"{sub}-{dim}.json"
+    path.write_text(json.dumps({
+        "map": mp, "grid": {**grid_cfg, **grid},
+        "experiment": small_experiment(sub, dim),
+        "out": str(tmp_path / f"{sub}-{dim}")}))
+    return path
+
+
+class TestEveryDimension:
+    """Every subcommand on a 1-D, 2-D and 3-D map ends in an exit code:
+    0, 2 for a config it refuses, 3 for a failed experiment assertion;
+    never a traceback."""
+
+    @pytest.mark.parametrize("dim", sorted(DIMENSION_CASES))
+    @pytest.mark.parametrize("sub", sorted([*cli._SUBCOMMANDS, "all"]))
+    def test_every_subcommand_exits_with_a_code(self, tmp_path, sub, dim):
+        path = dimension_config(tmp_path, sub, dim)
+        assert run_subcommand(sub, str(path), None, None) in (0, 2, 3)
+
+    def test_3d_manifold_csv_has_a_column_per_coordinate(self, tmp_path):
+        path = dimension_config(tmp_path, "manifolds", 3)
+        assert run_subcommand("manifolds", str(path), None, None) == 0
+        out = tmp_path / "manifolds-3"
+        report = json.loads((out / "report.json").read_text())["results"]
+        for side in ("unstable", "stable"):
+            lines = (out / f"manifold_{side}.csv").read_text().splitlines()
+            assert lines[0] == "index,x0,x1,x2"
+            assert len(lines) - 1 == report[f"{side}_vertices"]
+            assert all(line.count(",") == 3 for line in lines)
+
+    @pytest.mark.parametrize("sub", ["homoclinic", "accumulate"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_homoclinic_runs_refuse_non_planar_maps(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     sub, dim):
+        from dynkit import manifolds
+        grown = []
+        monkeypatch.setattr(manifolds, "grow_manifold",
+                            lambda *a, **k: grown.append(1))
+        path = dimension_config(tmp_path, sub, dim)
+        assert run_subcommand(sub, str(path), None, None) == 2
+        assert f"dimension {dim}" in capsys.readouterr().err
+        assert not grown
+        assert not (tmp_path / f"{sub}-{dim}" / "report.json").exists()
+
+
+class TestTorusGrid:
+    """A torus map runs only on a grid that is its unit torus."""
+
+    @pytest.mark.parametrize("grid", [
+        {"upper": [2, 2]},
+        {"periodic": [False, False]},
+        {"periodic": [True, False]},
+        {"lower": [0, 0.5], "upper": [1, 1]},
+    ], ids=["two-periods-wide", "not-periodic", "one-axis-periodic",
+            "half-period-high"])
+    @pytest.mark.parametrize("sub", ["cr", "manifolds", "volume"])
+    def test_other_grids_exit_2(self, tmp_path, capsys, sub, grid):
+        path = dimension_config(tmp_path, sub, 2, **grid)
+        assert run_subcommand(sub, str(path), None, None) == 2
+        assert "unit torus" in capsys.readouterr().err
+        assert not (tmp_path / f"{sub}-2" / "report.json").exists()
+
+    def test_shifted_unit_window_runs(self, tmp_path):
+        path = dimension_config(tmp_path, "cr", 2, lower=[0.5, -0.25],
+                                upper=[1.5, 0.75])
+        assert run_subcommand("cr", str(path), None, None) == 0
+        report = json.loads((tmp_path / "cr-2" / "report.json").read_text())
+        assert report["results"]["chain_recurrent_fraction"] == 1.0
+        assert report["results"]["graph"]["escaping_boxes"] == 0

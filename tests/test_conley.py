@@ -177,6 +177,15 @@ def bench_cubic_graph(dim, depth, eps):
     return build_graph(g, m, eps)
 
 
+def blocks_with(tg, candidates=None, **consts):
+    """find_attractor_blocks with conley's enumeration constants set by
+    name: extra_dilations, max_dilation, max_downset_comps."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in consts.items():
+            mp.setattr(conley, "_" + name.upper(), value)
+        return find_attractor_blocks(tg, candidates=candidates)
+
+
 def same_blocks(got, want):
     return [U.bits.tolist() for U in got] == [U.bits.tolist() for U in want]
 
@@ -191,7 +200,7 @@ class TestBlocksMatchReference:
     @settings(max_examples=40, deadline=None)
     @given(box_graphs(), st.sampled_from(REGIMES))
     def test_random_box_graphs(self, tg, kw):
-        got = find_attractor_blocks(tg, **kw)
+        got = blocks_with(tg, **kw)
         assert same_blocks(got, reference_blocks(tg, **kw))
         assert all(_is_block(tg, U) for U in got)
 
@@ -291,7 +300,7 @@ class TestWordBatches:
                             or real(g, core, k, *a))
         for kw in ({}, {"extra_dilations": 16}):
             batches.clear()
-            got = find_attractor_blocks(tg, **kw)
+            got = blocks_with(tg, **kw)
             assert batches == [64, 64, 64, 63]
             assert same_blocks(got, reference_blocks(tg, **kw))
             assert all(_is_block(tg, U) for U in got)
@@ -306,12 +315,37 @@ class TestWordBatches:
         real = conley.close_planes
         monkeypatch.setattr(conley, "close_planes",
                             lambda *a: closures.append(1) or real(*a))
-        got = find_attractor_blocks(tg, extra_dilations=16)
-        # the SCC reach closure, then dilations 1..9; dilation 10 covers
-        # the grid and is not closed
-        assert len(closures) == 10
+        got = blocks_with(tg, extra_dilations=16)
+        # dilations 1..9 (one SCC needs no reach closure); dilation 10
+        # covers the grid and is not closed
+        assert len(closures) == 9
         assert len(got) == 9
         assert same_blocks(got, reference_blocks(tg, extra_dilations=16))
+
+    @pytest.mark.parametrize("graph", ["cat", "towards"])
+    def test_one_scc_needs_no_reach_closure(self, monkeypatch, graph):
+        # cat at depth 5: one SCC of every box; 64 boxes stepping towards
+        # box 20: one self-looped box.  The reach matrix of one SCC is
+        # [[True]]
+        if graph == "cat":
+            grid = Grid(Domain((0.0, 0.0), (1.0, 1.0), (True, True)), (5, 5))
+            tg = build_graph(grid, make_map("cat"), grid.box_diameter)
+        else:
+            grid = Grid(Domain((0.0,), (1.0,), (False,)), (6,))
+            tg = csr_graph(grid, towards(grid, [20]))
+        sccs = nontrivial_scc_sets(tg)
+        assert len(sccs) == 1
+        scc_of = np.full(tg.n_nodes, 1, dtype=np.int64)
+        scc_of[:tg.nboxes][sccs[0].bits] = 0
+        closures = []
+        real = conley.close_planes
+        monkeypatch.setattr(conley, "close_planes",
+                            lambda *a: closures.append(1) or real(*a))
+        assert conley._scc_reach(tg, scc_of, 1).tolist() == [[True]]
+        assert not closures
+        got = find_attractor_blocks(tg)
+        assert same_blocks(got, reference_blocks(tg))
+        assert len(got) == (0 if graph == "cat" else 3)
 
     def test_no_family_calls_reachable(self, monkeypatch):
         tg = bench_cubic_graph(2, 5, 0.03125)
@@ -388,8 +422,7 @@ class TestBlocks:
         tg = build_graph(g, m, 0.5 * float(g.h[0]))
         oracle = brute_force_blocks(tg)
         found = {frozenset(int(i) for i in U.indices())
-                 for U in find_attractor_blocks(tg, max_dilation=8,
-                                                extra_dilations=8)}
+                 for U in blocks_with(tg, max_dilation=8, extra_dilations=8)}
         assert found <= oracle
         # every oracle block determines the same attractor as some found one
         def attractor_of(S):

@@ -12,7 +12,7 @@ from dynkit import manifolds, system
 from dynkit.manifolds import (
     HyperbolicPoint, ManifoldPolyline, NoRealEigendirectionError,
     accumulation_check, find_periodic_points, grow_manifold, homoclinic_points,
-    is_recurrent, omega_limit_cloud, point_to_polyline_distance,
+    is_recurrent, point_to_polyline_distance,
 )
 from dynkit.phase_space import Domain, Grid
 from dynkit.system import evaluate, make_map, polynomial_map
@@ -146,10 +146,10 @@ def reference_periodic_points(map_spec, period, grid, tol_fix=1e-10,
         xn[bad] = x[move][bad]
         alive[np.nonzero(move)[0][bad]] = False
         x[move] = xn
-    with mock.patch.object(Grid, "centers", lambda self: x):
+    with mock.patch.object(Grid, "centers", lambda self: x), \
+            mock.patch.object(manifolds, "_NEWTON_ITER", 0):
         # the dedupe and classification after the loop, on the solved x
-        return find_periodic_points(map_spec, period, grid, tol_fix, tol_hyp,
-                                    max_iter=0)
+        return find_periodic_points(map_spec, period, grid, tol_fix, tol_hyp)
 
 
 PERIODIC_CASES = {
@@ -286,13 +286,15 @@ class TestGrowManifold:
         # maps every parameter from the seed chord in every round
         m, hp = growth_anchor(name)
         kw = dict(target_arclength=data.draw(st.floats(0.2, arclength)),
-                  r0_scale=r0_scale,
                   max_seg=data.draw(st.floats(0.01, 0.05)),
-                  turn_max=data.draw(st.floats(0.05, 0.6)),
                   side=data.draw(st.sampled_from(["unstable", "stable"])),
                   branch=data.draw(st.sampled_from([1, -1])))
-        got = grow_manifold(m, hp, **kw)
-        ref = reference_grow_manifold(m, hp, **kw)
+        turn_max = data.draw(st.floats(0.05, 0.6))
+        with mock.patch.object(manifolds, "_R0", r0_scale), \
+                mock.patch.object(manifolds, "_TURN_MAX", turn_max):
+            got = grow_manifold(m, hp, **kw)
+        ref = reference_grow_manifold(m, hp, turn_max=turn_max,
+                                      r0_scale=r0_scale, **kw)
         for a, b in zip((got.vertices, got.lift, got.arclength), ref):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -400,7 +402,7 @@ class TestHomoclinic:
         Wu = grow_manifold(m, hp, "unstable", 10.0, max_seg=0.02)
         Ws = grow_manifold(m, hp, "stable", 10.0, max_seg=0.02)
         raw = np.asarray([h.point for h in
-                          homoclinic_points(Wu, Ws, map_spec=m, polish=False)])
+                          manifolds._raw_hits(Wu, Ws, 1e-9, m.periods)[0]])
         polished = np.asarray([h.point for h in homoclinic_points(Wu, Ws, map_spec=m)])
         assert raw.shape == polished.shape
         for x in polished:
@@ -420,12 +422,10 @@ class TestHomoclinic:
         Ws = grow_manifold(m, hp, "stable", 8.0, max_seg=0.02)
         expect = _all_pairs_hits(Wu, Ws, m.periods)
         assert len(expect[0]) > 30
-        got = homoclinic_points(Wu, Ws, map_spec=m, polish=False,
-                                return_tangencies=True)
+        got = manifolds._raw_hits(Wu, Ws, 1e-9, m.periods)
         assert _hit_records(got) == _hit_records(expect)
         with mock.patch.object(manifolds, "_PAIR_BLOCK", 64):
-            blocked = homoclinic_points(Wu, Ws, map_spec=m, polish=False,
-                                        return_tangencies=True)
+            blocked = manifolds._raw_hits(Wu, Ws, 1e-9, m.periods)
         assert _hit_records(blocked) == _hit_records(expect)
 
     @settings(max_examples=150, deadline=None)
@@ -435,14 +435,12 @@ class TestHomoclinic:
         other = data.draw(st.one_of(
             st.just(anchor), st.tuples(*[st.floats(0.0, 0.999)] * 2).map(np.asarray)))
         hp = HyperbolicPoint(anchor, 1, np.array([2.0, 0.5]), np.eye(2), True, 0.0)
-        torus = make_map("cat")
         block = data.draw(st.sampled_from([1, 7, 1 << 14]))
-        for periods, spec in ((torus.periods, torus), (None, None)):
+        for periods in ((1.0, 1.0), None):
             Wu = _random_polyline(data, "unstable", hp, anchor, periods)
             Ws = _random_polyline(data, "stable", hp, other, periods)
             with mock.patch.object(manifolds, "_PAIR_BLOCK", block):
-                got = homoclinic_points(Wu, Ws, map_spec=spec, polish=False,
-                                        return_tangencies=True)
+                got = manifolds._raw_hits(Wu, Ws, 1e-9, periods)
             assert _hit_records(got) == _hit_records(
                 _all_pairs_hits(Wu, Ws, periods))
 
@@ -461,8 +459,7 @@ class TestHomoclinic:
 
         Wu = polyline("unstable", np.array([[0.0, -0.03125], [0.03125, 0.03125]]))
         Ws = polyline("stable", np.array([[0.03125, -7.1520937691011e-222]]))
-        got = homoclinic_points(Wu, Ws, map_spec=make_map("cat"), polish=False,
-                                return_tangencies=True)
+        got = manifolds._raw_hits(Wu, Ws, 1e-9, (1.0, 1.0))
         expect = _all_pairs_hits(Wu, Ws, (1.0, 1.0))
         assert len(expect[0]) == 1
         assert _hit_records(got) == _hit_records(expect)
@@ -483,9 +480,21 @@ class TestHomoclinic:
         Wu = grow_manifold(m, hp, "unstable", 2.0, max_seg=0.02)
         fake = grow_manifold(m, hp, "unstable", 2.0, max_seg=0.02)
         fake.side = "stable"
-        hits, tang = homoclinic_points(Wu, fake, map_spec=m, polish=False,
-                                       return_tangencies=True)
+        hits, tang = manifolds._raw_hits(Wu, fake, 1e-9, m.periods)
         assert hits == []
+
+    def test_polylines_that_are_not_planar_raise(self):
+        # the crossing kernel packs 2-D columns: a 3-D tangle is refused
+        # by name, not broadcast into a shape error
+        hp = HyperbolicPoint(np.zeros(3), 1, np.array([2.0, 0.5, 0.3]),
+                             np.eye(3), True, 0.0)
+        lift = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.1, 0.0]])
+        arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(
+            np.diff(lift, axis=0), axis=1))])
+        Wu, Ws = (ManifoldPolyline(side, hp, lift, lift, arc, 1.0, 1, 0.2)
+                  for side in ("unstable", "stable"))
+        with pytest.raises(ValueError, match="dimension 3"):
+            homoclinic_points(Wu, Ws)
 
 
 class TestRecurrence:
@@ -510,13 +519,6 @@ class TestRecurrence:
         res = is_recurrent(m, np.array([0.3, 0.3]), tol_rec=0.999, N=500)
         assert not res.recurrent
         assert res.min_distance >= 1.0
-
-    def test_omega_cloud_shape_and_burnin(self):
-        m = make_map("rotation", alpha=GOLDEN)
-        cloud = omega_limit_cloud(m, np.array([0.0]), N=100, burn_in=10)
-        assert cloud.shape == (90, 1)
-        with pytest.raises(ValueError):
-            omega_limit_cloud(m, np.array([0.0]), N=5, burn_in=5)
 
 
 class TestAccumulation:
@@ -654,8 +656,7 @@ class TestCandidatePairs:
         assert manifolds._max_len(Wu, Ws) == self.H
         assert pair in _crossing_pairs(Wu, Ws, (1.0, 1.0))
         assert pair in _emitted_pairs(Wu, Ws, (1.0, 1.0))
-        got = homoclinic_points(Wu, Ws, map_spec=make_map("cat"), polish=False,
-                                return_tangencies=True)
+        got = manifolds._raw_hits(Wu, Ws, 1e-9, (1.0, 1.0))
         expect = _all_pairs_hits(Wu, Ws, (1.0, 1.0))
         assert sum(map(len, expect)) == 1
         assert _hit_records(got) == _hit_records(expect)
@@ -851,8 +852,8 @@ def _random_polyline(data, side, hp, start, periods):
 
 
 def _all_pairs_hits(Wu, Ws, periods, tol_int=1e-9, transversality_min=1e-3):
-    """homoclinic_points(..., polish=False) by brute force: every segment
-    pair is tested, row by row, with no cell buckets."""
+    """`manifolds._raw_hits` by brute force: every segment pair is
+    tested, row by row, with no cell buckets."""
     a0, da, a_arc = Wu.vertices[:-1], np.diff(Wu.lift, axis=0), Wu.arclength[:-1]
     b0, db, b_arc = Ws.vertices[:-1], np.diff(Ws.lift, axis=0), Ws.arclength[:-1]
     am, bm = a0 + 0.5 * da, b0 + 0.5 * db

@@ -105,18 +105,18 @@ class TestSplice:
         vs /= np.linalg.norm(vs)
         q = np.mod(p + 1e-4 * vu, 1.0)
         x0 = np.mod(p + 0.2 * vs, 1.0)
-        po = splice_pseudo_orbit(m, q, x0, 1e-2, n_back=10, n_forward=20,
-                                 budget=100000)
+        po = splice_pseudo_orbit(m, q, x0, 1e-2, n_back=10, n_forward=20)
         n0 = po.provenance["n0"]
         assert n0 > 0
         assert np.all(po.defects < 1e-2)
         assert n0 == 242  # regression: first approach time for this seed pair
 
-    def test_linear_axes_never_approach(self):
+    def test_linear_axes_never_approach(self, monkeypatch):
         m = make_map("linear", a=2.0, b=0.5)
+        monkeypatch.setattr(shadowing, "_APPROACH_BUDGET", 200)
         with pytest.raises(NoApproachError) as err:
             splice_pseudo_orbit(m, np.array([1e-6, 0.0]), np.array([0.0, 1e-6]),
-                                1e-7, budget=200)
+                                1e-7)
         assert err.value.min_distance >= 1e-7
 
     def test_q_within_delta_has_no_head(self):
@@ -357,6 +357,13 @@ ORACLE_MAPS = {
 }
 
 
+def search(m, po, eps, res, max_descent):
+    """shadow_search with its descent capped at `max_descent` probes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shadowing, "_MAX_DESCENT", max_descent)
+        return shadow_search(m, po, eps, res)
+
+
 def assert_same_result(res, ref):
     shadowed, achieved, x, trace, method = ref
     assert res.shadowed == shadowed
@@ -381,7 +388,7 @@ class TestBatchedDescentOracle:
         eps = data.draw(st.sampled_from([2e-3, 1e-2]))
         res = eps / data.draw(st.sampled_from([1.0, 2.5, 4.0]))
         po = random_pseudo_orbit(m, m.wrap(x0), delta, N, rng_seed=seed)
-        result = shadow_search(m, po, eps, res, max_descent=max_descent)
+        result = search(m, po, eps, res, max_descent)
         assert_same_result(result, reference_search(m, po, eps, res, max_descent))
         # the descent only lowers the objective, so running the refinement
         # first may change the witness, never the verdict
@@ -391,7 +398,7 @@ class TestBatchedDescentOracle:
     def test_linear_splice_matches_reference(self):
         m, po = linear_splice(delta=1e-3, n=30)
         for max_descent in (1, 3, 17, 200):
-            result = shadow_search(m, po, 1e-4, 1e-5, max_descent=max_descent)
+            result = search(m, po, 1e-4, 1e-5, max_descent)
             assert_same_result(result, reference_search(m, po, 1e-4, 1e-5,
                                                         max_descent))
             assert result.shadowed == \
@@ -453,11 +460,11 @@ class TestBatchedDescentOracle:
             m = ORACLE_MAPS[name]()
             po = random_pseudo_orbit(m, np.array(x0), 1e-4, N, rng_seed=5)
             cases.append((m, po))
-        before = [shadow_search(m, po, 1e-2, 2.5e-3, max_descent=md)
+        before = [search(m, po, 1e-2, 2.5e-3, md)
                   for m, po in cases for md in (17, 200)]
         monkeypatch.setattr(shadowing, "_PROBE_BLOCK", probe_block)
         monkeypatch.setattr(shadowing, "_SEED_BLOCK", seed_block)
-        after = [shadow_search(m, po, 1e-2, 2.5e-3, max_descent=md)
+        after = [search(m, po, 1e-2, 2.5e-3, md)
                  for m, po in cases for md in (17, 200)]
         for a, b in zip(before, after):
             assert_same_result(b, (a.shadowed, a.achieved_eps, a.x, a.trace, a.method))
@@ -482,7 +489,9 @@ class TestBatchedDescentOracle:
                             lambda m, seeds, y: seen.append(seeds) or errors(m, seeds, y))
         m = make_map("cat")
         po = random_pseudo_orbit(m, np.array([0.3, 0.7]), 0.0, 4)
-        res = shadow_search(m, po, 1e-2, 1e-3, max_descent=0, refine=False)
+        monkeypatch.setattr(shadowing, "_MAX_DESCENT", 0)
+        # the best objective is 0 or nan, never above eps: no refinement
+        res = shadow_search(m, po, 1e-2, 1e-3)
         seeds = np.concatenate(seen)
         assert seeds.shape[0] > 300
         worst = errors(m, seeds, po.points).max(axis=1)
@@ -647,12 +656,13 @@ class TestProfile:
 
 class TestCsvRoundtrip:
     def test_pseudo_orbit_roundtrip(self, tmp_path):
-        from dynkit.shadowing import pseudo_orbit_from_csv, pseudo_orbit_to_csv
+        # read back with numpy: %.17g floats parse to the same bits
+        from dynkit.shadowing import pseudo_orbit_to_csv
         m = make_map("cat")
         po = random_pseudo_orbit(m, np.array([0.3, 0.4]), 1e-4, 25, rng_seed=9)
         path = tmp_path / "po.csv"
         pseudo_orbit_to_csv(po, path)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 1:3], po.points)
+        assert np.array_equal(rows[:-1, 3], po.defects)
         assert path.read_text().splitlines()[-1].endswith(",0")
-        back = pseudo_orbit_from_csv(m, path, delta=1e-4)
-        assert np.array_equal(back.points, po.points)
-        assert np.allclose(back.defects, po.defects)
