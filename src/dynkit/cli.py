@@ -532,8 +532,12 @@ def run_escape(cfg, exp, out_dir, map_spec, grid):
 
 def _shadow_search(map_spec, po, eps, grid_resolution):
     """`shadow_search`, after one stderr warning if its seed lattice is
-    above `SEED_LATTICE_BUDGET`."""
-    size = sh.seed_lattice_size(map_spec.dim, eps, grid_resolution)
+    above `SEED_LATTICE_BUDGET`; a lattice too large to index is a config
+    error."""
+    try:
+        size = sh.seed_lattice_size(map_spec.dim, eps, grid_resolution)
+    except ValueError as e:
+        raise ConfigError(f"experiment.grid_resolution: {e}") from e
     if size > SEED_LATTICE_BUDGET:
         click.echo(f"warning: the shadow search scans a seed lattice of "
                    f"{size:,} points, above the budget of "
@@ -585,14 +589,24 @@ def run_splice(cfg, exp, out_dir, map_spec, grid):
     return results, [csv.name], 0
 
 
+def _is_saddle(hp) -> bool:
+    """Whether hp has a real unstable and a real stable eigendirection."""
+    try:
+        for side in ("unstable", "stable"):
+            mf._real_eigenpair(hp, side)
+    except mf.NoRealEigendirectionError:
+        return False
+    return True
+
+
 def _find_anchor(cfg, exp, map_spec, grid):
     tol = cfg["tolerances"]
     points = mf.find_periodic_points(map_spec, exp["period"], grid,
                                      tol_fix=tol["tol_fix"],
                                      tol_hyp=tol["tol_hyp"])
-    hyper = [p for p in points if p.is_hyperbolic]
+    hyper = [p for p in points if p.is_hyperbolic and _is_saddle(p)]
     if not hyper:
-        raise ConfigError("no hyperbolic periodic point found")
+        raise ConfigError("no hyperbolic saddle found")
     if exp["anchor"] is not None:
         hyper.sort(key=lambda h: float(map_spec.distance(h.point, exp["anchor"])))
     return hyper[0], points

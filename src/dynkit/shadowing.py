@@ -2,17 +2,20 @@
 searches with resolution-stamped certificates, and the linear-hyperbolic
 stable-manifold check.
 
-A shadow search runs three stages in order: a uniform seed grid in the
-eps-ball; when the best seed misses eps and the map is invertible, a
-sequence-space refinement pass (Hammel, Yorke & Grebogi); and, unless the
-refined witness is within eps, coordinate descent from the best seed.
-The refinement produces a witness orbit with tiny per-step defect, the
-standard numerical stand-in for a true shadow; without it no
-finite-precision search can confirm shadowing of a chaotic map over long
-horizons, because the required seed accuracy shrinks like the inverse of
-the unstable growth.  A NotShadowedAtResolution verdict is never a proof:
-it records the best tracking error achieved over the declared seed set,
-the descent and the refinement.
+A shadow search runs three stages in order, and no stage runs once an
+orbit within eps is known: a uniform seed grid in the eps-ball; when the
+best seed misses eps and the map is invertible, a sequence-space
+refinement pass (Hammel, Yorke & Grebogi); and, unless the refined
+witness is within eps, coordinate descent from the best seed, which stops
+at its first orbit within eps.  So a shadowed result reports the first
+orbit found within eps, not the closest one: its `achieved_eps` is at
+most eps, not a minimum.  The refinement produces a witness orbit with
+tiny per-step defect, the standard numerical stand-in for a true shadow;
+without it no finite-precision search can confirm shadowing of a chaotic
+map over long horizons, because the required seed accuracy shrinks like
+the inverse of the unstable growth.  A NotShadowedAtResolution verdict is
+never a proof: it records the best tracking error achieved over the
+declared seed set, the whole descent and the refinement.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Optional
 
 import numpy as np
@@ -92,6 +96,16 @@ class PseudoOrbit:
 
 @dataclass
 class ShadowingResult:
+    """Verdict of a shadow search, stamped with eps and the seed-grid
+    resolution.
+
+    `achieved_eps` is the largest distance of the orbit `x` (or the
+    refined `witness`) to the pseudo-orbit, and `trace` those distances
+    step by step.  When `shadowed`, it is the first orbit the search found
+    within eps, so `achieved_eps <= eps` but smaller values may exist;
+    when not, it is the closest orbit over the whole search.
+    """
+
     shadowed: bool
     eps: float
     achieved_eps: float
@@ -224,8 +238,21 @@ def _lattice_radius(eps: float, grid_resolution: float) -> int:
 
 def seed_lattice_size(dim: int, eps: float, grid_resolution: float) -> int:
     """Number of lattice points, (2m + 1)^dim, that a shadow search scans
-    for the seeds within eps of y_0."""
-    return (2 * _lattice_radius(eps, grid_resolution) + 1) ** dim
+    for the seeds within eps of y_0.
+
+    Raises ValueError, naming the size, for a lattice of more points than
+    `np.iinfo(np.intp).max`: `np.unravel_index` cannot index it.
+    """
+    try:
+        size = (2 * _lattice_radius(eps, grid_resolution) + 1) ** dim
+    except OverflowError:  # eps / grid_resolution is inf
+        size = math.inf
+    limit = int(np.iinfo(np.intp).max)
+    if size > limit:
+        raise ValueError(f"the seed lattice has {Decimal(size):.3e} points, "
+                         f"more than the {limit:,} that can be indexed; a "
+                         f"larger grid_resolution or a smaller eps shrinks it")
+    return size
 
 
 def _tracking_errors(map_spec: MapSpec, seeds: np.ndarray, y: np.ndarray):
@@ -382,20 +409,25 @@ def _best_seed(map_spec: MapSpec, y: np.ndarray, eps: float,
 
 
 def _descend(map_spec: MapSpec, y: np.ndarray, best_x: np.ndarray,
-             best_obj: float, best_trace: np.ndarray, step: float):
-    """Coordinate descent from (best_x, best_obj, best_trace); returns the
-    best (x, objective, trace), whose objective is never above best_obj.
+             best_obj: float, best_trace: np.ndarray, step: float,
+             eps: float):
+    """Coordinate descent from (best_x, best_obj, best_trace) until its
+    objective is within eps; returns the (x, objective, trace) of its last
+    accepted probe, or the start, so the objective is never above best_obj.
 
     The probe at position k of a round moves axis k // 2 by +step (k even)
     or -step (k odd).  Until a probe is accepted the coming probes are
     fixed, so they are evaluated a block at a time and walked in order;
     the probes after an accepted one are dropped and do not count toward
-    `_MAX_DESCENT`.
+    `_MAX_DESCENT`.  An accepted probe within eps ends the descent (a
+    start within eps makes no probe): the descent only lowers the
+    objective, so no later probe could change the verdict.  A nan
+    objective is never within eps.
     """
     dim = map_spec.dim
     state = (step, 0, False)  # (step, k, improved)
     it = 0
-    while it < _MAX_DESCENT and state[0] > 1e-17:
+    while it < _MAX_DESCENT and state[0] > 1e-17 and not best_obj <= eps:
         size = min(_PROBE_BLOCK, _MAX_DESCENT - it)
         block = []
         ahead = state
@@ -425,20 +457,24 @@ def shadow_search(map_spec: MapSpec, po: PseudoOrbit, eps: float,
                   grid_resolution: float) -> ShadowingResult:
     """Search for an actual orbit eps-tracking the pseudo-orbit.
 
-    Three stages, in this order.  Seeds on a uniform grid of the given
-    resolution in the eps-ball around y_0.  If the best seed misses eps
-    and the map has an inverse, the hyperbolic sequence refinement, which
-    supplies a witness orbit for horizons where seed precision alone
-    cannot reach; a witness within eps is the result.  Otherwise
-    coordinate descent from the best seed (at most `_MAX_DESCENT`
-    probes), and the refined witness only where it tracks closer than the
-    descent's best orbit.
-    The descent only lowers the objective, so running it after a witness
-    within eps could not change the verdict.  Failure is reported as a
-    resolution-stamped certificate, never a proof.
+    Three stages, in this order, and none runs once an orbit within eps
+    is known.  Seeds on a uniform grid of the given resolution in the
+    eps-ball around y_0; the best seed is the result if it is within eps.
+    If it misses eps and the map has an inverse, the hyperbolic sequence
+    refinement, which supplies a witness orbit for horizons where seed
+    precision alone cannot reach; a witness within eps is the result.
+    Otherwise coordinate descent from the best seed, until its first
+    accepted probe within eps or `_MAX_DESCENT` probes, and the refined
+    witness only where it tracks closer than the descent's last orbit.
+    The descent only lowers the objective, so running it on past eps
+    could not change the verdict.  A shadowed result's `achieved_eps` is
+    therefore that of the first orbit found within eps (at most eps); an
+    unshadowed one's is the least over the whole search.  Failure is
+    reported as a resolution-stamped certificate, never a proof.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    seed_lattice_size(map_spec.dim, eps, grid_resolution)
     y = po.points
     best_x, best_obj, best_trace = _best_seed(map_spec, y, eps,
                                               grid_resolution)
@@ -451,7 +487,7 @@ def shadow_search(map_spec: MapSpec, po: PseudoOrbit, eps: float,
         achieved = float(np.max(trace))
     if refined is None or not achieved <= eps:
         best_x, best_obj, best_trace = _descend(
-            map_spec, y, best_x, best_obj, best_trace, grid_resolution)
+            map_spec, y, best_x, best_obj, best_trace, grid_resolution, eps)
         if refined is None or not achieved < best_obj:
             return ShadowingResult(best_obj <= eps, float(eps), best_obj,
                                    best_x, best_trace, float(grid_resolution),

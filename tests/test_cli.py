@@ -507,6 +507,26 @@ class TestSeedLatticeBudget:
         assert len(warnings) == 1 and "4,198,401 points" in warnings[0]
         assert "warning" not in err2
 
+    # np.unravel_index cannot index a lattice of more than 2^63 - 1 points
+    @pytest.mark.parametrize("res, size", [(1e-300, "4.000e+596"),
+                                           (1e-12, "4.000e+20"),
+                                           (1e-320, "Infinity")])
+    @pytest.mark.parametrize("sub, experiment", [
+        ("shadow", {"x0": [0.2, 0.3], "N": 5}),
+        ("splice", {"q": [0.1, 0.2], "x0": [0.3, 0.7], "n_back": 2,
+                    "n_forward": 3}),
+    ])
+    def test_lattice_too_large_to_index_is_refused(
+            self, tmp_path, capsys, sub, experiment, res, size):
+        path = cat_config(tmp_path, depth=3, delta=2e-2, experiment={
+            **experiment, "eps": 1e-2, "grid_resolution": res})
+        assert run_subcommand(sub, str(path), None, None) == 2
+        err = capsys.readouterr().err
+        assert f"experiment.grid_resolution: the seed lattice has {size} " \
+            "points" in err
+        assert "warning" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):
@@ -1118,6 +1138,26 @@ class TestEveryDimension:
             assert lines[0] == "index,x0,x1,x2"
             assert len(lines) - 1 == report[f"{side}_vertices"]
             assert all(line.count(",") == 3 for line in lines)
+
+    def test_anchor_is_a_saddle(self, tmp_path, capsys):
+        # the 2-D cubic (1.5x - 0.5x^3, 0.5y): the sink (-1, 0) comes
+        # before the saddle (0, 0) among the hyperbolic points, and the 1-D
+        # cubic has no point with both a stable and an unstable direction
+        mp = {"name": "poly", "dimension": 2, "components": [
+            [{"c": 1.5, "e": [1, 0]}, {"c": -0.5, "e": [3, 0]}],
+            [{"c": 0.5, "e": [0, 1]}]]}
+        grid = {"lower": [-2, -2], "upper": [2, 2], "depth": [3, 3]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "map": mp, "grid": grid, "out": str(tmp_path / "out"),
+            "experiment": {"arclength": 2.0, "max_seg": 0.05}}))
+        assert run_subcommand("manifolds", str(path), None, None) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["results"]["anchor"] == [0.0, 0.0]
+        assert run_subcommand("manifolds",
+                              str(dimension_config(tmp_path, "manifolds", 1)),
+                              None, None) == 2
+        assert "no hyperbolic saddle found" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub", ["homoclinic", "accumulate"])
     @pytest.mark.parametrize("dim", [1, 3])

@@ -241,6 +241,13 @@ class TestShadowSearch:
         res = shadow_search(m, po, eps=1e-2, grid_resolution=1e-3)
         assert res.shadowed
 
+    def test_lattice_too_large_to_index_is_refused(self):
+        # (2 * 10^10 + 1)^2 points; np.unravel_index stops at 2^63 - 1
+        m = make_map("cat")
+        po = random_pseudo_orbit(m, np.array([0.4, 0.1]), 1e-4, 5)
+        with pytest.raises(ValueError, match=r"has 4\.000e\+20 points"):
+            shadow_search(m, po, eps=1e-2, grid_resolution=1e-12)
+
     def test_linear_two_orbit_trace_matches_closed_form(self):
         m = make_map("linear", a=2.0, b=0.5)
         x = np.array([0.0, 1.0])
@@ -277,11 +284,12 @@ def reference_seed(m, y, eps, res):
     return seeds[best_i].copy(), worst[best_i]
 
 
-def reference_descent(m, y, best_x, best_obj, res, max_descent):
-    """Coordinate descent with one probe evaluated at a time."""
+def reference_descent(m, y, best_x, best_obj, res, max_descent, eps):
+    """Coordinate descent with one probe evaluated at a time, until an
+    accepted probe is within eps (eps = -inf runs the full descent)."""
     step = res
     it = 0
-    while it < max_descent and step > 1e-17:
+    while it < max_descent and step > 1e-17 and not best_obj <= eps:
         improved = False
         for ax in range(m.dim):
             for sign in (+1.0, -1.0):
@@ -292,9 +300,9 @@ def reference_descent(m, y, best_x, best_obj, res, max_descent):
                 it += 1
                 if obj < best_obj:
                     best_obj, best_x, improved = obj, cand, True
-                if it >= max_descent:
+                if it >= max_descent or best_obj <= eps:
                     break
-            if it >= max_descent:
+            if it >= max_descent or best_obj <= eps:
                 break
         if not improved:
             step *= 0.5
@@ -309,16 +317,19 @@ def reference_refine(m, y):
     return refined[0], float(np.max(m.distance(refined[0], y)))
 
 
-def reference_search(m, po, eps, res, max_descent):
+def reference_search(m, po, eps, res, max_descent, stop=True):
     """shadow_search with every orbit iterated on its own and one descent
     probe evaluated at a time: seed grid, then refinement, then descent
-    unless the refined witness is within eps."""
+    unless the refined witness is within eps, up to its first orbit
+    within eps.  With stop=False the descent runs in full, as the search
+    did before it stopped at eps."""
     y = po.points
     best_x, best_obj = reference_seed(m, y, eps, res)
     refined = reference_refine(m, y) if best_obj > eps else None
     if refined is None or not refined[1] <= eps:
         best_x, best_obj = reference_descent(m, y, best_x, best_obj, res,
-                                             max_descent)
+                                             max_descent,
+                                             eps if stop else -math.inf)
         if refined is None or not refined[1] < best_obj:
             return best_obj <= eps, best_obj, best_x, \
                 orbit_trace(m, best_x, y), "seed"
@@ -332,7 +343,7 @@ def descent_first_search(m, po, eps, res, max_descent):
     y = po.points
     best_x, best_obj = reference_seed(m, y, eps, res)
     best_x, best_obj = reference_descent(m, y, best_x, best_obj, res,
-                                         max_descent)
+                                         max_descent, -math.inf)
     method, trace = "seed", orbit_trace(m, best_x, y)
     refined = reference_refine(m, y) if best_obj > eps else None
     if refined is not None and refined[1] < best_obj:
@@ -373,6 +384,17 @@ def assert_same_result(res, ref):
     assert res.trace.tobytes() == np.asarray(trace).tobytes()
 
 
+def assert_full_descent_verdict(res, full, eps):
+    """Against the full-descent search: the same verdict and method, the
+    same result when unshadowed, and an orbit within eps when shadowed."""
+    assert res.shadowed == full[0]
+    assert res.method == full[4]
+    if res.shadowed:
+        assert res.achieved_eps <= eps
+    else:
+        assert_same_result(res, full)
+
+
 class TestBatchedDescentOracle:
     @pytest.mark.parametrize("max_descent", [1, 3, 17, 200])
     @pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
@@ -390,6 +412,9 @@ class TestBatchedDescentOracle:
         po = random_pseudo_orbit(m, m.wrap(x0), delta, N, rng_seed=seed)
         result = search(m, po, eps, res, max_descent)
         assert_same_result(result, reference_search(m, po, eps, res, max_descent))
+        assert_full_descent_verdict(
+            result, reference_search(m, po, eps, res, max_descent, stop=False),
+            eps)
         # the descent only lowers the objective, so running the refinement
         # first may change the witness, never the verdict
         assert result.shadowed == \
@@ -401,6 +426,9 @@ class TestBatchedDescentOracle:
             result = search(m, po, 1e-4, 1e-5, max_descent)
             assert_same_result(result, reference_search(m, po, 1e-4, 1e-5,
                                                         max_descent))
+            assert_full_descent_verdict(
+                result, reference_search(m, po, 1e-4, 1e-5, max_descent,
+                                         stop=False), 1e-4)
             assert result.shadowed == \
                 descent_first_search(m, po, 1e-4, 1e-5, max_descent)[0]
 
@@ -450,6 +478,60 @@ class TestBatchedDescentOracle:
         res = shadow_search(m, po, 1e-2, 1e-3)
         assert descents == [1]
         assert res.shadowed and res.method == "seed"
+
+    def test_seed_grid_within_eps_makes_no_descent_probe(self, monkeypatch):
+        # standard K = 0.97 has no refinement here; the grid's best seed
+        # tracks within 0.0012 < eps, so the search ends with the grid
+        m = make_map("standard", K=0.97)
+        po = random_pseudo_orbit(m, np.random.default_rng(0).random(2), 1e-4,
+                                 50, rng_seed=0)
+        best_x, best_obj, _ = shadowing._best_seed(m, po.points, 1e-2, 1e-3)
+        assert best_obj <= 1e-2
+        calls = []
+        errors = shadowing._tracking_errors
+        monkeypatch.setattr(shadowing, "_tracking_errors",
+                            lambda *a: calls.append(1) or errors(*a))
+        res = shadow_search(m, po, 1e-2, 1e-3)
+        assert len(calls) == 1
+        assert res.shadowed and res.method == "seed"
+        assert res.x.tobytes() == best_x.tobytes()
+        assert res.achieved_eps == best_obj
+
+    def test_descent_stops_at_its_first_probe_within_eps(self, monkeypatch):
+        # the orbit of test_unshadowed_seed_grid_without_witness_still_descends:
+        # the grid misses eps by 0.015 and the descent reaches it
+        m = make_map("standard", K=0.97)
+        y = random_pseudo_orbit(m, np.random.default_rng(11).random(2), 1e-4,
+                                50, rng_seed=11).points
+        start = shadowing._best_seed(m, y, 1e-2, 1e-3)
+        assert start[1] > 1e-2
+        objs = []
+        errors = shadowing._tracking_errors
+
+        def counted(*a):
+            e = errors(*a)
+            objs.extend(e.max(axis=1).tolist())
+            return e
+
+        blocked = shadowing._descend(m, y, *start, 1e-3, 1e-2)
+        monkeypatch.setattr(shadowing, "_tracking_errors", counted)
+        # one probe per block: every probe evaluated is also walked
+        monkeypatch.setattr(shadowing, "_PROBE_BLOCK", 1)
+        x, obj, trace = shadowing._descend(m, y, *start, 1e-3, 1e-2)
+        stopped = objs[:]
+        objs.clear()
+        full = shadowing._descend(m, y, *start, 1e-3, -math.inf)
+        # the same probes up to the stop, and fewer of them
+        assert stopped == objs[:len(stopped)]
+        assert len(stopped) < len(objs)
+        assert full[1] < obj
+        # probes before the first one within eps miss eps, so that one is
+        # accepted, and it ends the descent
+        first = next(i for i, o in enumerate(stopped) if o <= 1e-2)
+        assert first == len(stopped) - 1
+        assert obj == stopped[first]
+        assert trace.tobytes() == orbit_trace(m, x, y).tobytes()
+        assert blocked[0].tobytes() == x.tobytes() and blocked[1] == obj
 
     @pytest.mark.parametrize("probe_block", [1, 7])
     @pytest.mark.parametrize("seed_block", [1, 7])
