@@ -200,9 +200,12 @@ class RadialEps:
 
 def _box_spreads(grid: Grid, map_spec: MapSpec):
     """(spread, lipschitz): per-box per-axis image half-widths from entrywise
-    Jacobian bounds, plus a scalar Lipschitz bound for slack formulas.
+    Jacobian bounds, plus a scalar Lipschitz bound for slack formulas: the
+    largest spectral norm of the per-box bounds, the map's only Lipschitz
+    number.
 
-    Sound: |f(x)_a - f(c)_a| <= sum_b |J_ab|_max r_b over the box.
+    Sound: |f(x)_a - f(c)_a| <= sum_b |J_ab|_max r_b over the box, and
+    ||J(x)||_2 <= ||(|J_ab|_max)||_2 for every x in it.
     """
     centers = grid.centers()
     B = np.asarray(map_spec.jac_abs_bound(centers - grid.radius,
@@ -214,8 +217,6 @@ def _box_spreads(grid: Grid, map_spec: MapSpec):
     flat = flat[np.append(True, np.any(flat[1:] != flat[:-1], axis=1))]
     lip = float(np.max(np.linalg.norm(flat.reshape(-1, *B.shape[1:]),
                                       ord=2, axis=(1, 2))))
-    if map_spec.lipschitz is not None:
-        lip = min(lip, float(map_spec.lipschitz))
     return spread, lip
 
 
@@ -417,8 +418,8 @@ def strongly_connected_components(offsets: np.ndarray, targets: np.ndarray,
     and cannot reach S, so Tarjan labels it first (roots in node order), S
     takes the next label, and Tarjan then runs from every remaining root in
     node order, skipping the completed nodes in F.  When F or B needs more
-    than `_fb_max_layers` layers, S is left empty and Tarjan runs from
-    every root in node order.
+    than `_fb_max_layers` layers, F and S are taken as empty, so the same
+    two Tarjan calls run every root in node order from label 0.
     """
     if n == 0:
         return 0, np.empty(0, dtype=np.int64)
@@ -432,16 +433,14 @@ def strongly_connected_components(offsets: np.ndarray, targets: np.ndarray,
     back = None if fwd is None else \
         reachable(roff, rtarg, [pivot], max_layers=cap, seen=~fwd)
     if back is None:
-        n_comp = _tarjan(off, tgt, range(n), [-1] * n, labels, 0)
-        return n_comp, np.asarray(labels, dtype=np.int64)
-    core = back & fwd
+        fwd = core = np.zeros(n, dtype=bool)
+    else:
+        core = back & fwd
     index = np.where(core, 0, -1).tolist()
-    n_comp = _tarjan(off, tgt, np.flatnonzero(fwd & ~core).tolist(),
-                     index, labels, 0)
-    core_label = n_comp
-    n_comp = _tarjan(off, tgt, range(n), index, labels, n_comp + 1)
+    k = _tarjan(off, tgt, np.flatnonzero(fwd & ~core).tolist(), index, labels, 0)
+    n_comp = _tarjan(off, tgt, range(n), index, labels, k + int(core.any()))
     labels = np.asarray(labels, dtype=np.int64)
-    labels[core] = core_label
+    labels[core] = k
     return n_comp, labels
 
 
@@ -677,22 +676,18 @@ def _unpack_planes(words: np.ndarray, k: int) -> np.ndarray:
 
 
 def reachable_sets(offsets: np.ndarray, targets: np.ndarray,
-                   seeds: np.ndarray,
-                   seen: np.ndarray | None = None) -> np.ndarray:
-    """`reachable` for every row of the (k, n) bool array `seeds`.
-
-    Returns a (k, n) bool array; a given `seen` of that shape is grown in
-    place and returned, row by row as `reachable` grows its mask.  The
-    rows are closed 64 at a time, as the planes of one `close_planes`.
+                   seeds: np.ndarray) -> np.ndarray:
+    """`reachable` for every row of the (k, n) bool array `seeds`, as a
+    (k, n) bool array.  The rows are closed 64 at a time, as the planes of
+    one `close_planes`.
     """
-    if seen is None:
-        seen = np.zeros(seeds.shape, dtype=bool)
+    closed = np.empty(seeds.shape, dtype=bool)
     for a in range(0, seeds.shape[0], 64):
         rows = slice(a, a + 64)
-        words = close_planes(offsets, targets, _pack_planes(seeds[rows]),
-                             _pack_planes(seen[rows]))
-        seen[rows] = _unpack_planes(words, seen[rows].shape[0])
-    return seen
+        words = _pack_planes(seeds[rows])
+        words = close_planes(offsets, targets, words, np.zeros_like(words))
+        closed[rows] = _unpack_planes(words, closed[rows].shape[0])
+    return closed
 
 
 def _visit(nodes: np.ndarray, seen: np.ndarray,

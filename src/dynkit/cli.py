@@ -264,10 +264,7 @@ def build_map(cfg: dict) -> MapSpec:
             if unread:
                 raise ConfigError(f"map 'poly' does not read {sorted(unread)}")
             dim = _COUNT(mp[key], f"map.{key}")
-            window = None
-            if cfg["grid"] is not None:
-                window = (cfg["grid"]["lower"], cfg["grid"]["upper"])
-            return polynomial_map(mp["components"], dim, window=window)
+            return polynomial_map(mp["components"], dim)
         params = {k: v for k, v in mp.items() if k != "name"}
         return make_map(name, **params)
     except ConfigError:

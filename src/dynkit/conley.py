@@ -320,17 +320,16 @@ def absorbed_basin(g: TransitionGraph, A: BoxSet) -> BoxSet:
     return _absorbed_basins(g, [A])[0]
 
 
-def verify_conley_decomposition(g: TransitionGraph, blocks=None) -> ConleyReport:
+def verify_conley_decomposition(g: TransitionGraph) -> ConleyReport:
     """Compare complement-of-recurrence with the union of basin minus
-    attractor over the enumerated blocks.
+    attractor over the blocks of `find_attractor_blocks`.
 
     Basins enter as absorbed basins; backward-reachability basins count
     boxes that merely straddle basin boundaries and would break the exact
     identity at any finite resolution.  The absorbed basins of all blocks
     are closed together, 64 per plane closure.
     """
-    if blocks is None:
-        blocks = find_attractor_blocks(g)
+    blocks = find_attractor_blocks(g)
     lhs = chain_recurrent_boxes(g).complement()
     attractors = [attractor_from_block(g, U)[0] for U in blocks]
     rhs = BoxSet.empty(g.grid)

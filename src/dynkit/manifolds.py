@@ -170,9 +170,8 @@ def find_periodic_points(map_spec: MapSpec, period: int, grid: Grid,
     res = np.linalg.norm(map_spec.delta(x, fp), axis=1)
     ok = alive & (res <= tol_fix)
     roots, residuals, J = x[ok], res[ok], J[ok]
-    # keep only roots inside the window
-    inside = grid.domain.contains(grid.domain.wrap(roots)) if roots.size else \
-        np.zeros(0, dtype=bool)
+    # keep only roots inside the window (`contains` skips periodic axes)
+    inside = grid.domain.contains(roots)
     roots, residuals, J = roots[inside], residuals[inside], J[inside]
 
     # deterministic greedy dedupe in lexicographic order: the first root
@@ -201,20 +200,24 @@ def find_periodic_points(map_spec: MapSpec, period: int, grid: Grid,
 # manifold growth
 # ---------------------------------------------------------------------------
 
-def _inverse_newton(map_spec: MapSpec, z: np.ndarray, tol: float = 1e-10,
-                    max_iter: int = 60) -> np.ndarray:
+# residual and Newton rounds of the preimage solve
+_INVERSE_TOL = 1e-10
+_INVERSE_ITER = 60
+
+
+def _inverse_newton(map_spec: MapSpec, z: np.ndarray) -> np.ndarray:
     """Solve f(w) = z per row by Newton, seeded at z itself.
 
-    Each row stops once its own residual is below `tol`, so a row's
+    Each row stops once its own residual is below `_INVERSE_TOL`, so a row's
     result is the one it gets when solved alone, whatever batch it is in.
     """
     z = np.atleast_2d(z).astype(float)
     w = z.copy()
     rows = np.arange(w.shape[0])
-    for _ in range(max_iter):
+    for _ in range(_INVERSE_ITER):
         wa = w[rows]
         r = map_spec.delta(z[rows], evaluate(map_spec, wa))  # f(w) - z
-        live = np.linalg.norm(r, axis=1) >= tol
+        live = np.linalg.norm(r, axis=1) >= _INVERSE_TOL
         if not live.any():
             break
         rows, wa, r = rows[live], wa[live], r[live]
@@ -402,8 +405,12 @@ def _left_eigvecs(hp: HyperbolicPoint):
     return W  # W[i] . V[:, j] = delta_ij
 
 
+# residual at which a polished homoclinic point has converged
+_POLISH_TOL = 1e-12
+
+
 def _polish_hits(map_spec: MapSpec, hp: HyperbolicPoint, pts: np.ndarray,
-                 max_move: float, tol: float = 1e-12) -> Optional[np.ndarray]:
+                 max_move: float) -> Optional[np.ndarray]:
     """Newton-polish approximate homoclinic points against the dynamics.
 
     Solves, per point, for the zero of (unstable coordinate of f^K(x) - p,
@@ -434,7 +441,7 @@ def _polish_hits(map_spec: MapSpec, hp: HyperbolicPoint, pts: np.ndarray,
         bK, Jb = _orbit_jacobian(map_spec, xa, steps, inverse=True)
         G = np.stack([map_spec.delta(p, fK) @ wu,
                       map_spec.delta(p, bK) @ ws], axis=-1)
-        conv = np.max(np.abs(G), axis=1) < tol
+        conv = np.max(np.abs(G), axis=1) < _POLISH_TOL
         J = np.stack([wu @ Jf, ws @ Jb], axis=1)
         ok = np.abs(np.linalg.det(J)) > 1e-30
         step = np.zeros_like(xa)

@@ -349,8 +349,12 @@ def _orient_columns(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _refine_shadow(map_spec: MapSpec, y: np.ndarray, max_sweeps: int = 60,
-                   defect_tol: float = 1e-11):
+# Newton sweeps of the refinement, and the defect at which it has an orbit
+_REFINE_SWEEPS = 60
+_DEFECT_TOL = 1e-11
+
+
+def _refine_shadow(map_spec: MapSpec, y: np.ndarray):
     """Sequence-space Newton relaxation toward a nearby numerical orbit.
 
     Corrections solve the linearized defect equation with the stable
@@ -359,11 +363,11 @@ def _refine_shadow(map_spec: MapSpec, y: np.ndarray, max_sweeps: int = 60,
     """
     z = y.copy()
     n = z.shape[0]
-    for _ in range(max_sweeps):
+    for _ in range(_REFINE_SWEEPS):
         imgs = evaluate(map_spec, z[:-1])
         g = map_spec.delta(z[1:], imgs)  # f(z_i) - z_{i+1}, wrapped
         worst = float(np.max(np.linalg.norm(g, axis=1))) if n > 1 else 0.0
-        if worst < defect_tol:
+        if worst < _DEFECT_TOL:
             return z, worst
         frames = _hyperbolic_frames(map_spec, z)
         if frames is None:
@@ -383,7 +387,7 @@ def _refine_shadow(map_spec: MapSpec, y: np.ndarray, max_sweeps: int = 60,
         z = map_spec.wrap(z + e)
     imgs = evaluate(map_spec, z[:-1])
     worst = float(np.max(np.linalg.norm(map_spec.delta(z[1:], imgs), axis=1)))
-    return (z, worst) if worst < defect_tol else None
+    return (z, worst) if worst < _DEFECT_TOL else None
 
 
 def _best_seed(map_spec: MapSpec, y: np.ndarray, eps: float,

@@ -2,10 +2,10 @@
 Lagrange-stability diagnostics.
 
 Registry maps carry closed-form forward/inverse evaluators, closed-form
-Jacobians and exact Lipschitz bounds.  User maps enter as polynomial
-coefficient tables (degree <= 4 per component); their Jacobians are
-closed-form too, their Lipschitz bounds come from interval-style
-coefficient estimates over a window.  Torus maps (cat, standard,
+Jacobians and entrywise Jacobian bounds over rectangles.  User maps enter
+as polynomial coefficient tables (degree <= 4 per component); their
+Jacobians and Jacobian bounds are closed-form too.  A map is its formula
+alone: nothing in it depends on a grid.  Torus maps (cat, standard,
 rotation) live on the unit torus: their images are wrapped into [0, 1)
 per axis.
 """
@@ -45,9 +45,10 @@ class MapSpec:
     bits either way; `out` must not overlap `p`.  `jac` maps a
     batch (n, dim) to (n, dim, dim); every map made by `make_map` and
     `polynomial_map` carries one.  `periods` marks an intrinsic torus: every
-    period is 1.0 and images are wrapped into [0, 1) per axis.  `lipschitz`
-    bounds the operator norm of the Jacobian; `jac_abs_bound` bounds each
-    Jacobian entry over an axis-aligned rectangle batch.  The affine
+    period is 1.0 and images are wrapped into [0, 1) per axis.
+    `jac_abs_bound` bounds each Jacobian entry over an axis-aligned
+    rectangle batch; a graph's `lipschitz_used` is derived from it on the
+    grid's boxes, and a map carries no Lipschitz constant.  The affine
     registry maps are rows of `_AFFINE`, made by `_affine` with a constant
     `jac_abs_bound`; a `poly` map's `forward`, `jac` and `jac_abs_bound`
     are all `_monomial_sums` of its term tables.
@@ -59,7 +60,6 @@ class MapSpec:
     forward: Callable = field(repr=False)
     inverse: Optional[Callable] = field(repr=False, default=None)
     jac: Optional[Callable] = field(repr=False, default=None)
-    lipschitz: Optional[float] = None
     jac_abs_bound: Optional[Callable] = field(repr=False, default=None)
     periods: Optional[tuple] = None
 
@@ -161,10 +161,8 @@ def _standard(K: float) -> MapSpec:
         J[:, 1, 1] = 1.0
         return J
 
-    # Frobenius bound, valid for all x: sqrt((1+|K|)^2 + K^2 + 2)
-    lip = math.sqrt((1.0 + abs(K)) ** 2 + K * K + 2.0)
     bound = _const_abs_bound([[1.0 + abs(K), 1.0], [abs(K), 1.0]])
-    return MapSpec("standard", 2, {"K": float(K)}, fwd, inv, jac, lip,
+    return MapSpec("standard", 2, {"K": float(K)}, fwd, inv, jac,
                    jac_abs_bound=bound, periods=(1.0, 1.0))
 
 
@@ -177,11 +175,13 @@ def _natural(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
 
 
-def _affine(name, matrix, shift, torus, lip, params) -> MapSpec:
+def _affine(name, matrix, shift, torus, params) -> MapSpec:
     """x -> A x + shift (no add for a shift of None), wrapped into [0, 1)
     per axis if `torus`.  A diagonal A acts as x * d and x / d, with d a
     scalar if constant (a 0-d circle point stays 0-d); any other A is
-    unimodular and acts as x @ A.T, and its integer inverse likewise."""
+    unimodular and acts as x @ A.T, and its integer inverse likewise.
+    The Jacobian is A everywhere, and `jac_abs_bound` |A| on every
+    rectangle."""
     A = np.asarray(matrix, dtype=float)
     dim = A.shape[0]
     d = AT = AinvT = None
@@ -213,26 +213,25 @@ def _affine(name, matrix, shift, torus, lip, params) -> MapSpec:
 
     invertible = AT is not None or np.all(d != 0)
     return MapSpec(name, dim, params, fwd, inv if invertible else None, jac,
-                   lip, jac_abs_bound=_const_abs_bound(A),
+                   jac_abs_bound=_const_abs_bound(A),
                    periods=(1.0,) * dim if torus else None)
 
 
 def _contraction(c, dim):
     if not 0.0 < c < 1.0:
         raise ValueError("contraction factor must satisfy 0 < c < 1")
-    return c * np.eye(dim), None, False, float(c), {"c": float(c), "dim": dim}
+    return c * np.eye(dim), None, False, {"c": float(c), "dim": dim}
 
 
-# name -> row(**params) = (matrix, shift, torus, lipschitz, params); cat's
-# symmetric matrix has norm (3 + sqrt 5)/2, the shear's the golden ratio
+# name -> row(**params) = (matrix, shift, torus, params)
 _AFFINE = {
-    "cat": lambda: ([[2, 1], [1, 1]], None, True, (3.0 + math.sqrt(5.0)) / 2.0, {}),
-    "translation": lambda: (np.eye(2), np.array([1.0, 0.0]), False, 1.0, {}),
+    "cat": lambda: ([[2, 1], [1, 1]], None, True, {}),
+    "translation": lambda: (np.eye(2), np.array([1.0, 0.0]), False, {}),
     "linear": lambda a, b: (np.diag([float(a), float(b)]), None, False,
-                            max(abs(a), abs(b)), {"a": float(a), "b": float(b)}),
+                            {"a": float(a), "b": float(b)}),
     "contraction": _contraction,
-    "rotation": lambda alpha: ([[1.0]], alpha, True, 1.0, {"alpha": float(alpha)}),
-    "shear": lambda: ([[1, 1], [0, 1]], None, False, (1.0 + math.sqrt(5.0)) / 2.0, {}),
+    "rotation": lambda alpha: ([[1.0]], alpha, True, {"alpha": float(alpha)}),
+    "shear": lambda: ([[1, 1], [0, 1]], None, False, {}),
 }
 
 
@@ -288,15 +287,13 @@ def _poly_term(t, dim: int):
     return float(t["c"]), tuple(int(x) for x in e)
 
 
-def polynomial_map(components, dim: int, window=None) -> MapSpec:
+def polynomial_map(components, dim: int) -> MapSpec:
     """Map whose components are polynomials given as term lists.
 
     `components[r]` is a list of terms {"c": coeff, "e": [e_0, ..., e_{dim-1}]}
     with total degree <= 4; any other term raises ValueError.  The image,
     the Jacobian and `jac_abs_bound` are `_monomial_sums` of the terms, of
     their partial derivatives, and of those with |c| at max(|lo|, |hi|).
-    With a `window` (lower, upper), `lipschitz` is the Frobenius norm of
-    the window's `jac_abs_bound`.
     """
     if len(components) != dim or not all(isinstance(t, list) for t in components):
         raise ValueError("need one list of terms per dimension")
@@ -323,11 +320,8 @@ def polynomial_map(components, dim: int, window=None) -> MapSpec:
                                           np.abs(np.asarray(hi, dtype=float))))
         return _monomial_sums(abs_dcomps, absmax).reshape(-1, dim, dim)
 
-    # cumsum adds the squares in (r, a) order, from the first
-    lip = None if window is None else \
-        float(np.sqrt(np.cumsum(jac_bound(*window)[0] ** 2)[-1]))
     return MapSpec("poly", dim, {"components": components}, fwd, None, jac,
-                   lip, jac_abs_bound=jac_bound)
+                   jac_abs_bound=jac_bound)
 
 
 # ---------------------------------------------------------------------------

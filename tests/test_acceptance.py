@@ -55,7 +55,7 @@ def translation_grid(depth=6):
 
 def cubic_map():
     return polynomial_map([[{"c": 1.5, "e": [1]}, {"c": -0.5, "e": [3]}]],
-                          dim=1, window=([-2.0], [2.0]))
+                          dim=1)
 
 
 def cat_fixed_point():

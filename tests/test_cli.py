@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1173,6 +1174,45 @@ class TestEveryDimension:
         assert f"dimension {dim}" in capsys.readouterr().err
         assert not grown
         assert not (tmp_path / f"{sub}-{dim}" / "report.json").exists()
+
+
+# configs that overflow a closed-form Lipschitz constant or a bound over
+# the whole grid window: a map is its formula alone, so none of them may
+# end in a traceback or a numpy warning
+OVERFLOW_CASES = {
+    "standard-huge-K": ({"name": "standard", "K": 1e300},
+                        DIMENSION_CASES[2][1]),
+    "quartic-huge-coefficient": (
+        {"name": "poly", "dimension": 1,
+         "components": [[{"c": 1e300, "e": [4]}]]},
+        {"lower": [-2], "upper": [2], "depth": [3]}),
+    "cubic-huge-window": (
+        {"name": "poly", "dimension": 2, "components": [
+            [{"c": 1.5, "e": [1, 0]}, {"c": -0.5, "e": [3, 0]}],
+            [{"c": 1.5, "e": [0, 1]}, {"c": -0.5, "e": [0, 3]}]]},
+        {"lower": [-1e308] * 2, "upper": [1e308] * 2, "depth": [3, 3]}),
+}
+
+
+class TestOverflowingConfigs:
+    @pytest.mark.parametrize("case, sub", [
+        *(("standard-huge-K", sub)
+          for sub in ("cr", "all", "shadow", "manifolds", "homoclinic")),
+        ("quartic-huge-coefficient", "cr"), ("cubic-huge-window", "cr")])
+    def test_exits_with_a_code_and_no_warning(self, tmp_path, capsys, case,
+                                              sub):
+        mp, grid = OVERFLOW_CASES[case]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "map": mp, "grid": grid,
+            "experiment": small_experiment(sub, len(grid["lower"])),
+            "out": str(tmp_path / "out")}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_subcommand(sub, str(path), None, None)
+        assert code in (0, 2, 3)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
 
 class TestTorusGrid:

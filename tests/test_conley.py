@@ -29,7 +29,7 @@ def contraction_graph(depth=5, eps_boxes=0.25):
 def cubic_graph(depth=8, eps_boxes=0.25):
     g = Grid(Domain((-2.0,), (2.0,), (False,)), (depth,))
     m = polynomial_map([[{"c": 1.5, "e": [1]}, {"c": -0.5, "e": [3]}]],
-                       dim=1, window=([-2.0], [2.0]))
+                       dim=1)
     return build_graph(g, m, eps_boxes * float(g.h[0])), m
 
 
@@ -172,7 +172,7 @@ def bench_cubic_graph(dim, depth, eps):
     terms = [{"c": 1.5, "e": [1]}, {"c": -0.5, "e": [3]}]
     comps = [[{"c": t["c"], "e": [0] * i + t["e"] + [0] * (dim - 1 - i)}
               for t in terms] for i in range(dim)]
-    m = polynomial_map(comps, dim=dim, window=([-2.0] * dim, [2.0] * dim))
+    m = polynomial_map(comps, dim=dim)
     g = Grid(Domain((-2.0,) * dim, (2.0,) * dim, (False,) * dim), (depth,) * dim)
     return build_graph(g, m, eps)
 
@@ -257,16 +257,12 @@ class TestPlaneClosure:
         off, tgt = tg.reverse() if transpose else (tg.offsets, tg.targets)
         rng = np.random.default_rng(seed)
         seeds = rng.random((k, tg.n_nodes)) < rng.uniform(0, 0.1, (k, 1))
-        # explored nodes are not expanded again, closed or not
-        seen = rng.random((k, tg.n_nodes)) < rng.uniform(0, 0.2, (k, 1))
-        seen[np.arange(k), rng.integers(0, tg.n_nodes, k)] = True
-        want = np.array([reachable(off, tgt, np.flatnonzero(row), seen=s.copy())
-                         for row, s in zip(seeds, seen)])
+        want = np.array([reachable(off, tgt, np.flatnonzero(row))
+                         for row in seeds])
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
                 mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
-            got = reachable_sets(off, tgt, seeds, seen=seen)
-        assert got is seen
+            got = reachable_sets(off, tgt, seeds)
         assert np.array_equal(got, want)
 
     def test_words_are_grown_in_place(self):

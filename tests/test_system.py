@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynkit._util import min_image, wrap_unit
+from dynkit.chain_graph import build_graph
+from dynkit.phase_space import Domain, Grid
 from dynkit.system import (
     InverseUnavailableError, MapSpec, _const_abs_bound, evaluate, iterates,
     finite_difference_jacobian, lagrange_probe, make_map, orbit,
@@ -20,8 +22,7 @@ UNIT = ([0.0, 0.0], [1.0, 1.0])
 def cubic_map():
     # two attracting fixed points at +-1, repeller at 0
     return polynomial_map(
-        [[{"c": 1.5, "e": [1]}, {"c": -0.5, "e": [3]}]],
-        dim=1, window=([-2.0], [2.0]))
+        [[{"c": 1.5, "e": [1]}, {"c": -0.5, "e": [3]}]], dim=1)
 
 
 class TestEvaluate:
@@ -146,27 +147,6 @@ class TestLagrange:
         seg = orbit(m, np.array([0.2, 0.7]), 20)
         for k in range(20):
             assert np.allclose(evaluate(m, seg.points[k]), seg.points[k + 1])
-
-
-class TestLipschitz:
-    def test_registry_bounds_dominate_sampled_norms(self):
-        rng = np.random.default_rng(1)
-        for name, params in (("cat", {}), ("standard", {"K": 0.97}),
-                             ("linear", {"a": 2.0, "b": 0.5}), ("shear", {})):
-            m = make_map(name, **params)
-            pts = rng.random((200, m.dim))
-            norms = np.linalg.norm(m.jac(pts), ord=2, axis=(1, 2))
-            assert float(np.max(norms)) <= m.lipschitz + 1e-9, name
-
-    def test_polynomial_local_bound_dominates(self):
-        m = cubic_map()
-        lo = np.array([[0.5], [-2.0]])
-        hi = np.array([[1.0], [-1.5]])
-        bounds = m.jac_abs_bound(lo, hi)[:, 0, 0]
-        for (a, b), bd in zip(((0.5, 1.0), (-2.0, -1.5)), bounds):
-            xs = np.linspace(a, b, 50)[:, None]
-            actual = np.max(np.abs(m.jac(xs)[:, 0, 0]))
-            assert actual <= bd + 1e-12
 
 
 class TestPolynomialValidation:
@@ -366,9 +346,7 @@ def ref_cat() -> MapSpec:
         p = np.atleast_2d(p)
         return np.broadcast_to(A, (p.shape[0], 2, 2)).copy()
 
-    # symmetric matrix: operator norm = largest eigenvalue (3 + sqrt 5)/2
-    lip = (3.0 + math.sqrt(5.0)) / 2.0
-    return MapSpec("cat", 2, {}, fwd, inv, jac, lip,
+    return MapSpec("cat", 2, {}, fwd, inv, jac,
                    jac_abs_bound=_const_abs_bound(A), periods=(1.0, 1.0))
 
 
@@ -385,7 +363,7 @@ def ref_translation() -> MapSpec:
         p = np.atleast_2d(p)
         return np.broadcast_to(np.eye(2), (p.shape[0], 2, 2)).copy()
 
-    return MapSpec("translation", 2, {}, fwd, inv, jac, 1.0,
+    return MapSpec("translation", 2, {}, fwd, inv, jac,
                    jac_abs_bound=_const_abs_bound(np.eye(2)))
 
 
@@ -404,7 +382,6 @@ def ref_linear(a: float, b: float) -> MapSpec:
 
     return MapSpec("linear", 2, {"a": float(a), "b": float(b)},
                    fwd, inv if a != 0 and b != 0 else None, jac,
-                   max(abs(a), abs(b)),
                    jac_abs_bound=_const_abs_bound(np.diag(d)))
 
 
@@ -423,7 +400,7 @@ def ref_contraction(c: float, dim: int) -> MapSpec:
         return np.broadcast_to(c * np.eye(dim), (p.shape[0], dim, dim)).copy()
 
     return MapSpec("contraction", dim, {"c": float(c), "dim": dim},
-                   fwd, inv, jac, float(c),
+                   fwd, inv, jac,
                    jac_abs_bound=_const_abs_bound(c * np.eye(dim)))
 
 
@@ -438,7 +415,7 @@ def ref_rotation(alpha: float) -> MapSpec:
         p = np.atleast_2d(p)
         return np.ones((p.shape[0], 1, 1))
 
-    return MapSpec("rotation", 1, {"alpha": float(alpha)}, fwd, inv, jac, 1.0,
+    return MapSpec("rotation", 1, {"alpha": float(alpha)}, fwd, inv, jac,
                    jac_abs_bound=_const_abs_bound(np.ones((1, 1))),
                    periods=(1.0,))
 
@@ -457,19 +434,16 @@ def ref_shear() -> MapSpec:
         p = np.atleast_2d(p)
         return np.broadcast_to(S, (p.shape[0], 2, 2)).copy()
 
-    # operator norm of [[1,1],[0,1]] is the golden ratio
-    lip = (1.0 + math.sqrt(5.0)) / 2.0
-    return MapSpec("shear", 2, {}, fwd, inv, jac, lip,
+    return MapSpec("shear", 2, {}, fwd, inv, jac,
                    jac_abs_bound=_const_abs_bound(S))
 
 
-def ref_polynomial_map(components, dim: int, window=None, name: str = "poly") -> MapSpec:
+def ref_polynomial_map(components, dim: int, name: str = "poly") -> MapSpec:
     """Map whose components are polynomials given as term lists.
 
     `components[r]` is a list of terms {"c": coeff, "e": [e_0, ..., e_{dim-1}]}
-    with total degree <= 4.  If `window` (lower, upper) is given, a global
-    Lipschitz bound over it is derived from coefficient magnitudes; local
-    bounds per rectangle come the same way.
+    with total degree <= 4.  Entrywise Jacobian bounds per rectangle are
+    derived from coefficient magnitudes.
     """
     if len(components) != dim:
         raise ValueError("need one component per dimension")
@@ -541,22 +515,6 @@ def ref_polynomial_map(components, dim: int, window=None, name: str = "poly") ->
             acc = acc + term
         return acc
 
-    def local_lip(lo, hi):
-        """Frobenius-norm bound of the Jacobian over rectangles [lo, hi]."""
-        lo = np.atleast_2d(np.asarray(lo, dtype=float))
-        hi = np.atleast_2d(np.asarray(hi, dtype=float))
-        absmax = np.maximum(np.abs(lo), np.abs(hi))
-        total = np.zeros(absmax.shape[0])
-        for r in range(dim):
-            for a in range(dim):
-                total += np.asarray(jac_entry_bound(r, a, absmax)) ** 2
-        return np.sqrt(total)
-
-    lip = None
-    if window is not None:
-        lo, hi = (np.asarray(window[0], dtype=float), np.asarray(window[1], dtype=float))
-        lip = float(local_lip(lo[None, :], hi[None, :])[0])
-
     def jac_bound(lo, hi):
         lo = np.atleast_2d(np.asarray(lo, dtype=float))
         hi = np.atleast_2d(np.asarray(hi, dtype=float))
@@ -568,7 +526,7 @@ def ref_polynomial_map(components, dim: int, window=None, name: str = "poly") ->
         return B
 
     return MapSpec(name, dim, {"components": components}, fwd, None, jac,
-                   lip, jac_abs_bound=jac_bound)
+                   jac_abs_bound=jac_bound)
 
 
 REF_REGISTRY = {"cat": ref_cat, "translation": ref_translation,
@@ -608,18 +566,13 @@ def edge_points(dim):
     return np.stack([np.roll(EDGE_FLOATS, k) for k in range(dim)], axis=1)
 
 
-def same_value(a, b):
-    return type(a) is type(b) and (a == b or (a != a and b != b))
-
-
 def assert_same_map(new, ref, points):
     """Byte-equal callables on `points` (a batch, or one point), and equal
-    lipschitz, params, periods, name and dim."""
+    params, periods, name and dim."""
     assert (new.name, new.dim, new.periods) == (ref.name, ref.dim, ref.periods)
     assert new.params == ref.params
     assert [type(v) for v in new.params.values()] == \
         [type(v) for v in ref.params.values()]
-    assert same_value(new.lipschitz, ref.lipschitz)
     assert (new.inverse is None) == (ref.inverse is None)
     r = np.abs(np.atleast_2d(points)) * 0.01 + 1e-3
     with np.errstate(all="ignore"):
@@ -629,10 +582,6 @@ def assert_same_map(new, ref, points):
         assert same_bytes(new.jac(points), ref.jac(points))
         lo, hi = np.atleast_2d(points) - r, np.atleast_2d(points) + r
         assert same_bytes(new.jac_abs_bound(lo, hi), ref.jac_abs_bound(lo, hi))
-
-
-def poly_window(dim, window):
-    return None if window is None else ([-window] * dim, [window] * dim)
 
 
 class TestFactoriesMatchReferences:
@@ -663,21 +612,11 @@ class TestFactoriesMatchReferences:
         assert_same_map(new, ref, pts)
         assert_same_map(new, ref, pts[0])
 
-    def test_cat_keeps_its_closed_form_lipschitz(self):
-        # one ulp below the SVD value
-        cat = make_map("cat")
-        assert cat.lipschitz == 2.618033988749895
-        svd = float(np.linalg.norm(np.array([[2.0, 1.0], [1.0, 1.0]]), 2))
-        assert svd == np.nextafter(cat.lipschitz, 3.0)
-
-    @pytest.mark.parametrize("window", [None, 2.0, 0.75, 3.0])
     @pytest.mark.parametrize("k", range(len(POLY_CASES)))
-    def test_poly_edge_floats_and_points(self, k, window):
+    def test_poly_edge_floats_and_points(self, k):
         comps = POLY_CASES[k]
         dim = len(comps)
-        win = poly_window(dim, window)
-        new, ref = (polynomial_map(comps, dim, window=win),
-                    ref_polynomial_map(comps, dim, window=win))
+        new, ref = polynomial_map(comps, dim), ref_polynomial_map(comps, dim)
         pts = edge_points(dim)
         for p in (pts, pts[0], pts[3], pts[:0]):
             assert_same_map(new, ref, p)
@@ -691,15 +630,106 @@ class TestFactoriesMatchReferences:
     def test_poly_batches(self, k, data):
         comps = POLY_CASES[k]
         dim = len(comps)
-        win = poly_window(dim, data.draw(st.sampled_from([None, 1.0, 3.0])))
-        new, ref = (polynomial_map(comps, dim, window=win),
-                    ref_polynomial_map(comps, dim, window=win))
+        new, ref = polynomial_map(comps, dim), ref_polynomial_map(comps, dim)
         n = data.draw(st.integers(1, 16))
         xs = data.draw(st.lists(st.one_of(COORD, WIDE), min_size=n * dim,
                                 max_size=n * dim))
         pts = np.array(xs).reshape(n, dim)
         assert_same_map(new, ref, pts)
         assert_same_map(new, ref, pts[0])
+
+
+# ---------------------------------------------------------------------------
+# lipschitz_used: the map's one Lipschitz number, from its Jacobian bounds
+# ---------------------------------------------------------------------------
+
+def oracle_grid(m, depth_boxes=256):
+    """About `depth_boxes` boxes: the unit torus for a torus map, else
+    [-2, 2] per axis."""
+    depth = (int(math.log2(depth_boxes)) // m.dim,) * m.dim
+    if m.periods is not None:
+        return Grid(Domain((0.0,) * m.dim, (1.0,) * m.dim, (True,) * m.dim),
+                    depth)
+    return Grid(Domain((-2.0,) * m.dim, (2.0,) * m.dim, (False,) * m.dim),
+                depth)
+
+
+def brute_lipschitz(m, grid):
+    """Largest spectral norm of the per-box Jacobian bounds, box by box."""
+    centers = grid.centers()
+    B = m.jac_abs_bound(centers - grid.radius, centers + grid.radius)
+    return max(float(np.linalg.norm(B[b], ord=2)) for b in range(B.shape[0]))
+
+
+def assert_lipschitz_used(m, grid, rng_seed=0):
+    """`lipschitz_used` is the brute-force maximum bit for bit, and no
+    sampled Jacobian inside a box has a larger norm."""
+    L = build_graph(grid, m, 0.01).lipschitz_used
+    assert L == brute_lipschitz(m, grid)
+    rng = np.random.default_rng(rng_seed)
+    centers = grid.centers()
+    pts = centers + (2.0 * rng.random((4,) + centers.shape) - 1.0) * grid.radius
+    norms = np.linalg.norm(m.jac(pts.reshape(-1, m.dim)), ord=2, axis=(1, 2))
+    assert float(np.max(norms)) <= L
+
+
+LIPSCHITZ_CASES = [*AFFINE_CASES, ("standard", {"K": 0.97}),
+                   ("standard", {"K": 1.5}), ("standard", {"K": -4.0}),
+                   ("standard", {"K": 1e300})]
+
+
+@st.composite
+def poly_components(draw):
+    """A 1-, 2- or 3-D polynomial map of degree <= 4."""
+    dim = draw(st.integers(1, 3))
+    term = st.builds(
+        lambda c, e: {"c": c, "e": e},
+        st.floats(-4.0, 4.0, allow_nan=False),
+        st.lists(st.integers(0, 4), min_size=dim, max_size=dim)
+        .filter(lambda e: sum(e) <= 4))
+    return draw(st.lists(st.lists(term, max_size=4), min_size=dim,
+                         max_size=dim))
+
+
+class TestLipschitz:
+    @pytest.mark.parametrize("name, params", LIPSCHITZ_CASES,
+                             ids=[f"{n}-{i}" for i, (n, _) in
+                                  enumerate(LIPSCHITZ_CASES)])
+    def test_registry_maps_match_the_brute_force_maximum(self, name, params):
+        m = make_map(name, **params)
+        assert_lipschitz_used(m, oracle_grid(m))
+
+    def test_cat_is_the_svd_norm(self):
+        # the closed form (3 + sqrt 5) / 2 is one ulp below it
+        cat = make_map("cat")
+        L = build_graph(oracle_grid(cat), cat, 0.01).lipschitz_used
+        assert L == float(np.linalg.norm(np.array([[2.0, 1.0], [1.0, 1.0]]), 2))
+        assert L == np.nextafter((3.0 + math.sqrt(5.0)) / 2.0, 3.0)
+
+    @pytest.mark.parametrize("k", range(len(POLY_CASES)))
+    def test_poly_cases_match_the_brute_force_maximum(self, k):
+        m = polynomial_map(POLY_CASES[k], len(POLY_CASES[k]))
+        assert_lipschitz_used(m, oracle_grid(m))
+
+    @settings(max_examples=40, deadline=None)
+    @given(poly_components(), st.sampled_from([0.5, 1.0, 3.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_poly_maps_match_the_brute_force_maximum(self, comps, w, seed):
+        m = polynomial_map(comps, len(comps))
+        dim = m.dim
+        grid = Grid(Domain((-w,) * dim, (w,) * dim, (False,) * dim),
+                    ((6, 3, 2)[dim - 1],) * dim)
+        assert_lipschitz_used(m, grid, seed)
+
+    def test_polynomial_local_bound_dominates(self):
+        m = cubic_map()
+        lo = np.array([[0.5], [-2.0]])
+        hi = np.array([[1.0], [-1.5]])
+        bounds = m.jac_abs_bound(lo, hi)[:, 0, 0]
+        for (a, b), bd in zip(((0.5, 1.0), (-2.0, -1.5)), bounds):
+            xs = np.linspace(a, b, 50)[:, None]
+            actual = np.max(np.abs(m.jac(xs)[:, 0, 0]))
+            assert actual <= bd + 1e-12
 
 
 # ---------------------------------------------------------------------------
