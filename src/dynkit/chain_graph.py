@@ -763,13 +763,14 @@ def _realize_chain(map_spec: MapSpec, pts, threshold) -> EpsChain | None:
     """The chain pts[0], ..., pts[-1], revalidated by evaluating the map.
 
     `threshold` gives a step's jump bound from the image f(pts[k]).  None
-    if a jump reaches its bound.
+    if a jump reaches its bound; an overflowed jump is inf, so it does.
     """
     pts = np.asarray(pts, dtype=float)
     imgs = np.asarray([evaluate(map_spec, x) for x in pts[:-1]])
     thresholds = np.asarray([threshold(img) for img in imgs], dtype=float)
-    defects = np.asarray([map_spec.distance(img, nxt)
-                          for img, nxt in zip(imgs, pts[1:])])
+    with np.errstate(over="ignore"):
+        defects = np.asarray([map_spec.distance(img, nxt)
+                              for img, nxt in zip(imgs, pts[1:])])
     if np.any(defects >= thresholds):
         return None
     return EpsChain(pts, float(np.max(thresholds)), thresholds, defects)

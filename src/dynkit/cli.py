@@ -573,6 +573,11 @@ def run_splice(cfg, exp, out_dir, map_spec, grid):
                                     n_forward=exp["n_forward"])
     except sh.NoApproachError as e:
         return {"spliced": False, "min_distance": e.min_distance}, [], ASSERTION_EXIT
+    except ValueError as e:
+        # the backward tail of q is no orbit once f^-1 loses the
+        # coordinates' precision (the standard map at a huge K)
+        raise ConfigError(f"the splice of experiment.q and x0 is no "
+                          f"pseudo-orbit: {e}") from e
     result = _shadow_search(map_spec, po, exp["eps"], exp["grid_resolution"])
     out_dir.mkdir(parents=True, exist_ok=True)
     csv = out_dir / "splice_orbit.csv"

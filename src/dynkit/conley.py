@@ -410,7 +410,9 @@ def escape_fraction(map_spec: MapSpec, K: BoxSet, radius: float, n_max: int,
     pts = K.sample_points(samples, rng)
     bounded = np.ones(samples, dtype=bool)
     for x in iterates(map_spec, pts, n_max):
-        bounded &= np.linalg.norm(x, axis=-1) <= radius
+        # an overflowed norm is inf: that orbit has escaped
+        with np.errstate(over="ignore"):
+            bounded &= np.linalg.norm(x, axis=-1) <= radius
         if not bounded.any():
             break
     return float(np.count_nonzero(bounded) / samples)

@@ -113,6 +113,31 @@ class AccumulationRow:
 # periodic points
 # ---------------------------------------------------------------------------
 
+def _solve2(A: np.ndarray, B: np.ndarray, rcond: Optional[float] = None):
+    """A^-1 B for a stack of 2x2 matrices A (n, 2, 2) and right-hand sides
+    B (n, 2, k): the adjugate of A times B over det A, vectorised over the
+    stack in place of one LAPACK call per matrix.
+
+    Without `rcond` it stands in for `np.linalg.solve(A, B)`; a singular or
+    overflowed row comes out inf or nan, without a warning.  With `rcond`
+    it stands in for `np.linalg.pinv(A, rcond) @ B`: a row with
+    |det A| > rcond ||A||_F^2 has s2/s1 > rcond for its singular values
+    (det A = s1 s2 and ||A||_F^2 >= s1^2), so there pinv is the full
+    inverse; every other row, a non-finite one included, goes to pinv.
+    """
+    a, b, c, d = (A[:, i, j, None] for i in (0, 1) for j in (0, 1))
+    u, v = B[:, 0], B[:, 1]
+    with np.errstate(all="ignore"):
+        det = a * d - b * c
+        X = np.stack([(d * u - b * v) / det, (a * v - c * u) / det], axis=1)
+        if rcond is None:
+            return X
+        rest = ~(np.abs(det[:, 0]) > rcond * (a * a + b * b + c * c + d * d)[:, 0])
+    if rest.any():
+        X[rest] = np.linalg.pinv(A[rest], rcond=rcond) @ B[rest]
+    return X
+
+
 def _orbit_jacobian(map_spec: MapSpec, pts: np.ndarray, steps: int,
                     inverse: bool = False):
     """f^steps(pts) (f^-steps with `inverse`) and its chain-rule Jacobian,
@@ -120,10 +145,12 @@ def _orbit_jacobian(map_spec: MapSpec, pts: np.ndarray, steps: int,
     x = np.atleast_2d(pts).astype(float)
     J = np.broadcast_to(np.eye(map_spec.dim), (x.shape[0],) + (map_spec.dim,) * 2).copy()
     for y in iterates(map_spec, x, steps, "inverse" if inverse else "forward"):
-        if inverse:
-            J = np.linalg.solve(map_spec.jac(y), J)
-        else:
+        if not inverse:
             J = map_spec.jac(x) @ J
+        elif map_spec.dim == 2:
+            J = _solve2(map_spec.jac(y), J)
+        else:
+            J = np.linalg.solve(map_spec.jac(y), J)
         x = y
     return x, J
 
@@ -139,9 +166,14 @@ def find_periodic_points(map_spec: MapSpec, period: int, grid: Grid,
     `_NEWTON_ITER` rounds.
 
     Converged roots are merged within 10*tol_fix and classified by the
-    eigen-decomposition of D(f^period).  Degenerate Jacobians fall back to
-    pseudo-inverse steps, so curves of neutral fixed points are picked up
-    point by point.
+    eigen-decomposition of D(f^period).  Each step is pinv(J, rcond=1e-12)
+    applied to the residual, J = D(f^period) - I, so degenerate Jacobians
+    take pseudo-inverse steps and curves of neutral fixed points are picked
+    up point by point.  On a 2-D map a row with |det J| > 1e-12 ||J||_F^2,
+    on which that pinv is the full inverse, takes the closed-form solve of
+    `_solve2` instead; the other rows (the neutral lines of the shear, say)
+    and maps of any other dimension call np.linalg.pinv.  Rows that
+    overflow are dropped.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -150,24 +182,29 @@ def find_periodic_points(map_spec: MapSpec, period: int, grid: Grid,
     # a row that does not move keeps its x, so it never moves again: each
     # round runs on the rows that moved in the last one
     rows = np.arange(x.shape[0])
-    for _ in range(_NEWTON_ITER):
-        xr = x[rows]
-        fp, J = _orbit_jacobian(map_spec, xr, period)
-        g = map_spec.delta(xr, fp)
-        move = np.linalg.norm(g, axis=1) > 1e-14
-        if not move.any():
-            break
-        rows, xr, J, g = rows[move], xr[move], J[move], g[move]
-        J = J - np.eye(map_spec.dim)
-        step = np.linalg.pinv(J, rcond=1e-12) @ g[..., None]
-        xn = map_spec.wrap(xr - step[..., 0])
-        bad = ~np.all(np.isfinite(xn), axis=1) | (np.linalg.norm(xn, axis=1) > 1e12)
-        alive[rows[bad]] = False
-        rows = rows[~bad]
-        x[rows] = xn[~bad]
+    # an overflowed norm is inf: such a row moves, then is dropped as bad
+    with np.errstate(over="ignore"):
+        for _ in range(_NEWTON_ITER):
+            xr = x[rows]
+            fp, J = _orbit_jacobian(map_spec, xr, period)
+            g = map_spec.delta(xr, fp)
+            move = np.linalg.norm(g, axis=1) > 1e-14
+            if not move.any():
+                break
+            rows, xr, J, g = rows[move], xr[move], J[move], g[move]
+            J = J - np.eye(map_spec.dim)
+            if map_spec.dim == 2:
+                step = _solve2(J, g[..., None], rcond=1e-12)
+            else:
+                step = np.linalg.pinv(J, rcond=1e-12) @ g[..., None]
+            xn = map_spec.wrap(xr - step[..., 0])
+            bad = ~np.all(np.isfinite(xn), axis=1) | (np.linalg.norm(xn, axis=1) > 1e12)
+            alive[rows[bad]] = False
+            rows = rows[~bad]
+            x[rows] = xn[~bad]
 
-    fp, J = _orbit_jacobian(map_spec, x, period)
-    res = np.linalg.norm(map_spec.delta(x, fp), axis=1)
+        fp, J = _orbit_jacobian(map_spec, x, period)
+        res = np.linalg.norm(map_spec.delta(x, fp), axis=1)
     ok = alive & (res <= tol_fix)
     roots, residuals, J = x[ok], res[ok], J[ok]
     # keep only roots inside the window (`contains` skips periodic axes)
@@ -523,28 +560,29 @@ def _candidate_pairs(a_starts, a_deltas, b_starts, b_deltas, max_len: float,
     b_order = np.argsort(b_code, kind="stable")
     b_sorted = b_code[b_order]
     b_seg = b_seg[b_order]
-    # each A entry's run of B entries in its bucket; an unused offset (-1)
-    # of A has none
-    a_code = _bucket_codes(a_starts, a_deltas, *bucket)
+    # each used A entry's run of B entries in its bucket, segment by
+    # segment: the entries of A-segment s are seg_ptr[s]:seg_ptr[s + 1]
+    a_code = _bucket_codes(a_starts, a_deltas, *bucket).T
     used = a_code >= 0
-    first = np.zeros_like(a_code)
-    counts = np.zeros_like(a_code)
-    first[used] = np.searchsorted(b_sorted, a_code[used], side="left")
-    counts[used] = np.searchsorted(b_sorted, a_code[used], side="right") - first[used]
+    seg_ptr = np.concatenate(([0], np.cumsum(np.count_nonzero(used, axis=1))))
+    a_code = a_code[used]
+    first = np.searchsorted(b_sorted, a_code, side="left")
+    counts = np.searchsorted(b_sorted, a_code, side="right") - first
     del a_code, used  # a generator keeps its locals while it yields
-    per_a = counts.sum(axis=0)
-    ends = np.cumsum(per_a)
+    # pairs of the A-segments up to each one
+    ends = np.concatenate(([0], np.cumsum(counts)))[seg_ptr[1:]]
     start = 0
-    while start < per_a.size:
+    while start < ends.size:
         done = ends[start - 1] if start else 0
         stop = max(start + 1,
                    int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")))
-        c = counts[:, start:stop].ravel()
+        lo, hi = seg_ptr[start], seg_ptr[stop]
+        c = counts[lo:hi]
         total = int(c.sum())
         if total:
-            pos = np.repeat(first[:, start:stop].ravel() - (np.cumsum(c) - c), c) \
-                + np.arange(total)
-            i = np.repeat(np.tile(np.arange(start, stop), counts.shape[0]), c)
+            pos = np.repeat(first[lo:hi] - (np.cumsum(c) - c), c) + np.arange(total)
+            i = np.repeat(np.repeat(np.arange(start, stop),
+                                    np.diff(seg_ptr[start:stop + 1])), c)
             # np.sort, not np.unique: unique would import numpy.ma (~1 MB)
             pair = np.sort(i * nb + b_seg[pos])
             pair = pair[np.concatenate(([True], pair[1:] != pair[:-1]))]

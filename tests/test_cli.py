@@ -1198,7 +1198,9 @@ class TestOverflowingConfigs:
     @pytest.mark.parametrize("case, sub", [
         *(("standard-huge-K", sub)
           for sub in ("cr", "all", "shadow", "manifolds", "homoclinic")),
-        ("quartic-huge-coefficient", "cr"), ("cubic-huge-window", "cr")])
+        *(("quartic-huge-coefficient", sub)
+          for sub in ("cr", "escape", "manifolds", "strong-cr")),
+        ("cubic-huge-window", "cr")])
     def test_exits_with_a_code_and_no_warning(self, tmp_path, capsys, case,
                                               sub):
         mp, grid = OVERFLOW_CASES[case]
@@ -1213,6 +1215,23 @@ class TestOverflowingConfigs:
         assert code in (0, 2, 3)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("K", [1e20, 1e300])
+    def test_splice_off_the_coordinates_precision_is_a_config_error(
+            self, tmp_path, capsys, K):
+        # at a huge K the backward tail of q from the standard map's inverse
+        # is no orbit: exit 2 with one stderr line naming defect and delta
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "map": {"name": "standard", "K": K}, "delta": 1e-4,
+            "experiment": {"q": [0.1, 0.1], "x0": [0.0, 0.0]},
+            "out": str(tmp_path / "out")}))
+        assert run_subcommand("splice", str(path), None, None) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "defect" in err[0] and "delta 1.000e-04" in err[0]
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestTorusGrid:

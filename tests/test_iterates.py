@@ -80,12 +80,15 @@ def reference_escape_fraction(map_spec, K, radius, n_max, samples, rng_seed):
 
 
 def reference_orbit_jacobian(map_spec, pts, steps, inverse=False):
+    """_orbit_jacobian as a loop of single steps; a backward step solves
+    with the module's own 2x2 kernel, as `_orbit_jacobian` does."""
     x = np.atleast_2d(pts).astype(float)
     J = np.broadcast_to(np.eye(map_spec.dim), (x.shape[0],) + (map_spec.dim,) * 2).copy()
+    solve = manifolds._solve2 if map_spec.dim == 2 else np.linalg.solve
     for _ in range(steps):
         if inverse:
             x = evaluate(map_spec, x, "inverse")
-            J = np.linalg.solve(map_spec.jac(x), J)
+            J = solve(map_spec.jac(x), J)
         else:
             J = map_spec.jac(x) @ J
             x = evaluate(map_spec, x)

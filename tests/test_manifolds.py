@@ -129,7 +129,8 @@ class TestPeriodicPoints:
 def reference_periodic_points(map_spec, period, grid, tol_fix=1e-10,
                               tol_hyp=1e-6, max_iter=40):
     """find_periodic_points with the Newton loop run on every row each
-    round, as it was before it ran on the moving rows only."""
+    round, as it was before it ran on the moving rows only.  The step is
+    the module's own (`_solve2` with its pinv fallback on 2-D maps)."""
     x = grid.centers()
     alive = np.ones(x.shape[0], dtype=bool)
     for _ in range(max_iter):
@@ -140,7 +141,10 @@ def reference_periodic_points(map_spec, period, grid, tol_fix=1e-10,
         move = alive & (res > 1e-14)
         if not move.any():
             break
-        step = np.linalg.pinv(J[move], rcond=1e-12) @ g[move][..., None]
+        if map_spec.dim == 2:
+            step = manifolds._solve2(J[move], g[move][..., None], rcond=1e-12)
+        else:
+            step = np.linalg.pinv(J[move], rcond=1e-12) @ g[move][..., None]
         xn = map_spec.wrap(x[move] - step[..., 0])
         bad = ~np.all(np.isfinite(xn), axis=1) | (np.linalg.norm(xn, axis=1) > 1e12)
         xn[bad] = x[move][bad]
@@ -182,6 +186,135 @@ class TestPeriodicPointsOnMovingRows:
             for f in ("point", "eigenvalues", "eigenvectors"):
                 x, y = getattr(a, f), getattr(b, f)
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    def test_bench_case_sends_no_newton_row_to_pinv(self):
+        # standard K = 0.97, period 3, depth 6: every Newton row is regular.
+        # The 23,414 rows are one fewer than the pinv loop took: one seed
+        # meets the 1e-14 residual test a round earlier.
+        m = make_map("standard", K=0.97)
+        g = Grid(Domain((0.0, 0.0), (1.0, 1.0), (True, True)), (6, 6))
+        solved, pinv_rows = [], []
+        solve2, pinv = manifolds._solve2, np.linalg.pinv
+
+        def counting_solve2(A, B, rcond=None):
+            solved.append(A.shape[0])
+            return solve2(A, B, rcond)
+
+        def counting_pinv(A, rcond):
+            pinv_rows.append(A.shape[0])
+            return pinv(A, rcond=rcond)
+
+        with mock.patch.object(manifolds, "_solve2", counting_solve2), \
+                mock.patch.object(np.linalg, "pinv", counting_pinv):
+            assert find_periodic_points(m, 3, g)
+        assert sum(solved) == 23414 and pinv_rows == []
+
+
+EPS = np.finfo(float).eps
+
+
+def svd_stack(theta, phi, s1, ratio):
+    """2x2 matrices R(theta) diag(s1, s1 ratio) R(phi)^T, one per entry."""
+    def rot(a):
+        c, s = np.cos(a), np.sin(a)
+        return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    S = np.zeros((len(s1), 2, 2))
+    S[:, 0, 0], S[:, 1, 1] = s1, s1 * ratio
+    return rot(theta) @ S @ np.swapaxes(rot(phi), -1, -2)
+
+
+def stack_args(n, ratio):
+    """Hypothesis strategy: (A, B) with n rows, singular value ratios drawn
+    from `ratio`, and 1 or 2 right-hand sides per row."""
+    angle = st.floats(0.0, 2.0 * math.pi)
+    row = st.tuples(angle, angle, st.floats(1e-3, 1e3), ratio,
+                    st.floats(-10, 10), st.floats(-10, 10),
+                    st.floats(-10, 10), st.floats(-10, 10))
+    return st.tuples(st.lists(row, min_size=1, max_size=n),
+                     st.integers(1, 2)).map(_to_stack)
+
+
+def _to_stack(args):
+    rows, k = args
+    theta, phi, s1, ratio, *b = (np.asarray(c, dtype=float) for c in zip(*rows))
+    B = np.stack(b, axis=-1).reshape(-1, 2, 2)[..., :k]
+    return svd_stack(theta, phi, s1, ratio), B
+
+
+def assert_rows_close(got, want, rtol):
+    """Each row of `got` within rtol times its row norm of `want`."""
+    scale = np.linalg.norm(want.reshape(want.shape[0], -1), axis=1)
+    err = np.linalg.norm((got - want).reshape(got.shape[0], -1), axis=1)
+    assert np.all(err <= rtol * scale + 1e-300), (err, scale)
+
+
+class TestSolve2:
+    """The closed-form 2x2 kernel against np.linalg.solve and
+    np.linalg.pinv(rcond=1e-12)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack_args(12, st.floats(1e-6, 1.0)))
+    def test_well_conditioned_stacks(self, AB):
+        A, B = AB
+        # forward error of either solve: a small multiple of cond * eps
+        rtol = 64 * EPS * np.linalg.cond(A).max()
+        assert_rows_close(manifolds._solve2(A, B), np.linalg.solve(A, B), rtol)
+        assert_rows_close(manifolds._solve2(A, B, rcond=1e-12),
+                          np.linalg.pinv(A, rcond=1e-12) @ B, rtol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack_args(6, st.floats(1e-6, 1.0)),
+           st.lists(st.tuples(*[st.floats(-1e3, 1e3).filter(
+               lambda v: v == 0 or abs(v) >= 1e-3)] * 4), min_size=1, max_size=6))
+    def test_rank_one_and_zero_rows_take_pinv(self, AB, uv):
+        A, B = AB
+        uv = np.asarray(uv)
+        low = uv[:, :2, None] * uv[:, None, 2:]  # rank 1, or 0
+        n = min(len(A), len(low))
+        A[:n] = low[:n]
+        want = np.linalg.pinv(A, rcond=1e-12) @ B
+        got = manifolds._solve2(A, B, rcond=1e-12)
+        assert np.all(np.isfinite(got))
+        assert_rows_close(got, want, 64 * EPS * 1e6)
+        # the fallback is pinv itself: those rows agree bit for bit
+        assert got[:n].tobytes() == want[:n].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack_args(6, st.floats(1e-12, 2e-12, exclude_min=True)))
+    def test_condition_band_near_rcond(self, AB):
+        # s2/s1 in (1e-12, 2e-12]: pinv keeps both singular values, so it is
+        # the full inverse there, whichever path a row takes
+        A, B = AB
+        s = np.linalg.svd(A, compute_uv=False)
+        ratio = s[:, 1] / s[:, 0]
+        keep = ratio > 1.001e-12  # rounding of the stack moves s2 a little
+        A, B, ratio = A[keep], B[keep], ratio[keep]
+        if not len(A):
+            return
+        want = np.linalg.pinv(A, rcond=1e-12) @ B
+        assert_rows_close(manifolds._solve2(A, B, rcond=1e-12), want,
+                          64 * EPS / ratio.min())
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_rows(self):
+        A = svd_stack(np.array([0.3, 1.1]), np.array([2.0, 0.1]),
+                      np.array([2.0, 0.5]), np.array([0.5, 0.9]))
+        bad = np.array([[[np.inf, 1.0], [1.0, 1.0]],
+                        [[1.0, 0.0], [0.0, -np.inf]],
+                        [[1e200, 1e200], [-1e200, 1e200]],
+                        [[1e300, 1.0], [1e300, 1.0]]])
+        A = np.concatenate([A[:1], bad, A[1:]])
+        B = np.arange(1.0, 13.0).reshape(6, 2, 1)
+        good = [0, 5]
+        # no warning; the other rows of the stack do not change
+        X = manifolds._solve2(A, B)
+        assert_rows_close(X[good], np.linalg.solve(A[good], B[good]), 1e-14)
+        assert not np.all(np.isfinite(X[1:3]), axis=(1, 2)).any()
+        # with rcond the non-finite and overflowed rows are pinv's own
+        X = manifolds._solve2(A, B, rcond=1e-12)
+        assert X[1:5].tobytes() == (np.linalg.pinv(A[1:5], rcond=1e-12)
+                                    @ B[1:5]).tobytes()
+        assert_rows_close(X[good], np.linalg.solve(A[good], B[good]), 1e-14)
 
 
 class TestGrowManifold:
