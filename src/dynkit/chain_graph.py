@@ -33,9 +33,12 @@ __all__ = [
 
 # caps the grid: at ~42 edges per box (cat, eps one box diameter) 2^26
 # boxes already mean 2.8 G edges, far past memory.  Targets are stored as
-# int32 and the transpose packs `target << 32 | source` into one int64 key,
-# which needs nboxes + 1 < 2**31 (the sink is node nboxes)
+# int32 and the transpose packs `target << 32 | source` into one int64 key
+# above 2^16 boxes, which needs nboxes + 1 < 2**31 (the sink is node nboxes)
 MAX_NBOXES = 1 << 26
+# up to this many nodes the transpose packs `target << 16 | source` into
+# uint32 keys; the last node's in-edges are placed without a key
+_NARROW_NODES = (1 << 16) + 1
 # edges per chunk: of the rows the build writes, the self-loop scan, the
 # dump and the transpose read, and of the frontier slices that `reachable`
 # and `close_planes` expand
@@ -47,12 +50,15 @@ class TransitionGraph:
     """CSR digraph on BoxIds plus a virtual sink at index grid.nboxes.
 
     Out-edges are sorted ascending per source; the sink carries a self
-    loop, so every node has at least one out-edge.  Offsets are int64,
-    targets int32.  The SCC labels, the self-loop mask and the transposed
-    CSR are computed on first use and cached on the graph, so every
-    recurrence query on one graph shares one SCC pass (a forward-backward
-    step, then Tarjan), and that pass and the backward closures share one
-    transpose.
+    loop, so every node has at least one out-edge.  The sink is the
+    largest node, so a box's sink edge is the last edge of its row.
+    Offsets are int64, targets int32.  The SCC labels, the self-loop mask
+    and the transposed CSR are computed on first use and cached on the
+    graph, so every recurrence query on one graph shares one SCC pass (a
+    forward-backward step, then Tarjan), and that pass and the backward
+    closures share one transpose.  The transpose sorts the box rows'
+    edges by 32-bit keys up to 2**16 boxes, then appends the sink's
+    in-row: the escaping boxes, then the sink itself.
     """
 
     grid: Grid
@@ -87,9 +93,14 @@ class TransitionGraph:
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    def escaping_boxes(self) -> int:
+        """Boxes with an edge to the sink.  The sink is the largest node,
+        so that edge is the last of its row: O(nboxes), not O(edges)."""
+        return int(np.count_nonzero(_rows_ending_in(
+            self.offsets, self.targets, self.nboxes, self.sink)))
+
     def has_sink_edges(self) -> bool:
-        # only the sink self-loop means nothing escapes
-        return bool(np.count_nonzero(self.targets == self.sink) > 1)
+        return self.escaping_boxes() > 0
 
     def edge_chunks(self):
         """(sources, targets) of the edges in CSR order, sink included,
@@ -201,11 +212,15 @@ class RadialEps:
 def _box_spreads(grid: Grid, map_spec: MapSpec):
     """(spread, lipschitz): per-box per-axis image half-widths from entrywise
     Jacobian bounds, plus a scalar Lipschitz bound for slack formulas: the
-    largest spectral norm of the per-box bounds, the map's only Lipschitz
-    number.
+    largest spectral norm of the per-box bounds, rounded up, the map's
+    only Lipschitz number.
 
     Sound: |f(x)_a - f(c)_a| <= sum_b |J_ab|_max r_b over the box, and
-    ||J(x)||_2 <= ||(|J_ab|_max)||_2 for every x in it.
+    ||J(x)||_2 <= ||(|J_ab|_max)||_2 for every x in it.  The SVD is backward
+    stable: its largest singular value of a k x k bound is within a small
+    multiple of k units of roundoff of the exact one, on either side (a
+    bound whose largest entry is 1.0 gave 1 - 2**-53).  So it is raised by
+    2k machine epsilons, then one ulp for the rounding of that product.
     """
     centers = grid.centers()
     B = np.asarray(map_spec.jac_abs_bound(centers - grid.radius,
@@ -215,9 +230,10 @@ def _box_spreads(grid: Grid, map_spec: MapSpec):
     flat = B.reshape(B.shape[0], -1)
     flat = flat[np.lexsort(flat.T)]
     flat = flat[np.append(True, np.any(flat[1:] != flat[:-1], axis=1))]
-    lip = float(np.max(np.linalg.norm(flat.reshape(-1, *B.shape[1:]),
-                                      ord=2, axis=(1, 2))))
-    return spread, lip
+    norm = np.max(np.linalg.norm(flat.reshape(-1, *B.shape[1:]),
+                                 ord=2, axis=(1, 2)))
+    pad = 1.0 + 2 * grid.dim * np.finfo(float).eps
+    return spread, float(np.nextafter(norm * pad, np.inf))
 
 
 def _cover_ranges(grid: Grid, lo_f: np.ndarray, hi_f: np.ndarray):
@@ -261,31 +277,65 @@ def _row_chunks(offsets: np.ndarray, rows: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _transpose(offsets: np.ndarray, targets: np.ndarray, n: int):
-    """(offsets, targets) of the transposed CSR of an n-node graph: each
-    node's in-edges by ascending source, targets int32.
+def _rows_ending_in(offsets: np.ndarray, targets: np.ndarray, rows: int,
+                    node: int) -> np.ndarray:
+    """Boolean per row r < `rows`: r's last out-edge goes to `node`.  In
+    ascending distinct rows every edge into the largest node is one."""
+    ends = offsets[1:rows + 1]
+    hit = ends > offsets[:rows]
+    hit[hit] = targets[ends[hit] - 1] == node
+    return hit
 
-    One in-place sort of `target << 32 | source` int64 keys.  The keys are
+
+def _transpose(offsets: np.ndarray, targets: np.ndarray, n: int):
+    """(offsets, targets) of the transposed CSR of an n-node graph with
+    ascending distinct rows: each node's in-edges by ascending source,
+    targets int32.
+
+    One in-place sort of `target << b | source` keys.  The keys are
     distinct, so they sort into the (target, source) order that a stable
-    argsort of the targets gives, in less than half its time.  The sources
-    are then written as int32 over the front of the key buffer, which is
-    cut to that half, so the transpose peaks at 8 bytes per edge.
+    argsort of the targets gives, in less than half its time.
+
+    Up to `_NARROW_NODES` nodes the keys are uint32 with b = 16, except on
+    the edges into the last node n - 1, whose id may need a 17th bit (the
+    sink of a 2**16-box grid).  Each such edge ends its row, so its key is
+    set past every other one, and after the sort the last node's in-row is
+    written as those rows, found from the row ends alone.  The other keys
+    are masked to their sources in place, so the key buffer becomes the
+    transposed targets: 4 bytes per edge.  Larger graphs use int64 keys
+    with b = 32; the int32 sources are written over the front of the key
+    buffer, which is cut to that half, so they peak at 8 bytes per edge.
     """
-    keys = np.empty(targets.size, dtype=np.int64)
+    narrow = n <= _NARROW_NODES
+    b, dtype = (16, np.uint32) if narrow else (32, np.int64)
+    keys = np.empty(targets.size, dtype=dtype)
     for b0, b1 in _row_chunks(offsets, n):
-        a, b = offsets[b0], offsets[b1]
-        np.left_shift(targets[a:b], 32, out=keys[a:b], dtype=np.int64)
-        np.bitwise_or(keys[a:b], np.repeat(np.arange(b0, b1),
+        a, z = offsets[b0], offsets[b1]
+        np.left_shift(targets[a:z], b, out=keys[a:z], dtype=dtype,
+                      casting="unsafe")
+        np.bitwise_or(keys[a:z], np.repeat(np.arange(b0, b1, dtype=dtype),
                                            np.diff(offsets[b0:b1 + 1])),
-                      out=keys[a:b])
+                      out=keys[a:z])
+    if narrow:
+        into_last = np.flatnonzero(_rows_ending_in(offsets, targets, n, n - 1))
+        keys[offsets[into_last + 1] - 1] = np.iinfo(np.uint32).max
+        keys.sort()
+        m = keys.size - into_last.size
+        roff = np.empty(n + 1, dtype=np.int64)
+        roff[:n - 1] = np.searchsorted(
+            keys[:m], np.arange(n - 1, dtype=np.uint32) << 16)
+        roff[n - 1:] = m, keys.size
+        keys[:m] &= 0xFFFF
+        keys[m:] = into_last
+        return roff, keys.view(np.int32)
     keys.sort()
     roff = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) << 32)
     # int32 slot i lies in int64 slot i // 2, so a chunk only overwrites
     # keys it has already read; no view of `keys` outlives the loop, so
     # the buffer may be cut
     for a in range(0, keys.size, _CHUNK_EDGES):
-        b = min(a + _CHUNK_EDGES, keys.size)
-        keys.view(np.int32)[a:b] = keys[a:b] & 0xFFFFFFFF
+        z = min(a + _CHUNK_EDGES, keys.size)
+        keys.view(np.int32)[a:z] = keys[a:z] & 0xFFFFFFFF
     keys.resize((keys.size + 1) // 2, refcheck=False)
     return roff, keys.view(np.int32)[:targets.size]
 
@@ -387,18 +437,19 @@ def build_graph(grid: Grid, map_spec: MapSpec, eps: float,
 # strongly connected components (forward-backward step, then Tarjan)
 # ---------------------------------------------------------------------------
 
-def _fb_max_layers(n_edges: int) -> int:
+def _fb_max_layers(n_edges: int, n_nodes: int) -> int:
     """Layers a forward-backward search from the pivot may take.
 
-    A numpy frontier layer costs about 25 us on top of its edges, the
-    Tarjan loop below about 0.36 us per edge (2-core x86-64 VM), so
-    n_edges // 64 layers cost about one Tarjan run.  A search that needs
-    more is dropped and Tarjan takes the whole graph: a long-diameter graph
-    (a circle rotation, a near-integrable standard map) then pays at most
-    about one Tarjan run on top of Tarjan alone, and the step stays
-    O(V + E).
+    A frontier layer of `reachable` costs about 10 us plus 0.25 ns per
+    node (its passes over the n-node masks) on top of its edges; the
+    Tarjan loop below costs about 0.1 us per edge plus 0.5 us per node
+    (2-core x86-64 VM).  So (n_edges + 5 n_nodes) // (100 + n_nodes // 400)
+    layers cost about one Tarjan run.  A search that needs more is dropped
+    and Tarjan takes the whole graph: a long-diameter graph (a circle
+    rotation, a near-integrable standard map) then pays at most about one
+    Tarjan run on top of Tarjan alone, and the step stays O(V + E).
     """
-    return max(32, n_edges // 64)
+    return max(32, (n_edges + 5 * n_nodes) // (100 + n_nodes // 400))
 
 
 def strongly_connected_components(offsets: np.ndarray, targets: np.ndarray,
@@ -416,10 +467,11 @@ def strongly_connected_components(offsets: np.ndarray, targets: np.ndarray,
     restricted to F, as a path from a node of F stays in F.  On a
     chain-transitive torus graph S is every box.  F \\ B is forward-closed
     and cannot reach S, so Tarjan labels it first (roots in node order), S
-    takes the next label, and Tarjan then runs from every remaining root in
-    node order, skipping the completed nodes in F.  When F or B needs more
-    than `_fb_max_layers` layers, F and S are taken as empty, so the same
-    two Tarjan calls run every root in node order from label 0.
+    takes the next label, and Tarjan then runs from the roots outside F in
+    node order; the completed nodes of F are skipped as edge targets.
+    When F or B needs more than `_fb_max_layers` layers, F and S are taken
+    as empty, so the same two Tarjan calls run every root in node order
+    from label 0.
     """
     if n == 0:
         return 0, np.empty(0, dtype=np.int64)
@@ -428,7 +480,7 @@ def strongly_connected_components(offsets: np.ndarray, targets: np.ndarray,
     roff, rtarg = _transpose(off, tgt, n) if reverse is None else reverse
     labels = [-1] * n
     pivot = int(np.argmax(np.diff(off) * np.diff(roff)))
-    cap = _fb_max_layers(tgt.size)
+    cap = _fb_max_layers(tgt.size, n)
     fwd = reachable(off, tgt, [pivot], max_layers=cap)
     back = None if fwd is None else \
         reachable(roff, rtarg, [pivot], max_layers=cap, seen=~fwd)
@@ -438,7 +490,8 @@ def strongly_connected_components(offsets: np.ndarray, targets: np.ndarray,
         core = back & fwd
     index = np.where(core, 0, -1).tolist()
     k = _tarjan(off, tgt, np.flatnonzero(fwd & ~core).tolist(), index, labels, 0)
-    n_comp = _tarjan(off, tgt, range(n), index, labels, k + int(core.any()))
+    n_comp = _tarjan(off, tgt, np.flatnonzero(~fwd).tolist(), index, labels,
+                     k + int(core.any()))
     labels = np.asarray(labels, dtype=np.int64)
     labels[core] = k
     return n_comp, labels
@@ -601,32 +654,37 @@ def reachable(offsets: np.ndarray, targets: np.ndarray, seeds,
               seen: np.ndarray | None = None) -> np.ndarray | None:
     """Boolean mask of the CSR nodes reachable from `seeds`, seeds included.
 
-    Frontier expansion, one layer per step.  A layer is expanded in
-    slices of the frontier of about `_CHUNK_EDGES` out-edges, so no index
-    array grows with the graph.  Returns None when the expansion needs
-    more than `max_layers` layers.
+    Frontier expansion, one layer per step: the one-set form of
+    `close_planes`, with one bool mark per node in place of a word.  A
+    layer scatters True over the out-neighbors of its frontier, a slice of
+    about `_CHUNK_EDGES` out-edges at a time, so no index array grows with
+    the graph; the marks not in `seen` are the next frontier.  A layer
+    costs its edges plus a few O(n) passes over the masks.  Returns None
+    when the expansion needs more than `max_layers` layers.
 
     A given `seen` mask is grown in place and returned: its nodes count as
     explored and are not expanded again, so for a forward-closed `seen`
     the result is the closure of `seen` and `seeds` together.
     """
     n = offsets.size - 1
-    seeds = np.asarray(seeds, dtype=np.intp)
     if seen is None:
         seen = np.zeros(n, dtype=bool)
-    # repeated seeds only repeat the first layer's reads
-    frontier = seeds[~seen[seeds]]
-    seen[frontier] = True
-    slot = np.empty(n, dtype=np.intp)
+    mark = np.zeros(n, dtype=bool)
+    mark[np.asarray(seeds, dtype=np.intp)] = True
     layers = 0
-    while frontier.size:
+    while True:
+        # mark & ~seen: the frontier's own marks are already in `seen`, so
+        # only the nodes reached for the first time stay marked
+        np.greater(mark, seen, out=mark)
+        frontier = np.flatnonzero(mark)
+        if not frontier.size:
+            return seen
         if layers == max_layers:
             return None
         layers += 1
-        frontier = np.concatenate([
-            _visit(tgt, seen, slot)
-            for _, _, tgt in _frontier_slices(offsets, targets, frontier)])
-    return seen
+        seen |= mark
+        for _, _, tgt in _frontier_slices(offsets, targets, frontier):
+            mark[tgt] = True
 
 
 def close_planes(offsets: np.ndarray, targets: np.ndarray, seeds: np.ndarray,
@@ -644,7 +702,8 @@ def close_planes(offsets: np.ndarray, targets: np.ndarray, seeds: np.ndarray,
     their out-edges with one OR-scatter per slice of about `_CHUNK_EDGES`
     edges, and a node joins the next frontier when it gains a bit.  Beside
     `seen` this holds one word per node for the next frontier plus one
-    slice.  For a single set `reachable` is faster.
+    slice.  `reachable` is the same loop on one set, with a bool per node
+    and a plain scatter, and is faster there.
     """
     new = seeds & ~seen
     seen |= new
@@ -688,21 +747,6 @@ def reachable_sets(offsets: np.ndarray, targets: np.ndarray,
         words = close_planes(offsets, targets, words, np.zeros_like(words))
         closed[rows] = _unpack_planes(words, closed[rows].shape[0])
     return closed
-
-
-def _visit(nodes: np.ndarray, seen: np.ndarray,
-           slot: np.ndarray) -> np.ndarray:
-    """The nodes of `nodes` not in `seen`, each once, now marked seen.
-
-    Duplicates are dropped through the scratch array `slot` instead of a
-    sort: a node is kept where its slot still holds its own position.
-    """
-    nodes = nodes[~seen[nodes]]
-    pos = np.arange(nodes.size)
-    slot[nodes] = pos
-    nodes = nodes[slot[nodes] == pos]
-    seen[nodes] = True
-    return nodes
 
 
 # ---------------------------------------------------------------------------

@@ -388,8 +388,7 @@ def _graph_stats(tg) -> dict:
         "lipschitz_used": tg.lipschitz_used,
         "out_degree_min": int(deg.min()),
         "out_degree_max": int(deg.max()),
-        "escaping_boxes": int(np.count_nonzero(
-            tg.targets == tg.sink) - 1),
+        "escaping_boxes": tg.escaping_boxes(),
     }
 
 

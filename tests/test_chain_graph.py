@@ -371,6 +371,33 @@ class TestSccOracle:
         boxes = G.subgraph(range(tg.nboxes))
         assert is_chain_transitive(tg) == nx.is_strongly_connected(boxes)
 
+    @settings(max_examples=200, deadline=None)
+    @given(csr_graphs(), st.data())
+    def test_reachable_layers_and_seen_match_networkx(self, case, data):
+        """Repeated seeds, a `seen` mask and a layer cap: the nodes at
+        distance k from the seeds outside `seen`, in the graph without
+        `seen`, form layer k; more than `max_layers` layers give None."""
+        tg, edges = case
+        n = tg.n_nodes
+        G = nx.DiGraph(edges)
+        G.add_nodes_from(range(n))
+        seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+        seen = np.zeros(n, dtype=bool)
+        seen[data.draw(st.lists(st.integers(0, n - 1), max_size=n))] = True
+        cap = data.draw(st.none() | st.integers(0, 6))
+        fresh = {s for s in seeds if not seen[s]}
+        H = G.subgraph(np.flatnonzero(~seen).tolist())
+        dist = nx.multi_source_dijkstra_path_length(H, fresh) if fresh else {}
+        want = set(np.flatnonzero(seen).tolist()) | set(dist)
+        mask = seen.copy()
+        got = reachable(tg.offsets, tg.targets, seeds, max_layers=cap,
+                        seen=mask)
+        if cap is not None and max(dist.values(), default=-1) >= cap:
+            assert got is None
+        else:
+            assert got is mask
+            assert set(np.flatnonzero(got).tolist()) == want
+
     @settings(max_examples=100, deadline=None)
     @given(csr_graphs(), st.data())
     def test_reachable_matches_networkx(self, case, data):
@@ -431,6 +458,16 @@ def assert_transpose_matches_reference(tg):
     assert rtarg.tobytes() == want_targ.astype(np.int32).tobytes()
 
 
+def identity_graph(depth):
+    """The identity on [-1, 1]^2 at eps = half a box width: each box steps
+    to its 3 x 3 neighborhood, the border boxes to the sink too, and the
+    last box (the top corner) to itself."""
+    m = polynomial_map([[{"c": 1.0, "e": [1, 0]}], [{"c": 1.0, "e": [0, 1]}]],
+                       2)
+    grid = Grid(Domain((-1.0, -1.0), (1.0, 1.0), (False, False)), depth)
+    return build_graph(grid, m, float(grid.h[0]) / 2)
+
+
 class TestTranspose:
     """The packed-key transpose and the frontier slices of `reachable`."""
 
@@ -442,6 +479,33 @@ class TestTranspose:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
             assert_transpose_matches_reference(tg)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @settings(max_examples=50, deadline=None)
+    @given(case=csr_graphs())
+    def test_int64_keys_match_stable_argsort(self, chunk, case):
+        tg, _ = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
+            mp.setattr(chain_graph, "_NARROW_NODES", 0)
+            assert_transpose_matches_reference(tg)
+
+    @pytest.mark.parametrize("make, narrow, escaping", [
+        (lambda: build_graph(torus_grid(8), make_map("cat"), 0.0), True, False),
+        (lambda: identity_graph((8, 8)), True, True),
+        (lambda: identity_graph((9, 8)), False, True),
+    ], ids=["2^16-closed", "2^16-escaping", "2^17-escaping"])
+    def test_both_key_widths_match_stable_argsort(self, make, narrow,
+                                                  escaping):
+        """2^16 boxes take the uint32 keys, whose 16 bits cannot hold the
+        sink's id 2^16, with and without sink edges; 2^17 boxes take the
+        int64 keys.  The identity graphs hold the edge from box 2^16 - 1
+        to itself, whose uint32 key is the largest one."""
+        tg = make()
+        assert (tg.n_nodes <= chain_graph._NARROW_NODES) == narrow
+        assert tg.has_sink_edges() == escaping
+        assert tg.self_loop_mask()[-1] or not escaping
+        assert_transpose_matches_reference(tg)
 
     @pytest.mark.parametrize("name, params", [
         ("cat", {}), ("standard", {"K": 0.97}), ("standard", {"K": 1.5})])
@@ -575,8 +639,9 @@ class TestPlantedScc:
                                                              tarjan_visits):
         """A ring of 48 layers of 10 boxes, each layer joined to the next:
         both searches from the pivot need 48 layers, more than the old
-        fixed cap of 32 but fewer than the one priced for its 4802 edges,
-        so Tarjan only sees the box upstream and the dead box."""
+        fixed cap of 32 but fewer than the one priced for its 4802 edges
+        and 482 nodes, so Tarjan only sees the box upstream and the dead
+        box."""
         depth, width = 48, 10
         m = depth * width
         up, dead = m, m + 1
@@ -587,7 +652,7 @@ class TestPlantedScc:
         offsets, targets = csr_from_edges(edges, n)
         assert int(np.argmax(np.diff(offsets) * np.bincount(
             targets, minlength=n))) == 7
-        cap = chain_graph._fb_max_layers(targets.size)
+        cap = chain_graph._fb_max_layers(targets.size, n)
         assert cap > depth
         assert reachable(offsets, targets, [7], max_layers=32) is None
         labels = assert_scc_matches_networkx(offsets, targets, n, edges)
@@ -619,7 +684,7 @@ class TestPlantedScc:
         edges for its depth; the forward case reaches the ring from the
         hub one node per layer, the backward case reaches the hub back
         along the ring."""
-        m = 3 * chain_graph._fb_max_layers(0)
+        m = 3 * chain_graph._fb_max_layers(0, 0)
         hub, dead, up = m, m + 1, m + 2
         if side == "forward":
             edges = ({(i, i + 1) for i in range(m - 1)} | {(m - 1, 0)}
@@ -632,7 +697,7 @@ class TestPlantedScc:
         offsets, targets = csr_from_edges(edges, n)
         score = np.diff(offsets) * np.bincount(targets, minlength=n)
         assert int(np.argmax(score)) == hub
-        cap = chain_graph._fb_max_layers(targets.size)
+        cap = chain_graph._fb_max_layers(targets.size, n)
         assert m > cap
         fwd = reachable(offsets, targets, [hub], max_layers=cap)
         if side == "forward":
@@ -825,7 +890,10 @@ class TestEdgeLayout:
                     (depth,) * dim)
         centers = grid.centers()
         B = m.jac_abs_bound(centers - grid.radius, centers + grid.radius)
-        want = float(np.max(np.linalg.norm(B, ord=2, axis=(1, 2))))
+        # the SVD norm, raised by 2 * dim epsilons and one ulp for rounding
+        want = np.max(np.linalg.norm(B, ord=2, axis=(1, 2)))
+        want = np.nextafter(want * (1.0 + 2 * dim * np.finfo(float).eps),
+                            np.inf)
         assert build_graph(grid, m, 0.01).lipschitz_used == want
 
     @pytest.mark.parametrize("chunk", CHUNKS[:2])

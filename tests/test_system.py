@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynkit._util import min_image, wrap_unit
 from dynkit.chain_graph import build_graph
@@ -655,10 +655,14 @@ def oracle_grid(m, depth_boxes=256):
 
 
 def brute_lipschitz(m, grid):
-    """Largest spectral norm of the per-box Jacobian bounds, box by box."""
+    """Largest spectral norm of the per-box Jacobian bounds, box by box,
+    raised by 2 * dim machine epsilons and one ulp for the SVD's
+    rounding."""
     centers = grid.centers()
     B = m.jac_abs_bound(centers - grid.radius, centers + grid.radius)
-    return max(float(np.linalg.norm(B[b], ord=2)) for b in range(B.shape[0]))
+    norm = max(float(np.linalg.norm(B[b], ord=2)) for b in range(B.shape[0]))
+    return float(np.nextafter(norm * (1.0 + 2 * m.dim * np.finfo(float).eps),
+                              np.inf))
 
 
 def assert_lipschitz_used(m, grid, rng_seed=0):
@@ -699,12 +703,15 @@ class TestLipschitz:
         m = make_map(name, **params)
         assert_lipschitz_used(m, oracle_grid(m))
 
-    def test_cat_is_the_svd_norm(self):
-        # the closed form (3 + sqrt 5) / 2 is one ulp below it
+    def test_cat_is_the_rounded_up_svd_norm(self):
+        # the SVD value is one ulp above the closed form (3 + sqrt 5) / 2,
+        # and the rounding pad adds 2 * 2 epsilons and one ulp
         cat = make_map("cat")
         L = build_graph(oracle_grid(cat), cat, 0.01).lipschitz_used
-        assert L == float(np.linalg.norm(np.array([[2.0, 1.0], [1.0, 1.0]]), 2))
-        assert L == np.nextafter((3.0 + math.sqrt(5.0)) / 2.0, 3.0)
+        svd = float(np.linalg.norm(np.array([[2.0, 1.0], [1.0, 1.0]]), 2))
+        assert svd == np.nextafter((3.0 + math.sqrt(5.0)) / 2.0, 3.0)
+        assert L == np.nextafter(svd * (1.0 + 4 * np.finfo(float).eps), 3.0)
+        assert L == 2.618033988749898
 
     @pytest.mark.parametrize("k", range(len(POLY_CASES)))
     def test_poly_cases_match_the_brute_force_maximum(self, k):
@@ -714,6 +721,9 @@ class TestLipschitz:
     @settings(max_examples=40, deadline=None)
     @given(poly_components(), st.sampled_from([0.5, 1.0, 3.0]),
            st.integers(0, 2 ** 32 - 1))
+    @example([[], [], [{"c": 1.0, "e": [0, 0, 1]},
+                       {"c": 1.1003809345270684e-168, "e": [0, 3, 0]}]],
+             0.5, 0)
     def test_poly_maps_match_the_brute_force_maximum(self, comps, w, seed):
         m = polynomial_map(comps, len(comps))
         dim = m.dim
