@@ -590,22 +590,13 @@ def run_splice(cfg, exp, out_dir, map_spec, grid):
     return results, [csv.name], 0
 
 
-def _is_saddle(hp) -> bool:
-    """Whether hp has a real unstable and a real stable eigendirection."""
-    try:
-        for side in ("unstable", "stable"):
-            mf._real_eigenpair(hp, side)
-    except mf.NoRealEigendirectionError:
-        return False
-    return True
-
-
 def _find_anchor(cfg, exp, map_spec, grid):
     tol = cfg["tolerances"]
     points = mf.find_periodic_points(map_spec, exp["period"], grid,
                                      tol_fix=tol["tol_fix"],
                                      tol_hyp=tol["tol_hyp"])
-    hyper = [p for p in points if p.is_hyperbolic and _is_saddle(p)]
+    hyper = [p for p in points if p.is_hyperbolic
+             and p.unstable is not None and p.stable is not None]
     if not hyper:
         raise ConfigError("no hyperbolic saddle found")
     if exp["anchor"] is not None:

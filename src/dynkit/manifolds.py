@@ -12,7 +12,7 @@ continuation), which is what arclengths and straight-line oracles use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -45,12 +45,36 @@ class SegmentLengthError(ValueError):
 
 @dataclass
 class HyperbolicPoint:
+    """A periodic point with the eigendata of D(f^period) there.
+
+    `eigenvalues` come in order of decreasing modulus, `eigenvectors` are
+    LAPACK's columns for them.  The saddle split is derived once, at
+    construction: `unstable` and `stable` hold the first real eigenpair
+    with |lambda| > 1 and with |lambda| < 1, as (lambda, unit vector whose
+    first entry above 1e-12 in modulus is positive), or None where that
+    side has no real eigenvalue.
+    """
     point: np.ndarray
     period: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     is_hyperbolic: bool
     residual: float
+    unstable: Optional[tuple] = field(init=False)
+    stable: Optional[tuple] = field(init=False)
+
+    def __post_init__(self):
+        self.unstable = self.stable = None
+        for lam, v in zip(self.eigenvalues, self.eigenvectors.T):
+            mod = abs(lam.real)
+            side = "unstable" if mod > 1.0 else "stable" if mod < 1.0 else None
+            if side is None or abs(lam.imag) > 1e-12 or getattr(self, side):
+                continue
+            v = np.real(v)
+            v = v / np.linalg.norm(v)
+            if v[np.nonzero(np.abs(v) > 1e-12)[0][0]] < 0:
+                v = -v
+            setattr(self, side, (float(lam.real), v))
 
 
 @dataclass
@@ -141,16 +165,15 @@ def _solve2(A: np.ndarray, B: np.ndarray, rcond: Optional[float] = None):
 def _orbit_jacobian(map_spec: MapSpec, pts: np.ndarray, steps: int,
                     inverse: bool = False):
     """f^steps(pts) (f^-steps with `inverse`) and its chain-rule Jacobian,
-    batched.  Backward steps use D(f^-1)(y) = Df(f^-1(y))^-1."""
+    batched.  Backward steps use D(f^-1)(y) = Df(f^-1(y))^-1, solved in
+    closed form: only the polish of 2-D maps asks for them, and any other
+    dimension raises ValueError."""
+    if inverse and map_spec.dim != 2:
+        raise ValueError("backward orbit Jacobians are 2-D only")
     x = np.atleast_2d(pts).astype(float)
     J = np.broadcast_to(np.eye(map_spec.dim), (x.shape[0],) + (map_spec.dim,) * 2).copy()
     for y in iterates(map_spec, x, steps, "inverse" if inverse else "forward"):
-        if not inverse:
-            J = map_spec.jac(x) @ J
-        elif map_spec.dim == 2:
-            J = _solve2(map_spec.jac(y), J)
-        else:
-            J = np.linalg.solve(map_spec.jac(y), J)
+        J = _solve2(map_spec.jac(y), J) if inverse else map_spec.jac(x) @ J
         x = y
     return x, J
 
@@ -203,6 +226,11 @@ def find_periodic_points(map_spec: MapSpec, period: int, grid: Grid,
             rows = rows[~bad]
             x[rows] = xn[~bad]
 
+        if map_spec.periods is not None:
+            # wrap_unit rounds a tiny negative up to 1.0: report the root
+            # on the seam as its 0.0 image, which the dedupe and the order
+            # below then see
+            x[x == 1.0] = 0.0
         fp, J = _orbit_jacobian(map_spec, x, period)
         res = np.linalg.norm(map_spec.delta(x, fp), axis=1)
     ok = alive & (res <= tol_fix)
@@ -275,26 +303,6 @@ def _apply_steps(map_spec: MapSpec, pts: np.ndarray, steps: int,
     return x
 
 
-def _real_eigenpair(hp: HyperbolicPoint, side: str):
-    vals = hp.eigenvalues
-    vecs = hp.eigenvectors
-    want_unstable = side == "unstable"
-    for i in range(vals.shape[0]):
-        lam = vals[i]
-        if abs(lam.imag) > 1e-12:
-            continue
-        lam = float(lam.real)
-        if (want_unstable and abs(lam) > 1.0) or (not want_unstable and abs(lam) < 1.0):
-            v = np.real(vecs[:, i])
-            v = v / np.linalg.norm(v)
-            # deterministic orientation
-            lead = np.nonzero(np.abs(v) > 1e-12)[0][0]
-            if v[lead] < 0:
-                v = -v
-            return lam, v
-    raise NoRealEigendirectionError(f"no real {side} eigendirection")
-
-
 def _bad_intervals(deltas: np.ndarray, ts: np.ndarray, max_seg: float,
                    turn_max: float) -> np.ndarray:
     """Mask of the parameter intervals [ts[i], ts[i+1]] to bisect.
@@ -341,7 +349,9 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
         raise ValueError("side must be 'stable' or 'unstable'")
     if not hp.is_hyperbolic:
         raise NoRealEigendirectionError("anchor is not hyperbolic")
-    lam, v = _real_eigenpair(hp, side)
+    if getattr(hp, side) is None:
+        raise NoRealEigendirectionError(f"no real {side} eigendirection")
+    lam, v = getattr(hp, side)
     if lam <= 0:
         raise NoRealEigendirectionError(
             "orientation-reversing eigendirections are not supported")
@@ -451,17 +461,17 @@ def _polish_hits(map_spec: MapSpec, hp: HyperbolicPoint, pts: np.ndarray,
     """Newton-polish approximate homoclinic points against the dynamics.
 
     Solves, per point, for the zero of (unstable coordinate of f^K(x) - p,
-    stable coordinate of f^{-K}(x) - p); K is sized so the hyperbolic
-    amplification stays within double range.  The Jacobian is the chain
-    rule along both orbits: a finite-difference step would be amplified
-    by the same factor and wrap around the torus.  Returns the polished
-    batch with unconverged or runaway rows left at their inputs.
+    stable coordinate of f^{-K}(x) - p); K is sized from the eigenvalue
+    of `hp.unstable` so the hyperbolic amplification stays within double
+    range.  The Jacobian is the chain rule along both orbits: a
+    finite-difference step would be amplified by the same factor and wrap
+    around the torus.  Returns the polished batch with unconverged or
+    runaway rows left at their inputs, or None when the map is not 2-D
+    and invertible or hp has no real unstable side.
     """
-    if not map_spec.has_inverse or map_spec.dim != 2:
+    if not map_spec.has_inverse or map_spec.dim != 2 or hp.unstable is None:
         return None
-    lam_u = float(np.max(np.abs(hp.eigenvalues)))
-    if lam_u <= 1.0:
-        return None
+    lam_u = abs(hp.unstable[0])
     K = int(min(30, max(5, math.ceil(math.log(1e10) / math.log(lam_u)))))
     steps = K * hp.period
     wu, ws = _left_eigvecs(hp)
@@ -590,17 +600,6 @@ def _candidate_pairs(a_starts, a_deltas, b_starts, b_deltas, max_len: float,
         start = stop
 
 
-def _max_len(Wu: ManifoldPolyline, Ws: ManifoldPolyline) -> float:
-    return max(float(np.max(np.linalg.norm(np.diff(poly.lift, axis=0), axis=1)))
-               for poly in (Wu, Ws))
-
-
-def _move_cap(Wu: ManifoldPolyline, Ws: ManifoldPolyline) -> float:
-    """Largest move the polish may make, 4.5 max_len; it does not depend on
-    the bucket width of the crossing search."""
-    return 3.0 * max(1.5 * _max_len(Wu, Ws), 1e-9)
-
-
 @dataclass
 class _Crossings:
     """Segment crossings away from the anchor, one row each, in (i, j)
@@ -704,52 +703,60 @@ def _hits(cr: _Crossings, rows: np.ndarray) -> list[HomoclinicHit]:
                 cr.distance_from_anchor[rows].tolist())]
 
 
-def _polish(map_spec: MapSpec, hp: HyperbolicPoint, hits: list,
-            max_move: float) -> None:
-    """Newton-polish the points of `hits` in place (`_polish_hits`) and
-    update their distances from the anchor."""
-    if not hits or not map_spec.has_inverse:
-        return
-    polished = _polish_hits(map_spec, hp, np.asarray([h.point for h in hits]),
-                            max_move)
-    if polished is None:
-        return
-    anchor = np.asarray(hp.point, dtype=float)
-    dists = row_norms(min_image(polished - anchor, map_spec.periods))
-    for hit, pt, dist in zip(hits, polished, dists.tolist()):
-        hit.point = pt
-        hit.distance_from_anchor = dist
+def _hit_pipeline(cuts: list, tol_int: float, periods,
+                  map_spec: Optional[MapSpec] = None) -> list[list]:
+    """The transverse hits of each (W^u, W^s) pair in `cuts`, each list
+    sorted by anchor distance, then W^u parameter.
 
-
-def _sort_hits(hits: list) -> list:
-    return sorted(hits, key=lambda h: (h.distance_from_anchor, h.param_unstable))
-
-
-def _raw_hits(Wu: ManifoldPolyline, Ws: ManifoldPolyline, tol_int: float,
-              periods) -> tuple[list, list]:
-    """(hits, tangencies) of the two polylines before any polish, each
-    sorted by anchor distance: the crossings of `_crossings` kept first
-    come per tol_int key, split at `TRANSVERSALITY_MIN`."""
-    cr = _crossings(Wu, Ws, tol_int, periods)
-    found = _hits(cr, _first_come(cr.key, np.arange(cr.i.size)))
-    return (_sort_hits([h for h in found if h.transverse]),
-            _sort_hits([h for h in found if not h.transverse]))
+    Every pair is a leading truncation of the last one, so one
+    `_crossings` pass over the last serves them all: the crossings of a
+    shorter pair are the rows on its leading segments, bit for bit.  Each
+    pair keeps its rows first come per tol_int key and drops those at an
+    angle below `TRANSVERSALITY_MIN`.  With `map_spec` given, one
+    `_polish_hits` call polishes the union of all pairs' rows.  Rows
+    polish independently, and every truncation has its polylines'
+    max_seg, so the move cap is 4.5 max_seg for them all.
+    """
+    cr = _crossings(*cuts[-1], tol_int, periods)
+    rows_by_cut = []
+    for Wu, Ws in cuts:
+        rows = _first_come(cr.key, np.flatnonzero(
+            (cr.i < Wu.vertices.shape[0] - 1) & (cr.j < Ws.vertices.shape[0] - 1)))
+        rows_by_cut.append(rows[cr.angle[rows] >= TRANSVERSALITY_MIN])
+    union = np.asarray(sorted(set().union(*(r.tolist() for r in rows_by_cut))),
+                       dtype=np.int64)
+    hits = dict(zip(union.tolist(), _hits(cr, union)))
+    if map_spec is not None:
+        Wu, Ws = cuts[-1]
+        move_cap = 3.0 * max(1.5 * max(Wu.max_seg, Ws.max_seg), 1e-9)
+        polished = _polish_hits(map_spec, Wu.anchor, cr.point[union], move_cap)
+        if polished is not None:
+            anchor = np.asarray(Wu.anchor.point, dtype=float)
+            dists = row_norms(min_image(polished - anchor, periods))
+            for hit, pt, dist in zip(hits.values(), polished, dists.tolist()):
+                hit.point, hit.distance_from_anchor = pt, dist
+    return [sorted((hits[k] for k in rows.tolist()),
+                   key=lambda h: (h.distance_from_anchor, h.param_unstable))
+            for rows in rows_by_cut]
 
 
 def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
                       tol_int: float = 1e-9,
                       map_spec: Optional[MapSpec] = None) -> list[HomoclinicHit]:
-    """Transverse intersections of two planar polylines, anchor excluded.
+    """Transverse intersections of two planar polylines, anchor excluded,
+    sorted by anchor distance.
 
     Segments are registered in the buckets their padded bounding boxes
     touch, and the pairs sharing a bucket are tested in array blocks
     (`_crossings`); crossings whose points round to the same tol_int key
     are kept first come, in (W^u, W^s) segment order, and those at an
-    angle below `TRANSVERSALITY_MIN` are dropped (`_raw_hits`).  With
-    `map_spec` given and invertible, each hit is Newton-polished against
-    the dynamics so the definitional membership test (forward and
-    backward convergence to the anchor orbit) holds to hyperbolic
-    accuracy.  Polylines that are not 2-D raise ValueError.
+    angle below `TRANSVERSALITY_MIN` are dropped.  With `map_spec` given
+    and invertible, each hit is Newton-polished against the dynamics, each
+    move capped at 4.5 max_seg, so the definitional membership test
+    (forward and backward convergence to the anchor orbit) holds to
+    hyperbolic accuracy.  This is the one-truncation case of the pipeline
+    `accumulation_check` runs.  Polylines that are not 2-D raise
+    ValueError.
     """
     if Wu.side != "unstable" or Ws.side != "stable":
         raise ValueError("pass the unstable polyline first, the stable second")
@@ -758,10 +765,7 @@ def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
     if anchor_gap > 1e-8:
         raise ValueError("polylines must share the same anchor")
     periods = map_spec.periods if map_spec is not None else None
-    hits, _ = _raw_hits(Wu, Ws, tol_int, periods)
-    if map_spec is not None:
-        _polish(map_spec, Wu.anchor, hits, _move_cap(Wu, Ws))
-    return _sort_hits(hits)
+    return _hit_pipeline([(Wu, Ws)], tol_int, periods, map_spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +810,9 @@ def accumulation_check(map_spec: MapSpec, hp: HyperbolicPoint, q_on_Wu,
     For each radius, manifolds are grown through the arclength schedule
     until a transverse hit lands inside the ball; exhaustion of the
     schedule is reported as not found.  The hits of every truncation are
-    those `homoclinic_points` finds on it, from one crossing pass over the
-    longest truncation and one polish per distinct move cap.
+    those `homoclinic_points` finds on it: one pipeline makes one crossing
+    pass over the longest truncation and one polish over the hits of all
+    truncations, each move capped at 4.5 max_seg.
     """
     q = np.asarray(q_on_Wu, dtype=float)
     if float(map_spec.distance(q, hp.point)) < 1e-9:
@@ -820,33 +825,13 @@ def accumulation_check(map_spec: MapSpec, hp: HyperbolicPoint, q_on_Wu,
     Ws_full = grow_manifold(map_spec, hp, "stable", Lmax, max_seg)
 
     cuts = [(Wu_full.truncated(L), Ws_full.truncated(L)) for L in schedule]
-    # one crossing pass over the longest truncation: the crossings of a
-    # shorter one are the rows on its leading segments, bit for bit
-    cr = _crossings(*cuts[-1], tol_int, map_spec.periods)
-    rows_by_L, caps = [], []
-    for Wu, Ws in cuts:
-        rows = _first_come(cr.key, np.flatnonzero(
-            (cr.i < Wu.vertices.shape[0] - 1) & (cr.j < Ws.vertices.shape[0] - 1)))
-        rows_by_L.append(rows[cr.angle[rows] >= TRANSVERSALITY_MIN])
-        caps.append(_move_cap(Wu, Ws))
-    # rows polish independently, so one polish per distinct move cap serves
-    # every truncation with that cap
-    polished = {}
-    for cap in dict.fromkeys(caps):
-        union = sorted(set().union(*(rows.tolist() for rows, c in
-                                     zip(rows_by_L, caps) if c == cap)))
-        hits = dict(zip(union, _hits(cr, np.asarray(union, dtype=np.int64))))
-        _polish(map_spec, hp, list(hits.values()), cap)
-        polished[cap] = hits
-    hits_by_L = {}
-    dists_by_L = {}
-    capped_by_L = {}
-    for L, (Wu, Ws), rows, cap in zip(schedule, cuts, rows_by_L, caps):
-        hits = _sort_hits([polished[cap][k] for k in rows.tolist()])
-        hits_by_L[L] = hits
-        dists_by_L[L] = map_spec.distance(
-            np.reshape([h.point for h in hits], (-1, map_spec.dim)), q)
-        capped_by_L[L] = Wu.capped + Ws.capped
+    hits_by_L = dict(zip(schedule, _hit_pipeline(cuts, tol_int,
+                                                  map_spec.periods, map_spec)))
+    dists_by_L = {L: map_spec.distance(np.reshape(
+        [h.point for h in hits], (-1, map_spec.dim)), q)
+        for L, hits in hits_by_L.items()}
+    capped_by_L = {L: Wu.capped + Ws.capped
+                   for L, (Wu, Ws) in zip(schedule, cuts)}
     rows = []
     for r in sorted((float(r) for r in radii), reverse=True):
         found = None

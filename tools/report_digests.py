@@ -1,0 +1,152 @@
+"""sha256 digests of the reports and artifacts of a fixed list of CLI runs.
+
+Each run writes a config into a temporary directory and calls the CLI on
+it.  For every run this prints its exit code and the sha256 of its
+`report.json` (with `config.out`, the temporary path, removed) and of each
+CSV and SVG it wrote, one `run/file digest` line each.  Two checkouts give
+the same lines when their reports are byte-identical:
+
+    PYTHONPATH=src python3 tools/report_digests.py --seed 0 > digests.txt
+    PYTHONPATH=src python3 tools/report_digests.py --seed 0 --against digests.txt
+
+With `--against FILE` it exits 1 and names each line that differs from,
+or is missing in, FILE.  The list holds the bench's eight CLI ops, the
+homoclinic and accumulate runs on the standard map at K = 0.97 (period
+3), 1.5 and 2.0, and two `manifolds` runs whose grids have a periodic
+point on the torus seam.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from dynkit import cli
+
+
+def _torus(depth):
+    return {"lower": [0.0, 0.0], "upper": [1.0, 1.0],
+            "periodic": [True, True], "depth": [depth, depth]}
+
+
+_CUBIC = [{"c": 1.5, "e": [1]}, {"c": -0.5, "e": [3]}]
+_CUBIC_2D = {"name": "poly", "dimension": 2, "components": [
+    [{"c": t["c"], "e": t["e"] + [0]} for t in _CUBIC],
+    [{"c": t["c"], "e": [0] + t["e"]} for t in _CUBIC]]}
+_CAT = {"name": "cat"}
+
+
+def _standard(K):
+    return {"name": "standard", "K": K}
+
+
+# (name, subcommand, map, grid, experiment or None, extra config keys)
+RUNS = [
+    # the bench's CLI ops
+    ("cat-all", "all", _CAT, _torus(7), None, {"eps_box_diameters": 1.0}),
+    ("standard-cr", "cr", _standard(0.97), _torus(8), None,
+     {"eps_box_diameters": 1.0}),
+    ("cubic1-verify", "conley-verify",
+     {"name": "poly", "dimension": 1, "components": [_CUBIC]},
+     {"lower": [-2.0], "upper": [2.0], "depth": [12]}, None,
+     {"eps": 4.0 / 2 ** 14}),
+    ("cubic1-attractors", "attractors",
+     {"name": "poly", "dimension": 1, "components": [_CUBIC]},
+     {"lower": [-2.0], "upper": [2.0], "depth": [12]}, None,
+     {"eps": 4.0 / 2 ** 14}),
+    ("cubic2-verify", "conley-verify", _CUBIC_2D,
+     {"lower": [-2.0, -2.0], "upper": [2.0, 2.0], "depth": [6, 6]}, None,
+     {"eps": 0.015625}),
+    ("cat-homoclinic", "homoclinic", _CAT, _torus(3),
+     {"arclength": 40, "max_seg": 0.01}, {}),
+    ("standard-manifolds", "manifolds", _standard(0.97), _torus(6),
+     {"period": 3, "arclength": 5}, {}),
+    ("cat-accumulate", "accumulate", _CAT, _torus(3),
+     {"arclength_schedule": [5, 10, 20, 40], "max_seg": 0.02,
+      "radii": [0.1, 0.03, 0.01]}, {}),
+    # the homoclinic layer on the standard map
+    ("standard-0.97-homoclinic", "homoclinic", _standard(0.97), _torus(6),
+     {"period": 3, "arclength": 5, "max_seg": 0.02}, {}),
+    ("standard-0.97-accumulate", "accumulate", _standard(0.97), _torus(6),
+     {"period": 3, "arclength_schedule": [1, 2, 4, 5], "max_seg": 0.02,
+      "q_arclength": 1.0, "radii": [0.3, 0.1, 0.05, 0.03, 0.01]}, {}),
+    ("standard-1.5-homoclinic", "homoclinic", _standard(1.5), _torus(3),
+     {"arclength": 6, "max_seg": 0.01}, {}),
+    ("standard-1.5-accumulate", "accumulate", _standard(1.5), _torus(3),
+     {"arclength_schedule": [1, 2, 4, 6], "max_seg": 0.01,
+      "q_arclength": 1.0, "radii": [0.3, 0.1, 0.05, 0.03, 0.01]}, {}),
+    ("standard-2.0-homoclinic", "homoclinic", _standard(2.0), _torus(3),
+     {"arclength": 4, "max_seg": 0.01}, {}),
+    ("standard-2.0-accumulate", "accumulate", _standard(2.0), _torus(3),
+     {"arclength_schedule": [1, 2, 4], "max_seg": 0.01,
+      "q_arclength": 1.0, "radii": [0.3, 0.1, 0.05, 0.03, 0.01]}, {}),
+    # a periodic point on the seam x1 = 0 of the torus
+    ("seam-standard-0.97-p3", "manifolds", _standard(0.97), _torus(3),
+     {"period": 3, "arclength": 5}, {}),
+    ("seam-standard-1.5-p1", "manifolds", _standard(1.5), _torus(2),
+     {"arclength": 4}, {}),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(seed: int) -> list[str]:
+    """`run/file digest` lines of every run, in the order of RUNS."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, sub, map_cfg, grid, exp, extra in RUNS:
+            config = {"map": map_cfg, "grid": grid, "rng_seed": seed, **extra}
+            if exp is not None:
+                config["experiment"] = exp
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(config))
+            out = Path(tmp) / name
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.run_subcommand(sub, str(path), str(out), None)
+            lines.append(f"{name}/exit {code}")
+            report = out / "report.json"
+            if report.exists():
+                rep = json.loads(report.read_text())
+                rep["config"].pop("out", None)
+                lines.append(f"{name}/report.json " + _sha256(
+                    json.dumps(rep, sort_keys=True, indent=2).encode()))
+            for f in sorted(p for p in out.glob("*")
+                            if p.suffix in (".csv", ".svg")):
+                lines.append(f"{name}/{f.name} {_sha256(f.read_bytes())}")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=0,
+                    help="rng_seed of every config (default 0)")
+    ap.add_argument("--against", type=Path, default=None,
+                    help="digest lines printed earlier; exit 1 on any "
+                         "difference")
+    args = ap.parse_args(argv)
+    lines = digests(args.seed)
+    print("\n".join(lines))
+    if args.against is None:
+        return 0
+    want = dict(line.split(" ", 1) for line in
+                args.against.read_text().splitlines() if line.strip())
+    got = dict(line.split(" ", 1) for line in lines)
+    diff = [key for key in dict.fromkeys([*want, *got])
+            if want.get(key) != got.get(key)]
+    for key in diff:
+        print(f"differs: {key} (was {want.get(key)}, now {got.get(key)})",
+              file=sys.stderr)
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
