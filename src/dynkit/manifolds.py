@@ -340,10 +340,13 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
                   branch: int = +1) -> ManifoldPolyline:
     """Grow one branch of W^s or W^u of a hyperbolic periodic point.
 
-    Iterates a fundamental segment seeded `_R0` along the eigendirection
-    under f^period (unstable) or f^{-period} (stable), bisecting parameters
-    until consecutive images are closer than max_seg and turn less than
-    `_TURN_MAX` radians.  Growth stops at target_arclength.
+    Iterates the fundamental domain [x0, y0] under f^period (unstable) or
+    f^{-period} (stable): x0 sits `_R0` along the eigendirection, y0 is
+    its image, and the seed chord x0 + t delta(x0, y0) ends on y0 exactly,
+    so every generation starts on the previous one's last vertex.
+    Parameters are bisected until consecutive images are closer than
+    max_seg and turn less than `_TURN_MAX` radians.  Growth stops at
+    target_arclength.
     """
     if side not in ("stable", "unstable"):
         raise ValueError("side must be 'stable' or 'unstable'")
@@ -355,14 +358,16 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
     if lam <= 0:
         raise NoRealEigendirectionError(
             "orientation-reversing eigendirections are not supported")
-    stretch = lam if side == "unstable" else 1.0 / lam
     inverse = side == "stable"
     p = np.asarray(hp.point, dtype=float)
-    direction = branch * v
+    x0 = map_spec.wrap(p + _R0 * branch * v)[None, :]
+    y0 = _apply_steps(map_spec, x0, hp.period, inverse)
+    chord = map_spec.delta(x0, y0)
 
     def seed_chord(ts: np.ndarray) -> np.ndarray:
-        radii = _R0 * (1.0 + ts * (stretch - 1.0))
-        return map_spec.wrap(p[None, :] + radii[:, None] * direction[None, :])
+        out = map_spec.wrap(x0 + ts[:, None] * chord)
+        out[ts == 1.0] = y0  # t = 1 is y0 bit for bit
+        return out
 
     # the previous generation's final parameters and their images: f^period
     # carries those forward, and only parameters new to this generation
@@ -375,14 +380,18 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
         if gen == 0:
             return seed_chord(ts)
         at = np.minimum(np.searchsorted(prev_ts, ts), prev_ts.size - 1)
-        carried = prev_ts[at] == ts
+        # y0 = f^period(x0), so t = 0 maps to the last generation's t = 1
+        start = ts == 0.0
+        new = prev_ts[at] != ts
+        carried = ~new & ~start
         out = np.empty((ts.size, map_spec.dim))
+        out[start] = prev_pts[-1]
         if carried.any():
             out[carried] = _apply_steps(map_spec, prev_pts[at[carried]],
                                         hp.period, inverse)
-        if not carried.all():
-            out[~carried] = _apply_steps(map_spec, seed_chord(ts[~carried]),
-                                         gen * hp.period, inverse)
+        if new.any():
+            out[new] = _apply_steps(map_spec, seed_chord(ts[new]),
+                                    gen * hp.period, inverse)
         return out
 
     # one block per generation; each block continues the previous one
@@ -410,7 +419,7 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
             pts = np.insert(pts, at, images(new_ts), axis=0)
         prev_ts, prev_pts = ts, pts
         if gen > 0:
-            pts = pts[1:]  # t=0 repeats the previous generation's end
+            pts = pts[1:]  # t=0 is the previous generation's last vertex
         d = map_spec.delta(np.concatenate([vertices[-1][-1:], pts[:-1]]), pts)
         # one-vector norms, so the running sums equal a vertex-by-vertex
         # accumulation
