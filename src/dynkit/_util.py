@@ -32,12 +32,27 @@ def min_image(d, periods):
     return wrap_unit(on_torus_axes(d, periods) + 0.5) - 0.5
 
 
+def vector_norms(d):
+    """Euclidean norm along the last axis of `d`, bit for bit the array
+    form `np.linalg.norm(d, axis=-1)` in any shape and layout: numpy sums
+    fewer than 8 squares left to right, as this sum does without the
+    reduce's overhead, and more pairwise (then its norm is taken)."""
+    d = np.asarray(d, dtype=float)
+    if d.shape[-1] >= 8:
+        return np.linalg.norm(d, axis=-1)
+    s = np.square(d[..., 0])
+    for k in range(1, d.shape[-1]):
+        s += np.square(d[..., k])
+    return np.sqrt(s)
+
+
 def row_norms(d):
     """Euclidean norm of each row of the (n, k) array `d`.
 
     Each row goes through the dot kernel of a one-vector `np.linalg.norm`,
     so entry i equals `np.linalg.norm(d[i])` bit for bit; the array form
-    `np.linalg.norm(d, axis=1)` sums the squares differently.
+    `np.linalg.norm(d, axis=1)`, which `vector_norms` matches, sums the
+    squares differently.
     """
     d = np.asarray(d, dtype=float)
     return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._util import vector_norms
 from .phase_space import BoxSet, Grid
 from .system import MapSpec, evaluate
 
@@ -194,7 +195,7 @@ class RadialEps:
 
     def __call__(self, points):
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        out = self.c / (1.0 + np.linalg.norm(p, axis=-1))
+        out = self.c / (1.0 + vector_norms(p))
         return out if np.asarray(points).ndim > 1 else float(out[0])
 
     def min_over_rects(self, lo, hi):
@@ -202,7 +203,7 @@ class RadialEps:
         lo = np.atleast_2d(np.asarray(lo, dtype=float))
         hi = np.atleast_2d(np.asarray(hi, dtype=float))
         far = np.maximum(np.abs(lo), np.abs(hi))
-        return self.c / (1.0 + np.linalg.norm(far, axis=-1))
+        return self.c / (1.0 + vector_norms(far))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +479,7 @@ def strongly_connected_components(offsets: np.ndarray, targets: np.ndarray,
     off = np.ascontiguousarray(offsets)
     tgt = np.ascontiguousarray(targets)
     roff, rtarg = _transpose(off, tgt, n) if reverse is None else reverse
-    labels = [-1] * n
+    labels = np.full(n, -1, dtype=np.int64)
     pivot = int(np.argmax(np.diff(off) * np.diff(roff)))
     cap = _fb_max_layers(tgt.size, n)
     fwd = reachable(off, tgt, [pivot], max_layers=cap)
@@ -492,23 +493,23 @@ def strongly_connected_components(offsets: np.ndarray, targets: np.ndarray,
     k = _tarjan(off, tgt, np.flatnonzero(fwd & ~core).tolist(), index, labels, 0)
     n_comp = _tarjan(off, tgt, np.flatnonzero(~fwd).tolist(), index, labels,
                      k + int(core.any()))
-    labels = np.asarray(labels, dtype=np.int64)
     labels[core] = k
     return n_comp, labels
 
 
 def _tarjan(off: np.ndarray, tgt: np.ndarray, roots, index: list,
-            labels: list, n_comp: int) -> int:
+            labels: np.ndarray, n_comp: int) -> int:
     """Iterative Tarjan from each root in `roots` not yet visited.
 
     Nodes with index >= 0 are completed and their edges skipped; new
     components take labels n_comp, n_comp + 1, ...  Returns the next free
-    label.  Edges are walked in CSR order.  The CSR is read through
-    memoryviews and the per-node state kept in lists, so the inner loop
-    touches Python ints only.
+    label.  Edges are walked in CSR order.  The CSR is read and the
+    int64 `labels` written through memoryviews, and the per-node state is
+    kept in lists, so the inner loop touches Python ints only.
     """
     off = memoryview(off)
     tgt = memoryview(tgt)
+    labels = memoryview(labels)
     n = len(index)
     lowlink = [0] * n
     on_stack = bytearray(n)

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._util import vector_norms
 from .phase_space import BoxSet, _morph
 from .system import MapSpec, iterates
 from .chain_graph import (TransitionGraph, _out_neighbors, _unpack_planes,
@@ -412,7 +413,7 @@ def escape_fraction(map_spec: MapSpec, K: BoxSet, radius: float, n_max: int,
     for x in iterates(map_spec, pts, n_max):
         # an overflowed norm is inf: that orbit has escaped
         with np.errstate(over="ignore"):
-            bounded &= np.linalg.norm(x, axis=-1) <= radius
+            bounded &= vector_norms(x) <= radius
         if not bounded.any():
             break
     return float(np.count_nonzero(bounded) / samples)

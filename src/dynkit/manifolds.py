@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import min_image, row_norms, wrap_unit
+from ._util import min_image, row_norms, vector_norms, wrap_unit
 from .phase_space import Grid
 from .system import MapSpec, evaluate, iterates
 
@@ -96,7 +96,7 @@ class ManifoldPolyline:
     def capped(self) -> int:
         """Segments longer than max_seg: growth stopped refining (parameter
         cap or parameter spacing floor) before they were split."""
-        lens = np.linalg.norm(np.diff(self.lift, axis=0), axis=1)
+        lens = vector_norms(np.diff(self.lift, axis=0))
         return int(np.count_nonzero(lens > self.max_seg))
 
     def truncated(self, arclength: float) -> "ManifoldPolyline":
@@ -211,7 +211,7 @@ def find_periodic_points(map_spec: MapSpec, period: int, grid: Grid,
             xr = x[rows]
             fp, J = _orbit_jacobian(map_spec, xr, period)
             g = map_spec.delta(xr, fp)
-            move = np.linalg.norm(g, axis=1) > 1e-14
+            move = vector_norms(g) > 1e-14
             if not move.any():
                 break
             rows, xr, J, g = rows[move], xr[move], J[move], g[move]
@@ -221,7 +221,7 @@ def find_periodic_points(map_spec: MapSpec, period: int, grid: Grid,
             else:
                 step = np.linalg.pinv(J, rcond=1e-12) @ g[..., None]
             xn = map_spec.wrap(xr - step[..., 0])
-            bad = ~np.all(np.isfinite(xn), axis=1) | (np.linalg.norm(xn, axis=1) > 1e12)
+            bad = ~np.all(np.isfinite(xn), axis=1) | (vector_norms(xn) > 1e12)
             alive[rows[bad]] = False
             rows = rows[~bad]
             x[rows] = xn[~bad]
@@ -232,7 +232,7 @@ def find_periodic_points(map_spec: MapSpec, period: int, grid: Grid,
             # below then see
             x[x == 1.0] = 0.0
         fp, J = _orbit_jacobian(map_spec, x, period)
-        res = np.linalg.norm(map_spec.delta(x, fp), axis=1)
+        res = vector_norms(map_spec.delta(x, fp))
     ok = alive & (res <= tol_fix)
     roots, residuals, J = x[ok], res[ok], J[ok]
     # keep only roots inside the window (`contains` skips periodic axes)
@@ -282,7 +282,7 @@ def _inverse_newton(map_spec: MapSpec, z: np.ndarray) -> np.ndarray:
     for _ in range(_INVERSE_ITER):
         wa = w[rows]
         r = map_spec.delta(z[rows], evaluate(map_spec, wa))  # f(w) - z
-        live = np.linalg.norm(r, axis=1) >= _INVERSE_TOL
+        live = vector_norms(r) >= _INVERSE_TOL
         if not live.any():
             break
         rows, wa, r = rows[live], wa[live], r[live]
@@ -313,7 +313,7 @@ def _bad_intervals(deltas: np.ndarray, ts: np.ndarray, max_seg: float,
     turns by more than turn_max at either end of it; intervals narrower
     than 1e-12 are never bad.
     """
-    lens = np.linalg.norm(deltas, axis=1)
+    lens = vector_norms(deltas)
     bad = lens[1:] > max_seg
     # turn k sits between deltas[k] and deltas[k+1], at the image of ts[k]
     na, nb = lens[:-1], lens[1:]
@@ -508,7 +508,7 @@ def _polish_hits(map_spec: MapSpec, hp: HyperbolicPoint, pts: np.ndarray,
         move = ~conv & ~runaway
         x[idx[move]] = cand[move]
         # hyperbolic amplification floors G at fp noise; stop on tiny steps
-        active[idx] = move & (np.linalg.norm(step, axis=1) >= 1e-13)
+        active[idx] = move & (vector_norms(step) >= 1e-13)
     return x
 
 
@@ -635,8 +635,8 @@ def _crossings(Wu: ManifoldPolyline, Ws: ManifoldPolyline, tol_int: float,
                          f"dimension {dim}")
     a_starts, a_deltas, a_arcs = _segments(Wu)
     b_starts, b_deltas, b_arcs = _segments(Ws)
-    a_lens = np.linalg.norm(a_deltas, axis=1)
-    b_lens = np.linalg.norm(b_deltas, axis=1)
+    a_lens = vector_norms(a_deltas)
+    b_lens = vector_norms(b_deltas)
     max_len = max(float(np.max(a_lens)), float(np.max(b_lens)))
     # a quarter of the unit period
     if periods is not None and max_len >= 0.25:
@@ -803,8 +803,7 @@ def point_to_polyline_distance(map_spec: MapSpec, q, poly: ManifoldPolyline) -> 
     lens2[lens2 == 0] = 1.0
     t = np.clip(np.sum(rel * deltas, axis=1) / lens2, 0.0, 1.0)
     nearest = starts + t[:, None] * deltas
-    d = np.linalg.norm(map_spec.delta(nearest, np.broadcast_to(q, starts.shape)),
-                       axis=1)
+    d = map_spec.distance(nearest, np.broadcast_to(q, starts.shape))
     return float(np.min(d))
 
 

@@ -2,14 +2,15 @@
 searches with resolution-stamped certificates, and the linear-hyperbolic
 stable-manifold check.
 
-A shadow search runs three stages in order, and no stage runs once an
-orbit within eps is known: a uniform seed grid in the eps-ball; when the
-best seed misses eps and the map is invertible, a sequence-space
+A shadow search's result is that of three stages in order, none run once
+an orbit within eps is known: a uniform seed grid in the eps-ball; when
+the best seed misses eps and the map is invertible, a sequence-space
 refinement pass (Hammel, Yorke & Grebogi); and, unless the refined
 witness is within eps, coordinate descent from the best seed, which stops
-at its first orbit within eps.  So a shadowed result reports the first
-orbit found within eps, not the closest one: its `achieved_eps` is at
-most eps, not a minimum.  The refinement produces a witness orbit with
+at its first orbit within eps.  An invertible map's refinement runs
+first and the grid only as far as the result needs; results equal that
+order's bit for bit.  So a shadowed result reports the first orbit found
+within eps, not the closest one: its `achieved_eps` is at most eps.  The refinement produces a witness orbit with
 tiny per-step defect, the standard numerical stand-in for a true shadow;
 without it no finite-precision search can confirm shadowing of a chaotic
 map over long horizons, because the required seed accuracy shrinks like
@@ -28,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import wrap_unit, write_csv
+from ._util import vector_norms, wrap_unit, write_csv
 from .system import MapSpec, evaluate, iterates
 
 __all__ = [
@@ -122,7 +123,7 @@ def _ball_noise(rng: np.random.Generator, n: int, dim: int, radius: float):
     if radius == 0.0:
         return np.zeros((n, dim))
     v = rng.normal(size=(n, dim))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v /= vector_norms(v)[:, None]
     r = radius * rng.random(n) ** (1.0 / dim)
     return v * r[:, None]
 
@@ -285,7 +286,7 @@ def _seed_offsets(dim: int, m: int, grid_resolution: float, eps: float):
         offsets = (np.column_stack(np.unravel_index(flat, lattice)) - m) \
             * grid_resolution
         pending = np.concatenate(
-            (pending, offsets[np.linalg.norm(offsets, axis=1) <= eps]))
+            (pending, offsets[vector_norms(offsets) <= eps]))
         while pending.shape[0] >= _SEED_BLOCK:
             yield pending[:_SEED_BLOCK]
             pending = pending[_SEED_BLOCK:]
@@ -354,6 +355,19 @@ _REFINE_SWEEPS = 60
 _DEFECT_TOL = 1e-11
 
 
+def _split_coordinates(vals: np.ndarray, h: np.ndarray):
+    """(cu, cs) of a refinement correction, cs integrated forward and cu
+    backward on Python floats, bit for bit the float64 scalar loop."""
+    n = vals.shape[0]
+    (lam_u, lam_s), (h_u, h_s) = vals.T.tolist(), h.T.tolist()
+    cu, cs = [0.0] * n, [0.0] * n
+    for i in range(n - 1):
+        cs[i + 1] = lam_s[i] * cs[i] + h_s[i]
+    for i in range(n - 2, -1, -1):
+        cu[i] = (cu[i + 1] - h_u[i]) / lam_u[i]
+    return np.array(cu), np.array(cs)
+
+
 def _refine_shadow(map_spec: MapSpec, y: np.ndarray):
     """Sequence-space Newton relaxation toward a nearby numerical orbit.
 
@@ -366,7 +380,7 @@ def _refine_shadow(map_spec: MapSpec, y: np.ndarray):
     for _ in range(_REFINE_SWEEPS):
         imgs = evaluate(map_spec, z[:-1])
         g = map_spec.delta(z[1:], imgs)  # f(z_i) - z_{i+1}, wrapped
-        worst = float(np.max(np.linalg.norm(g, axis=1))) if n > 1 else 0.0
+        worst = float(np.max(vector_norms(g))) if n > 1 else 0.0
         if worst < _DEFECT_TOL:
             return z, worst
         frames = _hyperbolic_frames(map_spec, z)
@@ -375,19 +389,37 @@ def _refine_shadow(map_spec: MapSpec, y: np.ndarray):
         vecs, vals = frames
         # defect coordinates in the frame at the arrival point
         h = np.linalg.solve(vecs[1:], g[..., None])[..., 0]
-        cu = np.zeros(n)
-        cs = np.zeros(n)
-        for i in range(n - 1):
-            cs[i + 1] = vals[i, 1] * cs[i] + h[i, 1]
-        for i in range(n - 2, -1, -1):
-            cu[i] = (cu[i + 1] - h[i, 0]) / vals[i, 0]
+        cu, cs = _split_coordinates(vals, h)
         e = vecs[:, :, 0] * cu[:, None] + vecs[:, :, 1] * cs[:, None]
         if not np.all(np.isfinite(e)) or np.max(np.abs(e)) > 1e6:
             return None
         z = map_spec.wrap(z + e)
     imgs = evaluate(map_spec, z[:-1])
-    worst = float(np.max(np.linalg.norm(map_spec.delta(z[1:], imgs), axis=1)))
+    worst = float(np.max(vector_norms(map_spec.delta(z[1:], imgs))))
     return (z, worst) if worst < _DEFECT_TOL else None
+
+
+def _every_seed_leaves(map_spec: MapSpec, y: np.ndarray, eps: float,
+                       grid_resolution: float) -> bool:
+    """Whether every grid seed's orbit leaves the eps-tube around y, so
+    that `_best_seed`'s objective is above eps.  Each seed block is
+    stepped, to the same distances as in `_tracking_errors`, until all its
+    orbits have left.  A nan distance counts as staying, as the argmin
+    picks a nan objective; a nan after an orbit has left, which only an
+    overflow from finite coordinates brings, is not looked for.
+    """
+    m = _lattice_radius(eps, grid_resolution)
+    for offsets in _seed_offsets(map_spec.dim, m, grid_resolution, eps):
+        x = map_spec.wrap(y[0] + offsets)
+        inside = ~(map_spec.distance(x, y[0]) > eps)
+        for k in range(1, y.shape[0]):
+            if not inside.any():
+                break
+            x = evaluate(map_spec, x)
+            inside &= ~(map_spec.distance(x, y[k]) > eps)
+        if inside.any():
+            return False
+    return True
 
 
 def _best_seed(map_spec: MapSpec, y: np.ndarray, eps: float,
@@ -461,37 +493,43 @@ def shadow_search(map_spec: MapSpec, po: PseudoOrbit, eps: float,
                   grid_resolution: float) -> ShadowingResult:
     """Search for an actual orbit eps-tracking the pseudo-orbit.
 
-    Three stages, in this order, and none runs once an orbit within eps
-    is known.  Seeds on a uniform grid of the given resolution in the
-    eps-ball around y_0; the best seed is the result if it is within eps.
-    If it misses eps and the map has an inverse, the hyperbolic sequence
-    refinement, which supplies a witness orbit for horizons where seed
-    precision alone cannot reach; a witness within eps is the result.
-    Otherwise coordinate descent from the best seed, until its first
-    accepted probe within eps or `_MAX_DESCENT` probes, and the refined
-    witness only where it tracks closer than the descent's last orbit.
-    The descent only lowers the objective, so running it on past eps
-    could not change the verdict.  A shadowed result's `achieved_eps` is
+    The result is that of three stages in this order, none run once an
+    orbit within eps is known.  Seeds on a uniform grid of the given
+    resolution in the eps-ball around y_0; the best seed is the result if
+    it is within eps.  If it misses eps and the map has an inverse, the
+    hyperbolic sequence refinement, which supplies a witness orbit for
+    horizons where seed precision alone cannot reach; a witness within
+    eps is the result.  Otherwise coordinate descent from the best seed,
+    until its first accepted probe within eps or `_MAX_DESCENT` probes,
+    and the refined witness only where it tracks closer than the
+    descent's last orbit.  A shadowed result's `achieved_eps` is
     therefore that of the first orbit found within eps (at most eps); an
     unshadowed one's is the least over the whole search.  Failure is
     reported as a resolution-stamped certificate, never a proof.
+
+    An invertible map's refinement runs first: its witness within eps is
+    the result at once when every grid seed's orbit leaves the eps-tube
+    (`_every_seed_leaves`); otherwise the grid decides as above.  So
+    every result equals the stage order's bit for bit.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     seed_lattice_size(map_spec.dim, eps, grid_resolution)
     y = po.points
-    best_x, best_obj, best_trace = _best_seed(map_spec, y, eps,
-                                              grid_resolution)
-    refined = None
-    if best_obj > eps and map_spec.has_inverse:
-        refined = _refine_shadow(map_spec, y)
+    refined = _refine_shadow(map_spec, y) if map_spec.has_inverse else None
     if refined is not None:
         witness, witness_defect = refined
         trace = map_spec.distance(witness, y)
         achieved = float(np.max(trace))
-    if refined is None or not achieved <= eps:
-        best_x, best_obj, best_trace = _descend(
-            map_spec, y, best_x, best_obj, best_trace, grid_resolution, eps)
+    if refined is None or not (achieved <= eps and _every_seed_leaves(
+            map_spec, y, eps, grid_resolution)):
+        grid = _best_seed(map_spec, y, eps, grid_resolution)
+        # a seed that stays in the tube makes the objective at most eps,
+        # or nan: the grid then settles the search before any refinement
+        if not grid[1] > eps:
+            refined = None
+        best_x, best_obj, best_trace = _descend(map_spec, y, *grid,
+                                                grid_resolution, eps)
         if refined is None or not achieved < best_obj:
             return ShadowingResult(best_obj <= eps, float(eps), best_obj,
                                    best_x, best_trace, float(grid_resolution),

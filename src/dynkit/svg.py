@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import fill_rows
+from ._util import fill_rows, vector_norms
 
 __all__ = ["emit_plot", "PALETTE", "CANVAS"]
 
@@ -79,7 +79,7 @@ def emit_plot(layers, path, lower, upper):
             if pts.shape[0] >= 2:
                 proj = _project(pts, lo, hi)
                 # break strokes at window wraps
-                jumps = np.linalg.norm(np.diff(proj, axis=0), axis=1)
+                jumps = vector_norms(np.diff(proj, axis=0))
                 cuts = np.nonzero(jumps > CANVAS / 2)[0]
                 start = 0
                 pieces = []

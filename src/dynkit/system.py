@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import min_image, on_torus_axes, wrap_unit
+from ._util import min_image, on_torus_axes, vector_norms, wrap_unit
 
 __all__ = [
     "MapSpec", "OrbitSegment", "LagrangeResult", "VolumeReport",
@@ -83,7 +83,8 @@ class MapSpec:
                          self.periods)
 
     def distance(self, a, b):
-        return np.linalg.norm(self.delta(a, b), axis=-1)
+        """Length of `delta(a, b)` (`_util.vector_norms`)."""
+        return vector_norms(self.delta(a, b))
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Pseudo-orbits, shadow searches and the linear stable-manifold check."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -447,8 +448,9 @@ class TestBatchedDescentOracle:
                                                            po.points)))
 
     def test_refined_cat_search_skips_the_descent(self, monkeypatch):
-        # bench-style cat search: the seed grid (about 300 seeds, one
-        # block) misses eps and the refined witness settles it
+        # bench-style cat search: the refined witness is within eps and
+        # every seed of the grid (about 300, one block) leaves the tube,
+        # so neither the grid's errors nor a descent are computed
         calls, descents = [], []
         errors, descend = shadowing._tracking_errors, shadowing._descend
         monkeypatch.setattr(shadowing, "_tracking_errors",
@@ -460,7 +462,7 @@ class TestBatchedDescentOracle:
                                  rng_seed=7)
         res = shadow_search(m, po, 1e-2, 1e-3)
         assert res.shadowed and res.method == "refined"
-        assert len(calls) == 1 and not descents
+        assert not calls and not descents
 
     def test_unshadowed_seed_grid_without_witness_still_descends(
             self, monkeypatch):
@@ -623,6 +625,262 @@ class TestBatchedDescentOracle:
             tracemalloc.stop()
         assert count == 785349
         assert peak < 1e6, peak
+
+
+def stage_order_search(m, po, eps, res):
+    """shadow_search as it ran before the refinement went first: the seed
+    grid, then the refinement when the best seed misses eps, then the
+    descent unless the refined witness is within eps."""
+    y = po.points
+    best_x, best_obj, best_trace = shadowing._best_seed(m, y, eps, res)
+    refined = None
+    if best_obj > eps and m.has_inverse:
+        refined = shadowing._refine_shadow(m, y)
+    if refined is not None:
+        witness, witness_defect = refined
+        trace = m.distance(witness, y)
+        achieved = float(np.max(trace))
+    if refined is None or not achieved <= eps:
+        best_x, best_obj, best_trace = shadowing._descend(
+            m, y, best_x, best_obj, best_trace, res, eps)
+        if refined is None or not achieved < best_obj:
+            return shadowing.ShadowingResult(best_obj <= eps, float(eps),
+                                             best_obj, best_x, best_trace,
+                                             float(res), "seed")
+    return shadowing.ShadowingResult(achieved <= eps, float(eps), achieved,
+                                     witness[0].copy(), trace, float(res),
+                                     "refined", witness, witness_defect)
+
+
+def recorded(fn, *args):
+    """(fn(*args), the (category, message) of every warning it raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def result_bits(r):
+    """Every field of a ShadowingResult, floats and arrays as bytes."""
+    def bits(v):
+        return None if v is None else np.asarray(v, dtype=float).tobytes()
+
+    return (r.shadowed, r.method, bits(r.eps), bits(r.search_resolution),
+            bits(r.achieved_eps), bits(r.x), bits(r.trace), bits(r.witness),
+            bits(r.witness_defect))
+
+
+def nan_above(m, edge):
+    """m with a nan image wherever the point's second coordinate is above
+    edge."""
+    def fwd(p, out=None):
+        img = m.forward(p, out=out)
+        img[np.asarray(p)[..., 1] > edge] = np.nan
+        return img
+
+    return dataclasses.replace(m, forward=fwd)
+
+
+# 1e300 x^4 overflows past this |x|
+_OVERFLOW_EDGE = (np.finfo(float).max / 1e300) ** 0.25
+
+# name -> (map, x0, delta)
+STAGE_CASES = {
+    "cat": (lambda: make_map("cat"), [0.25, 0.6], 1e-4),
+    "standard-0.97": (lambda: make_map("standard", K=0.97), [0.5, 0.5], 1e-4),
+    "standard-1.5": (lambda: make_map("standard", K=1.5), [0.3, 0.2], 1e-4),
+    "standard-1e12": (lambda: make_map("standard", K=1e12), [0.3, 0.2], 1e-4),
+    # noise below the ulp of the coordinates, 0.3 * 2^N, is no
+    # delta-pseudo-orbit: the long orbit is exact
+    "linear": (lambda: make_map("linear", a=2.0, b=0.5), [0.3, 0.2],
+               lambda N: 1e-4 if N <= 30 else 0.0),
+    # seeds above the edge have nan images while the witness stays below
+    "linear-nan": (lambda: nan_above(make_map("linear", a=2.0, b=0.5),
+                                     0.301), [0.0, 0.3],
+                   lambda N: 1e-4 if N <= 30 else 0.0),
+    "shear": (lambda: make_map("shear"), [0.3, 0.2], 1e-4),
+    "translation": (lambda: make_map("translation"), [0.3, 0.2], 1e-4),
+    "contraction": (lambda: make_map("contraction", c=0.5, dim=2),
+                    [0.3, 0.2], 1e-4),
+    "cubic1": (lambda: polynomial_map(
+        [[{"c": 1.5, "e": [1]}, {"c": -0.5, "e": [3]}]], 1), [0.5], 1e-4),
+    "poly3": (lambda: polynomial_map(
+        [[{"c": 1.5, "e": [1, 0, 0]}, {"c": -0.5, "e": [3, 0, 0]},
+          {"c": 0.1, "e": [0, 1, 0]}],
+         [{"c": 1.2, "e": [0, 1, 0]}, {"c": -0.4, "e": [0, 3, 0]}],
+         [{"c": 0.5, "e": [0, 0, 1]}, {"c": 0.2, "e": [1, 1, 0]}]], 3),
+        [0.3, -0.2, 0.4], 1e-4),
+    # seed orbits overflow to inf (an exact orbit at 0) ...
+    "overflow1": (lambda: polynomial_map([[{"c": 1e300, "e": [4]}]], 1),
+                  [0.0], 0.0),
+    # ... or, past the edge, to inf - inf = nan, while 0.5 x below it
+    "nan1": (lambda: polynomial_map(
+        [[{"c": 1e300, "e": [4]}, {"c": -1e300, "e": [4]},
+          {"c": 0.5, "e": [1]}]], 1), [_OVERFLOW_EDGE - 1e-3], 1e-4),
+}
+
+
+class TestRefineFirst:
+    @pytest.mark.parametrize("seed_block", [1, 7, 1024])
+    @pytest.mark.parametrize("name", sorted(STAGE_CASES))
+    def test_bit_identical_to_the_stage_order(self, monkeypatch, name,
+                                              seed_block):
+        make, x0, delta = STAGE_CASES[name]
+        m = make()
+        monkeypatch.setattr(shadowing, "_SEED_BLOCK", seed_block)
+        for N in (0, 1, 5, 30, 100):
+            po = random_pseudo_orbit(m, np.array(x0), delta(N) if
+                                     callable(delta) else delta, N,
+                                     rng_seed=3)
+            for eps in (2e-3, 1e-2):
+                res = eps / 1.5
+                got, got_warnings = recorded(shadow_search, m, po, eps, res)
+                want, want_warnings = recorded(stage_order_search, m, po,
+                                               eps, res)
+                assert result_bits(got) == result_bits(want), (N, eps)
+                assert got_warnings == want_warnings, (N, eps)
+                if m.has_inverse:
+                    # the tube check is the grid's verdict on eps
+                    best = shadowing._best_seed(m, po.points, eps, res)[1]
+                    assert shadowing._every_seed_leaves(
+                        m, po.points, eps, res) == (best > eps), (N, eps)
+
+    def test_bench_cat_searches_skip_the_seed_grid(self, monkeypatch):
+        # the bench's cat searches: refined witnesses within eps, and every
+        # seed orbit of the grid (317 seeds, one block) leaves the tube
+        # within a few of the 30 steps
+        seeds = sum(b.shape[0] for b in
+                    shadowing._seed_offsets(2, 10, 1e-3, 1e-2))
+        grids, steps = [], []
+        best_seed, evaluate = shadowing._best_seed, shadowing.evaluate
+
+        def counted(m, p, *a, **k):
+            steps.append(np.shape(p)[0] == seeds)
+            return evaluate(m, p, *a, **k)
+
+        monkeypatch.setattr(shadowing, "_best_seed",
+                            lambda *a: grids.append(1) or best_seed(*a))
+        monkeypatch.setattr(shadowing, "evaluate", counted)
+        m = make_map("cat")
+        rng = np.random.default_rng(1)
+        for seed in range(5):
+            po = random_pseudo_orbit(m, rng.random(2), 1e-4, 30,
+                                     rng_seed=seed)
+            steps.clear()
+            res = shadow_search(m, po, 1e-2, 1e-3)
+            assert res.shadowed and res.method == "refined"
+            assert 0 < sum(steps) < 30
+        assert seeds == 317 and not grids
+
+    def test_unshadowed_standard_search_runs_the_grid_once(self, monkeypatch):
+        grids = []
+        best_seed = shadowing._best_seed
+        monkeypatch.setattr(shadowing, "_best_seed",
+                            lambda *a: grids.append(1) or best_seed(*a))
+        m = make_map("standard", K=0.97)
+        po = random_pseudo_orbit(m, np.array([0.1, 0.1]), 1e-4, 50,
+                                 rng_seed=0)
+        res = shadow_search(m, po, 1e-2, 1e-3)
+        assert not res.shadowed and grids == [1]
+        assert result_bits(res) == \
+            result_bits(stage_order_search(m, po, 1e-2, 1e-3))
+
+    def test_witness_dropped_when_a_seed_stays_in_the_tube(self):
+        # the refined witness is within eps, but so is an orbit of the
+        # grid, which the stage order reports without refining
+        m = make_map("linear", a=2.0, b=0.5)
+        po = random_pseudo_orbit(m, np.array([0.3, 0.2]), 1e-4, 5,
+                                 rng_seed=0)
+        z, _ = shadowing._refine_shadow(m, po.points)
+        assert np.max(m.distance(z, po.points)) <= 1e-2
+        assert not shadowing._every_seed_leaves(m, po.points, 1e-2, 1e-3)
+        res = shadow_search(m, po, 1e-2, 1e-3)
+        assert res.shadowed and res.method == "seed" and res.witness is None
+        assert result_bits(res) == \
+            result_bits(stage_order_search(m, po, 1e-2, 1e-3))
+
+
+def scalar_loop_coordinates(vals, h):
+    """The recurrences of `_split_coordinates` on float64 scalars."""
+    n = vals.shape[0]
+    cu = np.zeros(n)
+    cs = np.zeros(n)
+    for i in range(n - 1):
+        cs[i + 1] = vals[i, 1] * cs[i] + h[i, 1]
+    for i in range(n - 2, -1, -1):
+        cu[i] = (cu[i + 1] - h[i, 0]) / vals[i, 0]
+    return cu, cs
+
+
+def scalar_loop_refine(m, y):
+    """`_refine_shadow` with its recurrences on float64 scalars and its
+    defect norms by `np.linalg.norm(..., axis=1)`."""
+    z = y.copy()
+    n = z.shape[0]
+    for _ in range(shadowing._REFINE_SWEEPS):
+        g = m.delta(z[1:], evaluate(m, z[:-1]))
+        worst = float(np.max(np.linalg.norm(g, axis=1))) if n > 1 else 0.0
+        if worst < shadowing._DEFECT_TOL:
+            return z, worst
+        frames = shadowing._hyperbolic_frames(m, z)
+        if frames is None:
+            return None
+        vecs, vals = frames
+        h = np.linalg.solve(vecs[1:], g[..., None])[..., 0]
+        cu, cs = scalar_loop_coordinates(vals, h)
+        e = vecs[:, :, 0] * cu[:, None] + vecs[:, :, 1] * cs[:, None]
+        if not np.all(np.isfinite(e)) or np.max(np.abs(e)) > 1e6:
+            return None
+        z = m.wrap(z + e)
+    g = m.delta(z[1:], evaluate(m, z[:-1]))
+    worst = float(np.max(np.linalg.norm(g, axis=1)))
+    return (z, worst) if worst < shadowing._DEFECT_TOL else None
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("name", ["cat", "linear", "standard-1.5"])
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_matches_the_scalar_loop(self, name, data):
+        m = STAGE_CASES[name][0]()
+        x0 = np.array(data.draw(st.lists(st.floats(0.0, 0.99), min_size=2,
+                                         max_size=2)))
+        delta = data.draw(st.sampled_from([0.0, 1e-6, 1e-4, 1e-3, 1e-2]))
+        N = data.draw(st.integers(0, 30))
+        po = random_pseudo_orbit(m, x0, delta, N,
+                                 rng_seed=data.draw(st.integers(0, 2 ** 31)))
+        got = shadowing._refine_shadow(m, po.points)
+        want = scalar_loop_refine(m, po.points)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1]
+
+    def test_split_coordinates_match_the_scalar_loop(self):
+        # 2,000 random sequences, eigenvalues up to 1e300 in modulus and
+        # defect coordinates up to 1e300, either sign; in a fifth of them
+        # two defects of 1.7e308 make the stable sums overflow
+        rng = np.random.default_rng(0)
+        overflowed = 0
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            mag = 10.0 ** rng.uniform(0.0, 300.0, size=n)
+            sign = rng.choice([-1.0, 1.0], size=(n, 2))
+            vals = np.column_stack((1.0 + mag * rng.random(n),
+                                    rng.random(n) / mag)) * sign
+            h = rng.normal(size=(n - 1, 2)) * \
+                10.0 ** rng.uniform(-300.0, 300.0, size=(n - 1, 1))
+            if n > 2 and rng.random() < 0.2:
+                i = int(rng.integers(n - 2))
+                h[i:i + 2] = rng.choice([-1.7e308, 1.7e308])
+                vals[i + 1, 1] = 0.99
+            with np.errstate(all="ignore"):
+                want = scalar_loop_coordinates(vals, h)
+            got = shadowing._split_coordinates(vals, h)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            overflowed += not np.isfinite(np.concatenate(got)).all()
+        assert overflowed > 100
 
 
 def loop_oriented(vecs):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dynkit._util import min_image, wrap_unit
+from dynkit._util import min_image, vector_norms, wrap_unit
 from dynkit.chain_graph import build_graph
 from dynkit.phase_space import Domain, Grid
 from dynkit.system import (
@@ -295,6 +295,41 @@ class TestUnitWrap:
                 dataclasses.replace(cat, periods=periods)
         assert dataclasses.replace(cat, periods=None).wrap(5.0) == 5.0
         assert MapSpec("circle", 1, {}, cat.forward, periods=(1.0,)).periods
+
+
+# entries a norm must carry through: zeros, subnormals, huge, infinite
+NORM_SPECIALS = [0.0, -0.0, 5e-324, -2.5e-320, 1e-310, 1e154, 1e200, -1e300,
+                 1.7e308, np.inf, -np.inf, np.nan]
+
+
+class TestVectorNorms:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_axis_norm_bitwise(self, data):
+        dim = data.draw(st.integers(1, 9), label="dim")
+        lead = data.draw(st.sampled_from([(), (1,), (50,), (6, 7)]),
+                         label="leading shape")
+        shape = lead + (dim,)
+        # laid out in any axis order, then viewed in this shape
+        order = data.draw(st.permutations(range(len(shape))), label="layout")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        d = rng.normal(size=[shape[a] for a in order]) * \
+            10.0 ** rng.integers(-3, 4, size=[shape[a] for a in order])
+        specials = data.draw(st.sampled_from([0.0, 0.05, 0.5]))
+        hit = rng.random(d.shape) < specials
+        d[hit] = rng.choice(NORM_SPECIALS, size=int(hit.sum()))
+        d = d.transpose(np.argsort(order))
+        assert d.shape == shape
+        with np.errstate(all="ignore"):
+            assert same_bytes(vector_norms(d), np.linalg.norm(d, axis=-1))
+
+    def test_distance_is_the_axis_norm_of_delta(self):
+        cat = make_map("cat")
+        a = np.random.default_rng(0).random((31, 7, 2))
+        b = np.random.default_rng(1).random((31, 2))
+        d = cat.delta(a.transpose(1, 0, 2), b)
+        assert same_bytes(cat.distance(a.transpose(1, 0, 2), b),
+                          np.linalg.norm(d, axis=-1))
 
 
 class TestReferenceEvaluators:

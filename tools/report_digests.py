@@ -12,8 +12,9 @@ the same lines when their reports are byte-identical:
 With `--against FILE` it exits 1 and names each line that differs from,
 or is missing in, FILE.  The list holds the bench's eight CLI ops, the
 homoclinic and accumulate runs on the standard map at K = 0.97 (period
-3), 1.5 and 2.0, and two `manifolds` runs whose grids have a periodic
-point on the torus seam.
+3), 1.5 and 2.0, two `manifolds` runs whose grids have a periodic
+point on the torus seam, and `shadow` and `splice` runs on the cat,
+standard, linear and 1-D cubic maps.
 """
 
 from __future__ import annotations
@@ -91,6 +92,25 @@ RUNS = [
      {"period": 3, "arclength": 5}, {}),
     ("seam-standard-1.5-p1", "manifolds", _standard(1.5), _torus(2),
      {"arclength": 4}, {}),
+    # shadow searches: a refined cat witness, a standard-map seed within
+    # eps and an unshadowed one, maps without a refinement, a cat splice
+    ("cat-shadow", "shadow", _CAT, _torus(3), {"x0": [0.25, 0.6], "N": 30},
+     {}),
+    ("standard-0.97-shadow-seed", "shadow", _standard(0.97), _torus(3),
+     {"x0": [0.5, 0.5], "N": 50}, {}),
+    ("standard-0.97-shadow-unshadowed", "shadow", _standard(0.97),
+     _torus(3), {"x0": [0.1, 0.1], "N": 50}, {}),
+    ("linear-shadow", "shadow", {"name": "linear", "a": 2.0, "b": 0.5},
+     {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "depth": [3, 3]},
+     {"x0": [0.3, 0.2], "N": 5}, {}),
+    ("cubic1-shadow", "shadow",
+     {"name": "poly", "dimension": 1, "components": [_CUBIC]},
+     {"lower": [-2.0], "upper": [2.0], "depth": [4]},
+     {"x0": [0.5], "N": 30}, {}),
+    ("cat-splice", "splice", _CAT, _torus(3),
+     {"q": [0.1, 0.2], "x0": [0.3, 0.7], "eps": 5e-2,
+      "grid_resolution": 5e-3, "n_back": 10, "n_forward": 10},
+     {"delta": 2e-2}),
 ]
 
 
