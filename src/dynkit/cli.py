@@ -552,6 +552,12 @@ def run_shadow(cfg, exp, out_dir, map_spec, grid):
     except sh.NonFiniteOrbitError as e:
         raise ConfigError(f"the pseudo-orbit from experiment.x0 overflows "
                           f"within experiment.N steps: {e}") from e
+    except ValueError as e:
+        # the stored points round at the ulp of coordinates that outgrow
+        # delta, so the recomputed defect can reach it
+        raise ConfigError(f"no pseudo-orbit within delta {cfg['delta']:g} "
+                          f"for experiment.N {exp['N']} from experiment.x0 "
+                          f"{list(map(float, x0))}: {e}") from e
     result = _shadow_search(map_spec, po, exp["eps"], res)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv = out_dir / "pseudo_orbit.csv"
@@ -656,6 +662,14 @@ def run_manifolds(cfg, exp, out_dir, map_spec, grid):
 
 def run_homoclinic(cfg, exp, out_dir, map_spec, grid):
     hp, _, Wu, Ws = _anchor_manifolds(cfg, exp, map_spec, grid)
+    capped = Wu.capped + Ws.capped
+    if capped:
+        raise ConfigError(
+            f"{capped} manifold segments are longer than experiment.max_seg "
+            f"{exp['max_seg']:g} at experiment.arclength {exp['arclength']:g}: "
+            f"growth hit its refinement cap, and homoclinic points are not "
+            f"read off under-resolved polylines; a larger max_seg or a "
+            f"shorter arclength avoids it")
     try:
         hits = mf.homoclinic_points(Wu, Ws, map_spec=map_spec,
                                     tol_int=cfg["tolerances"]["tol_int"])
@@ -679,9 +693,8 @@ def run_homoclinic(cfg, exp, out_dir, map_spec, grid):
         "arclength": exp["arclength"],
         "n_hits": len(hits),
         "nearest_distance": hits[0].distance_from_anchor if hits else None,
-        "capped_segments": Wu.capped + Ws.capped,
+        "capped_segments": capped,
     }
-    _warn_capped(results["capped_segments"], exp["max_seg"])
     return results, artifacts, 0
 
 

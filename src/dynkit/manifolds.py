@@ -19,7 +19,7 @@ import numpy as np
 
 from ._util import min_image, row_norms, vector_norms, wrap_unit
 from .phase_space import Grid
-from .system import MapSpec, evaluate, iterates
+from .system import _AFFINE, MapSpec, evaluate, iterates
 
 __all__ = [
     "HyperbolicPoint", "ManifoldPolyline", "HomoclinicHit",
@@ -307,11 +307,11 @@ def _bad_intervals(deltas: np.ndarray, ts: np.ndarray, max_seg: float,
                    turn_max: float) -> np.ndarray:
     """Mask of the parameter intervals [ts[i], ts[i+1]] to bisect.
 
-    `deltas[0]` leads from the polyline's last vertex to the image of
-    ts[0], `deltas[k]` from the image of ts[k-1] to that of ts[k].  An
-    interval is bad if its image is longer than max_seg or the chain
-    turns by more than turn_max at either end of it; intervals narrower
-    than 1e-12 are never bad.
+    `deltas[0]` leads into the image of ts[0] (from the anchor, or along
+    the polyline's last segment), `deltas[k]` from the image of ts[k-1]
+    to that of ts[k].  An interval is bad if its image is longer than
+    max_seg or the chain turns by more than turn_max at either end of it;
+    intervals narrower than 1e-12 are never bad.
     """
     lens = vector_norms(deltas)
     bad = lens[1:] > max_seg
@@ -335,18 +335,32 @@ _TURN_MAX = 0.2
 _MAX_VERTICES = 200000
 
 
+def _chain_arclength(start: float, deltas: np.ndarray) -> np.ndarray:
+    """Arclength at the end of each of the chain steps `deltas`, from
+    `start`: one-vector norms, so the running sums equal a vertex-by-vertex
+    accumulation."""
+    return np.cumsum(np.concatenate([[start], row_norms(deltas)]))[1:]
+
+
 def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
                   target_arclength: float, max_seg: float,
                   branch: int = +1) -> ManifoldPolyline:
     """Grow one branch of W^s or W^u of a hyperbolic periodic point.
 
-    Iterates the fundamental domain [x0, y0] under f^period (unstable) or
-    f^{-period} (stable): x0 sits `_R0` along the eigendirection, y0 is
-    its image, and the seed chord x0 + t delta(x0, y0) ends on y0 exactly,
-    so every generation starts on the previous one's last vertex.
-    Parameters are bisected until consecutive images are closer than
-    max_seg and turn less than `_TURN_MAX` radians.  Growth stops at
-    target_arclength.
+    Continues the fundamental domain [x0, y0] under f^period (unstable) or
+    f^{-period} (stable), as Krauskopf and Osinga (J. Comput. Phys. 146,
+    1998) do: x0 sits `_R0` along the eigendirection, y0 is its image, and
+    the seed chord x0 + t delta(x0, y0) ends on y0 exactly, so every
+    generation starts on the previous one's last vertex.  Generation 0
+    bisects 9 uniform parameters until consecutive images are closer than
+    max_seg and turn less than `_TURN_MAX` radians; each later one starts
+    from the last one's final parameters, carried by f^period, and bisects
+    on, mapping only its new midpoints from the seed chord.  Each round
+    first drops the parameters past the first image at target_arclength,
+    and growth stops there.  A generation stops bisecting past 4096
+    parameters, and its successors start above that cap unless the
+    pruning brings them under it; the segments left longer than max_seg
+    are counted in `capped`.
     """
     if side not in ("stable", "unstable"):
         raise ValueError("side must be 'stable' or 'unstable'")
@@ -364,74 +378,67 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
     y0 = _apply_steps(map_spec, x0, hp.period, inverse)
     chord = map_spec.delta(x0, y0)
 
-    def seed_chord(ts: np.ndarray) -> np.ndarray:
-        out = map_spec.wrap(x0 + ts[:, None] * chord)
-        out[ts == 1.0] = y0  # t = 1 is y0 bit for bit
-        return out
-
-    # the previous generation's final parameters and their images: f^period
-    # carries those forward, and only parameters new to this generation
-    # are iterated from the seed chord
-    prev_ts = prev_pts = None
-
     def images(ts: np.ndarray) -> np.ndarray:
         """f^(gen*period) (f^-(gen*period) on the stable side) of the seed
-        chord at ts.  Every ts is dyadic, so the carry lookup is exact."""
-        if gen == 0:
-            return seed_chord(ts)
-        at = np.minimum(np.searchsorted(prev_ts, ts), prev_ts.size - 1)
-        # y0 = f^period(x0), so t = 0 maps to the last generation's t = 1
-        start = ts == 0.0
-        new = prev_ts[at] != ts
-        carried = ~new & ~start
-        out = np.empty((ts.size, map_spec.dim))
-        out[start] = prev_pts[-1]
-        if carried.any():
-            out[carried] = _apply_steps(map_spec, prev_pts[at[carried]],
-                                        hp.period, inverse)
-        if new.any():
-            out[new] = _apply_steps(map_spec, seed_chord(ts[new]),
-                                    gen * hp.period, inverse)
-        return out
+        chord at ts; t = 1 is y0 bit for bit."""
+        out = map_spec.wrap(x0 + ts[:, None] * chord)
+        out[ts == 1.0] = y0
+        return _apply_steps(map_spec, out, gen * hp.period, inverse) if gen else out
 
-    # one block per generation; each block continues the previous one
+    # one block per generation; each block continues the previous one.  A
+    # generation's chain leads in from `tail` at arclength `tail_arc`: the
+    # anchor at generation 0, then the vertex before the polyline's last
+    # one, the image of t = 0, so the turn into the generation is tested
     vertices = [map_spec.wrap(p.copy())[None, :]]
     lift = [p.copy()[None, :]]
     arc = [np.zeros(1)]
+    tail, tail_arc = vertices[0], 0.0
     nvert = 1
 
+    def chain(pts: np.ndarray):
+        """The steps from tail through pts, and the arclength at each."""
+        deltas = map_spec.delta(np.concatenate([tail, pts[:-1]]), pts)
+        return deltas, _chain_arclength(tail_arc, deltas)
+
     gen = 0
+    ts = np.linspace(0.0, 1.0, 9)
+    pts = images(ts)
     done = False
     while not done:
-        ts = np.linspace(0.0, 1.0, 9)
-        pts = images(ts)
+        if gen > 0:
+            # y0 = f^period(x0), so t = 0 maps to the last generation's t = 1
+            pts = np.concatenate([pts[-1:], _apply_steps(map_spec, pts[1:],
+                                                         hp.period, inverse)])
         # refine parameters until the image chain is tame; each round maps
         # only its midpoints and inserts them after their interval's start
         for _ in range(60):
-            chain = np.concatenate([vertices[-1][-1:], pts], axis=0)
-            bad = _bad_intervals(map_spec.delta(chain[:-1], chain[1:]), ts,
-                                 max_seg, _TURN_MAX)
+            deltas, arcs = chain(pts)
+            # a chord is never longer than its arc and bisection never
+            # shortens the chain, so no parameter past the first image at
+            # the target can give a kept vertex
+            keep = 1 + int(np.count_nonzero(arcs < target_arclength))
+            ts, pts, deltas = ts[:keep], pts[:keep], deltas[:keep]
+            bad = _bad_intervals(deltas, ts, max_seg, _TURN_MAX)
             if not bad.any() or len(ts) > 4096:
                 break
             new_ts = 0.5 * (ts[:-1][bad] + ts[1:][bad])
             at = np.flatnonzero(bad) + 1
             ts = np.insert(ts, at, new_ts)
             pts = np.insert(pts, at, images(new_ts), axis=0)
-        prev_ts, prev_pts = ts, pts
-        if gen > 0:
-            pts = pts[1:]  # t=0 is the previous generation's last vertex
-        d = map_spec.delta(np.concatenate([vertices[-1][-1:], pts[:-1]]), pts)
-        # one-vector norms, so the running sums equal a vertex-by-vertex
-        # accumulation
-        steps = row_norms(d)
-        arcs = np.cumsum(np.concatenate([arc[-1][-1:], steps]))[1:]
+        deltas, arcs = chain(pts)
+        first = 1 if gen > 0 else 0  # t=0 is the polyline's last vertex
+        kept, d, arcs = pts[first:], deltas[first:], arcs[first:]
         n = int(np.count_nonzero(arcs < target_arclength))
         if n < arcs.size:
             done = True
             n += 1
-        vertices.append(pts[:n])
+        vertices.append(kept[:n])
         lift.append(np.cumsum(np.concatenate([lift[-1][-1:], d[:n]]), axis=0)[1:])
         arc.append(arcs[:n])
+        # the vertex before the last, which a one-vertex block leaves in
+        # the block before
+        tail = np.concatenate([vertices[-2][-1:], vertices[-1]])[-2:-1]
+        tail_arc = np.concatenate([arc[-2][-1:], arc[-1]])[-2]
         nvert += n
         if nvert > _MAX_VERTICES:
             break
@@ -724,7 +731,9 @@ def _hit_pipeline(cuts: list, tol_int: float, periods,
     angle below `TRANSVERSALITY_MIN`.  With `map_spec` given, one
     `_polish_hits` call polishes the union of all pairs' rows.  Rows
     polish independently, and every truncation has its polylines'
-    max_seg, so the move cap is 4.5 max_seg for them all.
+    max_seg, so the move cap is 4.5 max_seg for them all.  The affine
+    registry maps (`system._AFFINE`) have straight manifolds, whose raw
+    crossings are already exact: their hits are not polished.
     """
     cr = _crossings(*cuts[-1], tol_int, periods)
     rows_by_cut = []
@@ -735,7 +744,7 @@ def _hit_pipeline(cuts: list, tol_int: float, periods,
     union = np.asarray(sorted(set().union(*(r.tolist() for r in rows_by_cut))),
                        dtype=np.int64)
     hits = dict(zip(union.tolist(), _hits(cr, union)))
-    if map_spec is not None:
+    if map_spec is not None and map_spec.name not in _AFFINE:
         Wu, Ws = cuts[-1]
         move_cap = 3.0 * max(1.5 * max(Wu.max_seg, Ws.max_seg), 1e-9)
         polished = _polish_hits(map_spec, Wu.anchor, cr.point[union], move_cap)
@@ -759,13 +768,13 @@ def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,
     touch, and the pairs sharing a bucket are tested in array blocks
     (`_crossings`); crossings whose points round to the same tol_int key
     are kept first come, in (W^u, W^s) segment order, and those at an
-    angle below `TRANSVERSALITY_MIN` are dropped.  With `map_spec` given
-    and invertible, each hit is Newton-polished against the dynamics, each
-    move capped at 4.5 max_seg, so the definitional membership test
-    (forward and backward convergence to the anchor orbit) holds to
-    hyperbolic accuracy.  This is the one-truncation case of the pipeline
-    `accumulation_check` runs.  Polylines that are not 2-D raise
-    ValueError.
+    angle below `TRANSVERSALITY_MIN` are dropped.  With `map_spec` given,
+    invertible and not affine, each hit is Newton-polished against the
+    dynamics, each move capped at 4.5 max_seg, so the definitional
+    membership test (forward and backward convergence to the anchor
+    orbit) holds to hyperbolic accuracy.  This is the one-truncation case
+    of the pipeline `accumulation_check` runs.  Polylines that are not 2-D
+    raise ValueError.
     """
     if Wu.side != "unstable" or Ws.side != "stable":
         raise ValueError("pass the unstable polyline first, the stable second")

@@ -438,6 +438,33 @@ class TestExperiments:
         assert "not finite" in lines[0] and "point 23" in lines[0]
         assert not (tmp_path / "out").exists()
 
+    def test_shadow_of_a_pseudo_orbit_past_delta_is_a_config_error(
+            self, tmp_path):
+        # linear(2, 0.5) from (0.3, 0.2): the points round at the ulp of
+        # 0.3 * 2^i, so the recomputed defect reaches delta 1e-4 (step 41
+        # at rng_seed 0): exit 2 with one stderr line naming delta, N and
+        # x0, and no traceback
+        cfg = {"map": {"name": "linear", "a": 2.0, "b": 0.5},
+               "grid": {"lower": [-1, -1], "upper": [1, 1], "depth": [3, 3]},
+               "delta": 1e-4, "rng_seed": 0,
+               "experiment": {"x0": [0.3, 0.2], "N": 100},
+               "out": str(tmp_path / "out")}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        src = str(Path(dynkit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynkit.cli", "shadow", "--config",
+             str(path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert "delta 0.0001" in lines[0] and "experiment.N 100" in lines[0]
+        assert "experiment.x0 [0.3, 0.2]" in lines[0]
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_strong_cr_on_translation_finds_nothing(self, tmp_path):
         cfg = {
             "map": {"name": "translation"},
@@ -923,21 +950,37 @@ class TestMoreSubcommands:
 
     def test_capped_segments_reported(self, tmp_path):
         # cat at arclength 40 needs more than the 4096-parameter cap allows
-        # at max_seg 0.01; short runs stay within max_seg.  A capped run
-        # writes one stderr warning naming the count and max_seg
+        # at max_seg 0.005, and no more at 0.01.  homoclinic refuses a
+        # capped run (exit 2, one line naming the count, max_seg and
+        # arclength); manifolds and accumulate write their report and one
+        # stderr warning naming the count and max_seg
         torus = {"lower": [0, 0], "upper": [1, 1],
                  "periodic": [True, True], "depth": [3, 3]}
-        cases = [("homoclinic", {"arclength": 40.0, "max_seg": 0.01}, True),
+        cases = [("homoclinic", {"arclength": 40.0, "max_seg": 0.005}, True),
+                 ("homoclinic", {"arclength": 40.0, "max_seg": 0.01}, False),
+                 ("manifolds", {"arclength": 40.0, "max_seg": 0.005}, True),
                  ("manifolds", {"arclength": 3.0, "max_seg": 0.02}, False),
+                 ("accumulate", {"arclength_schedule": [20, 40], "radii": [0.1],
+                                 "max_seg": 0.005}, True),
                  ("accumulate", {"arclength_schedule": [2, 4], "radii": [0.1],
                                  "max_seg": 0.02}, False)]
-        for sub, exp, capped in cases:
-            out = tmp_path / sub
-            path = tmp_path / f"{sub}.json"
+        for k, (sub, exp, capped) in enumerate(cases):
+            out = tmp_path / f"{sub}-{k}"
+            path = tmp_path / f"{sub}-{k}.json"
             path.write_text(json.dumps({"map": {"name": "cat"}, "grid": torus,
                                         "experiment": exp, "out": str(out)}))
             res = run_cli([sub, "--config", str(path)])
-            assert res.exit_code == 0
+            if sub == "homoclinic" and capped:
+                assert res.exit_code == 2
+                assert not (out / "report.json").exists()
+                err = res.stderr.splitlines()
+                assert len(err) == 1 and err[0].startswith("config error: ")
+                count = int(err[0].split()[2])
+                assert count > 0
+                assert f"{count} manifold segments" in err[0]
+                assert "max_seg 0.005 at experiment.arclength 40" in err[0]
+                continue
+            assert res.exit_code == 0, (sub, res.stderr)
             report = json.loads((out / "report.json").read_text())
             count = report["results"]["capped_segments"]
             assert (count > 0) == capped, sub
@@ -946,7 +989,7 @@ class TestMoreSubcommands:
             assert len(warnings) == capped, sub
             if capped:
                 assert f"{count} manifold segments" in warnings[0]
-                assert "max_seg 0.01" in warnings[0]
+                assert "max_seg 0.005" in warnings[0]
 
     def test_accumulate_reads_tol_int(self, tmp_path, monkeypatch):
         # the whole schedule shares one crossing pass, which gets tol_int
@@ -966,9 +1009,10 @@ class TestMoreSubcommands:
         assert run_cli(["accumulate", "--config", str(path)]).exit_code == 0
         assert seen == [1e-6]
 
-# regression value recorded from a run of this configuration; the polished
-# hit on the seam y = 0 lands at y = 1 - 1e-16 and is drawn at cy="1000.000"
-PINNED_HOMOCLINIC_SVG_BYTES = 11578
+# regression value recorded from a run of this configuration; the hit on
+# the seam y = 0 lies at y = 1 - 1.1e-16 and is drawn at cy="0.000" (cat
+# hits are not polished; the polish moved it to y = 0, cy="1000.000")
+PINNED_HOMOCLINIC_SVG_BYTES = 11575
 
 
 class TestGraphDump:

@@ -47,7 +47,8 @@ def growth_anchor(name):
     if name == "poly":
         return poly_saddle()
     K, period, depth = {"standard-0.97": (0.97, 3, 6),
-                        "standard-1.5": (1.5, 1, 3)}[name]
+                        "standard-1.5": (1.5, 1, 3),
+                        "standard-2.0": (2.0, 1, 3)}[name]
     m = make_map("standard", K=K)
     g = Grid(Domain((0.0, 0.0), (1.0, 1.0), (True, True)), (depth, depth))
     return m, [hp for hp in find_periodic_points(m, period, g)
@@ -492,19 +493,24 @@ class TestGrowManifold:
         steps = np.linalg.norm(np.diff(Wu.lift, axis=0), axis=1)
         assert float(np.max(steps)) <= 0.05 + 1e-9
 
-    def test_capped_segments_counted(self):
-        # at arclength 40 the 4096-parameter cap leaves segments over
-        # max_seg = 0.01; at 0.02 every segment honours the cap
+    def test_capped_segments_counted(self, monkeypatch):
+        # cat to arclength 40: at max_seg 0.005 a generation before the
+        # last needs more than the 4096-parameter cap allows and keeps
+        # segments over max_seg; at 0.01 every segment honours max_seg
         m, hp = cat_anchor()
-        for max_seg, expect_capped in ((0.01, True), (0.02, False)):
-            polys = [grow_manifold(m, hp, side, 40.0, max_seg=max_seg)
-                     for side in ("unstable", "stable")]
-            for poly in polys:
+        for max_seg, expect_capped in ((0.005, True), (0.01, False)):
+            for side in ("unstable", "stable"):
+                poly, gens = _growth_log(monkeypatch, m, hp, side, 40.0, max_seg)
                 lens = np.linalg.norm(np.diff(poly.lift, axis=0), axis=1)
                 assert poly.capped == int(np.count_nonzero(lens > max_seg))
                 assert poly.truncated(5.0).max_seg == max_seg
-            total = sum(poly.capped for poly in polys)
-            assert (total > 0) == expect_capped, total
+                assert (poly.capped > 0) == expect_capped, poly.capped
+                # generations whose last round stopped at the cap with
+                # intervals still to bisect
+                capped = [g for g, rounds in enumerate(gens)
+                          if rounds[-1]["size"] > 4096 and rounds[-1]["bad"]]
+                assert bool(capped) == expect_capped
+                assert all(g < len(gens) - 1 for g in capped), (capped, len(gens))
 
     @pytest.mark.parametrize("n", [0, 3, 6, 9])
     def test_bad_intervals_match_per_pair_reference(self, n):
@@ -537,7 +543,8 @@ class TestGrowManifold:
     def test_matches_full_reevaluation_reference(self, name, arclength,
                                                  r0_scale, data):
         # each parameter mapped once per generation, against the loop that
-        # maps every parameter from the seed chord in every round
+        # maps every parameter from the seed chord in every round of the
+        # same continuation schedule
         m, hp = growth_anchor(name)
         kw = dict(target_arclength=data.draw(st.floats(0.2, arclength)),
                   max_seg=data.draw(st.floats(0.01, 0.05)),
@@ -600,22 +607,34 @@ class TestGrowManifold:
     @pytest.mark.parametrize("side", ["unstable", "stable"])
     def test_each_generation_starts_on_the_last_vertex(self, monkeypatch,
                                                        name, side):
-        # the image of t = 0 at generation g >= 1 is generation g - 1's
-        # last vertex bit for bit, so the chain has no junction segment
+        # every round's chain leads in along a segment of the polyline:
+        # from the anchor to the image of t = 0 at generation 0, and along
+        # the last segment at generation g >= 1, whose t = 0 image is
+        # generation g - 1's last vertex bit for bit (no junction segment)
         m, hp = growth_anchor(name)
-        starts, _ = _growth_rounds(monkeypatch, m, hp, side,
-                                   1.0 if name == "poly" else 3.0, 0.02)
-        assert len(starts) > 2 and not starts[0]  # generation 0 leaves p
-        assert all(starts[1:])
+        poly, gens = _growth_log(monkeypatch, m, hp, side,
+                                 1.0 if name == "poly" else 3.0, 0.02)
+        assert len(gens) > 2
+        rows = [v.tobytes() for v in poly.vertices]
+        end = 1  # vertices of the generations so far
+        for g, rounds in enumerate(gens):
+            for r in rounds:
+                assert (r["tail"], r["start"]) == \
+                    ((rows[0], rows[1]) if g == 0 else tuple(rows[end - 2:end]))
+            end += rounds[-1]["kept"]
+        assert end == len(rows)
 
     @pytest.mark.parametrize("side", ["unstable", "stable"])
     def test_bench_standard_growth_takes_few_rounds(self, monkeypatch, side):
         # the bench config (standard K = 0.97, period 3, arclength 5,
         # max_seg 0.01): a gap at each junction would be read as a sharp
-        # turn and bisected down to the parameter floor, over 200 rounds
+        # turn and bisected down to the parameter floor, over 200 rounds;
+        # each generation continuing the last one's parameters takes 18
+        # rounds on either side (restarting from 9 took 26 and 40)
         m, hp = growth_anchor("standard-0.97")
-        _, rounds = _growth_rounds(monkeypatch, m, hp, side, 5.0, 0.01)
-        assert rounds <= 60, rounds
+        _, gens = _growth_log(monkeypatch, m, hp, side, 5.0, 0.01)
+        rounds = sum(r["bad"] and r["size"] <= 4096 for g in gens for r in g)
+        assert rounds <= 24, rounds
 
     def test_anchor_ulp_does_not_change_the_polyline(self):
         # standard K = 1.5, fixed point: an anchor one ulp off (0, 0) grows
@@ -629,6 +648,56 @@ class TestGrowManifold:
         assert polys[0].vertices.shape == polys[1].vertices.shape
         assert polys[0].capped == polys[1].capped == 0
         assert abs(polys[0].total_arclength - polys[1].total_arclength) < 1e-8
+
+    @pytest.mark.parametrize("name, arclength", [
+        ("cat", 40.0), ("standard-0.97", 5.0), ("standard-1.5", 6.0),
+        ("standard-2.0", 4.0)])
+    @pytest.mark.parametrize("side", ["unstable", "stable"])
+    def test_shorter_growth_is_a_prefix(self, name, arclength, side):
+        # what accumulate's base-point check needs: for L < L', the
+        # polyline grown to L less its last vertex leads the one grown to
+        # L'.  Generations before the last are grown alike, and a round's
+        # pruning drops only parameters past the target.
+        m, hp = growth_anchor(name)
+        polys = [grow_manifold(m, hp, side, L, max_seg=0.01)
+                 for L in np.linspace(0.05, arclength, 12)]
+        assert all(poly.capped == 0 for poly in polys)
+        for k, short in enumerate(polys):
+            head = short.vertices[:-1]
+            for long in polys[k + 1:]:
+                assert long.vertices[:head.shape[0]].tobytes() == head.tobytes()
+
+    @pytest.mark.parametrize("name", ["cat", "standard-0.97", "standard-1.5",
+                                      "poly"])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_segments_turns_and_end_within_the_contract(self, name, data):
+        # every segment is at most max_seg, the capped ones aside, and an
+        # uncapped polyline turns by at most _TURN_MAX at every vertex,
+        # the junctions of generations included; the last vertex is the
+        # first at the target arclength
+        m, hp = growth_anchor(name)
+        target = data.draw(st.floats(0.2, 1.0 if name == "poly" else 6.0))
+        max_seg = data.draw(st.floats(0.005, 0.05))
+        turn_max = data.draw(st.floats(0.05, 0.6))
+        kw = dict(side=data.draw(st.sampled_from(["unstable", "stable"])),
+                  branch=data.draw(st.sampled_from([1, -1])))
+        with mock.patch.object(manifolds, "_R0", 1e-4 if name == "poly" else 1e-6), \
+                mock.patch.object(manifolds, "_TURN_MAX", turn_max):
+            poly = grow_manifold(m, hp, target_arclength=target,
+                                 max_seg=max_seg, **kw)
+        _check_contract(poly, target, max_seg, turn_max)
+
+    @pytest.mark.parametrize("name, turn_max", [("standard-1.5", 0.1),
+                                                ("standard-0.97", 0.15)])
+    def test_turn_into_each_generation_is_bisected(self, name, turn_max):
+        # chains led in from the polyline's last vertex (a zero-length
+        # lead) never test the turn at a generation's junction: these two
+        # then turn by 0.119 and 0.156 there
+        m, hp = growth_anchor(name)
+        with mock.patch.object(manifolds, "_TURN_MAX", turn_max):
+            poly = grow_manifold(m, hp, "unstable", 3.0, max_seg=0.04)
+        _check_contract(poly, 3.0, 0.04, turn_max)
 
     def test_no_unstable_side_on_contraction(self):
         m = make_map("contraction", c=0.5, dim=2)
@@ -686,16 +755,19 @@ class TestHomoclinic:
         assert int(np.count_nonzero(bad)) == 0
 
     def test_polish_moves_cat_hits_by_rounding_only(self):
-        # cat manifolds are straight, so the raw crossings are already exact
+        # cat manifolds are straight, so the raw crossings are already
+        # exact: the polish would move each by rounding only, which is why
+        # homoclinic_points skips it on the affine maps
         m, hp = cat_anchor()
         Wu = grow_manifold(m, hp, "unstable", 10.0, max_seg=0.02)
         Ws = grow_manifold(m, hp, "stable", 10.0, max_seg=0.02)
         raw = np.asarray([h.point for h in
                           _raw_hits(Wu, Ws, 1e-9, m.periods)[0]])
-        polished = np.asarray([h.point for h in homoclinic_points(Wu, Ws, map_spec=m)])
-        assert raw.shape == polished.shape
-        for x in polished:
-            assert float(np.min(m.distance(raw, x))) < 1e-13
+        polished = manifolds._polish_hits(m, hp, raw, 3.0 * 1.5 * 0.02)
+        assert raw.shape == polished.shape and len(raw) > 50
+        assert float(np.max(m.distance(raw, polished))) < 1e-13
+        hits = homoclinic_points(Wu, Ws, map_spec=m)
+        assert np.asarray([h.point for h in hits]).tobytes() == raw.tobytes()
 
     def test_polish_keeps_standard_hits_on_the_unstable_manifold(self):
         # standard K = 1.5: 27 hits, most of which the polish moves by
@@ -890,8 +962,9 @@ class TestAccumulation:
 
         monkeypatch.setattr(manifolds, "_polish_hits", counted)
         got = accumulation_check(m, hp, q, radii, schedule, max_seg=max_seg)
-        assert len(calls) == 1  # one polish over every truncation's hits
-        assert (calls[0] == 0) == (name == "linear")
+        # one polish over every truncation's hits; none on an affine map
+        assert len(calls) == (0 if m.name in system._AFFINE else 1)
+        assert all(calls)
         expect = reference_accumulation(m, hp, q, radii, schedule, max_seg)
         assert _accumulation_records(got) == _accumulation_records(expect)
         used = {row.arclength_used for row in got if row.found}
@@ -1029,12 +1102,31 @@ def _bad_reference(deltas, ts, max_seg, turn_max):
     return sorted(i for i in bad if ts[i + 1] - ts[i] > 1e-12)
 
 
-def _growth_rounds(monkeypatch, map_spec, hp, side, target_arclength, max_seg):
-    """Grow one side; return, per generation, whether the image of t = 0
-    is the polyline's last vertex bit for bit in every round of it, and
-    the number of refinement rounds that bisected."""
-    starts, rounds, last = [], [0], {}
+def _check_contract(poly, target, max_seg, turn_max):
+    """Segments over max_seg are those counted in `capped`; an uncapped
+    polyline turns by at most turn_max at every vertex; the last vertex is
+    the first at the target arclength."""
+    d = np.diff(poly.lift, axis=0)
+    lens = np.linalg.norm(d, axis=1)
+    assert poly.capped == int(np.count_nonzero(lens > max_seg))
+    if poly.capped == 0:
+        tame = (lens[:-1] >= 1e-15) & (lens[1:] >= 1e-15)
+        cos = np.einsum("ij,ij->i", d[:-1], d[1:])[tame] \
+            / (lens[:-1] * lens[1:])[tame]
+        turns = np.arccos(np.clip(cos, -1.0, 1.0))
+        assert float(np.max(turns, initial=0.0)) <= turn_max + 1e-12
+    assert poly.arclength[-1] >= target > poly.arclength[-2]
+
+
+def _growth_log(monkeypatch, map_spec, hp, side, target_arclength, max_seg):
+    """Grow one side; return the polyline and, per generation, its
+    refinement rounds: the bytes of the chain's first two points (`tail`,
+    then the image of t = 0), the parameter count after the round's
+    pruning (`size`), whether it found intervals to bisect (`bad`), and
+    in the generation's last round the vertices it keeps (`kept`)."""
+    gens, last, kept = [], {}, []
     delta, bad_intervals = system.MapSpec.delta, manifolds._bad_intervals
+    arclength = manifolds._chain_arclength
 
     def recorded(self, a, b):
         last["ab"] = a, b
@@ -1043,25 +1135,40 @@ def _growth_rounds(monkeypatch, map_spec, hp, side, target_arclength, max_seg):
     def checked(deltas, ts, max_seg, turn_max):
         # the chain's deltas come from the delta call just before this one
         a, b = last["ab"]
-        same = a[0].tobytes() == b[0].tobytes()
-        if ts.size == 9:  # a generation's first round
-            starts.append(True)
-        starts[-1] &= same
+        if not gens or a[0].tobytes() != gens[-1][-1]["tail"]:
+            if gens:  # the arclength call before this round's ended it
+                gens[-1][-1]["kept"] = kept[-2]
+            gens.append([])  # a new tail: a new generation
         bad = bad_intervals(deltas, ts, max_seg, turn_max)
-        rounds[0] += int(bad.any() and ts.size <= 4096)
+        gens[-1].append({"tail": a[0].tobytes(), "start": b[0].tobytes(),
+                         "size": ts.size, "bad": bool(bad.any())})
         return bad
+
+    def arcs(start, deltas):
+        # a generation keeps the points below the target and the first at
+        # it, less the image of t = 0 from generation 1 on
+        out = arclength(start, deltas)
+        n = int(np.count_nonzero(out < target_arclength))
+        kept.append(min(n + 1, out.size) - (len(gens) > 1))
+        return out
 
     monkeypatch.setattr(system.MapSpec, "delta", recorded)
     monkeypatch.setattr(manifolds, "_bad_intervals", checked)
-    grow_manifold(map_spec, hp, side, target_arclength, max_seg)
-    return starts, rounds[0]
+    monkeypatch.setattr(manifolds, "_chain_arclength", arcs)
+    poly = grow_manifold(map_spec, hp, side, target_arclength, max_seg)
+    gens[-1][-1]["kept"] = kept[-1]
+    return poly, gens
 
 
 def reference_grow_manifold(map_spec, hp, side, target_arclength, max_seg,
                             turn_max=0.2, r0_scale=1e-6, branch=1,
                             max_vertices=200000):
     """grow_manifold mapping every parameter from the seed chord in every
-    refinement round; returns (vertices, lift, arclength)."""
+    refinement round, on the same schedule: generation g starts from
+    generation g - 1's final parameters, each round first drops the
+    parameters past the first image at the target, and the chain leads in
+    from the anchor, then along the polyline's last segment.  Returns
+    (vertices, lift, arclength)."""
     _, v = getattr(hp, side)
     inverse = side == "stable"
     scale = 1.0 if map_spec.periods is None else \
@@ -1077,40 +1184,44 @@ def reference_grow_manifold(map_spec, hp, side, target_arclength, max_seg,
         seeds[ts == 1.0] = y0
         return manifolds._apply_steps(map_spec, seeds, gen * hp.period, inverse)
 
-    vertices = [map_spec.wrap(p.copy())[None, :]]
-    lift = [p.copy()[None, :]]
-    arc = [np.zeros(1)]
-    nvert, gen, done = 1, 0, False
-    while not done:
-        ts = np.linspace(0.0, 1.0, 9)
-        pts = mapped(ts, gen)
+    def chain(lead, pts, start_arc):
+        """Steps from the chain's lead-in point through pts, and the
+        arclength at each, one vertex at a time."""
+        steps = map_spec.delta(np.concatenate([lead, pts[:-1]]), pts)
+        arcs, total = [], start_arc
+        for row in steps:
+            total = total + np.linalg.norm(row)
+            arcs.append(total)
+        return steps, np.asarray(arcs)
+
+    vertices, lift, arcl = map_spec.wrap(p.copy())[None, :], p[None, :], [0.0]
+    ts = np.linspace(0.0, 1.0, 9)
+    gen = 0
+    while True:
+        first = 1 if gen else 0  # vertices[-1] is the image of t = 0
+        lead, lead_arc = vertices[-1 - first:][:1], arcl[-1 - first]
         for _ in range(60):
-            chain = np.concatenate([vertices[-1][-1:], pts], axis=0)
-            bad = manifolds._bad_intervals(map_spec.delta(chain[:-1], chain[1:]),
-                                           ts, max_seg, turn_max)
+            pts = mapped(ts, gen)
+            steps, arcs = chain(lead, pts, lead_arc)
+            keep = int(np.count_nonzero(arcs < target_arclength)) + 1
+            ts, steps = ts[:keep], steps[:keep]
+            bad = manifolds._bad_intervals(steps, ts, max_seg, turn_max)
             if not bad.any() or len(ts) > 4096:
                 break
             ts = np.sort(np.concatenate([ts, 0.5 * (ts[:-1][bad] + ts[1:][bad])]))
-            pts = mapped(ts, gen)
-        if gen > 0:
-            pts = pts[1:]
-        d = map_spec.delta(np.concatenate([vertices[-1][-1:], pts[:-1]]), pts)
-        steps = np.array([np.linalg.norm(row) for row in d])
-        arcs = np.cumsum(np.concatenate([arc[-1][-1:], steps]))[1:]
-        n = int(np.count_nonzero(arcs < target_arclength))
-        if n < arcs.size:
-            done = True
-            n += 1
-        vertices.append(pts[:n])
-        lift.append(np.cumsum(np.concatenate([lift[-1][-1:], d[:n]]), axis=0)[1:])
-        arc.append(arcs[:n])
-        nvert += n
-        if nvert > max_vertices:
-            break
+        pts = mapped(ts, gen)
+        steps, arcs = chain(lead, pts, lead_arc)
+        n = int(np.count_nonzero(arcs[first:] < target_arclength))
+        done = n < arcs.size - first
+        n += first + done
+        vertices = np.concatenate([vertices, pts[first:n]])
+        lift = np.concatenate([lift[:-1], np.cumsum(np.concatenate(
+            [lift[-1:], steps[first:n]]), axis=0)])
+        arcl += arcs[first:n].tolist()
         gen += 1
-        if gen > 300:
+        if done or vertices.shape[0] > max_vertices or gen > 300:
             break
-    return np.concatenate(vertices), np.concatenate(lift), np.concatenate(arc)
+    return vertices, lift, np.asarray(arcl)
 
 
 def reference_accumulation(map_spec, hp, q, radii, arclength_schedule,

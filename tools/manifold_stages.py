@@ -8,6 +8,8 @@ schedule).  Per side it reports:
 - `rounds`: refinement rounds that bisected at least one interval;
 - `first_only`: those of them that bisected only the first interval of
   their generation, the one that starts at the previous generation's end;
+- `pruned`: parameters the rounds dropped as lying past the first image
+  at the target arclength;
 - `mapped_rows`: chord points handed to the f^±period steps, and
   `map_steps`: single steps of f^±1 they took (rows times steps);
 - `vertices` and `capped` of the polyline;
@@ -71,14 +73,21 @@ def _setup(name: str):
 
 def _counted(map_spec, hp, side, arclength, max_seg) -> dict:
     """One growth with its rounds and mapped rows counted."""
-    n = {"rounds": 0, "first_only": 0, "mapped_rows": 0, "map_steps": 0}
+    n = {"rounds": 0, "first_only": 0, "pruned": 0, "mapped_rows": 0,
+         "map_steps": 0}
     bad_intervals, apply_steps = mf._bad_intervals, mf._apply_steps
+    # parameters the next round starts from: the last round's, with its
+    # midpoints if it bisected; a generation starts from the last one's
+    size = [9]
 
     def bad_counted(deltas, ts, max_seg, turn_max):
+        n["pruned"] += size[0] - len(ts)
         bad = bad_intervals(deltas, ts, max_seg, turn_max)
-        if bad.any() and len(ts) <= 4096:  # the rounds that bisect
+        bisects = bad.any() and len(ts) <= 4096
+        if bisects:
             n["rounds"] += 1
             n["first_only"] += int(bad[0] and not bad[1:].any())
+        size[0] = len(ts) + (int(np.count_nonzero(bad)) if bisects else 0)
         return bad
 
     def steps_counted(map_spec, pts, steps, inverse):
@@ -121,6 +130,7 @@ def main() -> None:
             s = r[side]
             print(f"{r['case']:18s} {side:8s} rounds {s['rounds']:4d}"
                   f" (first only {s['first_only']:4d})"
+                  f"  pruned {s['pruned']:5d}"
                   f"  mapped rows {s['mapped_rows']:6d}"
                   f"  steps {s['map_steps']:7d}"
                   f"  vertices {s['vertices']:6d}  capped {s['capped']:3d}"
