@@ -7,6 +7,8 @@ eigendirection, inserting midpoints wherever images stretch past the
 segment cap or turn too sharply.  Polylines store wrapped vertices plus a
 continuous lift (universal-cover coordinates reconstructed by min-image
 continuation), which is what arclengths and straight-line oracles use.
+Homoclinic hits are the polylines' crossings, polished where the map is
+not affine as orbits from E^u(p) to E^s(p) (`system._orbit_newton`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from ._util import min_image, row_norms, vector_norms, wrap_unit
 from .phase_space import Grid
-from .system import _AFFINE, MapSpec, evaluate, iterates
+from .system import (_AFFINE, _DEFECT_TOL, MapSpec, _orbit_newton, evaluate,
+                     iterates)
 
 __all__ = [
     "HyperbolicPoint", "ManifoldPolyline", "HomoclinicHit",
@@ -137,43 +140,32 @@ class AccumulationRow:
 # periodic points
 # ---------------------------------------------------------------------------
 
-def _solve2(A: np.ndarray, B: np.ndarray, rcond: Optional[float] = None):
-    """A^-1 B for a stack of 2x2 matrices A (n, 2, 2) and right-hand sides
-    B (n, 2, k): the adjugate of A times B over det A, vectorised over the
-    stack in place of one LAPACK call per matrix.
-
-    Without `rcond` it stands in for `np.linalg.solve(A, B)`; a singular or
-    overflowed row comes out inf or nan, without a warning.  With `rcond`
-    it stands in for `np.linalg.pinv(A, rcond) @ B`: a row with
-    |det A| > rcond ||A||_F^2 has s2/s1 > rcond for its singular values
-    (det A = s1 s2 and ||A||_F^2 >= s1^2), so there pinv is the full
-    inverse; every other row, a non-finite one included, goes to pinv.
+def _solve2(A: np.ndarray, B: np.ndarray, rcond: float):
+    """`np.linalg.pinv(A, rcond) @ B` for a stack of 2x2 matrices A (n, 2,
+    2) and right-hand sides B (n, 2, k), vectorised over the stack in place
+    of one LAPACK call per matrix.  A row with |det A| > rcond ||A||_F^2
+    has s2/s1 > rcond for its singular values (det A = s1 s2 and
+    ||A||_F^2 >= s1^2), so there pinv is the full inverse: the adjugate of
+    A times B over det A.  Every other row, a non-finite one included,
+    goes to pinv.
     """
     a, b, c, d = (A[:, i, j, None] for i in (0, 1) for j in (0, 1))
     u, v = B[:, 0], B[:, 1]
     with np.errstate(all="ignore"):
         det = a * d - b * c
         X = np.stack([(d * u - b * v) / det, (a * v - c * u) / det], axis=1)
-        if rcond is None:
-            return X
         rest = ~(np.abs(det[:, 0]) > rcond * (a * a + b * b + c * c + d * d)[:, 0])
     if rest.any():
         X[rest] = np.linalg.pinv(A[rest], rcond=rcond) @ B[rest]
     return X
 
 
-def _orbit_jacobian(map_spec: MapSpec, pts: np.ndarray, steps: int,
-                    inverse: bool = False):
-    """f^steps(pts) (f^-steps with `inverse`) and its chain-rule Jacobian,
-    batched.  Backward steps use D(f^-1)(y) = Df(f^-1(y))^-1, solved in
-    closed form: only the polish of 2-D maps asks for them, and any other
-    dimension raises ValueError."""
-    if inverse and map_spec.dim != 2:
-        raise ValueError("backward orbit Jacobians are 2-D only")
+def _orbit_jacobian(map_spec: MapSpec, pts: np.ndarray, steps: int):
+    """f^steps(pts) and its chain-rule Jacobian, batched."""
     x = np.atleast_2d(pts).astype(float)
     J = np.broadcast_to(np.eye(map_spec.dim), (x.shape[0],) + (map_spec.dim,) * 2).copy()
-    for y in iterates(map_spec, x, steps, "inverse" if inverse else "forward"):
-        J = _solve2(map_spec.jac(y), J) if inverse else map_spec.jac(x) @ J
+    for y in iterates(map_spec, x, steps):
+        J = map_spec.jac(x) @ J
         x = y
     return x, J
 
@@ -461,62 +453,46 @@ def _segments(poly: ManifoldPolyline):
     return starts, deltas, arcs
 
 
-def _left_eigvecs(hp: HyperbolicPoint):
-    """Rows dual to the eigenvector columns (left eigenvectors)."""
-    V = np.real(hp.eigenvectors)
-    W = np.linalg.inv(V)
-    return W  # W[i] . V[:, j] = delta_ij
+def _approach(map_spec: MapSpec, hp: HyperbolicPoint, pts: np.ndarray,
+              inverse: bool):
+    """f^k(pts) (f^-k with `inverse`), k = 1 .. 30 period, and per row the
+    first multiple of hp.period there at which they come closest to p."""
+    P = hp.period
+    orbit = np.stack(list(iterates(map_spec, pts, 30 * P,
+                                   "inverse" if inverse else "forward")))
+    return orbit, P * (1 + np.argmin(map_spec.distance(orbit[P - 1::P], hp.point),
+                                     axis=0))
 
 
-# residual at which a polished homoclinic point has converged
-_POLISH_TOL = 1e-12
+def _homoclinic_orbits(map_spec: MapSpec, hp: HyperbolicPoint, pts: np.ndarray,
+                       max_move: float) -> Optional[np.ndarray]:
+    """Polish approximate homoclinic points of p = hp.point as orbits of
+    the map (Beyn & Kleinkauf, SIAM J. Numer. Anal. 34, 1997).
 
-
-def _polish_hits(map_spec: MapSpec, hp: HyperbolicPoint, pts: np.ndarray,
-                 max_move: float) -> Optional[np.ndarray]:
-    """Newton-polish approximate homoclinic points against the dynamics.
-
-    Solves, per point, for the zero of (unstable coordinate of f^K(x) - p,
-    stable coordinate of f^{-K}(x) - p); K is sized from the eigenvalue
-    of `hp.unstable` so the hyperbolic amplification stays within double
-    range.  The Jacobian is the chain rule along both orbits: a
-    finite-difference step would be amplified by the same factor and wrap
-    around the torus.  Returns the polished batch with unconverged or
-    runaway rows left at their inputs, or None when the map is not 2-D
-    and invertible or hp has no real unstable side.
+    Hit x_0 gives the orbit x_-m .. x_n of its iterates, its ends at the
+    closest approach to p (`_approach`), closed by perp(v_u) . delta(p,
+    x_-m) = 0 and perp(v_s) . delta(p, x_n) = 0, v_u and v_s those of
+    `hp.unstable` and `hp.stable`; hits that share (m, n) are one
+    `system._orbit_newton` batch.  A hit that does not converge, or moves
+    past max_move, keeps its input.  None for a map that is not 2-D and
+    invertible, or an hp without both sides.
     """
-    if not map_spec.has_inverse or map_spec.dim != 2 or hp.unstable is None:
+    if not map_spec.has_inverse or map_spec.dim != 2 or hp.unstable is None \
+            or hp.stable is None:
         return None
-    lam_u = abs(hp.unstable[0])
-    K = int(min(30, max(5, math.ceil(math.log(1e10) / math.log(lam_u)))))
-    steps = K * hp.period
-    wu, ws = _left_eigvecs(hp)
-    p = hp.point
-    x0 = np.asarray(pts, dtype=float)
-    x = x0.copy()
-    active = np.ones(x.shape[0], dtype=bool)
-    for _ in range(40):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        xa = x[idx]
-        fK, Jf = _orbit_jacobian(map_spec, xa, steps)
-        bK, Jb = _orbit_jacobian(map_spec, xa, steps, inverse=True)
-        G = np.stack([map_spec.delta(p, fK) @ wu,
-                      map_spec.delta(p, bK) @ ws], axis=-1)
-        conv = np.max(np.abs(G), axis=1) < _POLISH_TOL
-        J = np.stack([wu @ Jf, ws @ Jb], axis=1)
-        ok = np.abs(np.linalg.det(J)) > 1e-30
-        step = np.zeros_like(xa)
-        step[ok] = np.linalg.solve(J[ok], G[ok][..., None])[..., 0]
-        cand = map_spec.wrap(xa - step)
-        runaway = (~np.all(np.isfinite(cand), axis=1)) | \
-            (map_spec.distance(cand, x0[idx]) > max_move) | ~ok
-        move = ~conv & ~runaway
-        x[idx[move]] = cand[move]
-        # hyperbolic amplification floors G at fp noise; stop on tiny steps
-        active[idx] = move & (vector_norms(step) >= 1e-13)
-    return x
+    fwd, n = _approach(map_spec, hp, pts, False)
+    bwd, m = _approach(map_spec, hp, pts, True)
+    ends = (hp.point, *(np.array([-v[1], v[0]]) for _, v in (hp.unstable, hp.stable)))
+    out = pts.copy()
+    for mi, ni in sorted(set(zip(m.tolist(), n.tolist()))):
+        rows = np.flatnonzero((m == mi) & (n == ni))
+        z = np.concatenate([bwd[mi - 1::-1, rows], pts[None, rows],
+                            fwd[:ni, rows]]).swapaxes(0, 1)
+        z, defect = _orbit_newton(map_spec, z, ends)
+        x = z[:, mi]
+        ok = (defect < _DEFECT_TOL) & (map_spec.distance(x, pts[rows]) <= max_move)
+        out[rows[ok]] = x[ok]
+    return out
 
 
 # smallest crossing angle (radians) of a transverse hit
@@ -729,7 +705,7 @@ def _hit_pipeline(cuts: list, tol_int: float, periods,
     shorter pair are the rows on its leading segments, bit for bit.  Each
     pair keeps its rows first come per tol_int key and drops those at an
     angle below `TRANSVERSALITY_MIN`.  With `map_spec` given, one
-    `_polish_hits` call polishes the union of all pairs' rows.  Rows
+    `_homoclinic_orbits` call polishes the union of all pairs' rows.  Rows
     polish independently, and every truncation has its polylines'
     max_seg, so the move cap is 4.5 max_seg for them all.  The affine
     registry maps (`system._AFFINE`) have straight manifolds, whose raw
@@ -747,7 +723,8 @@ def _hit_pipeline(cuts: list, tol_int: float, periods,
     if map_spec is not None and map_spec.name not in _AFFINE:
         Wu, Ws = cuts[-1]
         move_cap = 3.0 * max(1.5 * max(Wu.max_seg, Ws.max_seg), 1e-9)
-        polished = _polish_hits(map_spec, Wu.anchor, cr.point[union], move_cap)
+        polished = _homoclinic_orbits(map_spec, Wu.anchor, cr.point[union],
+                                      move_cap)
         if polished is not None:
             anchor = np.asarray(Wu.anchor.point, dtype=float)
             dists = row_norms(min_image(polished - anchor, periods))

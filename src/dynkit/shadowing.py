@@ -2,21 +2,19 @@
 searches with resolution-stamped certificates, and the linear-hyperbolic
 stable-manifold check.
 
-A shadow search's result is that of three stages in order, none run once
-an orbit within eps is known: a uniform seed grid in the eps-ball; when
-the best seed misses eps and the map is invertible, a sequence-space
-refinement pass (Hammel, Yorke & Grebogi); and, unless the refined
-witness is within eps, coordinate descent from the best seed, which stops
-at its first orbit within eps.  An invertible map's refinement runs
-first and the grid only as far as the result needs; results equal that
-order's bit for bit.  So a shadowed result reports the first orbit found
-within eps, not the closest one: its `achieved_eps` is at most eps.  The refinement produces a witness orbit with
-tiny per-step defect, the standard numerical stand-in for a true shadow;
-without it no finite-precision search can confirm shadowing of a chaotic
-map over long horizons, because the required seed accuracy shrinks like
-the inverse of the unstable growth.  A NotShadowedAtResolution verdict is
-never a proof: it records the best tracking error achieved over the
-declared seed set, the whole descent and the refinement.
+A shadow search (`shadow_search` has the stage order) reports the first
+orbit it finds within eps: a seed of a uniform grid, a refined witness,
+or the end of a coordinate descent.  The refinement (Hammel, Yorke &
+Grebogi) is Newton on the orbit equations with minimum-norm steps
+(`system._orbit_newton`), on a 2-D map that a closed-form 2x2 test finds
+hyperbolic at every point of the pseudo-orbit; it needs no eigen-split.
+Its witness orbit has a tiny per-step defect, the standard numerical
+stand-in for a true shadow: without it no finite-precision search can
+confirm shadowing of a chaotic map over long horizons, because the
+required seed accuracy shrinks like the inverse of the unstable growth.
+A NotShadowedAtResolution verdict is never a proof: it records the best
+tracking error achieved over the declared seed set, the whole descent
+and the refinement.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from ._util import vector_norms, wrap_unit, write_csv
-from .system import MapSpec, evaluate, iterates
+from .system import _DEFECT_TOL, MapSpec, _orbit_newton, evaluate, iterates
 
 __all__ = [
     "PseudoOrbit", "ShadowingResult", "NoApproachError",
@@ -305,98 +303,28 @@ def _after_probe(step: float, k: int, improved: bool, accepted: bool,
     return (step if improved else step * 0.5), 0, False
 
 
-def _hyperbolic_frames(map_spec: MapSpec, pts: np.ndarray):
-    """Per-point (basis, eigenvalues) with |lam_u| > 1 > |lam_s|, real.
-
-    Returns None when the map is not vector-hyperbolic along the sequence
-    (complex pairs or a modulus-one eigenvalue).
-    """
-    if map_spec.dim != 2:
-        return None
-    J = map_spec.jac(pts)
-    vals, vecs = np.linalg.eig(J)
-    if np.iscomplexobj(vals) and np.any(np.abs(vals.imag) > 1e-12):
-        return None
-    vals = vals.real
-    vecs = vecs.real
-    order = np.argsort(-np.abs(vals), axis=1)
-    vals = np.take_along_axis(vals, order, axis=1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
-    if np.any(np.abs(vals[:, 0]) <= 1.0 + 1e-9) or np.any(np.abs(vals[:, 1]) >= 1.0 - 1e-9):
-        return None
-    return _orient_columns(vecs), vals
-
-
-def _orient_columns(vecs: np.ndarray) -> np.ndarray:
-    """Flip the columns of the (n, d, d) frames in place so that each
-    column's dot with the same column of the previous frame, as flipped,
-    is not negative; the first frame stays as it is.
-
-    With signs s_k = ±1 and raw dots d_k of column k with column k - 1,
-    column k flips exactly when s_{k-1} * d_k < 0; a dot that is zero or
-    nan leaves the column and restarts the sign at +1.  So s_k is -1 when
-    the count of negative dots since the last restart is odd.  The dots go
-    through the dot kernel of `np.dot`, as in `_util.row_norms`.
-    """
-    cols = np.swapaxes(vecs, 1, 2)  # (n, column, component)
-    dots = np.matmul(cols[1:, :, None, :], cols[:-1, :, :, None])[..., 0, 0]
-    neg = np.zeros(cols.shape[:2], dtype=np.int64)
-    neg[1:] = dots < 0
-    restart = np.ones(cols.shape[:2], dtype=bool)
-    restart[1:] = ~((dots < 0) | (dots > 0))  # zero or nan
-    count = np.cumsum(neg, axis=0)
-    since = count - np.maximum.accumulate(np.where(restart, count, 0), axis=0)
-    np.negative(vecs, out=vecs, where=(since % 2 == 1)[:, None, :])
-    return vecs
-
-
-# Newton sweeps of the refinement, and the defect at which it has an orbit
-_REFINE_SWEEPS = 60
-_DEFECT_TOL = 1e-11
-
-
-def _split_coordinates(vals: np.ndarray, h: np.ndarray):
-    """(cu, cs) of a refinement correction, cs integrated forward and cu
-    backward on Python floats, bit for bit the float64 scalar loop."""
-    n = vals.shape[0]
-    (lam_u, lam_s), (h_u, h_s) = vals.T.tolist(), h.T.tolist()
-    cu, cs = [0.0] * n, [0.0] * n
-    for i in range(n - 1):
-        cs[i + 1] = lam_s[i] * cs[i] + h_s[i]
-    for i in range(n - 2, -1, -1):
-        cu[i] = (cu[i + 1] - h_u[i]) / lam_u[i]
-    return np.array(cu), np.array(cs)
+def _saddles(J: np.ndarray) -> np.ndarray:
+    """Mask of the 2x2 matrices J (n, 2, 2) with real eigenvalues
+    |lambda_u| > 1 + 1e-9 and |lambda_s| < 1 - 1e-9, in closed form."""
+    a, b, c, d = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
+    # unwarned: an overflowed trace or determinant fails the gate or runs
+    # away in `_orbit_newton`
+    with np.errstate(all="ignore"):
+        tr, det = a + d, a * d - b * c
+        disc = tr * tr - 4.0 * det
+        lam_u = 0.5 * (np.abs(tr) + np.sqrt(np.maximum(disc, 0.0)))
+        lam_s = np.abs(det) / lam_u
+    return (disc > 0.0) & (lam_u > 1.0 + 1e-9) & (lam_s < 1.0 - 1e-9)
 
 
 def _refine_shadow(map_spec: MapSpec, y: np.ndarray):
-    """Sequence-space Newton relaxation toward a nearby numerical orbit.
-
-    Corrections solve the linearized defect equation with the stable
-    component integrated forward and the unstable component backward, the
-    splitting that keeps the correction bounded on hyperbolic maps.
-    """
-    z = y.copy()
-    n = z.shape[0]
-    for _ in range(_REFINE_SWEEPS):
-        imgs = evaluate(map_spec, z[:-1])
-        g = map_spec.delta(z[1:], imgs)  # f(z_i) - z_{i+1}, wrapped
-        worst = float(np.max(vector_norms(g))) if n > 1 else 0.0
-        if worst < _DEFECT_TOL:
-            return z, worst
-        frames = _hyperbolic_frames(map_spec, z)
-        if frames is None:
-            return None
-        vecs, vals = frames
-        # defect coordinates in the frame at the arrival point
-        h = np.linalg.solve(vecs[1:], g[..., None])[..., 0]
-        cu, cs = _split_coordinates(vals, h)
-        e = vecs[:, :, 0] * cu[:, None] + vecs[:, :, 1] * cs[:, None]
-        if not np.all(np.isfinite(e)) or np.max(np.abs(e)) > 1e6:
-            return None
-        z = map_spec.wrap(z + e)
-    imgs = evaluate(map_spec, z[:-1])
-    worst = float(np.max(vector_norms(map_spec.delta(z[1:], imgs))))
-    return (z, worst) if worst < _DEFECT_TOL else None
+    """(witness, defect) of `system._orbit_newton` on the pseudo-orbit y
+    without boundary rows, or None; only for a 2-D map whose Jacobian
+    passes `_saddles` at every point of y, a gate made once."""
+    if map_spec.dim != 2 or not _saddles(map_spec.jac(y)).all():
+        return None
+    z, defect = _orbit_newton(map_spec, y[None])
+    return (z[0], float(defect[0])) if defect[0] < _DEFECT_TOL else None
 
 
 def _every_seed_leaves(map_spec: MapSpec, y: np.ndarray, eps: float,

@@ -12,6 +12,7 @@ per axis.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import math
 import numbers
@@ -358,6 +359,70 @@ def iterates(map_spec: MapSpec, x, n: int, direction: str = "forward",
         x = evaluate(map_spec, x, direction) if out is None else \
             evaluate(map_spec, x, direction, out=out[k, ...])
         yield x
+
+
+# Newton steps of `_orbit_newton`, and the defect at which it has an orbit
+_REFINE_SWEEPS = 60
+_DEFECT_TOL = 1e-11
+
+
+def _orbit_newton(map_spec: MapSpec, z, ends=None):
+    """Newton on the orbit equations f(z_i) - z_{i+1} = 0 (`MapSpec.delta`)
+    of a batch of orbits z (B, L, dim); `ends` = (p, a, b) adds the rows
+    a . delta(p, z_0) = 0 and b . delta(p, z_{L-1}) = 0.
+
+    Each step is the minimum-norm correction e = N^T (N N^T)^-1 (-r) of
+    the residual r with Jacobian N, one batched `np.linalg.solve`; with
+    both boundary rows on a 2-D map N is square and e the Newton step.
+    An orbit stops once its defect, the largest step norm or boundary
+    residual, is below `_DEFECT_TOL`, or after `_REFINE_SWEEPS` steps, so
+    it ends as it would alone in any batch.  Returns the orbits and their
+    defects; an orbit whose step is singular, not finite or above 1e6
+    keeps its last iterate, with defect inf.
+    """
+    z = np.array(z, dtype=float)
+    B, L, d = z.shape
+    at = np.arange((L - 1) * d).reshape(L - 1, d)  # orbit rows i*d + a
+    defect, rows = np.zeros(B), np.arange(B)
+    # a step that overflows is a runaway, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(_REFINE_SWEEPS + 1):
+            za = z[rows]
+            steps = map_spec.delta(za[:, 1:], evaluate(map_spec, za[:, :-1]))
+            r = steps.reshape(rows.size, (L - 1) * d)
+            worst = vector_norms(steps).max(axis=1, initial=0.0)
+            if ends is not None:
+                p, a, b = ends
+                # summed per row: a matrix-vector product's kernel, and so
+                # its rounding, may change with the batch size
+                bnd = np.sum(map_spec.delta(p, za[:, [0, -1]]) * (a, b), axis=2)
+                r = np.concatenate([r, bnd], axis=1)
+                worst = np.maximum(worst, np.abs(bnd).max(axis=1))
+            defect[rows] = worst
+            rows, za, r = (v[~(worst < _DEFECT_TOL)] for v in (rows, za, r))
+            if not rows.size or sweep == _REFINE_SWEEPS:
+                break
+            N = np.zeros((rows.size, r.shape[1], L * d))
+            N[:, at[:, :, None], at[:, None, :]] = map_spec.jac(
+                za[:, :-1].reshape(-1, d)).reshape(rows.size, L - 1, d, d)
+            N[:, at, at + d] = -1.0
+            if ends is not None:
+                N[:, -2, :d], N[:, -1, -d:] = a, b
+            NT = N.swapaxes(1, 2)
+            A, rhs = N @ NT, -r[..., None]
+            try:
+                w = np.linalg.solve(A, rhs)
+            except np.linalg.LinAlgError:  # a singular system fails alone
+                w = np.full_like(rhs, np.nan)
+                for i in range(rows.size):
+                    with contextlib.suppress(np.linalg.LinAlgError):
+                        w[i] = np.linalg.solve(A[i], rhs[i])
+            e = (NT @ w).reshape(za.shape)
+            bad = ~(np.abs(e).max(axis=(1, 2), initial=0.0) <= 1e6)
+            defect[rows[bad]] = np.inf
+            rows, za, e = rows[~bad], za[~bad], e[~bad]
+            z[rows] = map_spec.wrap(za + e)
+    return z, defect
 
 
 # step of the central finite differences

@@ -79,18 +79,13 @@ def reference_escape_fraction(map_spec, K, radius, n_max, samples, rng_seed):
     return float(np.count_nonzero(bounded) / samples)
 
 
-def reference_orbit_jacobian(map_spec, pts, steps, inverse=False):
-    """_orbit_jacobian as a loop of single steps; a backward step solves
-    with the module's own 2x2 kernel, as `_orbit_jacobian` does."""
+def reference_orbit_jacobian(map_spec, pts, steps):
+    """_orbit_jacobian as a loop of single steps."""
     x = np.atleast_2d(pts).astype(float)
     J = np.broadcast_to(np.eye(map_spec.dim), (x.shape[0],) + (map_spec.dim,) * 2).copy()
     for _ in range(steps):
-        if inverse:
-            x = evaluate(map_spec, x, "inverse")
-            J = manifolds._solve2(map_spec.jac(x), J)
-        else:
-            J = map_spec.jac(x) @ J
-            x = evaluate(map_spec, x)
+        J = map_spec.jac(x) @ J
+        x = evaluate(map_spec, x)
     return x, J
 
 
@@ -250,16 +245,10 @@ class TestMatchesReferenceLoops:
     def test_orbit_jacobian(self, name):
         m = MAPS[name]()
         pts = starts(m, 6, seed=2)
-        for inverse in ((False, True) if m.has_inverse else (False,)):
-            if inverse and m.dim != 2:
-                # only the 2-D polish asks for backward Jacobians
-                with pytest.raises(ValueError, match="2-D only"):
-                    manifolds._orbit_jacobian(m, pts, 1, inverse)
-                continue
-            for steps in (0, 1, 5):
-                got = manifolds._orbit_jacobian(m, pts, steps, inverse)
-                want = reference_orbit_jacobian(m, pts, steps, inverse)
-                assert same(got[0], want[0]) and same(got[1], want[1])
+        for steps in (0, 1, 5):
+            got = manifolds._orbit_jacobian(m, pts, steps)
+            want = reference_orbit_jacobian(m, pts, steps)
+            assert same(got[0], want[0]) and same(got[1], want[1])
 
     def test_apply_steps(self, name):
         m = MAPS[name]()

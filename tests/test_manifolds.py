@@ -58,15 +58,31 @@ def growth_anchor(name):
 @functools.cache
 def standard_polish_case():
     """Standard K = 1.5 at its (0, 0) fixed point, W^u and W^s to arclength
-    4 at max_seg 0.01: the map, the raw and the polished hits, and W^u
-    grown finer (max_seg 0.002) a little past them."""
+    4 at max_seg 0.01: the map, the two polylines, the raw hits, and W^u
+    and W^s grown finer (max_seg 0.002) a little past them."""
     m, hp = growth_anchor("standard-1.5")
     assert hp.point.tolist() == [0.0, 0.0]
     Wu = grow_manifold(m, hp, "unstable", 4.0, max_seg=0.01)
     Ws = grow_manifold(m, hp, "stable", 4.0, max_seg=0.01)
-    return (m, _raw_hits(Wu, Ws, 1e-9, m.periods)[0],
-            homoclinic_points(Wu, Ws, map_spec=m),
-            grow_manifold(m, hp, "unstable", 4.2, max_seg=0.002))
+    return (m, Wu, Ws, _raw_hits(Wu, Ws, 1e-9, m.periods)[0],
+            grow_manifold(m, hp, "unstable", 4.2, max_seg=0.002),
+            grow_manifold(m, hp, "stable", 4.2, max_seg=0.002))
+
+
+def standard_polish_errors():
+    """Of the standard K = 1.5 case polished by `homoclinic_points`: the
+    largest move of a hit from its raw crossing, the largest distance of
+    a raw crossing from the finer W^u, and the largest distances of a
+    polished hit from the finer W^u and W^s."""
+    m, Wu, Ws, raw, fine_u, fine_s = standard_polish_case()
+    polished = homoclinic_points(Wu, Ws, map_spec=m)
+    assert len(raw) == len(polished) == 27
+    at = {(h.param_unstable, h.param_stable): h.point for h in raw}
+    return (max(float(m.distance(h.point, at[h.param_unstable, h.param_stable]))
+                for h in polished),
+            max(point_to_polyline_distance(m, h.point, fine_u) for h in raw),
+            *(max(point_to_polyline_distance(m, h.point, fine) for h in polished)
+              for fine in (fine_u, fine_s)))
 
 
 def linear_anchor():
@@ -371,8 +387,8 @@ def assert_rows_close(got, want, rtol):
 
 
 class TestSolve2:
-    """The closed-form 2x2 kernel against np.linalg.solve and
-    np.linalg.pinv(rcond=1e-12)."""
+    """The closed-form 2x2 kernel against np.linalg.pinv(rcond=1e-12), and
+    np.linalg.solve on well-conditioned rows."""
 
     @settings(max_examples=60, deadline=None)
     @given(stack_args(12, st.floats(1e-6, 1.0)))
@@ -380,7 +396,8 @@ class TestSolve2:
         A, B = AB
         # forward error of either solve: a small multiple of cond * eps
         rtol = 64 * EPS * np.linalg.cond(A).max()
-        assert_rows_close(manifolds._solve2(A, B), np.linalg.solve(A, B), rtol)
+        assert_rows_close(manifolds._solve2(A, B, rcond=1e-12),
+                          np.linalg.solve(A, B), rtol)
         assert_rows_close(manifolds._solve2(A, B, rcond=1e-12),
                           np.linalg.pinv(A, rcond=1e-12) @ B, rtol)
 
@@ -428,11 +445,8 @@ class TestSolve2:
         A = np.concatenate([A[:1], bad, A[1:]])
         B = np.arange(1.0, 13.0).reshape(6, 2, 1)
         good = [0, 5]
-        # no warning; the other rows of the stack do not change
-        X = manifolds._solve2(A, B)
-        assert_rows_close(X[good], np.linalg.solve(A[good], B[good]), 1e-14)
-        assert not np.all(np.isfinite(X[1:3]), axis=(1, 2)).any()
-        # with rcond the non-finite and overflowed rows are pinv's own
+        # no warning; the non-finite and overflowed rows are pinv's own,
+        # and the other rows of the stack do not change
         X = manifolds._solve2(A, B, rcond=1e-12)
         assert X[1:5].tobytes() == (np.linalg.pinv(A[1:5], rcond=1e-12)
                                     @ B[1:5]).tobytes()
@@ -763,42 +777,57 @@ class TestHomoclinic:
         Ws = grow_manifold(m, hp, "stable", 10.0, max_seg=0.02)
         raw = np.asarray([h.point for h in
                           _raw_hits(Wu, Ws, 1e-9, m.periods)[0]])
-        polished = manifolds._polish_hits(m, hp, raw, 3.0 * 1.5 * 0.02)
+        polished = manifolds._homoclinic_orbits(m, hp, raw, 3.0 * 1.5 * 0.02)
         assert raw.shape == polished.shape and len(raw) > 50
         assert float(np.max(m.distance(raw, polished))) < 1e-13
         hits = homoclinic_points(Wu, Ws, map_spec=m)
         assert np.asarray([h.point for h in hits]).tobytes() == raw.tobytes()
 
     def test_polish_keeps_standard_hits_on_the_unstable_manifold(self):
-        # standard K = 1.5: 27 hits, most of which the polish moves by
-        # about 4e-7; no polished hit may lie farther from a finer W^u than
-        # the farthest raw crossing does
-        m, raw, polished, fine = standard_polish_case()
-        assert len(raw) == len(polished) == 27
-        off = [point_to_polyline_distance(m, h.point, fine) for h in polished]
-        raw_off = [point_to_polyline_distance(m, h.point, fine) for h in raw]
-        assert max(off) <= max(raw_off), (max(off), max(raw_off))
+        # standard K = 1.5: 27 hits; every polished hit lies within 1e-5 of
+        # a finer W^u and of a finer W^s, and no farther from W^u than the
+        # farthest raw crossing does
+        _, raw_off, off_u, off_s = standard_polish_errors()
+        assert off_u <= raw_off, (off_u, raw_off)
+        assert max(off_u, off_s) <= 1e-5, (off_u, off_s)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 13: the polish moves a standard-map hit 1.7e-4, "
-        "2.3 times the worst raw crossing's distance from W^u"))
     def test_polish_moves_standard_hits_less_than_the_raw_error(self):
         # a polish that only removes the crossing error moves no hit by
         # more than twice the farthest raw crossing lies from a finer W^u
-        m, raw, polished, fine = standard_polish_case()
-        raw_off = max(point_to_polyline_distance(m, h.point, fine) for h in raw)
-        at = {(h.param_unstable, h.param_stable): h.point for h in raw}
-        moves = [float(m.distance(h.point, at[h.param_unstable, h.param_stable]))
-                 for h in polished]
-        assert max(moves) <= 2.0 * raw_off, (max(moves), raw_off)
+        move, raw_off, _, _ = standard_polish_errors()
+        assert move <= 2.0 * raw_off, (move, raw_off)
 
-    def test_backward_chain_rule_jacobian_inverts_forward(self):
-        m = make_map("standard", K=0.97)
-        x = np.array([[0.1, 0.7], [0.45, 0.2], [0.8, 0.9]])
-        y, Jf = manifolds._orbit_jacobian(m, x, 5)
-        xb, Jb = manifolds._orbit_jacobian(m, y, 5, inverse=True)
-        assert np.allclose(m.distance(xb, x), 0.0, atol=1e-12)
-        assert np.allclose(Jb @ Jf, np.eye(2), atol=1e-9)
+    def test_polish_with_a_fixed_window_fails(self, monkeypatch):
+        # planted mutant: orbit ends at 10 periods, not at the closest
+        # approach to p, carry a hit onto another homoclinic orbit
+        approach = manifolds._approach
+        monkeypatch.setattr(manifolds, "_approach", lambda m, hp, pts, inverse: (
+            approach(m, hp, pts, inverse)[0], np.full(len(pts), 10 * hp.period)))
+        move, raw_off, off_u, off_s = standard_polish_errors()
+        assert move > 2.0 * raw_off and off_u > 1e-5, (move, raw_off, off_u)
+
+    def test_polish_with_swapped_boundary_rows_fails(self, monkeypatch):
+        # planted mutant: x_-m on E^s(p) and x_n on E^u(p)
+        newton = manifolds._orbit_newton
+        monkeypatch.setattr(manifolds, "_orbit_newton", lambda m, z, ends:
+                            newton(m, z, (ends[0], ends[2], ends[1])))
+        _, _, off_u, off_s = standard_polish_errors()
+        assert max(off_u, off_s) > 1e-5, (off_u, off_s)
+
+    def test_hits_polish_alike_in_any_batch(self):
+        # each hit's orbit stops on its own defect: polishing a hit alone,
+        # with the others or in a shuffled batch gives the same bits
+        m, Wu, Ws, raw, _, _ = standard_polish_case()
+        hp = Wu.anchor
+        pts = np.asarray([h.point for h in raw])
+        whole = manifolds._homoclinic_orbits(m, hp, pts, 0.045)
+        order = np.random.default_rng(0).permutation(len(pts))
+        shuffled = manifolds._homoclinic_orbits(m, hp, pts[order], 0.045)
+        assert shuffled.tobytes() == whole[order].tobytes()
+        for k in range(len(pts)):
+            alone = manifolds._homoclinic_orbits(m, hp, pts[k:k + 1], 0.045)
+            assert alone.tobytes() == whole[k:k + 1].tobytes()
+        assert not np.array_equal(whole, pts)
 
     def test_cat_tangle_matches_all_pairs_oracle(self):
         m, hp = cat_anchor()
@@ -954,13 +983,13 @@ class TestAccumulation:
         q = Wu.vertices[int(np.searchsorted(Wu.arclength, q_arclength))]
         radii = [0.3, 0.1, 0.05, 0.03, 0.01]
         calls = []
-        polish = manifolds._polish_hits
+        polish = manifolds._homoclinic_orbits
 
         def counted(map_spec, hp, pts, max_move):
             calls.append(pts.shape[0])
             return polish(map_spec, hp, pts, max_move)
 
-        monkeypatch.setattr(manifolds, "_polish_hits", counted)
+        monkeypatch.setattr(manifolds, "_homoclinic_orbits", counted)
         got = accumulation_check(m, hp, q, radii, schedule, max_seg=max_seg)
         # one polish over every truncation's hits; none on an affine map
         assert len(calls) == (0 if m.name in system._AFFINE else 1)
@@ -981,7 +1010,7 @@ class TestAccumulation:
             calls.append(max_move)
             return pts + max_move
 
-        monkeypatch.setattr(manifolds, "_polish_hits", shift_by_cap)
+        monkeypatch.setattr(manifolds, "_homoclinic_orbits", shift_by_cap)
         m, hp = growth_anchor("standard-0.97")
         Wu = grow_manifold(m, hp, "unstable", 1.2, 0.02)
         q = Wu.vertices[int(np.searchsorted(Wu.arclength, 1.0))]

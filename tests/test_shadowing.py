@@ -800,48 +800,61 @@ class TestRefineFirst:
             result_bits(stage_order_search(m, po, 1e-2, 1e-3))
 
 
-def scalar_loop_coordinates(vals, h):
-    """The recurrences of `_split_coordinates` on float64 scalars."""
-    n = vals.shape[0]
-    cu = np.zeros(n)
-    cs = np.zeros(n)
-    for i in range(n - 1):
-        cs[i + 1] = vals[i, 1] * cs[i] + h[i, 1]
-    for i in range(n - 2, -1, -1):
-        cu[i] = (cu[i + 1] - h[i, 0]) / vals[i, 0]
-    return cu, cs
+def eig_saddle(J):
+    """The hyperbolicity test of one 2x2 Jacobian by `np.linalg.eig`: real
+    eigenvalues (an imaginary part of at most 1e-12 counts as real) with
+    |lambda_u| > 1 + 1e-9 and |lambda_s| < 1 - 1e-9."""
+    vals = np.linalg.eig(J)[0]
+    if np.iscomplexobj(vals) and np.any(np.abs(vals.imag) > 1e-12):
+        return False
+    lam_u, lam_s = sorted(np.abs(vals.real), reverse=True)
+    return bool(lam_u > 1.0 + 1e-9 and lam_s < 1.0 - 1e-9)
 
 
-def scalar_loop_refine(m, y):
-    """`_refine_shadow` with its recurrences on float64 scalars and its
-    defect norms by `np.linalg.norm(..., axis=1)`."""
+def dense_refine(m, y):
+    """`_refine_shadow` as the eig test at every point of y, then Newton
+    sweeps whose step is `np.linalg.lstsq` on the dense orbit system."""
+    if not all(eig_saddle(J) for J in m.jac(y)):
+        return None
     z = y.copy()
     n = z.shape[0]
-    for _ in range(shadowing._REFINE_SWEEPS):
+    for sweep in range(system._REFINE_SWEEPS + 1):
         g = m.delta(z[1:], evaluate(m, z[:-1]))
-        worst = float(np.max(np.linalg.norm(g, axis=1))) if n > 1 else 0.0
-        if worst < shadowing._DEFECT_TOL:
+        worst = float(np.max(np.linalg.norm(g, axis=1), initial=0.0))
+        if worst < system._DEFECT_TOL:
             return z, worst
-        frames = shadowing._hyperbolic_frames(m, z)
-        if frames is None:
+        if sweep == system._REFINE_SWEEPS:
             return None
-        vecs, vals = frames
-        h = np.linalg.solve(vecs[1:], g[..., None])[..., 0]
-        cu, cs = scalar_loop_coordinates(vals, h)
-        e = vecs[:, :, 0] * cu[:, None] + vecs[:, :, 1] * cs[:, None]
+        N = np.zeros((n - 1, 2, n, 2))
+        for i, J in enumerate(m.jac(z[:-1])):
+            N[i, :, i] = J
+            N[i, :, i + 1] = -np.eye(2)
+        e = np.linalg.lstsq(N.reshape(2 * (n - 1), 2 * n), -g.ravel(),
+                            rcond=None)[0]
         if not np.all(np.isfinite(e)) or np.max(np.abs(e)) > 1e6:
             return None
-        z = m.wrap(z + e)
-    g = m.delta(z[1:], evaluate(m, z[:-1]))
-    worst = float(np.max(np.linalg.norm(g, axis=1)))
-    return (z, worst) if worst < shadowing._DEFECT_TOL else None
+        z = m.wrap(z + e.reshape(n, 2))
+
+
+# 2x2 matrices at the edges of the hyperbolicity test: [[tr, -det], [1, 0]]
+# at |tr| = 2 +- 1e-12 with det = 1 (real pairs 1 +- 1e-6, or complex),
+# eigenvalues just past or short of 1 +- 1e-9, and determinants not 1
+PLANTED_JACOBIANS = [
+    *([[tr, -1.0], [1.0, 0.0]] for tr in (2.0 + 1e-12, 2.0 - 1e-12,
+                                          -2.0 - 1e-12, -2.0 + 1e-12)),
+    [[1.0 + 2e-9, 0.0], [0.0, 0.5]], [[1.0 + 5e-10, 0.0], [0.0, 0.5]],
+    [[3.0, 0.0], [0.0, 1.0 - 2e-9]], [[3.0, 0.0], [0.0, 1.0 - 5e-10]],
+    [[2.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 0.0]],
+    [[3.0, 1.0], [1.0, 1.0]], [[0.5, 0.0], [0.0, 0.5]], [[0.0, 0.0], [0.0, 0.0]],
+    [[-2.5, 1.0], [-1.5, 1.0]], [[1.0, 2.0], [-2.0, 1.0]], [[2.0, 0.0], [0.0, -3.0]],
+]
 
 
 class TestRefinement:
     @pytest.mark.parametrize("name", ["cat", "linear", "standard-1.5"])
     @settings(max_examples=25, deadline=None)
     @given(st.data())
-    def test_matches_the_scalar_loop(self, name, data):
+    def test_matches_the_dense_oracle(self, name, data):
         m = STAGE_CASES[name][0]()
         x0 = np.array(data.draw(st.lists(st.floats(0.0, 0.99), min_size=2,
                                          max_size=2)))
@@ -850,97 +863,30 @@ class TestRefinement:
         po = random_pseudo_orbit(m, x0, delta, N,
                                  rng_seed=data.draw(st.integers(0, 2 ** 31)))
         got = shadowing._refine_shadow(m, po.points)
-        want = scalar_loop_refine(m, po.points)
+        want = dense_refine(m, po.points)
         assert (got is None) == (want is None)
         if got is not None:
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1] == want[1]
+            assert got[1] < system._DEFECT_TOL
+            assert np.max(m.distance(got[0], want[0])) < 1e-10
 
-    def test_split_coordinates_match_the_scalar_loop(self):
-        # 2,000 random sequences, eigenvalues up to 1e300 in modulus and
-        # defect coordinates up to 1e300, either sign; in a fifth of them
-        # two defects of 1.7e308 make the stable sums overflow
-        rng = np.random.default_rng(0)
-        overflowed = 0
-        for _ in range(2000):
-            n = int(rng.integers(1, 40))
-            mag = 10.0 ** rng.uniform(0.0, 300.0, size=n)
-            sign = rng.choice([-1.0, 1.0], size=(n, 2))
-            vals = np.column_stack((1.0 + mag * rng.random(n),
-                                    rng.random(n) / mag)) * sign
-            h = rng.normal(size=(n - 1, 2)) * \
-                10.0 ** rng.uniform(-300.0, 300.0, size=(n - 1, 1))
-            if n > 2 and rng.random() < 0.2:
-                i = int(rng.integers(n - 2))
-                h[i:i + 2] = rng.choice([-1.7e308, 1.7e308])
-                vals[i + 1, 1] = 0.99
-            with np.errstate(all="ignore"):
-                want = scalar_loop_coordinates(vals, h)
-            got = shadowing._split_coordinates(vals, h)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
-            overflowed += not np.isfinite(np.concatenate(got)).all()
-        assert overflowed > 100
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4))
+    def test_gate_matches_eig(self, entries):
+        J = np.reshape(entries, (2, 2))
+        assert bool(shadowing._saddles(J[None])[0]) == eig_saddle(J)
 
-
-def loop_oriented(vecs):
-    """Column orientation one point and column at a time: each column
-    flips when its dot with the previous, already oriented, column is
-    negative."""
-    vecs = vecs.copy()
-    for k in range(1, vecs.shape[0]):
-        for c in range(vecs.shape[2]):
-            if np.dot(vecs[k, :, c], vecs[k - 1, :, c]) < 0:
-                vecs[k, :, c] = -vecs[k, :, c]
-    return vecs
-
-
-class TestFrameOrientation:
-    @pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
-    @settings(max_examples=10, deadline=None)
-    @given(st.data())
-    def test_frames_match_the_loop(self, name, data):
-        m = ORACLE_MAPS[name]()
-        x0 = np.array(data.draw(st.lists(st.floats(-0.9, 0.9), min_size=2,
-                                         max_size=2)))
-        delta = data.draw(st.sampled_from([0.0, 1e-4, 1e-3, 1e-1]))
-        N = data.draw(st.integers(0, 40))
-        seed = data.draw(st.integers(0, 2 ** 31 - 1))
-        pts = random_pseudo_orbit(m, m.wrap(x0), delta, N,
-                                  rng_seed=seed).points
-        raw = np.ascontiguousarray(np.linalg.eig(m.jac(pts))[1].real)
-        want = loop_oriented(raw)
-        assert shadowing._orient_columns(raw.copy()).tobytes() == want.tobytes()
-        frames = shadowing._hyperbolic_frames(m, pts)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(shadowing, "_orient_columns", loop_oriented)
-            ref = shadowing._hyperbolic_frames(m, pts)
-        assert (frames is None) == (ref is None)
-        if frames is not None:
-            assert frames[0].tobytes() == ref[0].tobytes()
-            assert frames[1].tobytes() == ref[1].tobytes()
-
-    @pytest.mark.parametrize("plant", ["zero", "nan", "orthogonal",
-                                       "near-orthogonal", "alternating"])
-    def test_planted_frames_match_the_loop(self, plant):
-        rng = np.random.default_rng(3)
-        vecs = rng.normal(size=(40, 2, 2))
-        for k in range(1, 40, 3):
-            prev = vecs[k - 1]
-            if plant == "zero":
-                vecs[k, :, k % 2] = 0.0
-            elif plant == "nan":
-                vecs[k, k % 2, (k // 3) % 2] = np.nan
-            elif plant == "orthogonal":
-                vecs[k] = prev[::-1] * np.array([[-1.0], [1.0]])
-            elif plant == "near-orthogonal":
-                # dots of a few ulps, of either sign, and exact zeros
-                vecs[k] = prev[::-1] * np.array([[-1.0], [1.0]]) \
-                    + rng.choice([-1.0, 0.0, 1.0], size=(2, 2)) * 1e-16
-            else:
-                vecs[k] = -prev * rng.choice([1.0, 2.0])
-        want = loop_oriented(vecs)
-        assert shadowing._orient_columns(vecs.copy()).tobytes() == want.tobytes()
+    def test_gate_matches_eig_on_planted_and_map_jacobians(self):
+        # the planted edges, and the Jacobians of the cubic map (det far
+        # from 1) and of both standard maps along random points
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, (400, 2))
+        J = np.concatenate([np.asarray(PLANTED_JACOBIANS), CUBIC.jac(pts),
+                            make_map("standard", K=0.97).jac(pts),
+                            make_map("standard", K=1.5).jac(pts)])
+        got = shadowing._saddles(J)
+        want = np.array([eig_saddle(j) for j in J])
+        assert got.tolist() == want.tolist()
+        assert got[:4].tolist() == [True, False, True, False]
+        assert 0 < np.count_nonzero(got) < len(J)
 
 
 class TestLinearStableCheck:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dynkit import system
 from dynkit._util import min_image, vector_norms, wrap_unit
 from dynkit.chain_graph import build_graph
 from dynkit.phase_space import Domain, Grid
@@ -881,3 +882,110 @@ class TestOutEvaluators:
                     assert same_bytes(buf, want)
                     assert all(same_bytes(g, w) and np.shares_memory(g, buf)
                                for g, w in zip(got, want))
+
+
+# maps of the orbit-Newton oracles: each has a saddle at (0, 0)
+NEWTON_MAPS = {
+    "cat": lambda: make_map("cat"),
+    "linear": lambda: make_map("linear", a=2.0, b=0.5),
+    "standard-1.5": lambda: make_map("standard", K=1.5),
+}
+
+
+def saddle_ends(m):
+    """Boundary rows of a homoclinic orbit of the saddle p = (0, 0):
+    (p, perp(v_u), perp(v_s)), v_u and v_s the eigenvectors of Df(p)."""
+    vals, vecs = np.linalg.eig(m.jac(np.zeros((1, 2)))[0])
+    u, s = vecs[:, np.argsort(-np.abs(vals))].T
+    return np.zeros(2), np.array([-u[1], u[0]]), np.array([-s[1], s[0]])
+
+
+def orbit_batch(data, m, L):
+    """A batch of 1 to 4 pseudo-orbits of L points, each step's defect
+    at most delta per axis, delta drawn from 0 to 1e-2."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    delta = data.draw(st.sampled_from([0.0, 1e-6, 1e-3, 1e-2]))
+    z = np.empty((data.draw(st.integers(1, 4)), L, 2))
+    z[:, 0] = rng.random(z[:, 0].shape)
+    for i in range(1, L):
+        z[:, i] = m.wrap(evaluate(m, z[:, i - 1])
+                         + delta * rng.uniform(-1.0, 1.0, z[:, i].shape))
+    return z
+
+
+def dense_system(m, z, ends):
+    """Residual and Jacobian of the orbit equations f(z_i) - z_{i+1} of
+    one orbit z (L, dim), and of the boundary rows of `ends`, row by row."""
+    L, d = z.shape
+    res, rows = [], []
+    for i in range(L - 1):
+        J = m.jac(z[i:i + 1])[0]
+        g = m.delta(z[i + 1], evaluate(m, z[i]))
+        for a in range(d):
+            row = np.zeros(L * d)
+            row[i * d:(i + 1) * d] = J[a]
+            row[(i + 1) * d + a] = -1.0
+            res.append(g[a])
+            rows.append(row)
+    if ends is not None:
+        p, a, b = ends
+        for cols, at, v in ((slice(0, d), z[0], a), (slice(-d, None), z[-1], b)):
+            row = np.zeros(L * d)
+            row[cols] = v
+            res.append(m.delta(p, at) @ v)
+            rows.append(row)
+    return np.array(res), np.array(rows).reshape(-1, L * d)
+
+
+class TestOrbitNewton:
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("name", sorted(NEWTON_MAPS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_one_step_matches_the_dense_solve(self, name, closed, data):
+        # without boundary rows a step is the least-norm solution of the
+        # underdetermined system (lstsq); with them the system is square.
+        # Both hold to rtol 1e-9 on the well-conditioned systems
+        m = NEWTON_MAPS[name]()
+        ends = saddle_ends(m) if closed else None
+        z = orbit_batch(data, m, data.draw(st.integers(1, 12)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(system, "_REFINE_SWEEPS", 1)
+            got, _ = system._orbit_newton(m, z, ends)
+        for zb, gb in zip(z, got):
+            r, N = dense_system(m, zb, ends)
+            L = zb.shape[0]
+            worst = max([0.0, *vector_norms(r[:2 * (L - 1)].reshape(-1, 2)),
+                         *np.abs(r[2 * (L - 1):])])
+            if worst < system._DEFECT_TOL:
+                assert same_bytes(gb, zb)
+                continue
+            want = (np.linalg.solve(N, -r) if closed else
+                    np.linalg.lstsq(N, -r, rcond=None)[0]).reshape(L, 2)
+            # the normal equations N N^T lose eps * cond(N)^2 of the step
+            rtol = 1e-9 + np.finfo(float).eps * np.linalg.cond(N) ** 2
+            err = np.max(np.abs(m.delta(zb + want, gb)))
+            scale = np.max(np.abs(want))
+            assert err <= rtol * scale + 1e-15 * (1.0 + np.max(np.abs(zb))), \
+                (err, scale, rtol)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("name", [*sorted(NEWTON_MAPS), "standard-1e12"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_an_orbit_ends_alike_in_any_batch(self, name, closed, data):
+        # standard K = 1e12 makes singular systems, which fail alone
+        m = NEWTON_MAPS[name]() if name in NEWTON_MAPS else \
+            make_map("standard", K=1e12)
+        ends = saddle_ends(m) if closed else None
+        z = orbit_batch(data, m, data.draw(st.integers(1, 12)))
+        got, defect = system._orbit_newton(m, z, ends)
+        for k in range(z.shape[0]):
+            alone, alone_defect = system._orbit_newton(m, z[k:k + 1], ends)
+            assert same_bytes(alone[0], got[k])
+            assert same_bytes(alone_defect[0], defect[k])
+        ok = defect < system._DEFECT_TOL
+        if ok.any():
+            imgs = evaluate(m, got[ok][:, :-1])
+            assert np.max(m.distance(imgs, got[ok][:, 1:]), initial=0.0) \
+                < system._DEFECT_TOL
