@@ -21,8 +21,7 @@ import numpy as np
 
 from ._util import min_image, row_norms, vector_norms, wrap_unit
 from .phase_space import Grid
-from .system import (_AFFINE, _DEFECT_TOL, MapSpec, _orbit_newton, evaluate,
-                     iterates)
+from .system import _AFFINE, MapSpec, _orbit_newton, evaluate, iterates
 
 __all__ = [
     "HyperbolicPoint", "ManifoldPolyline", "HomoclinicHit",
@@ -490,7 +489,7 @@ def _homoclinic_orbits(map_spec: MapSpec, hp: HyperbolicPoint, pts: np.ndarray,
                             fwd[:ni, rows]]).swapaxes(0, 1)
         z, defect = _orbit_newton(map_spec, z, ends)
         x = z[:, mi]
-        ok = (defect < _DEFECT_TOL) & (map_spec.distance(x, pts[rows]) <= max_move)
+        ok = np.isfinite(defect) & (map_spec.distance(x, pts[rows]) <= max_move)
         out[rows[ok]] = x[ok]
     return out
 
@@ -695,6 +694,24 @@ def _hits(cr: _Crossings, rows: np.ndarray) -> list[HomoclinicHit]:
                 cr.distance_from_anchor[rows].tolist())]
 
 
+def _on_chord_arcs(W: ManifoldPolyline, seg: np.ndarray, x: np.ndarray,
+                   periods) -> np.ndarray:
+    """Whether each point x lies within (s/2) tan(theta/2) of the line of
+    W's segment seg, s its length and theta the larger turn of W at the
+    segment's two vertices (zero at W's ends): as far as an arc through
+    the two vertices whose tangent turns by theta can stray from their
+    chord, with theta the vertex turns' estimate of the arc's."""
+    d = np.diff(W.lift, axis=0)
+    s = vector_norms(d)
+    t = d / s[:, None]
+    turn = np.zeros(W.lift.shape[0])
+    turn[1:-1] = np.arccos(np.clip(np.sum(t[1:] * t[:-1], axis=1), -1.0, 1.0))
+    theta = np.maximum(turn[seg], turn[seg + 1])
+    rel = min_image(x - W.vertices[seg], periods)
+    off = np.abs(rel[:, 0] * t[seg, 1] - rel[:, 1] * t[seg, 0])
+    return off <= 0.5 * s[seg] * np.tan(0.5 * theta)
+
+
 def _hit_pipeline(cuts: list, tol_int: float, periods,
                   map_spec: Optional[MapSpec] = None) -> list[list]:
     """The transverse hits of each (W^u, W^s) pair in `cuts`, each list
@@ -707,9 +724,12 @@ def _hit_pipeline(cuts: list, tol_int: float, periods,
     angle below `TRANSVERSALITY_MIN`.  With `map_spec` given, one
     `_homoclinic_orbits` call polishes the union of all pairs' rows.  Rows
     polish independently, and every truncation has its polylines'
-    max_seg, so the move cap is 4.5 max_seg for them all.  The affine
-    registry maps (`system._AFFINE`) have straight manifolds, whose raw
-    crossings are already exact: their hits are not polished.
+    max_seg, so the move cap is 4.5 max_seg for them all.  A polished hit
+    off the arc of either crossing segment (`_on_chord_arcs`, on each
+    pair's own polylines) is another homoclinic point, and the pair keeps
+    the raw crossing.  The affine registry maps (`system._AFFINE`) have
+    straight manifolds, whose raw crossings are already exact: their hits
+    are not polished.
     """
     cr = _crossings(*cuts[-1], tol_int, periods)
     rows_by_cut = []
@@ -719,20 +739,27 @@ def _hit_pipeline(cuts: list, tol_int: float, periods,
         rows_by_cut.append(rows[cr.angle[rows] >= TRANSVERSALITY_MIN])
     union = np.asarray(sorted(set().union(*(r.tolist() for r in rows_by_cut))),
                        dtype=np.int64)
-    hits = dict(zip(union.tolist(), _hits(cr, union)))
+    polished = None
     if map_spec is not None and map_spec.name not in _AFFINE:
         Wu, Ws = cuts[-1]
         move_cap = 3.0 * max(1.5 * max(Wu.max_seg, Ws.max_seg), 1e-9)
         polished = _homoclinic_orbits(map_spec, Wu.anchor, cr.point[union],
                                       move_cap)
+    out = []
+    for (Wu, Ws), rows in zip(cuts, rows_by_cut):
+        hits = _hits(cr, rows)
         if polished is not None:
+            pts = polished[np.searchsorted(union, rows)]
+            ok = _on_chord_arcs(Wu, cr.i[rows], pts, periods) \
+                & _on_chord_arcs(Ws, cr.j[rows], pts, periods)
             anchor = np.asarray(Wu.anchor.point, dtype=float)
-            dists = row_norms(min_image(polished - anchor, periods))
-            for hit, pt, dist in zip(hits.values(), polished, dists.tolist()):
-                hit.point, hit.distance_from_anchor = pt, dist
-    return [sorted((hits[k] for k in rows.tolist()),
-                   key=lambda h: (h.distance_from_anchor, h.param_unstable))
-            for rows in rows_by_cut]
+            dists = row_norms(min_image(pts - anchor, periods))
+            for hit, pt, dist, keep in zip(hits, pts, dists.tolist(), ok.tolist()):
+                if keep:
+                    hit.point, hit.distance_from_anchor = pt, dist
+        out.append(sorted(hits, key=lambda h: (h.distance_from_anchor,
+                                               h.param_unstable)))
+    return out
 
 
 def homoclinic_points(Wu: ManifoldPolyline, Ws: ManifoldPolyline,

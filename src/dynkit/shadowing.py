@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from ._util import vector_norms, wrap_unit, write_csv
-from .system import _DEFECT_TOL, MapSpec, _orbit_newton, evaluate, iterates
+from .system import MapSpec, _orbit_newton, evaluate, iterates
 
 __all__ = [
     "PseudoOrbit", "ShadowingResult", "NoApproachError",
@@ -324,7 +324,7 @@ def _refine_shadow(map_spec: MapSpec, y: np.ndarray):
     if map_spec.dim != 2 or not _saddles(map_spec.jac(y)).all():
         return None
     z, defect = _orbit_newton(map_spec, y[None])
-    return (z[0], float(defect[0])) if defect[0] < _DEFECT_TOL else None
+    return (z[0], float(defect[0])) if np.isfinite(defect[0]) else None
 
 
 def _every_seed_leaves(map_spec: MapSpec, y: np.ndarray, eps: float,

@@ -366,60 +366,106 @@ _REFINE_SWEEPS = 60
 _DEFECT_TOL = 1e-11
 
 
+def _block_tridiagonal_solve(D, C, f):
+    """x of the symmetric positive definite block-tridiagonal systems with
+    diagonal blocks D (B, n, d, d), blocks C (B, n-1, d, d) above them and
+    right sides f (B, n, d), by block cyclic reduction: eliminating the
+    odd blocks into their even neighbours halves the system, so the work
+    is O(n d^3) in log2(n) batched levels, with no pivoting as the blocks
+    stay positive definite.  Up to 32 blocks, where a level costs more
+    than it saves, the system is solved dense."""
+    B, n, d = f.shape
+    if n <= 32:
+        M, k = np.zeros((B, n, d, n, d)), np.arange(n)
+        M[:, k, :, k] = D.swapaxes(0, 1)
+        M[:, k[:-1], :, k[1:]] = C.swapaxes(0, 1)
+        M[:, k[1:], :, k[:-1]] = C.swapaxes(0, 1).swapaxes(2, 3)
+        return np.linalg.solve(M.reshape(B, n * d, n * d),
+                               f.reshape(B, n * d, 1)).reshape(B, n, d)
+    zero, ne, no = np.zeros((B, 1, d, d)), (n + 1) // 2, n // 2
+    A = np.concatenate([zero, C.swapaxes(2, 3)], axis=1)  # A_k = M[k, k-1]
+    C = np.concatenate([C, zero], axis=1)
+    # x_o = S_o (-x_{o-1}, -x_{o+1}, 1) at each odd block o
+    S = np.linalg.solve(D[:, 1::2], np.concatenate(
+        [A[:, 1::2], C[:, 1::2], f[:, 1::2, :, None]], axis=3))
+    pad = np.zeros((B, 1, d, 2 * d + 1))
+    left = A[:, ::2] @ np.concatenate([pad, S], axis=1)[:, :ne]
+    right = C[:, ::2] @ np.concatenate([S, pad], axis=1)[:, :ne]
+    x = np.empty_like(f)
+    x[:, ::2] = _block_tridiagonal_solve(
+        D[:, ::2] - left[..., d:2 * d] - right[..., :d],
+        -right[:, :-1, :, d:2 * d], f[:, ::2] - left[..., -1] - right[..., -1])
+    nb = np.concatenate([-x[:, ::2], np.zeros((B, 1, d))], axis=1)
+    v = np.concatenate([nb[:, :no], nb[:, 1:no + 1], np.ones((B, no, 1))], axis=2)
+    x[:, 1::2] = (S @ v[..., None])[..., 0]
+    return x
+
+
 def _orbit_newton(map_spec: MapSpec, z, ends=None):
     """Newton on the orbit equations f(z_i) - z_{i+1} = 0 (`MapSpec.delta`)
     of a batch of orbits z (B, L, dim); `ends` = (p, a, b) adds the rows
     a . delta(p, z_0) = 0 and b . delta(p, z_{L-1}) = 0.
 
     Each step is the minimum-norm correction e = N^T (N N^T)^-1 (-r) of
-    the residual r with Jacobian N, one batched `np.linalg.solve`; with
-    both boundary rows on a 2-D map N is square and e the Newton step.
-    An orbit stops once its defect, the largest step norm or boundary
-    residual, is below `_DEFECT_TOL`, or after `_REFINE_SWEEPS` steps, so
-    it ends as it would alone in any batch.  Returns the orbits and their
-    defects; an orbit whose step is singular, not finite or above 1e6
-    keeps its last iterate, with defect inf.
+    the residual r with Jacobian N; with both boundary rows on a 2-D map
+    N is square and e the Newton step.  N N^T is block tridiagonal, the
+    boundary rows one-row blocks at its ends, so a step is O(L) work
+    (`_block_tridiagonal_solve`).  An orbit stops once its defect, the
+    largest step norm or boundary residual, is below `_DEFECT_TOL`, or
+    after `_REFINE_SWEEPS` steps, so it ends as it would alone in any
+    batch.  Returns the orbits and their defects, inf where an orbit did
+    not converge; one whose step is singular, not finite or above 1e6
+    keeps its last iterate.
     """
     z = np.array(z, dtype=float)
     B, L, d = z.shape
-    at = np.arange((L - 1) * d).reshape(L - 1, d)  # orbit rows i*d + a
-    defect, rows = np.zeros(B), np.arange(B)
+    # row block k of N is X_k at orbit point k - 1 and Y_k at point k:
+    # orbit rows at k = 1 .. L-1, boundary rows in the first row of blocks
+    # 0 and L, whose other rows are identity filler
+    X, Y = np.zeros((2, B, L + 1, d, d))
+    Y[:, 1:L] = -np.eye(d)
+    filler = np.broadcast_to(np.eye(d), (B, 2, d, d)).copy()
+    if ends is not None:
+        p, a, b = ends
+        Y[:, 0, 0], X[:, L, 0], filler[:, :, 0, 0] = a, b, 0.0
+    f = np.zeros((B, L + 1, d))
+    defect, rows = np.full(B, np.inf), np.arange(B)
     # a step that overflows is a runaway, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for sweep in range(_REFINE_SWEEPS + 1):
             za = z[rows]
             steps = map_spec.delta(za[:, 1:], evaluate(map_spec, za[:, :-1]))
-            r = steps.reshape(rows.size, (L - 1) * d)
             worst = vector_norms(steps).max(axis=1, initial=0.0)
+            f[rows, 1:L] = -steps
             if ends is not None:
-                p, a, b = ends
                 # summed per row: a matrix-vector product's kernel, and so
                 # its rounding, may change with the batch size
                 bnd = np.sum(map_spec.delta(p, za[:, [0, -1]]) * (a, b), axis=2)
-                r = np.concatenate([r, bnd], axis=1)
+                f[rows, 0, 0], f[rows, L, 0] = -bnd[:, 0], -bnd[:, 1]
                 worst = np.maximum(worst, np.abs(bnd).max(axis=1))
-            defect[rows] = worst
-            rows, za, r = (v[~(worst < _DEFECT_TOL)] for v in (rows, za, r))
+            done = worst < _DEFECT_TOL
+            defect[rows[done]] = worst[done]
+            rows, za = rows[~done], za[~done]
             if not rows.size or sweep == _REFINE_SWEEPS:
                 break
-            N = np.zeros((rows.size, r.shape[1], L * d))
-            N[:, at[:, :, None], at[:, None, :]] = map_spec.jac(
-                za[:, :-1].reshape(-1, d)).reshape(rows.size, L - 1, d, d)
-            N[:, at, at + d] = -1.0
-            if ends is not None:
-                N[:, -2, :d], N[:, -1, -d:] = a, b
-            NT = N.swapaxes(1, 2)
-            A, rhs = N @ NT, -r[..., None]
+            X[rows, 1:L] = map_spec.jac(za[:, :-1].reshape(-1, d)).reshape(
+                rows.size, L - 1, d, d)
+            Xr, Yr = X[rows], Y[rows]
+            Xt, Yt = Xr.swapaxes(2, 3), Yr.swapaxes(2, 3)
+            D = Xr @ Xt + Yr @ Yt
+            D[:, [0, -1]] += filler[rows]
+            C, fr = Yr[:, :-1] @ Xt[:, 1:], f[rows]
             try:
-                w = np.linalg.solve(A, rhs)
+                w = _block_tridiagonal_solve(D, C, fr)
             except np.linalg.LinAlgError:  # a singular system fails alone
-                w = np.full_like(rhs, np.nan)
+                w = np.full_like(fr, np.nan)
                 for i in range(rows.size):
                     with contextlib.suppress(np.linalg.LinAlgError):
-                        w[i] = np.linalg.solve(A[i], rhs[i])
-            e = (NT @ w).reshape(za.shape)
+                        w[i] = _block_tridiagonal_solve(
+                            D[i:i + 1], C[i:i + 1], fr[i:i + 1])[0]
+            e = (Yt[:, :-1] @ w[:, :-1, :, None]
+                 + Xt[:, 1:] @ w[:, 1:, :, None])[..., 0]
             bad = ~(np.abs(e).max(axis=(1, 2), initial=0.0) <= 1e6)
-            defect[rows[bad]] = np.inf
             rows, za, e = rows[~bad], za[~bad], e[~bad]
             z[rows] = map_spec.wrap(za + e)
     return z, defect

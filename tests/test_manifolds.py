@@ -85,6 +85,23 @@ def standard_polish_errors():
               for fine in (fine_u, fine_s)))
 
 
+def weak_standard_polish_offsets():
+    """Standard K = 0.97 at its period-3 anchor, W^u and W^s to arclength 5
+    at max_seg 0.02: per hit, the distances of the raw crossing and of
+    the hit `homoclinic_points` polishes from W^u and W^s grown to 5.2 at
+    max_seg 0.002, as (raw, polished) arrays of (u, s) rows."""
+    m, hp = growth_anchor("standard-0.97")
+    Wu = grow_manifold(m, hp, "unstable", 5.0, max_seg=0.02)
+    Ws = grow_manifold(m, hp, "stable", 5.0, max_seg=0.02)
+    fine = [grow_manifold(m, hp, side, 5.2, max_seg=0.002)
+            for side in ("unstable", "stable")]
+    raw = _raw_hits(Wu, Ws, 1e-9, m.periods)[0]
+    polished = homoclinic_points(Wu, Ws, map_spec=m)
+    assert [h.param_unstable for h in raw] == [h.param_unstable for h in polished]
+    return tuple(np.array([[point_to_polyline_distance(m, h.point, W) for W in fine]
+                           for h in hits]) for hits in (raw, polished))
+
+
 def linear_anchor():
     m = make_map("linear", a=2.0, b=0.5)
     g = Grid(Domain((-1.0, -1.0), (1.0, 1.0), (False, False)), (3, 3))
@@ -799,12 +816,37 @@ class TestHomoclinic:
 
     def test_polish_with_a_fixed_window_fails(self, monkeypatch):
         # planted mutant: orbit ends at 10 periods, not at the closest
-        # approach to p, carry a hit onto another homoclinic orbit
+        # approach to p, carry a hit onto another homoclinic orbit, 1.35e-3
+        # away; the arc check keeps its raw crossing, 7.4e-5 off W^u
         approach = manifolds._approach
         monkeypatch.setattr(manifolds, "_approach", lambda m, hp, pts, inverse: (
             approach(m, hp, pts, inverse)[0], np.full(len(pts), 10 * hp.period)))
+        _, raw_off, off_u, off_s = standard_polish_errors()
+        assert max(off_u, off_s) > 1e-5, (off_u, off_s)
+        monkeypatch.setattr(manifolds, "_on_chord_arcs",
+                            lambda W, seg, x, periods: np.ones(len(seg), bool))
         move, raw_off, off_u, off_s = standard_polish_errors()
         assert move > 2.0 * raw_off and off_u > 1e-5, (move, raw_off, off_u)
+
+    def test_polish_brings_weak_standard_hits_no_farther_off(self):
+        # standard K = 0.97: one hit's forward iterates come no nearer p
+        # than 0.035, and its orbit converges to another homoclinic point
+        # 1.3e-2 away, 2.3e-3 off W^s; off its crossing segments' arcs, it
+        # keeps the raw crossing.  Summed over W^u and W^s, no polished hit
+        # lies farther off than its raw crossing (at three hits the polish
+        # moves onto one manifold and the other stays as far, to 8 %).
+        # 7 of the 90 hits lie more than 1e-5 off either, of 52 raw ones
+        raw, polished = weak_standard_polish_offsets()
+        assert len(raw) == 90
+        assert np.all(polished.sum(axis=1) <= raw.sum(axis=1))
+        assert np.count_nonzero(polished.max(axis=1) > 1e-5) <= 7
+
+    def test_polish_without_the_arc_check_fails(self, monkeypatch):
+        # planted mutant: every converged orbit within the move cap is taken
+        monkeypatch.setattr(manifolds, "_on_chord_arcs",
+                            lambda W, seg, x, periods: np.ones(len(seg), bool))
+        raw, polished = weak_standard_polish_offsets()
+        assert np.max(polished.sum(axis=1) - raw.sum(axis=1)) > 1e-3
 
     def test_polish_with_swapped_boundary_rows_fails(self, monkeypatch):
         # planted mutant: x_-m on E^s(p) and x_n on E^u(p)

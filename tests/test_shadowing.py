@@ -888,6 +888,29 @@ class TestRefinement:
         assert got[:4].tolist() == [True, False, True, False]
         assert 0 < np.count_nonzero(got) < len(J)
 
+    def test_long_orbits_solve_in_small_blocks(self, monkeypatch):
+        # a cat pseudo-orbit of 2000 points and a splice whose approach
+        # takes 2952 steps refine with no dense system past 32 blocks of
+        # 2 rows, where a dense N N^T of 4000 rows would take 128 MB
+        sizes = []
+        solve = np.linalg.solve
+
+        def recorded(a, b):
+            sizes.append(np.shape(a)[-1])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        cat = make_map("cat")
+        for po in (random_pseudo_orbit(cat, np.array([0.25, 0.6]), 1e-4, 2000,
+                                       rng_seed=7),
+                   splice_pseudo_orbit(cat, np.array([0.1234, 0.5678]),
+                                       np.array([0.5, 0.5]), 0.01)):
+            witness, defect = shadowing._refine_shadow(cat, po.points)
+            assert defect < system._DEFECT_TOL
+            assert np.max(cat.distance(witness, po.points)) < 2.0 * po.delta
+        assert po.provenance["n0"] == 2952
+        assert sizes and max(sizes) <= 64
+
 
 class TestLinearStableCheck:
     def test_unstable_component_diverges(self):

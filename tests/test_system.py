@@ -937,48 +937,95 @@ def dense_system(m, z, ends):
     return np.array(res), np.array(rows).reshape(-1, L * d)
 
 
+def assert_one_step_is_the_dense_solve(m, z, ends):
+    """One `_orbit_newton` step on the batch z is, per orbit, the
+    least-norm solution of the dense underdetermined system (lstsq), or
+    with `ends` the solution of the square one, to rtol 1e-9 on the
+    well-conditioned systems; an orbit already within the tolerance stays
+    as it is."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(system, "_REFINE_SWEEPS", 1)
+        got, _ = system._orbit_newton(m, z, ends)
+    for zb, gb in zip(z, got):
+        r, N = dense_system(m, zb, ends)
+        L = zb.shape[0]
+        worst = max([0.0, *vector_norms(r[:2 * (L - 1)].reshape(-1, 2)),
+                     *np.abs(r[2 * (L - 1):])])
+        if worst < system._DEFECT_TOL:
+            assert same_bytes(gb, zb)
+            continue
+        want = (np.linalg.solve(N, -r) if ends is not None else
+                np.linalg.lstsq(N, -r, rcond=None)[0]).reshape(L, 2)
+        # the normal equations N N^T lose eps * cond(N)^2 of the step
+        rtol = 1e-9 + np.finfo(float).eps * np.linalg.cond(N) ** 2
+        err = np.max(np.abs(m.delta(zb + want, gb)))
+        scale = np.max(np.abs(want))
+        assert err <= rtol * scale + 1e-15 * (1.0 + np.max(np.abs(zb))), \
+            (err, scale, rtol)
+
+
+def dense_block_tridiagonal(D, C):
+    """The (n d, n d) matrix of one block-tridiagonal system."""
+    n, d = D.shape[:2]
+    M = np.zeros((n * d, n * d))
+    for k in range(n):
+        M[k * d:(k + 1) * d, k * d:(k + 1) * d] = D[k]
+    for k in range(n - 1):
+        M[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = C[k]
+        M[(k + 1) * d:(k + 2) * d, k * d:(k + 1) * d] = C[k].T
+    return M
+
+
 class TestOrbitNewton:
     @pytest.mark.parametrize("closed", [False, True])
     @pytest.mark.parametrize("name", sorted(NEWTON_MAPS))
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_one_step_matches_the_dense_solve(self, name, closed, data):
-        # without boundary rows a step is the least-norm solution of the
-        # underdetermined system (lstsq); with them the system is square.
-        # Both hold to rtol 1e-9 on the well-conditioned systems
         m = NEWTON_MAPS[name]()
-        ends = saddle_ends(m) if closed else None
         z = orbit_batch(data, m, data.draw(st.integers(1, 12)))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(system, "_REFINE_SWEEPS", 1)
-            got, _ = system._orbit_newton(m, z, ends)
-        for zb, gb in zip(z, got):
-            r, N = dense_system(m, zb, ends)
-            L = zb.shape[0]
-            worst = max([0.0, *vector_norms(r[:2 * (L - 1)].reshape(-1, 2)),
-                         *np.abs(r[2 * (L - 1):])])
-            if worst < system._DEFECT_TOL:
-                assert same_bytes(gb, zb)
-                continue
-            want = (np.linalg.solve(N, -r) if closed else
-                    np.linalg.lstsq(N, -r, rcond=None)[0]).reshape(L, 2)
-            # the normal equations N N^T lose eps * cond(N)^2 of the step
-            rtol = 1e-9 + np.finfo(float).eps * np.linalg.cond(N) ** 2
-            err = np.max(np.abs(m.delta(zb + want, gb)))
-            scale = np.max(np.abs(want))
-            assert err <= rtol * scale + 1e-15 * (1.0 + np.max(np.abs(zb))), \
-                (err, scale, rtol)
+        assert_one_step_is_the_dense_solve(m, z, saddle_ends(m) if closed else None)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("name", ["cat", "standard-1.5"])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_long_orbit_step_matches_the_dense_solve(self, name, closed, data):
+        # 33 blocks and more: the step goes through cyclic reduction.  On
+        # the torus maps only: an orbit of the linear map spans 2^L
+        m = NEWTON_MAPS[name]()
+        z = orbit_batch(data, m, data.draw(st.integers(32, 64)))
+        assert_one_step_is_the_dense_solve(m, z, saddle_ends(m) if closed else None)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(1, 100), d=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_tridiagonal_solve_matches_the_dense_solve(self, n, d, seed):
+        # the blocks of an orbit's N N^T: J_k J_k^T + I and -J_{k+1}^T
+        rng = np.random.default_rng(seed)
+        J = rng.normal(size=(2, n + 1, d, d))
+        D = J[:, :-1] @ J[:, :-1].swapaxes(2, 3) + np.eye(d)
+        C = -J[:, 1:n].swapaxes(2, 3)
+        f = rng.normal(size=(2, n, d))
+        x = system._block_tridiagonal_solve(D, C, f)
+        for b in range(2):
+            M = dense_block_tridiagonal(D[b], C[b])
+            want = np.linalg.solve(M, f[b].ravel())
+            rtol = 1e-12 * np.linalg.cond(M)
+            assert np.max(np.abs(x[b].ravel() - want)) <= rtol * np.max(np.abs(want))
 
     @pytest.mark.parametrize("closed", [False, True])
     @pytest.mark.parametrize("name", [*sorted(NEWTON_MAPS), "standard-1e12"])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_an_orbit_ends_alike_in_any_batch(self, name, closed, data):
-        # standard K = 1e12 makes singular systems, which fail alone
+        # standard K = 1e12 makes singular systems, which fail alone; the
+        # longer orbits go through cyclic reduction
         m = NEWTON_MAPS[name]() if name in NEWTON_MAPS else \
             make_map("standard", K=1e12)
         ends = saddle_ends(m) if closed else None
-        z = orbit_batch(data, m, data.draw(st.integers(1, 12)))
+        z = orbit_batch(data, m, data.draw(st.one_of(st.integers(1, 12),
+                                                     st.integers(33, 48))))
         got, defect = system._orbit_newton(m, z, ends)
         for k in range(z.shape[0]):
             alone, alone_defect = system._orbit_newton(m, z[k:k + 1], ends)
