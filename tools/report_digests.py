@@ -1,20 +1,26 @@
 """sha256 digests of the reports and artifacts of a fixed list of CLI runs.
 
 Each run writes a config into a temporary directory and calls the CLI on
-it.  For every run this prints its exit code and the sha256 of its
-`report.json` (with `config.out`, the temporary path, removed) and of each
-CSV and SVG it wrote, one `run/file digest` line each.  Two checkouts give
-the same lines when their reports are byte-identical:
+it.  For every seed and run this prints its exit code and the sha256 of
+its `report.json` (with `config.out`, the temporary path, removed) and of
+each CSV, SVG and text file it wrote, one `s<seed>/run/file digest` line
+each, after a `versions` line naming the Python and numpy versions.  Two
+checkouts give the same lines when their reports are byte-identical:
 
-    PYTHONPATH=src python3 tools/report_digests.py --seed 0 > digests.txt
-    PYTHONPATH=src python3 tools/report_digests.py --seed 0 --against digests.txt
+    PYTHONPATH=src python3 tools/report_digests.py --seed 0 1 > digests.txt
+    PYTHONPATH=src python3 tools/report_digests.py --seed 0 1 --against digests.txt
 
 With `--against FILE` it exits 1 and names each line that differs from,
-or is missing in, FILE.  The list holds the bench's eight CLI ops, the
-homoclinic and accumulate runs on the standard map at K = 0.97 (period
-3), 1.5 and 2.0, two `manifolds` runs whose grids have a periodic
-point on the torus seam, and `shadow` and `splice` runs on the cat,
-standard, linear and 1-D cubic maps.
+or is missing in, FILE.  `tests/report_digests.txt` holds the lines of
+seeds 0 and 1, and a tier-1 test compares against it; a change that moves
+a report regenerates that file with the first command above.
+
+The list holds the bench's eight CLI ops, the homoclinic and accumulate
+runs on the standard map at K = 0.97 (period 3), 1.5 and 2.0, two
+`manifolds` runs whose grids have a periodic point on the torus seam,
+`shadow` and `splice` runs on the cat, standard, linear and 1-D cubic
+maps, and `graph` runs with an edge dump on windows that boxes escape
+(no bench graph has an escaping box).
 """
 
 from __future__ import annotations
@@ -24,9 +30,12 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from dynkit import cli
 
@@ -41,6 +50,11 @@ _CUBIC_2D = {"name": "poly", "dimension": 2, "components": [
     [{"c": t["c"], "e": t["e"] + [0]} for t in _CUBIC],
     [{"c": t["c"], "e": [0] + t["e"]} for t in _CUBIC]]}
 _CAT = {"name": "cat"}
+_POLY_3D = {"name": "poly", "dimension": 3, "components": [
+    [{"c": 0.9, "e": [1, 0, 0]}, {"c": 0.3, "e": [0, 1, 1]}],
+    [{"c": -0.5, "e": [2, 0, 0]}, {"c": 0.7, "e": [0, 1, 0]}],
+    [{"c": 0.2, "e": [1, 1, 0]}, {"c": 0.5, "e": [0, 0, 3]}]]}
+_DUMP = {"dump_edges": True}
 
 
 def _standard(K):
@@ -111,6 +125,21 @@ RUNS = [
      {"q": [0.1, 0.2], "x0": [0.3, 0.7], "eps": 5e-2,
       "grid_resolution": 5e-3, "n_back": 10, "n_forward": 10},
      {"delta": 2e-2}),
+    # edge dumps of graphs with escaping boxes: a translation, a 3-D poly,
+    # a linear map under which every box escapes and the cubic on a window
+    # wider than its attractor
+    ("translation-graph", "graph", {"name": "translation"},
+     {"lower": [0.0, 0.0], "upper": [4.0, 1.0], "depth": [4, 4]}, _DUMP,
+     {"eps": 0.3}),
+    ("poly3-graph", "graph", _POLY_3D,
+     {"lower": [-1.0] * 3, "upper": [1.0] * 3, "depth": [3, 3, 3]}, _DUMP,
+     {"eps": 0.05}),
+    ("linear-escape-graph", "graph", {"name": "linear", "a": 40.0, "b": 0.5},
+     {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "depth": [3, 3]}, _DUMP,
+     {}),
+    ("cubic1-graph", "graph",
+     {"name": "poly", "dimension": 1, "components": [_CUBIC]},
+     {"lower": [-3.0], "upper": [3.0], "depth": [8]}, _DUMP, {"eps": 0.01}),
 ]
 
 
@@ -118,37 +147,57 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(seed: int) -> list[str]:
-    """`run/file digest` lines of every run, in the order of RUNS."""
-    lines = []
+def versions() -> str:
+    """The `versions` line: float results may move with either version."""
+    return f"versions python {platform.python_version()} numpy {np.__version__}"
+
+
+def digests(seeds) -> list[str]:
+    """The `versions` line, then the `s<seed>/run/file digest` lines of
+    every run, in the order of RUNS, for each seed in turn."""
+    lines = [versions()]
     with tempfile.TemporaryDirectory() as tmp:
-        for name, sub, map_cfg, grid, exp, extra in RUNS:
-            config = {"map": map_cfg, "grid": grid, "rng_seed": seed, **extra}
-            if exp is not None:
-                config["experiment"] = exp
-            path = Path(tmp) / f"{name}.json"
-            path.write_text(json.dumps(config))
-            out = Path(tmp) / name
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = cli.run_subcommand(sub, str(path), str(out), None)
-            lines.append(f"{name}/exit {code}")
-            report = out / "report.json"
-            if report.exists():
-                rep = json.loads(report.read_text())
-                rep["config"].pop("out", None)
-                lines.append(f"{name}/report.json " + _sha256(
-                    json.dumps(rep, sort_keys=True, indent=2).encode()))
-            for f in sorted(p for p in out.glob("*")
-                            if p.suffix in (".csv", ".svg")):
-                lines.append(f"{name}/{f.name} {_sha256(f.read_bytes())}")
+        for seed in seeds:
+            for name, sub, map_cfg, grid, exp, extra in RUNS:
+                config = {"map": map_cfg, "grid": grid, "rng_seed": seed,
+                          **extra}
+                if exp is not None:
+                    config["experiment"] = exp
+                path = Path(tmp) / f"{name}.json"
+                path.write_text(json.dumps(config))
+                out = Path(tmp) / f"s{seed}" / name
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.run_subcommand(sub, str(path), str(out), None)
+                key = f"s{seed}/{name}"
+                lines.append(f"{key}/exit {code}")
+                report = out / "report.json"
+                if report.exists():
+                    rep = json.loads(report.read_text())
+                    rep["config"].pop("out", None)
+                    lines.append(f"{key}/report.json " + _sha256(
+                        json.dumps(rep, sort_keys=True, indent=2).encode()))
+                for f in sorted(p for p in out.glob("*")
+                                if p.suffix in (".csv", ".svg", ".txt")):
+                    lines.append(f"{key}/{f.name} {_sha256(f.read_bytes())}")
     return lines
+
+
+def differences(want: list[str], got: list[str]) -> list[str]:
+    """One `differs:` line per key whose digest differs between the two
+    lists of lines or is missing in one of them."""
+    want = dict(line.split(" ", 1) for line in want if line.strip())
+    got = dict(line.split(" ", 1) for line in got if line.strip())
+    return [f"differs: {key} (was {want.get(key)}, now {got.get(key)})"
+            for key in dict.fromkeys([*want, *got])
+            if want.get(key) != got.get(key)]
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seed", type=int, default=0,
-                    help="rng_seed of every config (default 0)")
+    ap.add_argument("--seed", type=int, nargs="+", default=[0],
+                    help="rng_seed of every config, one pass per seed "
+                         "(default 0)")
     ap.add_argument("--against", type=Path, default=None,
                     help="digest lines printed earlier; exit 1 on any "
                          "difference")
@@ -157,14 +206,9 @@ def main(argv=None) -> int:
     print("\n".join(lines))
     if args.against is None:
         return 0
-    want = dict(line.split(" ", 1) for line in
-                args.against.read_text().splitlines() if line.strip())
-    got = dict(line.split(" ", 1) for line in lines)
-    diff = [key for key in dict.fromkeys([*want, *got])
-            if want.get(key) != got.get(key)]
-    for key in diff:
-        print(f"differs: {key} (was {want.get(key)}, now {got.get(key)})",
-              file=sys.stderr)
+    diff = differences(args.against.read_text().splitlines(), lines)
+    for line in diff:
+        print(line, file=sys.stderr)
     return 1 if diff else 0
 
 
