@@ -6,8 +6,9 @@ chain transitivity, nonwandering probes and variable-threshold
 Construction is an outer approximation: the image of each box center is
 fattened per axis by the entrywise Jacobian bound applied to the box
 radii plus eps, and all boxes meeting that half-open rectangle become
-out-neighbors.  Points leaving a non-periodic window feed a single
-absorbing sink node, which is excluded from every recurrence statement.
+out-neighbors.  A box whose rectangle leaves a non-periodic window is
+flagged as escaping: its lost mass feeds a virtual absorbing sink that is
+no node of the graph, so no recurrence statement can see it.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ __all__ = [
 # caps the grid: at ~42 edges per box (cat, eps one box diameter) 2^26
 # boxes already mean 2.8 G edges, far past memory.  Targets are stored as
 # int32 and the transpose packs `target << 32 | source` into one int64 key
-# above 2^16 boxes, which needs nboxes + 1 < 2**31 (the sink is node nboxes)
+# above 2^16 boxes, which needs nboxes < 2**31
 MAX_NBOXES = 1 << 26
 # up to this many nodes the transpose packs `target << 16 | source` into
-# uint32 keys; the last node's in-edges are placed without a key
-_NARROW_NODES = (1 << 16) + 1
+# uint32 keys
+_NARROW_NODES = 1 << 16
 # edges per chunk: of the rows the build writes, the self-loop scan, the
 # dump and the transpose read, and of the frontier slices that `reachable`
 # and `close_planes` expand
@@ -48,18 +49,18 @@ _CHUNK_EDGES = 1 << 18
 
 @dataclass
 class TransitionGraph:
-    """CSR digraph on BoxIds plus a virtual sink at index grid.nboxes.
+    """CSR digraph on BoxIds, and a flag per box for its escape.
 
-    Out-edges are sorted ascending per source; the sink carries a self
-    loop, so every node has at least one out-edge.  The sink is the
-    largest node, so a box's sink edge is the last edge of its row.
-    Offsets are int64, targets int32.  The SCC labels, the self-loop mask
-    and the transposed CSR are computed on first use and cached on the
-    graph, so every recurrence query on one graph shares one SCC pass (a
-    forward-backward step, then Tarjan), and that pass and the backward
-    closures share one transpose.  The transpose sorts the box rows'
-    edges by 32-bit keys up to 2**16 boxes, then appends the sink's
-    in-row: the escaping boxes, then the sink itself.
+    Out-edges are sorted ascending per source; offsets are int64, targets
+    int32.  `escapes[b]` says that box b's image rectangle leaves the
+    window: b also steps to a virtual absorbing sink, which is no CSR node.
+    A box may have no out-edge in the CSR, but then it escapes.  The
+    counts of the `graph` report and its edge dump list the sink as node
+    nboxes: one edge per escaping box, then the sink's self-loop.  The
+    SCC labels, the self-loop mask and the transposed CSR are computed on
+    first use and cached on the graph, so every recurrence query on one
+    graph shares one SCC pass (a forward-backward step, then Tarjan), and
+    that pass and the backward closures share one transpose.
     """
 
     grid: Grid
@@ -67,6 +68,7 @@ class TransitionGraph:
     eps: float
     offsets: np.ndarray
     targets: np.ndarray
+    escapes: np.ndarray
     lipschitz_used: float
     _reverse: Optional[tuple] = field(default=None, repr=False)
     _self_loops: Optional[np.ndarray] = field(default=None, repr=False)
@@ -77,72 +79,65 @@ class TransitionGraph:
         return self.grid.nboxes
 
     @property
-    def sink(self) -> int:
-        return self.grid.nboxes
-
-    @property
-    def n_nodes(self) -> int:
-        return self.grid.nboxes + 1
-
-    @property
     def n_edges(self) -> int:
-        return int(self.targets.size)
+        """Edges as the `graph` report counts them: the box edges, one
+        edge to the sink per escaping box and the sink's self-loop."""
+        return int(self.targets.size) + self.escaping_boxes() + 1
 
     def out(self, node: int) -> np.ndarray:
         return self.targets[self.offsets[node]:self.offsets[node + 1]]
 
     def out_degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        """Out-degree of every box, its sink edge included."""
+        return np.diff(self.offsets) + self.escapes
 
     def escaping_boxes(self) -> int:
-        """Boxes with an edge to the sink.  The sink is the largest node,
-        so that edge is the last of its row: O(nboxes), not O(edges)."""
-        return int(np.count_nonzero(_rows_ending_in(
-            self.offsets, self.targets, self.nboxes, self.sink)))
-
-    def has_sink_edges(self) -> bool:
-        return self.escaping_boxes() > 0
+        return int(np.count_nonzero(self.escapes))
 
     def edge_chunks(self):
-        """(sources, targets) of the edges in CSR order, sink included,
-        a chunk of rows of about `_CHUNK_EDGES` edges at a time."""
-        for b0, b1 in _row_chunks(self.offsets, self.n_nodes):
-            yield (np.repeat(np.arange(b0, b1), np.diff(self.offsets[b0:b1 + 1])),
-                   self.targets[self.offsets[b0]:self.offsets[b1]])
+        """(sources, targets) of every edge, the sink's included, a chunk
+        of rows of about `_CHUNK_EDGES` box edges at a time: each box's
+        row, then its edge to the sink, node nboxes, if it escapes, and
+        last the sink's self-loop."""
+        sink = self.nboxes
+        for b0, b1 in _row_chunks(self.offsets, sink):
+            src, tgt = _row_edges(self.offsets, self.targets, b0, b1)
+            esc = np.flatnonzero(self.escapes[b0:b1])
+            at = self.offsets[b0 + 1 + esc] - self.offsets[b0]
+            yield np.insert(src, at, b0 + esc), np.insert(tgt, at, sink)
+        yield np.array([sink]), np.array([sink])
 
     def self_loop_mask(self) -> np.ndarray:
         """Boolean per box: the box is its own out-neighbor."""
         if self._self_loops is None:
-            mask = np.zeros(self.n_nodes, dtype=bool)
-            for src, tgt in self.edge_chunks():
+            mask = np.zeros(self.nboxes, dtype=bool)
+            for b0, b1 in _row_chunks(self.offsets, self.nboxes):
+                src, tgt = _row_edges(self.offsets, self.targets, b0, b1)
                 mask[src[src == tgt]] = True
-            self._self_loops = mask[:self.nboxes]
+            self._self_loops = mask
         return self._self_loops
 
     def scc_labels(self) -> np.ndarray:
-        """SCC label of every node, the sink included, cached."""
+        """SCC label of every box, cached."""
         if self._labels is None:
             _, self._labels = strongly_connected_components(
-                self.offsets, self.targets, self.n_nodes, self.reverse())
+                self.offsets, self.targets, self.nboxes, self.reverse())
         return self._labels
 
     def image_boxes(self, boxset: BoxSet) -> BoxSet:
-        """One application of the multivalued box map (sink dropped)."""
-        tgt = _out_neighbors(self.offsets, self.targets, boxset.indices())
+        """One application of the multivalued box map (escapes dropped)."""
         bits = np.zeros(self.nboxes, dtype=bool)
-        bits[tgt[tgt < self.nboxes]] = True
+        bits[_out_neighbors(self.offsets, self.targets, boxset.indices())] = True
         return BoxSet(self.grid, bits)
 
     def set_escapes(self, boxset: BoxSet) -> bool:
-        """True iff some member has an edge to the sink."""
-        tgt = _out_neighbors(self.offsets, self.targets, boxset.indices())
-        return bool(np.any(tgt == self.sink))
+        """True iff some member escapes the window."""
+        return bool(np.any(self.escapes[boxset.bits]))
 
     def reverse(self) -> tuple:
         """(offsets, targets) of the transposed graph, cached."""
         if self._reverse is None:
-            self._reverse = _transpose(self.offsets, self.targets,
-                                       self.n_nodes)
+            self._reverse = _transpose(self.offsets, self.targets, self.nboxes)
         return self._reverse
 
 
@@ -271,21 +266,17 @@ def _cover_ranges(grid: Grid, lo_f: np.ndarray, hi_f: np.ndarray):
 
 def _row_chunks(offsets: np.ndarray, rows: int):
     """(b0, b1) ranges of at least one row and about `_CHUNK_EDGES` edges
-    each; they cover rows [0, rows) unless those hold no edge at all."""
-    marks = np.arange(0, offsets[rows], _CHUNK_EDGES)
+    each; they cover rows [0, rows), even when those hold no edge."""
+    marks = np.arange(0, max(offsets[rows], 1), _CHUNK_EDGES)
     cuts = np.append(np.searchsorted(offsets[:rows + 1], marks), rows)
     bounds = cuts[np.append(True, cuts[1:] != cuts[:-1])].tolist()
     return zip(bounds[:-1], bounds[1:])
 
 
-def _rows_ending_in(offsets: np.ndarray, targets: np.ndarray, rows: int,
-                    node: int) -> np.ndarray:
-    """Boolean per row r < `rows`: r's last out-edge goes to `node`.  In
-    ascending distinct rows every edge into the largest node is one."""
-    ends = offsets[1:rows + 1]
-    hit = ends > offsets[:rows]
-    hit[hit] = targets[ends[hit] - 1] == node
-    return hit
+def _row_edges(offsets: np.ndarray, targets: np.ndarray, b0: int, b1: int):
+    """(sources, targets) of the edges of rows [b0, b1), in CSR order."""
+    return (np.repeat(np.arange(b0, b1), np.diff(offsets[b0:b1 + 1])),
+            targets[offsets[b0]:offsets[b1]])
 
 
 def _transpose(offsets: np.ndarray, targets: np.ndarray, n: int):
@@ -297,15 +288,12 @@ def _transpose(offsets: np.ndarray, targets: np.ndarray, n: int):
     distinct, so they sort into the (target, source) order that a stable
     argsort of the targets gives, in less than half its time.
 
-    Up to `_NARROW_NODES` nodes the keys are uint32 with b = 16, except on
-    the edges into the last node n - 1, whose id may need a 17th bit (the
-    sink of a 2**16-box grid).  Each such edge ends its row, so its key is
-    set past every other one, and after the sort the last node's in-row is
-    written as those rows, found from the row ends alone.  The other keys
-    are masked to their sources in place, so the key buffer becomes the
-    transposed targets: 4 bytes per edge.  Larger graphs use int64 keys
-    with b = 32; the int32 sources are written over the front of the key
-    buffer, which is cut to that half, so they peak at 8 bytes per edge.
+    Up to `_NARROW_NODES` nodes the keys are uint32 with b = 16, masked
+    to their sources in place after the sort, so the key buffer becomes
+    the transposed targets: 4 bytes per edge.  Larger graphs use int64
+    keys with b = 32; the int32 sources are written over the front of the
+    key buffer, which is cut to that half, so they peak at 8 bytes per
+    edge.
     """
     narrow = n <= _NARROW_NODES
     b, dtype = (16, np.uint32) if narrow else (32, np.int64)
@@ -318,16 +306,10 @@ def _transpose(offsets: np.ndarray, targets: np.ndarray, n: int):
                                            np.diff(offsets[b0:b1 + 1])),
                       out=keys[a:z])
     if narrow:
-        into_last = np.flatnonzero(_rows_ending_in(offsets, targets, n, n - 1))
-        keys[offsets[into_last + 1] - 1] = np.iinfo(np.uint32).max
         keys.sort()
-        m = keys.size - into_last.size
-        roff = np.empty(n + 1, dtype=np.int64)
-        roff[:n - 1] = np.searchsorted(
-            keys[:m], np.arange(n - 1, dtype=np.uint32) << 16)
-        roff[n - 1:] = m, keys.size
-        keys[:m] &= 0xFFFF
-        keys[m:] = into_last
+        roff = np.append(np.searchsorted(
+            keys, np.arange(n, dtype=np.uint32) << 16), keys.size)
+        keys &= 0xFFFF
         return roff, keys.view(np.int32)
     keys.sort()
     roff = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) << 32)
@@ -341,31 +323,28 @@ def _transpose(offsets: np.ndarray, targets: np.ndarray, n: int):
     return roff, keys.view(np.int32)[:targets.size]
 
 
-def _materialize_edges(grid: Grid, ilo, ihi, escapes, empty, sink: int):
+def _materialize_edges(grid: Grid, ilo, ihi, empty):
     """Expand index ranges into CSR (offsets, targets), sorted per source;
-    offsets int64, targets int32.
+    offsets int64, targets int32.  Rows flagged `empty` get no edge.
 
     On each axis a box's range, taken mod the axis, is the ascending runs
     [0, w) and [lo, lo + c - w), and a row-major product of ascending
     lists ascends.  So rows are written in order, `_CHUNK_EDGES` edges at
     a time: one base per (box, outer-axis prefix), then runs of
-    consecutive last-axis targets, then the sink edge.  Edges are distinct
-    as a periodic range is shorter than its axis or all of it, and a
-    strict-increase check within each row guards that argument.
+    consecutive last-axis targets.  Edges are distinct as a periodic range
+    is shorter than its axis or all of it, and a strict-increase check
+    within each row guards that argument.
     """
     shape = np.asarray(grid.shape, dtype=np.int64)
     strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
     counts = ihi - ilo + 1
-    counts[empty] = 1  # an empty row keeps one prefix, for its sink edge
-    counts[empty, -1] = 0
+    counts[empty] = 0
     lo = ilo % shape
     wrap = np.maximum(lo + counts - shape, 0)
-    offsets = np.zeros(sink + 2, dtype=np.int64)
-    np.cumsum(counts.prod(axis=1) + escapes, out=offsets[1:sink + 1])
-    offsets[sink + 1] = offsets[sink] + 1  # sink self-loop
+    offsets = np.zeros(grid.nboxes + 1, dtype=np.int64)
+    np.cumsum(counts.prod(axis=1), out=offsets[1:])
     targets = np.empty(int(offsets[-1]), dtype=np.int32)
-    targets[-1] = sink
-    for b0, b1 in _row_chunks(offsets, sink):
+    for b0, b1 in _row_chunks(offsets, grid.nboxes):
         own, base = np.arange(b0, b1), np.zeros(b1 - b0, dtype=np.int64)
         for ax in range(grid.dim - 1):
             c = counts[own, ax]
@@ -373,14 +352,10 @@ def _materialize_edges(grid: Grid, ilo, ihi, escapes, empty, sink: int):
             k = np.arange(own.size) - np.repeat(np.cumsum(c) - c, c)
             w = wrap[own, ax]
             base += (k + (k >= w) * (lo[own, ax] - w)) * strides[ax]
-        # per prefix the last axis's runs [0, w) and [lo, lo + c - w), and
-        # after the box's last prefix its sink edge
+        # per prefix the last axis's runs [0, w) and [lo, lo + c - w)
         w = wrap[own, -1]
-        last = np.append(own[1:] != own[:-1], True)
-        starts = np.column_stack((base, base + lo[own, -1],
-                                  np.full(own.size, sink))).ravel()
-        lens = np.column_stack((w, counts[own, -1] - w,
-                                last & escapes[own])).ravel()
+        starts = np.column_stack((base, base + lo[own, -1])).ravel()
+        lens = np.column_stack((w, counts[own, -1] - w)).ravel()
         seg = targets[offsets[b0]:offsets[b1]]
         np.add(np.repeat(starts - np.cumsum(lens) + lens, lens),
                np.arange(seg.size), out=seg)
@@ -407,7 +382,8 @@ def build_graph(grid: Grid, map_spec: MapSpec, eps: float,
     if map_spec.dim != grid.dim:
         raise ValueError("map dimension does not match the grid")
     if grid.nboxes > MAX_NBOXES:
-        raise ValueError("grid too fine for the dense graph representation")
+        raise ValueError(f"grid has {grid.nboxes} boxes; the transition "
+                         f"graph holds at most {MAX_NBOXES}")
     if map_spec.jac_abs_bound is None:
         raise ValueError(f"map {map_spec.name!r} has no entrywise Jacobian "
                          f"bound (jac_abs_bound)")
@@ -429,9 +405,9 @@ def build_graph(grid: Grid, map_spec: MapSpec, eps: float,
         raise ValueError(f"map {map_spec.name!r} has a non-finite image "
                          f"rectangle on this grid")
     ilo, ihi, escapes, empty = _cover_ranges(grid, lo_f, hi_f)
-    offsets, targets = _materialize_edges(grid, ilo, ihi, escapes, empty,
-                                          sink=grid.nboxes)
-    return TransitionGraph(grid, map_spec, float(eps), offsets, targets, lip_used)
+    offsets, targets = _materialize_edges(grid, ilo, ihi, empty)
+    return TransitionGraph(grid, map_spec, float(eps), offsets, targets,
+                           escapes, lip_used)
 
 
 # ---------------------------------------------------------------------------
@@ -559,17 +535,15 @@ def _tarjan(off: np.ndarray, tgt: np.ndarray, roots, index: list,
 
 
 def _recurrent_bits(g: TransitionGraph) -> np.ndarray:
-    """Boxes in a nontrivial SCC: size > 1, or a self-looped box.
-
-    The sink only loops to itself, so its SCC holds no box."""
-    labels = g.scc_labels()[:g.nboxes]
+    """Boxes in a nontrivial SCC: size > 1, or a self-looped box."""
+    labels = g.scc_labels()
     sizes = np.bincount(labels)
     return (sizes[labels] > 1) | g.self_loop_mask()
 
 
 def nontrivial_scc_sets(g: TransitionGraph) -> list[BoxSet]:
     """Box sets of the nontrivial SCCs (size > 1, or a self-looped box),
-    ordered by smallest member BoxId.  The sink never appears."""
+    ordered by smallest member BoxId."""
     members = np.flatnonzero(_recurrent_bits(g))
     if members.size == 0:
         return []
@@ -588,7 +562,7 @@ def nontrivial_scc_sets(g: TransitionGraph) -> list[BoxSet]:
 
 
 def chain_recurrent_boxes(g: TransitionGraph) -> BoxSet:
-    """Boxes on a directed cycle at this resolution (sink excluded)."""
+    """Boxes on a directed cycle at this resolution."""
     return BoxSet(g.grid, _recurrent_bits(g))
 
 
@@ -599,11 +573,8 @@ def chain_components(g: TransitionGraph) -> list[ChainComponent]:
 
 
 def is_chain_transitive(g: TransitionGraph) -> bool:
-    """True iff the graph restricted to the boxes is strongly connected.
-
-    The sink reaches no box, so dropping it leaves the box SCCs as they are.
-    """
-    labels = g.scc_labels()[:g.nboxes]
+    """True iff the box graph is strongly connected."""
+    labels = g.scc_labels()
     return bool(np.all(labels == labels[0]))
 
 
@@ -763,10 +734,10 @@ def _bfs_path(g: TransitionGraph, sources, target: int,
     so paths are those of a one-node-at-a-time queue.  Sources sit at
     depth 1, and nodes at depth `max_len` are not expanded.
     """
-    prev = np.full(g.n_nodes, -2, dtype=np.int64)
+    prev = np.full(g.nboxes, -2, dtype=np.int64)
     layer = np.sort(np.asarray(sources, dtype=np.int64))
     prev[layer] = -1
-    slot = np.empty(g.n_nodes, dtype=np.int64)
+    slot = np.empty(g.nboxes, dtype=np.int64)
     depth = 1
     while layer.size:
         if prev[target] != -2:
@@ -778,7 +749,7 @@ def _bfs_path(g: TransitionGraph, sources, target: int,
             return None
         nxt = _out_neighbors(g.offsets, g.targets, layer)
         parent = np.repeat(layer, g.offsets[layer + 1] - g.offsets[layer])
-        new = (nxt != g.sink) & (prev[nxt] == -2)
+        new = prev[nxt] == -2
         nxt, parent = nxt[new], parent[new]
         # keep the first discovery of each node
         pos = np.arange(nxt.size)
@@ -874,8 +845,8 @@ def strong_chain_search(map_spec: MapSpec, p, eps_fn, grid: Grid,
     bp = g.grid.box_of_point(p)
     if bp is None:
         return None
-    starts = [int(w) for w in g.out(bp) if w != g.sink]
-    if not starts:
+    starts = g.out(bp)
+    if not starts.size:
         return None
     path = _bfs_path(g, starts, bp, max_len=max_len)
     if path is None:

@@ -312,13 +312,11 @@ def _build_graph(cfg: dict, map_spec: MapSpec, grid: Grid, blocks: bool,
     """The configured transition graph, or with `eps_fn` the eps = 0 graph
     fattened by it; `blocks` marks a run that looks for attractor blocks,
     which need the fattening of a graph with eps > 0.  A graph the build
-    refuses (non-finite image rectangles) is a config error."""
+    refuses (too many boxes, non-finite image rectangles) is a config
+    error."""
     eps = 0.0 if eps_fn is not None else resolve_eps(cfg, grid)
     if blocks and eps == 0:
         raise ConfigError("attractor blocks need a graph built with eps > 0")
-    if grid.nboxes > cg.MAX_NBOXES:
-        raise ConfigError(f"grid has {grid.nboxes} boxes; the transition "
-                          f"graph holds at most {cg.MAX_NBOXES}")
     try:
         return cg.build_graph(grid, map_spec, eps, eps_fn=eps_fn)
     except ValueError as e:
@@ -380,7 +378,7 @@ def _plot(out_dir: Path, name: str, layers: list, grid: Grid) -> str:
 # directory, then the graph (subcommands in _ON_GRAPH) or the map and grid.
 
 def _graph_stats(tg) -> dict:
-    deg = tg.out_degrees()[:-1]
+    deg = tg.out_degrees()
     return {
         "nboxes": tg.nboxes,
         "n_edges": tg.n_edges,
@@ -475,7 +473,7 @@ def run_conley_verify(cfg, exp, out_dir, tg):
         "graph": _graph_stats(tg),
         # with escaping mass the block enumeration is only a lower bound
         # (no finite procedure lists absorbing sets on a window truncation)
-        "has_escaping_mass": tg.has_sink_edges(),
+        "has_escaping_mass": tg.escaping_boxes() > 0,
         "n_blocks": report.n_blocks,
         "lhs_count": report.lhs_count,
         "rhs_count": report.rhs_count,

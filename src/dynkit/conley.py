@@ -1,8 +1,8 @@
 """Attractor blocks, weak attractors, basins, decomposition checks and
 the measure-escape experiment near attractors.
 
-A block at box resolution is a forward-closed box set, disjoint from the
-sink, whose one-step image avoids its own inner boundary layer (the
+A block at box resolution is a forward-closed box set with no escaping
+box, whose one-step image avoids its own inner boundary layer (the
 discrete stand-in for mapping uniformly into the interior).  Attractors
 are image-iteration fixpoints of blocks; basins are backward reachable
 sets.  The decomposition identity is checked against absorbed basins
@@ -88,14 +88,15 @@ class ConleyReport:
 # ---------------------------------------------------------------------------
 
 def _backward_closures(g: TransitionGraph, seeds: np.ndarray) -> np.ndarray:
-    """Row i: the nodes (boxes and sink) with a directed path into row i of
-    the (k, n_nodes) bool array `seeds`."""
+    """Row i: the boxes with a directed path into row i of the
+    (k, nboxes) bool array `seeds`."""
     roff, rtarg = g.reverse()
     return reachable_sets(roff, rtarg, seeds)
 
 
 def _is_block(g: TransitionGraph, U: BoxSet) -> bool:
-    """Forward-closed, proper, sink-free, image clear of the boundary layer."""
+    """Forward-closed, proper, escape-free, image clear of the boundary
+    layer."""
     count = len(U)
     if count == 0 or count == g.nboxes:
         return False
@@ -149,7 +150,7 @@ def _scc_reach(g: TransitionGraph, scc_of: np.ndarray, m: int) -> np.ndarray:
         k = min(64, m - a)
         plane = scc_of - a
         inside = (plane >= 0) & (plane < k)
-        seeds = np.zeros(g.n_nodes, dtype=np.uint64)
+        seeds = np.zeros(g.nboxes, dtype=np.uint64)
         seeds[inside] = np.uint64(1) << plane[inside].astype(np.uint64)
         closure = close_planes(g.offsets, g.targets, seeds,
                                np.zeros_like(seeds))
@@ -168,24 +169,26 @@ def _grow_families(g: TransitionGraph, core: np.ndarray, k: int) -> list:
     found = [[] for _ in range(k)]
     active = (1 << k) - 1
     dilated = core.reshape(shape)
-    closure = np.zeros(g.n_nodes, dtype=np.uint64)
+    closure = np.zeros(g.nboxes, dtype=np.uint64)
     seeds = np.zeros_like(closure)
-    boxes = closure[:g.nboxes]
+    escaping = np.flatnonzero(g.escapes)
     for _ in range(_MAX_DILATION):
         dilated = _morph(dilated, periodic, 1, np.bitwise_or)
         # a dilation of every box closes to every box: the family ends
         active &= ~int(np.bitwise_and.reduce(dilated, axis=None))
         if not active:
             break
-        np.bitwise_and(dilated.ravel(), active, out=seeds[:g.nboxes])
+        np.bitwise_and(dilated.ravel(), active, out=seeds)
         close_planes(g.offsets, g.targets, seeds, closure)
-        active &= ~int(closure[g.sink] | np.bitwise_and.reduce(boxes))
+        # a closure that holds an escaping box or every box ends its family
+        active &= ~int(np.bitwise_or.reduce(closure[escaping])
+                       | np.bitwise_and.reduce(closure))
         if not active:
             break
-        # a closure that passed the checks is forward-closed and sink-free;
-        # its margin boxes must have no predecessor in it
-        margin = boxes & ~_morph(boxes.reshape(shape), periodic, 1,
-                                 np.bitwise_and).ravel()
+        # a closure that passed the checks is forward-closed and
+        # escape-free; its margin boxes must have no predecessor in it
+        margin = closure & ~_morph(closure.reshape(shape), periodic, 1,
+                                   np.bitwise_and).ravel()
         margin &= active
         at = np.flatnonzero(margin)
         pulled = np.repeat(margin[at], roff[at + 1] - roff[at])
@@ -194,7 +197,7 @@ def _grow_families(g: TransitionGraph, core: np.ndarray, k: int) -> list:
         passing = active & ~int(leaky)
         for f in range(k):
             if passing >> f & 1:
-                found[f].append((boxes >> np.uint64(f) & 1).astype(bool))
+                found[f].append((closure >> np.uint64(f) & 1).astype(bool))
                 if len(found[f]) > _EXTRA_DILATIONS:
                     active &= ~(1 << f)
         if not active:
@@ -212,12 +215,13 @@ def find_attractor_blocks(g: TransitionGraph, candidates=None) -> list[BoxSet]:
     Each family grows one dilation D and one forward closure C: a new
     layer only seeds the search from D_k \\ C_{k-1}, since
     closure(D_k) = C_{k-1} | closure(D_k \\ C_{k-1}).  A family stops at
-    the first closure that reaches the sink or the whole grid (a dilation
-    of the whole grid stops before its closure), after `_MAX_DILATION`
-    dilations, or once `_EXTRA_DILATIONS` blocks follow its first one.
-    Such a closure is forward-closed and sink-free, so it is a block iff
-    no box of its boundary layer has a predecessor in it.  Families run 64 at a time, family f as bit f of
-    one uint64 word per node, and their blocks are taken in family order.
+    the first closure that holds an escaping box or the whole grid (a
+    dilation of the whole grid stops before its closure), after
+    `_MAX_DILATION` dilations, or once `_EXTRA_DILATIONS` blocks follow its
+    first one.  Such a closure is forward-closed and escape-free, so it is
+    a block iff no box of its boundary layer has a predecessor in it.
+    Families run 64 at a time, family f as bit f of one uint64 word per
+    box, and their blocks are taken in family order.
     User-supplied candidate box sets are tested in full, and blocks
     already found are not repeated.
 
@@ -237,10 +241,10 @@ def find_attractor_blocks(g: TransitionGraph, candidates=None) -> list[BoxSet]:
             seen.add(key)
             blocks.append(U)
 
-    # scc_of[node]: index of its nontrivial SCC, m elsewhere (sink included)
-    scc_of = np.full(g.n_nodes, m, dtype=np.int64)
+    # scc_of[box]: index of its nontrivial SCC, m elsewhere
+    scc_of = np.full(g.nboxes, m, dtype=np.int64)
     for i, s in enumerate(sccs):
-        scc_of[:g.nboxes][s.bits] = i
+        scc_of[s.bits] = i
     families = _downset_families(_scc_reach(g, scc_of, m))
     for a in range(0, len(families), 64):
         batch = families[a:a + 64]
@@ -248,7 +252,7 @@ def find_attractor_blocks(g: TransitionGraph, candidates=None) -> list[BoxSet]:
         fam = np.zeros(m + 1, dtype=np.uint64)
         for f, members in enumerate(batch):
             fam[members] |= np.uint64(1 << f)
-        for family in _grow_families(g, fam[scc_of[:g.nboxes]], len(batch)):
+        for family in _grow_families(g, fam[scc_of], len(batch)):
             for bits in family:
                 add(BoxSet(g.grid, bits))
 
@@ -266,8 +270,8 @@ def attractor_from_block(g: TransitionGraph, U: BoxSet,
     """Fixpoint of the box-image operator on U and its iteration count.
 
     `include_sink` treats the sink as part of U (window truncations of
-    unbounded blocks route their tail there); otherwise an escaping U is
-    rejected.
+    unbounded blocks route their tail there), so U may hold escaping
+    boxes; otherwise an escaping U is rejected.
     """
     if not include_sink and g.set_escapes(U):
         raise NotABlockError("image not contained in U (escapes the window)")
@@ -288,23 +292,18 @@ def attractor_from_block(g: TransitionGraph, U: BoxSet,
 
 def _basins(g: TransitionGraph, sets: list) -> list[BoxSet]:
     """Basin of each box set: the boxes with a directed path into it."""
-    seeds = np.zeros((len(sets), g.n_nodes), dtype=bool)
-    for row, U in zip(seeds, sets):
-        row[:g.nboxes] = U.bits
-    return [BoxSet(g.grid, bits[:g.nboxes])
-            for bits in _backward_closures(g, seeds)]
+    seeds = np.array([U.bits for U in sets], dtype=bool).reshape(-1, g.nboxes)
+    return [BoxSet(g.grid, bits) for bits in _backward_closures(g, seeds)]
 
 
 def _absorbed_basins(g: TransitionGraph, attractors: list) -> list[BoxSet]:
     """Absorbed basin of each attractor A: the complement of the backward
-    closure of the bad nodes, the cycle boxes outside A plus the sink."""
+    closure of the bad boxes, the cycle boxes outside A and the escaping
+    boxes."""
     recurrent = chain_recurrent_boxes(g).bits
-    seeds = np.zeros((len(attractors), g.n_nodes), dtype=bool)
-    seeds[:, g.sink] = True
-    for row, A in zip(seeds, attractors):
-        row[:g.nboxes] = recurrent & ~A.bits
-    return [BoxSet(g.grid, ~reached[:g.nboxes])
-            for reached in _backward_closures(g, seeds)]
+    seeds = np.array([(recurrent & ~A.bits) | g.escapes for A in attractors],
+                     dtype=bool).reshape(-1, g.nboxes)
+    return [BoxSet(g.grid, ~reached) for reached in _backward_closures(g, seeds)]
 
 
 def basin(g: TransitionGraph, U: BoxSet) -> BoxSet:
@@ -315,8 +314,8 @@ def basin(g: TransitionGraph, U: BoxSet) -> BoxSet:
 def absorbed_basin(g: TransitionGraph, A: BoxSet) -> BoxSet:
     """Boxes every forward path from which is eventually trapped in A.
 
-    Complement of the backward closure of the bad nodes: cycle boxes
-    outside A, plus the sink.
+    Complement of the backward closure of the bad boxes: cycle boxes
+    outside A, and the escaping boxes.
     """
     return _absorbed_basins(g, [A])[0]
 

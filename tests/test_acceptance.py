@@ -67,7 +67,7 @@ def cat_fixed_point():
 def brute_force_cycle_boxes(tg):
     """Independent reachability oracle for boxes on directed cycles."""
     n = tg.nboxes
-    adj = [set(int(t) for t in tg.out(b) if t != tg.sink) for b in range(n)]
+    adj = [set(int(t) for t in tg.out(b)) for b in range(n)]
     on_cycle = set()
     for b in range(n):
         seen = set()

@@ -28,7 +28,7 @@ def torus_grid(depth):
 def reference_bfs_path(g, sources, target, max_len=None):
     """One-node-at-a-time BFS over `g.out(v)`: the queue `_bfs_path`
     must reproduce path for path."""
-    prev = np.full(g.n_nodes, -2, dtype=np.int64)
+    prev = np.full(g.nboxes, -2, dtype=np.int64)
     queue = sorted(int(s) for s in sources)
     for s in queue:
         prev[s] = -1
@@ -47,7 +47,7 @@ def reference_bfs_path(g, sources, target, max_len=None):
             continue
         for w in g.out(v):
             w = int(w)
-            if w == g.sink or prev[w] != -2:
+            if prev[w] != -2:
                 continue
             prev[w] = v
             depth[w] = depth[v] + 1
@@ -59,7 +59,7 @@ def brute_force_cycle_boxes(g):
     """Independent oracle: boxes on a directed cycle via per-node DFS
     reachability (no Tarjan)."""
     n = g.nboxes
-    adj = [set(int(t) for t in g.out(b) if t != g.sink) for b in range(n)]
+    adj = [set(int(t) for t in g.out(b)) for b in range(n)]
     on_cycle = set()
     for b in range(n):
         seen = set()
@@ -80,7 +80,7 @@ class TestBuildGraph:
     def test_cat_edge_counts_depth6(self):
         g = torus_grid(6)
         tg = build_graph(g, make_map("cat"), g.box_diameter)
-        deg = tg.out_degrees()[:-1]
+        deg = tg.out_degrees()
         assert 2 <= deg.min() and deg.max() <= 100
         # regression values from the first run of this configuration
         assert deg.min() == 42 and deg.max() == 42
@@ -95,9 +95,9 @@ class TestBuildGraph:
             center, radius = g.box_geometry(b)
             img_lo, img_hi = 0.5 * (center - radius), 0.5 * (center + radius)
             covered_lo = min(g.box_geometry(int(t))[0][0] - radius[0]
-                             for t in tg.out(b) if t != tg.sink)
+                             for t in tg.out(b))
             covered_hi = max(g.box_geometry(int(t))[0][0] + radius[0]
-                             for t in tg.out(b) if t != tg.sink)
+                             for t in tg.out(b))
             assert covered_lo <= img_lo[0] and img_hi[0] <= covered_hi
 
     def test_translation_right_edge_hits_sink_only(self):
@@ -106,7 +106,7 @@ class TestBuildGraph:
         for b in range(g.nboxes):
             center, _ = g.box_geometry(b)
             if center[0] >= 3.0:
-                assert list(tg.out(b)) == [tg.sink]
+                assert tg.out(b).size == 0 and tg.escapes[b]
 
     def test_non_finite_image_rectangle_refused(self):
         g = Grid(Domain((-1e3,), (1e3,), (False,)), (4,))
@@ -129,9 +129,10 @@ class TestBuildGraph:
         g = Grid(Domain((-1.0,), (1.0,), (False,)), (3,))
         m = polynomial_map([[{"c": 1e300, "e": [1]}]], 1)
         tg = build_graph(g, m, 0.0)
-        assert list(tg.out(4)) == [4, 5, 6, 7, tg.sink]
-        assert list(tg.out(3)) == [0, 1, 2, 3, tg.sink]
-        assert all(list(tg.out(b)) == [tg.sink] for b in (0, 1, 2, 5, 6, 7))
+        assert list(tg.out(4)) == [4, 5, 6, 7]
+        assert list(tg.out(3)) == [0, 1, 2, 3]
+        assert all(tg.out(b).size == 0 for b in (0, 1, 2, 5, 6, 7))
+        assert tg.escapes.all()
 
     def test_soundness_random_perturbations(self):
         # 1000 random points per graph: f(x) + u lands in an out-neighbor
@@ -154,7 +155,7 @@ class TestBuildGraph:
                                        if all(g.domain.periodic) else imgs + u)
             for b, t in zip(boxes, landed):
                 outs = set(int(x) for x in tg.out(int(b)))
-                assert (int(t) in outs) or (t < 0 and tg.sink in outs)
+                assert (int(t) in outs) or (t < 0 and tg.escapes[b])
 
     def test_edge_monotonicity_in_eps(self):
         g = torus_grid(4)
@@ -312,9 +313,9 @@ class TestGraphInvariants:
         ]
         for m, g, eps in cases:
             tg = build_graph(g, m, eps)
-            assert int(tg.out_degrees()[:-1].min()) >= 1
-            # sink is absorbing
-            assert list(tg.out(tg.sink)) == [tg.sink]
+            assert int(tg.out_degrees().min()) >= 1
+            # a box with no box edge escapes
+            assert tg.escapes[np.diff(tg.offsets) == 0].all()
 
     def test_out_edges_sorted_ascending(self):
         g = torus_grid(4)
@@ -326,20 +327,18 @@ class TestGraphInvariants:
 
 @st.composite
 def csr_graphs(draw):
-    """Random box graph in the TransitionGraph layout: 2**depth boxes, a
-    sink node after them with only its self loop, sorted distinct
-    out-edges, self loops allowed."""
+    """Random box graph in the TransitionGraph layout: 2**depth boxes,
+    sorted distinct out-edges, self loops allowed, and an escape flag per
+    box drawn independently of its edges."""
     n = 1 << draw(st.integers(0, 5))
-    sink = n
-    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n)),
-                         max_size=4 * n))
-    edges = sorted(edges | {(sink, sink)})
-    src = np.array([e[0] for e in edges], dtype=np.int64)
-    targets = np.array([e[1] for e in edges], dtype=np.int64)
-    offsets = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n + 1), out=offsets[1:])
+    edges = sorted(draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                          st.integers(0, n - 1)),
+                                max_size=4 * n)))
+    escapes = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    offsets, targets = csr_from_edges(edges, n)
     grid = Grid(Domain((0.0,), (1.0,), (False,)), (n.bit_length() - 1,))
-    return TransitionGraph(grid, None, 0.0, offsets, targets, 0.0), edges
+    return TransitionGraph(grid, None, 0.0, offsets, targets, escapes,
+                           0.0), edges
 
 
 class TestSccOracle:
@@ -350,10 +349,10 @@ class TestSccOracle:
     def test_partition_and_nontrivial_set_match_networkx(self, case):
         tg, edges = case
         G = nx.DiGraph()
-        G.add_nodes_from(range(tg.n_nodes))
+        G.add_nodes_from(range(tg.nboxes))
         G.add_edges_from(edges)
         n_comp, labels = strongly_connected_components(
-            tg.offsets, tg.targets, tg.n_nodes)
+            tg.offsets, tg.targets, tg.nboxes)
         ours = {frozenset(np.flatnonzero(labels == c).tolist())
                 for c in range(n_comp)}
         assert ours == {frozenset(c) for c in nx.strongly_connected_components(G)}
@@ -361,15 +360,13 @@ class TestSccOracle:
         for u, v in edges:
             assert labels[u] >= labels[v]
         expected = [c for c in nx.strongly_connected_components(G)
-                    if tg.sink not in c
-                    and (len(c) > 1 or G.has_edge(next(iter(c)), next(iter(c))))]
+                    if len(c) > 1 or G.has_edge(next(iter(c)), next(iter(c)))]
         cr = chain_recurrent_boxes(tg)
         assert set(cr.indices().tolist()) == set().union(*expected)
         comps = chain_components(tg)
         assert [set(c.boxes.indices().tolist()) for c in comps] == \
             sorted(expected, key=min)
-        boxes = G.subgraph(range(tg.nboxes))
-        assert is_chain_transitive(tg) == nx.is_strongly_connected(boxes)
+        assert is_chain_transitive(tg) == nx.is_strongly_connected(G)
 
     @settings(max_examples=200, deadline=None)
     @given(csr_graphs(), st.data())
@@ -378,7 +375,7 @@ class TestSccOracle:
         distance k from the seeds outside `seen`, in the graph without
         `seen`, form layer k; more than `max_layers` layers give None."""
         tg, edges = case
-        n = tg.n_nodes
+        n = tg.nboxes
         G = nx.DiGraph(edges)
         G.add_nodes_from(range(n))
         seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
@@ -403,13 +400,13 @@ class TestSccOracle:
     def test_reachable_matches_networkx(self, case, data):
         tg, edges = case
         G = nx.DiGraph(edges)
-        G.add_nodes_from(range(tg.n_nodes))
-        seeds = data.draw(st.sets(st.integers(0, tg.n_nodes - 1), max_size=3))
+        G.add_nodes_from(range(tg.nboxes))
+        seeds = data.draw(st.sets(st.integers(0, tg.nboxes - 1), max_size=3))
         want = set(seeds).union(*(nx.descendants(G, s) for s in seeds))
         got = reachable(tg.offsets, tg.targets, sorted(seeds))
         assert set(np.flatnonzero(got).tolist()) == want
         # growing a forward-closed mask in place by more seeds
-        more = data.draw(st.lists(st.integers(0, tg.n_nodes - 1), max_size=3))
+        more = data.draw(st.lists(st.integers(0, tg.nboxes - 1), max_size=3))
         grown = reachable(tg.offsets, tg.targets, more, seen=got)
         assert grown is got
         assert set(np.flatnonzero(grown).tolist()) == \
@@ -418,12 +415,10 @@ class TestSccOracle:
         back = reachable(roff, rtarg, sorted(seeds))
         want = set(seeds).union(*(nx.ancestors(G, s) for s in seeds))
         assert set(np.flatnonzero(back).tolist()) == want
-        members = sorted(s for s in seeds if s < tg.nboxes)
-        image = tg.image_boxes(BoxSet.from_indices(tg.grid, members))
-        assert set(image.indices().tolist()) == \
-            {v for u in members for v in G.successors(u) if v != tg.sink}
-        assert tg.set_escapes(BoxSet.from_indices(tg.grid, members)) == \
-            any(G.has_edge(u, tg.sink) for u in members)
+        members = BoxSet.from_indices(tg.grid, sorted(seeds))
+        assert set(tg.image_boxes(members).indices().tolist()) == \
+            {v for u in seeds for v in G.successors(u)}
+        assert tg.set_escapes(members) == any(tg.escapes[u] for u in seeds)
 
     def test_scc_labels_computed_once_per_graph(self, monkeypatch):
         from dynkit import chain_graph
@@ -452,7 +447,7 @@ def reference_transpose(offsets, targets, n):
 def assert_transpose_matches_reference(tg):
     roff, rtarg = tg.reverse()
     want_off, want_targ = reference_transpose(tg.offsets, tg.targets,
-                                              tg.n_nodes)
+                                              tg.nboxes)
     assert roff.dtype == np.int64 and rtarg.dtype == np.int32
     assert roff.tobytes() == want_off.tobytes()
     assert rtarg.tobytes() == want_targ.astype(np.int32).tobytes()
@@ -460,8 +455,7 @@ def assert_transpose_matches_reference(tg):
 
 def identity_graph(depth):
     """The identity on [-1, 1]^2 at eps = half a box width: each box steps
-    to its 3 x 3 neighborhood, the border boxes to the sink too, and the
-    last box (the top corner) to itself."""
+    to its 3 x 3 neighborhood and the border boxes escape."""
     m = polynomial_map([[{"c": 1.0, "e": [1, 0]}], [{"c": 1.0, "e": [0, 1]}]],
                        2)
     grid = Grid(Domain((-1.0, -1.0), (1.0, 1.0), (False, False)), depth)
@@ -497,15 +491,18 @@ class TestTranspose:
     ], ids=["2^16-closed", "2^16-escaping", "2^17-escaping"])
     def test_both_key_widths_match_stable_argsort(self, make, narrow,
                                                   escaping):
-        """2^16 boxes take the uint32 keys, whose 16 bits cannot hold the
-        sink's id 2^16, with and without sink edges; 2^17 boxes take the
-        int64 keys.  The identity graphs hold the edge from box 2^16 - 1
-        to itself, whose uint32 key is the largest one."""
+        """2^16 boxes take the uint32 keys, with and without escaping
+        boxes; 2^17 boxes take the int64 keys.  The identity graphs hold
+        the edge from box 2^16 - 1 to itself, whose uint32 key is the
+        largest one."""
         tg = make()
-        assert (tg.n_nodes <= chain_graph._NARROW_NODES) == narrow
-        assert tg.has_sink_edges() == escaping
+        assert (tg.nboxes <= chain_graph._NARROW_NODES) == narrow
+        assert (tg.escaping_boxes() > 0) == escaping
         assert tg.self_loop_mask()[-1] or not escaping
         assert_transpose_matches_reference(tg)
+        # the transposed targets are the key buffer of that width
+        assert tg.reverse()[1].base.dtype == \
+            (np.uint32 if narrow else np.int64)
 
     @pytest.mark.parametrize("name, params", [
         ("cat", {}), ("standard", {"K": 0.97}), ("standard", {"K": 1.5})])
@@ -522,12 +519,12 @@ class TestTranspose:
     def test_sliced_frontiers_match_networkx(self, chunk, case, data):
         tg, edges = case
         G = nx.DiGraph(edges)
-        G.add_nodes_from(range(tg.n_nodes))
-        seeds = data.draw(st.sets(st.integers(0, tg.n_nodes - 1), max_size=3))
+        G.add_nodes_from(range(tg.nboxes))
+        seeds = data.draw(st.sets(st.integers(0, tg.nboxes - 1), max_size=3))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
             got = reachable(tg.offsets, tg.targets, sorted(seeds))
-            assert_scc_matches_networkx(tg.offsets, tg.targets, tg.n_nodes,
+            assert_scc_matches_networkx(tg.offsets, tg.targets, tg.nboxes,
                                         edges)
         assert set(np.flatnonzero(got).tolist()) == \
             set(seeds).union(*(nx.descendants(G, s) for s in seeds))
@@ -550,20 +547,21 @@ def planted_graph(hub_part):
 
     32 boxes, shuffled by a fixed permutation, split into a ring core, an
     upstream tail that drains into it, a downstream tail it feeds, an
-    unrelated ring, and dead boxes with no out-edges.  One hub in
-    `hub_part` is joined both ways to its whole part, or every live box
-    steps to the sink, so the forward-backward pivot lands there.  Returns
-    the graph, its edge list and the node set of each part.
+    unrelated ring, dead boxes with no out-edges and a sink box that only
+    loops to itself, which both tails feed.  One hub in `hub_part` is
+    joined both ways to its whole part, or every live box steps to the
+    sink box, so the forward-backward pivot lands there.  Returns the
+    graph, its edge list and the node set of each part.
     """
-    n = sink = 32
-    sizes = {"core": 4, "up": 3, "down": 3, "apart": 3, "dead": 2}
+    n = 32
+    sizes = {"core": 4, "up": 3, "down": 3, "apart": 3, "dead": 2, "sink": 1}
     sizes["core" if hub_part == "sink" else hub_part] += n - sum(sizes.values())
     perm = np.random.default_rng(12).permutation(n).tolist()
     parts, at = {}, 0
     for name, size in sizes.items():
         parts[name] = perm[at:at + size]
         at += size
-    core, up, down, apart, dead = parts.values()
+    core, up, down, apart, dead, (sink,) = parts.values()
     edges = {(sink, sink), (down[-1], dead[0]), (apart[0], dead[1])}
     edges |= {(core[i], core[(i + 1) % len(core)]) for i in range(len(core))}
     edges |= {(apart[i], apart[(i + 1) % len(apart)])
@@ -578,10 +576,10 @@ def planted_graph(hub_part):
         edges |= {(b, hub) for b in parts[hub_part]}
         edges |= {(up[-1], sink), (down[-1], sink)}
     edges = sorted(edges)
-    offsets, targets = csr_from_edges(edges, n + 1)
+    offsets, targets = csr_from_edges(edges, n)
     grid = Grid(Domain((0.0,), (1.0,), (False,)), (5,))
-    parts["sink"] = [sink]
-    tg = TransitionGraph(grid, None, 0.0, offsets, targets, 0.0)
+    tg = TransitionGraph(grid, None, 0.0, offsets, targets,
+                         np.zeros(n, dtype=bool), 0.0)
     return tg, edges, parts
 
 
@@ -625,11 +623,11 @@ class TestPlantedScc:
                                                 tarjan_visits):
         tg, edges, parts = planted_graph(hub_part)
         score = np.diff(tg.offsets) * np.bincount(tg.targets,
-                                                  minlength=tg.n_nodes)
+                                                  minlength=tg.nboxes)
         pivot = int(np.argmax(score))
         assert pivot in parts[hub_part]
         labels = assert_scc_matches_networkx(tg.offsets, tg.targets,
-                                             tg.n_nodes, edges)
+                                             tg.nboxes, edges)
         assert len(set(labels[parts["core"]].tolist())) == 1
         # the pivot's component is left out of the Tarjan pass
         assert sorted(tarjan_visits) == \
@@ -753,10 +751,11 @@ class TestBfsPath:
         assert sum(c is not None and len(c) > 1 for c in ours) > 0
 
 
-def reference_materialize(grid, ilo, ihi, escapes, empty, sink):
-    """The offset-lattice build the run layout replaced, kept verbatim:
-    every offset of the largest per-axis range, taken mod the axis on
-    periodic axes, then one sort of packed src*(n+1)+tgt keys."""
+def reference_materialize(grid, ilo, ihi, empty):
+    """The offset-lattice build the run layout replaced, kept verbatim but
+    for the sink edges it wrote: every offset of the largest per-axis
+    range, taken mod the axis on periodic axes, then one sort of packed
+    src*n+tgt keys."""
     n = ilo.shape[0]
     dim = grid.dim
     counts = (ihi - ilo + 1)
@@ -765,11 +764,10 @@ def reference_materialize(grid, ilo, ihi, escapes, empty, sink):
     for ax in range(dim - 2, -1, -1):
         strides[ax] = strides[ax + 1] * shape[ax + 1]
 
-    degree = np.where(empty, 0, counts.prod(axis=1)) + escapes
-    offsets = np.zeros(sink + 2, dtype=np.int64)
-    np.cumsum(degree, out=offsets[1:sink + 1])
-    offsets[sink + 1] = offsets[sink] + 1  # sink self-loop
-    base = np.int64(sink + 1)
+    degree = np.where(empty, 0, counts.prod(axis=1))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=offsets[1:])
+    base = np.int64(n)
     keys = np.empty(int(offsets[-1]), dtype=np.int64)
     fill = 0
 
@@ -788,9 +786,6 @@ def reference_materialize(grid, ilo, ihi, escapes, empty, sink):
         tgt = (idx * strides[None, :]).sum(axis=1)
         keys[fill:fill + tgt.size] = src_ids[mask] * base + tgt
         fill += tgt.size
-    n_esc = int(np.count_nonzero(escapes))
-    keys[fill:fill + n_esc] = src_ids[escapes] * base + sink
-    keys[-1] = sink * base + sink
 
     keys.sort()
     if not np.all(keys[1:] > keys[:-1]):
@@ -805,7 +800,7 @@ def cover_ranges(draw):
     as `_cover_ranges` may return them.  A periodic range starts anywhere
     in [-size, 2 size) and spans 1 to size boxes, so it may wrap either
     way or cover the whole axis from any start; a non-periodic range lies
-    in the window.  Rows may be empty (nothing in the window) or escape."""
+    in the window.  Rows may be empty (nothing in the window)."""
     dim = draw(st.integers(1, 3))
     depths = draw(st.lists(st.integers(0, 6 // dim), min_size=dim,
                            max_size=dim))
@@ -830,8 +825,30 @@ def cover_ranges(draw):
             ihi[:, ax] = [max(p) for p in pairs]
     flags = st.lists(st.booleans(), min_size=grid.nboxes, max_size=grid.nboxes)
     empty = np.asarray(draw(flags), dtype=bool) & (not all(periodic))
-    escapes = np.asarray(draw(flags), dtype=bool) | empty
-    return grid, ilo, ihi, escapes, empty
+    return grid, ilo, ihi, empty
+
+
+@st.composite
+def escape_cases(draw):
+    """A 1-3-D grid of at most 64 boxes on the unit cube, some axes
+    periodic, a `poly` map whose component a is c0 + c1 x_a + c2 x_{a+1} +
+    c3 x_a^3 with dyadic coefficients, and a dyadic eps.  Every image
+    rectangle is then exact in floating point."""
+    dim = draw(st.integers(1, 3))
+    depths = draw(st.lists(st.integers(0, 6 // dim), min_size=dim,
+                           max_size=dim))
+    periodic = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    grid = Grid(Domain((0.0,) * dim, (1.0,) * dim, tuple(periodic)),
+                tuple(depths))
+    coef = st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5])
+    unit = np.eye(dim, dtype=int)
+    components = [[{"c": draw(coef), "e": [0] * dim},
+                   {"c": draw(coef), "e": unit[a].tolist()},
+                   {"c": draw(coef), "e": unit[(a + 1) % dim].tolist()},
+                   {"c": draw(coef), "e": (3 * unit[a]).tolist()}]
+                  for a in range(dim)]
+    eps = draw(st.sampled_from([0.0, 2.0 ** -6, 2.0 ** -3]))
+    return grid, polynomial_map(components, dim), eps
 
 
 CHUNKS = [1, 7, chain_graph._CHUNK_EDGES]
@@ -845,13 +862,11 @@ class TestEdgeLayout:
     @settings(max_examples=100, deadline=None)
     @given(case=cover_ranges())
     def test_materialize_matches_lattice_reference(self, chunk, case):
-        grid, ilo, ihi, escapes, empty = case
-        want = reference_materialize(grid, ilo, ihi, escapes, empty,
-                                     grid.nboxes)
+        grid, ilo, ihi, empty = case
+        want = reference_materialize(grid, ilo, ihi, empty)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
-            got = chain_graph._materialize_edges(grid, ilo, ihi, escapes,
-                                                 empty, grid.nboxes)
+            got = chain_graph._materialize_edges(grid, ilo, ihi, empty)
         assert got[1].dtype == np.int32
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -871,8 +886,28 @@ class TestEdgeLayout:
         flags = np.zeros(grid.nboxes, dtype=bool)
         with pytest.raises(RuntimeError, match="not distinct"):
             chain_graph._materialize_edges(grid, np.asarray(ilo),
-                                           np.asarray(ihi), flags, flags,
-                                           grid.nboxes)
+                                           np.asarray(ihi), flags)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=escape_cases())
+    def test_escapes_match_brute_force_rectangles(self, case):
+        """A box escapes iff its fattened image rectangle [lo, hi), or the
+        point lo when the rectangle is flat, has a point outside the
+        window on a non-periodic axis, tested box by box."""
+        grid, m, eps = case
+        tg = build_graph(grid, m, eps)
+        want = np.zeros(grid.nboxes, dtype=bool)
+        for b in range(grid.nboxes):
+            center, radius = grid.box_geometry(b)
+            bound = m.jac_abs_bound((center - radius)[None],
+                                    (center + radius)[None])[0]
+            image = evaluate(m, center)
+            lo = image - (bound @ radius + eps)
+            hi = image + (bound @ radius + eps)
+            want[b] = any(not grid.domain.periodic[ax]
+                          and (lo[ax] < 0.0 or hi[ax] > 1.0 or lo[ax] >= 1.0)
+                          for ax in range(grid.dim))
+        assert np.array_equal(tg.escapes, want)
 
     @pytest.mark.parametrize("components, window, depth", [
         ([[{"c": 1.5, "e": [1]}, {"c": -0.5, "e": [3]}]], 2.0, 10),
@@ -901,10 +936,29 @@ class TestEdgeLayout:
     @given(case=csr_graphs())
     def test_self_loop_mask_matches_sources(self, chunk, case):
         tg, _ = case
-        src = np.repeat(np.arange(tg.n_nodes), tg.out_degrees())
-        want = np.zeros(tg.n_nodes, dtype=bool)
+        src = np.repeat(np.arange(tg.nboxes), np.diff(tg.offsets))
+        want = np.zeros(tg.nboxes, dtype=bool)
         want[src[src == tg.targets]] = True
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
             got = tg.self_loop_mask()
-        assert np.array_equal(got, want[:tg.nboxes])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("chunk", CHUNKS[:2])
+    @settings(max_examples=100, deadline=None)
+    @given(case=csr_graphs())
+    def test_edge_chunks_list_the_sink_edges(self, chunk, case):
+        """Each box's row, then its edge to the sink, node nboxes, if it
+        escapes, and last the sink's self-loop, as `n_edges` and
+        `out_degrees` count them, whether or not any box has a box edge."""
+        tg, edges = case
+        sink = tg.nboxes
+        want = [(u, v) for b in range(sink)
+                for u, v in [e for e in edges if e[0] == b]
+                + [(b, sink)] * int(tg.escapes[b])] + [(sink, sink)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
+            got = [pair for src, tgt in tg.edge_chunks()
+                   for pair in zip(src.tolist(), tgt.tolist())]
+        assert got == want
+        assert len(want) == tg.n_edges == int(tg.out_degrees().sum()) + 1

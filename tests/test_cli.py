@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -61,6 +62,30 @@ class TestConfigValidation:
             "grid": {"lower": [0, 0], "upper": [1, 1], "depth": [13, 13]}}))
         res = run_cli(["graph", "--config", str(path)])
         assert res.exit_code == 2
+
+    def test_grid_past_the_box_cap_exits_2_before_allocating(
+            self, tmp_path, capsys, monkeypatch):
+        # a 3-D depth-9 grid: 2**27 boxes, twice MAX_NBOXES; the refusal
+        # comes before the 3 GB of box centers
+        monkeypatch.setattr(Grid, "centers",
+                            lambda self: pytest.fail("box centers built"))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "map": {"name": "poly", "dimension": 3, "components": [
+                [{"c": 0.5, "e": e}] for e in ([1, 0, 0], [0, 1, 0],
+                                               [0, 0, 1])]},
+            "grid": {"lower": [-1] * 3, "upper": [1] * 3, "depth": [9] * 3},
+            "out": str(tmp_path / "out")}))
+        tracemalloc.start()
+        try:
+            code = run_subcommand("graph", str(path), None, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 1 << 24
+        assert (f"grid has {2 ** 27} boxes; the transition graph holds at "
+                f"most {2 ** 26}") in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_bad_tolerance_rejected(self, tmp_path):
         path = tmp_path / "tol.json"
@@ -1048,10 +1073,13 @@ class TestGraphDump:
                                     "experiment": {"dump_edges": True}}))
         assert run_cli(["graph", "--config", str(path)]).exit_code == 0
         tg, = built
-        assert config["map"]["name"] == "cat" or tg.has_sink_edges()
-        # the writer the chunked dump replaced: one write per numpy pair
-        want = "".join(f"{a} {b}\n" for a, b in zip(
-            np.repeat(np.arange(tg.n_nodes), tg.out_degrees()), tg.targets))
+        assert config["map"]["name"] == "cat" or tg.escaping_boxes() > 0
+        # the writer the chunked dump replaced: one write per edge, the
+        # escaping boxes' edges to the sink (node nboxes) included
+        sink = tg.nboxes
+        want = "".join(f"{b} {t}\n" for b in range(sink)
+                       for t in [*tg.out(b), *[sink] * int(tg.escapes[b])])
+        want += f"{sink} {sink}\n"
         assert (tmp_path / "out" / "edges.txt").read_bytes() == want.encode()
 
 

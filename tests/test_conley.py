@@ -3,6 +3,7 @@ fractions, checked against powerset and reachability oracles."""
 
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,7 +44,7 @@ def brute_force_blocks(tg):
         for comb in itertools.combinations(range(n), r):
             U = set(comb)
             out = set().union(*(adj[b] for b in U))
-            if tg.sink in out or not out <= U:
+            if tg.escapes[list(U)].any() or not out <= U:
                 continue
             Uset = BoxSet.from_indices(tg.grid, U)
             margin = Uset - Uset.erode(1)
@@ -60,7 +61,7 @@ def reference_blocks(g, candidates=None, extra_dilations=2, max_dilation=16,
     forward-closes it in a fresh search and tests it with `_is_block`."""
     def _forward_closure(g, seed):
         bits = reachable(g.offsets, g.targets, seed.indices())
-        return BoxSet(g.grid, bits[:g.nboxes]), bool(bits[g.sink])
+        return BoxSet(g.grid, bits), bool(np.any(bits & g.escapes))
 
     sccs = nontrivial_scc_sets(g)
     m = len(sccs)
@@ -128,8 +129,8 @@ def box_graphs(draw):
     """Random box graph in the TransitionGraph layout on a 1-D or 2-D grid,
     periodic or not, with eps > 0: every box steps part of the way towards
     its nearest drawn centre, fattened by a drawn stencil, plus random
-    extra edges and random sink edges.  A step off a non-periodic window
-    edge goes to the sink."""
+    extra edges and random escaping boxes.  A box with a step off a
+    non-periodic window edge escapes."""
     dim = draw(st.integers(1, 2))
     depth = tuple(draw(st.integers(2, 6 if dim == 1 else 4)) for _ in range(dim))
     periodic = tuple(draw(st.booleans()) for _ in range(dim))
@@ -144,6 +145,7 @@ def box_graphs(draw):
     step = multi + np.sign(diff) * np.ceil(pull * np.abs(diff)).astype(np.int64)
     spread = draw(st.integers(0, 1))
     src, tgt = [], []
+    escapes = np.zeros(n, dtype=bool)
     for off in itertools.product(range(-spread, spread + 1), repeat=dim):
         t = step + np.asarray(off)
         outside = np.zeros(n, dtype=bool)
@@ -153,19 +155,17 @@ def box_graphs(draw):
             else:
                 outside |= (t[:, ax] < 0) | (t[:, ax] >= shape[ax])
         ids = np.ravel_multi_index(tuple(np.clip(t, 0, shape - 1).T), grid.shape)
-        src.append(np.arange(n))
-        tgt.append(np.where(outside, n, ids))
+        src.append(np.flatnonzero(~outside))
+        tgt.append(ids[~outside])
+        escapes |= outside
     noisy = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.03, 0.1])))
     src.append(noisy)
     tgt.append(rng.integers(0, n, noisy.size))
-    leaky = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.02, 0.1])))
-    src += [leaky, [n]]
-    tgt += [np.full(leaky.size, n), [n]]
-    keys = np.unique(np.concatenate(src) * (n + 1) + np.concatenate(tgt))
-    targets = keys % (n + 1)
-    offsets = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(keys // (n + 1), minlength=n + 1), out=offsets[1:])
-    return TransitionGraph(grid, None, 0.1, offsets, targets, 0.0)
+    escapes |= rng.random(n) < draw(st.sampled_from([0.0, 0.02, 0.1]))
+    keys = np.unique(np.concatenate(src) * n + np.concatenate(tgt))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=offsets[1:])
+    return TransitionGraph(grid, None, 0.1, offsets, keys % n, escapes, 0.0)
 
 
 def bench_cubic_graph(dim, depth, eps):
@@ -223,15 +223,17 @@ class TestBlocksMatchReference:
         assert same_blocks(got, found)
 
 
-def csr_graph(grid, edges, eps=0.1):
-    """TransitionGraph on `grid` from (source, target) node pairs; the
-    sink self-loop is added."""
+def csr_graph(grid, edges, escaping=(), eps=0.1):
+    """TransitionGraph on `grid` from (source, target) box pairs, with the
+    boxes in `escaping` flagged as escaping."""
     n = grid.nboxes
-    keys = np.unique([s * (n + 1) + t for s, t in list(edges) + [(n, n)]])
-    offsets = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(keys // (n + 1), minlength=n + 1), out=offsets[1:])
+    keys = np.unique([s * n + t for s, t in edges])
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=offsets[1:])
+    escapes = np.zeros(n, dtype=bool)
+    escapes[list(escaping)] = True
     return TransitionGraph(grid, None, eps, offsets,
-                           (keys % (n + 1)).astype(np.int32), 0.0)
+                           (keys % n).astype(np.int32), escapes, 0.0)
 
 
 def towards(grid, centres):
@@ -256,7 +258,7 @@ class TestPlaneClosure:
     def test_matches_reachable_per_plane(self, chunk, tg, k, transpose, seed):
         off, tgt = tg.reverse() if transpose else (tg.offsets, tg.targets)
         rng = np.random.default_rng(seed)
-        seeds = rng.random((k, tg.n_nodes)) < rng.uniform(0, 0.1, (k, 1))
+        seeds = rng.random((k, tg.nboxes)) < rng.uniform(0, 0.1, (k, 1))
         want = np.array([reachable(off, tgt, np.flatnonzero(row))
                          for row in seeds])
         with pytest.MonkeyPatch.context() as mp:
@@ -267,7 +269,7 @@ class TestPlaneClosure:
 
     def test_words_are_grown_in_place(self):
         tg = bench_cubic_graph(1, 6, 1.0 / 64)
-        seeds = np.zeros(tg.n_nodes, dtype=np.uint64)
+        seeds = np.zeros(tg.nboxes, dtype=np.uint64)
         seeds[[3, 40]] = [1, 1 << 63]
         seen = np.zeros_like(seeds)
         assert chain_graph.close_planes(tg.offsets, tg.targets, seeds,
@@ -303,10 +305,10 @@ class TestWordBatches:
 
     def test_full_dilation_stops_before_its_closure(self, monkeypatch):
         # one attractor at box 5 of 16; box 15, the last box its dilation
-        # reaches, also steps into the sink
+        # reaches, also escapes
         grid = Grid(Domain((0.0,), (1.0,), (False,)), (4,))
-        tg = csr_graph(grid, towards(grid, [5]) + [(15, grid.nboxes)])
-        assert reachable(tg.offsets, tg.targets, range(16))[tg.sink]
+        tg = csr_graph(grid, towards(grid, [5]), escaping=[15])
+        assert tg.set_escapes(BoxSet.full(grid))
         closures = []
         real = conley.close_planes
         monkeypatch.setattr(conley, "close_planes",
@@ -331,8 +333,8 @@ class TestWordBatches:
             tg = csr_graph(grid, towards(grid, [20]))
         sccs = nontrivial_scc_sets(tg)
         assert len(sccs) == 1
-        scc_of = np.full(tg.n_nodes, 1, dtype=np.int64)
-        scc_of[:tg.nboxes][sccs[0].bits] = 0
+        scc_of = np.full(tg.nboxes, 1, dtype=np.int64)
+        scc_of[sccs[0].bits] = 0
         closures = []
         real = conley.close_planes
         monkeypatch.setattr(conley, "close_planes",
@@ -507,6 +509,22 @@ class TestConleyIdentity:
         b0 = g.box_of_point(np.array([0.0]))
         assert b0 not in absorbed_basin(tg, A)
         assert b0 in basin(tg, plus[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(box_graphs(), st.data())
+    def test_absorbed_basin_matches_networkx(self, tg, data):
+        """A box is absorbed by A iff no forward path from it, itself
+        included, meets a cycle box outside A or an escaping box."""
+        n = tg.nboxes
+        G = nx.DiGraph(zip(np.repeat(np.arange(n), np.diff(tg.offsets)).tolist(),
+                           np.asarray(tg.targets).tolist()))
+        G.add_nodes_from(range(n))
+        A = BoxSet.from_indices(tg.grid, sorted(data.draw(
+            st.sets(st.integers(0, n - 1), max_size=n))))
+        bad = (chain_recurrent_boxes(tg).bits & ~A.bits) | tg.escapes
+        want = [not any(bad[v] for v in nx.descendants(G, b) | {b})
+                for b in range(n)]
+        assert absorbed_basin(tg, A).bits.tolist() == want
 
 
 class TestInvarianceFlags:

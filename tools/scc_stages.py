@@ -71,7 +71,7 @@ def run_case(name: str, reps: int) -> dict:
     tracemalloc.stop()
     scc_s, (n_comp, labels) = _best(
         lambda: strongly_connected_components(g.offsets, g.targets,
-                                              g.n_nodes, rev), reps)
+                                              g.nboxes, rev), reps)
     return {"case": name, "nboxes": g.nboxes, "edges": g.n_edges,
             "build_s": round(build_s, 4), "reverse_s": round(reverse_s, 4),
             "scc_s": round(scc_s, 4), "reverse_peak_mb": round(peak_mb, 1),
