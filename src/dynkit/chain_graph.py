@@ -9,11 +9,22 @@ radii plus eps, and all boxes meeting that half-open rectangle become
 out-neighbors.  A box whose rectangle leaves a non-periodic window is
 flagged as escaping: its lost mass feeds a virtual absorbing sink that is
 no node of the graph, so no recurrence statement can see it.
+
+The graph keeps each box's rectangle, a range of box indices per axis,
+and no edge list: the set-oriented recurrence computation of Kalies,
+Mischaikow & VanderVorst (FoCM 2005) on rectangles.  The image of a box
+set is a difference array over the grid and a preimage test a lookup in
+a summed-area table of the set (Crow, SIGGRAPH 1984), so the SCC pass's
+forward-backward step, the degrees and the self-loops never read an
+edge.  The CSR is written from the ranges for the queries that walk
+edges, on first use.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -34,42 +45,50 @@ __all__ = [
 ]
 
 # caps the grid: at ~42 edges per box (cat, eps one box diameter) 2^26
-# boxes already mean 2.8 G edges, far past memory.  Targets are stored as
-# int32 and the transpose packs `target << 32 | source` into one int64 key
-# above 2^16 boxes, which needs nboxes < 2**31
+# boxes already mean 2.8 G edges once the CSR is written.  Targets and
+# cover indices are stored as int32 and the transpose packs
+# `target << 32 | source` into one int64 key above 2^16 boxes, which
+# needs nboxes < 2**31
 MAX_NBOXES = 1 << 26
 # up to this many nodes the transpose packs `target << 16 | source` into
 # uint32 keys
 _NARROW_NODES = 1 << 16
-# edges per chunk: of the rows the build writes, the self-loop scan, the
-# dump and the transpose read, and of the frontier slices that `reachable`
-# and `close_planes` expand
+# edges per chunk: of the rows the CSR build writes, the self-loop scan,
+# the dump and the transpose read, and of the frontier slices that
+# `reachable` and `close_planes` expand
 _CHUNK_EDGES = 1 << 18
 
 
 @dataclass
 class TransitionGraph:
-    """CSR digraph on BoxIds, and a flag per box for its escape.
+    """Digraph on BoxIds: one cover rectangle and one escape flag per box.
 
-    Out-edges are sorted ascending per source; offsets are int64, targets
-    int32.  `escapes[b]` says that box b's image rectangle leaves the
-    window: b also steps to a virtual absorbing sink, which is no CSR node.
-    A box may have no out-edge in the CSR, but then it escapes.  The
-    counts of the `graph` report and its edge dump list the sink as node
-    nboxes: one edge per escaping box, then the sink's self-loop.  The
-    SCC labels, the self-loop mask and the transposed CSR are computed on
-    first use and cached on the graph, so every recurrence query on one
-    graph shares one SCC pass (a forward-backward step, then Tarjan), and
-    that pass and the backward closures share one transpose.
+    `cover` is (start, length), int32 arrays of shape (dim, nboxes): box
+    b steps to every box whose index on each axis a lies in the
+    `length[a, b]` indices from `start[a, b]` on, mod the axis on a
+    periodic one; length 0 on every axis means no box.  `escapes[b]` says
+    that b's image rectangle leaves the window: b also steps to a virtual
+    absorbing sink, which is no node.  A box with no out-edge escapes.
+
+    Degrees, self-loops and the SCC pass's forward-backward step read the
+    cover.  `offsets` and `targets`, the CSR (rows ascending, offsets
+    int64, targets int32), are written from it on first access, by
+    Tarjan's pass outside the pivot's component, `image_boxes`,
+    `close_planes`, `_bfs_path`, `edge_chunks` and `reverse()`.  A graph
+    made from a CSR alone (`cover` None, `_csr` given) reads it for
+    everything.  The `graph` report's counts and its edge dump list the
+    sink as node nboxes: one edge per escaping box, then the sink's
+    self-loop.  The SCC labels, the self-loop mask, the CSR and its
+    transpose are cached, so all recurrence queries share one SCC pass.
     """
 
     grid: Grid
     map_spec: MapSpec
     eps: float
-    offsets: np.ndarray
-    targets: np.ndarray
     escapes: np.ndarray
     lipschitz_used: float
+    cover: Optional[tuple] = field(default=None, repr=False)
+    _csr: Optional[tuple] = field(default=None, repr=False)
     _reverse: Optional[tuple] = field(default=None, repr=False)
     _self_loops: Optional[np.ndarray] = field(default=None, repr=False)
     _labels: Optional[np.ndarray] = field(default=None, repr=False)
@@ -78,18 +97,41 @@ class TransitionGraph:
     def nboxes(self) -> int:
         return self.grid.nboxes
 
+    def _edges(self) -> tuple:
+        """(offsets, targets) of the CSR, written from the cover once."""
+        if self._csr is None:
+            start, length = self.cover
+            self._csr = _materialize_edges(self.grid, start.T,
+                                           (start + length - 1).T,
+                                           ~length.all(axis=0))
+        return self._csr
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self._edges()[0]
+
+    @property
+    def targets(self) -> np.ndarray:
+        return self._edges()[1]
+
+    def _box_degrees(self) -> np.ndarray:
+        """Out-degree of every box in the box graph, int64."""
+        if self.cover is None:
+            return np.diff(self.offsets)
+        return self.cover[1].prod(axis=0, dtype=np.int64)
+
     @property
     def n_edges(self) -> int:
         """Edges as the `graph` report counts them: the box edges, one
         edge to the sink per escaping box and the sink's self-loop."""
-        return int(self.targets.size) + self.escaping_boxes() + 1
+        return int(self._box_degrees().sum()) + self.escaping_boxes() + 1
 
     def out(self, node: int) -> np.ndarray:
         return self.targets[self.offsets[node]:self.offsets[node + 1]]
 
     def out_degrees(self) -> np.ndarray:
         """Out-degree of every box, its sink edge included."""
-        return np.diff(self.offsets) + self.escapes
+        return self._box_degrees() + self.escapes
 
     def escaping_boxes(self) -> int:
         return int(np.count_nonzero(self.escapes))
@@ -110,6 +152,9 @@ class TransitionGraph:
     def self_loop_mask(self) -> np.ndarray:
         """Boolean per box: the box is its own out-neighbor."""
         if self._self_loops is None:
+            if self.cover is not None:
+                self._self_loops = _cover_self_loops(self.grid, *self.cover)
+                return self._self_loops
             mask = np.zeros(self.nboxes, dtype=bool)
             for b0, b1 in _row_chunks(self.offsets, self.nboxes):
                 src, tgt = _row_edges(self.offsets, self.targets, b0, b1)
@@ -120,8 +165,17 @@ class TransitionGraph:
     def scc_labels(self) -> np.ndarray:
         """SCC label of every box, cached."""
         if self._labels is None:
-            _, self._labels = strongly_connected_components(
-                self.offsets, self.targets, self.nboxes, self.reverse())
+            if self.cover is None:
+                _, self._labels = strongly_connected_components(
+                    self.offsets, self.targets, self.nboxes, self.reverse())
+            else:
+                degrees = self._box_degrees()
+                in_degrees = _cover_counts(self, np.arange(self.nboxes))
+                _, self._labels = _scc(
+                    self.nboxes, int(degrees.sum()), degrees * in_degrees,
+                    partial(_cover_reachable, self),
+                    partial(_cover_reachable, self, backward=True),
+                    self._edges)
         return self._labels
 
     def image_boxes(self, boxset: BoxSet) -> BoxSet:
@@ -205,11 +259,11 @@ class RadialEps:
 # graph construction
 # ---------------------------------------------------------------------------
 
-def _box_spreads(grid: Grid, map_spec: MapSpec):
+def _box_spreads(grid: Grid, map_spec: MapSpec, centers: np.ndarray):
     """(spread, lipschitz): per-box per-axis image half-widths from entrywise
     Jacobian bounds, plus a scalar Lipschitz bound for slack formulas: the
     largest spectral norm of the per-box bounds, rounded up, the map's
-    only Lipschitz number.
+    only Lipschitz number.  `centers` are the grid's box centers.
 
     Sound: |f(x)_a - f(c)_a| <= sum_b |J_ab|_max r_b over the box, and
     ||J(x)||_2 <= ||(|J_ab|_max)||_2 for every x in it.  The SVD is backward
@@ -218,14 +272,18 @@ def _box_spreads(grid: Grid, map_spec: MapSpec):
     bound whose largest entry is 1.0 gave 1 - 2**-53).  So it is raised by
     2k machine epsilons, then one ulp for the rounding of that product.
     """
-    centers = grid.centers()
     B = np.asarray(map_spec.jac_abs_bound(centers - grid.radius,
                                           centers + grid.radius))
     spread = np.einsum("nab,b->na", B, grid.radius)
-    # one SVD per distinct bound (np.unique(axis=0) imports numpy.ma)
+    # one SVD per distinct bound: a single one for a constant bound (the
+    # affine and standard maps); else the rows are deduplicated by a sort
+    # (np.unique(axis=0) imports numpy.ma)
     flat = B.reshape(B.shape[0], -1)
-    flat = flat[np.lexsort(flat.T)]
-    flat = flat[np.append(True, np.any(flat[1:] != flat[:-1], axis=1))]
+    if (flat == flat[0]).all():
+        flat = flat[:1]
+    else:
+        flat = flat[np.lexsort(flat.T)]
+        flat = flat[np.append(True, np.any(flat[1:] != flat[:-1], axis=1))]
     norm = np.max(np.linalg.norm(flat.reshape(-1, *B.shape[1:]),
                                  ord=2, axis=(1, 2)))
     pad = 1.0 + 2 * grid.dim * np.finfo(float).eps
@@ -233,19 +291,22 @@ def _box_spreads(grid: Grid, map_spec: MapSpec):
 
 
 def _cover_ranges(grid: Grid, lo_f: np.ndarray, hi_f: np.ndarray):
-    """Integer index ranges of boxes meeting the half-open rects [lo_f, hi_f).
+    """Index ranges of the boxes meeting the half-open rects [lo_f, hi_f).
 
-    Returns (ilo, ihi, escapes, empty) with per-axis inclusive index
-    ranges; the top index excludes rectangles whose upper face only
-    touches a box boundary.  A periodic range that spans its axis becomes
-    the whole axis.  On non-periodic axes the ranges are clamped,
-    `escapes` marks rows whose rectangle leaves the window and `empty`
-    those with nothing inside it.  Indices stay floats until they are
-    clamped, so a finite rectangle past the int64 range keeps its edges.
+    Returns (start, length, escapes): per axis and row, int32 arrays of
+    shape (dim, n), the range's first box index taken mod the axis and
+    the number of boxes it spans, then a bool per row.  The top index
+    excludes rectangles whose upper face only touches a box boundary.  A
+    periodic range that spans its axis becomes the whole axis, from 0.
+    On non-periodic axes the ranges are clamped, `escapes` marks rows
+    whose rectangle leaves the window, and a row with nothing inside it
+    gets length 0 on every axis.  Indices stay floats until they are
+    clamped or reduced, so a finite rectangle past the int64 range keeps
+    its edges.
     """
     n = lo_f.shape[0]
-    ilo = np.empty((n, grid.dim), dtype=np.int64)
-    ihi = np.empty_like(ilo)
+    start = np.empty((grid.dim, n), dtype=np.int32)
+    length = np.empty_like(start)
     escapes = np.zeros(n, dtype=bool)
     empty = np.zeros(n, dtype=bool)
     # per axis: numpy broadcasts a row of per-axis constants slowly
@@ -256,12 +317,15 @@ def _cover_ranges(grid: Grid, lo_f: np.ndarray, hi_f: np.ndarray):
         if grid.domain.periodic[ax]:
             full = hi - lo >= size - 1
             lo, hi = np.where(full, 0, lo), np.where(full, size - 1, hi)
+            start[ax] = lo % size
         else:
             escapes |= (lo < 0) | (hi >= size)
             empty |= (hi < 0) | (lo >= size)
             lo, hi = np.clip(lo, 0, size - 1), np.clip(hi, 0, size - 1)
-        ilo[:, ax], ihi[:, ax] = lo, hi
-    return ilo, ihi, escapes, empty
+            start[ax] = lo
+        length[ax] = hi - lo + 1
+    length[:, empty] = 0
+    return start, length, escapes
 
 
 def _row_chunks(offsets: np.ndarray, rows: int):
@@ -388,26 +452,166 @@ def build_graph(grid: Grid, map_spec: MapSpec, eps: float,
         raise ValueError(f"map {map_spec.name!r} has no entrywise Jacobian "
                          f"bound (jac_abs_bound)")
     centers = grid.centers()
+    spread, lip_used = _box_spreads(grid, map_spec, centers)
     images = evaluate(map_spec, centers)
+    del centers
     if map_spec.periods is not None:
         # keep images in the grid window's coordinates
         images = grid.domain.wrap(images)
-    spread, lip_used = _box_spreads(grid, map_spec)
     if eps_fn is not None:
-        eps_local = np.asarray(eps_fn.min_over_rects(images - spread,
-                                                     images + spread))
-        w = spread + eps_local[:, None]
+        spread += np.asarray(eps_fn.min_over_rects(images - spread,
+                                                   images + spread))[:, None]
     else:
-        w = spread + eps
-    lo_f = images - w
-    hi_f = images + w
+        spread += eps
+    lo_f = images - spread
+    hi_f = np.add(images, spread, out=images)
+    del spread
     if not (np.isfinite(lo_f).all() and np.isfinite(hi_f).all()):
         raise ValueError(f"map {map_spec.name!r} has a non-finite image "
                          f"rectangle on this grid")
-    ilo, ihi, escapes, empty = _cover_ranges(grid, lo_f, hi_f)
-    offsets, targets = _materialize_edges(grid, ilo, ihi, empty)
-    return TransitionGraph(grid, map_spec, float(eps), offsets, targets,
-                           escapes, lip_used)
+    start, length, escapes = _cover_ranges(grid, lo_f, hi_f)
+    return TransitionGraph(grid, map_spec, float(eps), escapes, lip_used,
+                           cover=(start, length))
+
+
+# ---------------------------------------------------------------------------
+# queries on the cover ranges
+# ---------------------------------------------------------------------------
+
+def _cover_self_loops(grid: Grid, start: np.ndarray,
+                      length: np.ndarray) -> np.ndarray:
+    """Boolean per box: its own index lies in its range on every axis.
+
+    On a periodic axis the range is [start, start + length) mod the axis;
+    on another it does not pass the top, so there the same test holds."""
+    shape = grid.shape
+    mask = np.ones(shape, dtype=bool)
+    for ax, size in enumerate(shape):
+        own = np.arange(size).reshape((-1,) + (1,) * (grid.dim - 1 - ax))
+        mask &= (own - start[ax].reshape(shape)) % size \
+            < length[ax].reshape(shape)
+    return mask.ravel()
+
+
+def _piece_corners(g: TransitionGraph, boxes: np.ndarray, shift: int):
+    """(owner, corners) of the cover ranges of `boxes` cut into pieces.
+
+    A range that runs past the top of its periodic axis is cut there into
+    [start, size) and [0, start + length - size), so a box has up to 2^dim
+    pieces, each a product of per-axis runs [lo, hi); owner[i] is the box
+    of piece i.  `corners` lists (even, index) per corner of the pieces:
+    corner c takes on axis a the piece's hi if bit a of c is set, else its
+    lo, each minus `shift`, and `even` says that it takes the hi on an
+    even number of axes.  `index` is the corner's BoxId, or nboxes when it
+    lies off the grid on some axis.
+    """
+    start, length = g.cover
+    shape = g.grid.shape
+    owner = boxes
+    runs = []
+    for ax, size in enumerate(shape):
+        lo = start[ax, owner]
+        hi = lo + length[ax, owner]
+        wrap = np.flatnonzero(hi > size)
+        if wrap.size:
+            owner = np.concatenate((owner, owner[wrap]))
+            runs = [[np.concatenate((r, r[wrap])) for r in pair]
+                    for pair in runs]
+            lo = np.concatenate((lo, np.zeros(wrap.size, dtype=lo.dtype)))
+            hi = np.concatenate((np.minimum(hi, size), hi[wrap] - size))
+        runs.append([lo, hi])
+    # per axis: (term, off-grid flag) of the lo side and of the hi side
+    stride, sides = g.nboxes, []
+    for (lo, hi), size in zip(runs, shape):
+        stride //= size
+        sides.append([((c - shift).astype(np.intp) * stride,
+                       (c < shift) | (c >= size + shift)) for c in (lo, hi)])
+    corners = []
+    for bits in itertools.product((0, 1), repeat=len(shape)):
+        index = sum(side[bit][0] for side, bit in zip(sides, bits))
+        off = np.logical_or.reduce([side[bit][1]
+                                    for side, bit in zip(sides, bits)])
+        index[off] = g.nboxes
+        corners.append((sum(bits) % 2 == 0, index))
+    return owner, corners
+
+
+def _cover_counts(g: TransitionGraph, boxes: np.ndarray) -> np.ndarray:
+    """How many rectangles of `boxes` hold each box, int32 per box.
+
+    A difference array over the grid: each piece adds 1 at its lo corner
+    and +-1 at its other corners, all in one `np.bincount`, then a prefix
+    sum along every axis.  Corners at the top of an axis fall past the
+    grid and are dropped.  int32 sums wrap mod 2^32, which leaves the
+    counts, all in [0, nboxes], exact."""
+    n = g.nboxes
+    _, corners = _piece_corners(g, boxes, 0)
+    # one bincount: the even corners count at their index, the others
+    # n + 1 past it
+    counts = np.bincount(np.concatenate(
+        [index if even else index + (n + 1) for even, index in corners]),
+        minlength=2 * (n + 1))
+    diff = np.empty(n, dtype=np.int32)
+    np.subtract(counts[:n], counts[n + 1:-1], out=diff, casting="unsafe")
+    return _sum_axes(diff, g.grid.shape)
+
+
+def _sum_axes(values: np.ndarray, shape: tuple) -> np.ndarray:
+    """Prefix sums of an int32 per box along every axis of the grid, in
+    place; returns `values`."""
+    cube = values.reshape(shape)
+    for ax in range(len(shape)):
+        np.add.accumulate(cube, axis=ax, out=cube)
+    return values
+
+
+def _cover_reachable(g: TransitionGraph, seeds, max_layers: int | None = None,
+                     seen: np.ndarray | None = None,
+                     backward: bool = False) -> np.ndarray | None:
+    """`reachable` on the cover of g: the boxes reachable from `seeds`, or
+    with `backward` the boxes that reach them, with `reachable`'s layers,
+    `max_layers` cap and `seen` semantics, and no edge.
+
+    A forward layer marks the boxes that the frontier's rectangles hold
+    (`_cover_counts`).  A backward layer tests the rectangle of every box
+    not in `seen` against a summed-area table of the frontier, 2^dim
+    lookups per piece (the preimage test of a rectangle).  So a backward
+    search restricted by `seen` to a set F costs O(|F|) per layer.
+    """
+    if backward:
+        owner = corners = None
+        stale = 0
+
+        def expand(frontier, mark, seen):
+            # the pieces of the boxes not seen before the first layer; a
+            # seen box's hit is dropped by `_search`, so the pieces of the
+            # boxes found since are cut out once they are half of them,
+            # and all cuts cost O(|F|) in total
+            nonlocal owner, corners, stale
+            if owner is None:
+                owner, corners = _piece_corners(g, np.flatnonzero(~seen), 1)
+            stale += frontier.size
+            if 2 * stale > owner.size:
+                keep = ~seen[owner]
+                owner = owner[keep]
+                corners = [(even, index[keep]) for even, index in corners]
+                stale = 0
+            # summed-area table of the frontier, `mark`: entry b counts
+            # its boxes at or below b on every axis; entry nboxes is 0
+            table = np.zeros(g.nboxes + 1, dtype=np.int32)
+            table[:-1] = mark
+            _sum_axes(table[:-1], g.grid.shape)
+            total = np.zeros(owner.size, dtype=np.int32)
+            for even, index in corners:
+                # a rectangle's sum takes its corners with the sign
+                # (-1)^(number of los); up to the sign (-1)^dim it is this
+                (np.add if even else np.subtract)(total, table[index],
+                                                  out=total)
+            mark[owner[total != 0]] = True
+    else:
+        def expand(frontier, mark, seen):
+            mark |= _cover_counts(g, frontier) > 0
+    return _search(g.nboxes, expand, seeds, max_layers, seen)
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +640,31 @@ def strongly_connected_components(offsets: np.ndarray, targets: np.ndarray,
     Returns (n_components, labels); labels follow reverse topological
     order of the condensation (sources get the largest labels).
     `reverse` is the transposed CSR, as `TransitionGraph.reverse()` caches
-    it; without it the transpose is built here.
+    it; without it the transpose is built here.  The step's searches are
+    `reachable` on the CSR and on the transpose (see `_scc`).
+    """
+    if n == 0:
+        return 0, np.empty(0, dtype=np.int64)
+    off = np.ascontiguousarray(offsets)
+    tgt = np.ascontiguousarray(targets)
+    roff, rtarg = _transpose(off, tgt, n) if reverse is None else reverse
+    return _scc(n, tgt.size, np.diff(off) * np.diff(roff),
+                lambda seeds, **kw: reachable(off, tgt, seeds, **kw),
+                lambda seeds, **kw: reachable(roff, rtarg, seeds, **kw),
+                lambda: (off, tgt))
 
-    The pivot is the first node of largest out-degree x in-degree.  Its
-    component S = F & B (F: reachable from the pivot, B: reaching it) is
-    found by frontier searches: F on the CSR, then B on the transpose
-    restricted to F, as a path from a node of F stays in F.  On a
-    chain-transitive torus graph S is every box.  F \\ B is forward-closed
+
+def _scc(n: int, n_edges: int, score: np.ndarray, forward, backward, csr):
+    """SCCs of an n-node digraph: (n_components, labels), as
+    `strongly_connected_components` returns them.
+
+    The pivot is the first node of largest `score`, out-degree x
+    in-degree.  Its component S = F & B (F: reachable from the pivot, B:
+    reaching it) is found by the searches `forward` and `backward`, with
+    `reachable`'s signature less the CSR: F, then B restricted to F by
+    `seen`, as a path from a node of F stays in F.  On a chain-transitive
+    torus graph S is every node, and the labels are returned at once.
+    Else `csr()` gives the CSR that Tarjan walks: F \\ B is forward-closed
     and cannot reach S, so Tarjan labels it first (roots in node order), S
     takes the next label, and Tarjan then runs from the roots outside F in
     node order; the completed nodes of F are skipped as edge targets.
@@ -450,21 +672,19 @@ def strongly_connected_components(offsets: np.ndarray, targets: np.ndarray,
     as empty, so the same two Tarjan calls run every root in node order
     from label 0.
     """
-    if n == 0:
-        return 0, np.empty(0, dtype=np.int64)
-    off = np.ascontiguousarray(offsets)
-    tgt = np.ascontiguousarray(targets)
-    roff, rtarg = _transpose(off, tgt, n) if reverse is None else reverse
-    labels = np.full(n, -1, dtype=np.int64)
-    pivot = int(np.argmax(np.diff(off) * np.diff(roff)))
-    cap = _fb_max_layers(tgt.size, n)
-    fwd = reachable(off, tgt, [pivot], max_layers=cap)
+    pivot = int(np.argmax(score))
+    cap = _fb_max_layers(n_edges, n)
+    fwd = forward([pivot], max_layers=cap)
     back = None if fwd is None else \
-        reachable(roff, rtarg, [pivot], max_layers=cap, seen=~fwd)
+        backward([pivot], max_layers=cap, seen=~fwd)
     if back is None:
         fwd = core = np.zeros(n, dtype=bool)
     else:
         core = back & fwd
+    if core.all():
+        return 1, np.zeros(n, dtype=np.int64)
+    off, tgt = csr()
+    labels = np.full(n, -1, dtype=np.int64)
     index = np.where(core, 0, -1).tolist()
     k = _tarjan(off, tgt, np.flatnonzero(fwd & ~core).tolist(), index, labels, 0)
     n_comp = _tarjan(off, tgt, np.flatnonzero(~fwd).tolist(), index, labels,
@@ -638,7 +858,19 @@ def reachable(offsets: np.ndarray, targets: np.ndarray, seeds,
     explored and are not expanded again, so for a forward-closed `seen`
     the result is the closure of `seen` and `seeds` together.
     """
-    n = offsets.size - 1
+    def expand(frontier, mark, seen):
+        for _, _, tgt in _frontier_slices(offsets, targets, frontier):
+            mark[tgt] = True
+
+    return _search(offsets.size - 1, expand, seeds, max_layers, seen)
+
+
+def _search(n: int, expand, seeds, max_layers: int | None,
+            seen: np.ndarray | None) -> np.ndarray | None:
+    """The layer loop of `reachable` on n nodes: `expand(frontier, mark,
+    seen)` marks the successors of the frontier nodes in `mark`, which
+    holds the frontier's own marks and `seen` the nodes explored so far,
+    the frontier's included."""
     if seen is None:
         seen = np.zeros(n, dtype=bool)
     mark = np.zeros(n, dtype=bool)
@@ -655,8 +887,7 @@ def reachable(offsets: np.ndarray, targets: np.ndarray, seeds,
             return None
         layers += 1
         seen |= mark
-        for _, _, tgt in _frontier_slices(offsets, targets, frontier):
-            mark[tgt] = True
+        expand(frontier, mark, seen)
 
 
 def close_planes(offsets: np.ndarray, targets: np.ndarray, seeds: np.ndarray,

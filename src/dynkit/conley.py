@@ -89,9 +89,10 @@ class ConleyReport:
 
 def _backward_closures(g: TransitionGraph, seeds: np.ndarray) -> np.ndarray:
     """Row i: the boxes with a directed path into row i of the
-    (k, nboxes) bool array `seeds`."""
-    roff, rtarg = g.reverse()
-    return reachable_sets(roff, rtarg, seeds)
+    (k, nboxes) bool array `seeds`.  With no row no transpose is built."""
+    if not seeds.shape[0]:
+        return np.zeros(seeds.shape, dtype=bool)
+    return reachable_sets(*g.reverse(), seeds)
 
 
 def _is_block(g: TransitionGraph, U: BoxSet) -> bool:
@@ -165,7 +166,6 @@ def _grow_families(g: TransitionGraph, core: np.ndarray, k: int) -> list:
     family in dilation order.  Bit f of the uint64 word `core[b]` says that
     box b is in the core of family f."""
     periodic, shape = g.grid.domain.periodic, g.grid.shape
-    roff, rtarg = g.reverse()
     found = [[] for _ in range(k)]
     active = (1 << k) - 1
     dilated = core.reshape(shape)
@@ -191,10 +191,13 @@ def _grow_families(g: TransitionGraph, core: np.ndarray, k: int) -> list:
                                    np.bitwise_and).ravel()
         margin &= active
         at = np.flatnonzero(margin)
-        pulled = np.repeat(margin[at], roff[at + 1] - roff[at])
-        pulled &= closure[_out_neighbors(roff, rtarg, at)]
-        leaky = np.bitwise_or.reduce(pulled)
-        passing = active & ~int(leaky)
+        leaky = 0
+        if at.size:
+            roff, rtarg = g.reverse()
+            pulled = np.repeat(margin[at], roff[at + 1] - roff[at])
+            pulled &= closure[_out_neighbors(roff, rtarg, at)]
+            leaky = int(np.bitwise_or.reduce(pulled))
+        passing = active & ~leaky
         for f in range(k):
             if passing >> f & 1:
                 found[f].append((closure >> np.uint64(f) & 1).astype(bool))

@@ -337,8 +337,8 @@ def csr_graphs(draw):
     escapes = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     offsets, targets = csr_from_edges(edges, n)
     grid = Grid(Domain((0.0,), (1.0,), (False,)), (n.bit_length() - 1,))
-    return TransitionGraph(grid, None, 0.0, offsets, targets, escapes,
-                           0.0), edges
+    return TransitionGraph(grid, None, 0.0, escapes, 0.0,
+                           _csr=(offsets, targets)), edges
 
 
 class TestSccOracle:
@@ -423,8 +423,8 @@ class TestSccOracle:
     def test_scc_labels_computed_once_per_graph(self, monkeypatch):
         from dynkit import chain_graph
         calls = []
-        real = chain_graph.strongly_connected_components
-        monkeypatch.setattr(chain_graph, "strongly_connected_components",
+        real = chain_graph._scc
+        monkeypatch.setattr(chain_graph, "_scc",
                             lambda *a: calls.append(1) or real(*a))
         tg = build_graph(torus_grid(4), make_map("standard", K=0.9), 0.01)
         chain_recurrent_boxes(tg)
@@ -578,8 +578,8 @@ def planted_graph(hub_part):
     edges = sorted(edges)
     offsets, targets = csr_from_edges(edges, n)
     grid = Grid(Domain((0.0,), (1.0,), (False,)), (5,))
-    tg = TransitionGraph(grid, None, 0.0, offsets, targets,
-                         np.zeros(n, dtype=bool), 0.0)
+    tg = TransitionGraph(grid, None, 0.0, np.zeros(n, dtype=bool), 0.0,
+                         _csr=(offsets, targets))
     return tg, edges, parts
 
 
@@ -962,3 +962,114 @@ class TestEdgeLayout:
                    for pair in zip(src.tolist(), tgt.tolist())]
         assert got == want
         assert len(want) == tg.n_edges == int(tg.out_degrees().sum()) + 1
+
+
+def cover_graph(grid, ilo, ihi, empty):
+    """TransitionGraph holding the ranges of `cover_ranges` as a cover."""
+    shape = np.asarray(grid.shape)
+    start = (ilo % shape).T.astype(np.int32)
+    length = (ihi - ilo + 1).T.astype(np.int32)
+    length[:, empty] = 0
+    return TransitionGraph(grid, None, 0.0, empty.copy(), 0.0,
+                           cover=(start, length))
+
+
+def torus_cover_graph(name, params, depth):
+    grid = torus_grid(depth)
+    return build_graph(grid, make_map(name, **params), grid.box_diameter)
+
+
+@st.composite
+def covered_graphs(draw):
+    """Graphs with a cover: random ranges that wrap from any start (as in
+    `cover_ranges`), built graphs of dyadic `poly` maps in 1-3 D, periodic
+    and not (as in `escape_cases`), and cat and standard torus grids."""
+    kind = draw(st.sampled_from(["ranges", "poly", "torus"]))
+    if kind == "ranges":
+        return cover_graph(*draw(cover_ranges()))
+    if kind == "poly":
+        grid, m, eps = draw(escape_cases())
+        return build_graph(grid, m, eps)
+    return torus_cover_graph(*draw(st.sampled_from([
+        ("cat", {}, 3), ("standard", {"K": 0.97}, 4),
+        ("standard", {"K": 0.3}, 3)])))
+
+
+def csr_twin(tg):
+    """The same graph given by its CSR alone."""
+    return TransitionGraph(tg.grid, None, tg.eps, tg.escapes, 0.0,
+                           _csr=(tg.offsets, tg.targets))
+
+
+class TestCoverQueries:
+    """Degrees, self-loops, searches and SCC labels read from the cover
+    ranges, against the CSR written from them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(covered_graphs(), st.data())
+    def test_searches_match_csr_reachable(self, tg, data):
+        """Both directions: the same masks, None past the same layer cap,
+        and a given `seen` grown in place."""
+        n = tg.nboxes
+        seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+        seen = np.zeros(n, dtype=bool)
+        seen[data.draw(st.lists(st.integers(0, n - 1), max_size=n))] = True
+        cap = data.draw(st.none() | st.integers(0, 6))
+        for backward, (off, tgt) in ((False, (tg.offsets, tg.targets)),
+                                     (True, tg.reverse())):
+            want = reachable(off, tgt, seeds, max_layers=cap,
+                             seen=seen.copy())
+            mask = seen.copy()
+            got = chain_graph._cover_reachable(tg, seeds, max_layers=cap,
+                                               seen=mask, backward=backward)
+            if want is None:
+                assert got is None
+            else:
+                assert got is mask
+                assert np.array_equal(got, want)
+            fresh = chain_graph._cover_reachable(tg, seeds, backward=backward)
+            assert np.array_equal(fresh, reachable(off, tgt, seeds))
+
+    @settings(max_examples=150, deadline=None)
+    @given(covered_graphs())
+    def test_degrees_and_self_loops_match_the_csr(self, tg):
+        twin = csr_twin(tg)
+        assert tg.n_edges == twin.n_edges
+        assert np.array_equal(tg.out_degrees(), twin.out_degrees())
+        assert np.array_equal(tg.self_loop_mask(), twin.self_loop_mask())
+        in_degrees = chain_graph._cover_counts(tg, np.arange(tg.nboxes))
+        assert np.array_equal(in_degrees, np.bincount(tg.targets,
+                                                      minlength=tg.nboxes))
+
+    @settings(max_examples=100, deadline=None)
+    @given(covered_graphs())
+    def test_scc_labels_match_the_csr_pass(self, tg):
+        _, want = strongly_connected_components(tg.offsets, tg.targets,
+                                                tg.nboxes)
+        assert np.array_equal(csr_twin(tg).scc_labels(), want)
+        fresh = dataclasses.replace(tg, _csr=None)
+        assert np.array_equal(fresh.scc_labels(), want)
+
+    @pytest.mark.parametrize("name, params, depth", [
+        ("cat", {}, 7), ("standard", {"K": 0.97}, 8)])
+    def test_torus_recurrence_writes_no_edge(self, monkeypatch, name, params,
+                                             depth):
+        """A chain-transitive torus graph: one component of every box,
+        found without the CSR or its transpose."""
+        tg = torus_cover_graph(name, params, depth)
+        for fn in ("_materialize_edges", "_transpose"):
+            monkeypatch.setattr(chain_graph, fn,
+                                lambda *a, fn=fn: pytest.fail(fn))
+        assert chain_recurrent_boxes(tg).bits.all()
+        assert len(chain_components(tg)) == 1
+        assert is_chain_transitive(tg)
+        assert tg._csr is None and tg._reverse is None
+
+    def test_the_csr_is_written_once_on_demand(self):
+        tg = torus_cover_graph("standard", {"K": 0.97}, 4)
+        assert tg._csr is None
+        tg.scc_labels()
+        assert tg._csr is None
+        tg.image_boxes(BoxSet.from_indices(tg.grid, [3]))
+        offsets = tg._csr[0]
+        assert tg.offsets is offsets and tg.reverse()[0] is tg.reverse()[0]

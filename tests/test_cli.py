@@ -906,15 +906,46 @@ class TestMoreSubcommands:
     def test_all_builds_one_graph_and_one_scc(self, tmp_path, monkeypatch):
         from dynkit import chain_graph
         builds, sccs = [], []
-        build, scc = (chain_graph.build_graph,
-                      chain_graph.strongly_connected_components)
+        build, scc = chain_graph.build_graph, chain_graph._scc
         monkeypatch.setattr(chain_graph, "build_graph",
                             lambda *a, **k: builds.append(1) or build(*a, **k))
-        monkeypatch.setattr(chain_graph, "strongly_connected_components",
+        monkeypatch.setattr(chain_graph, "_scc",
                             lambda *a: sccs.append(1) or scc(*a))
         path = cat_config(tmp_path, depth=4)
         assert run_cli(["all", "--config", str(path)]).exit_code == 0
         assert len(builds) == 1 and len(sccs) == 1
+
+    @pytest.mark.parametrize("sub, name, depth", [
+        ("all", "cat", 7), ("cr", "standard", 8), ("components", "standard", 8)])
+    def test_torus_recurrence_writes_no_edge(self, tmp_path, monkeypatch,
+                                             sub, name, depth):
+        """The bench's torus configs run without the CSR or its transpose,
+        and their reports and plots are those of a graph given by its CSR."""
+        import dataclasses
+        from dynkit import chain_graph
+        cfg = {"map": {"name": name, **({"K": 0.97} if name == "standard"
+                                        else {})},
+               "grid": {"lower": [0, 0], "upper": [1, 1],
+                        "periodic": [True, True], "depth": [depth, depth]},
+               "eps_box_diameters": 1.0, "rng_seed": 3}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+
+        def run():
+            assert run_subcommand(sub, str(path), str(out), None) == 0
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                    if p.name != "timings.json"}
+
+        with monkeypatch.context() as mp:
+            for fn in ("_materialize_edges", "_transpose"):
+                mp.setattr(chain_graph, fn, lambda *a, fn=fn: pytest.fail(fn))
+            edge_free = run()
+        build = chain_graph.build_graph
+        monkeypatch.setattr(chain_graph, "build_graph", lambda *a, **k: (
+            lambda g: dataclasses.replace(g, cover=None, _csr=g._edges()))(
+                build(*a, **k)))
+        assert run() == edge_free
 
     def test_cr_does_not_import_scipy_sparse(self, tmp_path):
         path = cat_config(tmp_path, depth=4)

@@ -165,7 +165,8 @@ def box_graphs(draw):
     keys = np.unique(np.concatenate(src) * n + np.concatenate(tgt))
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=n), out=offsets[1:])
-    return TransitionGraph(grid, None, 0.1, offsets, keys % n, escapes, 0.0)
+    return TransitionGraph(grid, None, 0.1, escapes, 0.0,
+                           _csr=(offsets, keys % n))
 
 
 def bench_cubic_graph(dim, depth, eps):
@@ -232,8 +233,8 @@ def csr_graph(grid, edges, escaping=(), eps=0.1):
     np.cumsum(np.bincount(keys // n, minlength=n), out=offsets[1:])
     escapes = np.zeros(n, dtype=bool)
     escapes[list(escaping)] = True
-    return TransitionGraph(grid, None, eps, offsets,
-                           (keys % n).astype(np.int32), escapes, 0.0)
+    return TransitionGraph(grid, None, eps, escapes, 0.0,
+                           _csr=(offsets, (keys % n).astype(np.int32)))
 
 
 def towards(grid, centres):
