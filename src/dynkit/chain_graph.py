@@ -16,8 +16,14 @@ Mischaikow & VanderVorst (FoCM 2005) on rectangles.  The image of a box
 set is a difference array over the grid and a preimage test a lookup in
 a summed-area table of the set (Crow, SIGGRAPH 1984), so the SCC pass's
 forward-backward step, the degrees and the self-loops never read an
-edge.  The CSR is written from the ranges for the queries that walk
-edges, on first use.
+edge.  The CSR and its transpose are written from the ranges for the
+queries that walk edges, on first use, and no other module reads them.
+
+Every reachability search runs through one layer loop, `_search`, with
+a bool or a uint64 word (one box set per bit) per box as its marks and a
+layer step on the cover ranges (`_cover_search`) or on the edges
+(`_edge_expand`, the CSR or its transpose).  The chain search's BFS
+(`_bfs_path`) keeps its own loop, with parents in queue order.
 """
 
 from __future__ import annotations
@@ -36,9 +42,7 @@ from .system import MapSpec, evaluate
 __all__ = [
     "TransitionGraph", "ChainComponent", "EpsChain",
     "ConstantEps", "RadialEps",
-    "build_graph", "strongly_connected_components", "reachable",
-    "close_planes", "reachable_sets",
-    "chain_recurrent_boxes", "chain_components",
+    "build_graph", "chain_recurrent_boxes", "chain_components",
     "is_chain_transitive", "nonwandering_probe", "strong_chain_search",
     "fixed_point_chain",
     "NonwanderingResult", "MAX_NBOXES",
@@ -54,8 +58,8 @@ MAX_NBOXES = 1 << 26
 # uint32 keys
 _NARROW_NODES = 1 << 16
 # edges per chunk: of the rows the CSR build writes, the self-loop scan,
-# the dump and the transpose read, and of the frontier slices that
-# `reachable` and `close_planes` expand
+# the dump and the transpose read, and of the frontier slices that the
+# edge searches expand
 _CHUNK_EDGES = 1 << 18
 
 
@@ -73,13 +77,15 @@ class TransitionGraph:
     Degrees, self-loops and the SCC pass's forward-backward step read the
     cover.  `offsets` and `targets`, the CSR (rows ascending, offsets
     int64, targets int32), are written from it on first access, by
-    Tarjan's pass outside the pivot's component, `image_boxes`,
-    `close_planes`, `_bfs_path`, `edge_chunks` and `reverse()`.  A graph
-    made from a CSR alone (`cover` None, `_csr` given) reads it for
-    everything.  The `graph` report's counts and its edge dump list the
-    sink as node nboxes: one edge per escaping box, then the sink's
-    self-loop.  The SCC labels, the self-loop mask, the CSR and its
-    transpose are cached, so all recurrence queries share one SCC pass.
+    Tarjan's pass outside the pivot's component, `image_boxes`, the
+    set closures (`closure`, `closure_rows`), `_bfs_path`, `edge_chunks`
+    and `reverse()`; the backward closures and `entered_planes` read the
+    transpose.  A graph made from a CSR alone (`cover` None, `_csr`
+    given) reads it for everything.  The `graph` report's counts and its
+    edge dump list the sink as node nboxes: one edge per escaping box,
+    then the sink's self-loop.  The SCC labels, the self-loop mask, the
+    CSR and its transpose are cached, so all recurrence queries share one
+    SCC pass.
     """
 
     grid: Grid
@@ -163,25 +169,25 @@ class TransitionGraph:
         return self._self_loops
 
     def scc_labels(self) -> np.ndarray:
-        """SCC label of every box, cached."""
+        """SCC label of every box, cached.  A built graph's
+        forward-backward step searches its cover ranges; a graph made
+        from a CSR searches the CSR and its transpose."""
         if self._labels is None:
+            degrees = self._box_degrees()
             if self.cover is None:
-                _, self._labels = strongly_connected_components(
-                    self.offsets, self.targets, self.nboxes, self.reverse())
+                in_degrees = np.diff(self.reverse()[0])
+                search = self.closure
             else:
-                degrees = self._box_degrees()
                 in_degrees = _cover_counts(self, np.arange(self.nboxes))
-                _, self._labels = _scc(
-                    self.nboxes, int(degrees.sum()), degrees * in_degrees,
-                    partial(_cover_reachable, self),
-                    partial(_cover_reachable, self, backward=True),
-                    self._edges)
+                search = partial(_cover_search, self)
+            self._labels = _scc(self.nboxes, int(degrees.sum()),
+                                degrees * in_degrees, search, self._edges)
         return self._labels
 
     def image_boxes(self, boxset: BoxSet) -> BoxSet:
         """One application of the multivalued box map (escapes dropped)."""
         bits = np.zeros(self.nboxes, dtype=bool)
-        bits[_out_neighbors(self.offsets, self.targets, boxset.indices())] = True
+        _edge_expand(*self._edges())(boxset.indices(), bits, None)
         return BoxSet(self.grid, bits)
 
     def set_escapes(self, boxset: BoxSet) -> bool:
@@ -193,6 +199,43 @@ class TransitionGraph:
         if self._reverse is None:
             self._reverse = _transpose(self.offsets, self.targets, self.nboxes)
         return self._reverse
+
+    def closure(self, marks: np.ndarray, seen: np.ndarray | None = None,
+                max_layers: int | None = None,
+                backward: bool = False) -> np.ndarray | None:
+        """The boxes reachable from the marked ones, marks included, or
+        with `backward` the boxes that reach them: `_search` along the
+        edges or on the transpose, with its bool or uint64 word marks, its
+        `seen` (grown in place and returned) and its `max_layers`."""
+        edges = self.reverse() if backward else self._edges()
+        return _search(_edge_expand(*edges), marks, seen, max_layers)
+
+    def closure_rows(self, rows: np.ndarray,
+                     backward: bool = False) -> np.ndarray:
+        """`closure` of every row of the (k, nboxes) bool array `rows`, as
+        a (k, nboxes) bool array: 64 rows per search, as the bits of one
+        word per box.  With no row no edge is read."""
+        closed = np.empty(rows.shape, dtype=bool)
+        for a in range(0, rows.shape[0], 64):
+            part = slice(a, a + 64)
+            words = self.closure(_pack_planes(rows[part]), backward=backward)
+            closed[part] = _unpack_planes(words, closed[part].shape[0])
+        return closed
+
+    def entered_planes(self, boxes: np.ndarray, sets: np.ndarray) -> int:
+        """Bit f is set iff an edge runs from a box of set f of `sets` into
+        a box of set f of `boxes`, both uint64 words per box (bit f: set
+        f).  A gather over the in-edges of the boxes with a nonzero word,
+        a slice of the transpose at a time."""
+        at = np.flatnonzero(boxes)
+        if not at.size:
+            return 0
+        entered = np.uint64(0)
+        for rows, counts, sources in _frontier_slices(*self.reverse(), at):
+            pulled = np.repeat(boxes[at[rows]], counts)
+            pulled &= sets[sources]
+            entered |= np.bitwise_or.reduce(pulled)
+        return int(entered)
 
 
 @dataclass
@@ -565,12 +608,13 @@ def _sum_axes(values: np.ndarray, shape: tuple) -> np.ndarray:
     return values
 
 
-def _cover_reachable(g: TransitionGraph, seeds, max_layers: int | None = None,
-                     seen: np.ndarray | None = None,
-                     backward: bool = False) -> np.ndarray | None:
-    """`reachable` on the cover of g: the boxes reachable from `seeds`, or
-    with `backward` the boxes that reach them, with `reachable`'s layers,
-    `max_layers` cap and `seen` semantics, and no edge.
+def _cover_search(g: TransitionGraph, seeds: np.ndarray,
+                  seen: np.ndarray | None = None,
+                  max_layers: int | None = None,
+                  backward: bool = False) -> np.ndarray | None:
+    """`_search` on the cover of g, bool marks only: the boxes reachable
+    from `seeds`, or with `backward` the boxes that reach them, with
+    `_search`'s `seen` and `max_layers`, and no edge read.
 
     A forward layer marks the boxes that the frontier's rectangles hold
     (`_cover_counts`).  A backward layer tests the rectangle of every box
@@ -611,7 +655,7 @@ def _cover_reachable(g: TransitionGraph, seeds, max_layers: int | None = None,
     else:
         def expand(frontier, mark, seen):
             mark |= _cover_counts(g, frontier) > 0
-    return _search(g.nboxes, expand, seeds, max_layers, seen)
+    return _search(expand, seeds, seen, max_layers)
 
 
 # ---------------------------------------------------------------------------
@@ -621,76 +665,59 @@ def _cover_reachable(g: TransitionGraph, seeds, max_layers: int | None = None,
 def _fb_max_layers(n_edges: int, n_nodes: int) -> int:
     """Layers a forward-backward search from the pivot may take.
 
-    A frontier layer of `reachable` costs about 10 us plus 0.25 ns per
-    node (its passes over the n-node masks) on top of its edges; the
-    Tarjan loop below costs about 0.1 us per edge plus 0.5 us per node
-    (2-core x86-64 VM).  So (n_edges + 5 n_nodes) // (100 + n_nodes // 400)
-    layers cost about one Tarjan run.  A search that needs more is dropped
-    and Tarjan takes the whole graph: a long-diameter graph (a circle
-    rotation, a near-integrable standard map) then pays at most about one
-    Tarjan run on top of Tarjan alone, and the step stays O(V + E).
+    The price is that of a search along the CSR edges (a graph made from
+    a CSR): a layer costs about 10 us plus 0.25 ns per node (its passes
+    over the n-node masks) on top of its edges; the Tarjan loop below
+    costs about 0.1 us per edge plus 0.5 us per node (2-core x86-64 VM).
+    So (n_edges + 5 n_nodes) // (100 + n_nodes // 400) layers cost about
+    one Tarjan run.  A search that needs more is dropped and Tarjan takes
+    the whole graph: a long-diameter graph (a circle rotation, a
+    near-integrable standard map) then pays at most about one Tarjan run
+    on top of Tarjan alone, and the step stays O(V + E).  A built graph
+    searches its cover ranges instead, at 3-6 ns per box per layer, so
+    there a search that runs to the cap can cost several Tarjan runs.
     """
     return max(32, (n_edges + 5 * n_nodes) // (100 + n_nodes // 400))
 
 
-def strongly_connected_components(offsets: np.ndarray, targets: np.ndarray,
-                                  n: int, reverse: tuple | None = None):
-    """SCCs of a CSR digraph: one forward-backward step, then Tarjan.
-
-    Returns (n_components, labels); labels follow reverse topological
-    order of the condensation (sources get the largest labels).
-    `reverse` is the transposed CSR, as `TransitionGraph.reverse()` caches
-    it; without it the transpose is built here.  The step's searches are
-    `reachable` on the CSR and on the transpose (see `_scc`).
-    """
-    if n == 0:
-        return 0, np.empty(0, dtype=np.int64)
-    off = np.ascontiguousarray(offsets)
-    tgt = np.ascontiguousarray(targets)
-    roff, rtarg = _transpose(off, tgt, n) if reverse is None else reverse
-    return _scc(n, tgt.size, np.diff(off) * np.diff(roff),
-                lambda seeds, **kw: reachable(off, tgt, seeds, **kw),
-                lambda seeds, **kw: reachable(roff, rtarg, seeds, **kw),
-                lambda: (off, tgt))
-
-
-def _scc(n: int, n_edges: int, score: np.ndarray, forward, backward, csr):
-    """SCCs of an n-node digraph: (n_components, labels), as
-    `strongly_connected_components` returns them.
+def _scc(n: int, n_edges: int, score: np.ndarray, search, csr) -> np.ndarray:
+    """SCC label of every node of an n-node digraph: one forward-backward
+    step, then Tarjan.  Labels follow reverse topological order of the
+    condensation (sources get the largest labels), from 0 on.
 
     The pivot is the first node of largest `score`, out-degree x
     in-degree.  Its component S = F & B (F: reachable from the pivot, B:
-    reaching it) is found by the searches `forward` and `backward`, with
-    `reachable`'s signature less the CSR: F, then B restricted to F by
-    `seen`, as a path from a node of F stays in F.  On a chain-transitive
-    torus graph S is every node, and the labels are returned at once.
-    Else `csr()` gives the CSR that Tarjan walks: F \\ B is forward-closed
-    and cannot reach S, so Tarjan labels it first (roots in node order), S
-    takes the next label, and Tarjan then runs from the roots outside F in
-    node order; the completed nodes of F are skipped as edge targets.
-    When F or B needs more than `_fb_max_layers` layers, F and S are taken
-    as empty, so the same two Tarjan calls run every root in node order
-    from label 0.
+    reaching it) is found by `search(seeds, seen, max_layers, backward)`,
+    a `_search` on the graph: F, then B restricted to F by `seen`, as a
+    path from a node of F stays in F.  On a chain-transitive torus graph
+    S is every node, and the labels are returned at once.  Else `csr()`
+    gives the CSR that Tarjan walks: F \\ B is forward-closed and cannot
+    reach S, so Tarjan labels it first (roots in node order), S takes the
+    next label, and Tarjan then runs from the roots outside F in node
+    order; the completed nodes of F are skipped as edge targets.  When F
+    or B needs more than `_fb_max_layers` layers, F and S are taken as
+    empty: the two Tarjan calls then run every root in node order.
     """
-    pivot = int(np.argmax(score))
+    pivot = np.zeros(n, dtype=bool)
+    pivot[np.argmax(score)] = True
     cap = _fb_max_layers(n_edges, n)
-    fwd = forward([pivot], max_layers=cap)
+    fwd = search(pivot, max_layers=cap)
     back = None if fwd is None else \
-        backward([pivot], max_layers=cap, seen=~fwd)
+        search(pivot, seen=~fwd, max_layers=cap, backward=True)
     if back is None:
         fwd = core = np.zeros(n, dtype=bool)
     else:
         core = back & fwd
     if core.all():
-        return 1, np.zeros(n, dtype=np.int64)
+        return np.zeros(n, dtype=np.int64)
     off, tgt = csr()
     labels = np.full(n, -1, dtype=np.int64)
     index = np.where(core, 0, -1).tolist()
     k = _tarjan(off, tgt, np.flatnonzero(fwd & ~core).tolist(), index, labels, 0)
-    n_comp = _tarjan(off, tgt, np.flatnonzero(~fwd).tolist(), index, labels,
-                     k + int(core.any()))
+    _tarjan(off, tgt, np.flatnonzero(~fwd).tolist(), index, labels,
+            k + int(core.any()))
     labels[core] = k
-    return n_comp, labels
+    return labels
 
 
 def _tarjan(off: np.ndarray, tgt: np.ndarray, roots, index: list,
@@ -799,87 +826,39 @@ def is_chain_transitive(g: TransitionGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# CSR reachability
+# graph searches
 # ---------------------------------------------------------------------------
 
-def _gather(targets: np.ndarray, first: np.ndarray, counts: np.ndarray,
-            slot: int) -> np.ndarray:
-    """Targets of `counts[i]` consecutive edges per node i, concatenated.
+def _search(expand, seeds: np.ndarray, seen: np.ndarray | None = None,
+            max_layers: int | None = None) -> np.ndarray | None:
+    """The marks reachable from `seeds` under the layer step `expand`,
+    seeds included; the one layer loop of every reachability search.
 
-    Output slots are numbered from `slot` on, and output slot s of node i
-    holds targets[first[i] + s]: first[i] is the CSR position of node i's
-    first edge minus that edge's slot.  The targets come back as intp:
-    numpy casts an int32 index array on every fancy index, so they are
-    cast here once.
-    """
-    shift = np.repeat(first, counts)
-    shift += np.arange(slot, slot + shift.size)
-    return targets[shift].astype(np.intp, copy=False)
+    `seeds` holds one mark per node: a bool, or a uint64 word whose bit f
+    marks node set f (a plane).  All planes advance in lockstep (the
+    multi-source traversal of Then et al., VLDB 2014), and a node joins
+    the next frontier when it gains a mark.  `expand(frontier, mark,
+    seen)` adds to `mark`, which holds the frontier nodes' marks, the
+    marks of their successors; `seen` holds the marks explored so far,
+    the frontier's included.  A layer costs its step plus a few O(n)
+    passes over the marks.  Returns None when the search needs more than
+    `max_layers` layers.
 
-
-def _out_neighbors(offsets: np.ndarray, targets: np.ndarray,
-                   nodes: np.ndarray) -> np.ndarray:
-    """Targets of every out-edge of `nodes`, concatenated (repeats kept)."""
-    starts = offsets[nodes]
-    counts = offsets[nodes + 1] - starts
-    return _gather(targets, starts - np.cumsum(counts) + counts, counts, 0)
-
-
-def _frontier_slices(offsets: np.ndarray, targets: np.ndarray,
-                     frontier: np.ndarray):
-    """Yield (rows, counts, targets) for slices of the frontier of about
-    `_CHUNK_EDGES` out-edges each: the slice of `frontier`, the out-degrees
-    of its nodes, and the targets of their out-edges, concatenated."""
-    starts = offsets[frontier]
-    counts = offsets[frontier + 1] - starts
-    ends = np.cumsum(counts)
-    first = starts - ends + counts
-    bounds = [(0, frontier.size)] if ends[-1] <= _CHUNK_EDGES else \
-        _row_chunks(np.append(0, ends), frontier.size)
-    for a, b in bounds:
-        yield (slice(a, b), counts[a:b],
-               _gather(targets, first[a:b], counts[a:b], ends[a] - counts[a]))
-
-
-def reachable(offsets: np.ndarray, targets: np.ndarray, seeds,
-              max_layers: int | None = None,
-              seen: np.ndarray | None = None) -> np.ndarray | None:
-    """Boolean mask of the CSR nodes reachable from `seeds`, seeds included.
-
-    Frontier expansion, one layer per step: the one-set form of
-    `close_planes`, with one bool mark per node in place of a word.  A
-    layer scatters True over the out-neighbors of its frontier, a slice of
-    about `_CHUNK_EDGES` out-edges at a time, so no index array grows with
-    the graph; the marks not in `seen` are the next frontier.  A layer
-    costs its edges plus a few O(n) passes over the masks.  Returns None
-    when the expansion needs more than `max_layers` layers.
-
-    A given `seen` mask is grown in place and returned: its nodes count as
+    A given `seen` is grown in place and returned: its marks count as
     explored and are not expanded again, so for a forward-closed `seen`
     the result is the closure of `seen` and `seeds` together.
     """
-    def expand(frontier, mark, seen):
-        for _, _, tgt in _frontier_slices(offsets, targets, frontier):
-            mark[tgt] = True
-
-    return _search(offsets.size - 1, expand, seeds, max_layers, seen)
-
-
-def _search(n: int, expand, seeds, max_layers: int | None,
-            seen: np.ndarray | None) -> np.ndarray | None:
-    """The layer loop of `reachable` on n nodes: `expand(frontier, mark,
-    seen)` marks the successors of the frontier nodes in `mark`, which
-    holds the frontier's own marks and `seen` the nodes explored so far,
-    the frontier's included."""
+    mark = seeds.copy()
     if seen is None:
-        seen = np.zeros(n, dtype=bool)
-    mark = np.zeros(n, dtype=bool)
-    mark[np.asarray(seeds, dtype=np.intp)] = True
+        seen = np.zeros_like(mark)
     layers = 0
     while True:
         # mark & ~seen: the frontier's own marks are already in `seen`, so
-        # only the nodes reached for the first time stay marked
-        np.greater(mark, seen, out=mark)
+        # only the marks reached for the first time stay
+        if mark.dtype == bool:
+            np.greater(mark, seen, out=mark)
+        else:
+            mark &= ~seen
         frontier = np.flatnonzero(mark)
         if not frontier.size:
             return seen
@@ -890,36 +869,49 @@ def _search(n: int, expand, seeds, max_layers: int | None,
         expand(frontier, mark, seen)
 
 
-def close_planes(offsets: np.ndarray, targets: np.ndarray, seeds: np.ndarray,
-                 seen: np.ndarray) -> np.ndarray:
-    """Grow `seen` by the forward closure of `seeds`, up to 64 sets at once.
+def _frontier_slices(offsets: np.ndarray, targets: np.ndarray,
+                     frontier: np.ndarray):
+    """Yield (rows, counts, targets) for slices of the frontier of about
+    `_CHUNK_EDGES` out-edges each: the slice of `frontier`, the out-degrees
+    of its nodes, and the targets of their out-edges, concatenated.
 
-    `seeds` and `seen` hold one uint64 word per CSR node, and bit f of the
-    words is node set f (a plane).  On every plane this is `reachable`
-    with that plane of `seen`: its nodes are not expanded again, so for a
-    forward-closed plane the result is the closure of both planes
-    together.  `seen` is grown in place and returned.
-
-    All planes advance in lockstep (the multi-source traversal of Then et
-    al., VLDB 2014): a layer pushes the words of its frontier nodes along
-    their out-edges with one OR-scatter per slice of about `_CHUNK_EDGES`
-    edges, and a node joins the next frontier when it gains a bit.  Beside
-    `seen` this holds one word per node for the next frontier plus one
-    slice.  `reachable` is the same loop on one set, with a bool per node
-    and a plain scatter, and is faster there.
+    Edge slot s of the frontier, counted from its first node on, sits at
+    CSR position `first[i] + s` for its node i.  The targets come back as
+    intp: numpy casts an int32 index array on every fancy index, so they
+    are cast here once.  An empty frontier yields no slice.
     """
-    new = seeds & ~seen
-    seen |= new
-    frontier = np.flatnonzero(new)
-    while frontier.size:
-        words = new[frontier]
-        new = np.zeros_like(seen)
+    if not frontier.size:
+        return
+    starts = offsets[frontier]
+    counts = offsets[frontier + 1] - starts
+    ends = np.cumsum(counts)
+    first = starts - ends + counts
+    bounds = [(0, frontier.size)] if ends[-1] <= _CHUNK_EDGES else \
+        _row_chunks(np.append(0, ends), frontier.size)
+    for a, b in bounds:
+        at = np.repeat(first[a:b], counts[a:b])
+        at += np.arange(ends[a] - counts[a], ends[b - 1])
+        tgt = targets[at].astype(np.intp, copy=False)
+        # freed for the caller's per-edge arrays: held, it made the margin
+        # pull of the 2-D cubic at depth 7 30 % slower
+        del at
+        yield slice(a, b), counts[a:b], tgt
+
+
+def _edge_expand(offsets: np.ndarray, targets: np.ndarray):
+    """The layer step of a `_search` along the edges of a CSR: the
+    frontier's marks are scattered over its out-neighbors, a slice of
+    about `_CHUNK_EDGES` out-edges at a time, so no index array grows with
+    the graph.  A bool mark is a plain scatter of True; a word is OR-ed
+    into each of its node's targets (`np.bitwise_or.at`)."""
+    def expand(frontier, mark, seen):
+        words = None if mark.dtype == bool else mark[frontier]
         for rows, counts, tgt in _frontier_slices(offsets, targets, frontier):
-            np.bitwise_or.at(new, tgt, np.repeat(words[rows], counts))
-        new &= ~seen
-        seen |= new
-        frontier = np.flatnonzero(new)
-    return seen
+            if words is None:
+                mark[tgt] = True
+            else:
+                np.bitwise_or.at(mark, tgt, np.repeat(words[rows], counts))
+    return expand
 
 
 def _pack_planes(planes: np.ndarray) -> np.ndarray:
@@ -937,21 +929,6 @@ def _unpack_planes(words: np.ndarray, k: int) -> np.ndarray:
                          bitorder="little").T.astype(bool)
 
 
-def reachable_sets(offsets: np.ndarray, targets: np.ndarray,
-                   seeds: np.ndarray) -> np.ndarray:
-    """`reachable` for every row of the (k, n) bool array `seeds`, as a
-    (k, n) bool array.  The rows are closed 64 at a time, as the planes of
-    one `close_planes`.
-    """
-    closed = np.empty(seeds.shape, dtype=bool)
-    for a in range(0, seeds.shape[0], 64):
-        rows = slice(a, a + 64)
-        words = _pack_planes(seeds[rows])
-        words = close_planes(offsets, targets, words, np.zeros_like(words))
-        closed[rows] = _unpack_planes(words, closed[rows].shape[0])
-    return closed
-
-
 # ---------------------------------------------------------------------------
 # chains between points
 # ---------------------------------------------------------------------------
@@ -960,13 +937,14 @@ def _bfs_path(g: TransitionGraph, sources, target: int,
               max_len: int | None = None):
     """Deterministic BFS (BoxId order); returns node path source..target.
 
-    Expands one layer at a time over the CSR.  A node's parent is its
-    first discoverer in queue order and each layer keeps discovery order,
-    so paths are those of a one-node-at-a-time queue.  Sources sit at
-    depth 1, and nodes at depth `max_len` are not expanded.
+    Expands one layer at a time over the CSR (not a `_search`: a layer
+    costs its edges, with no pass over every node).  A node's parent is
+    its first discoverer in queue order and each layer keeps discovery
+    order, so paths are those of a one-node-at-a-time queue.  Sources sit
+    at depth 1, and nodes at depth `max_len` are not expanded.
     """
     prev = np.full(g.nboxes, -2, dtype=np.int64)
-    layer = np.sort(np.asarray(sources, dtype=np.int64))
+    layer = np.sort(np.asarray(sources, dtype=np.intp))
     prev[layer] = -1
     slot = np.empty(g.nboxes, dtype=np.int64)
     depth = 1
@@ -978,17 +956,19 @@ def _bfs_path(g: TransitionGraph, sources, target: int,
             return path[::-1]
         if max_len is not None and depth >= max_len:
             return None
-        nxt = _out_neighbors(g.offsets, g.targets, layer)
-        parent = np.repeat(layer, g.offsets[layer + 1] - g.offsets[layer])
-        new = prev[nxt] == -2
-        nxt, parent = nxt[new], parent[new]
-        # keep the first discovery of each node
-        pos = np.arange(nxt.size)
-        slot[nxt] = nxt.size
-        np.minimum.at(slot, nxt, pos)
-        first = slot[nxt] == pos
-        layer = nxt[first]
-        prev[layer] = parent[first]
+        found = []
+        for rows, counts, nxt in _frontier_slices(g.offsets, g.targets, layer):
+            parent = np.repeat(layer[rows], counts)
+            new = prev[nxt] == -2
+            nxt, parent = nxt[new], parent[new]
+            # keep the first discovery of each node
+            pos = np.arange(nxt.size)
+            slot[nxt] = nxt.size
+            np.minimum.at(slot, nxt, pos)
+            first = slot[nxt] == pos
+            prev[nxt[first]] = parent[first]
+            found.append(nxt[first])
+        layer = np.concatenate(found)
         depth += 1
     return None
 

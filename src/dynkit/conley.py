@@ -20,9 +20,8 @@ import numpy as np
 from ._util import vector_norms
 from .phase_space import BoxSet, _morph
 from .system import MapSpec, iterates
-from .chain_graph import (TransitionGraph, _out_neighbors, _unpack_planes,
-                          chain_recurrent_boxes, close_planes,
-                          nontrivial_scc_sets, reachable_sets)
+from .chain_graph import (TransitionGraph, _unpack_planes,
+                          chain_recurrent_boxes, nontrivial_scc_sets)
 
 __all__ = [
     "NotABlockError", "AttractorFlags", "AttractorRecord", "ConleyReport",
@@ -84,16 +83,8 @@ class ConleyReport:
 
 
 # ---------------------------------------------------------------------------
-# reachability helpers
+# block enumeration
 # ---------------------------------------------------------------------------
-
-def _backward_closures(g: TransitionGraph, seeds: np.ndarray) -> np.ndarray:
-    """Row i: the boxes with a directed path into row i of the
-    (k, nboxes) bool array `seeds`.  With no row no transpose is built."""
-    if not seeds.shape[0]:
-        return np.zeros(seeds.shape, dtype=bool)
-    return reachable_sets(*g.reverse(), seeds)
-
 
 def _is_block(g: TransitionGraph, U: BoxSet) -> bool:
     """Forward-closed, proper, escape-free, image clear of the boundary
@@ -109,10 +100,6 @@ def _is_block(g: TransitionGraph, U: BoxSet) -> bool:
     margin = U - U.erode(1)
     return not (image & margin)
 
-
-# ---------------------------------------------------------------------------
-# block enumeration
-# ---------------------------------------------------------------------------
 
 def _downset_families(reach: np.ndarray) -> list:
     """Member lists of the SCC families whose cores are dilated;
@@ -141,8 +128,8 @@ def _downset_families(reach: np.ndarray) -> list:
 def _scc_reach(g: TransitionGraph, scc_of: np.ndarray, m: int) -> np.ndarray:
     """reach[i, j]: SCC i reaches SCC j (reach[i, i] holds).
 
-    SCCs i..i+63 are the planes of one `close_planes`; each SCC's column
-    ORs the closure words of its boxes.  A single SCC only reaches itself,
+    SCCs i..i+63 are the planes of one `closure`; each SCC's column ORs
+    the closure words of its boxes.  A single SCC only reaches itself,
     so it needs no closure."""
     if m == 1:
         return np.ones((1, 1), dtype=bool)
@@ -153,8 +140,7 @@ def _scc_reach(g: TransitionGraph, scc_of: np.ndarray, m: int) -> np.ndarray:
         inside = (plane >= 0) & (plane < k)
         seeds = np.zeros(g.nboxes, dtype=np.uint64)
         seeds[inside] = np.uint64(1) << plane[inside].astype(np.uint64)
-        closure = close_planes(g.offsets, g.targets, seeds,
-                               np.zeros_like(seeds))
+        closure = g.closure(seeds)
         hits = np.zeros(m + 1, dtype=np.uint64)
         np.bitwise_or.at(hits, scc_of, closure)
         reach[a:a + k] = _unpack_planes(hits[:m], k)
@@ -179,7 +165,7 @@ def _grow_families(g: TransitionGraph, core: np.ndarray, k: int) -> list:
         if not active:
             break
         np.bitwise_and(dilated.ravel(), active, out=seeds)
-        close_planes(g.offsets, g.targets, seeds, closure)
+        g.closure(seeds, seen=closure)
         # a closure that holds an escaping box or every box ends its family
         active &= ~int(np.bitwise_or.reduce(closure[escaping])
                        | np.bitwise_and.reduce(closure))
@@ -190,14 +176,7 @@ def _grow_families(g: TransitionGraph, core: np.ndarray, k: int) -> list:
         margin = closure & ~_morph(closure.reshape(shape), periodic, 1,
                                    np.bitwise_and).ravel()
         margin &= active
-        at = np.flatnonzero(margin)
-        leaky = 0
-        if at.size:
-            roff, rtarg = g.reverse()
-            pulled = np.repeat(margin[at], roff[at + 1] - roff[at])
-            pulled &= closure[_out_neighbors(roff, rtarg, at)]
-            leaky = int(np.bitwise_or.reduce(pulled))
-        passing = active & ~leaky
+        passing = active & ~g.entered_planes(margin, closure)
         for f in range(k):
             if passing >> f & 1:
                 found[f].append((closure >> np.uint64(f) & 1).astype(bool))
@@ -296,7 +275,8 @@ def attractor_from_block(g: TransitionGraph, U: BoxSet,
 def _basins(g: TransitionGraph, sets: list) -> list[BoxSet]:
     """Basin of each box set: the boxes with a directed path into it."""
     seeds = np.array([U.bits for U in sets], dtype=bool).reshape(-1, g.nboxes)
-    return [BoxSet(g.grid, bits) for bits in _backward_closures(g, seeds)]
+    return [BoxSet(g.grid, bits)
+            for bits in g.closure_rows(seeds, backward=True)]
 
 
 def _absorbed_basins(g: TransitionGraph, attractors: list) -> list[BoxSet]:
@@ -304,9 +284,9 @@ def _absorbed_basins(g: TransitionGraph, attractors: list) -> list[BoxSet]:
     closure of the bad boxes, the cycle boxes outside A and the escaping
     boxes."""
     recurrent = chain_recurrent_boxes(g).bits
-    seeds = np.array([(recurrent & ~A.bits) | g.escapes for A in attractors],
-                     dtype=bool).reshape(-1, g.nboxes)
-    return [BoxSet(g.grid, ~reached) for reached in _backward_closures(g, seeds)]
+    bad = [BoxSet(g.grid, (recurrent & ~A.bits) | g.escapes)
+           for A in attractors]
+    return [reached.complement() for reached in _basins(g, bad)]
 
 
 def basin(g: TransitionGraph, U: BoxSet) -> BoxSet:

@@ -3,6 +3,7 @@ nonwandering probes, checked against brute-force graph oracles."""
 
 import dataclasses
 import time
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -11,11 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from dynkit import chain_graph
 from dynkit.chain_graph import (
-    ConstantEps, RadialEps, TransitionGraph, _bfs_path, build_graph,
-    chain_components,
+    ConstantEps, RadialEps, TransitionGraph, _bfs_path, _cover_search,
+    _edge_expand, _search, build_graph, chain_components,
     chain_recurrent_boxes, is_chain_transitive,
-    nonwandering_probe, reachable, strong_chain_search,
-    strongly_connected_components,
+    nonwandering_probe, strong_chain_search,
 )
 from dynkit.phase_space import BoxSet, Domain, Grid
 from dynkit.system import evaluate, make_map, polynomial_map
@@ -23,6 +23,21 @@ from dynkit.system import evaluate, make_map, polynomial_map
 
 def torus_grid(depth):
     return Grid(Domain((0.0, 0.0), (1.0, 1.0), (True, True)), (depth, depth))
+
+
+def marks(n, seeds):
+    """Bool marks of the nodes in `seeds` among n."""
+    bits = np.zeros(n, dtype=bool)
+    bits[np.asarray(seeds, dtype=np.intp)] = True
+    return bits
+
+
+def seam_graph(offsets, targets, n):
+    """TransitionGraph of an n-node CSR alone; the grid only supplies
+    nboxes, so n need not be a power of two."""
+    return TransitionGraph(SimpleNamespace(nboxes=n), None, 0.0,
+                           np.zeros(n, dtype=bool), 0.0,
+                           _csr=(offsets, targets))
 
 
 def reference_bfs_path(g, sources, target, max_len=None):
@@ -341,8 +356,25 @@ def csr_graphs(draw):
                            _csr=(offsets, targets)), edges
 
 
+def layered_oracle(G, seeds, seen):
+    """(nodes, layers) of a search from `seeds` that treats the nodes of
+    the bool array `seen` as explored: `seen` plus the nodes at a finite
+    distance from the fresh seeds in G without `seen`, and the layers the
+    search needs, the largest such distance plus one (0 without a fresh
+    seed)."""
+    fresh = {s for s in seeds if not seen[s]}
+    H = G.subgraph(np.flatnonzero(~seen).tolist())
+    dist = nx.multi_source_dijkstra_path_length(H, fresh) if fresh else {}
+    return (set(np.flatnonzero(seen).tolist()) | set(dist),
+            max(dist.values(), default=-1) + 1)
+
+
+def plane(words, f):
+    return (words >> np.uint64(f) & 1).astype(bool)
+
+
 class TestSccOracle:
-    """Tarjan labels and CSR reachability against networkx."""
+    """SCC labels and edge searches against networkx."""
 
     @settings(max_examples=200, deadline=None)
     @given(csr_graphs())
@@ -351,11 +383,12 @@ class TestSccOracle:
         G = nx.DiGraph()
         G.add_nodes_from(range(tg.nboxes))
         G.add_edges_from(edges)
-        n_comp, labels = strongly_connected_components(
-            tg.offsets, tg.targets, tg.nboxes)
+        labels = tg.scc_labels()
+        n_comp = int(labels.max()) + 1
         ours = {frozenset(np.flatnonzero(labels == c).tolist())
                 for c in range(n_comp)}
-        assert ours == {frozenset(c) for c in nx.strongly_connected_components(G)}
+        want = {frozenset(c) for c in nx.strongly_connected_components(G)}
+        assert ours == want and n_comp == len(want)
         # labels follow reverse topological order of the condensation
         for u, v in edges:
             assert labels[u] >= labels[v]
@@ -368,57 +401,118 @@ class TestSccOracle:
             sorted(expected, key=min)
         assert is_chain_transitive(tg) == nx.is_strongly_connected(G)
 
+    @pytest.mark.parametrize("backward", [False, True])
     @settings(max_examples=200, deadline=None)
     @given(csr_graphs(), st.data())
-    def test_reachable_layers_and_seen_match_networkx(self, case, data):
-        """Repeated seeds, a `seen` mask and a layer cap: the nodes at
-        distance k from the seeds outside `seen`, in the graph without
-        `seen`, form layer k; more than `max_layers` layers give None."""
+    def test_search_layers_and_seen_match_networkx(self, backward, case,
+                                                   data):
+        """Bool marks along or against the edges, with repeated seeds, a
+        `seen` mask and a layer cap: the nodes at distance k from the
+        seeds outside `seen`, in the graph without `seen`, form layer k;
+        more than `max_layers` layers give None."""
         tg, edges = case
         n = tg.nboxes
         G = nx.DiGraph(edges)
         G.add_nodes_from(range(n))
+        if backward:
+            G = G.reverse()
         seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
-        seen = np.zeros(n, dtype=bool)
-        seen[data.draw(st.lists(st.integers(0, n - 1), max_size=n))] = True
+        seen = marks(n, data.draw(st.lists(st.integers(0, n - 1),
+                                           max_size=n)))
         cap = data.draw(st.none() | st.integers(0, 6))
-        fresh = {s for s in seeds if not seen[s]}
-        H = G.subgraph(np.flatnonzero(~seen).tolist())
-        dist = nx.multi_source_dijkstra_path_length(H, fresh) if fresh else {}
-        want = set(np.flatnonzero(seen).tolist()) | set(dist)
+        want, layers = layered_oracle(G, seeds, seen)
         mask = seen.copy()
-        got = reachable(tg.offsets, tg.targets, seeds, max_layers=cap,
-                        seen=mask)
-        if cap is not None and max(dist.values(), default=-1) >= cap:
+        edges_used = tg.reverse() if backward else (tg.offsets, tg.targets)
+        got = _search(_edge_expand(*edges_used), marks(n, seeds), mask, cap)
+        if cap is not None and layers > cap:
             assert got is None
         else:
             assert got is mask
             assert set(np.flatnonzero(got).tolist()) == want
 
+    @pytest.mark.parametrize("backward", [False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(csr_graphs(), st.integers(1, 64), st.data())
+    def test_word_search_matches_networkx_per_plane(self, backward, case, k,
+                                                    data):
+        """uint64 marks, one node set per bit, each with its own seeds and
+        `seen` plane: every plane is the bool search of that plane, and
+        the layer cap counts the layers of the deepest plane."""
+        tg, edges = case
+        n = tg.nboxes
+        G = nx.DiGraph(edges)
+        G.add_nodes_from(range(n))
+        if backward:
+            G = G.reverse()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        bits = np.uint64(1) << np.arange(k, dtype=np.uint64)
+        pick = lambda p: np.bitwise_or.reduce(
+            np.where(rng.random((n, k)) < p, bits, np.uint64(0)), axis=1)
+        seeds, seen = pick(0.1), pick(data.draw(st.sampled_from([0, 0.2])))
+        cap = data.draw(st.none() | st.integers(0, 6))
+        oracle = [layered_oracle(G, np.flatnonzero(plane(seeds, f)),
+                                 plane(seen, f)) for f in range(k)]
+        words = seen.copy()
+        edges_used = tg.reverse() if backward else (tg.offsets, tg.targets)
+        got = _search(_edge_expand(*edges_used), seeds, words, cap)
+        if cap is not None and max(layers for _, layers in oracle) > cap:
+            assert got is None
+        else:
+            assert got is words
+            for f, (want, _) in enumerate(oracle):
+                assert set(np.flatnonzero(plane(got, f)).tolist()) == want
+            if k < 64:
+                assert not np.any(got >> np.uint64(k))
+
     @settings(max_examples=100, deadline=None)
     @given(csr_graphs(), st.data())
-    def test_reachable_matches_networkx(self, case, data):
+    def test_closures_match_networkx(self, case, data):
         tg, edges = case
+        n = tg.nboxes
         G = nx.DiGraph(edges)
-        G.add_nodes_from(range(tg.nboxes))
-        seeds = data.draw(st.sets(st.integers(0, tg.nboxes - 1), max_size=3))
+        G.add_nodes_from(range(n))
+        seeds = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
         want = set(seeds).union(*(nx.descendants(G, s) for s in seeds))
-        got = reachable(tg.offsets, tg.targets, sorted(seeds))
+        got = tg.closure(marks(n, sorted(seeds)))
         assert set(np.flatnonzero(got).tolist()) == want
         # growing a forward-closed mask in place by more seeds
-        more = data.draw(st.lists(st.integers(0, tg.nboxes - 1), max_size=3))
-        grown = reachable(tg.offsets, tg.targets, more, seen=got)
+        more = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+        grown = tg.closure(marks(n, more), seen=got)
         assert grown is got
         assert set(np.flatnonzero(grown).tolist()) == \
             want.union(more, *(nx.descendants(G, s) for s in more))
-        roff, rtarg = tg.reverse()
-        back = reachable(roff, rtarg, sorted(seeds))
+        # the nodes of a `seen` that is not closed are not expanded
+        seen = marks(n, data.draw(st.lists(st.integers(0, n - 1),
+                                           max_size=n)))
+        mask = seen.copy()
+        assert tg.closure(marks(n, sorted(seeds)), seen=mask) is mask
+        assert set(np.flatnonzero(mask).tolist()) == \
+            layered_oracle(G, seeds, seen)[0]
+        back = tg.closure(marks(n, sorted(seeds)), backward=True)
         want = set(seeds).union(*(nx.ancestors(G, s) for s in seeds))
         assert set(np.flatnonzero(back).tolist()) == want
         members = BoxSet.from_indices(tg.grid, sorted(seeds))
         assert set(tg.image_boxes(members).indices().tolist()) == \
             {v for u in seeds for v in G.successors(u)}
         assert tg.set_escapes(members) == any(tg.escapes[u] for u in seeds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(csr_graphs(), st.data())
+    def test_entered_planes_match_the_edges(self, case, data):
+        """Bit f: an edge from a box of set f of `sets` into a box of set
+        f of `boxes`, read off the edge list."""
+        tg, edges = case
+        n = tg.nboxes
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        k = data.draw(st.integers(1, 64))
+        # the AND of two draws leaves a quarter of the bits
+        boxes, sets = (np.bitwise_and.reduce(
+            rng.integers(0, 2 ** k, (2, n), dtype=np.uint64))
+            for _ in range(2))
+        want = 0
+        for u, v in edges:
+            want |= int(boxes[v] & sets[u])
+        assert tg.entered_planes(boxes, sets) == want
 
     def test_scc_labels_computed_once_per_graph(self, monkeypatch):
         from dynkit import chain_graph
@@ -463,7 +557,8 @@ def identity_graph(depth):
 
 
 class TestTranspose:
-    """The packed-key transpose and the frontier slices of `reachable`."""
+    """The packed-key transpose and the frontier slices of the edge
+    searches."""
 
     @pytest.mark.parametrize("chunk", [1, 7])
     @settings(max_examples=50, deadline=None)
@@ -523,7 +618,7 @@ class TestTranspose:
         seeds = data.draw(st.sets(st.integers(0, tg.nboxes - 1), max_size=3))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
-            got = reachable(tg.offsets, tg.targets, sorted(seeds))
+            got = tg.closure(marks(tg.nboxes, sorted(seeds)))
             assert_scc_matches_networkx(tg.offsets, tg.targets, tg.nboxes,
                                         edges)
         assert set(np.flatnonzero(got).tolist()) == \
@@ -588,7 +683,8 @@ def assert_scc_matches_networkx(offsets, targets, n, edges):
     returns the labels."""
     G = nx.DiGraph(edges)
     G.add_nodes_from(range(n))
-    n_comp, labels = strongly_connected_components(offsets, targets, n)
+    labels = seam_graph(offsets, targets, n).scc_labels()
+    n_comp = int(labels.max()) + 1
     want = {frozenset(c) for c in nx.strongly_connected_components(G)}
     ours = {frozenset(np.flatnonzero(labels == c).tolist())
             for c in range(n_comp)}
@@ -652,7 +748,8 @@ class TestPlantedScc:
             targets, minlength=n))) == 7
         cap = chain_graph._fb_max_layers(targets.size, n)
         assert cap > depth
-        assert reachable(offsets, targets, [7], max_layers=32) is None
+        assert seam_graph(offsets, targets, n).closure(
+            marks(n, [7]), max_layers=32) is None
         labels = assert_scc_matches_networkx(offsets, targets, n, edges)
         assert len(set(labels[:m].tolist())) == 1
         assert sorted(tarjan_visits) == [up, dead]
@@ -669,9 +766,9 @@ class TestPlantedScc:
         n = 2 * k
         offsets, targets = csr_from_edges(edges, n)
         t0 = time.perf_counter()
-        n_comp, _ = strongly_connected_components(offsets, targets, n)
+        labels = seam_graph(offsets, targets, n).scc_labels()
         assert time.perf_counter() - t0 < 1.0
-        assert n_comp == k
+        assert int(labels.max()) + 1 == k
         labels = assert_scc_matches_networkx(offsets, targets, n, edges)
         assert labels.tolist() == [k - 1 - v // 2 for v in range(n)]
 
@@ -697,13 +794,13 @@ class TestPlantedScc:
         assert int(np.argmax(score)) == hub
         cap = chain_graph._fb_max_layers(targets.size, n)
         assert m > cap
-        fwd = reachable(offsets, targets, [hub], max_layers=cap)
+        tg = seam_graph(offsets, targets, n)
+        fwd = tg.closure(marks(n, [hub]), max_layers=cap)
         if side == "forward":
             assert fwd is None
         else:
-            roff, rtarg = chain_graph._transpose(offsets, targets, n)
-            assert reachable(roff, rtarg, [hub], max_layers=cap,
-                             seen=~fwd) is None
+            assert tg.closure(marks(n, [hub]), seen=~fwd, max_layers=cap,
+                              backward=True) is None
         labels = assert_scc_matches_networkx(offsets, targets, n, edges)
         assert len(set(labels[:hub + 1].tolist())) == 1
         assert sorted(tarjan_visits) == list(range(n))
@@ -727,7 +824,7 @@ class TestBfsPath:
         box = st.integers(0, tg.nboxes - 1)
         sources = data.draw(st.sets(box, max_size=4))
         target = data.draw(box)
-        max_len = data.draw(st.none() | st.integers(1, 4))
+        max_len = data.draw(st.none() | st.integers(0, 4))
         assert _bfs_path(tg, sorted(sources), target, max_len) == \
             reference_bfs_path(tg, sources, target, max_len)
 
@@ -1007,28 +1104,28 @@ class TestCoverQueries:
 
     @settings(max_examples=150, deadline=None)
     @given(covered_graphs(), st.data())
-    def test_searches_match_csr_reachable(self, tg, data):
-        """Both directions: the same masks, None past the same layer cap,
-        and a given `seen` grown in place."""
+    def test_searches_match_the_edge_searches(self, tg, data):
+        """Both directions: the same marks as `_search` on the CSR or its
+        transpose, None past the same layer cap, and a given `seen` grown
+        in place."""
         n = tg.nboxes
-        seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
-        seen = np.zeros(n, dtype=bool)
-        seen[data.draw(st.lists(st.integers(0, n - 1), max_size=n))] = True
+        seeds = marks(n, data.draw(st.lists(st.integers(0, n - 1),
+                                            max_size=4)))
+        seen = marks(n, data.draw(st.lists(st.integers(0, n - 1),
+                                           max_size=n)))
         cap = data.draw(st.none() | st.integers(0, 6))
-        for backward, (off, tgt) in ((False, (tg.offsets, tg.targets)),
-                                     (True, tg.reverse())):
-            want = reachable(off, tgt, seeds, max_layers=cap,
-                             seen=seen.copy())
+        for backward, edges in ((False, (tg.offsets, tg.targets)),
+                                (True, tg.reverse())):
+            want = _search(_edge_expand(*edges), seeds, seen.copy(), cap)
             mask = seen.copy()
-            got = chain_graph._cover_reachable(tg, seeds, max_layers=cap,
-                                               seen=mask, backward=backward)
+            got = _cover_search(tg, seeds, mask, cap, backward)
             if want is None:
                 assert got is None
             else:
                 assert got is mask
                 assert np.array_equal(got, want)
-            fresh = chain_graph._cover_reachable(tg, seeds, backward=backward)
-            assert np.array_equal(fresh, reachable(off, tgt, seeds))
+            fresh = _cover_search(tg, seeds, backward=backward)
+            assert np.array_equal(fresh, _search(_edge_expand(*edges), seeds))
 
     @settings(max_examples=150, deadline=None)
     @given(covered_graphs())
@@ -1044,9 +1141,7 @@ class TestCoverQueries:
     @settings(max_examples=100, deadline=None)
     @given(covered_graphs())
     def test_scc_labels_match_the_csr_pass(self, tg):
-        _, want = strongly_connected_components(tg.offsets, tg.targets,
-                                                tg.nboxes)
-        assert np.array_equal(csr_twin(tg).scc_labels(), want)
+        want = csr_twin(tg).scc_labels()
         fresh = dataclasses.replace(tg, _csr=None)
         assert np.array_equal(fresh.scc_labels(), want)
 

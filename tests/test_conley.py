@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynkit import chain_graph, conley
 from dynkit.chain_graph import (TransitionGraph, build_graph,
-                                chain_recurrent_boxes, nontrivial_scc_sets,
-                                reachable, reachable_sets)
+                                chain_recurrent_boxes, nontrivial_scc_sets)
 from dynkit.conley import (
     NotABlockError, _is_block, absorbed_basin, attractor_from_block,
     attractor_invariance_check, basin, build_attractor_records,
@@ -60,7 +59,7 @@ def reference_blocks(g, candidates=None, extra_dilations=2, max_dilation=16,
     incrementally: each dilation depth k dilates the core from scratch,
     forward-closes it in a fresh search and tests it with `_is_block`."""
     def _forward_closure(g, seed):
-        bits = reachable(g.offsets, g.targets, seed.indices())
+        bits = g.closure(seed.bits)
         return BoxSet(g.grid, bits), bool(np.any(bits & g.escapes))
 
     sccs = nontrivial_scc_sets(g)
@@ -248,36 +247,52 @@ def towards(grid, centres):
     return edges
 
 
+def count_closures(monkeypatch):
+    """List that gets one entry per `TransitionGraph.closure` call."""
+    calls = []
+    real = TransitionGraph.closure
+    monkeypatch.setattr(TransitionGraph, "closure",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
 class TestPlaneClosure:
-    """`reachable_sets`, 64 sets per `close_planes` word, against
-    `reachable` one plane at a time."""
+    """`closure_rows`, 64 rows per word closure, against `closure` of one
+    bool row at a time."""
 
     @pytest.mark.parametrize("chunk", [1, 7, None])
     @settings(max_examples=25, deadline=None)
-    @given(box_graphs(), st.sampled_from([1, 64, 65, 130]), st.booleans(),
+    @given(box_graphs(), st.sampled_from([0, 1, 64, 65, 130]), st.booleans(),
            st.integers(0, 2 ** 32 - 1))
-    def test_matches_reachable_per_plane(self, chunk, tg, k, transpose, seed):
-        off, tgt = tg.reverse() if transpose else (tg.offsets, tg.targets)
+    def test_matches_closure_per_row(self, chunk, tg, k, backward, seed):
         rng = np.random.default_rng(seed)
         seeds = rng.random((k, tg.nboxes)) < rng.uniform(0, 0.1, (k, 1))
-        want = np.array([reachable(off, tgt, np.flatnonzero(row))
-                         for row in seeds])
+        want = np.array([tg.closure(row, backward=backward)
+                         for row in seeds]).reshape(k, tg.nboxes)
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
                 mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
-            got = reachable_sets(off, tgt, seeds)
+            got = tg.closure_rows(seeds, backward=backward)
         assert np.array_equal(got, want)
+
+    def test_no_row_reads_no_edge(self):
+        tg = bench_cubic_graph(1, 6, 1.0 / 64)
+        got = tg.closure_rows(np.zeros((0, tg.nboxes), dtype=bool),
+                              backward=True)
+        assert got.shape == (0, tg.nboxes)
+        assert tg._csr is None and tg._reverse is None
 
     def test_words_are_grown_in_place(self):
         tg = bench_cubic_graph(1, 6, 1.0 / 64)
         seeds = np.zeros(tg.nboxes, dtype=np.uint64)
         seeds[[3, 40]] = [1, 1 << 63]
         seen = np.zeros_like(seeds)
-        assert chain_graph.close_planes(tg.offsets, tg.targets, seeds,
-                                        seen) is seen
+        assert tg.closure(seeds, seen=seen) is seen
         for f, box in ((0, 3), (63, 40)):
             plane = (seen >> np.uint64(f) & 1).astype(bool)
-            assert np.array_equal(plane, reachable(tg.offsets, tg.targets, [box]))
+            one = np.zeros(tg.nboxes, dtype=bool)
+            one[box] = True
+            assert np.array_equal(plane, tg.closure(one))
         assert not np.any(seen & ~np.uint64(1 | 1 << 63))
 
 
@@ -310,10 +325,8 @@ class TestWordBatches:
         grid = Grid(Domain((0.0,), (1.0,), (False,)), (4,))
         tg = csr_graph(grid, towards(grid, [5]), escaping=[15])
         assert tg.set_escapes(BoxSet.full(grid))
-        closures = []
-        real = conley.close_planes
-        monkeypatch.setattr(conley, "close_planes",
-                            lambda *a: closures.append(1) or real(*a))
+        tg.scc_labels()
+        closures = count_closures(monkeypatch)
         got = blocks_with(tg, extra_dilations=16)
         # dilations 1..9 (one SCC needs no reach closure); dilation 10
         # covers the grid and is not closed
@@ -336,27 +349,25 @@ class TestWordBatches:
         assert len(sccs) == 1
         scc_of = np.full(tg.nboxes, 1, dtype=np.int64)
         scc_of[sccs[0].bits] = 0
-        closures = []
-        real = conley.close_planes
-        monkeypatch.setattr(conley, "close_planes",
-                            lambda *a: closures.append(1) or real(*a))
+        closures = count_closures(monkeypatch)
         assert conley._scc_reach(tg, scc_of, 1).tolist() == [[True]]
         assert not closures
         got = find_attractor_blocks(tg)
         assert same_blocks(got, reference_blocks(tg))
         assert len(got) == (0 if graph == "cat" else 3)
 
-    def test_no_family_calls_reachable(self, monkeypatch):
+    def test_no_family_runs_a_one_set_search(self, monkeypatch):
         tg = bench_cubic_graph(2, 5, 0.03125)
         tg.scc_labels()
-        calls = []
-        real = chain_graph.reachable
-        counter = lambda *a, **k: calls.append(1) or real(*a, **k)
-        monkeypatch.setattr(chain_graph, "reachable", counter)
-        monkeypatch.setattr(conley, "reachable", counter, raising=False)
+        kinds = []
+        real = chain_graph._search
+        monkeypatch.setattr(
+            chain_graph, "_search",
+            lambda expand, seeds, *a, **k: kinds.append(seeds.dtype)
+            or real(expand, seeds, *a, **k))
         got = find_attractor_blocks(tg)
         assert len(nontrivial_scc_sets(tg)) > 1 and got
-        assert not calls
+        assert kinds and all(kind == np.uint64 for kind in kinds)
 
 
 class TestBlocks:

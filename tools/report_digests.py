@@ -19,8 +19,10 @@ The list holds the bench's eight CLI ops, the homoclinic and accumulate
 runs on the standard map at K = 0.97 (period 3), 1.5 and 2.0, two
 `manifolds` runs whose grids have a periodic point on the torus seam,
 `shadow` and `splice` runs on the cat, standard, linear and 1-D cubic
-maps, and `graph` runs with an edge dump on windows that boxes escape
-(no bench graph has an escaping box).
+maps, `graph` runs with an edge dump on windows that boxes escape (no
+bench graph has an escaping box), and off the torus: `strong-cr` with a
+radial and a constant threshold, `escape`, `attractors` with its basins
+and SVG, `conley-verify` with escaping boxes, `components` and `volume`.
 """
 
 from __future__ import annotations
@@ -140,6 +142,31 @@ RUNS = [
     ("cubic1-graph", "graph",
      {"name": "poly", "dimension": 1, "components": [_CUBIC]},
      {"lower": [-3.0], "upper": [3.0], "depth": [8]}, _DUMP, {"eps": 0.01}),
+    # chain searches (the one CLI user of the BFS path), the escape and
+    # volume experiments, basins with an SVG, absorbed basins seeded by
+    # escaping boxes and components on windows off the torus
+    ("cat-strong-cr-radial", "strong-cr", _CAT, _torus(5),
+     {"eps_fn": "radial", "eps_fn_c": 0.05, "n_samples": 6}, {}),
+    ("cubic2-strong-cr", "strong-cr", _CUBIC_2D,
+     {"lower": [-2.0, -2.0], "upper": [2.0, 2.0], "depth": [5, 5]},
+     {"eps_fn_c": 0.2, "n_samples": 6}, {}),
+    ("contraction2-escape", "escape",
+     {"name": "contraction", "c": 0.5, "dim": 2},
+     {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "depth": [3, 3]},
+     {"K_lower": [-0.5, -0.5], "K_upper": [0.5, 0.5], "radius": 0.3,
+      "n_max": 5, "samples": 200}, {}),
+    ("cubic2-attractors", "attractors", _CUBIC_2D,
+     {"lower": [-2.0, -2.0], "upper": [2.0, 2.0], "depth": [6, 6]}, None,
+     {"eps": 0.015625}),
+    ("cubic1-wide-verify", "conley-verify",
+     {"name": "poly", "dimension": 1, "components": [_CUBIC]},
+     {"lower": [-3.0], "upper": [3.0], "depth": [10]}, None, {"eps": 0.01}),
+    ("cubic2-components", "components", _CUBIC_2D,
+     {"lower": [-2.0, -2.0], "upper": [2.0, 2.0], "depth": [5, 5]}, None,
+     {"eps": 0.03125}),
+    ("shear-volume", "volume", {"name": "shear"},
+     {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "depth": [3, 3]},
+     {"samples": 200}, {}),
 ]
 
 

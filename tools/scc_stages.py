@@ -65,13 +65,14 @@ def run_case(name: str, reps: int) -> dict:
     n = g.nboxes
     degrees = g._box_degrees()
     in_s, in_degrees = _best(lambda: cg._cover_counts(g, np.arange(n)), reps)
-    pivot = int(np.argmax(degrees * in_degrees))
+    pivot = np.zeros(n, dtype=bool)
+    pivot[np.argmax(degrees * in_degrees)] = True
     cap = cg._fb_max_layers(int(degrees.sum()), n)
     forward_s, fwd = _best(
-        lambda: cg._cover_reachable(g, [pivot], max_layers=cap), reps)
+        lambda: cg._cover_search(g, pivot, max_layers=cap), reps)
     backward_s, back = _best(
-        lambda: cg._cover_reachable(g, [pivot], max_layers=cap, seen=~fwd,
-                                    backward=True), reps)
+        lambda: cg._cover_search(g, pivot, seen=~fwd, max_layers=cap,
+                                 backward=True), reps)
     core = back & fwd
     csr_s, (off, tgt) = _best(
         lambda: dataclasses.replace(g, _csr=None)._edges(), reps)
