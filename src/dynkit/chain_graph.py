@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from ._util import vector_norms
-from .phase_space import BoxSet, Grid
+from .phase_space import MAX_DEPTH, BoxSet, Grid
 from .system import MapSpec, evaluate
 
 __all__ = [
@@ -49,11 +49,15 @@ __all__ = [
 ]
 
 # caps the grid: at ~42 edges per box (cat, eps one box diameter) 2^26
-# boxes already mean 2.8 G edges once the CSR is written.  Targets and
-# cover indices are stored as int32 and the transpose packs
-# `target << 32 | source` into one int64 key above 2^16 boxes, which
-# needs nboxes < 2**31
+# boxes already mean 2.8 G edges once the CSR is written.  Targets, the
+# corner indices of the cover queries and their counts are int32, and the
+# transpose packs `target << 32 | source` into one int64 key above 2^16
+# boxes, which needs nboxes < 2**31
 MAX_NBOXES = 1 << 26
+# the cover is int16: a range's start + length stays below twice its axis
+if 2 << MAX_DEPTH > np.iinfo(np.int16).max + 1:
+    raise RuntimeError(f"phase_space.MAX_DEPTH {MAX_DEPTH} overflows the "
+                       f"int16 cover ranges; widen TransitionGraph.cover")
 # up to this many nodes the transpose packs `target << 16 | source` into
 # uint32 keys
 _NARROW_NODES = 1 << 16
@@ -61,18 +65,32 @@ _NARROW_NODES = 1 << 16
 # the dump and the transpose read, and of the frontier slices that the
 # edge searches expand
 _CHUNK_EDGES = 1 << 18
+# boxes per block: of the graph build (centers, spreads, images and
+# ranges) and of the cover queries' pieces and corners
+_CHUNK_BOXES = 1 << 13
+# a row (a slab along axis 0) of at least this many boxes is prefix-summed
+# by a loop of row adds: `np.add.accumulate` along axis 0 walks it with a
+# stride, about 20x slower on a 4096^2 grid, and faster below this size
+_ROW_LOOP_BOXES = 1 << 10
+# pieces per slice of a backward cover layer's table lookups: a slice's
+# sums stay in cache, which halved the layer's time on 1 M boxes
+_CHUNK_PIECES = 1 << 16
 
 
 @dataclass
 class TransitionGraph:
     """Digraph on BoxIds: one cover rectangle and one escape flag per box.
 
-    `cover` is (start, length), int32 arrays of shape (dim, nboxes): box
+    `cover` is (start, length), int16 arrays of shape (dim, nboxes): box
     b steps to every box whose index on each axis a lies in the
     `length[a, b]` indices from `start[a, b]` on, mod the axis on a
     periodic one; length 0 on every axis means no box.  `escapes[b]` says
     that b's image rectangle leaves the window: b also steps to a virtual
     absorbing sink, which is no node.  A box with no out-edge escapes.
+    So the graph holds 4 dim + 1 bytes per box, 9 on a 2-D grid.  int16
+    is exact, as an axis has at most 2^MAX_DEPTH boxes and start + length
+    stays below twice that; a product or a stride of the ranges widens
+    them first (`_box_degrees`, `_piece_corners`, `_materialize_edges`).
 
     Degrees, self-loops and the SCC pass's forward-backward step read the
     cover.  `offsets` and `targets`, the CSR (rows ascending, offsets
@@ -174,14 +192,20 @@ class TransitionGraph:
         from a CSR searches the CSR and its transpose."""
         if self._labels is None:
             degrees = self._box_degrees()
+            n_edges = int(degrees.sum())
             if self.cover is None:
                 in_degrees = np.diff(self.reverse()[0])
                 search = self.closure
             else:
-                in_degrees = _cover_counts(self, np.arange(self.nboxes))
+                in_degrees = _cover_counts(self)
                 search = partial(_cover_search, self)
-            self._labels = _scc(self.nboxes, int(degrees.sum()),
-                                degrees * in_degrees, search, self._edges)
+            # score out-degree x in-degree; the searches run with the
+            # per-box scores freed
+            degrees *= in_degrees
+            pivot = int(np.argmax(degrees))
+            del degrees, in_degrees
+            self._labels = _scc(self.nboxes, n_edges, pivot, search,
+                                self._edges)
         return self._labels
 
     def image_boxes(self, boxset: BoxSet) -> BoxSet:
@@ -336,9 +360,10 @@ def _box_spreads(grid: Grid, map_spec: MapSpec, centers: np.ndarray):
 def _cover_ranges(grid: Grid, lo_f: np.ndarray, hi_f: np.ndarray):
     """Index ranges of the boxes meeting the half-open rects [lo_f, hi_f).
 
-    Returns (start, length, escapes): per axis and row, int32 arrays of
+    Returns (start, length, escapes): per axis and row, int16 arrays of
     shape (dim, n), the range's first box index taken mod the axis and
-    the number of boxes it spans, then a bool per row.  The top index
+    the number of boxes it spans, then a bool per row: 4 dim + 1 bytes
+    per row, the bytes per box a `TransitionGraph` holds.  The top index
     excludes rectangles whose upper face only touches a box boundary.  A
     periodic range that spans its axis becomes the whole axis, from 0.
     On non-periodic axes the ranges are clamped, `escapes` marks rows
@@ -348,7 +373,7 @@ def _cover_ranges(grid: Grid, lo_f: np.ndarray, hi_f: np.ndarray):
     its edges.
     """
     n = lo_f.shape[0]
-    start = np.empty((grid.dim, n), dtype=np.int32)
+    start = np.empty((grid.dim, n), dtype=np.int16)
     length = np.empty_like(start)
     escapes = np.zeros(n, dtype=bool)
     empty = np.zeros(n, dtype=bool)
@@ -483,6 +508,12 @@ def build_graph(grid: Grid, map_spec: MapSpec, eps: float,
     eps(x)-jumps.  The map must carry `jac_abs_bound`, as every map of
     `make_map` and `polynomial_map` does; a map without one raises
     ValueError.
+
+    The boxes go through the centers, spreads, images and ranges in
+    blocks of `_CHUNK_BOXES`, each written into the preallocated cover,
+    so the build holds the graph plus one block's temporaries.  The
+    blocks' Lipschitz bounds are each `nextafter(norm * pad)` of their
+    largest norm, a monotone map, so their maximum is the whole grid's.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -494,25 +525,32 @@ def build_graph(grid: Grid, map_spec: MapSpec, eps: float,
     if map_spec.jac_abs_bound is None:
         raise ValueError(f"map {map_spec.name!r} has no entrywise Jacobian "
                          f"bound (jac_abs_bound)")
-    centers = grid.centers()
-    spread, lip_used = _box_spreads(grid, map_spec, centers)
-    images = evaluate(map_spec, centers)
-    del centers
-    if map_spec.periods is not None:
-        # keep images in the grid window's coordinates
-        images = grid.domain.wrap(images)
-    if eps_fn is not None:
-        spread += np.asarray(eps_fn.min_over_rects(images - spread,
-                                                   images + spread))[:, None]
-    else:
-        spread += eps
-    lo_f = images - spread
-    hi_f = np.add(images, spread, out=images)
-    del spread
-    if not (np.isfinite(lo_f).all() and np.isfinite(hi_f).all()):
-        raise ValueError(f"map {map_spec.name!r} has a non-finite image "
-                         f"rectangle on this grid")
-    start, length, escapes = _cover_ranges(grid, lo_f, hi_f)
+    n = grid.nboxes
+    start = np.empty((grid.dim, n), dtype=np.int16)
+    length = np.empty_like(start)
+    escapes = np.empty(n, dtype=bool)
+    lip_used = 0.0
+    for b0 in range(0, n, _CHUNK_BOXES):
+        b1 = min(b0 + _CHUNK_BOXES, n)
+        centers = grid.centers(b0, b1)
+        spread, lip = _box_spreads(grid, map_spec, centers)
+        lip_used = max(lip_used, lip)
+        images = evaluate(map_spec, centers)
+        if map_spec.periods is not None:
+            # keep images in the grid window's coordinates
+            images = grid.domain.wrap(images)
+        if eps_fn is not None:
+            spread += np.asarray(eps_fn.min_over_rects(
+                images - spread, images + spread))[:, None]
+        else:
+            spread += eps
+        lo_f = images - spread
+        hi_f = np.add(images, spread, out=images)
+        if not (np.isfinite(lo_f).all() and np.isfinite(hi_f).all()):
+            raise ValueError(f"map {map_spec.name!r} has a non-finite image "
+                             f"rectangle on this grid")
+        start[:, b0:b1], length[:, b0:b1], escapes[b0:b1] = \
+            _cover_ranges(grid, lo_f, hi_f)
     return TransitionGraph(grid, map_spec, float(eps), escapes, lip_used,
                            cover=(start, length))
 
@@ -546,11 +584,13 @@ def _piece_corners(g: TransitionGraph, boxes: np.ndarray, shift: int):
     corner c takes on axis a the piece's hi if bit a of c is set, else its
     lo, each minus `shift`, and `even` says that it takes the hi on an
     even number of axes.  `index` is the corner's BoxId, or nboxes when it
-    lies off the grid on some axis.
+    lies off the grid on some axis.  `owner` and every `index` are int32.
+    A run's hi stays below twice its axis, so the int16 ranges sum
+    exactly; they widen before their strides multiply in.
     """
     start, length = g.cover
     shape = g.grid.shape
-    owner = boxes
+    owner = boxes.astype(np.int32)
     runs = []
     for ax, size in enumerate(shape):
         lo = start[ax, owner]
@@ -567,7 +607,7 @@ def _piece_corners(g: TransitionGraph, boxes: np.ndarray, shift: int):
     stride, sides = g.nboxes, []
     for (lo, hi), size in zip(runs, shape):
         stride //= size
-        sides.append([((c - shift).astype(np.intp) * stride,
+        sides.append([((c - shift).astype(np.int32) * stride,
                        (c < shift) | (c >= size + shift)) for c in (lo, hi)])
     corners = []
     for bits in itertools.product((0, 1), repeat=len(shape)):
@@ -579,33 +619,62 @@ def _piece_corners(g: TransitionGraph, boxes: np.ndarray, shift: int):
     return owner, corners
 
 
-def _cover_counts(g: TransitionGraph, boxes: np.ndarray) -> np.ndarray:
-    """How many rectangles of `boxes` hold each box, int32 per box.
+def _cover_counts(g: TransitionGraph,
+                  boxes: np.ndarray | None = None) -> np.ndarray:
+    """How many rectangles of `boxes` (BoxIds; None: every box) hold each
+    box, int32 per box.
 
     A difference array over the grid: each piece adds 1 at its lo corner
-    and +-1 at its other corners, all in one `np.bincount`, then a prefix
-    sum along every axis.  Corners at the top of an axis fall past the
-    grid and are dropped.  int32 sums wrap mod 2^32, which leaves the
-    counts, all in [0, nboxes], exact."""
+    and +-1 at its other corners, then a prefix sum along every axis.
+    The corners are added one block of `_CHUNK_BOXES` boxes at a time,
+    by `np.add.at` and `np.subtract.at` into one int32 array (with an
+    int32 array of ones: a scalar takes a path about 25x slower), so no
+    temporary grows with `boxes`.  Corners at the top of an axis fall past
+    the grid, into a last slot that is dropped.  int32 sums wrap mod
+    2^32, which leaves the counts, all in [0, nboxes], exact."""
     n = g.nboxes
-    _, corners = _piece_corners(g, boxes, 0)
-    # one bincount: the even corners count at their index, the others
-    # n + 1 past it
-    counts = np.bincount(np.concatenate(
-        [index if even else index + (n + 1) for even, index in corners]),
-        minlength=2 * (n + 1))
-    diff = np.empty(n, dtype=np.int32)
-    np.subtract(counts[:n], counts[n + 1:-1], out=diff, casting="unsafe")
-    return _sum_axes(diff, g.grid.shape)
+    total = n if boxes is None else boxes.size
+    diff = np.zeros(n + 1, dtype=np.int32)
+    ones = np.ones(min(total, _CHUNK_BOXES) << g.grid.dim, dtype=np.int32)
+    for b0 in range(0, total, _CHUNK_BOXES):
+        b1 = min(b0 + _CHUNK_BOXES, total)
+        block = np.arange(b0, b1) if boxes is None else boxes[b0:b1]
+        for even, index in _piece_corners(g, block, 0)[1]:
+            (np.add if even else np.subtract).at(diff, index,
+                                                 ones[:index.size])
+    return _sum_axes(diff[:n], g.grid.shape)
 
 
 def _sum_axes(values: np.ndarray, shape: tuple) -> np.ndarray:
     """Prefix sums of an int32 per box along every axis of the grid, in
-    place; returns `values`."""
+    place; returns `values`.  Axis 0 is a loop of row adds once a row
+    holds `_ROW_LOOP_BOXES` boxes, the other axes `np.add.accumulate`."""
     cube = values.reshape(shape)
     for ax in range(len(shape)):
-        np.add.accumulate(cube, axis=ax, out=cube)
+        if ax == 0 and values.size >= _ROW_LOOP_BOXES * shape[0]:
+            for i in range(1, shape[0]):
+                np.add(cube[i], cube[i - 1], out=cube[i])
+        else:
+            np.add.accumulate(cube, axis=ax, out=cube)
     return values
+
+
+def _unseen_pieces(g: TransitionGraph, seen: np.ndarray):
+    """`_piece_corners` (shift 1) of the boxes not in `seen`, built one
+    block of `_CHUNK_BOXES` boxes at a time and joined one array at a
+    time, so the build holds the int32 pieces plus one array's copy."""
+    columns = [[] for _ in range(1 + (1 << g.grid.dim))]
+    for b0 in range(0, g.nboxes, _CHUNK_BOXES):
+        block = b0 + np.flatnonzero(~seen[b0:b0 + _CHUNK_BOXES])
+        owner, corners = _piece_corners(g, block, 1)
+        for column, part in zip(columns, [owner] + [i for _, i in corners]):
+            column.append(part)
+    joined = []
+    for column in columns:
+        joined.append(np.concatenate(column))
+        column.clear()
+    return joined[0], [(even, index)
+                       for (even, _), index in zip(corners, joined[1:])]
 
 
 def _cover_search(g: TransitionGraph, seeds: np.ndarray,
@@ -619,8 +688,10 @@ def _cover_search(g: TransitionGraph, seeds: np.ndarray,
     A forward layer marks the boxes that the frontier's rectangles hold
     (`_cover_counts`).  A backward layer tests the rectangle of every box
     not in `seen` against a summed-area table of the frontier, 2^dim
-    lookups per piece (the preimage test of a rectangle).  So a backward
-    search restricted by `seen` to a set F costs O(|F|) per layer.
+    lookups per piece (the preimage test of a rectangle), gathered with
+    `np.take` (about 2x faster than an int32 fancy index).  So a backward
+    search restricted by `seen` to a set F costs O(|F|) per layer and
+    holds 4 (1 + 2^dim) bytes per piece of F.
     """
     if backward:
         owner = corners = None
@@ -630,28 +701,32 @@ def _cover_search(g: TransitionGraph, seeds: np.ndarray,
             # the pieces of the boxes not seen before the first layer; a
             # seen box's hit is dropped by `_search`, so the pieces of the
             # boxes found since are cut out once they are half of them,
-            # and all cuts cost O(|F|) in total
+            # one array at a time, and all cuts cost O(|F|) in total
             nonlocal owner, corners, stale
             if owner is None:
-                owner, corners = _piece_corners(g, np.flatnonzero(~seen), 1)
+                owner, corners = _unseen_pieces(g, seen)
             stale += frontier.size
             if 2 * stale > owner.size:
-                keep = ~seen[owner]
+                keep = ~np.take(seen, owner)
                 owner = owner[keep]
-                corners = [(even, index[keep]) for even, index in corners]
+                for i, (even, index) in enumerate(corners):
+                    corners[i] = (even, index[keep])
                 stale = 0
             # summed-area table of the frontier, `mark`: entry b counts
             # its boxes at or below b on every axis; entry nboxes is 0
             table = np.zeros(g.nboxes + 1, dtype=np.int32)
             table[:-1] = mark
             _sum_axes(table[:-1], g.grid.shape)
-            total = np.zeros(owner.size, dtype=np.int32)
-            for even, index in corners:
-                # a rectangle's sum takes its corners with the sign
-                # (-1)^(number of los); up to the sign (-1)^dim it is this
-                (np.add if even else np.subtract)(total, table[index],
-                                                  out=total)
-            mark[owner[total != 0]] = True
+            for a in range(0, owner.size, _CHUNK_PIECES):
+                part = slice(a, a + _CHUNK_PIECES)
+                total = np.zeros(owner[part].size, dtype=np.int32)
+                for even, index in corners:
+                    # a rectangle's sum takes its corners with the sign
+                    # (-1)^(number of los); up to the sign (-1)^dim it is
+                    # this
+                    (np.add if even else np.subtract)(
+                        total, np.take(table, index[part]), out=total)
+                mark[owner[part][total != 0]] = True
     else:
         def expand(frontier, mark, seen):
             mark |= _cover_counts(g, frontier) > 0
@@ -674,20 +749,25 @@ def _fb_max_layers(n_edges: int, n_nodes: int) -> int:
     the whole graph: a long-diameter graph (a circle rotation, a
     near-integrable standard map) then pays at most about one Tarjan run
     on top of Tarjan alone, and the step stays O(V + E).  A built graph
-    searches its cover ranges instead, at 3-6 ns per box per layer, so
-    there a search that runs to the cap can cost several Tarjan runs.
+    searches its cover ranges instead, and there a layer costs every box
+    of the grid: about 7-11 ns per box forward and 14-28 ns backward
+    (standard K = 0.97 at depths 9 and 10, cat at depth 11; the backward
+    figure includes its one piece build).  A Tarjan run of such a graph
+    costs about 4.5 us per box (some 40 edges each), so a search that
+    runs to the cap there can cost tens of Tarjan runs.
     """
     return max(32, (n_edges + 5 * n_nodes) // (100 + n_nodes // 400))
 
 
-def _scc(n: int, n_edges: int, score: np.ndarray, search, csr) -> np.ndarray:
+def _scc(n: int, n_edges: int, pivot: int, search, csr) -> np.ndarray:
     """SCC label of every node of an n-node digraph: one forward-backward
     step, then Tarjan.  Labels follow reverse topological order of the
     condensation (sources get the largest labels), from 0 on.
 
-    The pivot is the first node of largest `score`, out-degree x
-    in-degree.  Its component S = F & B (F: reachable from the pivot, B:
-    reaching it) is found by `search(seeds, seen, max_layers, backward)`,
+    `pivot` is a node: `TransitionGraph.scc_labels` takes the first of
+    largest out-degree x in-degree.  Its component S = F & B (F: reachable
+    from the pivot, B: reaching it) is found by `search(seeds, seen,
+    max_layers, backward)`,
     a `_search` on the graph: F, then B restricted to F by `seen`, as a
     path from a node of F stays in F.  On a chain-transitive torus graph
     S is every node, and the labels are returned at once.  Else `csr()`
@@ -698,12 +778,12 @@ def _scc(n: int, n_edges: int, score: np.ndarray, search, csr) -> np.ndarray:
     or B needs more than `_fb_max_layers` layers, F and S are taken as
     empty: the two Tarjan calls then run every root in node order.
     """
-    pivot = np.zeros(n, dtype=bool)
-    pivot[np.argmax(score)] = True
+    seeds = np.zeros(n, dtype=bool)
+    seeds[pivot] = True
     cap = _fb_max_layers(n_edges, n)
-    fwd = search(pivot, max_layers=cap)
+    fwd = search(seeds, max_layers=cap)
     back = None if fwd is None else \
-        search(pivot, seen=~fwd, max_layers=cap, backward=True)
+        search(seeds, seen=~fwd, max_layers=cap, backward=True)
     if back is None:
         fwd = core = np.zeros(n, dtype=bool)
     else:

@@ -161,12 +161,15 @@ class Grid:
         center = np.asarray(self.domain.lower) + (m + 0.5) * self.h
         return center, self.radius.copy()
 
-    def centers(self) -> np.ndarray:
-        """Centers of all boxes, shape (nboxes, dim), in BoxId order."""
-        axes = [np.asarray(self.domain.lower[i]) + (np.arange(self.shape[i]) + 0.5) * self.h[i]
-                for i in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+    def centers(self, b0: int = 0, b1: int | None = None) -> np.ndarray:
+        """Centers of the boxes b0 <= BoxId < b1 (all boxes by default),
+        shape (b1 - b0, dim), in BoxId order."""
+        b1 = self.nboxes if b1 is None else b1
+        index = np.unravel_index(np.arange(b0, b1), self.shape)
+        out = np.empty((b1 - b0, self.dim))
+        for i in range(self.dim):
+            out[:, i] = self.domain.lower[i] + (index[i] + 0.5) * self.h[i]
+        return out
 
     def box_lower(self, b) -> np.ndarray:
         m = np.asarray(self.multi_index(b), dtype=float)

@@ -1,8 +1,10 @@
 """Transition graphs, chain recurrence, chain components, chains and
 nonwandering probes, checked against brute-force graph oracles."""
 
+import contextlib
 import dataclasses
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import networkx as nx
@@ -17,7 +19,7 @@ from dynkit.chain_graph import (
     chain_recurrent_boxes, is_chain_transitive,
     nonwandering_probe, strong_chain_search,
 )
-from dynkit.phase_space import BoxSet, Domain, Grid
+from dynkit.phase_space import MAX_DEPTH, BoxSet, Domain, Grid
 from dynkit.system import evaluate, make_map, polynomial_map
 
 
@@ -926,14 +928,14 @@ def cover_ranges(draw):
 
 
 @st.composite
-def escape_cases(draw):
-    """A 1-3-D grid of at most 64 boxes on the unit cube, some axes
+def escape_cases(draw, bits=6):
+    """A 1-3-D grid of at most 2^bits boxes on the unit cube, some axes
     periodic, a `poly` map whose component a is c0 + c1 x_a + c2 x_{a+1} +
     c3 x_a^3 with dyadic coefficients, and a dyadic eps.  Every image
     rectangle is then exact in floating point."""
     dim = draw(st.integers(1, 3))
-    depths = draw(st.lists(st.integers(0, 6 // dim), min_size=dim,
-                           max_size=dim))
+    depths = draw(st.lists(st.integers(0, min(bits // dim, MAX_DEPTH)),
+                           min_size=dim, max_size=dim))
     periodic = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
     grid = Grid(Domain((0.0,) * dim, (1.0,) * dim, tuple(periodic)),
                 tuple(depths))
@@ -1064,8 +1066,8 @@ class TestEdgeLayout:
 def cover_graph(grid, ilo, ihi, empty):
     """TransitionGraph holding the ranges of `cover_ranges` as a cover."""
     shape = np.asarray(grid.shape)
-    start = (ilo % shape).T.astype(np.int32)
-    length = (ihi - ilo + 1).T.astype(np.int32)
+    start = (ilo % shape).T.astype(np.int16)
+    length = (ihi - ilo + 1).T.astype(np.int16)
     length[:, empty] = 0
     return TransitionGraph(grid, None, 0.0, empty.copy(), 0.0,
                            cover=(start, length))
@@ -1098,13 +1100,28 @@ def csr_twin(tg):
                            _csr=(tg.offsets, tg.targets))
 
 
+# boxes per block of the block-wise passes: one box, a block that does not
+# divide the grid, and several boxes of a grid per block
+BOX_CHUNKS = [1, 7, 4096]
+
+
+@contextlib.contextmanager
+def box_chunks(size):
+    """`_CHUNK_BOXES` and `_CHUNK_PIECES` set to `size` within."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain_graph, "_CHUNK_BOXES", size)
+        mp.setattr(chain_graph, "_CHUNK_PIECES", size)
+        yield
+
+
 class TestCoverQueries:
     """Degrees, self-loops, searches and SCC labels read from the cover
-    ranges, against the CSR written from them."""
+    ranges, against the CSR written from them; each hypothesis example
+    draws the block size of the block-wise passes from `BOX_CHUNKS`."""
 
     @settings(max_examples=150, deadline=None)
-    @given(covered_graphs(), st.data())
-    def test_searches_match_the_edge_searches(self, tg, data):
+    @given(covered_graphs(), st.sampled_from(BOX_CHUNKS), st.data())
+    def test_searches_match_the_edge_searches(self, tg, chunk, data):
         """Both directions: the same marks as `_search` on the CSR or its
         transpose, None past the same layer cap, and a given `seen` grown
         in place."""
@@ -1118,32 +1135,35 @@ class TestCoverQueries:
                                 (True, tg.reverse())):
             want = _search(_edge_expand(*edges), seeds, seen.copy(), cap)
             mask = seen.copy()
-            got = _cover_search(tg, seeds, mask, cap, backward)
+            with box_chunks(chunk):
+                got = _cover_search(tg, seeds, mask, cap, backward)
+                fresh = _cover_search(tg, seeds, backward=backward)
             if want is None:
                 assert got is None
             else:
                 assert got is mask
                 assert np.array_equal(got, want)
-            fresh = _cover_search(tg, seeds, backward=backward)
             assert np.array_equal(fresh, _search(_edge_expand(*edges), seeds))
 
     @settings(max_examples=150, deadline=None)
-    @given(covered_graphs())
-    def test_degrees_and_self_loops_match_the_csr(self, tg):
+    @given(covered_graphs(), st.sampled_from(BOX_CHUNKS))
+    def test_degrees_and_self_loops_match_the_csr(self, tg, chunk):
         twin = csr_twin(tg)
         assert tg.n_edges == twin.n_edges
         assert np.array_equal(tg.out_degrees(), twin.out_degrees())
         assert np.array_equal(tg.self_loop_mask(), twin.self_loop_mask())
-        in_degrees = chain_graph._cover_counts(tg, np.arange(tg.nboxes))
+        with box_chunks(chunk):
+            in_degrees = chain_graph._cover_counts(tg)
         assert np.array_equal(in_degrees, np.bincount(tg.targets,
                                                       minlength=tg.nboxes))
 
     @settings(max_examples=100, deadline=None)
-    @given(covered_graphs())
-    def test_scc_labels_match_the_csr_pass(self, tg):
+    @given(covered_graphs(), st.sampled_from(BOX_CHUNKS))
+    def test_scc_labels_match_the_csr_pass(self, tg, chunk):
         want = csr_twin(tg).scc_labels()
         fresh = dataclasses.replace(tg, _csr=None)
-        assert np.array_equal(fresh.scc_labels(), want)
+        with box_chunks(chunk):
+            assert np.array_equal(fresh.scc_labels(), want)
 
     @pytest.mark.parametrize("name, params, depth", [
         ("cat", {}, 7), ("standard", {"K": 0.97}, 8)])
@@ -1168,3 +1188,177 @@ class TestCoverQueries:
         tg.image_boxes(BoxSet.from_indices(tg.grid, [3]))
         offsets = tg._csr[0]
         assert tg.offsets is offsets and tg.reverse()[0] is tg.reverse()[0]
+
+
+@st.composite
+def build_cases(draw, bits):
+    """(grid, map, eps, eps_fn) for `build_graph`: the grid, `poly` map
+    and eps of `escape_cases` with at most 2^bits boxes, or a 2-D grid of
+    as many, some axes periodic, with the cat or the standard map; no
+    threshold function, or a `RadialEps`."""
+    kind = draw(st.sampled_from(["poly", "cat", "standard"]))
+    if kind == "poly":
+        grid, m, eps = draw(escape_cases(bits))
+    else:
+        depths = draw(st.lists(st.integers(0, bits // 2), min_size=2,
+                               max_size=2))
+        periodic = draw(st.lists(st.booleans(), min_size=2, max_size=2))
+        grid = Grid(Domain((0.0, 0.0), (1.0, 1.0), tuple(periodic)),
+                    tuple(depths))
+        m = make_map("cat") if kind == "cat" else make_map(
+            "standard", K=draw(st.sampled_from([0.3, 0.97, 1.5])))
+        eps = draw(st.sampled_from([0.0, 2.0 ** -6, grid.box_diameter]))
+    eps_fn = draw(st.none() | st.sampled_from([RadialEps(0.01),
+                                               RadialEps(0.2)]))
+    return grid, m, eps, eps_fn
+
+
+def reference_build(grid, m, eps, eps_fn):
+    """(start, length, escapes, lipschitz) of the whole-grid build: the
+    centre, spread, image and range of every box at once."""
+    centers = grid.centers()
+    spread, lip = chain_graph._box_spreads(grid, m, centers)
+    images = evaluate(m, centers)
+    if m.periods is not None:
+        images = grid.domain.wrap(images)
+    if eps_fn is None:
+        spread += eps
+    else:
+        spread += np.asarray(eps_fn.min_over_rects(images - spread,
+                                                   images + spread))[:, None]
+    return (*chain_graph._cover_ranges(grid, images - spread,
+                                       images + spread), lip)
+
+
+def reference_sum_axes(values, shape):
+    """Prefix sums along every axis by `np.add.accumulate`, on a copy."""
+    cube = values.reshape(shape).copy()
+    for ax in range(len(shape)):
+        np.add.accumulate(cube, axis=ax, out=cube)
+    return cube.ravel()
+
+
+@st.composite
+def int32_cubes(draw, above):
+    """A 1-3-D grid shape and full-range int32 values on it, whose rows
+    (slabs along axis 0) hold at least `_ROW_LOOP_BOXES` boxes when
+    `above` (never in 1-D, where a row is one box), else fewer."""
+    limit = chain_graph._ROW_LOOP_BOXES
+    dim = draw(st.integers(2 if above else 1, 3))
+    rows = draw(st.integers(1, 6))
+    if dim == 1:
+        shape = (draw(st.integers(1, 4 * limit)),)
+    else:
+        inner = 1 if dim == 2 else draw(st.integers(1, 40))
+        lo, hi = ((limit + inner - 1) // inner, 2 * limit // inner + 1) \
+            if above else (1, max(1, (limit - 1) // inner))
+        shape = (rows,) + ((inner,) if dim == 3 else ()) \
+            + (draw(st.integers(lo, hi)),)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.integers(-2 ** 31, 2 ** 31, int(np.prod(shape)),
+                          dtype=np.int32)
+    return shape, values
+
+
+class TestBlockwisePasses:
+    """The block-wise build, in-degree pass and prefix sums, against the
+    whole-grid code they replaced."""
+
+    @pytest.mark.parametrize("chunk", BOX_CHUNKS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_build_matches_the_whole_grid_build(self, chunk, data):
+        """Bit for bit: the ranges (widened), the escapes and the
+        Lipschitz bound.  Grids of up to 2^13 boxes, so that blocks of
+        4096 boxes split some; 2^9 at the smallest blocks."""
+        grid, m, eps, eps_fn = data.draw(build_cases(9 if chunk == 1
+                                                     else 13))
+        start, length, escapes, lip = reference_build(grid, m, eps, eps_fn)
+        with box_chunks(chunk):
+            tg = build_graph(grid, m, eps, eps_fn=eps_fn)
+        assert tg.cover[0].dtype == tg.cover[1].dtype == np.int16
+        assert np.array_equal(tg.cover[0].astype(np.int64),
+                              start.astype(np.int64))
+        assert np.array_equal(tg.cover[1].astype(np.int64),
+                              length.astype(np.int64))
+        assert np.array_equal(tg.escapes, escapes)
+        assert tg.lipschitz_used == lip
+
+    @pytest.mark.parametrize("above", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sum_axes_matches_accumulate(self, above, data):
+        """Row loop or `np.add.accumulate`, the same sums mod 2^32, in
+        place."""
+        shape, values = data.draw(int32_cubes(above))
+        want = reference_sum_axes(values, shape)
+        assert chain_graph._sum_axes(values, shape) is values
+        assert np.array_equal(values, want)
+
+    @pytest.mark.parametrize("chunk", BOX_CHUNKS)
+    @settings(max_examples=60, deadline=None)
+    @given(covered_graphs(), st.data())
+    def test_cover_counts_match_one_bincount(self, chunk, tg, data):
+        """Per box, the rectangles of a box subset (or of every box, None)
+        that hold it: one `np.bincount` of their CSR rows."""
+        n = tg.nboxes
+        boxes = None if data.draw(st.booleans()) else np.flatnonzero(
+            marks(n, data.draw(st.lists(st.integers(0, n - 1),
+                                        max_size=n))))
+        rows = range(n) if boxes is None else boxes.tolist()
+        want = np.bincount(np.concatenate(
+            [tg.out(b) for b in rows] + [np.zeros(0, dtype=np.int32)]),
+            minlength=n)
+        with box_chunks(chunk):
+            got = chain_graph._cover_counts(tg, boxes)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+
+    def test_degrees_widen_past_int16(self):
+        """Every rectangle covers the whole 256 x 256 torus: 65,536 boxes
+        per row, 2^32 box edges, neither held by an int16 or an int32."""
+        grid = torus_grid(8)
+        tg = build_graph(grid, make_map("cat"), 1.0)
+        n = grid.nboxes
+        assert np.all(tg.out_degrees() == n)
+        assert tg.n_edges == n * n + 1
+        assert np.all(chain_graph._cover_counts(tg) == n)
+        assert is_chain_transitive(tg)
+
+
+def traced_peak(fn):
+    """(result, peak bytes that `fn()` allocates above what is held
+    before), by tracemalloc, which sees numpy buffers."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    """The build and the SCC pass hold one block's temporaries beside the
+    graph, not arrays that grow with the grid."""
+
+    def test_recurrence_pass_peak(self):
+        """Standard K = 0.97 at depth 8 (65,536 boxes, 2.6 M box edges):
+        the whole pass on a fresh graph, in-degrees, pivot, forward and
+        backward searches, stays under 4 MB (8.3 MB with whole-grid
+        in-degrees and intp pieces)."""
+        tg = torus_cover_graph("standard", {"K": 0.97}, 8)
+        crset, peak = traced_peak(lambda: chain_recurrent_boxes(tg))
+        assert crset.bits.all()
+        assert peak < 4 * 2 ** 20
+
+    def test_build_peak_per_box(self):
+        """Cat at depth 9 (262,144 boxes): the build holds 9 bytes per box
+        of cover and escapes and peaks under 32 bytes per box (83 with a
+        whole-grid build)."""
+        grid = torus_grid(9)
+        tg, peak = traced_peak(
+            lambda: build_graph(grid, make_map("cat"), grid.box_diameter))
+        held = sum(a.nbytes for a in tg.cover) + tg.escapes.nbytes
+        assert held == 9 * grid.nboxes
+        assert peak < 32 * grid.nboxes
