@@ -16,8 +16,8 @@ Mischaikow & VanderVorst (FoCM 2005) on rectangles.  The image of a box
 set is a difference array over the grid and a preimage test a lookup in
 a summed-area table of the set (Crow, SIGGRAPH 1984), so the SCC pass's
 forward-backward step, the degrees and the self-loops never read an
-edge.  The CSR and its transpose are written from the ranges for the
-queries that walk edges, on first use, and no other module reads them.
+edge.  The CSR is a cache written from the ranges on first use, and its
+transpose one written from the CSR; no other module reads them.
 
 Every reachability search runs through one layer loop, `_search`, with
 a bool or a uint64 word (one box set per bit) per box as its marks and a
@@ -61,9 +61,8 @@ if 2 << MAX_DEPTH > np.iinfo(np.int16).max + 1:
 # up to this many nodes the transpose packs `target << 16 | source` into
 # uint32 keys
 _NARROW_NODES = 1 << 16
-# edges per chunk: of the rows the CSR build writes, the self-loop scan,
-# the dump and the transpose read, and of the frontier slices that the
-# edge searches expand
+# edges per chunk: of the rows the CSR build writes and the dump and the
+# transpose read, and of the frontier slices that the edge searches expand
 _CHUNK_EDGES = 1 << 18
 # boxes per block: of the graph build (centers, spreads, images and
 # ranges) and of the cover queries' pieces and corners
@@ -98,12 +97,10 @@ class TransitionGraph:
     Tarjan's pass outside the pivot's component, `image_boxes`, the
     set closures (`closure`, `closure_rows`), `_bfs_path`, `edge_chunks`
     and `reverse()`; the backward closures and `entered_planes` read the
-    transpose.  A graph made from a CSR alone (`cover` None, `_csr`
-    given) reads it for everything.  The `graph` report's counts and its
-    edge dump list the sink as node nboxes: one edge per escaping box,
-    then the sink's self-loop.  The SCC labels, the self-loop mask, the
-    CSR and its transpose are cached, so all recurrence queries share one
-    SCC pass.
+    transpose.  The `graph` report's counts and its edge dump list the
+    sink as node nboxes: one edge per escaping box, then the sink's
+    self-loop.  The SCC labels, the self-loop mask, the CSR and its
+    transpose are cached, so all recurrence queries share one SCC pass.
     """
 
     grid: Grid
@@ -111,7 +108,7 @@ class TransitionGraph:
     eps: float
     escapes: np.ndarray
     lipschitz_used: float
-    cover: Optional[tuple] = field(default=None, repr=False)
+    cover: tuple = field(repr=False)
     _csr: Optional[tuple] = field(default=None, repr=False)
     _reverse: Optional[tuple] = field(default=None, repr=False)
     _self_loops: Optional[np.ndarray] = field(default=None, repr=False)
@@ -124,10 +121,7 @@ class TransitionGraph:
     def _edges(self) -> tuple:
         """(offsets, targets) of the CSR, written from the cover once."""
         if self._csr is None:
-            start, length = self.cover
-            self._csr = _materialize_edges(self.grid, start.T,
-                                           (start + length - 1).T,
-                                           ~length.all(axis=0))
+            self._csr = _materialize_edges(self.grid, *self.cover)
         return self._csr
 
     @property
@@ -140,8 +134,6 @@ class TransitionGraph:
 
     def _box_degrees(self) -> np.ndarray:
         """Out-degree of every box in the box graph, int64."""
-        if self.cover is None:
-            return np.diff(self.offsets)
         return self.cover[1].prod(axis=0, dtype=np.int64)
 
     @property
@@ -166,46 +158,34 @@ class TransitionGraph:
         row, then its edge to the sink, node nboxes, if it escapes, and
         last the sink's self-loop."""
         sink = self.nboxes
-        for b0, b1 in _row_chunks(self.offsets, sink):
-            src, tgt = _row_edges(self.offsets, self.targets, b0, b1)
+        offsets, targets = self._edges()
+        for b0, b1 in _row_chunks(offsets, sink):
+            src = np.repeat(np.arange(b0, b1), np.diff(offsets[b0:b1 + 1]))
+            tgt = targets[offsets[b0]:offsets[b1]]
             esc = np.flatnonzero(self.escapes[b0:b1])
-            at = self.offsets[b0 + 1 + esc] - self.offsets[b0]
+            at = offsets[b0 + 1 + esc] - offsets[b0]
             yield np.insert(src, at, b0 + esc), np.insert(tgt, at, sink)
         yield np.array([sink]), np.array([sink])
 
     def self_loop_mask(self) -> np.ndarray:
         """Boolean per box: the box is its own out-neighbor."""
         if self._self_loops is None:
-            if self.cover is not None:
-                self._self_loops = _cover_self_loops(self.grid, *self.cover)
-                return self._self_loops
-            mask = np.zeros(self.nboxes, dtype=bool)
-            for b0, b1 in _row_chunks(self.offsets, self.nboxes):
-                src, tgt = _row_edges(self.offsets, self.targets, b0, b1)
-                mask[src[src == tgt]] = True
-            self._self_loops = mask
+            self._self_loops = _cover_self_loops(self.grid, *self.cover)
         return self._self_loops
 
     def scc_labels(self) -> np.ndarray:
-        """SCC label of every box, cached.  A built graph's
-        forward-backward step searches its cover ranges; a graph made
-        from a CSR searches the CSR and its transpose."""
+        """SCC label of every box, cached: `_scc` with the pivot's
+        forward-backward step searching the cover ranges."""
         if self._labels is None:
             degrees = self._box_degrees()
             n_edges = int(degrees.sum())
-            if self.cover is None:
-                in_degrees = np.diff(self.reverse()[0])
-                search = self.closure
-            else:
-                in_degrees = _cover_counts(self)
-                search = partial(_cover_search, self)
             # score out-degree x in-degree; the searches run with the
             # per-box scores freed
-            degrees *= in_degrees
+            degrees *= _cover_counts(self)
             pivot = int(np.argmax(degrees))
-            del degrees, in_degrees
-            self._labels = _scc(self.nboxes, n_edges, pivot, search,
-                                self._edges)
+            del degrees
+            self._labels = _scc(self.nboxes, n_edges, pivot,
+                                partial(_cover_search, self), self._edges)
         return self._labels
 
     def image_boxes(self, boxset: BoxSet) -> BoxSet:
@@ -225,14 +205,13 @@ class TransitionGraph:
         return self._reverse
 
     def closure(self, marks: np.ndarray, seen: np.ndarray | None = None,
-                max_layers: int | None = None,
-                backward: bool = False) -> np.ndarray | None:
+                backward: bool = False) -> np.ndarray:
         """The boxes reachable from the marked ones, marks included, or
         with `backward` the boxes that reach them: `_search` along the
-        edges or on the transpose, with its bool or uint64 word marks, its
-        `seen` (grown in place and returned) and its `max_layers`."""
+        edges or on the transpose, with its bool or uint64 word marks and
+        its `seen` (grown in place and returned)."""
         edges = self.reverse() if backward else self._edges()
-        return _search(_edge_expand(*edges), marks, seen, max_layers)
+        return _search(_edge_expand(*edges), marks, seen)
 
     def closure_rows(self, rows: np.ndarray,
                      backward: bool = False) -> np.ndarray:
@@ -405,12 +384,6 @@ def _row_chunks(offsets: np.ndarray, rows: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _row_edges(offsets: np.ndarray, targets: np.ndarray, b0: int, b1: int):
-    """(sources, targets) of the edges of rows [b0, b1), in CSR order."""
-    return (np.repeat(np.arange(b0, b1), np.diff(offsets[b0:b1 + 1])),
-            targets[offsets[b0]:offsets[b1]])
-
-
 def _transpose(offsets: np.ndarray, targets: np.ndarray, n: int):
     """(offsets, targets) of the transposed CSR of an n-node graph with
     ascending distinct rows: each node's in-edges by ascending source,
@@ -455,23 +428,22 @@ def _transpose(offsets: np.ndarray, targets: np.ndarray, n: int):
     return roff, keys.view(np.int32)[:targets.size]
 
 
-def _materialize_edges(grid: Grid, ilo, ihi, empty):
-    """Expand index ranges into CSR (offsets, targets), sorted per source;
-    offsets int64, targets int32.  Rows flagged `empty` get no edge.
+def _materialize_edges(grid: Grid, start: np.ndarray, length: np.ndarray):
+    """CSR (offsets, targets) of the cover (start, length) of a
+    `TransitionGraph`, sorted per source; offsets int64, targets int32.
 
-    On each axis a box's range, taken mod the axis, is the ascending runs
-    [0, w) and [lo, lo + c - w), and a row-major product of ascending
-    lists ascends.  So rows are written in order, `_CHUNK_EDGES` edges at
-    a time: one base per (box, outer-axis prefix), then runs of
-    consecutive last-axis targets.  Edges are distinct as a periodic range
-    is shorter than its axis or all of it, and a strict-increase check
-    within each row guards that argument.
+    On each axis a box's range is the ascending runs [0, w) and [lo, lo +
+    c - w) (lo: its start, c: its length, w: the part past the top), and
+    a row-major product of ascending lists ascends.  So rows are written
+    in order, `_CHUNK_EDGES` edges at a time: one base per (box,
+    outer-axis prefix), then runs of consecutive last-axis targets.
+    Edges are distinct as a periodic range is shorter than its axis or all
+    of it, and a strict-increase check within each row guards that
+    argument.
     """
     shape = np.asarray(grid.shape, dtype=np.int64)
     strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
-    counts = ihi - ilo + 1
-    counts[empty] = 0
-    lo = ilo % shape
+    lo, counts = start.T, length.T
     wrap = np.maximum(lo + counts - shape, 0)
     offsets = np.zeros(grid.nboxes + 1, dtype=np.int64)
     np.cumsum(counts.prod(axis=1), out=offsets[1:])
@@ -564,13 +536,17 @@ def _cover_self_loops(grid: Grid, start: np.ndarray,
     """Boolean per box: its own index lies in its range on every axis.
 
     On a periodic axis the range is [start, start + length) mod the axis;
-    on another it does not pass the top, so there the same test holds."""
+    on another it does not pass the top, so there the same test holds.
+    The offsets own - start lie in (-size, size), so they stay in the
+    cover's dtype."""
     shape = grid.shape
     mask = np.ones(shape, dtype=bool)
     for ax, size in enumerate(shape):
-        own = np.arange(size).reshape((-1,) + (1,) * (grid.dim - 1 - ax))
-        mask &= (own - start[ax].reshape(shape)) % size \
-            < length[ax].reshape(shape)
+        own = np.arange(size, dtype=start.dtype).reshape(
+            (-1,) + (1,) * (grid.dim - 1 - ax))
+        off = own - start[ax].reshape(shape)
+        off %= size
+        mask &= off < length[ax].reshape(shape)
     return mask.ravel()
 
 
@@ -740,21 +716,22 @@ def _cover_search(g: TransitionGraph, seeds: np.ndarray,
 def _fb_max_layers(n_edges: int, n_nodes: int) -> int:
     """Layers a forward-backward search from the pivot may take.
 
-    The price is that of a search along the CSR edges (a graph made from
-    a CSR): a layer costs about 10 us plus 0.25 ns per node (its passes
-    over the n-node masks) on top of its edges; the Tarjan loop below
-    costs about 0.1 us per edge plus 0.5 us per node (2-core x86-64 VM).
-    So (n_edges + 5 n_nodes) // (100 + n_nodes // 400) layers cost about
-    one Tarjan run.  A search that needs more is dropped and Tarjan takes
-    the whole graph: a long-diameter graph (a circle rotation, a
-    near-integrable standard map) then pays at most about one Tarjan run
-    on top of Tarjan alone, and the step stays O(V + E).  A built graph
-    searches its cover ranges instead, and there a layer costs every box
-    of the grid: about 7-11 ns per box forward and 14-28 ns backward
-    (standard K = 0.97 at depths 9 and 10, cat at depth 11; the backward
-    figure includes its one piece build).  A Tarjan run of such a graph
-    costs about 4.5 us per box (some 40 edges each), so a search that
-    runs to the cap there can cost tens of Tarjan runs.
+    The price is that of a search along the CSR edges, which only the
+    tests run, driving `_scc` on a CSR: a layer costs about 10 us plus
+    0.25 ns per node (its passes over the n-node masks) on top of its
+    edges; the Tarjan loop below costs about 0.1 us per edge plus 0.5 us
+    per node (2-core x86-64 VM).  So (n_edges + 5 n_nodes) // (100 +
+    n_nodes // 400) layers cost about one Tarjan run.  A search that
+    needs more is dropped and Tarjan takes the whole graph: a
+    long-diameter graph (a circle rotation, a near-integrable standard
+    map) then pays at most about one Tarjan run on top of Tarjan alone,
+    and the step stays O(V + E).  Every `TransitionGraph` searches its
+    cover ranges, and there a layer costs every box of the grid: about
+    7-11 ns per box forward and 14-28 ns backward (standard K = 0.97 at
+    depths 9 and 10, cat at depth 11; the backward figure includes its
+    one piece build).  A Tarjan run of such a graph costs about 4.5 us
+    per box (some 40 edges each), so a search that runs to the cap there
+    can cost tens of Tarjan runs.
     """
     return max(32, (n_edges + 5 * n_nodes) // (100 + n_nodes // 400))
 
@@ -764,19 +741,21 @@ def _scc(n: int, n_edges: int, pivot: int, search, csr) -> np.ndarray:
     step, then Tarjan.  Labels follow reverse topological order of the
     condensation (sources get the largest labels), from 0 on.
 
-    `pivot` is a node: `TransitionGraph.scc_labels` takes the first of
+    No graph is attached: `TransitionGraph.scc_labels` passes the search
+    on its cover, and the tests pass `_search` along a CSR and its
+    transpose.  `pivot` is a node: `scc_labels` takes the first of
     largest out-degree x in-degree.  Its component S = F & B (F: reachable
     from the pivot, B: reaching it) is found by `search(seeds, seen,
-    max_layers, backward)`,
-    a `_search` on the graph: F, then B restricted to F by `seen`, as a
-    path from a node of F stays in F.  On a chain-transitive torus graph
-    S is every node, and the labels are returned at once.  Else `csr()`
-    gives the CSR that Tarjan walks: F \\ B is forward-closed and cannot
-    reach S, so Tarjan labels it first (roots in node order), S takes the
-    next label, and Tarjan then runs from the roots outside F in node
-    order; the completed nodes of F are skipped as edge targets.  When F
-    or B needs more than `_fb_max_layers` layers, F and S are taken as
-    empty: the two Tarjan calls then run every root in node order.
+    max_layers, backward)`, a `_search` on the graph: F, then B
+    restricted to F by `seen`, as a path from a node of F stays in F.  On
+    a chain-transitive torus graph S is every node, and the labels are
+    returned at once.  Else `csr()` gives the CSR that Tarjan walks:
+    F \\ B is forward-closed and cannot reach S, so Tarjan labels it first
+    (roots in node order), S takes the next label, and Tarjan then runs
+    from the roots outside F in node order; the completed nodes of F are
+    skipped as edge targets.  When F or B needs more than
+    `_fb_max_layers` layers, F and S are taken as empty: the two Tarjan
+    calls then run every root in node order.
     """
     seeds = np.zeros(n, dtype=bool)
     seeds[pivot] = True
@@ -864,8 +843,7 @@ def _tarjan(off: np.ndarray, tgt: np.ndarray, roots, index: list,
 def _recurrent_bits(g: TransitionGraph) -> np.ndarray:
     """Boxes in a nontrivial SCC: size > 1, or a self-looped box."""
     labels = g.scc_labels()
-    sizes = np.bincount(labels)
-    return (sizes[labels] > 1) | g.self_loop_mask()
+    return (np.bincount(labels) > 1)[labels] | g.self_loop_mask()
 
 
 def nontrivial_scc_sets(g: TransitionGraph) -> list[BoxSet]:

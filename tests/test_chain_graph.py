@@ -5,7 +5,6 @@ import contextlib
 import dataclasses
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -34,12 +33,18 @@ def marks(n, seeds):
     return bits
 
 
-def seam_graph(offsets, targets, n):
-    """TransitionGraph of an n-node CSR alone; the grid only supplies
-    nboxes, so n need not be a power of two."""
-    return TransitionGraph(SimpleNamespace(nboxes=n), None, 0.0,
-                           np.zeros(n, dtype=bool), 0.0,
-                           _csr=(offsets, targets))
+def csr_scc(offsets, targets, n):
+    """SCC labels of an n-node CSR alone: `_scc` with the pivot that
+    `TransitionGraph.scc_labels` takes, the first of largest out-degree x
+    in-degree, and `_search` along the edges and the transposed edges."""
+    reverse = chain_graph._transpose(offsets, targets, n)
+    pivot = int(np.argmax(np.diff(offsets) * np.diff(reverse[0])))
+
+    def search(seeds, seen=None, max_layers=None, backward=False):
+        edges = reverse if backward else (offsets, targets)
+        return _search(_edge_expand(*edges), seeds, seen, max_layers)
+    return chain_graph._scc(n, targets.size, pivot, search,
+                            lambda: (offsets, targets))
 
 
 def reference_bfs_path(g, sources, target, max_len=None):
@@ -344,18 +349,133 @@ class TestGraphInvariants:
 
 @st.composite
 def csr_graphs(draw):
-    """Random box graph in the TransitionGraph layout: 2**depth boxes,
-    sorted distinct out-edges, self loops allowed, and an escape flag per
-    box drawn independently of its edges."""
-    n = 1 << draw(st.integers(0, 5))
+    """(offsets, targets, n, edges) of a random n-node digraph, 1 <= n <=
+    32, in the CSR layout of a `TransitionGraph`: sorted distinct
+    out-edges, self loops allowed."""
+    n = draw(st.integers(1, 32))
     edges = sorted(draw(st.sets(st.tuples(st.integers(0, n - 1),
                                           st.integers(0, n - 1)),
                                 max_size=4 * n)))
-    escapes = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    offsets, targets = csr_from_edges(edges, n)
-    grid = Grid(Domain((0.0,), (1.0,), (False,)), (n.bit_length() - 1,))
-    return TransitionGraph(grid, None, 0.0, escapes, 0.0,
-                           _csr=(offsets, targets)), edges
+    return (*csr_from_edges(edges, n), n, edges)
+
+
+def digraph(n, edges):
+    """networkx digraph on the nodes 0..n-1 with `edges`."""
+    G = nx.DiGraph(edges)
+    G.add_nodes_from(range(n))
+    return G
+
+
+@st.composite
+def cover_ranges(draw):
+    """A 1-3-D grid of at most 64 boxes and per-box inclusive index ranges
+    as `_cover_ranges` may return them.  A periodic range starts anywhere
+    in [-size, 2 size) and spans 1 to size boxes, so it may wrap either
+    way or cover the whole axis from any start; a non-periodic range lies
+    in the window.  Rows may be empty (nothing in the window)."""
+    dim = draw(st.integers(1, 3))
+    depths = draw(st.lists(st.integers(0, 6 // dim), min_size=dim,
+                           max_size=dim))
+    periodic = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    grid = Grid(Domain((0.0,) * dim, (1.0,) * dim, tuple(periodic)),
+                tuple(depths))
+    ilo = np.empty((grid.nboxes, dim), dtype=np.int64)
+    ihi = np.empty_like(ilo)
+    for ax, size in enumerate(grid.shape):
+        if periodic[ax]:
+            lo = draw(st.lists(st.integers(-size, 2 * size - 1),
+                               min_size=grid.nboxes, max_size=grid.nboxes))
+            c = draw(st.lists(st.integers(1, size), min_size=grid.nboxes,
+                              max_size=grid.nboxes))
+            ilo[:, ax] = lo
+            ihi[:, ax] = ilo[:, ax] + np.asarray(c) - 1
+        else:
+            pairs = draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                            st.integers(0, size - 1)),
+                                  min_size=grid.nboxes, max_size=grid.nboxes))
+            ilo[:, ax] = [min(p) for p in pairs]
+            ihi[:, ax] = [max(p) for p in pairs]
+    flags = st.lists(st.booleans(), min_size=grid.nboxes, max_size=grid.nboxes)
+    empty = np.asarray(draw(flags), dtype=bool) & (not all(periodic))
+    return grid, ilo, ihi, empty
+
+
+def to_cover(grid, ilo, ihi, empty):
+    """(start, length) of the inclusive ranges [ilo, ihi] as
+    `TransitionGraph.cover` holds them: int16 arrays of shape (dim, n),
+    each start taken mod its axis, length 0 on every axis of an empty
+    row."""
+    start = (ilo % np.asarray(grid.shape)).T.astype(np.int16)
+    length = (ihi - ilo + 1).T.astype(np.int16)
+    length[:, empty] = 0
+    return start, length
+
+
+def cover_edges(tg):
+    """Sorted (source, target) edge list of the cover of tg, written by
+    the lattice reference."""
+    start, length = (a.T.astype(np.int64) for a in tg.cover)
+    offsets, targets = reference_materialize(tg.grid, start,
+                                             start + length - 1,
+                                             ~length.all(axis=1))
+    return list(zip(np.repeat(np.arange(tg.nboxes), np.diff(offsets)).tolist(),
+                    targets.tolist()))
+
+
+@st.composite
+def escape_cases(draw, bits=6):
+    """A 1-3-D grid of at most 2^bits boxes on the unit cube, some axes
+    periodic, a `poly` map whose component a is c0 + c1 x_a + c2 x_{a+1} +
+    c3 x_a^3 with dyadic coefficients, and a dyadic eps.  Every image
+    rectangle is then exact in floating point."""
+    dim = draw(st.integers(1, 3))
+    depths = draw(st.lists(st.integers(0, min(bits // dim, MAX_DEPTH)),
+                           min_size=dim, max_size=dim))
+    periodic = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    grid = Grid(Domain((0.0,) * dim, (1.0,) * dim, tuple(periodic)),
+                tuple(depths))
+    coef = st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5])
+    unit = np.eye(dim, dtype=int)
+    components = [[{"c": draw(coef), "e": [0] * dim},
+                   {"c": draw(coef), "e": unit[a].tolist()},
+                   {"c": draw(coef), "e": unit[(a + 1) % dim].tolist()},
+                   {"c": draw(coef), "e": (3 * unit[a]).tolist()}]
+                  for a in range(dim)]
+    eps = draw(st.sampled_from([0.0, 2.0 ** -6, 2.0 ** -3]))
+    return grid, polynomial_map(components, dim), eps
+
+
+def cover_graph(grid, ilo, ihi, empty, escapes):
+    """TransitionGraph holding the ranges of `cover_ranges` as a cover;
+    the empty rows escape, and so do the rows flagged in `escapes`."""
+    return TransitionGraph(grid, None, 0.0, empty | escapes, 0.0,
+                           cover=to_cover(grid, ilo, ihi, empty))
+
+
+def torus_cover_graph(name, params, depth):
+    grid = torus_grid(depth)
+    return build_graph(grid, make_map(name, **params), grid.box_diameter)
+
+
+@st.composite
+def covered_graphs(draw):
+    """Graphs with a cover: random ranges that wrap from any start (as in
+    `cover_ranges`) with escape flags drawn apart from them, built graphs
+    of dyadic `poly` maps in 1-3 D, periodic and not (as in
+    `escape_cases`), and cat and standard torus grids."""
+    kind = draw(st.sampled_from(["ranges", "poly", "torus"]))
+    if kind == "ranges":
+        grid, ilo, ihi, empty = draw(cover_ranges())
+        flags = draw(st.integers(0, 2 ** grid.nboxes - 1))
+        escapes = np.array([flags >> b & 1 for b in range(grid.nboxes)],
+                           dtype=bool)
+        return cover_graph(grid, ilo, ihi, empty, escapes)
+    if kind == "poly":
+        grid, m, eps = draw(escape_cases())
+        return build_graph(grid, m, eps)
+    return torus_cover_graph(*draw(st.sampled_from([
+        ("cat", {}, 3), ("standard", {"K": 0.97}, 4),
+        ("standard", {"K": 0.3}, 3)])))
 
 
 def layered_oracle(G, seeds, seen):
@@ -376,15 +496,19 @@ def plane(words, f):
 
 
 class TestSccOracle:
-    """SCC labels and edge searches against networkx."""
+    """SCC labels and searches against networkx: `_scc` and `_search` on
+    random digraphs, the graph queries on random covers."""
 
     @settings(max_examples=200, deadline=None)
     @given(csr_graphs())
-    def test_partition_and_nontrivial_set_match_networkx(self, case):
-        tg, edges = case
-        G = nx.DiGraph()
-        G.add_nodes_from(range(tg.nboxes))
-        G.add_edges_from(edges)
+    def test_csr_partition_matches_networkx(self, case):
+        assert_scc_matches_networkx(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(covered_graphs())
+    def test_partition_and_nontrivial_set_match_networkx(self, tg):
+        edges = cover_edges(tg)
+        G = digraph(tg.nboxes, edges)
         labels = tg.scc_labels()
         n_comp = int(labels.max()) + 1
         ours = {frozenset(np.flatnonzero(labels == c).tolist())
@@ -412,10 +536,8 @@ class TestSccOracle:
         `seen` mask and a layer cap: the nodes at distance k from the
         seeds outside `seen`, in the graph without `seen`, form layer k;
         more than `max_layers` layers give None."""
-        tg, edges = case
-        n = tg.nboxes
-        G = nx.DiGraph(edges)
-        G.add_nodes_from(range(n))
+        offsets, targets, n, edges = case
+        G = digraph(n, edges)
         if backward:
             G = G.reverse()
         seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
@@ -424,7 +546,8 @@ class TestSccOracle:
         cap = data.draw(st.none() | st.integers(0, 6))
         want, layers = layered_oracle(G, seeds, seen)
         mask = seen.copy()
-        edges_used = tg.reverse() if backward else (tg.offsets, tg.targets)
+        edges_used = chain_graph._transpose(offsets, targets, n) \
+            if backward else (offsets, targets)
         got = _search(_edge_expand(*edges_used), marks(n, seeds), mask, cap)
         if cap is not None and layers > cap:
             assert got is None
@@ -440,10 +563,8 @@ class TestSccOracle:
         """uint64 marks, one node set per bit, each with its own seeds and
         `seen` plane: every plane is the bool search of that plane, and
         the layer cap counts the layers of the deepest plane."""
-        tg, edges = case
-        n = tg.nboxes
-        G = nx.DiGraph(edges)
-        G.add_nodes_from(range(n))
+        offsets, targets, n, edges = case
+        G = digraph(n, edges)
         if backward:
             G = G.reverse()
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -455,7 +576,8 @@ class TestSccOracle:
         oracle = [layered_oracle(G, np.flatnonzero(plane(seeds, f)),
                                  plane(seen, f)) for f in range(k)]
         words = seen.copy()
-        edges_used = tg.reverse() if backward else (tg.offsets, tg.targets)
+        edges_used = chain_graph._transpose(offsets, targets, n) \
+            if backward else (offsets, targets)
         got = _search(_edge_expand(*edges_used), seeds, words, cap)
         if cap is not None and max(layers for _, layers in oracle) > cap:
             assert got is None
@@ -467,12 +589,10 @@ class TestSccOracle:
                 assert not np.any(got >> np.uint64(k))
 
     @settings(max_examples=100, deadline=None)
-    @given(csr_graphs(), st.data())
-    def test_closures_match_networkx(self, case, data):
-        tg, edges = case
+    @given(covered_graphs(), st.data())
+    def test_closures_match_networkx(self, tg, data):
         n = tg.nboxes
-        G = nx.DiGraph(edges)
-        G.add_nodes_from(range(n))
+        G = digraph(n, cover_edges(tg))
         seeds = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
         want = set(seeds).union(*(nx.descendants(G, s) for s in seeds))
         got = tg.closure(marks(n, sorted(seeds)))
@@ -499,11 +619,10 @@ class TestSccOracle:
         assert tg.set_escapes(members) == any(tg.escapes[u] for u in seeds)
 
     @settings(max_examples=100, deadline=None)
-    @given(csr_graphs(), st.data())
-    def test_entered_planes_match_the_edges(self, case, data):
+    @given(covered_graphs(), st.data())
+    def test_entered_planes_match_the_edges(self, tg, data):
         """Bit f: an edge from a box of set f of `sets` into a box of set
         f of `boxes`, read off the edge list."""
-        tg, edges = case
         n = tg.nboxes
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         k = data.draw(st.integers(1, 64))
@@ -512,7 +631,7 @@ class TestSccOracle:
             rng.integers(0, 2 ** k, (2, n), dtype=np.uint64))
             for _ in range(2))
         want = 0
-        for u, v in edges:
+        for u, v in cover_edges(tg):
             want |= int(boxes[v] & sets[u])
         assert tg.entered_planes(boxes, sets) == want
 
@@ -540,10 +659,9 @@ def reference_transpose(offsets, targets, n):
     return roff, rtarg
 
 
-def assert_transpose_matches_reference(tg):
-    roff, rtarg = tg.reverse()
-    want_off, want_targ = reference_transpose(tg.offsets, tg.targets,
-                                              tg.nboxes)
+def assert_transpose_matches_reference(offsets, targets, n, transposed):
+    roff, rtarg = transposed
+    want_off, want_targ = reference_transpose(offsets, targets, n)
     assert roff.dtype == np.int64 and rtarg.dtype == np.int32
     assert roff.tobytes() == want_off.tobytes()
     assert rtarg.tobytes() == want_targ.astype(np.int32).tobytes()
@@ -566,20 +684,24 @@ class TestTranspose:
     @settings(max_examples=50, deadline=None)
     @given(case=csr_graphs())
     def test_transpose_matches_stable_argsort(self, chunk, case):
-        tg, _ = case
+        offsets, targets, n, _ = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
-            assert_transpose_matches_reference(tg)
+            assert_transpose_matches_reference(
+                offsets, targets, n,
+                chain_graph._transpose(offsets, targets, n))
 
     @pytest.mark.parametrize("chunk", [1, 7])
     @settings(max_examples=50, deadline=None)
     @given(case=csr_graphs())
     def test_int64_keys_match_stable_argsort(self, chunk, case):
-        tg, _ = case
+        offsets, targets, n, _ = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
             mp.setattr(chain_graph, "_NARROW_NODES", 0)
-            assert_transpose_matches_reference(tg)
+            assert_transpose_matches_reference(
+                offsets, targets, n,
+                chain_graph._transpose(offsets, targets, n))
 
     @pytest.mark.parametrize("make, narrow, escaping", [
         (lambda: build_graph(torus_grid(8), make_map("cat"), 0.0), True, False),
@@ -596,7 +718,8 @@ class TestTranspose:
         assert (tg.nboxes <= chain_graph._NARROW_NODES) == narrow
         assert (tg.escaping_boxes() > 0) == escaping
         assert tg.self_loop_mask()[-1] or not escaping
-        assert_transpose_matches_reference(tg)
+        assert_transpose_matches_reference(tg.offsets, tg.targets, tg.nboxes,
+                                           tg.reverse())
         # the transposed targets are the key buffer of that width
         assert tg.reverse()[1].base.dtype == \
             (np.uint32 if narrow else np.int64)
@@ -607,22 +730,22 @@ class TestTranspose:
         grid = torus_grid(6)
         tg = build_graph(grid, make_map(name, **params), grid.box_diameter)
         assert tg.targets.dtype == np.int32
-        assert_transpose_matches_reference(tg)
+        assert_transpose_matches_reference(tg.offsets, tg.targets, tg.nboxes,
+                                           tg.reverse())
         assert tg.reverse() is tg.reverse()
 
     @pytest.mark.parametrize("chunk", [1, 7])
     @settings(max_examples=50, deadline=None)
     @given(csr_graphs(), st.data())
     def test_sliced_frontiers_match_networkx(self, chunk, case, data):
-        tg, edges = case
-        G = nx.DiGraph(edges)
-        G.add_nodes_from(range(tg.nboxes))
-        seeds = data.draw(st.sets(st.integers(0, tg.nboxes - 1), max_size=3))
+        offsets, targets, n, edges = case
+        G = digraph(n, edges)
+        seeds = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
-            got = tg.closure(marks(tg.nboxes, sorted(seeds)))
-            assert_scc_matches_networkx(tg.offsets, tg.targets, tg.nboxes,
-                                        edges)
+            got = _search(_edge_expand(offsets, targets),
+                          marks(n, sorted(seeds)))
+            assert_scc_matches_networkx(offsets, targets, n, edges)
         assert set(np.flatnonzero(got).tolist()) == \
             set(seeds).union(*(nx.descendants(G, s) for s in seeds))
 
@@ -640,7 +763,7 @@ def csr_from_edges(edges, n):
 
 
 def planted_graph(hub_part):
-    """Box graph in the TransitionGraph layout with planted structure.
+    """CSR of a 32-node digraph with planted structure.
 
     32 boxes, shuffled by a fixed permutation, split into a ring core, an
     upstream tail that drains into it, a downstream tail it feeds, an
@@ -648,7 +771,7 @@ def planted_graph(hub_part):
     loops to itself, which both tails feed.  One hub in `hub_part` is
     joined both ways to its whole part, or every live box steps to the
     sink box, so the forward-backward pivot lands there.  Returns the
-    graph, its edge list and the node set of each part.
+    CSR (offsets, targets), its edge list and the node set of each part.
     """
     n = 32
     sizes = {"core": 4, "up": 3, "down": 3, "apart": 3, "dead": 2, "sink": 1}
@@ -673,19 +796,14 @@ def planted_graph(hub_part):
         edges |= {(b, hub) for b in parts[hub_part]}
         edges |= {(up[-1], sink), (down[-1], sink)}
     edges = sorted(edges)
-    offsets, targets = csr_from_edges(edges, n)
-    grid = Grid(Domain((0.0,), (1.0,), (False,)), (5,))
-    tg = TransitionGraph(grid, None, 0.0, np.zeros(n, dtype=bool), 0.0,
-                         _csr=(offsets, targets))
-    return tg, edges, parts
+    return (*csr_from_edges(edges, n), edges, parts)
 
 
 def assert_scc_matches_networkx(offsets, targets, n, edges):
     """Partition equal to networkx's, labels in reverse topological order;
     returns the labels."""
-    G = nx.DiGraph(edges)
-    G.add_nodes_from(range(n))
-    labels = seam_graph(offsets, targets, n).scc_labels()
+    G = digraph(n, edges)
+    labels = csr_scc(offsets, targets, n)
     n_comp = int(labels.max()) + 1
     want = {frozenset(c) for c in nx.strongly_connected_components(G)}
     ours = {frozenset(np.flatnonzero(labels == c).tolist())
@@ -719,13 +837,12 @@ class TestPlantedScc:
     @pytest.mark.parametrize("hub_part", PARTS)
     def test_partition_and_order_match_networkx(self, hub_part,
                                                 tarjan_visits):
-        tg, edges, parts = planted_graph(hub_part)
-        score = np.diff(tg.offsets) * np.bincount(tg.targets,
-                                                  minlength=tg.nboxes)
+        offsets, targets, edges, parts = planted_graph(hub_part)
+        n = offsets.size - 1
+        score = np.diff(offsets) * np.bincount(targets, minlength=n)
         pivot = int(np.argmax(score))
         assert pivot in parts[hub_part]
-        labels = assert_scc_matches_networkx(tg.offsets, tg.targets,
-                                             tg.nboxes, edges)
+        labels = assert_scc_matches_networkx(offsets, targets, n, edges)
         assert len(set(labels[parts["core"]].tolist())) == 1
         # the pivot's component is left out of the Tarjan pass
         assert sorted(tarjan_visits) == \
@@ -750,11 +867,33 @@ class TestPlantedScc:
             targets, minlength=n))) == 7
         cap = chain_graph._fb_max_layers(targets.size, n)
         assert cap > depth
-        assert seam_graph(offsets, targets, n).closure(
-            marks(n, [7]), max_layers=32) is None
+        assert _search(_edge_expand(offsets, targets), marks(n, [7]),
+                       max_layers=32) is None
         labels = assert_scc_matches_networkx(offsets, targets, n, edges)
         assert len(set(labels[:m].tolist())) == 1
         assert sorted(tarjan_visits) == [up, dead]
+
+    def test_backward_search_stays_in_the_forward_set(self, tarjan_visits):
+        """A hub joined both ways to a ring of 10 boxes that a chain of 40
+        boxes feeds: the backward search from the hub, kept to the
+        forward set by `seen`, takes 2 layers, where the chain alone
+        needs more than the layer cap, so Tarjan only sees the chain."""
+        length, ring, hub, n = 40, list(range(40, 50)), 50, 51
+        edges = sorted({(i, i + 1) for i in range(length - 1)}
+                       | {(length - 1, ring[0])}
+                       | set(zip(ring, ring[1:] + ring[:1]))
+                       | {(hub, b) for b in ring} | {(b, hub) for b in ring})
+        offsets, targets = csr_from_edges(edges, n)
+        assert int(np.argmax(np.diff(offsets) * np.bincount(
+            targets, minlength=n))) == hub
+        cap = chain_graph._fb_max_layers(targets.size, n)
+        assert length > cap
+        reverse = chain_graph._transpose(offsets, targets, n)
+        assert _search(_edge_expand(*reverse), marks(n, [hub]),
+                       max_layers=cap) is None
+        labels = assert_scc_matches_networkx(offsets, targets, n, edges)
+        assert len(set(labels[ring + [hub]].tolist())) == 1
+        assert sorted(tarjan_visits) == list(range(length))
 
     def test_long_chain_of_two_cycles(self):
         """1024 two-cycles in a line, each feeding the next: 1024
@@ -768,7 +907,7 @@ class TestPlantedScc:
         n = 2 * k
         offsets, targets = csr_from_edges(edges, n)
         t0 = time.perf_counter()
-        labels = seam_graph(offsets, targets, n).scc_labels()
+        labels = csr_scc(offsets, targets, n)
         assert time.perf_counter() - t0 < 1.0
         assert int(labels.max()) + 1 == k
         labels = assert_scc_matches_networkx(offsets, targets, n, edges)
@@ -796,13 +935,14 @@ class TestPlantedScc:
         assert int(np.argmax(score)) == hub
         cap = chain_graph._fb_max_layers(targets.size, n)
         assert m > cap
-        tg = seam_graph(offsets, targets, n)
-        fwd = tg.closure(marks(n, [hub]), max_layers=cap)
+        fwd = _search(_edge_expand(offsets, targets), marks(n, [hub]),
+                      max_layers=cap)
         if side == "forward":
             assert fwd is None
         else:
-            assert tg.closure(marks(n, [hub]), seen=~fwd, max_layers=cap,
-                              backward=True) is None
+            reverse = chain_graph._transpose(offsets, targets, n)
+            assert _search(_edge_expand(*reverse), marks(n, [hub]),
+                           seen=~fwd, max_layers=cap) is None
         labels = assert_scc_matches_networkx(offsets, targets, n, edges)
         assert len(set(labels[:hub + 1].tolist())) == 1
         assert sorted(tarjan_visits) == list(range(n))
@@ -820,9 +960,8 @@ class TestBfsPath:
     """Layered CSR BFS against the one-node-at-a-time queue."""
 
     @settings(max_examples=60, deadline=None)
-    @given(csr_graphs(), st.data())
-    def test_paths_match_reference(self, case, data):
-        tg, _ = case
+    @given(covered_graphs(), st.data())
+    def test_paths_match_reference(self, tg, data):
         box = st.integers(0, tg.nboxes - 1)
         sources = data.draw(st.sets(box, max_size=4))
         target = data.draw(box)
@@ -893,63 +1032,6 @@ def reference_materialize(grid, ilo, ihi, empty):
     return offsets, keys
 
 
-@st.composite
-def cover_ranges(draw):
-    """A 1-3-D grid of at most 64 boxes and per-box inclusive index ranges
-    as `_cover_ranges` may return them.  A periodic range starts anywhere
-    in [-size, 2 size) and spans 1 to size boxes, so it may wrap either
-    way or cover the whole axis from any start; a non-periodic range lies
-    in the window.  Rows may be empty (nothing in the window)."""
-    dim = draw(st.integers(1, 3))
-    depths = draw(st.lists(st.integers(0, 6 // dim), min_size=dim,
-                           max_size=dim))
-    periodic = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
-    grid = Grid(Domain((0.0,) * dim, (1.0,) * dim, tuple(periodic)),
-                tuple(depths))
-    ilo = np.empty((grid.nboxes, dim), dtype=np.int64)
-    ihi = np.empty_like(ilo)
-    for ax, size in enumerate(grid.shape):
-        if periodic[ax]:
-            lo = draw(st.lists(st.integers(-size, 2 * size - 1),
-                               min_size=grid.nboxes, max_size=grid.nboxes))
-            c = draw(st.lists(st.integers(1, size), min_size=grid.nboxes,
-                              max_size=grid.nboxes))
-            ilo[:, ax] = lo
-            ihi[:, ax] = ilo[:, ax] + np.asarray(c) - 1
-        else:
-            pairs = draw(st.lists(st.tuples(st.integers(0, size - 1),
-                                            st.integers(0, size - 1)),
-                                  min_size=grid.nboxes, max_size=grid.nboxes))
-            ilo[:, ax] = [min(p) for p in pairs]
-            ihi[:, ax] = [max(p) for p in pairs]
-    flags = st.lists(st.booleans(), min_size=grid.nboxes, max_size=grid.nboxes)
-    empty = np.asarray(draw(flags), dtype=bool) & (not all(periodic))
-    return grid, ilo, ihi, empty
-
-
-@st.composite
-def escape_cases(draw, bits=6):
-    """A 1-3-D grid of at most 2^bits boxes on the unit cube, some axes
-    periodic, a `poly` map whose component a is c0 + c1 x_a + c2 x_{a+1} +
-    c3 x_a^3 with dyadic coefficients, and a dyadic eps.  Every image
-    rectangle is then exact in floating point."""
-    dim = draw(st.integers(1, 3))
-    depths = draw(st.lists(st.integers(0, min(bits // dim, MAX_DEPTH)),
-                           min_size=dim, max_size=dim))
-    periodic = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
-    grid = Grid(Domain((0.0,) * dim, (1.0,) * dim, tuple(periodic)),
-                tuple(depths))
-    coef = st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5])
-    unit = np.eye(dim, dtype=int)
-    components = [[{"c": draw(coef), "e": [0] * dim},
-                   {"c": draw(coef), "e": unit[a].tolist()},
-                   {"c": draw(coef), "e": unit[(a + 1) % dim].tolist()},
-                   {"c": draw(coef), "e": (3 * unit[a]).tolist()}]
-                  for a in range(dim)]
-    eps = draw(st.sampled_from([0.0, 2.0 ** -6, 2.0 ** -3]))
-    return grid, polynomial_map(components, dim), eps
-
-
 CHUNKS = [1, 7, chain_graph._CHUNK_EDGES]
 
 
@@ -965,7 +1047,8 @@ class TestEdgeLayout:
         want = reference_materialize(grid, ilo, ihi, empty)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
-            got = chain_graph._materialize_edges(grid, ilo, ihi, empty)
+            got = chain_graph._materialize_edges(
+                grid, *to_cover(grid, ilo, ihi, empty))
         assert got[1].dtype == np.int32
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -982,10 +1065,10 @@ class TestEdgeLayout:
         dim = len(periodic)
         grid = Grid(Domain((0.0,) * dim, (1.0,) * dim, periodic),
                     (2,) if dim == 1 else (1, 1))
-        flags = np.zeros(grid.nboxes, dtype=bool)
+        cover = to_cover(grid, np.asarray(ilo), np.asarray(ihi),
+                         np.zeros(grid.nboxes, dtype=bool))
         with pytest.raises(RuntimeError, match="not distinct"):
-            chain_graph._materialize_edges(grid, np.asarray(ilo),
-                                           np.asarray(ihi), flags)
+            chain_graph._materialize_edges(grid, *cover)
 
     @settings(max_examples=100, deadline=None)
     @given(case=escape_cases())
@@ -1032,25 +1115,26 @@ class TestEdgeLayout:
 
     @pytest.mark.parametrize("chunk", CHUNKS[:2])
     @settings(max_examples=100, deadline=None)
-    @given(case=csr_graphs())
-    def test_self_loop_mask_matches_sources(self, chunk, case):
-        tg, _ = case
-        src = np.repeat(np.arange(tg.nboxes), np.diff(tg.offsets))
-        want = np.zeros(tg.nboxes, dtype=bool)
-        want[src[src == tg.targets]] = True
+    @given(tg=covered_graphs())
+    def test_self_loop_mask_matches_sources(self, chunk, tg):
+        """The cover's self-loops are the rows of the CSR, written
+        `chunk` edges at a time, that hold their own box."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
-            got = tg.self_loop_mask()
-        assert np.array_equal(got, want)
+            offsets, targets = tg._edges()
+        src = np.repeat(np.arange(tg.nboxes), np.diff(offsets))
+        want = np.zeros(tg.nboxes, dtype=bool)
+        want[src[src == targets]] = True
+        assert np.array_equal(tg.self_loop_mask(), want)
 
     @pytest.mark.parametrize("chunk", CHUNKS[:2])
     @settings(max_examples=100, deadline=None)
-    @given(case=csr_graphs())
-    def test_edge_chunks_list_the_sink_edges(self, chunk, case):
+    @given(tg=covered_graphs())
+    def test_edge_chunks_list_the_sink_edges(self, chunk, tg):
         """Each box's row, then its edge to the sink, node nboxes, if it
         escapes, and last the sink's self-loop, as `n_edges` and
         `out_degrees` count them, whether or not any box has a box edge."""
-        tg, edges = case
+        edges = cover_edges(tg)
         sink = tg.nboxes
         want = [(u, v) for b in range(sink)
                 for u, v in [e for e in edges if e[0] == b]
@@ -1061,43 +1145,6 @@ class TestEdgeLayout:
                    for pair in zip(src.tolist(), tgt.tolist())]
         assert got == want
         assert len(want) == tg.n_edges == int(tg.out_degrees().sum()) + 1
-
-
-def cover_graph(grid, ilo, ihi, empty):
-    """TransitionGraph holding the ranges of `cover_ranges` as a cover."""
-    shape = np.asarray(grid.shape)
-    start = (ilo % shape).T.astype(np.int16)
-    length = (ihi - ilo + 1).T.astype(np.int16)
-    length[:, empty] = 0
-    return TransitionGraph(grid, None, 0.0, empty.copy(), 0.0,
-                           cover=(start, length))
-
-
-def torus_cover_graph(name, params, depth):
-    grid = torus_grid(depth)
-    return build_graph(grid, make_map(name, **params), grid.box_diameter)
-
-
-@st.composite
-def covered_graphs(draw):
-    """Graphs with a cover: random ranges that wrap from any start (as in
-    `cover_ranges`), built graphs of dyadic `poly` maps in 1-3 D, periodic
-    and not (as in `escape_cases`), and cat and standard torus grids."""
-    kind = draw(st.sampled_from(["ranges", "poly", "torus"]))
-    if kind == "ranges":
-        return cover_graph(*draw(cover_ranges()))
-    if kind == "poly":
-        grid, m, eps = draw(escape_cases())
-        return build_graph(grid, m, eps)
-    return torus_cover_graph(*draw(st.sampled_from([
-        ("cat", {}, 3), ("standard", {"K": 0.97}, 4),
-        ("standard", {"K": 0.3}, 3)])))
-
-
-def csr_twin(tg):
-    """The same graph given by its CSR alone."""
-    return TransitionGraph(tg.grid, None, tg.eps, tg.escapes, 0.0,
-                           _csr=(tg.offsets, tg.targets))
 
 
 # boxes per block of the block-wise passes: one box, a block that does not
@@ -1148,10 +1195,12 @@ class TestCoverQueries:
     @settings(max_examples=150, deadline=None)
     @given(covered_graphs(), st.sampled_from(BOX_CHUNKS))
     def test_degrees_and_self_loops_match_the_csr(self, tg, chunk):
-        twin = csr_twin(tg)
-        assert tg.n_edges == twin.n_edges
-        assert np.array_equal(tg.out_degrees(), twin.out_degrees())
-        assert np.array_equal(tg.self_loop_mask(), twin.self_loop_mask())
+        degrees = np.diff(tg.offsets)
+        assert tg.n_edges == int(degrees.sum()) + tg.escaping_boxes() + 1
+        assert np.array_equal(tg.out_degrees(), degrees + tg.escapes)
+        src = np.repeat(np.arange(tg.nboxes), degrees)
+        assert np.array_equal(tg.self_loop_mask(),
+                              marks(tg.nboxes, src[src == tg.targets]))
         with box_chunks(chunk):
             in_degrees = chain_graph._cover_counts(tg)
         assert np.array_equal(in_degrees, np.bincount(tg.targets,
@@ -1160,7 +1209,7 @@ class TestCoverQueries:
     @settings(max_examples=100, deadline=None)
     @given(covered_graphs(), st.sampled_from(BOX_CHUNKS))
     def test_scc_labels_match_the_csr_pass(self, tg, chunk):
-        want = csr_twin(tg).scc_labels()
+        want = csr_scc(tg.offsets, tg.targets, tg.nboxes)
         fresh = dataclasses.replace(tg, _csr=None)
         with box_chunks(chunk):
             assert np.array_equal(fresh.scc_labels(), want)
@@ -1362,3 +1411,15 @@ class TestMemoryBounds:
         held = sum(a.nbytes for a in tg.cover) + tg.escapes.nbytes
         assert held == 9 * grid.nboxes
         assert peak < 32 * grid.nboxes
+
+    def test_recurrence_tail_peak_per_box(self):
+        """Cat at depth 9 (262,144 boxes) with its SCC labels cached: the
+        recurrent bits, the component sizes gathered as one bool per box
+        and the self-loops tested in the cover's int16, peak under 8
+        bytes per box (18 with int64 offsets and sizes)."""
+        grid = torus_grid(9)
+        tg = build_graph(grid, make_map("cat"), grid.box_diameter)
+        tg.scc_labels()
+        crset, peak = traced_peak(lambda: chain_recurrent_boxes(tg))
+        assert crset.bits.all()
+        assert peak < 8 * grid.nboxes

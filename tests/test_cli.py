@@ -920,9 +920,10 @@ class TestMoreSubcommands:
     def test_torus_recurrence_writes_no_edge(self, tmp_path, monkeypatch,
                                              sub, name, depth):
         """The bench's torus configs run without the CSR or its transpose,
-        and their reports and plots are those of a graph given by its CSR."""
-        import dataclasses
+        and their reports and plots are those of the SCC labels of `_scc`
+        driven along the CSR and its transpose."""
         from dynkit import chain_graph
+        from test_chain_graph import csr_scc
         cfg = {"map": {"name": name, **({"K": 0.97} if name == "standard"
                                         else {})},
                "grid": {"lower": [0, 0], "upper": [1, 1],
@@ -941,10 +942,8 @@ class TestMoreSubcommands:
             for fn in ("_materialize_edges", "_transpose"):
                 mp.setattr(chain_graph, fn, lambda *a, fn=fn: pytest.fail(fn))
             edge_free = run()
-        build = chain_graph.build_graph
-        monkeypatch.setattr(chain_graph, "build_graph", lambda *a, **k: (
-            lambda g: dataclasses.replace(g, cover=None, _csr=g._edges()))(
-                build(*a, **k)))
+        monkeypatch.setattr(chain_graph.TransitionGraph, "scc_labels",
+                            lambda g: csr_scc(g.offsets, g.targets, g.nboxes))
         assert run() == edge_free
 
     def test_cr_does_not_import_scipy_sparse(self, tmp_path):

@@ -125,11 +125,11 @@ def reference_blocks(g, candidates=None, extra_dilations=2, max_dilation=16,
 
 @st.composite
 def box_graphs(draw):
-    """Random box graph in the TransitionGraph layout on a 1-D or 2-D grid,
-    periodic or not, with eps > 0: every box steps part of the way towards
-    its nearest drawn centre, fattened by a drawn stencil, plus random
-    extra edges and random escaping boxes.  A box with a step off a
-    non-periodic window edge escapes."""
+    """Random cover on a 1-D or 2-D grid, periodic or not, with eps 0.1:
+    every box's rectangle is a drawn stencil around a step part of the way
+    towards its nearest drawn centre, or for a few boxes a random
+    rectangle, and random boxes escape.  A rectangle is clipped to a
+    non-periodic window, and its box then escapes."""
     dim = draw(st.integers(1, 2))
     depth = tuple(draw(st.integers(2, 6 if dim == 1 else 4)) for _ in range(dim))
     periodic = tuple(draw(st.booleans()) for _ in range(dim))
@@ -143,29 +143,17 @@ def box_graphs(draw):
     pull = draw(st.sampled_from([0.3, 0.6, 1.0]))
     step = multi + np.sign(diff) * np.ceil(pull * np.abs(diff)).astype(np.int64)
     spread = draw(st.integers(0, 1))
-    src, tgt = [], []
-    escapes = np.zeros(n, dtype=bool)
-    for off in itertools.product(range(-spread, spread + 1), repeat=dim):
-        t = step + np.asarray(off)
-        outside = np.zeros(n, dtype=bool)
-        for ax in range(dim):
-            if periodic[ax]:
-                t[:, ax] %= shape[ax]
-            else:
-                outside |= (t[:, ax] < 0) | (t[:, ax] >= shape[ax])
-        ids = np.ravel_multi_index(tuple(np.clip(t, 0, shape - 1).T), grid.shape)
-        src.append(np.flatnonzero(~outside))
-        tgt.append(ids[~outside])
-        escapes |= outside
-    noisy = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.03, 0.1])))
-    src.append(noisy)
-    tgt.append(rng.integers(0, n, noisy.size))
-    escapes |= rng.random(n) < draw(st.sampled_from([0.0, 0.02, 0.1]))
-    keys = np.unique(np.concatenate(src) * n + np.concatenate(tgt))
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=offsets[1:])
-    return TransitionGraph(grid, None, 0.1, escapes, 0.0,
-                           _csr=(offsets, keys % n))
+    lo, hi = step - spread, step + spread
+    noisy = rng.random(n) < draw(st.sampled_from([0.0, 0.03, 0.1]))
+    lo[noisy] = rng.integers(0, shape, (int(noisy.sum()), dim))
+    hi[noisy] = lo[noisy] + rng.integers(0, shape, (int(noisy.sum()), dim))
+    escapes = rng.random(n) < draw(st.sampled_from([0.0, 0.02, 0.1]))
+    for ax in range(dim):
+        if not periodic[ax]:
+            escapes |= (lo[:, ax] < 0) | (hi[:, ax] >= shape[ax])
+            lo[:, ax] = np.maximum(lo[:, ax], 0)
+            hi[:, ax] = np.minimum(hi[:, ax], shape[ax] - 1)
+    return cover_graph(grid, (lo % shape).T, (hi - lo + 1).T, escapes)
 
 
 def bench_cubic_graph(dim, depth, eps):
@@ -223,28 +211,25 @@ class TestBlocksMatchReference:
         assert same_blocks(got, found)
 
 
-def csr_graph(grid, edges, escaping=(), eps=0.1):
-    """TransitionGraph on `grid` from (source, target) box pairs, with the
-    boxes in `escaping` flagged as escaping."""
-    n = grid.nboxes
-    keys = np.unique([s * n + t for s, t in edges])
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=offsets[1:])
-    escapes = np.zeros(n, dtype=bool)
-    escapes[list(escaping)] = True
-    return TransitionGraph(grid, None, eps, escapes, 0.0,
-                           _csr=(offsets, (keys % n).astype(np.int32)))
+def cover_graph(grid, start, length, escapes, eps=0.1):
+    """TransitionGraph on `grid` with the cover (start, length), integer
+    arrays of shape (dim, nboxes), and the escape flags `escapes`."""
+    return TransitionGraph(grid, None, eps, np.asarray(escapes, dtype=bool),
+                           0.0, cover=(np.asarray(start, dtype=np.int16),
+                                       np.asarray(length, dtype=np.int16)))
 
 
-def towards(grid, centres):
-    """Edges of a 1-D grid where each box steps one box towards its nearest
-    centre and every centre loops to itself."""
+def towards(grid, centres, escaping=()):
+    """TransitionGraph on a 1-D grid where each box steps one box towards
+    its nearest centre, a range one box long, and every centre loops to
+    itself; the boxes in `escaping` escape."""
     c = np.asarray(centres)
-    edges = []
-    for b in range(grid.nboxes):
-        near = int(c[np.argmin(np.abs(c - b))])
-        edges.append((b, b + int(np.sign(near - b))))
-    return edges
+    b = np.arange(grid.nboxes)
+    near = c[np.argmin(np.abs(c[None] - b[:, None]), axis=1)]
+    escapes = np.zeros(grid.nboxes, dtype=bool)
+    escapes[list(escaping)] = True
+    return cover_graph(grid, (b + np.sign(near - b))[None],
+                       np.ones((1, grid.nboxes)), escapes)
 
 
 def count_closures(monkeypatch):
@@ -305,7 +290,7 @@ class TestWordBatches:
         # subset is a down-set, 255 families in 4 word batches
         grid = Grid(Domain((0.0,), (1.0,), (False,)), (6,))
         centres = range(4, 64, 8)
-        tg = csr_graph(grid, towards(grid, centres))
+        tg = towards(grid, centres)
         assert len(nontrivial_scc_sets(tg)) == 8
         batches = []
         real = conley._grow_families
@@ -323,7 +308,7 @@ class TestWordBatches:
         # one attractor at box 5 of 16; box 15, the last box its dilation
         # reaches, also escapes
         grid = Grid(Domain((0.0,), (1.0,), (False,)), (4,))
-        tg = csr_graph(grid, towards(grid, [5]), escaping=[15])
+        tg = towards(grid, [5], escaping=[15])
         assert tg.set_escapes(BoxSet.full(grid))
         tg.scc_labels()
         closures = count_closures(monkeypatch)
@@ -344,7 +329,7 @@ class TestWordBatches:
             tg = build_graph(grid, make_map("cat"), grid.box_diameter)
         else:
             grid = Grid(Domain((0.0,), (1.0,), (False,)), (6,))
-            tg = csr_graph(grid, towards(grid, [20]))
+            tg = towards(grid, [20])
         sccs = nontrivial_scc_sets(tg)
         assert len(sccs) == 1
         scc_of = np.full(tg.nboxes, 1, dtype=np.int64)

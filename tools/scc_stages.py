@@ -2,11 +2,14 @@
 
 For each case this builds the eps = 1 box diameter graph and times, each
 as the best of `--reps` runs in plain seconds: `build_graph` (the cover
-ranges), the in-degrees read from them, the pivot's forward search and
-its backward search restricted to the forward set, the CSR written from
-the ranges on demand, and the Tarjan pass over the boxes outside the
-pivot's component (none on a chain-transitive torus graph, so that pass
-is skipped there).  It also reports the peak allocation of
+ranges) and the CSR written from the ranges on demand.  Each rep also
+runs `chain_recurrent_boxes` once on a fresh copy of the graph, with
+timers on the stages of its SCC pass: the in-degrees read from the
+ranges (`_cover_counts` over every box), the pivot's forward search and
+its backward search restricted to the forward set (`_cover_search`),
+and the Tarjan pass over the boxes outside the pivot's component
+(`_tarjan`, which a chain-transitive torus graph never calls), with the
+roots passed to it.  It also reports the peak allocation of
 `build_graph` and of `chain_recurrent_boxes` on a fresh graph
 (tracemalloc, which sees numpy buffers), and sha256 digests of the SCC
 labels, of the CSR and of the cover (start, length and escapes, widened
@@ -75,6 +78,56 @@ def _peak_mb(fn) -> tuple[float, object]:
     return peak / 2 ** 20, out
 
 
+STAGES = ("in_degrees_s", "forward_s", "backward_s", "tarjan_s")
+
+
+def _timed_pass(g, reps: int) -> tuple[dict, int]:
+    """(best seconds per stage, roots passed to `_tarjan`) of `reps` runs
+    of `chain_recurrent_boxes`, each on a fresh copy of g, with timers
+    wrapped around the stage functions of `chain_graph`."""
+    real = {fn: getattr(cg, fn)
+            for fn in ("_cover_counts", "_cover_search", "_tarjan")}
+    best = dict.fromkeys(STAGES, float("inf"))
+    for _ in range(reps):
+        spent = dict.fromkeys(STAGES, 0.0)
+        roots = 0
+
+        def clock(stage, fn, *args, **kwargs):
+            t0 = time.perf_counter()
+            out = fn(*args, **kwargs)
+            spent[stage] += time.perf_counter() - t0
+            return out
+
+        def counts(g, boxes=None):
+            # a call over every box is the in-degree pass; the forward
+            # search's own calls are timed with the search
+            if boxes is not None:
+                return real["_cover_counts"](g, boxes)
+            return clock("in_degrees_s", real["_cover_counts"], g)
+
+        def search(*args, backward=False, **kwargs):
+            return clock("backward_s" if backward else "forward_s",
+                         real["_cover_search"], *args, backward=backward,
+                         **kwargs)
+
+        def tarjan(off, tgt, roots_in, *rest):
+            nonlocal roots
+            roots += len(roots_in)
+            return clock("tarjan_s", real["_tarjan"], off, tgt, roots_in,
+                         *rest)
+
+        try:
+            cg._cover_counts, cg._cover_search, cg._tarjan = \
+                counts, search, tarjan
+            cg.chain_recurrent_boxes(dataclasses.replace(
+                g, _csr=None, _labels=None, _self_loops=None))
+        finally:
+            for fn, f in real.items():
+                setattr(cg, fn, f)
+        best = {k: min(best[k], spent[k]) for k in STAGES}
+    return best, roots
+
+
 def run_case(name: str, reps: int) -> dict:
     map_name, params, depth = CASES[name]
     grid = Grid(Domain((0.0, 0.0), (1.0, 1.0), (True, True)), (depth, depth))
@@ -84,40 +137,19 @@ def run_case(name: str, reps: int) -> dict:
     del g
     build_peak_mb, g = _peak_mb(
         lambda: cg.build_graph(grid, m, grid.box_diameter))
-    n = g.nboxes
-    degrees = g._box_degrees()
-    in_s, in_degrees = _best(lambda: cg._cover_counts(g), reps)
-    pivot = np.zeros(n, dtype=bool)
-    pivot[np.argmax(degrees * in_degrees)] = True
-    cap = cg._fb_max_layers(int(degrees.sum()), n)
-    forward_s, fwd = _best(
-        lambda: cg._cover_search(g, pivot, max_layers=cap), reps)
-    backward_s, back = _best(
-        lambda: cg._cover_search(g, pivot, seen=~fwd, max_layers=cap,
-                                 backward=True), reps)
-    core = back & fwd
+    stages, roots = _timed_pass(g, reps)
     csr_s, (off, tgt) = _best(
         lambda: dataclasses.replace(g, _csr=None)._edges(), reps)
-    roots = np.flatnonzero(~core).tolist()
-
-    def remainder():
-        labels = np.full(n, -1, dtype=np.int64)
-        return cg._tarjan(off, tgt, roots, np.where(core, 0, -1).tolist(),
-                          labels, 1) if roots else 1
-
-    tarjan_s, _ = _best(remainder, reps)
     csr_sha = _digest(off, tgt)
     del off, tgt
     fresh = dataclasses.replace(g, _csr=None, _labels=None, _self_loops=None)
     peak_mb, _ = _peak_mb(lambda: cg.chain_recurrent_boxes(fresh))
     start, length = g.cover
-    return {"case": name, "nboxes": n, "edges": g.n_edges,
+    return {"case": name, "nboxes": g.nboxes, "edges": g.n_edges,
             "build_s": round(build_s, 4),
             "build_peak_mb": round(build_peak_mb, 1),
-            "in_degrees_s": round(in_s, 4),
-            "forward_s": round(forward_s, 4),
-            "backward_s": round(backward_s, 4), "csr_s": round(csr_s, 4),
-            "tarjan_s": round(tarjan_s, 4), "tarjan_roots": len(roots),
+            **{k: round(v, 4) for k, v in stages.items()},
+            "csr_s": round(csr_s, 4), "tarjan_roots": roots,
             "cr_peak_mb": round(peak_mb, 1),
             "csr_written": fresh._csr is not None,
             "labels_sha": _digest(fresh.scc_labels()),
