@@ -43,8 +43,8 @@ __all__ = [
     "TransitionGraph", "ChainComponent", "EpsChain",
     "ConstantEps", "RadialEps",
     "build_graph", "chain_recurrent_boxes", "chain_components",
-    "is_chain_transitive", "nonwandering_probe", "strong_chain_search",
-    "fixed_point_chain",
+    "component_index", "is_chain_transitive", "nonwandering_probe",
+    "strong_chain_search", "fixed_point_chain",
     "NonwanderingResult", "MAX_NBOXES",
 ]
 
@@ -243,10 +243,10 @@ class TransitionGraph:
 
 @dataclass
 class ChainComponent:
-    """One chain component at fixed resolution: a nontrivial SCC."""
+    """A chain component (a nontrivial SCC): its BoxIds, ascending."""
 
     id: int
-    boxes: BoxSet
+    members: np.ndarray
 
 
 @dataclass
@@ -358,8 +358,9 @@ def _cover_ranges(grid: Grid, lo_f: np.ndarray, hi_f: np.ndarray):
     empty = np.zeros(n, dtype=bool)
     # per axis: numpy broadcasts a row of per-axis constants slowly
     for ax, (lower, size) in enumerate(zip(grid.domain.lower, grid.shape)):
-        lo = np.floor((lo_f[:, ax] - lower) / grid.h[ax])
-        hi = np.ceil((hi_f[:, ax] - lower) / grid.h[ax]) - 1
+        with np.errstate(over="ignore"):  # inf is clamped or reduced below
+            lo = np.floor((lo_f[:, ax] - lower) / grid.h[ax])
+            hi = np.ceil((hi_f[:, ax] - lower) / grid.h[ax]) - 1
         hi = np.maximum(hi, lo)  # the top face is open
         if grid.domain.periodic[ax]:
             full = hi - lo >= size - 1
@@ -502,14 +503,17 @@ def build_graph(grid: Grid, map_spec: MapSpec, eps: float,
     length = np.empty_like(start)
     escapes = np.empty(n, dtype=bool)
     lip_used = 0.0
+    # torus images lie in [0, 1): only a periodic window off [0, w >= 1) wraps
+    rewrap = map_spec.periods is not None and any(
+        p and (lo != 0.0 or w < 1.0) for p, lo, w in zip(
+            grid.domain.periodic, grid.domain.lower, grid.domain.widths))
     for b0 in range(0, n, _CHUNK_BOXES):
         b1 = min(b0 + _CHUNK_BOXES, n)
         centers = grid.centers(b0, b1)
         spread, lip = _box_spreads(grid, map_spec, centers)
         lip_used = max(lip_used, lip)
         images = evaluate(map_spec, centers)
-        if map_spec.periods is not None:
-            # keep images in the grid window's coordinates
+        if rewrap:
             images = grid.domain.wrap(images)
         if eps_fn is not None:
             spread += np.asarray(eps_fn.min_over_rects(
@@ -846,24 +850,18 @@ def _recurrent_bits(g: TransitionGraph) -> np.ndarray:
     return (np.bincount(labels) > 1)[labels] | g.self_loop_mask()
 
 
-def nontrivial_scc_sets(g: TransitionGraph) -> list[BoxSet]:
-    """Box sets of the nontrivial SCCs (size > 1, or a self-looped box),
-    ordered by smallest member BoxId."""
+def component_index(g: TransitionGraph) -> tuple[np.ndarray, int]:
+    """(index, m): per box the int32 number 0..m-1 of its nontrivial SCC
+    (size > 1, or self-looped), by smallest member; m for the other boxes."""
+    labels = g.scc_labels()
     members = np.flatnonzero(_recurrent_bits(g))
-    if members.size == 0:
-        return []
-    labels = g.scc_labels()[members]
-    # a stable sort keeps each component's members ascending
-    order = np.argsort(labels, kind="stable")
-    members, labels = members[order], labels[order]
-    groups = np.split(members, np.flatnonzero(np.diff(labels)) + 1)
-    groups.sort(key=lambda m: int(m[0]))
-    sets = []
-    for m in groups:
-        bits = np.zeros(g.nboxes, dtype=bool)
-        bits[m] = True
-        sets.append(BoxSet(g.grid, bits))
-    return sets
+    first = np.full(g.nboxes, g.nboxes, dtype=members.dtype)
+    np.minimum.at(first, labels[members], members)
+    # the nontrivial SCCs' labels, in the order of their smallest members
+    heads = labels[np.sort(first[first < g.nboxes])]
+    number = np.full(g.nboxes, heads.size, dtype=np.int32)
+    number[heads] = np.arange(heads.size, dtype=np.int32)
+    return number[labels], heads.size
 
 
 def chain_recurrent_boxes(g: TransitionGraph) -> BoxSet:
@@ -873,8 +871,11 @@ def chain_recurrent_boxes(g: TransitionGraph) -> BoxSet:
 
 def chain_components(g: TransitionGraph) -> list[ChainComponent]:
     """SCC partition of the chain recurrent boxes, ordered by smallest member."""
-    return [ChainComponent(i, boxes)
-            for i, boxes in enumerate(nontrivial_scc_sets(g))]
+    index, m = component_index(g)
+    # stable: each piece ascending; the last holds the boxes of no component
+    order = np.argsort(index, kind="stable")
+    runs = np.split(order, np.cumsum(np.bincount(index, minlength=m + 1)[:m]))
+    return [ChainComponent(i, members) for i, members in enumerate(runs[:m])]
 
 
 def is_chain_transitive(g: TransitionGraph) -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from ._util import fill_rows, write_csv
-from .phase_space import BoxSet, Domain, Grid
+from .phase_space import BoxSet, Domain, Grid, rle
 from .system import MapSpec, make_map, polynomial_map, volume_check
 from . import chain_graph as cg
 from . import conley
@@ -198,7 +198,10 @@ def _read(d, table: dict, where: str, dim=None, grid=None) -> dict:
 def read_experiment(name: str, exp, dim: int, grid: Grid | None) -> dict:
     """The experiment keys subcommand `name` reads, checked and with
     defaults filled in; any other key is a config error."""
-    return _read(exp, _EXPERIMENT[name], "experiment", dim, grid)
+    exp = _read(exp, _EXPERIMENT[name], "experiment", dim, grid)
+    if exp.get("include_sink") and exp["candidate_rle"] is None:
+        raise ConfigError("include_sink needs a candidate_rle to test")
+    return exp
 
 
 def load_config(path: str) -> dict:
@@ -422,8 +425,8 @@ def run_components(cfg, exp, out_dir, tg):
     results = {
         "graph": _graph_stats(tg),
         "n_components": len(comps),
-        "components": [{"id": c.id, "size": len(c.boxes),
-                        "boxes": c.boxes} for c in comps],
+        "components": [{"id": c.id, "size": len(c.members), "boxes": {
+            "rle": rle(c.members), "count": len(c.members)}} for c in comps],
         "chain_transitive": cg.is_chain_transitive(tg),
     }
     return results, [], 0
@@ -433,8 +436,8 @@ def run_attractors(cfg, exp, out_dir, tg):
     grid = tg.grid
     include_sink = exp["include_sink"]
     candidates = None if exp["candidate_rle"] is None else [exp["candidate_rle"]]
-    blocks = conley.find_attractor_blocks(tg, candidates=candidates) \
-        if not include_sink else (candidates or [])
+    blocks = candidates if include_sink else \
+        conley.find_attractor_blocks(tg, candidates=candidates)
     try:
         records = conley.build_attractor_records(
             tg, tg.map_spec, blocks, rng_seed=cfg["rng_seed"],

@@ -21,7 +21,7 @@ from ._util import vector_norms
 from .phase_space import BoxSet, _morph
 from .system import MapSpec, iterates
 from .chain_graph import (TransitionGraph, _unpack_planes,
-                          chain_recurrent_boxes, nontrivial_scc_sets)
+                          chain_recurrent_boxes, component_index)
 
 __all__ = [
     "NotABlockError", "AttractorFlags", "AttractorRecord", "ConleyReport",
@@ -212,8 +212,7 @@ def find_attractor_blocks(g: TransitionGraph, candidates=None) -> list[BoxSet]:
     """
     if g.eps <= 0:
         raise ValueError("attractor blocks need a graph built with eps > 0")
-    sccs = nontrivial_scc_sets(g)
-    m = len(sccs)
+    scc_of, m = component_index(g)  # m on the boxes of no nontrivial SCC
     blocks: list[BoxSet] = []
     seen: set[bytes] = set()
 
@@ -223,10 +222,6 @@ def find_attractor_blocks(g: TransitionGraph, candidates=None) -> list[BoxSet]:
             seen.add(key)
             blocks.append(U)
 
-    # scc_of[box]: index of its nontrivial SCC, m elsewhere
-    scc_of = np.full(g.nboxes, m, dtype=np.int64)
-    for i, s in enumerate(sccs):
-        scc_of[s.bits] = i
     families = _downset_families(_scc_reach(g, scc_of, m))
     for a in range(0, len(families), 64):
         batch = families[a:a + 64]

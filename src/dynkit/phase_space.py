@@ -207,6 +207,13 @@ def _morph(a: np.ndarray, periodic: tuple, layers: int, op) -> np.ndarray:
     return a
 
 
+def rle(idx: np.ndarray) -> list:
+    """Run-length encoding [[start, length], ...] of ascending indices."""
+    starts = np.flatnonzero(np.diff(idx, prepend=-2) > 1)
+    return np.column_stack((idx[starts], np.diff(starts, append=idx.size))
+                           ).tolist()
+
+
 class BoxSet:
     """Dense bit vector over the boxes of one grid.
 
@@ -364,11 +371,5 @@ class BoxSet:
         return np.asarray(self.grid.domain.lower) + (multi + u) * self.grid.h
 
     def rle(self) -> list:
-        """Run-length encoding [[start, length], ...] of the sorted indices."""
-        idx = self.indices()
-        if idx.size == 0:
-            return []
-        breaks = np.nonzero(np.diff(idx) > 1)[0]
-        starts = np.concatenate([[0], breaks + 1])
-        ends = np.concatenate([breaks, [idx.size - 1]])
-        return [[int(idx[s]), int(idx[e] - idx[s] + 1)] for s, e in zip(starts, ends)]
+        """Run-length encoding [[start, length], ...] of the members."""
+        return rle(self.indices())

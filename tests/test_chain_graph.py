@@ -9,13 +9,13 @@ import tracemalloc
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynkit import chain_graph
 from dynkit.chain_graph import (
     ConstantEps, RadialEps, TransitionGraph, _bfs_path, _cover_search,
     _edge_expand, _search, build_graph, chain_components,
-    chain_recurrent_boxes, is_chain_transitive,
+    chain_recurrent_boxes, component_index, is_chain_transitive,
     nonwandering_probe, strong_chain_search,
 )
 from dynkit.phase_space import MAX_DEPTH, BoxSet, Domain, Grid
@@ -227,7 +227,7 @@ class TestChainRecurrence:
         origin_boxes = {g.box_of_point(np.array([sx * 1e-9, sy * 1e-9]))
                         for sx in (-1, 1) for sy in (-1, 1)}
         assert oracle == origin_boxes
-        assert {int(c.boxes.indices()[0]) for c in comps} == origin_boxes
+        assert {int(c.members[0]) for c in comps} == origin_boxes
 
     def test_standard_chain_transitive(self):
         g = torus_grid(6)
@@ -250,9 +250,10 @@ class TestChainRecurrence:
         union = BoxSet.empty(g)
         total = 0
         for c in comps:
-            assert not (union & c.boxes)  # disjoint
-            union = union | c.boxes
-            total += len(c.boxes)
+            boxes = BoxSet.from_indices(g, c.members)
+            assert not (union & boxes)  # disjoint
+            union = union | boxes
+            total += len(c.members)
         assert union == crset and total == len(crset)
 
     def test_refinement_coarsening_containment(self):
@@ -506,6 +507,9 @@ class TestSccOracle:
 
     @settings(max_examples=100, deadline=None)
     @given(covered_graphs())
+    # a translation: no nontrivial SCC, m = 0
+    @example(build_graph(Grid(Domain((0.0, -4.0), (8.0, 4.0), (False, False)),
+                              (4, 4)), make_map("translation"), 0.1))
     def test_partition_and_nontrivial_set_match_networkx(self, tg):
         edges = cover_edges(tg)
         G = digraph(tg.nboxes, edges)
@@ -522,9 +526,19 @@ class TestSccOracle:
                     if len(c) > 1 or G.has_edge(next(iter(c)), next(iter(c)))]
         cr = chain_recurrent_boxes(tg)
         assert set(cr.indices().tolist()) == set().union(*expected)
+        # members ascending, components and their numbers in the order
+        # of their smallest members
+        expected.sort(key=min)
         comps = chain_components(tg)
-        assert [set(c.boxes.indices().tolist()) for c in comps] == \
-            sorted(expected, key=min)
+        assert [c.members.tolist() for c in comps] == \
+            [sorted(c) for c in expected]
+        assert [c.id for c in comps] == list(range(len(expected)))
+        index, m = component_index(tg)
+        want = np.full(tg.nboxes, len(expected))
+        for i, c in enumerate(expected):
+            want[list(c)] = i
+        assert index.dtype == np.int32 and m == len(expected)
+        assert np.array_equal(index, want)
         assert is_chain_transitive(tg) == nx.is_strongly_connected(G)
 
     @pytest.mark.parametrize("backward", [False, True])
@@ -1243,8 +1257,9 @@ class TestCoverQueries:
 def build_cases(draw, bits):
     """(grid, map, eps, eps_fn) for `build_graph`: the grid, `poly` map
     and eps of `escape_cases` with at most 2^bits boxes, or a 2-D grid of
-    as many, some axes periodic, with the cat or the standard map; no
-    threshold function, or a `RadialEps`."""
+    as many on a unit window at the origin or shifted off it, some axes
+    periodic, with the cat or the standard map; no threshold function, or
+    a `RadialEps`."""
     kind = draw(st.sampled_from(["poly", "cat", "standard"]))
     if kind == "poly":
         grid, m, eps = draw(escape_cases(bits))
@@ -1252,8 +1267,10 @@ def build_cases(draw, bits):
         depths = draw(st.lists(st.integers(0, bits // 2), min_size=2,
                                max_size=2))
         periodic = draw(st.lists(st.booleans(), min_size=2, max_size=2))
-        grid = Grid(Domain((0.0, 0.0), (1.0, 1.0), tuple(periodic)),
-                    tuple(depths))
+        lower = draw(st.lists(st.sampled_from([0.0, 0.5, -0.25]),
+                              min_size=2, max_size=2))
+        grid = Grid(Domain(tuple(lower), tuple(x + 1.0 for x in lower),
+                           tuple(periodic)), tuple(depths))
         m = make_map("cat") if kind == "cat" else make_map(
             "standard", K=draw(st.sampled_from([0.3, 0.97, 1.5])))
         eps = draw(st.sampled_from([0.0, 2.0 ** -6, grid.box_diameter]))
@@ -1423,3 +1440,16 @@ class TestMemoryBounds:
         crset, peak = traced_peak(lambda: chain_recurrent_boxes(tg))
         assert crset.bits.all()
         assert peak < 8 * grid.nboxes
+
+    def test_components_peak_per_box(self):
+        """Shear at eps 0 and depth 9 (262,144 boxes, 1,024 components)
+        with its SCC labels and self-loops cached: the components, one
+        int32 number per box grouped by one argsort, peak under 64 bytes
+        per box (1 KB per box with one bool mask per component)."""
+        grid = Grid(Domain((-1.0, -1.0), (1.0, 1.0), (False, False)), (9, 9))
+        tg = build_graph(grid, make_map("shear"), 0.0)
+        tg.scc_labels()
+        tg.self_loop_mask()
+        comps, peak = traced_peak(lambda: chain_components(tg))
+        assert len(comps) == 1024
+        assert peak <= 64 * grid.nboxes

@@ -174,6 +174,26 @@ class TestConfigValidation:
         assert res.exit_code == 2
         assert "config error" in res.output and "candidate_rle" in res.output
 
+    def test_include_sink_without_candidate_exits_2(self, tmp_path,
+                                                    monkeypatch):
+        # with the sink included no block is searched for, so without a
+        # candidate the run tested nothing and reported n_blocks 0
+        from dynkit import chain_graph
+        built = []
+        monkeypatch.setattr(chain_graph, "build_graph",
+                            lambda *a, **k: built.append(1))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "map": {"name": "contraction", "c": 0.5, "dim": 1},
+            "grid": {"lower": [-1.0], "upper": [1.0], "depth": [6]},
+            "eps": 0.05, "experiment": {"include_sink": True},
+            "out": str(tmp_path / "out")}))
+        res = run_cli(["attractors", "--config", str(path)])
+        assert res.exit_code == 2 and not built
+        assert "config error" in res.output
+        assert "include_sink" in res.output and "candidate_rle" in res.output
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("experiment", [
         {"candidate_rle": [[1]]}, {"candidate_rle": "x"},
         {"candidate_rle": [[-3, 2]]}, {"candidate_rle": [[60, 10]]},
@@ -1318,6 +1338,24 @@ class TestOverflowingConfigs:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mp, grid", [
+        ({"name": "cat"}, {"lower": [0, 0], "upper": [1, 1],
+                           "periodic": [True, True], "depth": [3, 3]}),
+        ({"name": "contraction", "c": 0.5, "dim": 2},
+         {"lower": [-1, -1], "upper": [1, 1], "depth": [3, 3]})])
+    def test_cr_at_huge_eps_raises_no_warning(self, tmp_path, mp, grid):
+        # the box indices of a rectangle 1e308 wide overflow to infinity
+        # and are clamped or reduced to the whole window
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"map": mp, "grid": grid, "eps": 1e308,
+                                    "out": str(tmp_path / "out")}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_subcommand("cr", str(path), None, None) == 0
+        results = json.loads(
+            (tmp_path / "out" / "report.json").read_text())["results"]
+        assert results["chain_recurrent_fraction"] == 1.0
+        assert results["graph"]["out_degree_min"] >= 64
 
     @pytest.mark.parametrize("K", [1e20, 1e300])
     def test_splice_off_the_coordinates_precision_is_a_config_error(

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynkit import chain_graph, conley
 from dynkit.chain_graph import (TransitionGraph, build_graph,
-                                chain_recurrent_boxes, nontrivial_scc_sets)
+                                chain_recurrent_boxes, component_index)
 from dynkit.conley import (
     NotABlockError, _is_block, absorbed_basin, attractor_from_block,
     attractor_invariance_check, basin, build_attractor_records,
@@ -62,8 +62,8 @@ def reference_blocks(g, candidates=None, extra_dilations=2, max_dilation=16,
         bits = g.closure(seed.bits)
         return BoxSet(g.grid, bits), bool(np.any(bits & g.escapes))
 
-    sccs = nontrivial_scc_sets(g)
-    m = len(sccs)
+    index, m = component_index(g)
+    sccs = [BoxSet(g.grid, index == i) for i in range(m)]
     blocks = []
     seen = set()
 
@@ -291,7 +291,7 @@ class TestWordBatches:
         grid = Grid(Domain((0.0,), (1.0,), (False,)), (6,))
         centres = range(4, 64, 8)
         tg = towards(grid, centres)
-        assert len(nontrivial_scc_sets(tg)) == 8
+        assert component_index(tg)[1] == 8
         batches = []
         real = conley._grow_families
         monkeypatch.setattr(conley, "_grow_families",
@@ -330,10 +330,8 @@ class TestWordBatches:
         else:
             grid = Grid(Domain((0.0,), (1.0,), (False,)), (6,))
             tg = towards(grid, [20])
-        sccs = nontrivial_scc_sets(tg)
-        assert len(sccs) == 1
-        scc_of = np.full(tg.nboxes, 1, dtype=np.int64)
-        scc_of[sccs[0].bits] = 0
+        scc_of, m = component_index(tg)
+        assert m == 1
         closures = count_closures(monkeypatch)
         assert conley._scc_reach(tg, scc_of, 1).tolist() == [[True]]
         assert not closures
@@ -351,7 +349,7 @@ class TestWordBatches:
             lambda expand, seeds, *a, **k: kinds.append(seeds.dtype)
             or real(expand, seeds, *a, **k))
         got = find_attractor_blocks(tg)
-        assert len(nontrivial_scc_sets(tg)) > 1 and got
+        assert component_index(tg)[1] > 1 and got
         assert kinds and all(kind == np.uint64 for kind in kinds)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynkit.phase_space import BoxSet, Domain, Grid, GridMismatchError
+from dynkit.phase_space import BoxSet, Domain, Grid, GridMismatchError, rle
 
 
 def unit_square(periodic=False, depth=(1, 1)):
@@ -154,6 +154,20 @@ class TestMorphologyAndSerialization:
         a = BoxSet.from_indices(g, rng.integers(0, 64, 30))
         assert BoxSet.from_rle(g, a.rle()) == a
         assert BoxSet.from_rle(g, np.asarray(a.rle())) == a
+
+    def test_rle_lists_the_maximal_runs(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            idx = np.flatnonzero(rng.random(rng.integers(0, 40)) < rng.random())
+            runs = []
+            for i in idx.tolist():
+                if runs and runs[-1][0] + runs[-1][1] == i:
+                    runs[-1][1] += 1
+                else:
+                    runs.append([i, 1])
+            got = rle(idx)
+            assert got == runs
+            assert all(type(v) is int for run in got for v in run)
 
     @pytest.mark.parametrize("runs", [[[1]], "x", [[-3, 2]], [[60, 10]],
                                       [[10, -2]], [[1.0, 2]], [[True, 2]]])

@@ -22,7 +22,8 @@ runs on the standard map at K = 0.97 (period 3), 1.5 and 2.0, two
 maps, `graph` runs with an edge dump on windows that boxes escape (no
 bench graph has an escaping box), and off the torus: `strong-cr` with a
 radial and a constant threshold, `escape`, `attractors` with its basins
-and SVG, `conley-verify` with escaping boxes, `components` and `volume`.
+and SVG, `conley-verify` with escaping boxes, `components` (one run with 128
+components) and `volume`.
 """
 
 from __future__ import annotations
@@ -164,6 +165,9 @@ RUNS = [
     ("cubic2-components", "components", _CUBIC_2D,
      {"lower": [-2.0, -2.0], "upper": [2.0, 2.0], "depth": [5, 5]}, None,
      {"eps": 0.03125}),
+    ("shear-components", "components", {"name": "shear"},
+     {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "depth": [6, 6]}, None,
+     {"eps": 0.0}),
     ("shear-volume", "volume", {"name": "shear"},
      {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "depth": [3, 3]},
      {"samples": 200}, {}),
