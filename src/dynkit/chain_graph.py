@@ -99,8 +99,8 @@ class TransitionGraph:
     and `reverse()`; the backward closures and `entered_planes` read the
     transpose.  The `graph` report's counts and its edge dump list the
     sink as node nboxes: one edge per escaping box, then the sink's
-    self-loop.  The SCC labels, the self-loop mask, the CSR and its
-    transpose are cached, so all recurrence queries share one SCC pass.
+    self-loop.  The CSR, its transpose and the record of `component_index`
+    are cached, so all recurrence queries share one SCC pass.
     """
 
     grid: Grid
@@ -111,8 +111,7 @@ class TransitionGraph:
     cover: tuple = field(repr=False)
     _csr: Optional[tuple] = field(default=None, repr=False)
     _reverse: Optional[tuple] = field(default=None, repr=False)
-    _self_loops: Optional[np.ndarray] = field(default=None, repr=False)
-    _labels: Optional[np.ndarray] = field(default=None, repr=False)
+    _components: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def nboxes(self) -> int:
@@ -167,26 +166,18 @@ class TransitionGraph:
             yield np.insert(src, at, b0 + esc), np.insert(tgt, at, sink)
         yield np.array([sink]), np.array([sink])
 
-    def self_loop_mask(self) -> np.ndarray:
-        """Boolean per box: the box is its own out-neighbor."""
-        if self._self_loops is None:
-            self._self_loops = _cover_self_loops(self.grid, *self.cover)
-        return self._self_loops
-
     def scc_labels(self) -> np.ndarray:
-        """SCC label of every box, cached: `_scc` with the pivot's
+        """SCC label of every box: `_scc` with the pivot's
         forward-backward step searching the cover ranges."""
-        if self._labels is None:
-            degrees = self._box_degrees()
-            n_edges = int(degrees.sum())
-            # score out-degree x in-degree; the searches run with the
-            # per-box scores freed
-            degrees *= _cover_counts(self)
-            pivot = int(np.argmax(degrees))
-            del degrees
-            self._labels = _scc(self.nboxes, n_edges, pivot,
-                                partial(_cover_search, self), self._edges)
-        return self._labels
+        degrees = self._box_degrees()
+        n_edges = int(degrees.sum())
+        # score out-degree x in-degree; the searches run with the per-box
+        # scores freed
+        degrees *= _cover_counts(self)
+        pivot = int(np.argmax(degrees))
+        del degrees
+        return _scc(self.nboxes, n_edges, pivot,
+                    partial(_cover_search, self), self._edges)
 
     def image_boxes(self, boxset: BoxSet) -> BoxSet:
         """One application of the multivalued box map (escapes dropped)."""
@@ -844,44 +835,52 @@ def _tarjan(off: np.ndarray, tgt: np.ndarray, roots, index: list,
     return n_comp
 
 
-def _recurrent_bits(g: TransitionGraph) -> np.ndarray:
-    """Boxes in a nontrivial SCC: size > 1, or a self-looped box."""
-    labels = g.scc_labels()
-    return (np.bincount(labels) > 1)[labels] | g.self_loop_mask()
-
-
 def component_index(g: TransitionGraph) -> tuple[np.ndarray, int]:
-    """(index, m): per box the int32 number 0..m-1 of its nontrivial SCC
-    (size > 1, or self-looped), by smallest member; m for the other boxes."""
-    labels = g.scc_labels()
-    members = np.flatnonzero(_recurrent_bits(g))
-    first = np.full(g.nboxes, g.nboxes, dtype=members.dtype)
-    np.minimum.at(first, labels[members], members)
-    # the nontrivial SCCs' labels, in the order of their smallest members
-    heads = labels[np.sort(first[first < g.nboxes])]
-    number = np.full(g.nboxes, heads.size, dtype=np.int32)
-    number[heads] = np.arange(heads.size, dtype=np.int32)
-    return number[labels], heads.size
+    """(index, m), the graph's one record of its SCC pass, cached: per box
+    the int32 number 0..m-1 of its nontrivial SCC (size > 1, or
+    self-looped), by smallest member; m for the other boxes."""
+    if g._components is None:
+        labels = g.scc_labels()
+        n = g.nboxes
+        if n > 1 and not labels.any():
+            # one SCC of every box, as on a chain-transitive torus
+            g._components = np.zeros(n, dtype=np.int32), 1
+            return g._components
+        sizes = np.bincount(labels)
+        # a self-loop makes only a singleton SCC nontrivial
+        members = np.flatnonzero((sizes > 1)[labels]
+                                 | _cover_self_loops(g.grid, *g.cover))
+        first = np.full(sizes.size, n, dtype=members.dtype)
+        np.minimum.at(first, labels[members], members)
+        # the nontrivial SCCs' labels, in the order of their smallest members
+        heads = labels[np.sort(first[first < n])]
+        number = np.full(sizes.size, heads.size, dtype=np.int32)
+        number[heads] = np.arange(heads.size, dtype=np.int32)
+        g._components = number[labels], heads.size
+    return g._components
 
 
 def chain_recurrent_boxes(g: TransitionGraph) -> BoxSet:
     """Boxes on a directed cycle at this resolution."""
-    return BoxSet(g.grid, _recurrent_bits(g))
+    index, m = component_index(g)
+    return BoxSet(g.grid, index < m)
 
 
 def chain_components(g: TransitionGraph) -> list[ChainComponent]:
     """SCC partition of the chain recurrent boxes, ordered by smallest member."""
     index, m = component_index(g)
-    # stable: each piece ascending; the last holds the boxes of no component
-    order = np.argsort(index, kind="stable")
-    runs = np.split(order, np.cumsum(np.bincount(index, minlength=m + 1)[:m]))
-    return [ChainComponent(i, members) for i, members in enumerate(runs[:m])]
+    members = np.flatnonzero(index < m)
+    number = index[members]
+    # stable: each run ascending, a view of one array of the recurrent boxes
+    order = members[np.argsort(number, kind="stable")]
+    runs = np.split(order, np.cumsum(np.bincount(number, minlength=m))[:-1])
+    return [ChainComponent(i, run) for i, run in enumerate(runs[:m])]
 
 
 def is_chain_transitive(g: TransitionGraph) -> bool:
     """True iff the box graph is strongly connected."""
-    labels = g.scc_labels()
-    return bool(np.all(labels == labels[0]))
+    index, m = component_index(g)
+    return g.nboxes == 1 or (m == 1 and not index.any())
 
 
 # ---------------------------------------------------------------------------

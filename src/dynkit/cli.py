@@ -260,13 +260,12 @@ def build_map(cfg: dict) -> MapSpec:
     name = mp["name"]
     try:
         if name == "poly":
-            key = "dimension" if "dimension" in mp else "dim"
-            if key not in mp:
+            if "dimension" not in mp:
                 raise ConfigError("polynomial map needs 'dimension'")
-            unread = set(mp) - {"name", "components", key}
+            unread = set(mp) - {"name", "components", "dimension"}
             if unread:
                 raise ConfigError(f"map 'poly' does not read {sorted(unread)}")
-            dim = _COUNT(mp[key], f"map.{key}")
+            dim = _COUNT(mp["dimension"], "map.dimension")
             return polynomial_map(mp["components"], dim)
         params = {k: v for k, v in mp.items() if k != "name"}
         return make_map(name, **params)

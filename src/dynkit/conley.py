@@ -252,19 +252,19 @@ def attractor_from_block(g: TransitionGraph, U: BoxSet,
     """
     if not include_sink and g.set_escapes(U):
         raise NotABlockError("image not contained in U (escapes the window)")
-    image = g.image_boxes(U)
-    if image - U:
+    # the containment check's image is the first iterate
+    nxt = g.image_boxes(U)
+    if nxt - U:
         raise NotABlockError("image not contained in U")
     current = U.copy()
-    iterations = 0
-    while True:
-        nxt = g.image_boxes(current)
-        iterations += 1
-        if nxt == current:
-            return current, iterations
-        current = nxt
+    iterations = 1
+    while nxt != current:
         if iterations > g.nboxes + 1:
             raise RuntimeError("image iteration failed to reach a fixpoint")
+        current = nxt
+        nxt = g.image_boxes(current)
+        iterations += 1
+    return current, iterations
 
 
 def _basins(g: TransitionGraph, sets: list) -> list[BoxSet]:

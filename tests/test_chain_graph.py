@@ -239,6 +239,21 @@ class TestChainRecurrence:
         tg = build_graph(g, make_map("contraction", c=0.5, dim=1), 0.0)
         assert not is_chain_transitive(tg)
 
+    @pytest.mark.parametrize("looped", [False, True])
+    def test_one_box_grid_is_chain_transitive(self, looped):
+        """One box is strongly connected; it is recurrent, and one
+        component, only with its self-loop.  Without one it has no
+        out-edge, so it escapes."""
+        grid = Grid(Domain((0.0,), (1.0,), (False,)), (0,))
+        tg = TransitionGraph(grid, None, 0.0, np.array([not looped]), 0.0,
+                             cover=(np.zeros((1, 1), dtype=np.int16),
+                                    np.full((1, 1), looped, dtype=np.int16)))
+        assert is_chain_transitive(tg)
+        index, m = component_index(tg)
+        assert index.tolist() == [0] and m == int(looped)
+        assert len(chain_recurrent_boxes(tg)) == int(looped)
+        assert len(chain_components(tg)) == int(looped)
+
     def test_components_partition_recurrent_boxes(self):
         g = Grid(Domain((-2.0,), (2.0,), (False,)), (6,))
         from dynkit.system import polynomial_map
@@ -255,6 +270,11 @@ class TestChainRecurrence:
             union = union | boxes
             total += len(c.members)
         assert union == crset and total == len(crset)
+        # every component is a view of one array of the recurrent boxes
+        bases = {id(c.members.base) for c in comps}
+        assert len(comps) > 1 and len(bases) == 1
+        base = comps[0].members.base
+        assert np.array_equal(np.sort(base), crset.indices())
 
     def test_refinement_coarsening_containment(self):
         m = make_map("standard", K=0.9)
@@ -650,7 +670,10 @@ class TestSccOracle:
         assert tg.entered_planes(boxes, sets) == want
 
     def test_scc_labels_computed_once_per_graph(self, monkeypatch):
-        from dynkit import chain_graph
+        """One SCC pass serves the recurrent boxes, the components, the
+        transitivity test and the Conley decomposition: they all read the
+        record of `component_index`."""
+        from dynkit.conley import verify_conley_decomposition
         calls = []
         real = chain_graph._scc
         monkeypatch.setattr(chain_graph, "_scc",
@@ -659,7 +682,9 @@ class TestSccOracle:
         chain_recurrent_boxes(tg)
         chain_components(tg)
         is_chain_transitive(tg)
+        verify_conley_decomposition(tg)
         assert len(calls) == 1
+        assert tg._components is not None
 
 
 def reference_transpose(offsets, targets, n):
@@ -731,7 +756,8 @@ class TestTranspose:
         tg = make()
         assert (tg.nboxes <= chain_graph._NARROW_NODES) == narrow
         assert (tg.escaping_boxes() > 0) == escaping
-        assert tg.self_loop_mask()[-1] or not escaping
+        assert chain_graph._cover_self_loops(tg.grid, *tg.cover)[-1] \
+            or not escaping
         assert_transpose_matches_reference(tg.offsets, tg.targets, tg.nboxes,
                                            tg.reverse())
         # the transposed targets are the key buffer of that width
@@ -1130,7 +1156,7 @@ class TestEdgeLayout:
     @pytest.mark.parametrize("chunk", CHUNKS[:2])
     @settings(max_examples=100, deadline=None)
     @given(tg=covered_graphs())
-    def test_self_loop_mask_matches_sources(self, chunk, tg):
+    def test_cover_self_loops_match_sources(self, chunk, tg):
         """The cover's self-loops are the rows of the CSR, written
         `chunk` edges at a time, that hold their own box."""
         with pytest.MonkeyPatch.context() as mp:
@@ -1139,7 +1165,8 @@ class TestEdgeLayout:
         src = np.repeat(np.arange(tg.nboxes), np.diff(offsets))
         want = np.zeros(tg.nboxes, dtype=bool)
         want[src[src == targets]] = True
-        assert np.array_equal(tg.self_loop_mask(), want)
+        assert np.array_equal(
+            chain_graph._cover_self_loops(tg.grid, *tg.cover), want)
 
     @pytest.mark.parametrize("chunk", CHUNKS[:2])
     @settings(max_examples=100, deadline=None)
@@ -1213,8 +1240,9 @@ class TestCoverQueries:
         assert tg.n_edges == int(degrees.sum()) + tg.escaping_boxes() + 1
         assert np.array_equal(tg.out_degrees(), degrees + tg.escapes)
         src = np.repeat(np.arange(tg.nboxes), degrees)
-        assert np.array_equal(tg.self_loop_mask(),
-                              marks(tg.nboxes, src[src == tg.targets]))
+        assert np.array_equal(
+            chain_graph._cover_self_loops(tg.grid, *tg.cover),
+            marks(tg.nboxes, src[src == tg.targets]))
         with box_chunks(chunk):
             in_degrees = chain_graph._cover_counts(tg)
         assert np.array_equal(in_degrees, np.bincount(tg.targets,
@@ -1242,6 +1270,42 @@ class TestCoverQueries:
         assert len(chain_components(tg)) == 1
         assert is_chain_transitive(tg)
         assert tg._csr is None and tg._reverse is None
+
+    def test_one_scc_record_skips_self_loops_and_numbering(self,
+                                                           monkeypatch):
+        """One SCC of every box: the record is all zeros with m = 1, with
+        no self-loop test and no numbering by smallest member.  A graph
+        of several SCCs takes both."""
+        torus = torus_cover_graph("cat", {}, 6)
+        grid = Grid(Domain((-2.0,), (2.0,), (False,)), (6,))
+        cubic = build_graph(grid, polynomial_map(
+            [[{"c": 1.5, "e": [1]}, {"c": -0.5, "e": [3]}]], dim=1), 0.015625)
+        calls = []
+        real_loops = chain_graph._cover_self_loops
+        real_min = np.minimum
+
+        class CountedMinimum:
+            """`np.minimum` with its `at` counted."""
+
+            def __call__(self, *a, **k):
+                return real_min(*a, **k)
+
+            def __getattr__(self, name):
+                return getattr(real_min, name)
+
+            def at(self, *a):
+                calls.append("minimum.at")
+                return real_min.at(*a)
+
+        monkeypatch.setattr(chain_graph, "_cover_self_loops",
+                            lambda *a: calls.append("self-loops")
+                            or real_loops(*a))
+        monkeypatch.setattr(np, "minimum", CountedMinimum())
+        index, m = component_index(torus)
+        assert m == 1 and index.dtype == np.int32 and not index.any()
+        assert calls == []
+        assert component_index(cubic)[1] > 1
+        assert calls == ["self-loops", "minimum.at"]
 
     def test_the_csr_is_written_once_on_demand(self):
         tg = torus_cover_graph("standard", {"K": 0.97}, 4)
@@ -1430,26 +1494,50 @@ class TestMemoryBounds:
         assert peak < 32 * grid.nboxes
 
     def test_recurrence_tail_peak_per_box(self):
-        """Cat at depth 9 (262,144 boxes) with its SCC labels cached: the
-        recurrent bits, the component sizes gathered as one bool per box
-        and the self-loops tested in the cover's int16, peak under 8
-        bytes per box (18 with int64 offsets and sizes)."""
+        """Cat at depth 9 (262,144 boxes) with its record cached: the
+        recurrent bits are one comparison of the int32 index, under 2
+        bytes per box (8 with the bits rebuilt from the labels and the
+        self-loops)."""
         grid = torus_grid(9)
         tg = build_graph(grid, make_map("cat"), grid.box_diameter)
-        tg.scc_labels()
+        component_index(tg)
         crset, peak = traced_peak(lambda: chain_recurrent_boxes(tg))
         assert crset.bits.all()
-        assert peak < 8 * grid.nboxes
+        assert peak < 2 * grid.nboxes
+
+    def test_graph_holds_its_record_beside_the_cover(self):
+        """Cat at depth 9 at eps one box diameter: after the recurrent
+        boxes, the components and the transitivity test, the graph holds
+        its cover and escapes (9 bytes per box) and the int32 index of
+        its record, at most 13.5 bytes per box (18 with int64 labels and
+        a self-loop mask cached)."""
+        grid = torus_grid(9)
+
+        def held():
+            tg = build_graph(grid, make_map("cat"), grid.box_diameter)
+            chain_recurrent_boxes(tg)
+            chain_components(tg)
+            is_chain_transitive(tg)
+            return tg, tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tg, now = held()
+        finally:
+            tracemalloc.stop()
+        assert component_index(tg)[0].nbytes == 4 * grid.nboxes
+        assert now - base <= 13.5 * grid.nboxes
 
     def test_components_peak_per_box(self):
         """Shear at eps 0 and depth 9 (262,144 boxes, 1,024 components)
-        with its SCC labels and self-loops cached: the components, one
-        int32 number per box grouped by one argsort, peak under 64 bytes
-        per box (1 KB per box with one bool mask per component)."""
+        with its record cached: the components, the recurrent boxes
+        grouped by one argsort of their int32 numbers, peak under 2 bytes
+        per box (20 with every box argsorted, 1 KB with one bool mask per
+        component)."""
         grid = Grid(Domain((-1.0, -1.0), (1.0, 1.0), (False, False)), (9, 9))
         tg = build_graph(grid, make_map("shear"), 0.0)
-        tg.scc_labels()
-        tg.self_loop_mask()
+        component_index(tg)
         comps, peak = traced_peak(lambda: chain_components(tg))
         assert len(comps) == 1024
-        assert peak <= 64 * grid.nboxes
+        assert peak <= 2 * grid.nboxes

@@ -305,10 +305,12 @@ class TestConfigValidation:
          "components": [[{"c": 0.5, "e": [1]}]]},
         {"name": "poly", "dimension": 1, "dim": 2,
          "components": [[{"c": 0.5, "e": [1]}]]},
+        {"name": "poly", "dim": 1, "components": [[{"c": 0.5, "e": [1]}]]},
         {"name": "cat", "dimension": 3},
     ], ids=["e-1.5", "e-true", "c-str", "c-true", "extra-key", "c-nan",
             "dimension-str", "dimension-1.7", "K-true", "K-nan", "a-nan",
-            "alpha-inf", "dim-true", "poly-alpha", "poly-dim", "cat-dimension"])
+            "alpha-inf", "dim-true", "poly-alpha", "poly-dim", "poly-dim-only",
+            "cat-dimension"])
     def test_bad_map_parameter_values_exit_2(self, tmp_path, mp):
         # each of these but dim-true once ran (exit 0, or 1 on a failed
         # SVD) on a value read as something else, not finite, or not read
@@ -322,6 +324,9 @@ class TestConfigValidation:
         assert res.exit_code == 2
         assert "config error" in res.output and "Traceback" not in res.output
         assert not (tmp_path / "out" / "report.json").exists()
+        if mp["name"] == "poly" and "dimension" not in mp:
+            # `dim` is no alias of `dimension`
+            assert "'dimension'" in res.output
 
     @pytest.mark.parametrize("sub, mp, grid", [
         ("cr", {"name": "contraction", "c": 0.5, "dim": 1},

@@ -310,7 +310,7 @@ class TestWordBatches:
         grid = Grid(Domain((0.0,), (1.0,), (False,)), (4,))
         tg = towards(grid, [5], escaping=[15])
         assert tg.set_escapes(BoxSet.full(grid))
-        tg.scc_labels()
+        component_index(tg)
         closures = count_closures(monkeypatch)
         got = blocks_with(tg, extra_dilations=16)
         # dilations 1..9 (one SCC needs no reach closure); dilation 10
@@ -341,7 +341,7 @@ class TestWordBatches:
 
     def test_no_family_runs_a_one_set_search(self, monkeypatch):
         tg = bench_cubic_graph(2, 5, 0.03125)
-        tg.scc_labels()
+        component_index(tg)
         kinds = []
         real = chain_graph._search
         monkeypatch.setattr(
@@ -452,6 +452,29 @@ class TestAttractorsAndBasins:
                     break
                 assert not (nxt - cur)  # decreasing chain
                 cur = nxt
+
+    def test_containment_image_is_the_first_iterate(self, monkeypatch):
+        """`iterations` image calls per block, the containment check's
+        included; the attractor and the count are those of iterating the
+        image from U."""
+        tg, _ = cubic_graph(depth=6)
+        blocks = find_attractor_blocks(tg)
+        real = TransitionGraph.image_boxes
+        calls = []
+        monkeypatch.setattr(TransitionGraph, "image_boxes",
+                            lambda g, s: calls.append(1) or real(g, s))
+        for U in blocks:
+            calls.clear()
+            A, iters = attractor_from_block(tg, U)
+            assert len(calls) == iters
+            current, want = U, 0
+            while True:
+                nxt = real(tg, current)
+                want += 1
+                if nxt == current:
+                    break
+                current = nxt
+            assert A == current and iters == want
 
     def test_not_a_block_raises(self):
         tg, _ = contraction_graph(depth=5)

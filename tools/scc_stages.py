@@ -12,9 +12,10 @@ and the Tarjan pass over the boxes outside the pivot's component
 roots passed to it.  It also reports the peak allocation of
 `build_graph` and of `chain_recurrent_boxes` on a fresh graph
 (tracemalloc, which sees numpy buffers), and sha256 digests of the SCC
-labels, of the CSR and of the cover (start, length and escapes, widened
-to int64 so that the storage dtype does not enter), so two checkouts can
-be compared for identical results.  The three small cases run by
+labels, of the chain-component record (`component_index`: the int32
+index and m), of the CSR and of the cover (start, length and escapes,
+widened to int64 so that the storage dtype does not enter), so two
+checkouts can be compared for identical results.  The three small cases run by
 default; `standard-d10` and `cat-d11` (1 M and 4 M boxes) run only when
 named:
 
@@ -120,7 +121,7 @@ def _timed_pass(g, reps: int) -> tuple[dict, int]:
             cg._cover_counts, cg._cover_search, cg._tarjan = \
                 counts, search, tarjan
             cg.chain_recurrent_boxes(dataclasses.replace(
-                g, _csr=None, _labels=None, _self_loops=None))
+                g, _csr=None, _components=None))
         finally:
             for fn, f in real.items():
                 setattr(cg, fn, f)
@@ -142,7 +143,7 @@ def run_case(name: str, reps: int) -> dict:
         lambda: dataclasses.replace(g, _csr=None)._edges(), reps)
     csr_sha = _digest(off, tgt)
     del off, tgt
-    fresh = dataclasses.replace(g, _csr=None, _labels=None, _self_loops=None)
+    fresh = dataclasses.replace(g, _csr=None, _components=None)
     peak_mb, _ = _peak_mb(lambda: cg.chain_recurrent_boxes(fresh))
     start, length = g.cover
     return {"case": name, "nboxes": g.nboxes, "edges": g.n_edges,
@@ -153,6 +154,8 @@ def run_case(name: str, reps: int) -> dict:
             "cr_peak_mb": round(peak_mb, 1),
             "csr_written": fresh._csr is not None,
             "labels_sha": _digest(fresh.scc_labels()),
+            "components_sha": _digest(*map(np.asarray,
+                                           cg.component_index(fresh))),
             "csr_sha": csr_sha,
             "cover_sha": _digest(*(a.astype(np.int64) for a in
                                    (start, length, g.escapes)))}
