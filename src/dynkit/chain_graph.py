@@ -16,8 +16,12 @@ Mischaikow & VanderVorst (FoCM 2005) on rectangles.  The image of a box
 set is a difference array over the grid and a preimage test a lookup in
 a summed-area table of the set (Crow, SIGGRAPH 1984), so the SCC pass's
 forward-backward step, the degrees and the self-loops never read an
-edge.  The CSR is a cache written from the ranges on first use, and its
-transpose one written from the CSR; no other module reads them.
+edge.  Past that step the SCC pass runs Tarjan only on candidate boxes,
+from a pyramid of coarser covers derived in integers from the graph's
+(in the spirit of the subdivision of Dellnitz & Hohmann, Numer. Math.
+1997), and writes only their rows.  The CSR is a cache written from the
+ranges on first use, and its transpose one written from the CSR; no
+other module reads them.
 
 Every reachability search runs through one layer loop, `_search`, with
 a bool or a uint64 word (one box set per bit) per box as its marks and a
@@ -74,6 +78,10 @@ _ROW_LOOP_BOXES = 1 << 10
 # pieces per slice of a backward cover layer's table lookups: a slice's
 # sums stay in cache, which halved the layer's time on 1 M boxes
 _CHUNK_PIECES = 1 << 16
+# the cover pyramid stops coarsening at a level of at most this many boxes:
+# one level's numpy passes cost about a Tarjan run of this size (1-D and
+# 2-D cubics at depths 12 and 6-8 timed fastest between 2^6 and 2^10)
+_PYRAMID_FLOOR = 1 << 8
 
 
 @dataclass
@@ -91,16 +99,17 @@ class TransitionGraph:
     stays below twice that; a product or a stride of the ranges widens
     them first (`_box_degrees`, `_piece_corners`, `_materialize_edges`).
 
-    Degrees, self-loops and the SCC pass's forward-backward step read the
-    cover.  `offsets` and `targets`, the CSR (rows ascending, offsets
-    int64, targets int32), are written from it on first access, by
-    Tarjan's pass outside the pivot's component, `image_boxes`, the
-    set closures (`closure`, `closure_rows`), `_bfs_path`, `edge_chunks`
-    and `reverse()`; the backward closures and `entered_planes` read the
-    transpose.  The `graph` report's counts and its edge dump list the
-    sink as node nboxes: one edge per escaping box, then the sink's
-    self-loop.  The CSR, its transpose and the record of `component_index`
-    are cached, so all recurrence queries share one SCC pass.
+    Degrees, self-loops and the whole SCC pass read the cover; its Tarjan
+    runs write the rows of their candidate boxes alone.  `offsets` and
+    `targets`, the CSR (rows ascending, offsets int64, targets int32),
+    are written from it on first access, by `image_boxes`, the set
+    closures (`closure`, `closure_rows`, as `conley` runs them),
+    `_bfs_path`, `edge_chunks` and `reverse()`; the backward closures and
+    `entered_planes` read the transpose.  The `graph` report's counts and
+    its edge dump list the sink as node nboxes: one edge per escaping
+    box, then the sink's self-loop.  The CSR, its transpose and the
+    record of `component_index` are cached, so all recurrence queries
+    share one SCC pass.
     """
 
     grid: Grid
@@ -120,7 +129,7 @@ class TransitionGraph:
     def _edges(self) -> tuple:
         """(offsets, targets) of the CSR, written from the cover once."""
         if self._csr is None:
-            self._csr = _materialize_edges(self.grid, *self.cover)
+            self._csr = _materialize_edges(self.grid.shape, *self.cover)
         return self._csr
 
     @property
@@ -165,19 +174,6 @@ class TransitionGraph:
             at = offsets[b0 + 1 + esc] - offsets[b0]
             yield np.insert(src, at, b0 + esc), np.insert(tgt, at, sink)
         yield np.array([sink]), np.array([sink])
-
-    def scc_labels(self) -> np.ndarray:
-        """SCC label of every box: `_scc` with the pivot's
-        forward-backward step searching the cover ranges."""
-        degrees = self._box_degrees()
-        n_edges = int(degrees.sum())
-        # score out-degree x in-degree; the searches run with the per-box
-        # scores freed
-        degrees *= _cover_counts(self)
-        pivot = int(np.argmax(degrees))
-        del degrees
-        return _scc(self.nboxes, n_edges, pivot,
-                    partial(_cover_search, self), self._edges)
 
     def image_boxes(self, boxset: BoxSet) -> BoxSet:
         """One application of the multivalued box map (escapes dropped)."""
@@ -420,9 +416,10 @@ def _transpose(offsets: np.ndarray, targets: np.ndarray, n: int):
     return roff, keys.view(np.int32)[:targets.size]
 
 
-def _materialize_edges(grid: Grid, start: np.ndarray, length: np.ndarray):
-    """CSR (offsets, targets) of the cover (start, length) of a
-    `TransitionGraph`, sorted per source; offsets int64, targets int32.
+def _materialize_edges(shape: tuple, start: np.ndarray, length: np.ndarray):
+    """CSR (offsets, targets) of the cover (start, length) of some boxes
+    of a grid of `shape`, one row per column of the cover, sorted per
+    source; offsets int64, targets int32 (BoxIds of the grid).
 
     On each axis a box's range is the ascending runs [0, w) and [lo, lo +
     c - w) (lo: its start, c: its length, w: the part past the top), and
@@ -433,16 +430,17 @@ def _materialize_edges(grid: Grid, start: np.ndarray, length: np.ndarray):
     of it, and a strict-increase check within each row guards that
     argument.
     """
-    shape = np.asarray(grid.shape, dtype=np.int64)
+    rows = start.shape[1]
+    shape = np.asarray(shape, dtype=np.int64)
     strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
     lo, counts = start.T, length.T
     wrap = np.maximum(lo + counts - shape, 0)
-    offsets = np.zeros(grid.nboxes + 1, dtype=np.int64)
+    offsets = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(counts.prod(axis=1), out=offsets[1:])
     targets = np.empty(int(offsets[-1]), dtype=np.int32)
-    for b0, b1 in _row_chunks(offsets, grid.nboxes):
+    for b0, b1 in _row_chunks(offsets, rows):
         own, base = np.arange(b0, b1), np.zeros(b1 - b0, dtype=np.int64)
-        for ax in range(grid.dim - 1):
+        for ax in range(shape.size - 1):
             c = counts[own, ax]
             own, base = np.repeat(own, c), np.repeat(base, c)
             k = np.arange(own.size) - np.repeat(np.cumsum(c) - c, c)
@@ -526,23 +524,17 @@ def build_graph(grid: Grid, map_spec: MapSpec, eps: float,
 # queries on the cover ranges
 # ---------------------------------------------------------------------------
 
-def _cover_self_loops(grid: Grid, start: np.ndarray,
-                      length: np.ndarray) -> np.ndarray:
-    """Boolean per box: its own index lies in its range on every axis.
+def _cover_self_loops(shape: tuple, start: np.ndarray, length: np.ndarray,
+                      boxes: np.ndarray) -> np.ndarray:
+    """Boolean per box of `boxes` (BoxIds of a grid of `shape`): its own
+    index lies in its range on every axis.
 
     On a periodic axis the range is [start, start + length) mod the axis;
-    on another it does not pass the top, so there the same test holds.
-    The offsets own - start lie in (-size, size), so they stay in the
-    cover's dtype."""
-    shape = grid.shape
-    mask = np.ones(shape, dtype=bool)
-    for ax, size in enumerate(shape):
-        own = np.arange(size, dtype=start.dtype).reshape(
-            (-1,) + (1,) * (grid.dim - 1 - ax))
-        off = own - start[ax].reshape(shape)
-        off %= size
-        mask &= off < length[ax].reshape(shape)
-    return mask.ravel()
+    on another it does not pass the top, so there the same test holds."""
+    mask = np.ones(boxes.size, dtype=bool)
+    for ax, own in enumerate(np.unravel_index(boxes, shape)):
+        mask &= (own - start[ax, boxes]) % shape[ax] < length[ax, boxes]
+    return mask
 
 
 def _piece_corners(g: TransitionGraph, boxes: np.ndarray, shift: int):
@@ -705,52 +697,45 @@ def _cover_search(g: TransitionGraph, seeds: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# strongly connected components (forward-backward step, then Tarjan)
+# strongly connected components (forward-backward step, then a cover
+# pyramid and Tarjan on its candidates)
 # ---------------------------------------------------------------------------
 
 def _fb_max_layers(n_edges: int, n_nodes: int) -> int:
     """Layers a forward-backward search from the pivot may take.
 
     The price is that of a search along the CSR edges, which only the
-    tests run, driving `_scc` on a CSR: a layer costs about 10 us plus
-    0.25 ns per node (its passes over the n-node masks) on top of its
-    edges; the Tarjan loop below costs about 0.1 us per edge plus 0.5 us
+    tests run, driving `_pivot_core` on a CSR: a layer costs about 10 us
+    plus 0.25 ns per node (its passes over the n-node masks) on top of
+    its edges; the Tarjan loop costs about 0.1 us per edge plus 0.5 us
     per node (2-core x86-64 VM).  So (n_edges + 5 n_nodes) // (100 +
-    n_nodes // 400) layers cost about one Tarjan run.  A search that
-    needs more is dropped and Tarjan takes the whole graph: a
-    long-diameter graph (a circle rotation, a near-integrable standard
-    map) then pays at most about one Tarjan run on top of Tarjan alone,
-    and the step stays O(V + E).  Every `TransitionGraph` searches its
-    cover ranges, and there a layer costs every box of the grid: about
-    7-11 ns per box forward and 14-28 ns backward (standard K = 0.97 at
-    depths 9 and 10, cat at depth 11; the backward figure includes its
-    one piece build).  A Tarjan run of such a graph costs about 4.5 us
-    per box (some 40 edges each), so a search that runs to the cap there
-    can cost tens of Tarjan runs.
+    n_nodes // 400) layers cost about one Tarjan run of the whole graph.
+    A search that needs more is dropped and the cover pyramid takes the
+    whole graph (`_components`): a long-diameter graph (a circle
+    rotation, a near-integrable standard map) then pays at most about one
+    such run on top of the pyramid alone, and the step stays O(V + E).
+    Every `TransitionGraph` searches its cover ranges, and there a layer
+    costs every box of the grid: about 7-11 ns per box forward and 14-28
+    ns backward (standard K = 0.97 at depths 9 and 10, cat at depth 11;
+    the backward figure includes its one piece build).  A Tarjan run of
+    such a graph costs about 4.5 us per box (some 40 edges each), so a
+    search that runs to the cap there can cost tens of Tarjan runs.
     """
     return max(32, (n_edges + 5 * n_nodes) // (100 + n_nodes // 400))
 
 
-def _scc(n: int, n_edges: int, pivot: int, search, csr) -> np.ndarray:
-    """SCC label of every node of an n-node digraph: one forward-backward
-    step, then Tarjan.  Labels follow reverse topological order of the
-    condensation (sources get the largest labels), from 0 on.
+def _pivot_core(n: int, n_edges: int, pivot: int, search) -> np.ndarray:
+    """The SCC of node `pivot` of an n-node digraph as a bool mask, or no
+    node when a search needs more than `_fb_max_layers` layers: one
+    forward-backward step.
 
-    No graph is attached: `TransitionGraph.scc_labels` passes the search
-    on its cover, and the tests pass `_search` along a CSR and its
-    transpose.  `pivot` is a node: `scc_labels` takes the first of
-    largest out-degree x in-degree.  Its component S = F & B (F: reachable
-    from the pivot, B: reaching it) is found by `search(seeds, seen,
-    max_layers, backward)`, a `_search` on the graph: F, then B
-    restricted to F by `seen`, as a path from a node of F stays in F.  On
-    a chain-transitive torus graph S is every node, and the labels are
-    returned at once.  Else `csr()` gives the CSR that Tarjan walks:
-    F \\ B is forward-closed and cannot reach S, so Tarjan labels it first
-    (roots in node order), S takes the next label, and Tarjan then runs
-    from the roots outside F in node order; the completed nodes of F are
-    skipped as edge targets.  When F or B needs more than
-    `_fb_max_layers` layers, F and S are taken as empty: the two Tarjan
-    calls then run every root in node order.
+    No graph is attached: `_components` passes the search on the cover
+    ranges, and the tests pass `_search` along a CSR and its transpose.
+    The component S = F & B (F: reachable from the pivot, B: reaching it)
+    is found by `search(seeds, seen, max_layers, backward)`, a `_search`
+    on the graph: F, then B restricted to F by `seen`, as a path from a
+    node of F stays in F.  On a chain-transitive torus graph S is every
+    node.
     """
     seeds = np.zeros(n, dtype=bool)
     seeds[pivot] = True
@@ -759,41 +744,31 @@ def _scc(n: int, n_edges: int, pivot: int, search, csr) -> np.ndarray:
     back = None if fwd is None else \
         search(seeds, seen=~fwd, max_layers=cap, backward=True)
     if back is None:
-        fwd = core = np.zeros(n, dtype=bool)
-    else:
-        core = back & fwd
-    if core.all():
-        return np.zeros(n, dtype=np.int64)
-    off, tgt = csr()
-    labels = np.full(n, -1, dtype=np.int64)
-    index = np.where(core, 0, -1).tolist()
-    k = _tarjan(off, tgt, np.flatnonzero(fwd & ~core).tolist(), index, labels, 0)
-    _tarjan(off, tgt, np.flatnonzero(~fwd).tolist(), index, labels,
-            k + int(core.any()))
-    labels[core] = k
-    return labels
+        return np.zeros(n, dtype=bool)
+    back &= fwd
+    return back
 
 
-def _tarjan(off: np.ndarray, tgt: np.ndarray, roots, index: list,
-            labels: np.ndarray, n_comp: int) -> int:
-    """Iterative Tarjan from each root in `roots` not yet visited.
+def _tarjan(off: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, int]:
+    """(labels, count): the SCC label, 0..count-1, of every node of a CSR,
+    by an iterative Tarjan from each node in order.
 
-    Nodes with index >= 0 are completed and their edges skipped; new
-    components take labels n_comp, n_comp + 1, ...  Returns the next free
-    label.  Edges are walked in CSR order.  The CSR is read and the
-    int64 `labels` written through memoryviews, and the per-node state is
-    kept in lists, so the inner loop touches Python ints only.
+    Edges are walked in CSR order.  The CSR is read and the int64 labels
+    written through memoryviews, and the per-node state is kept in lists,
+    so the inner loop touches Python ints only.
     """
+    n = off.size - 1
+    labels = np.empty(n, dtype=np.int64)
     off = memoryview(off)
     tgt = memoryview(tgt)
-    labels = memoryview(labels)
-    n = len(index)
+    out = memoryview(labels)
+    index = [-1] * n
     lowlink = [0] * n
     on_stack = bytearray(n)
     stack: list[int] = []
-    counter = 0
+    counter = n_comp = 0
 
-    for root in roots:
+    for root in range(n):
         if index[root] >= 0:
             continue
         index[root] = lowlink[root] = counter
@@ -828,35 +803,178 @@ def _tarjan(off: np.ndarray, tgt: np.ndarray, roots, index: list,
                     while True:
                         w = stack.pop()
                         on_stack[w] = 0
-                        labels[w] = n_comp
+                        out[w] = n_comp
                         if w == v:
                             break
                     n_comp += 1
-    return n_comp
+    return labels, n_comp
+
+
+def _induced_sccs(shape: tuple, start: np.ndarray, length: np.ndarray,
+                  members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, nontrivial) of the graph that the cover (start, length) of
+    a grid of `shape` induces on `members` (ascending BoxIds): the Tarjan
+    label of each member, and per label whether its SCC is nontrivial
+    (more than one box, or a self-looped box).
+
+    The rows of the members are written `_CHUNK_BOXES` at a time and
+    their targets outside `members` dropped, so only the induced CSR
+    grows with the members."""
+    k = members.size
+    local = np.full(int(np.prod(shape)), -1, dtype=np.int32)
+    local[members] = np.arange(k, dtype=np.int32)
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    parts = []
+    for b0 in range(0, k, _CHUNK_BOXES):
+        rows = members[b0:b0 + _CHUNK_BOXES]
+        off, tgt = _materialize_edges(shape, start[:, rows], length[:, rows])
+        tgt = local[tgt]
+        kept = np.append(0, np.cumsum(tgt >= 0))[off]
+        offsets[b0 + 1:b0 + rows.size + 1] = offsets[b0] + kept[1:]
+        parts.append(tgt[tgt >= 0])
+    del local
+    targets = np.concatenate(parts) if parts else np.zeros(0, np.int32)
+    labels, count = _tarjan(offsets, targets)
+    nontrivial = np.bincount(labels, minlength=count) > 1
+    nontrivial[labels[_cover_self_loops(shape, start, length, members)]] = True
+    return labels, nontrivial
+
+
+def _coarser_cover(shape: tuple, periodic: tuple, start: np.ndarray,
+                   length: np.ndarray) -> tuple:
+    """(shape, start, length) of the cover one level coarser: each axis of
+    more than one box halved, so a parent box holds 2 children along it.
+
+    A parent's range holds the ranges of its children, each halved outward
+    (fine indices [s, s + l) give the coarse [s // 2, (s + l - 1) // 2]):
+    on a non-periodic axis their bounding range, on a periodic one the
+    shortest arc from one child's start that holds every child's arc, or
+    the whole axis from 0.  So a fine edge a -> b gives the coarse edge
+    parent(a) -> parent(b).  A child with no box in its range adds
+    nothing, and a parent of such children only has none.  Integers only,
+    with no map call; the ranges stay int16, as a coarse axis is shorter.
+    """
+    halved = [size > 1 for size in shape]
+    coarse = tuple(size // 2 if h else size for size, h in zip(shape, halved))
+    dim, n = len(shape), int(np.prod(coarse))
+    # a per-box array as (parents, children): axes (c0, 2, c1, 2, ...)
+    # moved to (c0, c1, ..., 2, 2, ...)
+    split = [x for size, h in zip(coarse, halved) for x in (size, 1 + h)]
+    order = list(range(0, 2 * dim, 2)) + list(range(1, 2 * dim, 2))
+
+    def children(a):
+        return a.reshape(split).transpose(order).reshape(n, -1)
+
+    empty = children((length == 0).any(axis=0))
+    out_start = np.zeros((dim, n), dtype=start.dtype)
+    out_length = np.zeros_like(out_start)
+    for ax, size in enumerate(coarse):
+        lo = children(start[ax]).astype(np.int32)
+        hi = lo + children(length[ax]) - 1
+        if halved[ax]:
+            lo //= 2
+            hi //= 2
+        if periodic[ax]:
+            span = hi - lo + 1
+            best = np.full(n, size, dtype=np.int32)
+            first = np.zeros(n, dtype=np.int32)
+            for j in range(lo.shape[1]):
+                reach = np.where(empty, 0, (lo - lo[:, j:j + 1]) % size
+                                 + span).max(axis=1)
+                shorter = (reach < best) & ~empty[:, j]
+                best[shorter] = reach[shorter]
+                first[shorter] = lo[shorter, j]
+            out_start[ax] = first
+            out_length[ax] = best
+        else:
+            low = np.where(empty, size, lo).min(axis=1)
+            out_start[ax] = low
+            out_length[ax] = np.where(empty, -1, hi).max(axis=1) - low + 1
+    out_length[:, empty.all(axis=1)] = 0
+    return coarse, out_start, out_length
+
+
+def _pyramid_candidates(g: TransitionGraph) -> np.ndarray:
+    """Bool per box: a superset of every box of a nontrivial SCC, from a
+    pyramid of covers, coarse to fine.
+
+    `_coarser_cover` derives the levels from the graph's cover until one
+    holds at most `_PYRAMID_FLOOR` boxes or every axis is one box.  Every
+    box of the coarsest level is a candidate; at each level Tarjan runs on
+    the graph induced on the candidates, and the children of its recurrent
+    boxes are the candidates one level finer.  This is exact: a fine cycle
+    maps to a coarse closed walk, so a nontrivial SCC lies in the children
+    of the coarse level's recurrent boxes, and its paths stay in it, so it
+    is a nontrivial SCC of the induced graph too.
+    """
+    levels = [(g.grid.shape, *g.cover)]
+    shape, start, length = levels[-1]
+    while np.prod(shape) > _PYRAMID_FLOOR and max(shape) > 1:
+        shape, start, length = _coarser_cover(shape, g.grid.domain.periodic,
+                                              start, length)
+        levels.append((shape, start, length))
+    candidates = np.ones(int(np.prod(levels[-1][0])), dtype=bool)
+    for k in range(len(levels) - 1, 0, -1):
+        (shape, start, length), finer = levels[k], levels[k - 1][0]
+        members = np.flatnonzero(candidates)
+        labels, nontrivial = _induced_sccs(shape, start, length, members)
+        recurrent = np.zeros(int(np.prod(shape)), dtype=bool)
+        recurrent[members] = nontrivial[labels]
+        cube = recurrent.reshape(shape)
+        for ax, (size, fine) in enumerate(zip(shape, finer)):
+            cube = np.repeat(cube, fine // size, axis=ax)
+        candidates = cube.ravel()
+    return candidates
+
+
+def _components(g: TransitionGraph) -> tuple[np.ndarray, int]:
+    """The record of `component_index`, from one SCC pass.
+
+    The pivot is the first box of largest out-degree x in-degree, both
+    read from the cover.  Its component S (`_pivot_core`) is one SCC; on
+    a chain-transitive torus graph it is every box and ends the pass.
+    Otherwise every other nontrivial SCC lies in the pyramid's candidates
+    C (`_pyramid_candidates`), and as S is a whole SCC, Tarjan on the
+    graph induced on C \\ S finds them all, self-loops included.  S is
+    nontrivial when it holds more than one box or the pivot self-loops.
+    """
+    n = g.nboxes
+    degrees = g._box_degrees()
+    n_edges = int(degrees.sum())
+    # score out-degree x in-degree; the searches run with the per-box
+    # scores freed
+    degrees *= _cover_counts(g)
+    pivot = int(np.argmax(degrees))
+    del degrees
+    core = _pivot_core(n, n_edges, pivot, partial(_cover_search, g))
+    if n > 1 and core.all():
+        return np.zeros(n, dtype=np.int32), 1
+    members = np.flatnonzero(_pyramid_candidates(g) & ~core)
+    labels, nontrivial = _induced_sccs(g.grid.shape, *g.cover, members)
+    count = nontrivial.size
+    # per SCC its smallest member, the core's last; n for a trivial one
+    first = np.full(count + 1, n, dtype=np.int64)
+    np.minimum.at(first, labels, members)
+    first[:-1][~nontrivial] = n
+    if core.any() and (np.count_nonzero(core) > 1 or _cover_self_loops(
+            g.grid.shape, *g.cover, np.array([pivot]))[0]):
+        first[-1] = np.argmax(core)
+    m = int(np.count_nonzero(first < n))
+    number = np.empty(count + 1, dtype=np.int32)
+    number[np.argsort(first, kind="stable")] = np.arange(count + 1)
+    np.minimum(number, m, out=number)
+    index = np.full(n, m, dtype=np.int32)
+    index[members] = number[labels]
+    index[core] = number[-1]
+    return index, m
 
 
 def component_index(g: TransitionGraph) -> tuple[np.ndarray, int]:
-    """(index, m), the graph's one record of its SCC pass, cached: per box
-    the int32 number 0..m-1 of its nontrivial SCC (size > 1, or
-    self-looped), by smallest member; m for the other boxes."""
+    """(index, m), the graph's one record of its SCC pass (`_components`),
+    cached: per box the int32 number 0..m-1 of its nontrivial SCC (size >
+    1, or self-looped), by smallest member; m for the other boxes."""
     if g._components is None:
-        labels = g.scc_labels()
-        n = g.nboxes
-        if n > 1 and not labels.any():
-            # one SCC of every box, as on a chain-transitive torus
-            g._components = np.zeros(n, dtype=np.int32), 1
-            return g._components
-        sizes = np.bincount(labels)
-        # a self-loop makes only a singleton SCC nontrivial
-        members = np.flatnonzero((sizes > 1)[labels]
-                                 | _cover_self_loops(g.grid, *g.cover))
-        first = np.full(sizes.size, n, dtype=members.dtype)
-        np.minimum.at(first, labels[members], members)
-        # the nontrivial SCCs' labels, in the order of their smallest members
-        heads = labels[np.sort(first[first < n])]
-        number = np.full(sizes.size, heads.size, dtype=np.int32)
-        number[heads] = np.arange(heads.size, dtype=np.int32)
-        g._components = number[labels], heads.size
+        g._components = _components(g)
     return g._components
 
 

@@ -633,6 +633,17 @@ def _warn_capped(capped: int, max_seg: float):
                    f"the polylines are under-resolved there", err=True)
 
 
+def _flag_shortfall(results: dict, target: float, reached: float):
+    """When manifold growth stopped short of its target arclength (its
+    generation or vertex cap), one stderr warning and the report's
+    `reached_arclength`; otherwise the report is left as it is."""
+    if reached < target:
+        click.echo(f"warning: manifold growth reached arclength {reached:g} "
+                   f"of its target {target:g}: it hit its generation or "
+                   f"vertex cap, so the polylines stop short", err=True)
+        results["reached_arclength"] = reached
+
+
 def run_manifolds(cfg, exp, out_dir, map_spec, grid):
     hp, all_points, Wu, Ws = _anchor_manifolds(cfg, exp, map_spec, grid)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -657,6 +668,8 @@ def run_manifolds(cfg, exp, out_dir, map_spec, grid):
         "capped_segments": Wu.capped + Ws.capped,
     }
     _warn_capped(results["capped_segments"], exp["max_seg"])
+    _flag_shortfall(results, exp["arclength"],
+                    min(Wu.total_arclength, Ws.total_arclength))
     return results, artifacts, 0
 
 
@@ -695,6 +708,8 @@ def run_homoclinic(cfg, exp, out_dir, map_spec, grid):
         "nearest_distance": hits[0].distance_from_anchor if hits else None,
         "capped_segments": capped,
     }
+    _flag_shortfall(results, exp["arclength"],
+                    min(Wu.total_arclength, Ws.total_arclength))
     return results, artifacts, 0
 
 
@@ -727,6 +742,8 @@ def run_accumulate(cfg, exp, out_dir, map_spec, grid):
         "capped_segments": max((r.capped for r in rows), default=0),
     }
     _warn_capped(results["capped_segments"], exp["max_seg"])
+    _flag_shortfall(results, max(exp["arclength_schedule"]),
+                    min(r.reached for r in rows))
     code = 0 if exp["allow_missing"] or results["all_found"] else ASSERTION_EXIT
     return results, [], code
 

@@ -133,6 +133,9 @@ class AccumulationRow:
     arclength_used: Optional[float]
     hit: Optional[HomoclinicHit]
     capped: int  # segments over max_seg in the W^u, W^s searched last
+    # the least arclength W^u and W^s reach, grown to the largest of the
+    # schedule; below it when growth stopped short
+    reached: float
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +354,9 @@ def grow_manifold(map_spec: MapSpec, hp: HyperbolicPoint, side: str,
     and growth stops there.  A generation stops bisecting past 4096
     parameters, and its successors start above that cap unless the
     pruning brings them under it; the segments left longer than max_seg
-    are counted in `capped`.
+    are counted in `capped`.  Growth also stops after 300 generations or
+    past `_MAX_VERTICES` vertices; the polyline then ends short of
+    target_arclength, at its `total_arclength`.
     """
     if side not in ("stable", "unstable"):
         raise ValueError("side must be 'stable' or 'unstable'")
@@ -853,6 +858,7 @@ def accumulation_check(map_spec: MapSpec, hp: HyperbolicPoint, q_on_Wu,
         for L, hits in hits_by_L.items()}
     capped_by_L = {L: Wu.capped + Ws.capped
                    for L, (Wu, Ws) in zip(schedule, cuts)}
+    reached = min(Wu_full.total_arclength, Ws_full.total_arclength)
     rows = []
     for r in sorted((float(r) for r in radii), reverse=True):
         found = None
@@ -864,5 +870,6 @@ def accumulation_check(map_spec: MapSpec, hp: HyperbolicPoint, q_on_Wu,
                 used = L
                 break
         rows.append(AccumulationRow(r, found is not None, used, found,
-                                    capped_by_L[Lmax if used is None else used]))
+                                    capped_by_L[Lmax if used is None else used],
+                                    reached))
     return rows

@@ -33,9 +33,9 @@ def marks(n, seeds):
     return bits
 
 
-def csr_scc(offsets, targets, n):
-    """SCC labels of an n-node CSR alone: `_scc` with the pivot that
-    `TransitionGraph.scc_labels` takes, the first of largest out-degree x
+def csr_pivot_core(offsets, targets, n):
+    """(pivot, core) of an n-node CSR alone: `_pivot_core` with the pivot
+    that `_components` takes, the first of largest out-degree x
     in-degree, and `_search` along the edges and the transposed edges."""
     reverse = chain_graph._transpose(offsets, targets, n)
     pivot = int(np.argmax(np.diff(offsets) * np.diff(reverse[0])))
@@ -43,8 +43,34 @@ def csr_scc(offsets, targets, n):
     def search(seeds, seen=None, max_layers=None, backward=False):
         edges = reverse if backward else (offsets, targets)
         return _search(_edge_expand(*edges), seeds, seen, max_layers)
-    return chain_graph._scc(n, targets.size, pivot, search,
-                            lambda: (offsets, targets))
+    return pivot, chain_graph._pivot_core(n, targets.size, pivot, search)
+
+
+def whole_graph_record(tg):
+    """The record of `component_index` from one Tarjan run over the whole
+    CSR of tg, the pass the cover pyramid replaced: the SCCs of more than
+    one box or of a self-looped box, numbered by smallest member."""
+    labels, count = chain_graph._tarjan(tg.offsets, tg.targets)
+    src = np.repeat(np.arange(tg.nboxes), np.diff(tg.offsets))
+    nontrivial = np.bincount(labels, minlength=count) > 1
+    nontrivial[labels[src[src == tg.targets]]] = True
+    # labels in the order of their smallest members
+    heads = [c for c in dict.fromkeys(labels.tolist()) if nontrivial[c]]
+    number = np.full(count, len(heads), dtype=np.int32)
+    number[heads] = np.arange(len(heads))
+    return number[labels], len(heads)
+
+
+@contextlib.contextmanager
+def pyramid_floor(size):
+    """`_PYRAMID_FLOOR` set to `size` within: at 1 the pyramid coarsens
+    every test grid down to one box."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain_graph, "_PYRAMID_FLOOR", size)
+        yield
+
+
+PYRAMID_FLOORS = [1, chain_graph._PYRAMID_FLOOR]
 
 
 def reference_bfs_path(g, sources, target, max_len=None):
@@ -517,34 +543,31 @@ def plane(words, f):
 
 
 class TestSccOracle:
-    """SCC labels and searches against networkx: `_scc` and `_search` on
-    random digraphs, the graph queries on random covers."""
+    """SCCs and searches against networkx: `_tarjan`, `_pivot_core` and
+    `_search` on random digraphs, the graph queries on random covers."""
 
     @settings(max_examples=200, deadline=None)
     @given(csr_graphs())
     def test_csr_partition_matches_networkx(self, case):
         assert_scc_matches_networkx(*case)
 
+    @pytest.mark.parametrize("floor", PYRAMID_FLOORS)
     @settings(max_examples=100, deadline=None)
     @given(covered_graphs())
     # a translation: no nontrivial SCC, m = 0
     @example(build_graph(Grid(Domain((0.0, -4.0), (8.0, 4.0), (False, False)),
                               (4, 4)), make_map("translation"), 0.1))
-    def test_partition_and_nontrivial_set_match_networkx(self, tg):
+    def test_partition_and_nontrivial_set_match_networkx(self, floor, tg):
+        """The record of the pivot step and the cover pyramid, with every
+        level built down to one box (floor 1) and with the default floor,
+        on covers in 1-3 D, periodic and not, depth-0 axes included."""
+        tg = dataclasses.replace(tg, _components=None)
         edges = cover_edges(tg)
         G = digraph(tg.nboxes, edges)
-        labels = tg.scc_labels()
-        n_comp = int(labels.max()) + 1
-        ours = {frozenset(np.flatnonzero(labels == c).tolist())
-                for c in range(n_comp)}
-        want = {frozenset(c) for c in nx.strongly_connected_components(G)}
-        assert ours == want and n_comp == len(want)
-        # labels follow reverse topological order of the condensation
-        for u, v in edges:
-            assert labels[u] >= labels[v]
         expected = [c for c in nx.strongly_connected_components(G)
                     if len(c) > 1 or G.has_edge(next(iter(c)), next(iter(c)))]
-        cr = chain_recurrent_boxes(tg)
+        with pyramid_floor(floor):
+            cr = chain_recurrent_boxes(tg)
         assert set(cr.indices().tolist()) == set().union(*expected)
         # members ascending, components and their numbers in the order
         # of their smallest members
@@ -669,14 +692,14 @@ class TestSccOracle:
             want |= int(boxes[v] & sets[u])
         assert tg.entered_planes(boxes, sets) == want
 
-    def test_scc_labels_computed_once_per_graph(self, monkeypatch):
+    def test_one_scc_pass_per_graph(self, monkeypatch):
         """One SCC pass serves the recurrent boxes, the components, the
         transitivity test and the Conley decomposition: they all read the
         record of `component_index`."""
         from dynkit.conley import verify_conley_decomposition
         calls = []
-        real = chain_graph._scc
-        monkeypatch.setattr(chain_graph, "_scc",
+        real = chain_graph._components
+        monkeypatch.setattr(chain_graph, "_components",
                             lambda *a: calls.append(1) or real(*a))
         tg = build_graph(torus_grid(4), make_map("standard", K=0.9), 0.01)
         chain_recurrent_boxes(tg)
@@ -756,7 +779,8 @@ class TestTranspose:
         tg = make()
         assert (tg.nboxes <= chain_graph._NARROW_NODES) == narrow
         assert (tg.escaping_boxes() > 0) == escaping
-        assert chain_graph._cover_self_loops(tg.grid, *tg.cover)[-1] \
+        assert chain_graph._cover_self_loops(
+            tg.grid.shape, *tg.cover, np.array([tg.nboxes - 1]))[0] \
             or not escaping
         assert_transpose_matches_reference(tg.offsets, tg.targets, tg.nboxes,
                                            tg.reverse())
@@ -840,61 +864,42 @@ def planted_graph(hub_part):
 
 
 def assert_scc_matches_networkx(offsets, targets, n, edges):
-    """Partition equal to networkx's, labels in reverse topological order;
-    returns the labels."""
+    """`_tarjan`'s partition equal to networkx's, and `_pivot_core` the
+    pivot's SCC, or no node when a search runs past the layer cap;
+    returns (labels, pivot, core)."""
     G = digraph(n, edges)
-    labels = csr_scc(offsets, targets, n)
-    n_comp = int(labels.max()) + 1
+    labels, count = chain_graph._tarjan(offsets, targets)
     want = {frozenset(c) for c in nx.strongly_connected_components(G)}
     ours = {frozenset(np.flatnonzero(labels == c).tolist())
-            for c in range(n_comp)}
-    assert ours == want and n_comp == len(want)
-    # labels follow reverse topological order of the condensation
-    for u, v in edges:
-        assert labels[u] >= labels[v]
-    return labels
-
-
-@pytest.fixture
-def tarjan_visits(monkeypatch):
-    """List that collects every node the Tarjan pass labels."""
-    visits = []
-    real = chain_graph._tarjan
-
-    def counted(off, tgt, roots, index, labels, n_comp):
-        before = [i < 0 for i in index]
-        out = real(off, tgt, roots, index, labels, n_comp)
-        visits.extend(v for v, new in enumerate(before) if new and index[v] >= 0)
-        return out
-
-    monkeypatch.setattr(chain_graph, "_tarjan", counted)
-    return visits
+            for c in range(count)}
+    assert ours == want and count == len(want)
+    pivot, core = csr_pivot_core(offsets, targets, n)
+    assert core.dtype == bool and core.shape == (n,)
+    if core.any():
+        assert set(np.flatnonzero(core).tolist()) == \
+            next(c for c in want if pivot in c)
+    return labels, pivot, core
 
 
 class TestPlantedScc:
     """The forward-backward pivot in each planted part, against networkx."""
 
     @pytest.mark.parametrize("hub_part", PARTS)
-    def test_partition_and_order_match_networkx(self, hub_part,
-                                                tarjan_visits):
+    def test_pivot_core_is_the_hub_part(self, hub_part):
+        """The pivot lands on the hub, and its component, the hub's whole
+        part (the sink box alone), is found by the step."""
         offsets, targets, edges, parts = planted_graph(hub_part)
         n = offsets.size - 1
-        score = np.diff(offsets) * np.bincount(targets, minlength=n)
-        pivot = int(np.argmax(score))
+        _, pivot, core = assert_scc_matches_networkx(offsets, targets, n,
+                                                     edges)
         assert pivot in parts[hub_part]
-        labels = assert_scc_matches_networkx(offsets, targets, n, edges)
-        assert len(set(labels[parts["core"]].tolist())) == 1
-        # the pivot's component is left out of the Tarjan pass
-        assert sorted(tarjan_visits) == \
-            np.flatnonzero(labels != labels[pivot]).tolist()
+        assert np.flatnonzero(core).tolist() == sorted(parts[hub_part])
 
-    def test_deep_ring_finishes_in_the_forward_backward_step(self,
-                                                             tarjan_visits):
+    def test_deep_ring_finishes_in_the_forward_backward_step(self):
         """A ring of 48 layers of 10 boxes, each layer joined to the next:
         both searches from the pivot need 48 layers, more than the old
         fixed cap of 32 but fewer than the one priced for its 4802 edges
-        and 482 nodes, so Tarjan only sees the box upstream and the dead
-        box."""
+        and 482 nodes, so the step finds the whole ring."""
         depth, width = 48, 10
         m = depth * width
         up, dead = m, m + 1
@@ -909,15 +914,15 @@ class TestPlantedScc:
         assert cap > depth
         assert _search(_edge_expand(offsets, targets), marks(n, [7]),
                        max_layers=32) is None
-        labels = assert_scc_matches_networkx(offsets, targets, n, edges)
-        assert len(set(labels[:m].tolist())) == 1
-        assert sorted(tarjan_visits) == [up, dead]
+        _, _, core = assert_scc_matches_networkx(offsets, targets, n, edges)
+        assert np.flatnonzero(core).tolist() == list(range(m))
 
-    def test_backward_search_stays_in_the_forward_set(self, tarjan_visits):
+    def test_backward_search_stays_in_the_forward_set(self):
         """A hub joined both ways to a ring of 10 boxes that a chain of 40
         boxes feeds: the backward search from the hub, kept to the
         forward set by `seen`, takes 2 layers, where the chain alone
-        needs more than the layer cap, so Tarjan only sees the chain."""
+        needs more than the layer cap, so the step finds the ring and the
+        hub."""
         length, ring, hub, n = 40, list(range(40, 50)), 50, 51
         edges = sorted({(i, i + 1) for i in range(length - 1)}
                        | {(length - 1, ring[0])}
@@ -931,15 +936,15 @@ class TestPlantedScc:
         reverse = chain_graph._transpose(offsets, targets, n)
         assert _search(_edge_expand(*reverse), marks(n, [hub]),
                        max_layers=cap) is None
-        labels = assert_scc_matches_networkx(offsets, targets, n, edges)
-        assert len(set(labels[ring + [hub]].tolist())) == 1
-        assert sorted(tarjan_visits) == list(range(length))
+        _, _, core = assert_scc_matches_networkx(offsets, targets, n, edges)
+        assert np.flatnonzero(core).tolist() == ring + [hub]
 
     def test_long_chain_of_two_cycles(self):
         """1024 two-cycles in a line, each feeding the next: 1024
         components in one long chain.  A forward-backward recursion on the
         pieces of every split is quadratic here (20.7 s against 3.8 ms for
-        the step and Tarjan, 2-core VM), so this bounds the wall time."""
+        the step and Tarjan, 2-core VM), so this bounds the wall time of
+        the step and a Tarjan run."""
         k = 1024
         edges = sorted({(2 * i, 2 * i + 1) for i in range(k)}
                        | {(2 * i + 1, 2 * i) for i in range(k)}
@@ -947,19 +952,19 @@ class TestPlantedScc:
         n = 2 * k
         offsets, targets = csr_from_edges(edges, n)
         t0 = time.perf_counter()
-        labels = csr_scc(offsets, targets, n)
+        csr_pivot_core(offsets, targets, n)
+        _, count = chain_graph._tarjan(offsets, targets)
         assert time.perf_counter() - t0 < 1.0
-        assert int(labels.max()) + 1 == k
-        labels = assert_scc_matches_networkx(offsets, targets, n, edges)
-        assert labels.tolist() == [k - 1 - v // 2 for v in range(n)]
+        assert count == k
+        assert_scc_matches_networkx(offsets, targets, n, edges)
 
     @pytest.mark.parametrize("side", ["forward", "backward"])
-    def test_long_search_falls_back_to_tarjan(self, side, tarjan_visits):
-        """A pivot search past the layer cap leaves the whole graph to
-        Tarjan.  A ring of 3 x 32 nodes and a hub form one component, few
-        edges for its depth; the forward case reaches the ring from the
-        hub one node per layer, the backward case reaches the hub back
-        along the ring."""
+    def test_long_search_leaves_no_core(self, side):
+        """A pivot search past the layer cap finds no node, which leaves
+        the whole graph to the cover pyramid.  A ring of 3 x 32 nodes and
+        a hub form one component, few edges for its depth; the forward
+        case reaches the ring from the hub one node per layer, the
+        backward case reaches the hub back along the ring."""
         m = 3 * chain_graph._fb_max_layers(0, 0)
         hub, dead, up = m, m + 1, m + 2
         if side == "forward":
@@ -983,9 +988,10 @@ class TestPlantedScc:
             reverse = chain_graph._transpose(offsets, targets, n)
             assert _search(_edge_expand(*reverse), marks(n, [hub]),
                            seen=~fwd, max_layers=cap) is None
-        labels = assert_scc_matches_networkx(offsets, targets, n, edges)
+        labels, _, core = assert_scc_matches_networkx(offsets, targets, n,
+                                                      edges)
         assert len(set(labels[:hub + 1].tolist())) == 1
-        assert sorted(tarjan_visits) == list(range(n))
+        assert not core.any()
 
 
 def _same_chain(a, b):
@@ -1088,7 +1094,7 @@ class TestEdgeLayout:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chain_graph, "_CHUNK_EDGES", chunk)
             got = chain_graph._materialize_edges(
-                grid, *to_cover(grid, ilo, ihi, empty))
+                grid.shape, *to_cover(grid, ilo, ihi, empty))
         assert got[1].dtype == np.int32
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -1108,7 +1114,7 @@ class TestEdgeLayout:
         cover = to_cover(grid, np.asarray(ilo), np.asarray(ihi),
                          np.zeros(grid.nboxes, dtype=bool))
         with pytest.raises(RuntimeError, match="not distinct"):
-            chain_graph._materialize_edges(grid, *cover)
+            chain_graph._materialize_edges(grid.shape, *cover)
 
     @settings(max_examples=100, deadline=None)
     @given(case=escape_cases())
@@ -1166,7 +1172,8 @@ class TestEdgeLayout:
         want = np.zeros(tg.nboxes, dtype=bool)
         want[src[src == targets]] = True
         assert np.array_equal(
-            chain_graph._cover_self_loops(tg.grid, *tg.cover), want)
+            chain_graph._cover_self_loops(tg.grid.shape, *tg.cover,
+                                          np.arange(tg.nboxes)), want)
 
     @pytest.mark.parametrize("chunk", CHUNKS[:2])
     @settings(max_examples=100, deadline=None)
@@ -1203,9 +1210,10 @@ def box_chunks(size):
 
 
 class TestCoverQueries:
-    """Degrees, self-loops, searches and SCC labels read from the cover
-    ranges, against the CSR written from them; each hypothesis example
-    draws the block size of the block-wise passes from `BOX_CHUNKS`."""
+    """Degrees, self-loops, searches and the component record read from
+    the cover ranges, against the CSR written from them; each hypothesis
+    example draws the block size of the block-wise passes from
+    `BOX_CHUNKS`."""
 
     @settings(max_examples=150, deadline=None)
     @given(covered_graphs(), st.sampled_from(BOX_CHUNKS), st.data())
@@ -1241,7 +1249,8 @@ class TestCoverQueries:
         assert np.array_equal(tg.out_degrees(), degrees + tg.escapes)
         src = np.repeat(np.arange(tg.nboxes), degrees)
         assert np.array_equal(
-            chain_graph._cover_self_loops(tg.grid, *tg.cover),
+            chain_graph._cover_self_loops(tg.grid.shape, *tg.cover,
+                                          np.arange(tg.nboxes)),
             marks(tg.nboxes, src[src == tg.targets]))
         with box_chunks(chunk):
             in_degrees = chain_graph._cover_counts(tg)
@@ -1250,20 +1259,29 @@ class TestCoverQueries:
 
     @settings(max_examples=100, deadline=None)
     @given(covered_graphs(), st.sampled_from(BOX_CHUNKS))
-    def test_scc_labels_match_the_csr_pass(self, tg, chunk):
-        want = csr_scc(tg.offsets, tg.targets, tg.nboxes)
-        fresh = dataclasses.replace(tg, _csr=None)
-        with box_chunks(chunk):
-            assert np.array_equal(fresh.scc_labels(), want)
+    def test_record_matches_the_whole_graph_tarjan_pass(self, tg, chunk):
+        """The pivot step and the pyramid, every level built (floor 1) or
+        the default floor, with blocks of `chunk` boxes: the record of
+        one Tarjan run over the whole CSR, with no CSR written."""
+        want = whole_graph_record(tg)
+        for floor in PYRAMID_FLOORS:
+            fresh = dataclasses.replace(tg, _csr=None, _components=None)
+            with box_chunks(chunk), pyramid_floor(floor):
+                index, m = component_index(fresh)
+            assert m == want[1] and np.array_equal(index, want[0])
+            assert fresh._csr is None
 
     @pytest.mark.parametrize("name, params, depth", [
         ("cat", {}, 7), ("standard", {"K": 0.97}, 8)])
     def test_torus_recurrence_writes_no_edge(self, monkeypatch, name, params,
                                              depth):
         """A chain-transitive torus graph: one component of every box,
-        found without the CSR or its transpose."""
+        found by the pivot's forward-backward step (8 and 27 layers, under
+        caps of 5,500 and 11,104), with no coarser cover, no Tarjan run
+        and no CSR or transpose."""
         tg = torus_cover_graph(name, params, depth)
-        for fn in ("_materialize_edges", "_transpose"):
+        for fn in ("_materialize_edges", "_transpose", "_coarser_cover",
+                   "_tarjan"):
             monkeypatch.setattr(chain_graph, fn,
                                 lambda *a, fn=fn: pytest.fail(fn))
         assert chain_recurrent_boxes(tg).bits.all()
@@ -1275,7 +1293,8 @@ class TestCoverQueries:
                                                            monkeypatch):
         """One SCC of every box: the record is all zeros with m = 1, with
         no self-loop test and no numbering by smallest member.  A graph
-        of several SCCs takes both."""
+        of several SCCs takes both, the self-loops of the candidates and
+        one `np.minimum.at`."""
         torus = torus_cover_graph("cat", {}, 6)
         grid = Grid(Domain((-2.0,), (2.0,), (False,)), (6,))
         cubic = build_graph(grid, polynomial_map(
@@ -1305,16 +1324,103 @@ class TestCoverQueries:
         assert m == 1 and index.dtype == np.int32 and not index.any()
         assert calls == []
         assert component_index(cubic)[1] > 1
-        assert calls == ["self-loops", "minimum.at"]
+        assert calls[:2] == ["self-loops", "minimum.at"]
+        assert calls.count("minimum.at") == 1
 
     def test_the_csr_is_written_once_on_demand(self):
         tg = torus_cover_graph("standard", {"K": 0.97}, 4)
         assert tg._csr is None
-        tg.scc_labels()
+        component_index(tg)
         assert tg._csr is None
         tg.image_boxes(BoxSet.from_indices(tg.grid, [3]))
         offsets = tg._csr[0]
         assert tg.offsets is offsets and tg.reverse()[0] is tg.reverse()[0]
+
+
+def shortest_arc(points, size):
+    """Length of the shortest arc of a circle of `size` boxes that holds
+    every one of `points`: the circle less its largest gap."""
+    p = sorted(points)
+    return size - max(b - a - 1 for a, b in zip(p, p[1:] + [p[0] + size]))
+
+
+class TestCoverPyramid:
+    """The coarser covers of the pyramid, level by level down to one box,
+    against the edges and the ranges of the finer cover."""
+
+    def test_tarjan_sees_few_boxes_of_the_cubic(self, monkeypatch):
+        """The 2-D cubic at depth 7, eps 1/64 (16,384 boxes, 400 of them
+        recurrent): Tarjan runs on the 256 boxes of the coarsest level
+        (16 x 16), then on at most 800 boxes at each of three finer
+        levels, and the record is that of one Tarjan run over the whole
+        graph."""
+        cubic = polynomial_map(
+            [[{"c": 1.5, "e": [1, 0]}, {"c": -0.5, "e": [3, 0]}],
+             [{"c": 1.5, "e": [0, 1]}, {"c": -0.5, "e": [0, 3]}]], 2)
+        grid = Grid(Domain((-2.0, -2.0), (2.0, 2.0), (False, False)), (7, 7))
+        tg = build_graph(grid, cubic, 1 / 64)
+        sizes = []
+        real = chain_graph._induced_sccs
+        monkeypatch.setattr(chain_graph, "_induced_sccs",
+                            lambda *a: sizes.append(a[3].size) or real(*a))
+        index, m = component_index(tg)
+        assert sizes[0] == 256 and len(sizes) == 4 and max(sizes[1:]) <= 800
+        want = whole_graph_record(tg)
+        assert m == want[1] == 49 and np.array_equal(index, want[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(covered_graphs())
+    def test_every_fine_edge_gives_a_coarse_edge(self, tg):
+        """Each fine edge a -> b gives the coarse edge parent(a) ->
+        parent(b), by the lattice reference's edges of both covers.  And
+        the coarse ranges are tight: per axis, the parent indices of the
+        children's targets span the range on a non-periodic axis and the
+        shortest arc that holds them on a periodic one; a parent of
+        children with no box in their ranges has none."""
+        periodic = tg.grid.domain.periodic
+        dim = tg.grid.dim
+        level = tg
+        while max(level.grid.shape) > 1:
+            shape = level.grid.shape
+            fine_start, fine_length = level.cover
+            coarse, start, length = chain_graph._coarser_cover(
+                shape, periodic, fine_start, fine_length)
+            assert start.dtype == length.dtype == np.int16
+            grid = Grid(Domain((0.0,) * dim, (1.0,) * dim, periodic),
+                        tuple(int(size).bit_length() - 1 for size in coarse))
+            assert grid.shape == coarse
+            up = TransitionGraph(grid, None, 0.0, (length == 0).any(axis=0),
+                                 0.0, cover=(start, length))
+            ratio = np.asarray(shape) // np.asarray(coarse)
+
+            def parent(boxes):
+                at = np.asarray(np.unravel_index(boxes, shape))
+                return np.ravel_multi_index(tuple(at // ratio[:, None]),
+                                            coarse)
+
+            fine = np.asarray(cover_edges(level), dtype=np.int64).reshape(-1,
+                                                                         2)
+            assert set(zip(parent(fine[:, 0]).tolist(),
+                           parent(fine[:, 1]).tolist())) \
+                <= set(cover_edges(up))
+            held = {}  # (parent, axis): parent indices of child targets
+            for b in np.flatnonzero(fine_length.all(axis=0)).tolist():
+                p = int(parent(np.array([b]))[0])
+                for ax in range(dim):
+                    run = fine_start[ax, b] + np.arange(fine_length[ax, b])
+                    held.setdefault((p, ax), set()).update(
+                        (run % shape[ax] // ratio[ax]).tolist())
+            for p in range(grid.nboxes):
+                if (p, 0) not in held:
+                    assert not length[:, p].any()
+                    continue
+                for ax, size in enumerate(coarse):
+                    arc = (start[ax, p] + np.arange(length[ax, p])) % size
+                    assert held[p, ax] <= set(arc.tolist())
+                    assert length[ax, p] == (
+                        shortest_arc(held[p, ax], size) if periodic[ax]
+                        else max(held[p, ax]) - min(held[p, ax]) + 1)
+            level = up
 
 
 @st.composite

@@ -931,10 +931,10 @@ class TestMoreSubcommands:
     def test_all_builds_one_graph_and_one_scc(self, tmp_path, monkeypatch):
         from dynkit import chain_graph
         builds, sccs = [], []
-        build, scc = chain_graph.build_graph, chain_graph._scc
+        build, scc = chain_graph.build_graph, chain_graph._components
         monkeypatch.setattr(chain_graph, "build_graph",
                             lambda *a, **k: builds.append(1) or build(*a, **k))
-        monkeypatch.setattr(chain_graph, "_scc",
+        monkeypatch.setattr(chain_graph, "_components",
                             lambda *a: sccs.append(1) or scc(*a))
         path = cat_config(tmp_path, depth=4)
         assert run_cli(["all", "--config", str(path)]).exit_code == 0
@@ -945,10 +945,10 @@ class TestMoreSubcommands:
     def test_torus_recurrence_writes_no_edge(self, tmp_path, monkeypatch,
                                              sub, name, depth):
         """The bench's torus configs run without the CSR or its transpose,
-        and their reports and plots are those of the SCC labels of `_scc`
-        driven along the CSR and its transpose."""
+        and their reports and plots are those of the record of one Tarjan
+        run over the whole CSR."""
         from dynkit import chain_graph
-        from test_chain_graph import csr_scc
+        from test_chain_graph import whole_graph_record
         cfg = {"map": {"name": name, **({"K": 0.97} if name == "standard"
                                         else {})},
                "grid": {"lower": [0, 0], "upper": [1, 1],
@@ -967,8 +967,7 @@ class TestMoreSubcommands:
             for fn in ("_materialize_edges", "_transpose"):
                 mp.setattr(chain_graph, fn, lambda *a, fn=fn: pytest.fail(fn))
             edge_free = run()
-        monkeypatch.setattr(chain_graph.TransitionGraph, "scc_labels",
-                            lambda g: csr_scc(g.offsets, g.targets, g.nboxes))
+        monkeypatch.setattr(chain_graph, "_components", whole_graph_record)
         assert run() == edge_free
 
     def test_cr_does_not_import_scipy_sparse(self, tmp_path):
@@ -1070,6 +1069,40 @@ class TestMoreSubcommands:
             if capped:
                 assert f"{count} manifold segments" in warnings[0]
                 assert "max_seg 0.005" in warnings[0]
+
+    @pytest.mark.parametrize("sub", ["manifolds", "homoclinic", "accumulate"])
+    @pytest.mark.parametrize("K, short", [(0.001, True), (0.05, False)])
+    def test_growth_shortfall_reported(self, tmp_path, sub, K, short):
+        # standard K = 0.001 at the origin has eigenvalue 1.032, so 300
+        # generations from 1e-6 reach arclength 0.0136 of the 0.5 asked
+        # for; K = 0.05 (eigenvalue 1.25) gets there.  A short run writes
+        # its report with `reached_arclength` and one stderr warning
+        # naming the target and the reached arclength; a full one adds
+        # neither
+        torus = {"lower": [0, 0], "upper": [1, 1],
+                 "periodic": [True, True], "depth": [3, 3]}
+        exp = {"period": 1, "max_seg": 0.01,
+               **({"arclength_schedule": [0.5], "radii": [0.1],
+                   "allow_missing": True} if sub == "accumulate"
+                  else {"arclength": 0.5})}
+        out = tmp_path / "out"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"map": {"name": "standard", "K": K},
+                                    "grid": torus, "experiment": exp,
+                                    "out": str(out)}))
+        res = run_cli([sub, "--config", str(path)])
+        assert res.exit_code == 0, res.stderr
+        results = json.loads((out / "report.json").read_text())["results"]
+        warnings = [line for line in res.stderr.splitlines()
+                    if line.startswith("warning")]
+        if short:
+            reached = results["reached_arclength"]
+            assert 0.013 < reached < 0.014
+            assert len(warnings) == 1
+            assert f"reached arclength {reached:g} of its target 0.5" \
+                in warnings[0]
+        else:
+            assert "reached_arclength" not in results and not warnings
 
     def test_accumulate_reads_tol_int(self, tmp_path, monkeypatch):
         # the whole schedule shares one crossing pass, which gets tol_int

@@ -1322,7 +1322,8 @@ def reference_accumulation(map_spec, hp, q, radii, arclength_schedule,
                 break
         rows.append(manifolds.AccumulationRow(
             r, found is not None, used, found,
-            capped_by_L[Lmax if used is None else used]))
+            capped_by_L[Lmax if used is None else used],
+            min(Wu_full.total_arclength, Ws_full.total_arclength)))
     return rows
 
 
@@ -1332,6 +1333,7 @@ def _accumulation_records(rows):
         return tuple(float(x).hex() for x in xs)
 
     return [(bits(r.radius), r.found, r.arclength_used, r.capped,
+             bits(r.reached),
              None if r.hit is None else
              (bits(*r.hit.point), bits(r.hit.param_unstable, r.hit.param_stable,
                                        r.hit.angle, r.hit.distance_from_anchor),
